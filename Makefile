@@ -18,6 +18,9 @@
 #   make cluster-gate replica-cluster e2e: 3 in-process replicas + router,
 #                     cold/warm/kill-one-mid-load, zero failed requests and
 #                     zero second strong simulations (see cmd/clustergate)
+#   make bench-smoke  vet and test cmd/weakbench, a module of its own that
+#                     root `go test ./...` never builds, against the library
+#                     API it compiles with
 #   make job-gate     durable batch-job e2e: build the real weaksimd binary,
 #                     SIGKILL it mid-run, restart, and assert every job
 #                     finishes with counts bit-identical to an uninterrupted
@@ -36,7 +39,7 @@ GO ?= go
 # staticcheck binary is on PATH — we never install tools implicitly).
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: check build vet test fmt-check lint race race-stress chaos fuzz-smoke bench bench-frozen bench-gate bench-json cover cover-gate slo-gate cluster-gate job-gate table serve clean
+.PHONY: check build vet test fmt-check lint race race-stress chaos fuzz-smoke bench bench-frozen bench-gate bench-smoke bench-json cover cover-gate slo-gate cluster-gate job-gate table serve clean
 
 check: vet build test
 
@@ -94,15 +97,14 @@ fuzz-smoke:
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkDDSampling -benchtime 2s .
 
-# Frozen-vs-live per-shot sampling cost (the freeze-then-sample refactor's
-# headline number; committed snapshot lives in BENCH_FROZEN.txt). Sampling
-# rows run at 2M fixed iterations x3 so the committed baseline is a min-of-3
-# of ~0.2-3s measurements — long enough to average over scheduler jitter on
+# Frozen-walk per-shot sampling cost (committed snapshot lives in
+# BENCH_FROZEN.txt). Sampling rows run at 2M fixed iterations x3 so the
+# committed baseline is a min-of-3 of ~0.2-3s measurements — long enough to average over scheduler jitter on
 # small hosts, and symmetric with what cmd/benchcheck measures. The freeze
 # benchmark runs separately with a small fixed iteration count: one freeze
 # of shor_33_2 costs ~20ms, so 2000000x would blow the go test timeout.
 bench-frozen:
-	$(GO) test -run '^$$' -bench 'BenchmarkSampleLive|BenchmarkSampleFrozen' -benchtime 2000000x -count 3 .
+	$(GO) test -run '^$$' -bench 'BenchmarkSampleFrozen' -benchtime 2000000x -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkFreeze' -benchtime 50x .
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildFreeze' -benchtime 10x -count 3 .
 
@@ -118,6 +120,12 @@ bench-frozen:
 bench-gate:
 	$(GO) run ./cmd/benchcheck
 	$(GO) run ./cmd/benchcheck -bench BenchmarkBuildFreeze -benchtime 10x
+
+# The end-to-end benchmark (cmd/weakbench) is a Go module of its own, so
+# root `go test ./...` never compiles it. This smoke target vets and tests
+# it against the library API it imports.
+bench-smoke:
+	cd cmd/weakbench && $(GO) vet . && $(GO) test .
 
 # Statement coverage with an HTML-able profile.
 cover:

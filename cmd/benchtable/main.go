@@ -29,13 +29,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"weaksim/internal/algo"
 	"weaksim/internal/core"
 	"weaksim/internal/dd"
-	"weaksim/internal/rng"
 	"weaksim/internal/sim"
 )
 
@@ -82,19 +80,14 @@ type benchRow struct {
 	// "TO"); the corresponding seconds are set only on "ok".
 	VectorStatus  string  `json:"vector_status,omitempty"`
 	VectorSeconds float64 `json:"vector_seconds,omitempty"`
-	DDStatus      string  `json:"dd_status,omitempty"`
-	DDSeconds     float64 `json:"dd_seconds,omitempty"`
 
-	// Freeze-then-sample columns: FreezeSeconds is the one-off cost of
-	// converting the live diagram into the immutable flat-array snapshot;
-	// DDFrozenSeconds covers the same shot batch drawn by lock-free walks
-	// over the snapshot (sharded across -workers goroutines when set);
-	// DDSpeedup is DDSeconds / DDFrozenSeconds — the per-shot win of the
-	// frozen arrays over the live pointer walk.
+	// DD column: FreezeSeconds is the one-off cost of converting the live
+	// diagram into the immutable flat-array snapshot; DDFrozenSeconds covers
+	// the shot batch drawn by lock-free walks over the snapshot (sharded
+	// across -workers goroutines when set).
 	FreezeSeconds   float64 `json:"freeze_seconds,omitempty"`
 	DDFrozenStatus  string  `json:"dd_frozen_status,omitempty"`
 	DDFrozenSeconds float64 `json:"dd_frozen_seconds,omitempty"`
-	DDSpeedup       float64 `json:"dd_speedup,omitempty"`
 
 	// HitRates maps cache kind → hit rate in [0,1] after strong
 	// simulation: unique_v, unique_m, cache_mul, cache_add, cnum_intern.
@@ -171,11 +164,11 @@ func run() error {
 	if nWorkers <= 0 {
 		nWorkers = runtime.GOMAXPROCS(0)
 	}
-	fmt.Printf("frozen column: freeze-then-sample over the immutable snapshot, %d worker(s)\n", nWorkers)
+	fmt.Printf("DD column: freeze-then-sample over the immutable snapshot, %d worker(s)\n", nWorkers)
 	fmt.Println()
-	fmt.Printf("%-18s %6s | %8s %10s | %12s %9s %9s %6s | %9s %6s\n",
-		"benchmark", "qubits", "vec size", "vec t[s]", "DD size", "live t[s]", "frz t[s]", "spdup", "sim t[s]", "probe")
-	fmt.Println(strings.Repeat("-", 111))
+	fmt.Printf("%-18s %6s | %8s %10s | %12s %9s | %9s %6s\n",
+		"benchmark", "qubits", "vec size", "vec t[s]", "DD size", "DD t[s]", "sim t[s]", "probe")
+	fmt.Println(strings.Repeat("-", 94))
 
 	doc := benchDoc{
 		GeneratedAt: time.Now().Format(time.RFC3339),
@@ -331,8 +324,8 @@ func runRow(name string, shots int, seed uint64, budget, ddBudget, workers int, 
 		// sampling column can run — the whole row is MO/TO, as in the
 		// paper's vector rows that never complete.
 		if mark, ok := cell(err); ok {
-			fmt.Printf("%-18s %6d | %8s %10s | %12s %9s %9s %6s | %9s %6s\n",
-				name, c.NQubits, mark, mark, mark, mark, mark, "", mark, "")
+			fmt.Printf("%-18s %6d | %8s %10s | %12s %9s | %9s %6s\n",
+				name, c.NQubits, mark, mark, mark, mark, mark, "")
 			row.Status = mark
 			row.PeakNodes = s.Manager().PeakNodes()
 			row.HitRates = hitRates(s.Manager().TableStats())
@@ -368,7 +361,7 @@ func runRow(name string, shots int, seed uint64, budget, ddBudget, workers int, 
 		if err != nil {
 			return row, err
 		}
-		if err := sampleSink(ctx, sampler, seed, shots); err != nil {
+		if _, err := core.CountsParallelContext(ctx, sampler, seed, shots, 1); err != nil {
 			if mark, ok := cell(err); ok {
 				vecCol, vecTime = mark, mark
 				row.VectorStatus = mark
@@ -384,33 +377,11 @@ func runRow(name string, shots int, seed uint64, budget, ddBudget, workers int, 
 		}
 	}
 
-	// DD-based column, live walk: precompute branch probabilities (a no-op
-	// under L2 normalization) and draw the samples by pointer traversal of
-	// the live diagram — the pre-freeze baseline.
-	start := time.Now()
-	ddSampler, err := core.NewDDSampler(m, state)
-	if err != nil {
-		return row, err
-	}
 	ddSize := fmt.Sprintf("%6d ≈2^%-4.1f", nodeCount, math.Log2(float64(nodeCount)))
-	var ddTime string
-	if err := sampleSink(ctx, ddSampler, seed, shots); err != nil {
-		if mark, ok := cell(err); ok {
-			ddTime = mark
-			row.DDStatus = mark
-		} else {
-			return row, err
-		}
-	} else {
-		elapsed := time.Since(start)
-		ddTime = fmt.Sprintf("%.2f", elapsed.Seconds())
-		row.DDStatus = "ok"
-		row.DDSeconds = elapsed.Seconds()
-	}
 
-	// Frozen column: freeze the state into an immutable snapshot once, then
-	// draw the same batch by lock-free walks over the flat arrays, sharded
-	// across the worker pool. The printed time covers freeze + sampling.
+	// DD column: freeze the state into an immutable snapshot once, then
+	// draw the batch by lock-free walks over the flat arrays, sharded across
+	// the worker pool. The printed time covers freeze + sampling.
 	freezeStart := time.Now()
 	snap, err := m.Freeze(state)
 	if err != nil {
@@ -421,87 +392,22 @@ func runRow(name string, shots int, seed uint64, budget, ddBudget, workers int, 
 	if err != nil {
 		return row, err
 	}
-	var frzTime, speedup string
-	start = time.Now()
-	if err := parallelSampleSink(ctx, frozen, seed, shots, workers); err != nil {
+	var ddTime string
+	start := time.Now()
+	if _, err := core.CountsParallelContext(ctx, frozen, seed, shots, workers); err != nil {
 		if mark, ok := cell(err); ok {
-			frzTime = mark
+			ddTime = mark
 			row.DDFrozenStatus = mark
 		} else {
 			return row, err
 		}
 	} else {
-		elapsed := time.Since(start)
 		row.DDFrozenStatus = "ok"
-		row.DDFrozenSeconds = elapsed.Seconds()
-		frzTime = fmt.Sprintf("%.2f", row.FreezeSeconds+row.DDFrozenSeconds)
-		if row.DDSeconds > 0 && row.DDFrozenSeconds > 0 {
-			row.DDSpeedup = row.DDSeconds / row.DDFrozenSeconds
-			speedup = fmt.Sprintf("%.2fx", row.DDSpeedup)
-		}
+		row.DDFrozenSeconds = time.Since(start).Seconds()
+		ddTime = fmt.Sprintf("%.2f", row.FreezeSeconds+row.DDFrozenSeconds)
 	}
 
-	fmt.Printf("%-18s %6d | %8s %10s | %12s %9s %9s %6s | %9.2f %6.2f\n",
-		name, c.NQubits, vecCol, vecTime, ddSize, ddTime, frzTime, speedup, simTime.Seconds(), row.UniqueProbeLen)
+	fmt.Printf("%-18s %6d | %8s %10s | %12s %9s | %9.2f %6.2f\n",
+		name, c.NQubits, vecCol, vecTime, ddSize, ddTime, simTime.Seconds(), row.UniqueProbeLen)
 	return row, nil
-}
-
-// sampleSink draws shots samples into a throwaway sink, checking the
-// context every core.CtxCheckShots samples so a per-row timeout turns into
-// a TO cell instead of a hung table.
-func sampleSink(ctx context.Context, sampler core.Sampler, seed uint64, shots int) error {
-	r := rng.New(seed)
-	var sink uint64
-	for i := 0; i < shots; i++ {
-		if i%core.CtxCheckShots == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		sink ^= sampler.Sample(r)
-	}
-	_ = sink
-	return nil
-}
-
-// parallelSampleSink is sampleSink sharded across a worker pool: worker k
-// draws its quota from rng.Stream(seed, k) into a goroutine-local sink. The
-// sampler must be safe for concurrent use (core.FrozenSampler is). With
-// workers <= 1 it falls back to the sequential sink so single-worker timings
-// stay directly comparable to the live column.
-func parallelSampleSink(ctx context.Context, sampler core.Sampler, seed uint64, shots, workers int) error {
-	if workers <= 1 {
-		return sampleSink(ctx, sampler, seed, shots)
-	}
-	if workers > shots {
-		workers = shots
-	}
-	base, rem := shots/workers, shots%workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		quota := base
-		if k < rem {
-			quota++
-		}
-		wg.Add(1)
-		go func(k, quota int) {
-			defer wg.Done()
-			r := rng.Stream(seed, k)
-			var sink uint64
-			for i := 0; i < quota; i++ {
-				if i%core.CtxCheckShots == 0 && ctx.Err() != nil {
-					errs[k] = ctx.Err()
-					return
-				}
-				sink ^= sampler.Sample(r)
-			}
-			_ = sink
-		}(k, quota)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

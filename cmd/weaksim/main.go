@@ -118,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		qasmFile   = fs.String("qasm", "", "OpenQASM 2.0 file to simulate instead of a named benchmark")
 		shots      = fs.Int("shots", 16, "number of measurement samples to draw")
 		seed       = fs.Uint64("seed", 1, "random seed (equal seeds reproduce samples exactly)")
-		workers    = fs.Int("workers", 1, "worker goroutines for batch sampling over the frozen state snapshot (0 = GOMAXPROCS); equal seeds and worker counts reproduce counts exactly")
+		workers    = fs.Int("workers", 1, "worker goroutines for batch sampling over the frozen state snapshot (0 = GOMAXPROCS); counts do not depend on the worker count")
 		method     = fs.String("method", "dd", "sampling method: dd, prefix, linear, or alias")
 		norm       = fs.String("norm", "l2phase", "DD normalization scheme: left, l2, or l2phase")
 		top        = fs.Int("top", 0, "print only the k most frequent outcomes as a histogram")

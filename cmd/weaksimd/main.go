@@ -45,9 +45,11 @@
 // shots are sampled in checkpointed chunks under a WAL, so a crash or kill
 // loses at most one in-flight chunk per job and a restart resumes every
 // job with final counts bit-identical to an uninterrupted run.
-// -job-workers sizes the chunk executor, -job-chunk-shots the checkpoint
-// granularity, -job-tenant-weights the fair-share split, and
-// -job-max-per-tenant the per-tenant active-job quota (429 beyond it).
+// -job-workers sizes the chunk executor, -job-tenant-weights the fair-share
+// split, and -job-max-per-tenant the per-tenant active-job quota (429
+// beyond it). Jobs checkpoint every job.DefaultChunkShots shots unless a
+// submit picks its own chunk_shots; at the default, a job's counts equal
+// /v1/sample's for the same circuit, seed and shots.
 //
 // On startup the daemon logs one JSON line of the fully-resolved effective
 // config ({"event":"effective_config",...}) for field debugging.
@@ -132,11 +134,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *serve.Server, cl
 		faultSpec   = fs.String("fault", os.Getenv("WEAKSIM_FAULT"), "chaos-testing fault spec, e.g. \"dd.freeze:err@3,snapstore.write:corrupt@1\" (default $WEAKSIM_FAULT)")
 		faultSeed   = fs.Uint64("fault-seed", 1, "deterministic seed for fault byte corruption")
 
-		jobsDir       = fs.String("jobs-dir", "", "durable batch-job WAL directory; restarts resume every non-terminal job (empty = in-memory jobs)")
-		jobWorkers    = fs.Int("job-workers", job.DefaultWorkers, "batch-job chunk executor pool size")
-		jobChunkShots = fs.Int("job-chunk-shots", job.DefaultChunkShots, "default shots per batch-job checkpoint chunk")
-		jobWeights    = fs.String("job-tenant-weights", "", "fair-share scheduler weights, e.g. \"acme=10,guest=1\" (unlisted tenants weigh 1)")
-		jobMaxTenant  = fs.Int("job-max-per-tenant", job.DefaultMaxPerTenant, "active batch jobs per tenant before submissions answer HTTP 429")
+		jobsDir      = fs.String("jobs-dir", "", "durable batch-job WAL directory; restarts resume every non-terminal job (empty = in-memory jobs)")
+		jobWorkers   = fs.Int("job-workers", job.DefaultWorkers, "batch-job chunk executor pool size")
+		jobWeights   = fs.String("job-tenant-weights", "", "fair-share scheduler weights, e.g. \"acme=10,guest=1\" (unlisted tenants weigh 1)")
+		jobMaxTenant = fs.Int("job-max-per-tenant", job.DefaultMaxPerTenant, "active batch jobs per tenant before submissions answer HTTP 429")
 
 		clusterMode   = fs.Bool("cluster", false, "run as a cluster router over a replica fleet instead of a replica")
 		backends      = fs.String("backends", "", "cluster mode: comma-separated replica base URLs")
@@ -229,7 +230,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *serve.Server, cl
 		DisableRequestTraces: *noTraces,
 		JobsDir:              *jobsDir,
 		JobWorkers:           *jobWorkers,
-		JobChunkShots:        *jobChunkShots,
 		JobTenantWeights:     tenantWeights,
 		JobMaxPerTenant:      *jobMaxTenant,
 		Metrics:              obs.NewRegistry(),

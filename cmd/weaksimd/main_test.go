@@ -393,7 +393,6 @@ func TestRunEffectiveConfigLine(t *testing.T) {
 	for flag, want := range map[string]string{
 		"job-workers":        "3",               // override
 		"job-tenant-weights": "acme=10,guest=1", // override
-		"job-chunk-shots":    "65536",           // default, resolved
 		"norm":               "l2phase",         // default, resolved
 		"addr":               "127.0.0.1:0",
 	} {
@@ -404,21 +403,22 @@ func TestRunEffectiveConfigLine(t *testing.T) {
 }
 
 // TestRunJobFlags boots the daemon with the batch-job flags and drives one
-// job through the HTTP surface: submit, poll to completion, fetch the
-// merged result.
+// job, checkpointed in per-request 512-shot chunks, through the HTTP
+// surface: submit, poll to completion, fetch the merged result.
 func TestRunJobFlags(t *testing.T) {
 	dir := t.TempDir()
-	srv, shutdown := bootDaemon(t, "-jobs-dir", dir, "-job-workers", "2", "-job-chunk-shots", "512")
+	srv, shutdown := bootDaemon(t, "-jobs-dir", dir, "-job-workers", "2")
 	defer shutdown()
 
 	resp, err := http.Post("http://"+srv.Addr()+"/v1/jobs", "application/json",
-		strings.NewReader(`{"circuit":"ghz_3","shots":2048,"seed":7}`))
+		strings.NewReader(`{"circuit":"ghz_3","shots":2048,"seed":7,"chunk_shots":512}`))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	var st struct {
-		ID    string `json:"job_id"`
-		State string `json:"state"`
+		ID          string `json:"job_id"`
+		State       string `json:"state"`
+		ChunksTotal int    `json:"chunks_total"`
 	}
 	if resp.StatusCode != http.StatusAccepted {
 		raw, _ := io.ReadAll(resp.Body)
@@ -444,6 +444,9 @@ func TestRunJobFlags(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.Body.Close()
+	}
+	if st.ChunksTotal != 4 {
+		t.Fatalf("chunks_total=%d, want 4 chunks of 512 shots", st.ChunksTotal)
 	}
 
 	r, err := http.Get("http://" + srv.Addr() + "/v1/jobs/" + st.ID + "/result")

@@ -60,7 +60,11 @@ func TestApproximateSamplingMatchesPrunedDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewDDSampler(m, approx)
+	snap, err := m.Freeze(approx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewFrozenSampler(snap)
 	if err != nil {
 		t.Fatal(err)
 	}

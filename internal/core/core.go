@@ -11,13 +11,18 @@
 //     AliasSampler is an O(1)-per-sample ablation using Walker's alias
 //     method.
 //
-//   - DD-based (paper Section IV): the state stays in decision-diagram
-//     form. DDSampler precomputes per-node branch probabilities (the
-//     downstream pass; the upstream pass is exposed for analysis) and draws
-//     each sample with a randomized root-to-terminal walk in O(n) time.
-//     Under the paper's proposed L2 normalization scheme the branch
-//     probabilities are directly the squared magnitudes of the outgoing
-//     edge weights, and no downstream pass is needed at all.
+//   - DD-based (paper Section IV): the final state DD is frozen once into
+//     an immutable dd.Snapshot, whose flat arrays carry the per-node
+//     downstream/upstream masses and branch thresholds, and FrozenSampler
+//     draws each sample with a randomized root-to-terminal walk over it in
+//     O(n) time. Under the paper's proposed L2 normalization scheme the
+//     branch probabilities are directly the squared magnitudes of the
+//     outgoing edge weights. MeasureAll, QubitProbability, TopOutcomes and
+//     Approximate read the same snapshot by index.
+//
+// Every count-producing batch is cut into ChunkShots chunks, chunk i drawn
+// from rng.Stream(seed, i) (see CountsParallel), so counts are a function of
+// (sampler, seed, shots) whatever the worker count.
 //
 // Both families produce exact (error-free) weak simulation: the sampled
 // distribution equals the state's Born distribution up to floating-point

@@ -154,6 +154,26 @@ func TestSamplersAcceptUnnormalizedWeights(t *testing.T) {
 	chiSquareCheck(t, "prefix-unnormalized", ps, want, 20000, 4)
 }
 
+// freezeFor freezes state and wraps it in a FrozenSampler.
+func freezeFor(t *testing.T, m *dd.Manager, state dd.VEdge, opts ...dd.FreezeOption) (*dd.Snapshot, *FrozenSampler) {
+	t.Helper()
+	snap, err := m.Freeze(state, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewFrozenSampler(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap, s
+}
+
+// rootKids returns the running example's root index and its two q1 kids.
+func rootKids(snap *dd.Snapshot) (root int32, kids [2]int32) {
+	root = snap.Root()
+	return root, snap.At(root).Kid
+}
+
 func TestDDSamplerMatchesDistribution(t *testing.T) {
 	for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2, dd.NormL2Phase} {
 		m := dd.New(3, dd.WithNormalization(norm))
@@ -161,13 +181,10 @@ func TestDDSamplerMatchesDistribution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewDDSampler(m, state)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantFast := norm == dd.NormL2 || norm == dd.NormL2Phase
-		if s.FastPath() != wantFast {
-			t.Errorf("norm=%v: FastPath = %v, want %v", norm, s.FastPath(), wantFast)
+		snap, s := freezeFor(t, m, state)
+		wantGeneric := norm == dd.NormLeft
+		if snap.Generic() != wantGeneric {
+			t.Errorf("norm=%v: Generic = %v, want %v", norm, snap.Generic(), wantGeneric)
 		}
 		chiSquareCheck(t, "dd-"+norm.String(), s, runningExampleProbs(), 40000, 5)
 	}
@@ -176,20 +193,20 @@ func TestDDSamplerMatchesDistribution(t *testing.T) {
 func TestDDSamplerForceGeneric(t *testing.T) {
 	m := dd.New(3) // NormL2Phase default
 	state, _ := m.FromVector(runningExampleVector())
-	s, err := NewDDSampler(m, state, ForceGeneric())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.FastPath() {
-		t.Error("ForceGeneric did not disable the fast path")
+	snap, s := freezeFor(t, m, state, dd.FreezeGeneric())
+	if !snap.Generic() {
+		t.Error("FreezeGeneric did not disable the fast path")
 	}
 	chiSquareCheck(t, "dd-generic", s, runningExampleProbs(), 40000, 6)
 }
 
 func TestDDSamplerRejectsZeroVector(t *testing.T) {
 	m := dd.New(3)
-	if _, err := NewDDSampler(m, dd.VEdge{}); err == nil {
-		t.Error("expected error sampling the zero vector")
+	if _, err := m.Freeze(dd.VEdge{}); err == nil {
+		t.Error("expected error freezing the zero vector")
+	}
+	if _, _, err := MeasureAll(m, dd.VEdge{}, rng.New(1)); err == nil {
+		t.Error("expected error measuring the zero vector")
 	}
 }
 
@@ -198,38 +215,32 @@ func TestDownstreamUpstreamRunningExample(t *testing.T) {
 	// edge probabilities: root 3/4 vs 1/4, inner nodes 1/2 each.
 	m := dd.New(3, dd.WithNormalization(dd.NormLeft))
 	state, _ := m.FromVector(runningExampleVector())
-	root := state.N
+	snap, _ := freezeFor(t, m, state)
+	root, kids := rootKids(snap)
 
-	down := Downstream(m, state)
 	// Left subtree of the root holds 3/4 of the (normalized) mass.
-	dl := root.E[0].W.Abs2() * down[root.E[0].N]
-	dr := root.E[1].W.Abs2() * down[root.E[1].N]
+	w := snap.At(root).W
+	dl := w[0].Abs2() * snap.Down(kids[0])
+	dr := w[1].Abs2() * snap.Down(kids[1])
 	if !approx(dl/(dl+dr), 0.75, 1e-9) {
 		t.Errorf("root left mass fraction = %v, want 3/4", dl/(dl+dr))
 	}
-
-	probs := EdgeProbabilities(m, state)
-	rootP := probs[root]
-	if !approx(rootP[0], 0.75, 1e-9) || !approx(rootP[1], 0.25, 1e-9) {
-		t.Errorf("root edge probabilities = %v, want [3/4 1/4] (Fig. 4c)", rootP)
+	if p0 := snap.At(root).P0; !approx(p0, 0.75, 1e-9) {
+		t.Errorf("root branch threshold = %v, want 3/4 (Fig. 4c)", p0)
 	}
-	for i := 0; i < 2; i++ {
-		q1 := root.E[i].N
-		p := probs[q1]
-		if !approx(p[0], 0.5, 1e-9) || !approx(p[1], 0.5, 1e-9) {
-			t.Errorf("q1 node %d edge probabilities = %v, want [1/2 1/2] (Fig. 4c)", i, p)
+	for i, k := range kids {
+		if p0 := snap.At(k).P0; !approx(p0, 0.5, 1e-9) {
+			t.Errorf("q1 node %d branch threshold = %v, want 1/2 (Fig. 4c)", i, p0)
 		}
 	}
 
 	// Upstream values are half-path masses: combined with downstream they
 	// give absolute traversal probabilities (up·down), 1 at the root and
 	// 3/4 / 1/4 at the two q1 nodes — under any normalization scheme.
-	up := Upstream(m, state)
-	if got := up[root] * down[root]; !approx(got, 1, 1e-9) {
+	if got := snap.Traversal(root); !approx(got, 1, 1e-9) {
 		t.Errorf("up·down(root) = %v, want 1", got)
 	}
-	t0 := up[root.E[0].N] * down[root.E[0].N]
-	t1 := up[root.E[1].N] * down[root.E[1].N]
+	t0, t1 := snap.Traversal(kids[0]), snap.Traversal(kids[1])
 	if !approx(t0, 0.75, 1e-9) || !approx(t1, 0.25, 1e-9) {
 		t.Errorf("traversal probabilities of q1 nodes = %v, %v; want 3/4, 1/4", t0, t1)
 	}
@@ -240,13 +251,12 @@ func TestUpstreamDirectlyReadableUnderL2(t *testing.T) {
 	// the traversal probabilities.
 	m := dd.New(3, dd.WithNormalization(dd.NormL2))
 	state, _ := m.FromVector(runningExampleVector())
-	up := Upstream(m, state)
-	root := state.N
-	if !approx(up[root], 1, 1e-9) {
-		t.Errorf("up(root) = %v, want 1", up[root])
+	snap, _ := freezeFor(t, m, state)
+	root, kids := rootKids(snap)
+	if !approx(snap.Up(root), 1, 1e-9) {
+		t.Errorf("up(root) = %v, want 1", snap.Up(root))
 	}
-	u0 := up[root.E[0].N]
-	u1 := up[root.E[1].N]
+	u0, u1 := snap.Up(kids[0]), snap.Up(kids[1])
 	if !approx(u0, 0.75, 1e-9) || !approx(u1, 0.25, 1e-9) {
 		t.Errorf("upstream(q1 nodes) = %v, %v; want 3/4, 1/4", u0, u1)
 	}
@@ -255,10 +265,10 @@ func TestUpstreamDirectlyReadableUnderL2(t *testing.T) {
 func TestTraversalProbabilitiesSumPerLevel(t *testing.T) {
 	m := dd.New(3, dd.WithNormalization(dd.NormLeft))
 	state, _ := m.FromVector(runningExampleVector())
-	tp := TraversalProbabilities(m, state)
-	sums := make(map[int]float64)
-	for n, p := range tp {
-		sums[n.V] += p
+	snap, _ := freezeFor(t, m, state)
+	sums := make(map[int32]float64)
+	for i := int32(0); i < int32(snap.Len()); i++ {
+		sums[snap.At(i).V] += snap.Traversal(i)
 	}
 	for level, sum := range sums {
 		if !approx(sum, 1, 1e-9) {
@@ -270,9 +280,10 @@ func TestTraversalProbabilitiesSumPerLevel(t *testing.T) {
 func TestDownstreamIsOneUnderL2(t *testing.T) {
 	m := dd.New(3, dd.WithNormalization(dd.NormL2))
 	state, _ := m.FromVector(runningExampleVector())
-	for n, d := range Downstream(m, state) {
-		if !approx(d, 1, 1e-9) {
-			t.Errorf("downstream of node at level %d = %v, want 1 under NormL2", n.V, d)
+	snap, _ := freezeFor(t, m, state)
+	for i := int32(0); i < int32(snap.Len()); i++ {
+		if d := snap.Down(i); !approx(d, 1, 1e-9) {
+			t.Errorf("downstream of node at level %d = %v, want 1 under NormL2", snap.At(i).V, d)
 		}
 	}
 }
@@ -313,6 +324,41 @@ func TestQubitProbability(t *testing.T) {
 	}
 	if _, err := QubitProbability(m, state, 5); err == nil {
 		t.Error("expected error for out-of-range qubit")
+	}
+}
+
+// TestUnnormalizedStateQueries: the snapshot-based queries answer for the
+// normalized state instead of silently returning nothing when the input's
+// norm is not 1. Projecting q0 of the running example onto 1 keeps norm²
+// 7/8, with P(q2=1) = (1/8)/(7/8) = 1/7 and |001⟩, |011⟩ leading at 3/7.
+func TestUnnormalizedStateQueries(t *testing.T) {
+	m := dd.New(3)
+	state, _ := m.FromVector(runningExampleVector())
+	proj, err := Project(m, state, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n2 := m.Norm2(proj); !approx(n2, 0.875, 1e-9) {
+		t.Fatalf("projected norm² = %v, want 7/8", n2)
+	}
+	p, err := QubitProbability(m, proj, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !approx(p, 1.0/7, 1e-9) {
+		t.Errorf("P(q2=1) of the projection = %v, want 1/7", p)
+	}
+	top, err := TopOutcomes(m, proj, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(top) != 2 {
+		t.Fatalf("TopOutcomes returned %d outcomes, want 2: %v", len(top), top)
+	}
+	for _, o := range top {
+		if !approx(o.Probability, 3.0/7, 1e-9) {
+			t.Errorf("outcome %s probability %v, want 3/7", FormatBits(o.Index, 3), o.Probability)
+		}
 	}
 }
 
@@ -374,10 +420,7 @@ func TestSamplersAgreeOnRandomStates(t *testing.T) {
 
 	m := dd.New(n)
 	state, _ := m.FromVector(vec)
-	ddS, err := NewDDSampler(m, state)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, ddS := freezeFor(t, m, state)
 	shots := 60000
 	chiSquareCheck(t, "dd-random", ddS, probs, shots, 31)
 
@@ -388,27 +431,27 @@ func TestSamplersAgreeOnRandomStates(t *testing.T) {
 func TestFigure4cEdgeProbabilities(t *testing.T) {
 	// The paper's Fig. 4c edge probabilities — 3/4 and 1/4 at the root,
 	// 1/2 everywhere on the q1 level — are properties of the state, so
-	// every normalization scheme must produce them.
+	// every normalization scheme and both branch rules must produce them.
 	for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2, dd.NormL2Phase} {
-		m := dd.New(3, dd.WithNormalization(norm))
-		state, _ := m.FromVector(runningExampleVector())
-		probs := EdgeProbabilities(m, state)
-		root := state.N
-		p := probs[root]
-		if !approx(p[0], 0.75, 1e-9) || !approx(p[1], 0.25, 1e-9) {
-			t.Errorf("norm=%v: root probabilities %v, want [3/4 1/4]", norm, p)
-		}
-		for i := 0; i < 2; i++ {
-			q1 := probs[root.E[i].N]
-			if !approx(q1[0], 0.5, 1e-9) || !approx(q1[1], 0.5, 1e-9) {
-				t.Errorf("norm=%v: q1[%d] probabilities %v, want [1/2 1/2]", norm, i, q1)
+		for _, opts := range [][]dd.FreezeOption{nil, {dd.FreezeGeneric()}} {
+			m := dd.New(3, dd.WithNormalization(norm))
+			state, _ := m.FromVector(runningExampleVector())
+			snap, _ := freezeFor(t, m, state, opts...)
+			root, kids := rootKids(snap)
+			if p := snap.At(root).P0; !approx(p, 0.75, 1e-9) {
+				t.Errorf("norm=%v generic=%v: root P0 %v, want 3/4", norm, snap.Generic(), p)
 			}
-		}
-		// The q0 nodes put all probability on their non-zero edge.
-		for _, n := range []*dd.VNode{root.E[0].N.E[0].N, root.E[0].N.E[1].N} {
-			p := probs[n]
-			if !approx(p[0]+p[1], 1, 1e-9) {
-				t.Errorf("norm=%v: q0 probabilities %v do not sum to 1", norm, p)
+			for i, k := range kids {
+				nd := snap.At(k)
+				if !approx(nd.P0, 0.5, 1e-9) {
+					t.Errorf("norm=%v generic=%v: q1[%d] P0 %v, want 1/2", norm, snap.Generic(), i, nd.P0)
+				}
+				// The q0 nodes put all probability on their non-zero edge.
+				for _, q0 := range nd.Kid {
+					if p := snap.At(q0).P0; !approx(p, 0, 1e-9) && !approx(p, 1, 1e-9) {
+						t.Errorf("norm=%v generic=%v: q0 P0 %v, want 0 or 1", norm, snap.Generic(), p)
+					}
+				}
 			}
 		}
 	}
@@ -416,11 +459,7 @@ func TestFigure4cEdgeProbabilities(t *testing.T) {
 
 func TestDDSamplerDeterministicOnBasisState(t *testing.T) {
 	m := dd.New(5)
-	state := m.BasisState(19)
-	s, err := NewDDSampler(m, state)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, s := freezeFor(t, m, m.BasisState(19))
 	r := rng.New(77)
 	for i := 0; i < 100; i++ {
 		if got := s.Sample(r); got != 19 {
@@ -433,7 +472,7 @@ func TestCountsTotals(t *testing.T) {
 	m := dd.New(2)
 	vec := []cnum.Complex{cnum.SqrtHalf, cnum.Zero, cnum.Zero, cnum.SqrtHalf}
 	state, _ := m.FromVector(vec)
-	s, _ := NewDDSampler(m, state)
+	_, s := freezeFor(t, m, state)
 	counts := Counts(s, rng.New(1), 5000)
 	total := 0
 	for idx, n := range counts {

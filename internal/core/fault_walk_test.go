@@ -41,12 +41,12 @@ func TestFaultSamplerWalkErrFailsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fault.Disable()
-	_, _, err := CountsParallelContext(context.Background(), fs, 3, 4*CtxCheckShots, 2)
+	_, err := CountsParallelContext(context.Background(), fs, 3, 4*CtxCheckShots, 2)
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("batch error %v, want ErrInjected", err)
 	}
 	// The window closed after one hit: a rerun draws the full batch.
-	counts, _, err := CountsParallelContext(context.Background(), fs, 3, 4*CtxCheckShots, 2)
+	counts, err := CountsParallelContext(context.Background(), fs, 3, 4*CtxCheckShots, 2)
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
@@ -61,15 +61,15 @@ func TestFaultSamplerWalkErrFailsBatch(t *testing.T) {
 
 // TestFaultSamplerWalkPanicIsolatedToWorker: an injected panic on a walker
 // goroutine is recovered in that worker and converted to the batch error —
-// the other workers finish, nothing crashes, and the panic's point survives
-// in the error chain for diagnosis.
+// the other worker finishes its chunk, nothing crashes, and the panic's
+// point survives in the error chain for diagnosis.
 func TestFaultSamplerWalkPanicIsolatedToWorker(t *testing.T) {
 	fs := faultTestSampler(t)
 	if err := fault.Enable("sampler.walk:panic@1", 1); err != nil {
 		t.Fatal(err)
 	}
 	defer fault.Disable()
-	_, stats, err := CountsParallelContext(context.Background(), fs, 3, 4*CtxCheckShots, 2)
+	counts, err := CountsParallelContext(context.Background(), fs, 3, 2*ChunkShots, 2)
 	if err == nil {
 		t.Fatal("panicking walker reported success")
 	}
@@ -77,17 +77,13 @@ func TestFaultSamplerWalkPanicIsolatedToWorker(t *testing.T) {
 	if !errors.As(err, &ip) || ip.Point != fault.SamplerWalk {
 		t.Fatalf("batch error %v, want *fault.InjectedPanic at %s", err, fault.SamplerWalk)
 	}
-	// Both workers produced a stat entry: the healthy worker ran to quota.
-	if len(stats) != 2 {
-		t.Fatalf("got %d worker stats, want 2", len(stats))
+	// The panic hit before the first shot of one chunk; the healthy worker
+	// drew the other chunk in full.
+	total := 0
+	for _, n := range counts {
+		total += n
 	}
-	healthy := 0
-	for _, ws := range stats {
-		if ws.Shots == 2*CtxCheckShots {
-			healthy++
-		}
-	}
-	if healthy == 0 {
-		t.Fatalf("no worker ran to quota after a sibling's panic: %+v", stats)
+	if total != ChunkShots {
+		t.Fatalf("partial tally holds %d shots, want the healthy worker's %d", total, ChunkShots)
 	}
 }

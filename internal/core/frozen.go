@@ -5,34 +5,26 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"weaksim/internal/dd"
 	"weaksim/internal/fault"
-	"weaksim/internal/obs"
 	"weaksim/internal/rng"
 )
 
 // FrozenSampler draws measurement samples from an immutable dd.Snapshot
-// (paper Section IV over frozen arrays). Where DDSampler chases node
-// pointers through the live diagram and — under conventional normalization —
-// consults a hash map of downstream masses on every branch decision, the
-// frozen walk reads a flat []dd.SnapNode by int32 index and compares the
-// uniform draw against the precomputed cumulative threshold P0. The walk is
-// therefore a handful of cache-friendly array loads per level and performs
-// no map lookups, no interface dispatch, and no pointer chasing.
+// (paper Section IV over frozen arrays). The walk reads a flat
+// []dd.SnapNode by int32 index and compares the uniform draw against the
+// precomputed cumulative threshold P0: a handful of cache-friendly array
+// loads per level, with no map lookups and no pointer chasing.
 //
 // A FrozenSampler is safe for concurrent use by any number of goroutines,
 // each with its own *rng.RNG: the snapshot is immutable, and the only
 // mutable field (the renorm counter) is atomic. This is what the parallel
 // shot generator relies on — one snapshot, many lock-free walkers.
 //
-// The walk is bit-for-bit identical to DDSampler.Sample for the same random
-// sequence: the thresholds are computed with the same floating-point
-// expressions at freeze time (fast path: |w0|² verbatim; generic path:
-// d0/(d0+d1) in the same operation order), exactly one uniform is consumed
-// per level, and the zero-edge fallback flips the branch without drawing
-// again.
+// Exactly one uniform is consumed per level, and the zero-edge fallback
+// flips the branch without drawing again; the tests check the walk bit for
+// bit against a pointer walk over the live diagram.
 type FrozenSampler struct {
 	nodes   []dd.SnapNode
 	root    int32
@@ -64,7 +56,10 @@ func (s *FrozenSampler) Qubits() int { return s.n }
 func (s *FrozenSampler) Snapshot() *dd.Snapshot { return s.snap }
 
 // Renorms returns how many zero-edge fallbacks walks have taken so far,
-// summed across all goroutines. See DDSampler.Renorms.
+// summed across all goroutines: the "rejection/renormalization" events of
+// the randomized traversal, caused purely by floating-point slack at
+// (near-)zero branch probabilities. A healthy state keeps this at or near
+// zero.
 func (s *FrozenSampler) Renorms() uint64 { return s.renorms.Load() }
 
 // Sample draws one basis-state index by a randomized walk over the frozen
@@ -127,125 +122,102 @@ func MergeCounts(dst map[uint64]int, parts ...map[uint64]int) {
 	}
 }
 
-// WorkerStat reports one worker's share of a parallel sampling batch, for
-// telemetry surfaces.
-type WorkerStat struct {
-	// Worker is the stream index k (the same k passed to rng.Stream).
-	Worker int
-	// Shots is how many samples the worker drew (including partial batches
-	// cut short by cancellation).
-	Shots int
-	// Elapsed is the worker's wall-clock sampling time.
-	Elapsed time.Duration
-}
+// ChunkShots is the one seed-splitting granularity for everything that
+// produces counts: chunk i of a batch draws its ChunkShots samples (the last
+// chunk the remainder) from rng.Stream(seed, i). CountsParallel and durable
+// jobs both cut batches this way, so a batch's counts are a function of
+// (sampler, seed, shots) alone — never of the worker count or of the path
+// that drew them.
+const ChunkShots = 65536
 
-// CountsParallel shards shots samples across workers goroutines walking the
-// same sampler concurrently and returns the merged tallies. Worker k draws
-// from the independent stream rng.Stream(seed, k), so the batch is a pure
-// function of (seed, shots, workers): re-running reproduces it exactly, and
-// with workers == 1 the batch consumes precisely the sequence of
-// rng.New(seed) — the single-worker run is bit-for-bit the sequential one.
+// CountsParallel draws shots samples from the sampler in ChunkShots chunks,
+// chunk i from rng.Stream(seed, i), and returns the merged tallies. Up to
+// workers goroutines walk the sampler concurrently, each pulling the next
+// unclaimed chunk, so the result does not depend on workers. A batch of at
+// most ChunkShots shots is one chunk and consumes precisely the sequence of
+// rng.New(seed) (Stream(seed, 0) == New(seed)).
 //
-// The sampler must be safe for concurrent use (FrozenSampler is; the
-// vector-based samplers are too, being read-only after construction; the
-// live DDSampler's generic path is, but shares a renorm counter and must not
-// race — use a FrozenSampler for parallel batches).
-func CountsParallel(s Sampler, seed uint64, shots, workers int) (map[uint64]int, []WorkerStat) {
-	counts, stats, _ := CountsParallelContext(context.Background(), s, seed, shots, workers)
-	return counts, stats
+// The sampler must be safe for concurrent use when workers > 1
+// (FrozenSampler is, and so are the read-only vector-based samplers).
+func CountsParallel(s Sampler, seed uint64, shots, workers int) (map[uint64]int, error) {
+	return CountsParallelContext(context.Background(), s, seed, shots, workers)
 }
 
 // CountsParallelContext is CountsParallel with cooperative cancellation,
-// checked every CtxCheckShots shots in each worker. On cancellation the
-// partial tallies drawn so far are merged and returned alongside the
-// context's error.
-func CountsParallelContext(ctx context.Context, s Sampler, seed uint64, shots, workers int) (map[uint64]int, []WorkerStat, error) {
-	if workers < 1 {
-		workers = 1
+// checked every CtxCheckShots shots of a chunk. On cancellation the partial
+// tallies drawn so far are merged and returned alongside the context's
+// error.
+func CountsParallelContext(ctx context.Context, s Sampler, seed uint64, shots, workers int) (map[uint64]int, error) {
+	if shots <= 0 {
+		return map[uint64]int{}, ctx.Err()
 	}
-	if workers > shots {
-		workers = shots
-	}
-	if workers < 1 { // shots <= 0
-		return map[uint64]int{}, nil, ctx.Err()
-	}
-
+	chunks := (shots + ChunkShots - 1) / ChunkShots
+	workers = max(1, min(workers, chunks))
 	qubits := s.Qubits()
-	base, rem := shots/workers, shots%workers
+	var next atomic.Int64
+	if workers == 1 {
+		// One worker tallies straight into the result: no goroutine, no merge.
+		counts := make(map[uint64]int, CountsSizeHint(shots, qubits))
+		return counts, tallyChunks(ctx, s, seed, shots, &next, counts)
+	}
 
+	share := min(shots, (chunks+workers-1)/workers*ChunkShots)
 	parts := make([]map[uint64]int, workers)
-	stats := make([]WorkerStat, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		quota := base
-		if k < rem {
-			quota++
-		}
+	for k := range parts {
+		parts[k] = make(map[uint64]int, CountsSizeHint(share, qubits))
 		wg.Add(1)
-		go func(k, quota int) {
+		go func(k int) {
 			defer wg.Done()
-			r := rng.Stream(seed, k)
-			local := make(map[uint64]int, CountsSizeHint(quota, qubits))
-			start := time.Now()
-			drawn := 0
-			// An injected panic (chaos testing) must not take down the whole
-			// process from a sampling goroutine — no other goroutine could
-			// recover it. Convert it to this worker's error; genuine panics
-			// still propagate.
-			defer func() {
-				if rec := recover(); rec != nil {
-					p, ok := rec.(*fault.InjectedPanic)
-					if !ok {
-						panic(rec)
-					}
-					errs[k] = fmt.Errorf("core: worker %d: %w after %d/%d shots", k, p, drawn, quota)
-					parts[k] = local
-					stats[k] = WorkerStat{Worker: k, Shots: drawn, Elapsed: time.Since(start)}
-				}
-			}()
-			for ; drawn < quota; drawn++ {
-				// Cancellation and the chaos hook share the stride: both cost
-				// nothing on CtxCheckShots-1 of every CtxCheckShots shots.
-				if drawn%CtxCheckShots == 0 {
-					if ctx.Err() != nil {
-						errs[k] = fmt.Errorf("core: worker %d interrupted after %d/%d shots: %w",
-							k, drawn, quota, context.Cause(ctx))
-						break
-					}
-					if err := fault.Hit(fault.SamplerWalk); err != nil {
-						errs[k] = fmt.Errorf("core: worker %d after %d/%d shots: %w", k, drawn, quota, err)
-						break
-					}
-				}
-				local[s.Sample(r)]++
-			}
-			parts[k] = local
-			stats[k] = WorkerStat{Worker: k, Shots: drawn, Elapsed: time.Since(start)}
-		}(k, quota)
+			errs[k] = tallyChunks(ctx, s, seed, shots, &next, parts[k])
+		}(k)
 	}
 	wg.Wait()
-
-	// Request-scoped trace attribution: when the context carries a request
-	// trace, annotate it with one walk event per worker (shots drawn, wall
-	// time) so a debug=1 breakdown shows how the shot batch sharded. Events
-	// carry no duration, so they never distort the phase-sum accounting.
-	if rt := obs.TraceFromContext(ctx); rt != nil {
-		for _, st := range stats {
-			rt.Event(obs.PhaseSample, map[string]any{
-				"walk_worker": st.Worker,
-				"shots":       st.Shots,
-				"elapsed_ns":  st.Elapsed.Nanoseconds(),
-			})
-		}
-	}
-
 	merged := make(map[uint64]int, CountsSizeHint(shots, qubits))
 	MergeCounts(merged, parts...)
 	for _, err := range errs {
 		if err != nil {
-			return merged, stats, err
+			return merged, err
 		}
 	}
-	return merged, stats, nil
+	return merged, nil
+}
+
+// tallyChunks claims chunks from next until the batch is exhausted and
+// tallies each into counts. Cancellation and the chaos hook share the
+// CtxCheckShots stride, so both cost nothing on CtxCheckShots-1 of every
+// CtxCheckShots shots. An injected panic (chaos testing) becomes the
+// returned error: it must not take down the process from a sampling
+// goroutine, where nothing else could recover it. Genuine panics propagate.
+func tallyChunks(ctx context.Context, s Sampler, seed uint64, shots int, next *atomic.Int64, counts map[uint64]int) (err error) {
+	var chunk, drawn, quota int
+	defer func() {
+		if rec := recover(); rec != nil {
+			p, ok := rec.(*fault.InjectedPanic)
+			if !ok {
+				panic(rec)
+			}
+			err = fmt.Errorf("core: chunk %d: %w after %d/%d shots", chunk, p, drawn, quota)
+		}
+	}()
+	for {
+		chunk = int(next.Add(1) - 1)
+		if quota = min(ChunkShots, shots-chunk*ChunkShots); quota <= 0 {
+			return nil
+		}
+		r := rng.Stream(seed, chunk)
+		for drawn = 0; drawn < quota; drawn++ {
+			if drawn%CtxCheckShots == 0 {
+				if ctx.Err() != nil {
+					return fmt.Errorf("core: chunk %d interrupted after %d/%d shots: %w",
+						chunk, drawn, quota, context.Cause(ctx))
+				}
+				if err := fault.Hit(fault.SamplerWalk); err != nil {
+					return fmt.Errorf("core: chunk %d after %d/%d shots: %w", chunk, drawn, quota, err)
+				}
+			}
+			counts[s.Sample(r)]++
+		}
+	}
 }

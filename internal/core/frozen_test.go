@@ -31,10 +31,10 @@ func frozenRandomVector(n int, seed uint64) ([]cnum.Complex, []float64) {
 	return vec, ProbabilitiesFromAmplitudes(vec)
 }
 
-// TestFrozenMatchesLiveBitForBit pins the core acceptance property of the
-// freeze refactor: for the same random sequence, walks over the frozen
-// arrays select exactly the indices the live pointer walk selects — under
-// every normalization scheme and under both branch-probability rules.
+// TestFrozenMatchesLiveBitForBit: for the same random sequence, walks over
+// the frozen arrays select exactly the indices the live pointer walk (the
+// liveSampler oracle) selects — under every normalization scheme and under
+// both branch-probability rules.
 func TestFrozenMatchesLiveBitForBit(t *testing.T) {
 	vec, _ := frozenRandomVector(6, 23)
 	cases := []struct {
@@ -44,6 +44,7 @@ func TestFrozenMatchesLiveBitForBit(t *testing.T) {
 	}{
 		{"left-generic", dd.NormLeft, false},
 		{"l2-fast", dd.NormL2, false},
+		{"l2-forced-generic", dd.NormL2, true},
 		{"l2phase-fast", dd.NormL2Phase, false},
 		{"l2phase-forced-generic", dd.NormL2Phase, true},
 	}
@@ -54,16 +55,11 @@ func TestFrozenMatchesLiveBitForBit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var liveOpts []DDSamplerOption
 			var frOpts []dd.FreezeOption
 			if tc.generic {
-				liveOpts = append(liveOpts, ForceGeneric())
 				frOpts = append(frOpts, dd.FreezeGeneric())
 			}
-			live, err := NewDDSampler(m, state, liveOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
+			live := newLiveSampler(m, state, tc.generic)
 			snap, err := m.Freeze(state, frOpts...)
 			if err != nil {
 				t.Fatal(err)
@@ -79,8 +75,8 @@ func TestFrozenMatchesLiveBitForBit(t *testing.T) {
 					t.Fatalf("shot %d: live %d, frozen %d — walks diverge", i, lv, fv)
 				}
 			}
-			if live.Renorms() != frozen.Renorms() {
-				t.Errorf("renorm counts diverge: live %d, frozen %d", live.Renorms(), frozen.Renorms())
+			if live.renorms != frozen.Renorms() {
+				t.Errorf("renorm counts diverge: live %d, frozen %d", live.renorms, frozen.Renorms())
 			}
 		})
 	}
@@ -92,8 +88,9 @@ func TestNewFrozenSamplerRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestCountsParallelSingleWorkerIsSequential: workers=1 must consume exactly
-// the sequence of rng.New(seed), reproducing sequential Counts bit for bit.
+// TestCountsParallelSingleWorkerIsSequential: a batch of at most ChunkShots
+// shots is one chunk and consumes exactly the sequence of rng.New(seed),
+// reproducing sequential Counts bit for bit.
 func TestCountsParallelSingleWorkerIsSequential(t *testing.T) {
 	m := dd.New(3, dd.WithNormalization(dd.NormL2Phase))
 	vec := []cnum.Complex{cnum.Zero,
@@ -113,9 +110,9 @@ func TestCountsParallelSingleWorkerIsSequential(t *testing.T) {
 	}
 	const seed, shots = 41, 5000
 	want := Counts(frozen, rng.New(seed), shots)
-	got, stats := CountsParallel(frozen, seed, shots, 1)
-	if len(stats) != 1 || stats[0].Shots != shots {
-		t.Fatalf("worker stats %+v, want one worker with %d shots", stats, shots)
+	got, err := CountsParallel(frozen, seed, shots, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parallel(1) outcome count %d, sequential %d", len(got), len(want))
@@ -127,9 +124,10 @@ func TestCountsParallelSingleWorkerIsSequential(t *testing.T) {
 	}
 }
 
-// TestCountsParallelDeterministicAndComplete: a parallel batch is a pure
-// function of (seed, shots, workers) and always tallies exactly shots
-// samples, including when shots does not divide evenly.
+// TestCountsParallelDeterministicAndComplete: a batch is a pure function of
+// (seed, shots) — identical at every worker count and equal to the per-chunk
+// reference Σᵢ Counts(Stream(seed, i), chunk i's shots) — and always tallies
+// exactly shots samples, including a short last chunk.
 func TestCountsParallelDeterministicAndComplete(t *testing.T) {
 	vec, _ := frozenRandomVector(5, 7)
 	m := dd.New(5, dd.WithNormalization(dd.NormL2Phase))
@@ -137,26 +135,29 @@ func TestCountsParallelDeterministicAndComplete(t *testing.T) {
 	snap, _ := m.Freeze(state)
 	frozen, _ := NewFrozenSampler(snap)
 
-	for _, workers := range []int{1, 3, 4, 8, 16} {
-		const shots = 10007 // prime: uneven shard sizes
-		a, statsA := CountsParallel(frozen, 5, shots, workers)
-		b, _ := CountsParallel(frozen, 5, shots, workers)
-		totalA, totalStats := 0, 0
-		for _, n := range a {
-			totalA += n
+	const seed, shots = 5, 3*ChunkShots + 10007 // four chunks, the last one short
+	want := map[uint64]int{}
+	for i := 0; i*ChunkShots < shots; i++ {
+		MergeCounts(want, Counts(frozen, rng.Stream(seed, i), min(ChunkShots, shots-i*ChunkShots)))
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		got, err := CountsParallel(frozen, seed, shots, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for _, ws := range statsA {
-			totalStats += ws.Shots
+		total := 0
+		for _, n := range got {
+			total += n
 		}
-		if totalA != shots || totalStats != shots {
-			t.Errorf("workers=%d: tallied %d shots (stats %d), want %d", workers, totalA, totalStats, shots)
+		if total != shots {
+			t.Errorf("workers=%d: tallied %d shots, want %d", workers, total, shots)
 		}
-		if len(a) != len(b) {
-			t.Fatalf("workers=%d: repeat run differs in outcome count", workers)
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d outcomes, per-chunk reference %d", workers, len(got), len(want))
 		}
-		for idx, n := range a {
-			if b[idx] != n {
-				t.Errorf("workers=%d outcome %d: %d vs %d across identical runs", workers, idx, n, b[idx])
+		for idx, n := range want {
+			if got[idx] != n {
+				t.Errorf("workers=%d outcome %d: %d, per-chunk reference %d", workers, idx, got[idx], n)
 			}
 		}
 	}
@@ -174,7 +175,10 @@ func TestCountsParallelMatchesDistribution(t *testing.T) {
 
 	const shots = 60000
 	for _, workers := range []int{1, 4, 8} {
-		counts, _ := CountsParallel(frozen, 31+uint64(workers), shots, workers)
+		counts, err := CountsParallel(frozen, 31+uint64(workers), shots, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		res, err := stats.ChiSquareGOF(counts, probs, shots)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -192,7 +196,9 @@ func TestCountsParallelMatchesDistribution(t *testing.T) {
 }
 
 // TestCountsParallelContextCancellation: a cancelled batch returns the
-// partial tallies each worker managed to draw plus the typed cause.
+// partial tallies the workers managed to draw plus the typed cause; a
+// pre-cancelled one draws nothing, since every chunk checks the context
+// before its first shot.
 func TestCountsParallelContextCancellation(t *testing.T) {
 	vec, _ := frozenRandomVector(4, 3)
 	m := dd.New(4, dd.WithNormalization(dd.NormL2Phase))
@@ -202,7 +208,7 @@ func TestCountsParallelContextCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	counts, stats, err := CountsParallelContext(ctx, frozen, 9, 1<<20, 4)
+	counts, err := CountsParallelContext(ctx, frozen, 9, 1<<20, 4)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -210,14 +216,8 @@ func TestCountsParallelContextCancellation(t *testing.T) {
 	for _, n := range counts {
 		total += n
 	}
-	if total >= 1<<20 {
-		t.Errorf("cancelled batch completed all %d shots", total)
-	}
-	for _, ws := range stats {
-		if ws.Shots > CtxCheckShots {
-			t.Errorf("worker %d drew %d shots after pre-cancelled ctx (check window %d)",
-				ws.Worker, ws.Shots, CtxCheckShots)
-		}
+	if total != 0 {
+		t.Errorf("pre-cancelled batch drew %d shots, want 0", total)
 	}
 }
 

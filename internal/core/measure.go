@@ -9,13 +9,42 @@ import (
 	"weaksim/internal/rng"
 )
 
+// freezeNormalized freezes state scaled to unit norm, so the snapshot's
+// upstream/downstream masses are probabilities even for an unnormalized
+// input (a projection, say). The freeze runs its own invariant audit; its
+// error is the caller's error.
+func freezeNormalized(m *dd.Manager, state dd.VEdge) (*dd.Snapshot, error) {
+	norm := m.Norm2(state)
+	if norm <= 0 {
+		return nil, fmt.Errorf("core: cannot measure the zero vector")
+	}
+	state.W = m.Lookup(state.W.Scale(1 / math.Sqrt(norm)))
+	return m.Freeze(state)
+}
+
+// kidDown is the downstream mass below a snapshot child index: 1 for the
+// terminal, 0 for a zero edge.
+func kidDown(snap *dd.Snapshot, k int32) float64 {
+	switch {
+	case k == dd.SnapTerminal:
+		return 1
+	case k == dd.SnapZero:
+		return 0
+	}
+	return snap.Down(k)
+}
+
 // MeasureAll performs a destructive measurement of all qubits: it samples
 // one basis state and returns it together with the collapsed post-
 // measurement state (a basis-state DD). Physical quantum computers only
 // offer this destructive operation; repeated non-destructive sampling is
 // the luxury of simulation (paper Section IV-B).
 func MeasureAll(m *dd.Manager, state dd.VEdge, r *rng.RNG) (uint64, dd.VEdge, error) {
-	s, err := NewDDSampler(m, state)
+	snap, err := freezeNormalized(m, state)
+	if err != nil {
+		return 0, dd.VEdge{}, err
+	}
+	s, err := NewFrozenSampler(snap)
 	if err != nil {
 		return 0, dd.VEdge{}, err
 	}
@@ -24,28 +53,25 @@ func MeasureAll(m *dd.Manager, state dd.VEdge, r *rng.RNG) (uint64, dd.VEdge, er
 }
 
 // QubitProbability returns the probability that measuring the given qubit
-// yields 1, computed from the upstream/downstream node probabilities in
-// time linear in the DD size.
+// yields 1: the sum, over the qubit's frozen nodes, of upstream mass times
+// the 1-edge's share of the downstream mass (paper Section IV-B), in time
+// linear in the DD size.
 func QubitProbability(m *dd.Manager, state dd.VEdge, qubit int) (float64, error) {
 	if qubit < 0 || qubit >= m.Qubits() {
 		return 0, fmt.Errorf("core: qubit %d out of range", qubit)
 	}
-	norm := m.Norm2(state)
-	if norm <= 0 {
-		return 0, fmt.Errorf("core: cannot measure the zero vector")
+	snap, err := freezeNormalized(m, state)
+	if err != nil {
+		return 0, err
 	}
-	down := Downstream(m, state)
-	up := Upstream(m, state)
 	var p1 float64
-	for n, u := range up {
-		if n.V != qubit {
-			continue
-		}
-		if e := n.E[1]; !e.IsZero() {
-			p1 += u * e.W.Abs2() * downOf(e.N, down)
+	for i := int32(0); i < int32(snap.Len()); i++ {
+		nd := snap.At(i)
+		if int(nd.V) == qubit {
+			p1 += snap.Up(i) * nd.W[1].Abs2() * kidDown(snap, nd.Kid[1])
 		}
 	}
-	return p1 / norm, nil
+	return p1, nil
 }
 
 // MeasureQubit measures a single qubit, collapses the state accordingly,

@@ -9,10 +9,6 @@ package dd
 // layer (internal/snapstore) wraps these bytes in integrity framing (CRC
 // trailer, atomic rename) but never looks inside them.
 //
-// Origin pointers are not persisted: they are only meaningful against the
-// live Manager that produced the freeze, so a decoded snapshot reports
-// Origin(i) == nil for every node.
-//
 // DecodeSnapshot is defensive — it is fuzzed (FuzzSnapshotDecode) and must
 // return an error, never panic or over-allocate, on arbitrary input. It
 // validates framing and array geometry only; semantic integrity (masses,

@@ -84,8 +84,6 @@ type Snapshot struct {
 	nodes []SnapNode
 	down  []float64 // downstream probability mass per node (Section IV-B)
 	up    []float64 // upstream probability mass per node
-
-	origins []*VNode // frozen-from node per index, for pointer-keyed diagnostics
 }
 
 // FreezeOption configures Manager.Freeze.
@@ -151,19 +149,12 @@ func (m *Manager) Freeze(root VEdge, opts ...FreezeOption) (*Snapshot, error) {
 		generic: !fast,
 		rootW:   root.W,
 	}
-	// Pre-size for the common case; the unique table bounds the reachable
-	// node count from above.
-	if n := m.vTab.n; n > 0 {
-		hint := n
-		const maxHint = 1 << 20
-		if hint > maxHint {
-			hint = maxHint
-		}
-		s.nodes = make([]SnapNode, 0, hint)
-		s.down = make([]float64, 0, hint)
-		s.origins = make([]*VNode, 0, hint)
+	// Build in scratch arrays presized from the unique table, which bounds
+	// the reachable node count from above; they are trimmed below.
+	if n := min(m.vTab.n, 1<<20); n > 0 {
+		s.nodes = make([]SnapNode, 0, n)
+		s.down = make([]float64, 0, n)
 	}
-
 	// Dedup via the arena: node ids are dense indices, so a flat scratch
 	// slice replaces the map[*VNode]int32 the pre-arena freeze paid one hash
 	// per visit for. Entries store index+1; 0 means unseen.
@@ -206,11 +197,14 @@ func (m *Manager) Freeze(root VEdge, opts ...FreezeOption) (*Snapshot, error) {
 		i := int32(len(s.nodes))
 		s.nodes = append(s.nodes, sn)
 		s.down = append(s.down, downMass)
-		s.origins = append(s.origins, n)
 		seen[n.id] = i + 1
 		return i
 	}
 	s.root = freeze(root.N)
+	// Trim the scratch arrays to their length: a cached snapshot should hold
+	// exactly the bytes Bytes reports, not the unique table's dead weight.
+	s.nodes = exact(s.nodes)
+	s.down = exact(s.down)
 
 	// Upstream pass: parents have larger indices than children (post-order),
 	// so one descending sweep accumulates root-to-node half-path mass.
@@ -285,16 +279,11 @@ func (s *Snapshot) Up(i int32) float64 { return s.up[i] }
 // normalized state.
 func (s *Snapshot) Traversal(i int32) float64 { return s.up[i] * s.down[i] }
 
-// Origin returns the live *VNode that node i was frozen from, or nil when
-// the snapshot carries no origin pointers — snapshots decoded from disk
-// never do. Diagnostic surfaces use it to key results by node pointer; the
-// pointer is only meaningful while the originating diagram still exists, and
-// the Snapshot itself never dereferences it.
-func (s *Snapshot) Origin(i int32) *VNode {
-	if s.origins == nil {
-		return nil
-	}
-	return s.origins[i]
+// exact returns a copy of xs whose capacity equals its length.
+func exact[T any](xs []T) []T {
+	out := make([]T, len(xs))
+	copy(out, xs)
+	return out
 }
 
 // Amplitude returns the amplitude of basis state idx, computed from the
@@ -338,7 +327,7 @@ type SnapshotStats struct {
 // stable across architectures and cheap enough to call on every admission.
 func (s *Snapshot) Bytes() int {
 	const nodeBytes = 8 + 8 + 32 + 4 + 4 // Kid + P0 + W + V + padding
-	return len(s.nodes)*nodeBytes + len(s.down)*8 + len(s.up)*8 + len(s.origins)*8
+	return len(s.nodes)*nodeBytes + len(s.down)*8 + len(s.up)*8
 }
 
 // Stats returns size statistics for the snapshot.

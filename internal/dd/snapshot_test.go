@@ -2,6 +2,7 @@ package dd
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"weaksim/internal/cnum"
@@ -38,6 +39,59 @@ func refDown(n *VNode, memo map[*VNode]float64) float64 {
 	}
 	memo[n] = d
 	return d
+}
+
+// snapOrigins maps every snapshot index to the live node it was frozen
+// from, by walking the live diagram and the frozen arrays side by side.
+func snapOrigins(snap *Snapshot, state VEdge) []*VNode {
+	origin := make([]*VNode, snap.Len())
+	var walk func(n *VNode, i int32)
+	walk = func(n *VNode, i int32) {
+		if i < 0 || origin[i] != nil {
+			return
+		}
+		origin[i] = n
+		for b, k := range snap.At(i).Kid {
+			walk(n.E[b].N, k)
+		}
+	}
+	walk(state.N, snap.Root())
+	return origin
+}
+
+// TestFreezeSizesArraysExactly: a snapshot frozen from a manager whose
+// unique table holds far more nodes than the state reaches keeps no spare
+// capacity, so the heap it retains is what Bytes reports.
+func TestFreezeSizesArraysExactly(t *testing.T) {
+	const n = 10
+	m := New(n)
+	r := rand.New(rand.NewPCG(1, 2))
+	random := func() VEdge {
+		vec := make([]cnum.Complex, 1<<n)
+		for i := range vec {
+			vec[i] = cnum.New(r.Float64(), r.Float64())
+		}
+		e, err := m.FromVector(vec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	for i := 0; i < 8; i++ {
+		random() // dead weight in the unique table
+	}
+	state := m.BasisState(5)
+	snap, err := m.Freeze(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.vTab.n <= 8*snap.Len() {
+		t.Fatalf("unique table holds %d nodes for a %d-node state; the test needs dead weight", m.vTab.n, snap.Len())
+	}
+	if cap(snap.nodes) != len(snap.nodes) || cap(snap.down) != len(snap.down) || cap(snap.up) != len(snap.up) {
+		t.Errorf("snapshot of %d nodes keeps spare capacity: nodes %d, down %d, up %d",
+			snap.Len(), cap(snap.nodes), cap(snap.down), cap(snap.up))
+	}
 }
 
 func TestFreezeRejectsZeroVector(t *testing.T) {
@@ -88,8 +142,9 @@ func TestFreezeDownUpMassMatchReference(t *testing.T) {
 		if got, want := snap.Len(), len(memo); got != want {
 			t.Fatalf("norm %v: %d frozen nodes, reference reaches %d", norm, got, want)
 		}
+		origin := snapOrigins(snap, state)
 		for i := 0; i < snap.Len(); i++ {
-			n := snap.Origin(int32(i))
+			n := origin[i]
 			if n == nil {
 				t.Fatalf("norm %v: node %d has no origin", norm, i)
 			}

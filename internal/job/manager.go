@@ -35,8 +35,9 @@ const (
 	// DefaultWorkers is the chunk-executor pool size.
 	DefaultWorkers = 2
 	// DefaultChunkShots is the checkpoint granularity when a spec does not
-	// choose one.
-	DefaultChunkShots = 65536
+	// choose one: core's one chunk size, so a job's counts equal
+	// core.CountsParallel's for the same (circuit, seed, shots).
+	DefaultChunkShots = core.ChunkShots
 	// DefaultRetainTerminal is how many terminal jobs stay queryable before
 	// the oldest are evicted.
 	DefaultRetainTerminal = 64
@@ -52,8 +53,6 @@ type Config struct {
 	Dir string
 	// Workers is the chunk-executor pool size (default DefaultWorkers).
 	Workers int
-	// DefaultChunkShots fills Spec.ChunkShots when a submit leaves it zero.
-	DefaultChunkShots int
 	// TenantWeights maps tenant name to fair-share weight (absent = 1).
 	TenantWeights map[string]int
 	// MaxInFlightPerTenant bounds concurrently executing chunks per tenant
@@ -82,9 +81,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = DefaultWorkers
-	}
-	if c.DefaultChunkShots <= 0 {
-		c.DefaultChunkShots = DefaultChunkShots
 	}
 	if c.MaxPerTenant <= 0 {
 		c.MaxPerTenant = DefaultMaxPerTenant
@@ -377,7 +373,7 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 		spec.ID = NewID()
 	}
 	if spec.ChunkShots <= 0 {
-		spec.ChunkShots = m.cfg.DefaultChunkShots
+		spec.ChunkShots = DefaultChunkShots
 	}
 	if spec.Tenant == "" {
 		spec.Tenant = "default"

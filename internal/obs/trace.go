@@ -11,19 +11,16 @@ import (
 // Phase labels follow the paper's weak-simulation pipeline (Fig. 2):
 // strong simulation builds and applies operator DDs, the freeze stage
 // converts the final live diagram into an immutable flat-array snapshot with
-// branch probabilities precomputed inline (the snapshot subsumes the
-// historical downstream/upstream annotation passes — a no-op under L2
-// normalization), and each shot is a root-to-terminal walk over the frozen
-// arrays. The govern phase covers the degradation ladder of
+// the downstream/upstream masses and branch probabilities precomputed
+// inline (paper Section IV-B), and each shot is a root-to-terminal walk over
+// the frozen arrays. The govern phase covers the degradation ladder of
 // weaksim.SimulateAuto.
 const (
-	PhaseBuild        = "build"
-	PhaseApply        = "apply"
-	PhaseFreeze       = "freeze"
-	PhaseAnnotateDown = "annotate-downstream"
-	PhaseAnnotateUp   = "annotate-upstream"
-	PhaseSample       = "sample"
-	PhaseGovern       = "govern"
+	PhaseBuild  = "build"
+	PhaseApply  = "apply"
+	PhaseFreeze = "freeze"
+	PhaseSample = "sample"
+	PhaseGovern = "govern"
 
 	// Serving phases (internal/serve): PhaseParse covers request decoding
 	// and QASM parsing, PhaseQueue the time a simulation job waits in the

@@ -1,23 +1,23 @@
 package rng
 
-// Splittable streams for parallel sampling.
+// Splittable streams for chunked sampling.
 //
-// The parallel shot generator shards a batch of samples across a worker
-// pool; every worker needs its own random stream, and the whole batch must
-// stay a pure function of the user-visible seed so runs reproduce exactly.
-// Stream(seed, k) derives worker k's generator with a SplitMix64-style
-// finalizer over (seed, k): the derived PCG seeds are scrambled far apart
-// for adjacent k, so the streams are independent for every practical
-// purpose (see TestStreamsPairwiseNonOverlapping).
+// Every count-producing batch is cut into fixed-size chunks (core.ChunkShots)
+// and chunk k draws from its own stream, so chunks can be drawn by any
+// worker, in any order, or resumed after a crash, while the whole batch
+// stays a pure function of the user-visible seed. Stream(seed, k) derives
+// chunk k's generator with a SplitMix64-style finalizer over (seed, k): the
+// derived PCG seeds are scrambled far apart for adjacent k, so the streams
+// are independent for every practical purpose (see
+// TestStreamsPairwiseNonOverlapping).
 //
 // Two properties are load-bearing and pinned by tests:
 //
-//  1. Stream(seed, 0) is exactly New(seed): a single-worker parallel batch
-//     consumes the same random sequence as the sequential sampler, so
-//     workers=1 reproduces the pre-parallel output bit for bit.
-//  2. Stream is a pure function of (seed, k): no shared state, so worker
-//     streams can be constructed concurrently and a batch can be re-derived
-//     without replaying the draws of other workers.
+//  1. Stream(seed, 0) is exactly New(seed): a one-chunk batch consumes the
+//     same random sequence as the sequential sampler.
+//  2. Stream is a pure function of (seed, k): no shared state, so chunk
+//     streams can be constructed concurrently and a chunk can be re-derived
+//     without replaying the draws of other chunks.
 
 // goldenGamma is the SplitMix64 increment (2^64 / φ, odd).
 const goldenGamma = 0x9e3779b97f4a7c15
@@ -30,7 +30,7 @@ func splitmix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Stream returns worker k's generator for the given batch seed, a pure
+// Stream returns chunk k's generator for the given batch seed, a pure
 // function of (seed, k). Stream(seed, 0) is identical to New(seed); streams
 // for distinct k are derived through two rounds of the SplitMix64 finalizer
 // and do not overlap in practice (property-tested over 10^6 draws per
@@ -42,7 +42,7 @@ func Stream(seed uint64, k int) *RNG {
 	if k == 0 {
 		return New(seed)
 	}
-	// Jump far away from both the base seed and neighbouring workers:
+	// Jump far away from both the base seed and neighbouring chunks:
 	// advance the seed by k golden-ratio steps, then avalanche twice,
 	// re-injecting k between rounds so (seed, k) pairs with equal sums
 	// still separate.

@@ -12,7 +12,7 @@ func streamDraws(t *testing.T) int {
 	return 1000000
 }
 
-// TestStreamZeroIsSequential pins the workers=1 reproducibility guarantee:
+// TestStreamZeroIsSequential pins the one-chunk reproducibility guarantee:
 // Stream(seed, 0) must emit exactly the sequence of New(seed).
 func TestStreamZeroIsSequential(t *testing.T) {
 	for _, seed := range []uint64{0, 1, 42, 1 << 63, ^uint64(0)} {

@@ -45,10 +45,11 @@ type sampleRequest struct {
 	// capped at MaxShots).
 	Shots int `json:"shots,omitempty"`
 	// Seed seeds sampling; omitted means 1. Counts are a pure function of
-	// (circuit, seed, shots, workers).
+	// (circuit, seed, shots), and /v1/jobs draws the same counts.
 	Seed *uint64 `json:"seed,omitempty"`
 	// Workers shards the shot batch across concurrent lock-free walkers
-	// over the cached snapshot (default 1, capped at MaxSampleWorkers).
+	// over the cached snapshot (default 1, capped at MaxSampleWorkers). It
+	// changes latency, never counts.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS lowers the request deadline below the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -367,12 +368,12 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 
 	// Sampling: lock-free walks over the immutable snapshot, sharded across
 	// the requested worker count. Counts are a pure function of
-	// (circuit, seed, shots, workers) — rerunning the request reproduces
-	// them bit for bit, at any cache temperature.
+	// (circuit, seed, shots) — rerunning the request reproduces them bit for
+	// bit, at any cache temperature and worker count.
 	stopSample := obs.StartPhase(s.cfg.Metrics, s.cfg.Tracer, obs.PhaseSample)
 	ssp := rt.StartSpan(obs.PhaseSample)
 	sampleStart := time.Now()
-	idxCounts, _, err := core.CountsParallelContext(ctx, ent.sampler, *req.Seed, req.Shots, req.Workers)
+	idxCounts, err := core.CountsParallelContext(ctx, ent.sampler, *req.Seed, req.Shots, req.Workers)
 	sampleNS := time.Since(sampleStart).Nanoseconds()
 	stopSample()
 	if err != nil {

@@ -18,8 +18,8 @@
 //
 // Cached circuits are served entirely from the immutable snapshot by
 // lock-free parallel walks (core.FrozenSampler + core.CountsParallel): no DD
-// work, no node-budget exposure, deterministic counts for a fixed
-// (seed, workers) pair.
+// work, no node-budget exposure, and counts that depend only on
+// (circuit, seed, shots).
 package serve
 
 import (
@@ -128,9 +128,6 @@ type Config struct {
 	// JobWorkers sizes the chunk-executor pool (<= 0 selects
 	// job.DefaultWorkers).
 	JobWorkers int
-	// JobChunkShots is the checkpoint granularity when a submit does not
-	// choose one (<= 0 selects job.DefaultChunkShots).
-	JobChunkShots int
 	// JobMaxShots caps a single job's shot budget (<= 0 selects
 	// DefaultJobMaxShots). Deliberately distinct from MaxShots: jobs exist
 	// to exceed the per-request cap.
@@ -282,14 +279,13 @@ func New(cfg Config) *Server {
 	// jobSnapshot; it always exists (in-memory without JobsDir) so the API
 	// surface does not depend on deployment flags.
 	s.jobs = job.NewManager(job.Config{
-		Dir:               cfg.JobsDir,
-		Workers:           cfg.JobWorkers,
-		DefaultChunkShots: cfg.JobChunkShots,
-		TenantWeights:     cfg.JobTenantWeights,
-		MaxPerTenant:      cfg.JobMaxPerTenant,
-		Snapshot:          s.jobSnapshot,
-		Metrics:           reg,
-		Recorder:          s.recorder,
+		Dir:           cfg.JobsDir,
+		Workers:       cfg.JobWorkers,
+		TenantWeights: cfg.JobTenantWeights,
+		MaxPerTenant:  cfg.JobMaxPerTenant,
+		Snapshot:      s.jobSnapshot,
+		Metrics:       reg,
+		Recorder:      s.recorder,
 	})
 	s.http = &http.Server{
 		Handler:           s.Handler(),
@@ -419,7 +415,7 @@ func (s *Server) simulate(rt *obs.RequestTrace, key string, circ *circuit.Circui
 	defer cancel()
 	// The simulation runs on a pool worker under the server's base context,
 	// but its spans still belong to the leader request's trace — reattach it
-	// so dd.FreezeContext and the sampling workers can annotate.
+	// so dd.FreezeContext can annotate it.
 	ctx = obs.ContextWithTrace(ctx, rt)
 	reg, tr := s.cfg.Metrics, s.cfg.Tracer
 	begin := time.Now()

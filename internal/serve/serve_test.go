@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"weaksim/internal/dd"
+	"weaksim/internal/job"
 	"weaksim/internal/obs"
 )
 
@@ -317,30 +318,52 @@ func TestServeTimeoutReturns504(t *testing.T) {
 	}
 }
 
-// TestServeWorkersShardDeterministically cross-checks the API against the
-// core contract: same seed, different workers → valid but different counts;
-// same workers → identical counts.
+// TestServeWorkersShardDeterministically: counts are a pure function of
+// (circuit, seed, shots). A 200,000-shot batch spans four chunks, so the
+// worker pool really splits it, yet /v1/sample answers identically at 1, 2
+// and 4 workers, and a /v1/jobs job at the default chunk size draws the
+// same counts.
 func TestServeWorkersShardDeterministically(t *testing.T) {
 	_, base := startServer(t, Config{Norm: dd.NormL2Phase, MaxSampleWorkers: 4})
-	sample := func(workers int) sampleResponse {
+	const circuit, shots, seed = "supremacy_3x3_10", 200_000, 11
+	sample := func(workers int) map[string]int {
 		var resp sampleResponse
 		status, _ := post(t, base, map[string]any{
-			"qasm": ghzQASM, "shots": 2000, "seed": 11, "workers": workers}, &resp)
+			"circuit": circuit, "shots": shots, "seed": seed, "workers": workers}, &resp)
 		if status != http.StatusOK {
 			t.Fatalf("workers=%d status=%d", workers, status)
 		}
-		return resp
+		return resp.Counts
 	}
-	a1, a2, b := sample(1), sample(1), sample(3)
-	if !reflect.DeepEqual(a1.Counts, a2.Counts) {
-		t.Fatalf("same (seed, workers) produced different counts")
-	}
+	want := sample(1)
 	sum := 0
-	for _, n := range b.Counts {
+	for _, n := range want {
 		sum += n
 	}
-	if sum != 2000 {
-		t.Fatalf("worker-sharded counts sum to %d, want 2000", sum)
+	if sum != shots {
+		t.Fatalf("counts sum to %d, want %d", sum, shots)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		if got := sample(workers); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: counts differ from workers=1", workers)
+		}
+	}
+
+	var st job.Status
+	if code, _ := postJSON(t, base, "/v1/jobs", map[string]any{
+		"circuit": circuit, "shots": shots, "seed": seed}, &st); code != http.StatusAccepted {
+		t.Fatalf("job submit status %d", code)
+	}
+	if st.ChunksTotal < 3 {
+		t.Fatalf("job split into %d chunks, want at least 3", st.ChunksTotal)
+	}
+	waitJob(t, base, st.ID, func(s job.Status) bool { return s.State == job.StateCompleted })
+	var res jobResultResponse
+	if code := getJSON(t, base+"/v1/jobs/"+st.ID+"/result", &res); code != http.StatusOK {
+		t.Fatalf("job result status %d", code)
+	}
+	if !reflect.DeepEqual(res.Counts, want) {
+		t.Errorf("/v1/jobs counts differ from /v1/sample for the same (circuit, seed, shots)")
 	}
 }
 

@@ -53,10 +53,9 @@ func NewJSONLTracer(w io.Writer, every int) *Tracer {
 func WithMetrics(reg *Metrics) Option { return func(c *config) { c.reg = reg } }
 
 // WithTracer attaches a structured tracer: phase spans (build → apply →
-// freeze → sample; plus annotate-downstream / annotate-upstream for the
-// pointer-walk diagnostic surfaces), throttled per-op events, GC sweeps,
-// budget pressure, and every degradation-ladder step of SimulateAuto. nil
-// (the default) disables tracing at zero cost.
+// freeze → sample), throttled per-op events, GC sweeps, budget pressure,
+// and every degradation-ladder step of SimulateAuto. nil (the default)
+// disables tracing at zero cost.
 func WithTracer(t *Tracer) Option { return func(c *config) { c.tracer = t } }
 
 // DebugServer is a running observability HTTP server (see ServeDebug).
@@ -90,9 +89,8 @@ type Telemetry struct {
 	// "" when unknown, e.g. a failed run summarized from metrics alone).
 	Backend string `json:"backend,omitempty"`
 	// PhaseNS maps pipeline phase → cumulative wall-clock nanoseconds.
-	// Phases: build, apply, freeze, sample (plus annotate-downstream /
-	// annotate-upstream from the diagnostic surfaces). Only populated when a
-	// Metrics registry was attached.
+	// Phases: build, apply, freeze, sample. Only populated when a Metrics
+	// registry was attached.
 	PhaseNS map[string]int64 `json:"phase_ns,omitempty"`
 	// PeakNodes is the DD live-node high-water mark; LiveNodes the current
 	// count; FinalStateNodes the node count of the final state DD alone.

@@ -155,16 +155,11 @@ func WithVectorBudget(qubits int) Option { return func(c *config) { c.vectorQubi
 func WithGenericTraversal() Option { return func(c *config) { c.forceGeneric = true } }
 
 // WithWorkers shards batch sampling (Counts, CountsByIndex, and their
-// context-aware variants) across n goroutines walking the same immutable
-// state snapshot concurrently. Worker k draws from the independent stream
-// rng.Stream(seed', k) split off the sampler's seed, so the batch remains a
-// pure function of the seed: equal seeds and worker counts reproduce equal
-// counts, at any level of parallelism. n ≤ 0 selects runtime.GOMAXPROCS(0).
-//
-// The default 1 keeps the historical fully sequential path: every shot is
-// drawn from the sampler's own stream, bit-for-bit identical to releases
-// without worker support. Single-shot draws (Shot, ShotIndex) are always
-// sequential regardless of this setting.
+// context-aware variants) across up to n goroutines walking the same
+// immutable state snapshot concurrently (see core.CountsParallel). The
+// worker count never changes the counts: equal seeds give equal batches at
+// any level of parallelism. n ≤ 0 selects runtime.GOMAXPROCS(0); the
+// default is 1. Single-shot draws (Shot, ShotIndex) are always sequential.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithNodeBudget bounds the decision-diagram engine to n live nodes — the
@@ -314,12 +309,12 @@ func (s *State) Sampler(opts ...Option) (*Sampler, error) {
 	case MethodDD:
 		// Freeze-then-sample (paper Section IV over immutable arrays): the
 		// final state DD is converted once into a flat, pointer-free snapshot
-		// with branch probabilities precomputed inline — this pass subsumes
-		// the historical downstream annotation — and every walk thereafter is
-		// a lock-free traversal of the frozen arrays. After the freeze the
-		// Manager is no longer needed for sampling: it may be reused for the
-		// next circuit or garbage-collected while sampling proceeds, and the
-		// walks can never hit the node budget.
+		// with branch probabilities precomputed inline (the downstream
+		// annotation), and every walk thereafter is a lock-free traversal of
+		// the frozen arrays. After the freeze the Manager is no longer needed
+		// for sampling: it may be reused for the next circuit or
+		// garbage-collected while sampling proceeds, and the walks can never
+		// hit the node budget.
 		stop := obs.StartPhase(cfg.reg, cfg.tracer, obs.PhaseFreeze)
 		var frOpts []dd.FreezeOption
 		if cfg.forceGeneric {
@@ -342,9 +337,9 @@ func (s *State) Sampler(opts ...Option) (*Sampler, error) {
 		inner = frozen
 	case MethodPrefix, MethodLinear, MethodAlias:
 		// For the dense family the probability expansion and prefix-sum /
-		// alias-table construction is the annotation analogue of the DD
-		// sampler's downstream pass, so it lands in the same phase bucket.
-		stop := obs.StartPhase(cfg.reg, cfg.tracer, obs.PhaseAnnotateDown)
+		// alias-table construction is the analogue of the DD freeze (the
+		// one-off pass before sampling), so it lands in the same phase bucket.
+		stop := obs.StartPhase(cfg.reg, cfg.tracer, obs.PhaseFreeze)
 		amps, err := s.vector()
 		if err != nil {
 			stop()
@@ -461,8 +456,8 @@ func (s *Sampler) SnapshotNodes() int {
 func (s *Sampler) Shot() string { return core.FormatBits(s.ShotIndex(), s.n) }
 
 // Counts draws shots samples and tallies them by bitstring. With
-// WithWorkers(n > 1) the batch is sharded across n concurrent walkers over
-// the immutable snapshot and merged deterministically.
+// WithWorkers(n > 1) the batch is sharded across up to n concurrent walkers
+// over the immutable snapshot and merged deterministically.
 func (s *Sampler) Counts(shots int) map[string]int {
 	idx := s.CountsByIndex(shots)
 	counts := make(map[string]int, len(idx))
@@ -494,68 +489,18 @@ func (s *Sampler) CountsContext(ctx context.Context, shots int) (map[string]int,
 // CountsByIndexContext is CountsByIndex with cooperative cancellation. On
 // cancellation it returns the partial tallies alongside the context's error.
 //
-// With workers > 1 the batch is drawn by core.CountsParallelContext: a fresh
-// batch seed is split off the sampler's stream (one Uint64 draw, so
-// successive parallel batches differ but remain a pure function of the
-// sampler seed), worker k samples from rng.Stream(batchSeed, k), and the
-// per-worker tallies are merged without intermediate allocations. With
-// workers == 1 every shot comes from the sampler's own sequential stream,
-// bit-for-bit identical to the historical behavior.
+// Every batch splits a fresh batch seed off the sampler's stream (one
+// Uint64 draw, so successive batches differ but remain a pure function of
+// the sampler seed) and draws it with core.CountsParallelContext: chunk i
+// from rng.Stream(batchSeed, i), whatever the worker count. All facade
+// samplers are safe for concurrent use: the frozen DD snapshot is immutable
+// and the vector-family samplers are read-only after construction.
 func (s *Sampler) CountsByIndexContext(ctx context.Context, shots int) (map[uint64]int, error) {
 	stop := obs.StartPhase(s.reg, s.tr, obs.PhaseSample)
-	var counts map[uint64]int
-	var err error
-	if s.workers > 1 && shots > 1 {
-		// All facade samplers are safe for concurrent use: the frozen DD
-		// snapshot is immutable and the vector-family samplers are read-only
-		// after construction.
-		batchSeed := s.rand.Uint64()
-		var ws []core.WorkerStat
-		counts, ws, err = core.CountsParallelContext(ctx, s.inner, batchSeed, shots, s.workers)
-		s.noteWorkers(ws)
-	} else {
-		start := time.Now()
-		counts, err = core.CountsContext(ctx, s.inner, s.rand, shots)
-		s.observeBatchWalk(time.Since(start), counts)
-	}
+	counts, err := core.CountsParallelContext(ctx, s.inner, s.rand.Uint64(), shots, s.workers)
 	stop()
 	s.noteBatch(counts)
 	return counts, err
-}
-
-// noteWorkers records per-worker batch statistics: the worker count gauge
-// and each worker's mean per-shot walk time into the walk histogram.
-func (s *Sampler) noteWorkers(ws []core.WorkerStat) {
-	if s.reg == nil {
-		return
-	}
-	s.reg.Gauge("sample_workers").Set(int64(len(ws)))
-	if s.walkHist == nil {
-		return
-	}
-	for _, w := range ws {
-		if w.Shots > 0 {
-			s.walkHist.ObserveDuration(w.Elapsed / time.Duration(w.Shots))
-		}
-	}
-}
-
-// observeBatchWalk folds a sequential batch's mean per-shot time into the
-// walk histogram (per-shot wall-clocking would distort the hot loop).
-func (s *Sampler) observeBatchWalk(elapsed time.Duration, counts map[uint64]int) {
-	if s.walkHist == nil {
-		return
-	}
-	var drawn int
-	for _, n := range counts {
-		drawn += n
-	}
-	if drawn > 0 {
-		s.walkHist.ObserveDuration(elapsed / time.Duration(drawn))
-	}
-	if s.reg != nil {
-		s.reg.Gauge("sample_workers").Set(1)
-	}
 }
 
 // noteBatch accounts a batch drawn through the core helpers (which bypass
@@ -749,9 +694,6 @@ type ServeConfig struct {
 	JobsDir string
 	// JobWorkers sizes the batch-chunk executor pool (0 = default).
 	JobWorkers int
-	// JobChunkShots is the default checkpoint granularity in shots for
-	// jobs that do not pick their own (0 = default).
-	JobChunkShots int
 	// JobTenantWeights sets per-tenant fair-share weights for the
 	// deficit-round-robin chunk scheduler (unlisted tenants weigh 1).
 	JobTenantWeights map[string]int
@@ -793,7 +735,6 @@ func Serve(sc ServeConfig, opts ...Option) (*Daemon, error) {
 		DisableRequestTraces: sc.DisableRequestTraces,
 		JobsDir:              sc.JobsDir,
 		JobWorkers:           sc.JobWorkers,
-		JobChunkShots:        sc.JobChunkShots,
 		JobTenantWeights:     sc.JobTenantWeights,
 		JobMaxPerTenant:      sc.JobMaxPerTenant,
 		Metrics:              cfg.reg,

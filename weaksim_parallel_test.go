@@ -87,26 +87,33 @@ func TestWithWorkersOneIsDefault(t *testing.T) {
 	}
 }
 
-// TestWithWorkersDeterministic: equal seeds and worker counts reproduce the
-// counts exactly, across repeated batches of the same sampler lifetime.
+// TestWithWorkersDeterministic: equal seeds reproduce the counts exactly,
+// across repeated batches of the same sampler lifetime and at every worker
+// count — the batches span several sampling chunks, so the workers really
+// split them.
 func TestWithWorkersDeterministic(t *testing.T) {
 	state, _ := parallelTestState(t)
-	mk := func() *weaksim.Sampler {
-		s, err := state.Sampler(weaksim.WithSeed(21), weaksim.WithWorkers(8))
+	mk := func(workers int) *weaksim.Sampler {
+		s, err := state.Sampler(weaksim.WithSeed(21), weaksim.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	s1, s2 := mk(), mk()
+	const shots = 150_000
+	ref := mk(1)
+	others := []*weaksim.Sampler{mk(1), mk(4), mk(8)}
 	for batch := 0; batch < 3; batch++ {
-		a, b := s1.Counts(3000), s2.Counts(3000)
-		if len(a) != len(b) {
-			t.Fatalf("batch %d: outcome counts differ", batch)
-		}
-		for bits, n := range a {
-			if b[bits] != n {
-				t.Errorf("batch %d outcome %s: %d vs %d across identical runs", batch, bits, n, b[bits])
+		want := ref.Counts(shots)
+		for _, s := range others {
+			got := s.Counts(shots)
+			if len(got) != len(want) {
+				t.Fatalf("batch %d workers=%d: %d outcomes, want %d", batch, s.Workers(), len(got), len(want))
+			}
+			for bits, n := range want {
+				if got[bits] != n {
+					t.Errorf("batch %d workers=%d outcome %s: %d, workers=1 %d", batch, s.Workers(), bits, got[bits], n)
+				}
 			}
 		}
 	}
