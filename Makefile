@@ -9,7 +9,9 @@
 #                     snapshots are sampled concurrently (and now served
 #                     concurrently by weaksimd), so those paths get dedicated
 #                     race coverage
-#   make bench-gate   frozen-sampling ns/shot vs the committed baseline in
+#   make bench-gate   frozen-sampling ns/shot (one Sample call, and
+#                     core.Counts' block-drawn lockstep walk) and live
+#                     build+freeze vs the committed baseline in
 #                     BENCH_FROZEN.txt (best of 3 runs vs the slowest
 #                     committed row, 25% tolerance)
 #   make cover-gate   total statement coverage >= the floor in coverage.floor
@@ -85,13 +87,16 @@ race-stress:
 chaos:
 	$(GO) test -race -run 'Chaos|Fault' -count=1 ./...
 
-# Short fuzz smoke for CI: the QASM parser fuzzers plus the snapshot binary
-# decoder, ~30s each. Not a soak — just enough to catch a decoder that
-# panics on the corpus neighborhoods of valid inputs.
+# Short fuzz smoke for CI: the QASM parser fuzzers, the snapshot binary
+# decoder, the unique-table node constructor, and the block-drawn frozen
+# walk against the per-shot walk, ~30s each. Not a soak — just enough to
+# catch a decoder that panics on the corpus neighborhoods of valid inputs,
+# or a sampling kernel that drifts from Sample.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/circuit/qasm
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/dd
 	$(GO) test -run '^$$' -fuzz FuzzMakeVNode -fuzztime 30s ./internal/dd
+	$(GO) test -run '^$$' -fuzz FuzzCountsFrozen -fuzztime 30s ./internal/core
 
 # The sampling fast path benchmark watched for regressions (Section IV).
 bench:
@@ -105,6 +110,7 @@ bench:
 # of shor_33_2 costs ~20ms, so 2000000x would blow the go test timeout.
 bench-frozen:
 	$(GO) test -run '^$$' -bench 'BenchmarkSampleFrozen' -benchtime 2000000x -count 3 .
+	$(GO) test -run '^$$' -bench 'BenchmarkCountsFrozen' -benchtime 2000000x -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkFreeze' -benchtime 50x .
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildFreeze' -benchtime 10x -count 3 .
 
@@ -116,10 +122,14 @@ bench-frozen:
 # The second invocation gates the live-engine build+freeze path (arena
 # allocation, open-addressing unique tables, direct-mapped compute caches):
 # a whole-circuit strong simulation plus Freeze per iteration, so a storage
-# regression that per-shot sampling can't see still trips CI.
+# regression that per-shot sampling can't see still trips CI. The third
+# gates what count-producing calls pay per shot: core.Counts over 65,536-shot
+# batches, drawn through FrozenSampler.SampleBlock's lockstep walk and
+# tallied into a map.
 bench-gate:
 	$(GO) run ./cmd/benchcheck
 	$(GO) run ./cmd/benchcheck -bench BenchmarkBuildFreeze -benchtime 10x
+	$(GO) run ./cmd/benchcheck -bench BenchmarkCountsFrozen
 
 # The end-to-end benchmark (cmd/weakbench) is a Go module of its own, so
 # root `go test ./...` never compiles it. This smoke target vets and tests

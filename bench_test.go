@@ -278,24 +278,20 @@ func frozenBenchState(b *testing.B, name string) (*dd.Manager, dd.VEdge) {
 // thousands of nodes (shor, jellium).
 var frozenBenchRows = []string{"qft_16", "shor_33_2", "shor_55_2", "jellium_2x2"}
 
-// BenchmarkSampleFrozen measures the per-shot cost of the walk over the
-// immutable flat-array snapshot, under the L2 fast rule and the generic
-// downstream rule. The one-off freeze cost is measured by BenchmarkFreeze.
-func BenchmarkSampleFrozen(b *testing.B) {
+// frozenBenchModes runs fn as one sub-benchmark per frozenBenchRows row and
+// branch rule ("fast": the L2 rule; "generic": the downstream rule), handing
+// it that row's sampler.
+func frozenBenchModes(b *testing.B, fn func(b *testing.B, sampler *core.FrozenSampler)) {
 	for _, name := range frozenBenchRows {
-		name := name
 		for _, generic := range []bool{false, true} {
-			generic := generic
 			mode := "fast"
+			var opts []dd.FreezeOption
 			if generic {
 				mode = "generic"
+				opts = append(opts, dd.FreezeGeneric())
 			}
 			b.Run(name+"/"+mode, func(b *testing.B) {
 				m, edge := frozenBenchState(b, name)
-				var opts []dd.FreezeOption
-				if generic {
-					opts = append(opts, dd.FreezeGeneric())
-				}
 				snap, err := m.Freeze(edge, opts...)
 				if err != nil {
 					b.Fatal(err)
@@ -305,16 +301,41 @@ func BenchmarkSampleFrozen(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(float64(snap.Len()), "snapnodes")
-				r := rng.New(1)
 				b.ResetTimer()
-				var sink uint64
-				for i := 0; i < b.N; i++ {
-					sink ^= sampler.Sample(r)
-				}
-				_ = sink
+				fn(b, sampler)
 			})
 		}
 	}
+}
+
+// BenchmarkSampleFrozen measures the per-shot cost of the walk over the
+// immutable flat-array snapshot, under the L2 fast rule and the generic
+// downstream rule. The one-off freeze cost is measured by BenchmarkFreeze.
+func BenchmarkSampleFrozen(b *testing.B) {
+	frozenBenchModes(b, func(b *testing.B, sampler *core.FrozenSampler) {
+		r := rng.New(1)
+		var sink uint64
+		for i := 0; i < b.N; i++ {
+			sink ^= sampler.Sample(r)
+		}
+		frozenSink = sink
+	})
+}
+
+// frozenSink keeps the compiler from discarding benchmarked results.
+var frozenSink uint64
+
+// BenchmarkCountsFrozen measures what a count-producing call pays per shot:
+// core.Counts over core.ChunkShots-shot batches (one sampling chunk each),
+// which draws through FrozenSampler.SampleBlock's lockstep walk and tallies
+// into a fresh map. One op is one shot, so ns/op reads as ns/shot.
+func BenchmarkCountsFrozen(b *testing.B) {
+	frozenBenchModes(b, func(b *testing.B, sampler *core.FrozenSampler) {
+		r := rng.New(1)
+		for drawn := 0; drawn < b.N; drawn += core.ChunkShots {
+			frozenSink += uint64(len(core.Counts(sampler, r, min(core.ChunkShots, b.N-drawn))))
+		}
+	})
 }
 
 // BenchmarkFreeze measures the one-off freeze pass (live DD → immutable

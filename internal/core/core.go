@@ -52,17 +52,14 @@ type Sampler interface {
 // result map is preallocated from the shot count and register width, so the
 // tally loop never rehashes.
 func Counts(s Sampler, r *rng.RNG, shots int) map[uint64]int {
-	counts := make(map[uint64]int, CountsSizeHint(shots, s.Qubits()))
-	for i := 0; i < shots; i++ {
-		counts[s.Sample(r)]++
-	}
+	counts, _ := CountsContext(context.Background(), s, r, shots)
 	return counts
 }
 
-// CtxCheckShots is the amortization interval for context checks in the
-// batch sampling loops: the context is consulted once every CtxCheckShots
-// samples, so cancellation latency is bounded by CtxCheckShots shots while
-// the per-sample hot path stays free of synchronization.
+// CtxCheckShots is the block size of the batch sampling loops: they draw
+// CtxCheckShots samples at a time (see drawBlock) and consult the context
+// once per block, so cancellation latency is bounded by CtxCheckShots shots
+// while the per-sample hot path stays free of synchronization.
 const CtxCheckShots = 512
 
 // CountsContext is Counts with cooperative cancellation, checked every
@@ -71,14 +68,32 @@ const CtxCheckShots = 512
 // samples it managed to draw.
 func CountsContext(ctx context.Context, s Sampler, r *rng.RNG, shots int) (map[uint64]int, error) {
 	counts := make(map[uint64]int, CountsSizeHint(shots, s.Qubits()))
-	for i := 0; i < shots; i++ {
-		if i%CtxCheckShots == 0 && ctx.Err() != nil {
+	var block [CtxCheckShots]uint64
+	for drawn := 0; drawn < shots; drawn += CtxCheckShots {
+		if ctx.Err() != nil {
 			return counts, fmt.Errorf("core: sampling interrupted after %d/%d shots: %w",
-				i, shots, context.Cause(ctx))
+				drawn, shots, context.Cause(ctx))
 		}
-		counts[s.Sample(r)]++
+		for _, idx := range drawBlock(s, r, block[:min(CtxCheckShots, shots-drawn)]) {
+			counts[idx]++
+		}
 	}
 	return counts, nil
+}
+
+// drawBlock fills out with len(out) successive samples from s and returns
+// it: through FrozenSampler.SampleBlock's lockstep walk when s is frozen,
+// else one Sample call per shot. Either way r ends where len(out) Sample
+// calls would leave it, and out holds what they would return.
+func drawBlock(s Sampler, r *rng.RNG, out []uint64) []uint64 {
+	if fs, ok := s.(*FrozenSampler); ok {
+		fs.SampleBlock(r, out)
+		return out
+	}
+	for i := range out {
+		out[i] = s.Sample(r)
+	}
+	return out
 }
 
 // FormatBits renders a basis-state index as the paper renders measurement

@@ -15,7 +15,17 @@ import (
 // (paper Section IV over frozen arrays). The walk reads a flat
 // []dd.SnapNode by int32 index and compares the uniform draw against the
 // precomputed cumulative threshold P0: a handful of cache-friendly array
-// loads per level, with no map lookups and no pointer chasing.
+// loads per level, with no map lookups and no pointer chasing. Each level is
+// one branch-free step (see step): the draw's comparison with P0 selects
+// the kid by index, so a 50/50 branch costs no mispredicted jump.
+//
+// Sample walks one shot. SampleBlock, which every count-producing loop uses
+// (see drawBlock), walks walkWidth shots in lockstep, level by level, so the
+// independent walks' node loads overlap instead of each waiting on its own
+// chain. Its draws are taken up front in Sample's order — shot by shot,
+// level n−1 first, one uniform per level — and each shot runs the same
+// step on the same draws, so a block's indices, renorm count and final
+// generator state equal those of len(out) Sample calls bit for bit.
 //
 // A FrozenSampler is safe for concurrent use by any number of goroutines,
 // each with its own *rng.RNG: the snapshot is immutable, and the only
@@ -24,7 +34,8 @@ import (
 //
 // Exactly one uniform is consumed per level, and the zero-edge fallback
 // flips the branch without drawing again; the tests check the walk bit for
-// bit against a pointer walk over the live diagram.
+// bit against a pointer walk over the live diagram, and SampleBlock bit for
+// bit against Sample.
 type FrozenSampler struct {
 	nodes   []dd.SnapNode
 	root    int32
@@ -66,32 +77,94 @@ func (s *FrozenSampler) Renorms() uint64 { return s.renorms.Load() }
 // arrays. Safe for concurrent use; r must be goroutine-local.
 func (s *FrozenSampler) Sample(r *rng.RNG) uint64 {
 	var idx uint64
-	nodes := s.nodes
 	cur := s.root
 	for v := s.n - 1; v >= 0; v-- {
-		nd := &nodes[cur]
-		var next int32
-		if r.Float64() < nd.P0 {
-			next = nd.Kid[0]
-		} else {
-			next = nd.Kid[1]
-			idx |= uint64(1) << uint(v)
-		}
-		if next == dd.SnapZero {
-			// Floating-point slack put us on a zero edge; the other branch
-			// holds all the mass. No extra uniform is consumed.
+		next, bit, zero := step(&s.nodes[cur], r.Float64())
+		if zero {
 			s.renorms.Add(1)
-			if idx&(uint64(1)<<uint(v)) != 0 {
-				idx &^= uint64(1) << uint(v)
-				next = nd.Kid[0]
-			} else {
-				idx |= uint64(1) << uint(v)
-				next = nd.Kid[1]
-			}
 		}
+		idx |= bit << (uint(v) & 63)
 		cur = next
 	}
 	return idx
+}
+
+// step takes one level of a walk from node nd on the uniform draw u: bit 0
+// (to Kid[0]) iff u < P0, selected without a data-dependent branch. If that
+// lands on a zero edge, floating-point slack put the walk there and the
+// other branch holds all the mass: step flips to it, consuming no draw, and
+// reports zero so the caller can count the renormalization event.
+func step(nd *dd.SnapNode, u float64) (next int32, bit uint64, zero bool) {
+	if !(u < nd.P0) {
+		bit = 1
+	}
+	next = nd.Kid[bit&1]
+	if next == dd.SnapZero {
+		bit ^= 1
+		next, zero = nd.Kid[bit&1], true
+	}
+	return next, bit, zero
+}
+
+// walkWidth is how many shots SampleBlock walks in lockstep. Any width from
+// 8 to 64 runs at about the same speed: wide enough for the independent
+// walks' loads to overlap, small enough that a block's draws (walkWidth·n
+// uint64s) stay in L1.
+const walkWidth = 32
+
+// SampleBlock fills out with len(out) samples: bit for bit the indices that
+// len(out) successive Sample calls would return from the same r, leaving r
+// where they would leave it and adding the same count to Renorms. It
+// allocates nothing. Safe for concurrent use; r must be goroutine-local.
+//
+// Shots are taken walkWidth at a time. The block's draws are filled up front
+// in Sample's order (shot by shot, level n−1 first), then the shots descend
+// in lockstep, one level for all of them before the next, so their
+// independent chains of node loads overlap. Each step is a branch-free
+// select on the draw; only the rare zero-edge fallback branches, and it
+// consumes no draw.
+func (s *FrozenSampler) SampleBlock(r *rng.RNG, out []uint64) {
+	n := s.n
+	if n == 0 {
+		clear(out)
+		return
+	}
+	var (
+		draws   [walkWidth * dd.MaxQubits]uint64
+		cur     [walkWidth]int32
+		renorms uint64
+	)
+	nodes := s.nodes
+	for len(out) > 0 {
+		b := min(len(out), walkWidth)
+		u := draws[:b*n]
+		r.Fill53(u)
+		idx, at := out[:b], cur[:b]
+		for j := range idx {
+			idx[j], at[j] = 0, s.root
+		}
+		for v := n - 1; v >= 0; v-- {
+			shift := uint(v) & 63
+			// Shot j's draw for level v is u[j*n + n-1-v].
+			d := n - 1 - v
+			for j := range idx {
+				// u[d] < 2^53, so float64(int64(u[d]))/2^53 is exactly the
+				// value Float64 returns; the signed conversion is one
+				// instruction.
+				next, bit, zero := step(&nodes[at[j]], float64(int64(u[d]))/(1<<53))
+				if zero {
+					renorms++
+				}
+				d += n
+				at[j] = next
+				idx[j] |= bit << shift
+			}
+		}
+		out = out[b:]
+	}
+	if renorms != 0 {
+		s.renorms.Add(renorms)
+	}
 }
 
 // CountsSizeHint bounds the number of distinct outcomes a tally of shots
@@ -191,7 +264,10 @@ func CountsParallelContext(ctx context.Context, s Sampler, seed uint64, shots, w
 // returned error: it must not take down the process from a sampling
 // goroutine, where nothing else could recover it. Genuine panics propagate.
 func tallyChunks(ctx context.Context, s Sampler, seed uint64, shots int, next *atomic.Int64, counts map[uint64]int) (err error) {
-	var chunk, drawn, quota int
+	var (
+		chunk, drawn, quota int
+		block               [CtxCheckShots]uint64
+	)
 	defer func() {
 		if rec := recover(); rec != nil {
 			p, ok := rec.(*fault.InjectedPanic)
@@ -207,17 +283,17 @@ func tallyChunks(ctx context.Context, s Sampler, seed uint64, shots int, next *a
 			return nil
 		}
 		r := rng.Stream(seed, chunk)
-		for drawn = 0; drawn < quota; drawn++ {
-			if drawn%CtxCheckShots == 0 {
-				if ctx.Err() != nil {
-					return fmt.Errorf("core: chunk %d interrupted after %d/%d shots: %w",
-						chunk, drawn, quota, context.Cause(ctx))
-				}
-				if err := fault.Hit(fault.SamplerWalk); err != nil {
-					return fmt.Errorf("core: chunk %d after %d/%d shots: %w", chunk, drawn, quota, err)
-				}
+		for drawn = 0; drawn < quota; drawn += CtxCheckShots {
+			if ctx.Err() != nil {
+				return fmt.Errorf("core: chunk %d interrupted after %d/%d shots: %w",
+					chunk, drawn, quota, context.Cause(ctx))
 			}
-			counts[s.Sample(r)]++
+			if err := fault.Hit(fault.SamplerWalk); err != nil {
+				return fmt.Errorf("core: chunk %d after %d/%d shots: %w", chunk, drawn, quota, err)
+			}
+			for _, idx := range drawBlock(s, r, block[:min(CtxCheckShots, quota-drawn)]) {
+				counts[idx]++
+			}
 		}
 	}
 }

@@ -812,7 +812,24 @@ func (m *Manager) runChunk(ctx context.Context, j *jobState, chunk int) {
 }
 
 // commitChunk makes one chunk durable and visible, in that order.
+//
+// The chunk record is encoded from the chunk's own tallies before the lock
+// is taken, and only when the manager has a WAL to write it to: an in-memory
+// manager would drop it unwritten. The encoding still counts as wal phase
+// time.
 func (m *Manager) commitChunk(j *jobState, chunk, shots int, counts map[uint64]int, snapNS, sampleNS int64) {
+	encodeStart := time.Now()
+	var rec Record
+	if m.cfg.Dir != "" {
+		rec = mustRecord(recChunk, chunkRecord{
+			ID:     j.spec.ID,
+			Chunk:  chunk,
+			Shots:  shots,
+			Counts: encodeCounts(counts),
+		})
+	}
+	encodeNS := time.Since(encodeStart).Nanoseconds()
+
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if j.state.Terminal() || j.done[chunk] {
@@ -823,12 +840,7 @@ func (m *Manager) commitChunk(j *jobState, chunk, shots int, counts map[uint64]i
 		return
 	}
 	walStart := time.Now()
-	rec := mustRecord(recChunk, chunkRecord{
-		ID:     j.spec.ID,
-		Chunk:  chunk,
-		Shots:  shots,
-		Counts: encodeCounts(counts),
-	})
+	// appendLocked is a no-op without a WAL, the one case rec was not built.
 	if err := m.appendLocked(rec); err != nil {
 		// The tallies are deterministic — dropping them and re-sampling the
 		// chunk after a backoff is safe and keeps the WAL the source of
@@ -843,7 +855,7 @@ func (m *Manager) commitChunk(j *jobState, chunk, shots int, counts map[uint64]i
 	core.MergeCounts(j.counts, counts)
 	j.phaseNS["snapshot"] += snapNS
 	j.phaseNS["sample"] += sampleNS
-	j.phaseNS["wal"] += time.Since(walStart).Nanoseconds()
+	j.phaseNS["wal"] += encodeNS + time.Since(walStart).Nanoseconds()
 	j.updatedMS = time.Now().UnixMilli()
 	m.mChunks.Inc()
 	if j.chunksDone >= j.spec.ChunksTotal() {

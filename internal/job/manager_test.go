@@ -11,6 +11,7 @@ import (
 
 	"weaksim/internal/core"
 	"weaksim/internal/dd"
+	"weaksim/internal/obs"
 	"weaksim/internal/rng"
 )
 
@@ -124,6 +125,50 @@ func TestInMemoryMode(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	waitFor(t, m, "j1", completed)
+}
+
+// TestInMemoryJobSkipsWALRecords: a manager without a WAL builds no chunk
+// records, and its jobs still return what a durable manager returns — the
+// per-chunk reference Σᵢ Counts(Stream(seed, i), chunk i) — while
+// job_wal_records_total stays at zero for it and counts every record for
+// the durable one.
+func TestInMemoryJobSkipsWALRecords(t *testing.T) {
+	spec := testSpec("j1", 1000, 300) // four chunks, the last one short
+	want := map[string]int{}
+	for i := 0; i < spec.ChunksTotal(); i++ {
+		for idx, n := range core.Counts(fakeSampler{4}, rng.Stream(spec.Seed, i), spec.ChunkShotCount(i)) {
+			want[core.FormatBits(idx, 4)] += n
+		}
+	}
+	for _, tc := range []struct {
+		name        string
+		dir         string
+		wantRecords bool
+	}{
+		{"in-memory", "", false},
+		{"durable", t.TempDir(), true},
+	} {
+		reg := obs.NewRegistry()
+		m := startManager(t, Config{Dir: tc.dir, Metrics: reg})
+		if _, err := m.Submit(spec); err != nil {
+			t.Fatalf("%s: Submit: %v", tc.name, err)
+		}
+		waitFor(t, m, spec.ID, completed)
+		got, err := m.Result(spec.ID)
+		if err != nil {
+			t.Fatalf("%s: Result: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: result %v, per-chunk reference %v", tc.name, got, want)
+		}
+		records := reg.Counter("job_wal_records_total").Value()
+		if tc.wantRecords && records < uint64(1+spec.ChunksTotal()) {
+			t.Errorf("%s: job_wal_records_total = %d, want the submit and %d chunk records", tc.name, records, spec.ChunksTotal())
+		}
+		if !tc.wantRecords && records != 0 {
+			t.Errorf("%s: job_wal_records_total = %d, want 0", tc.name, records)
+		}
+	}
 }
 
 // TestResumeBitIdentical is the durability contract end to end: run a job to
