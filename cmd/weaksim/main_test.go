@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"weaksim"
 )
 
 // readMetrics parses a -metrics-out document and fails the test if the file
@@ -115,10 +117,14 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
+// TestRunTraceOut pins the -trace-out stream: every line decodes as a
+// weaksim.TraceEvent, all lines share the run's one trace ID, the four
+// pipeline phases each appear as a span, and -trace-every 8 yields one op
+// event per 8 applied ops.
 func TestRunTraceOut(t *testing.T) {
 	dir := t.TempDir()
 	tpath := filepath.Join(dir, "t.jsonl")
-	err := run([]string{"-bench", "qft_8", "-shots", "1", "-trace-out", tpath, "-trace-every", "8"},
+	err := run([]string{"-bench", "qft_8", "-shots", "64", "-histogram", "-trace-out", tpath, "-trace-every", "8"},
 		io.Discard, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -131,11 +137,40 @@ func TestRunTraceOut(t *testing.T) {
 	if len(lines) == 0 {
 		t.Fatal("trace file empty")
 	}
+	spans := map[string]int{}
+	ops := 0
+	var traceID string
 	for _, line := range lines {
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+		var ev weaksim.TraceEvent
+		dec := json.NewDecoder(strings.NewReader(line))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&ev); err != nil {
 			t.Fatalf("trace line %q: %v", line, err)
 		}
+		if traceID == "" {
+			traceID = ev.TraceID
+		}
+		if ev.TraceID == "" || ev.TraceID != traceID {
+			t.Fatalf("trace line %q: trace ID %q, want the run's one ID %q", line, ev.TraceID, traceID)
+		}
+		switch {
+		case ev.Kind == "span":
+			spans[ev.Phase]++
+		case ev.Kind == "event" && ev.Name == "op":
+			ops++
+		}
+	}
+	for _, phase := range []string{"build", "apply", "freeze", "sample"} {
+		if spans[phase] == 0 {
+			t.Errorf("no %s span in the trace: %v", phase, spans)
+		}
+	}
+	c, err := weaksim.GenerateBenchmark("qft_8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := c.NumOps() / 8; ops != want {
+		t.Errorf("%d op events, want %d (one per 8 of %d ops)", ops, want, c.NumOps())
 	}
 }
 

@@ -101,7 +101,7 @@ func (r *RunReport) note(format string, args ...any) {
 // noteEvent records a degradation-ladder step both in the human-readable
 // fallback list and, when tracing is enabled, as a structured govern-phase
 // trace event.
-func (r *RunReport) noteEvent(tr *obs.Tracer, name string, attrs map[string]any, format string, args ...any) {
+func (r *RunReport) noteEvent(tr *obs.RequestTrace, name string, attrs map[string]any, format string, args ...any) {
 	r.note(format, args...)
 	if tr != nil {
 		if attrs == nil {
@@ -160,15 +160,15 @@ func newGovernedDD(c *Circuit, cfg config) (*sim.DDSimulator, error) {
 func SimulateContext(ctx context.Context, c *Circuit, opts ...Option) (st *State, err error) {
 	defer guard(&err)
 	cfg := newConfig(opts)
-	stopBuild := obs.StartPhase(cfg.reg, cfg.tracer, obs.PhaseBuild)
+	sp := obs.StartSpan(cfg.reg, cfg.tracer, obs.PhaseBuild)
 	s, err := newGovernedDD(c, cfg)
-	stopBuild()
+	sp.End(nil)
 	if err != nil {
 		return nil, err
 	}
-	stopApply := obs.StartPhase(cfg.reg, cfg.tracer, obs.PhaseApply)
+	sp = obs.StartSpan(cfg.reg, cfg.tracer, obs.PhaseApply)
 	edge, err := s.RunContext(ctx)
-	stopApply()
+	sp.End(nil)
 	if err != nil {
 		return nil, fmt.Errorf("weaksim: %w", err)
 	}
@@ -206,10 +206,10 @@ func SimulateAuto(ctx context.Context, c *Circuit, opts ...Option) (st *State, r
 	}
 	vs, verr := sim.NewVector(c, vecBudget)
 	if verr == nil {
-		stopVec := obs.StartPhase(cfg.reg, cfg.tracer, obs.PhaseApply)
+		sp := obs.StartSpan(cfg.reg, cfg.tracer, obs.PhaseApply)
 		var dense *statevec.State
 		dense, verr = vs.RunContext(ctx)
-		stopVec()
+		sp.End(nil)
 		if verr == nil {
 			report.Backend = "vector"
 			st := &State{dense: dense, cfg: cfg}
@@ -226,9 +226,9 @@ func SimulateAuto(ctx context.Context, c *Circuit, opts ...Option) (st *State, r
 		"vector backend: %v → falling back to DD", verr)
 
 	// Tier 2 + 3: DD backend under the node budget, pruning under pressure.
-	stopBuild := obs.StartPhase(cfg.reg, cfg.tracer, obs.PhaseBuild)
+	sp := obs.StartSpan(cfg.reg, cfg.tracer, obs.PhaseBuild)
 	s, err := newGovernedDD(c, cfg)
-	stopBuild()
+	sp.End(nil)
 	if err != nil {
 		return nil, report, fmt.Errorf("weaksim: %w", err)
 	}
@@ -245,9 +245,9 @@ func SimulateAuto(ctx context.Context, c *Circuit, opts ...Option) (st *State, r
 	stuckPos := -1       // op index of the last budget failure
 	shrink := 2          // prune target divisor: budget/shrink live nodes
 	for {
-		stopApply := obs.StartPhase(cfg.reg, cfg.tracer, obs.PhaseApply)
+		sp := obs.StartSpan(cfg.reg, cfg.tracer, obs.PhaseApply)
 		edge, rerr := s.RunContext(ctx)
-		stopApply()
+		sp.End(nil)
 		report.PeakNodes = mgr.PeakNodes()
 		if rerr == nil {
 			report.Fidelity = fidelity

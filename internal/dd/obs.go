@@ -15,7 +15,7 @@ import (
 // while the disabled path costs exactly one nil pointer check.
 type ddMetrics struct {
 	reg *obs.Registry
-	tr  *obs.Tracer
+	tr  *obs.RequestTrace
 
 	vHits, vMisses     *obs.Counter
 	mHits, mMisses     *obs.Counter
@@ -42,8 +42,9 @@ type ddMetrics struct {
 	freelistLen *obs.Gauge
 }
 
-// SetObserver attaches a metrics registry and tracer to the Manager.
-// Passing a nil registry and nil tracer detaches. The registry receives the
+// SetObserver attaches a metrics registry and a trace to the Manager: GC
+// and budget-pressure events and invariant-check spans land in tr. Passing
+// a nil registry and nil trace detaches. The registry receives the
 // metric catalogue documented in DESIGN.md ("Observability"):
 //
 //	dd_unique_v_{hits,misses}_total    vector unique-table probes
@@ -61,7 +62,7 @@ type ddMetrics struct {
 //	dd_live_nodes, dd_peak_nodes       live/high-water node gauges
 //	dd_arena_slabs                     allocated node slabs (gauge)
 //	dd_freelist_len                    recycled-and-unused arena slots (gauge)
-func (m *Manager) SetObserver(reg *obs.Registry, tr *obs.Tracer) {
+func (m *Manager) SetObserver(reg *obs.Registry, tr *obs.RequestTrace) {
 	if reg == nil && tr == nil {
 		m.obs = nil
 		return
@@ -152,29 +153,28 @@ func (m *Manager) noteGC(removedV, removedM int) {
 // startVerify opens an invariant-check span and bumps the check counter.
 // The returned closer records the outcome: failures increment the aggregate
 // failure counter plus a per-check dd_invariant_<check>_failures_total
-// series, and the span (when tracing) carries the violation detail. With no
-// observer attached both halves are no-ops.
+// series, and the span (when tracing) carries the check name and any
+// violation. With no observer attached both halves are no-ops.
 func (m *Manager) startVerify(name string) func(error) {
 	o := m.obs
 	if o == nil {
 		return func(error) {}
 	}
 	o.invChecks.Inc()
-	var sp obs.Span
-	if o.tr != nil {
-		sp = o.tr.Start(obs.PhaseVerify, name)
-	}
+	sp := obs.StartSpan(nil, o.tr, obs.PhaseVerify)
 	return func(err error) {
-		var attrs map[string]any
 		if err != nil {
 			o.invFails.Inc()
 			var ie *InvariantError
 			if errors.As(err, &ie) {
 				o.reg.Counter("dd_invariant_" + ie.Check + "_failures_total").Inc()
 			}
-			attrs = map[string]any{"error": err.Error()}
 		}
 		if o.tr != nil {
+			attrs := map[string]any{"check": name}
+			if err != nil {
+				attrs["error"] = err.Error()
+			}
 			sp.End(attrs)
 		}
 	}

@@ -74,9 +74,9 @@ func TestPublishMetricsMirrors(t *testing.T) {
 // and emits a gc trace event carrying the reclaimed counts.
 func TestGCEmitsTraceEvent(t *testing.T) {
 	reg := obs.NewRegistry()
-	var sink obs.CollectSink
+	tr := obs.StartRequest("", nil, nil)
 	m := New(3)
-	m.SetObserver(reg, obs.NewTracer(&sink))
+	m.SetObserver(reg, tr)
 
 	// Build some garbage: states not kept alive by the GC roots.
 	var keep VEdge
@@ -94,7 +94,7 @@ func TestGCEmitsTraceEvent(t *testing.T) {
 		t.Fatalf("dd_gc_reclaimed_nodes_total = %d, want %d", got, removedV+removedM)
 	}
 	var sawGC bool
-	for _, e := range sink.Events() {
+	for _, e := range tr.Spans() {
 		if e.Name == "gc" {
 			sawGC = true
 		}

@@ -40,7 +40,6 @@ import (
 
 	"weaksim/internal/cnum"
 	"weaksim/internal/fault"
-	"weaksim/internal/obs"
 )
 
 // Sentinel child indices of a SnapNode. All non-negative indices refer into
@@ -101,24 +100,13 @@ func FreezeGeneric() FreezeOption {
 	return func(c *freezeConfig) { c.generic = true }
 }
 
-// FreezeContext is Freeze with request-scoped trace attribution: when ctx
-// carries an obs.RequestTrace (the serving pipeline's per-request span
-// tree), the freeze is recorded as a span on that trace — including the
-// frozen node count, or the error — so a request's debug=1 breakdown shows
-// exactly what ITS freeze cost. With no trace in ctx the overhead is one
-// context lookup; Freeze itself is unchanged.
-func (m *Manager) FreezeContext(ctx context.Context, root VEdge, opts ...FreezeOption) (*Snapshot, error) {
-	rt := obs.TraceFromContext(ctx)
-	sp := rt.StartSpan(obs.PhaseFreeze)
-	snap, err := m.Freeze(root, opts...)
-	if rt != nil {
-		if err != nil {
-			sp.End(map[string]any{"error": err.Error()})
-		} else {
-			sp.End(map[string]any{"nodes": snap.Len(), "bytes": snap.Bytes()})
-		}
-	}
-	return snap, err
+// FreezeContext is Freeze; ctx is not consulted. Callers that time the
+// freeze do so with one obs.StartSpan around Freeze.
+//
+// Deprecated: call Freeze. FreezeContext remains only for callers written
+// against its earlier signature.
+func (m *Manager) FreezeContext(_ context.Context, root VEdge, opts ...FreezeOption) (*Snapshot, error) {
+	return m.Freeze(root, opts...)
 }
 
 // Freeze converts the live state DD rooted at root into an immutable

@@ -248,9 +248,9 @@ type Status struct {
 	// bad_circuit, config_changed).
 	ErrorCode string `json:"error_code,omitempty"`
 	Error     string `json:"error,omitempty"`
-	// PhaseNS is the cumulative per-phase wall-clock breakdown: snapshot
-	// (build/fetch of the frozen DD), sample (chunk walks), wal (checkpoint
-	// appends).
+	// PhaseNS is the cumulative per-phase wall-clock breakdown, summed from
+	// the job trace's spans: snapshot (build/fetch of the frozen DD), sample
+	// (chunk walks), wal (checkpoint encoding, append and merge).
 	PhaseNS map[string]int64 `json:"phase_ns,omitempty"`
 	// TraceID is the job's request-trace ID (chunk spans land in the flight
 	// recorder under it).

@@ -117,8 +117,7 @@ type jobState struct {
 	errCode string
 	errMsg  string
 
-	trace     *obs.RequestTrace
-	phaseNS   map[string]int64
+	trace     *obs.RequestTrace // chunk spans; its phase sums are PhaseNS
 	updatedMS int64
 
 	subs []*subscriber
@@ -513,8 +512,7 @@ func (m *Manager) addJobLocked(spec Spec) *jobState {
 		state:     StateQueued,
 		counts:    make(map[uint64]int, core.CountsSizeHint(spec.Shots, spec.Qubits)),
 		done:      make([]bool, spec.ChunksTotal()),
-		trace:     obs.StartRequest("", m.cfg.Recorder),
-		phaseNS:   make(map[string]int64),
+		trace:     obs.StartRequest("", m.cfg.Recorder, nil),
 		updatedMS: time.Now().UnixMilli(),
 	}
 	m.jobs[spec.ID] = j
@@ -606,7 +604,7 @@ func (m *Manager) rotateLocked() {
 }
 
 func (m *Manager) statusLocked(j *jobState) Status {
-	st := Status{
+	return Status{
 		ID:              j.spec.ID,
 		State:           j.state,
 		Tenant:          j.spec.Tenant,
@@ -626,14 +624,22 @@ func (m *Manager) statusLocked(j *jobState) Status {
 		TraceID:         j.trace.ID().String(),
 		CreatedUnixMS:   j.spec.CreatedUnixMS,
 		UpdatedUnixMS:   j.updatedMS,
+		PhaseNS:         j.phases(),
 	}
-	if len(j.phaseNS) > 0 {
-		st.PhaseNS = make(map[string]int64, len(j.phaseNS))
-		for k, v := range j.phaseNS {
-			st.PhaseNS[k] = v
-		}
+}
+
+// jobPhases are the phases a chunk is timed in; PhaseNS reports exactly
+// these (not the root span Finish appends, nor the simulation spans a
+// snapshot lookup records into the job's trace on a cache miss).
+var jobPhases = []string{obs.PhaseSnapshot, obs.PhaseSample, obs.PhaseWAL}
+
+// phases reads the job's per-phase time from its trace's running sums (nil
+// before the first chunk span).
+func (j *jobState) phases() map[string]int64 {
+	if bd := j.trace.PhaseBreakdown(jobPhases...); len(bd) > 0 {
+		return bd
 	}
-	return st
+	return nil
 }
 
 func (m *Manager) eventLocked(j *jobState) Event {
@@ -646,14 +652,9 @@ func (m *Manager) eventLocked(j *jobState) Event {
 		ErrorCode:   j.errCode,
 		Error:       j.errMsg,
 		Terminal:    j.state.Terminal(),
+		PhaseNS:     j.phases(),
 	}
 	ev.Top = topCounts(j.counts, j.spec.Qubits, eventTopK)
-	if len(j.phaseNS) > 0 {
-		ev.PhaseNS = make(map[string]int64, len(j.phaseNS))
-		for k, v := range j.phaseNS {
-			ev.PhaseNS[k] = v
-		}
-	}
 	return ev
 }
 
@@ -778,47 +779,46 @@ func (m *Manager) worker() {
 
 // runChunk executes one chunk outside the lock: resolve the frozen snapshot,
 // walk ChunkShotCount(chunk) shots under rng.Stream(seed, chunk), then
-// commit (WAL append + merge) under the lock.
+// commit (WAL append + merge) under the lock. Each phase is one span in the
+// job's trace.
 func (m *Manager) runChunk(ctx context.Context, j *jobState, chunk int) {
 	spec := j.spec
-	sp := j.trace.StartSpan("job.chunk")
 	if err := fault.Hit(fault.JobChunkSample); err != nil {
-		sp.End(map[string]any{"chunk": chunk, "err": err.Error()})
+		j.trace.Event(obs.PhaseSample, "chunk-fault", map[string]any{"chunk": chunk, "err": err.Error()})
 		m.finishChunkErr(j, chunk, err)
 		return
 	}
 	ctx = obs.ContextWithTrace(ctx, j.trace)
 
-	snapStart := time.Now()
+	sp := obs.StartSpan(nil, j.trace, obs.PhaseSnapshot)
 	sampler, err := m.cfg.Snapshot(ctx, spec)
-	snapNS := time.Since(snapStart).Nanoseconds()
 	if err != nil {
 		sp.End(map[string]any{"chunk": chunk, "err": err.Error()})
 		m.finishChunkErr(j, chunk, err)
 		return
 	}
+	sp.End(nil)
 
 	shots := spec.ChunkShotCount(chunk)
-	sampleStart := time.Now()
+	sp = obs.StartSpan(nil, j.trace, obs.PhaseSample)
 	counts, err := core.CountsContext(ctx, sampler, rng.Stream(spec.Seed, chunk), shots)
-	sampleNS := time.Since(sampleStart).Nanoseconds()
 	if err != nil {
 		sp.End(map[string]any{"chunk": chunk, "err": err.Error()})
 		m.finishChunkErr(j, chunk, err)
 		return
 	}
 	sp.End(map[string]any{"chunk": chunk, "shots": shots})
-	m.commitChunk(j, chunk, shots, counts, snapNS, sampleNS)
+	m.commitChunk(j, chunk, shots, counts)
 }
 
 // commitChunk makes one chunk durable and visible, in that order.
 //
 // The chunk record is encoded from the chunk's own tallies before the lock
 // is taken, and only when the manager has a WAL to write it to: an in-memory
-// manager would drop it unwritten. The encoding still counts as wal phase
-// time.
-func (m *Manager) commitChunk(j *jobState, chunk, shots int, counts map[uint64]int, snapNS, sampleNS int64) {
-	encodeStart := time.Now()
+// manager would drop it unwritten. The wal phase is two spans: the encoding,
+// and the append plus merge under the lock.
+func (m *Manager) commitChunk(j *jobState, chunk, shots int, counts map[uint64]int) {
+	sp := obs.StartSpan(nil, j.trace, obs.PhaseWAL)
 	var rec Record
 	if m.cfg.Dir != "" {
 		rec = mustRecord(recChunk, chunkRecord{
@@ -828,7 +828,7 @@ func (m *Manager) commitChunk(j *jobState, chunk, shots int, counts map[uint64]i
 			Counts: encodeCounts(counts),
 		})
 	}
-	encodeNS := time.Since(encodeStart).Nanoseconds()
+	sp.End(nil)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -839,9 +839,10 @@ func (m *Manager) commitChunk(j *jobState, chunk, shots int, counts map[uint64]i
 		m.terminalizeLocked(j, StateCancelled, "cancelled", "cancelled by request")
 		return
 	}
-	walStart := time.Now()
+	sp = obs.StartSpan(nil, j.trace, obs.PhaseWAL)
 	// appendLocked is a no-op without a WAL, the one case rec was not built.
 	if err := m.appendLocked(rec); err != nil {
+		sp.End(map[string]any{"chunk": chunk, "err": err.Error()})
 		// The tallies are deterministic — dropping them and re-sampling the
 		// chunk after a backoff is safe and keeps the WAL the source of
 		// truth.
@@ -853,9 +854,7 @@ func (m *Manager) commitChunk(j *jobState, chunk, shots int, counts map[uint64]i
 	j.executed++
 	j.shotsDone += shots
 	core.MergeCounts(j.counts, counts)
-	j.phaseNS["snapshot"] += snapNS
-	j.phaseNS["sample"] += sampleNS
-	j.phaseNS["wal"] += encodeNS + time.Since(walStart).Nanoseconds()
+	sp.End(nil)
 	j.updatedMS = time.Now().UnixMilli()
 	m.mChunks.Inc()
 	if j.chunksDone >= j.spec.ChunksTotal() {

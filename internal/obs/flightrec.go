@@ -1,7 +1,8 @@
 package obs
 
 // Flight recorder: an always-on, fixed-size ring of the most recent trace
-// spans and events, dumped as JSONL when something goes wrong — a recovered
+// records (SpanRecords: request and job spans, process events, and trip
+// markers), dumped as JSONL when something goes wrong — a recovered
 // panic, an injected fault, an SLO fast-burn breach. Aviation flight
 // recorders answer "what were the last N seconds like" after the fact;
 // here the chaos outcomes of the fault-injection matrix become post-hoc
@@ -28,32 +29,9 @@ import (
 // request publishes one record per span).
 const DefaultFlightSlots = 4096
 
-// FlightRecord is one ring entry, serialized as one JSONL line per record
-// in dumps.
-type FlightRecord struct {
-	// Seq is the global write ordinal (assigned by Record; dumps sort on it).
-	Seq uint64 `json:"seq"`
-	// TS is the record timestamp in nanoseconds since the Unix epoch.
-	TS int64 `json:"ts"`
-	// Trace and Span are the request-trace IDs, when the record came from a
-	// request ("" for process-level events such as trips).
-	Trace string `json:"trace,omitempty"`
-	Span  string `json:"span,omitempty"`
-	// Kind is "span", "event", or "trip".
-	Kind string `json:"kind"`
-	// Phase is the pipeline phase (spans/events).
-	Phase string `json:"phase,omitempty"`
-	// Name is the endpoint or trip reason.
-	Name string `json:"name"`
-	// DurNS is the span duration (spans only).
-	DurNS int64 `json:"dur_ns,omitempty"`
-	// Attrs carries structured detail.
-	Attrs map[string]any `json:"attrs,omitempty"`
-}
-
 type flightSlot struct {
 	mu  sync.Mutex
-	rec FlightRecord
+	rec SpanRecord
 	set bool
 }
 
@@ -106,14 +84,15 @@ func NewFlightRecorder(slots int, opts ...FlightOption) *FlightRecorder {
 }
 
 // Record appends rec to the ring, overwriting the oldest entry when full.
+// It numbers rec (Seq) and stamps a missing StartNS with the current time.
 // Safe for concurrent use; a nil recorder is a no-op.
-func (f *FlightRecorder) Record(rec FlightRecord) {
+func (f *FlightRecorder) Record(rec SpanRecord) {
 	if f == nil {
 		return
 	}
 	rec.Seq = f.head.Add(1)
-	if rec.TS == 0 {
-		rec.TS = time.Now().UnixNano()
+	if rec.StartNS == 0 {
+		rec.StartNS = time.Now().UnixNano()
 	}
 	slot := &f.slots[(rec.Seq-1)%uint64(len(f.slots))]
 	slot.mu.Lock()
@@ -123,11 +102,11 @@ func (f *FlightRecorder) Record(rec FlightRecord) {
 }
 
 // Snapshot copies the ring contents in sequence order (oldest first).
-func (f *FlightRecorder) Snapshot() []FlightRecord {
+func (f *FlightRecorder) Snapshot() []SpanRecord {
 	if f == nil {
 		return nil
 	}
-	out := make([]FlightRecord, 0, len(f.slots))
+	out := make([]SpanRecord, 0, len(f.slots))
 	for i := range f.slots {
 		s := &f.slots[i]
 		s.mu.Lock()
@@ -169,7 +148,7 @@ func (f *FlightRecorder) Trip(reason string, attrs map[string]any) (string, erro
 	}
 	f.tripCount.Add(1)
 	f.trips.Inc()
-	f.Record(FlightRecord{Kind: "trip", Name: reason, Attrs: attrs})
+	f.Record(SpanRecord{Kind: "trip", Name: reason, Attrs: attrs})
 	if f.dir == "" {
 		return "", nil
 	}

@@ -14,7 +14,7 @@ import (
 func TestFlightRecorderRingWraps(t *testing.T) {
 	f := NewFlightRecorder(8)
 	for i := 0; i < 20; i++ {
-		f.Record(FlightRecord{Kind: "event", Name: fmt.Sprintf("e%d", i)})
+		f.Record(SpanRecord{Kind: "event", Name: fmt.Sprintf("e%d", i)})
 	}
 	recs := f.Snapshot()
 	if len(recs) != 8 {
@@ -35,7 +35,7 @@ func TestFlightRecorderConcurrentRecord(t *testing.T) {
 		go func(k int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				f.Record(FlightRecord{Kind: "event", Name: "w", Attrs: map[string]any{"k": k}})
+				f.Record(SpanRecord{Kind: "event", Name: "w", Attrs: map[string]any{"k": k}})
 			}
 		}(k)
 	}
@@ -53,8 +53,8 @@ func TestFlightRecorderConcurrentRecord(t *testing.T) {
 
 func TestFlightRecorderWriteJSONL(t *testing.T) {
 	f := NewFlightRecorder(16)
-	f.Record(FlightRecord{Kind: "span", Phase: PhaseFreeze, Name: "/v1/sample", DurNS: 42})
-	f.Record(FlightRecord{Kind: "trip", Name: "slo-breach"})
+	f.Record(SpanRecord{Kind: "span", Phase: PhaseFreeze, Name: "/v1/sample", DurNS: 42})
+	f.Record(SpanRecord{Kind: "trip", Name: "slo-breach"})
 	var buf bytes.Buffer
 	if err := f.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestFlightRecorderWriteJSONL(t *testing.T) {
 	sc := bufio.NewScanner(&buf)
 	n := 0
 	for sc.Scan() {
-		var rec FlightRecord
+		var rec SpanRecord
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatalf("line %d is not valid JSON: %v", n, err)
 		}
@@ -76,7 +76,7 @@ func TestFlightRecorderWriteJSONL(t *testing.T) {
 func TestFlightRecorderTripDumpsToDisk(t *testing.T) {
 	dir := t.TempDir()
 	f := NewFlightRecorder(16, WithFlightDir(dir), WithFlightDumpGap(0))
-	f.Record(FlightRecord{Kind: "event", Name: "before"})
+	f.Record(SpanRecord{Kind: "event", Name: "before"})
 	path, err := f.Trip("fault:serve.sim", map[string]any{"point": "serve.sim"})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestFlightRecorderTripDumpsToDisk(t *testing.T) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	var sawTrip bool
 	for sc.Scan() {
-		var rec FlightRecord
+		var rec SpanRecord
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatalf("dump line is not valid JSON: %v", err)
 		}
@@ -139,7 +139,7 @@ func TestFlightRecorderTripRateLimit(t *testing.T) {
 
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
-	f.Record(FlightRecord{})
+	f.Record(SpanRecord{})
 	if got := f.Snapshot(); got != nil {
 		t.Fatal("nil recorder snapshot not nil")
 	}

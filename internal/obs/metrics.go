@@ -368,24 +368,3 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	return s
 }
-
-// StartPhase accumulates wall-clock time into the phase accumulator counter
-// "phase_<phase>_ns" and emits a matching span to the tracer. It returns the
-// stop function; when both the registry and the tracer are nil it returns a
-// shared no-op so the disabled path does not allocate a closure or read the
-// clock.
-func StartPhase(r *Registry, t *Tracer, phase string) func() {
-	if r == nil && t == nil {
-		return noopStop
-	}
-	sp := t.Start(phase, phase)
-	start := time.Now()
-	return func() {
-		if r != nil {
-			r.Counter("phase_" + phase + "_ns").Add(uint64(time.Since(start).Nanoseconds()))
-		}
-		sp.End(nil)
-	}
-}
-
-var noopStop = func() {}

@@ -114,15 +114,14 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 
 func TestTraceEventJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(NewJSONLSink(&buf))
+	tr := NewStreamTrace(&buf, 1)
 	tr.Event(PhaseApply, "op", map[string]any{"applied": 7})
-	sp := tr.Start(PhaseBuild, "build")
-	sp.End(map[string]any{"ops": 3})
+	StartSpan(nil, tr, PhaseBuild).End(map[string]any{"ops": 3})
 
 	sc := bufio.NewScanner(&buf)
-	var events []Event
+	var events []SpanRecord
 	for sc.Scan() {
-		var e Event
+		var e SpanRecord
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			t.Fatalf("line %q: %v", sc.Text(), err)
 		}
@@ -137,44 +136,60 @@ func TestTraceEventJSONLRoundTrip(t *testing.T) {
 	if got := events[0].Attrs["applied"]; got != float64(7) {
 		t.Fatalf("attrs round-trip: %v", got)
 	}
-	if events[1].Kind != "span" || events[1].Phase != PhaseBuild || events[1].DurNS < 0 {
+	if events[1].Kind != "span" || events[1].Phase != PhaseBuild || events[1].DurNS < 0 || events[1].StartNS == 0 {
 		t.Fatalf("event 1 mismatch: %+v", events[1])
 	}
 	if events[1].Seq <= events[0].Seq {
 		t.Fatalf("sequence not monotone: %d then %d", events[0].Seq, events[1].Seq)
 	}
+	for _, e := range events {
+		if e.TraceID != tr.ID().String() || e.SpanID == "" {
+			t.Fatalf("record %+v not stamped with trace %s and a span ID", e, tr.ID())
+		}
+	}
+	// A stream writes and forgets: nothing is retained.
+	if got := tr.Spans(); got != nil {
+		t.Fatalf("stream retained %d records", len(got))
+	}
 }
 
 func TestTracerThrottle(t *testing.T) {
-	var sink CollectSink
-	tr := NewTracer(&sink, WithEvery(16))
+	var buf bytes.Buffer
+	tr := NewStreamTrace(&buf, 16)
+	due := 0
 	for i := 1; i <= 64; i++ {
-		tr.EmitThrottled(i, PhaseApply, "op", nil)
+		if tr.OpDue(i, 1) {
+			due++
+			tr.Event(PhaseApply, "op", nil)
+		}
 	}
-	if got := len(sink.Events()); got != 4 {
-		t.Fatalf("throttled to %d events, want 4", got)
+	if due != 4 {
+		t.Fatalf("throttled to %d events, want 4", due)
+	}
+	// A fused window that jumps past one multiple reports once, like the
+	// stepwise ops it replaces; a window crossing none reports nothing.
+	if !tr.OpDue(70, 10) || tr.OpDue(79, 9) || !tr.OpDue(96, 17) {
+		t.Fatal("fused windows misreport multiples of 16")
 	}
 	// Spans and plain events are never throttled.
 	tr.Event(PhaseGovern, "degrade", nil)
-	tr.Start(PhaseSample, "walk").End(nil)
-	if got := len(sink.Events()); got != 6 {
-		t.Fatalf("unthrottled events got dropped: %d, want 6", got)
+	StartSpan(nil, tr, PhaseSample).End(nil)
+	if got := strings.Count(buf.String(), "\n"); got != 6 {
+		t.Fatalf("unthrottled events got dropped: %d lines, want 6", got)
 	}
 }
 
 func TestNilTracerSafe(t *testing.T) {
-	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
-	if tr.Every() != 1 {
-		t.Fatalf("nil Every = %d, want 1", tr.Every())
+	var tr *RequestTrace
+	if tr.OpDue(1, 1) {
+		t.Fatal("nil trace owes op events")
 	}
 	tr.Event(PhaseApply, "op", nil)
-	tr.EmitThrottled(3, PhaseApply, "op", nil)
-	tr.Start(PhaseBuild, "b").End(nil)
-	if NewTracer(nil) != nil {
-		t.Fatal("NewTracer(nil sink) should return nil")
+	if d := StartSpan(nil, tr, PhaseBuild).End(nil); d != 0 {
+		t.Fatalf("inert span measured %v", d)
+	}
+	if NewStreamTrace(nil, 1) != nil {
+		t.Fatal("NewStreamTrace(nil writer) should return nil")
 	}
 }
 
@@ -186,7 +201,7 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		c  *Counter
 		g  *Gauge
 		h  *Histogram
-		tr *Tracer
+		tr *RequestTrace
 	)
 	cases := map[string]func(){
 		"counter": func() { c.Inc(); c.Add(2); _ = c.Value() },
@@ -203,10 +218,9 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		},
 		"tracer": func() {
 			tr.Event(PhaseApply, "op", nil)
-			tr.EmitThrottled(1, PhaseApply, "op", nil)
-			tr.Start(PhaseBuild, "b").End(nil)
+			_ = tr.OpDue(1, 1)
 		},
-		"start-phase": func() { StartPhase(nil, nil, PhaseApply)() },
+		"span": func() { StartSpan(nil, nil, PhaseApply).End(nil) },
 	}
 	for name, fn := range cases {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
@@ -215,19 +229,27 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestStartPhaseAccumulates: one span feeds the registry counter and the
+// trace from the same clock reading.
 func TestStartPhaseAccumulates(t *testing.T) {
 	r := NewRegistry()
-	var sink CollectSink
-	tr := NewTracer(&sink)
-	stop := StartPhase(r, tr, PhaseApply)
+	tr := StartRequest("", nil, nil)
+	sp := StartSpan(r, tr, PhaseApply)
 	time.Sleep(time.Millisecond)
-	stop()
-	if got := r.Counter("phase_apply_ns").Value(); got == 0 {
-		t.Fatal("phase accumulator not incremented")
+	dur := sp.End(nil)
+	got := r.Counter("phase_apply_ns").Value()
+	if got == 0 || got != uint64(dur.Nanoseconds()) {
+		t.Fatalf("phase accumulator = %d, span measured %v", got, dur)
 	}
-	evs := sink.Events()
-	if len(evs) != 1 || evs[0].Kind != "span" || evs[0].Phase != PhaseApply {
-		t.Fatalf("span not emitted: %+v", evs)
+	evs := tr.Spans()
+	if len(evs) != 1 || evs[0].Kind != "span" || evs[0].Phase != PhaseApply || evs[0].DurNS != dur.Nanoseconds() {
+		t.Fatalf("span not recorded with the counted duration: %+v", evs)
+	}
+	// Each output alone works too.
+	StartSpan(r, nil, PhaseApply).End(nil)
+	StartSpan(nil, tr, PhaseApply).End(nil)
+	if r.Counter("phase_apply_ns").Value() <= got || len(tr.Spans()) != 2 {
+		t.Fatal("a span with one output dropped its duration")
 	}
 }
 

@@ -1,21 +1,29 @@
 package obs
 
-// Request-scoped tracing: a per-request span tree with W3C-compatible
-// trace/span IDs, carried through the serving pipeline via context.Context.
+// Tracing: one span model from the library to the daemon. A trace is a
+// list of SpanRecords with W3C-compatible trace/span IDs, carried through
+// the pipeline via context.Context, and StartSpan is the one call that times
+// a phase: its End feeds the phase_<p>_ns counter and the owning trace from
+// a single clock reading.
 //
-// The process-global Tracer (trace.go) answers "what is this process doing";
-// a RequestTrace answers "where did THIS request's latency go". Every
-// /v1/sample response carries its trace ID in X-Weaksim-Trace-Id, and with
-// debug=1 the JSON body echoes the full per-phase breakdown, so a slow
-// request is attributable to parse vs queue wait vs strong simulation vs
-// freeze vs sampling without correlating process-wide logs.
+// The records reach three outputs, all of the same type:
+//
+//   - a request or job trace keeps them, and /v1/sample?debug=1 echoes them
+//     with the per-phase sums, so a slow request is attributable to parse vs
+//     queue wait vs strong simulation vs freeze vs sampling without
+//     correlating process-wide logs;
+//   - Finish publishes them into the flight recorder's ring;
+//   - a stream trace (NewStreamTrace, the library's JSONL tracer) writes
+//     each record as it ends and keeps none, and Finish can copy a request's
+//     records to one.
 //
 // Design rules mirror the rest of the package:
 //
-//   - Disabled means free. Every method on a nil *RequestTrace is a no-op
-//     that performs no allocation and no time.Now call; TraceFromContext on
-//     a context without a trace is a single Value lookup. The disabled
-//     request path is pinned at 0 allocs/op by TestRequestTraceDisabledZeroAlloc.
+//   - Disabled means free. StartSpan with a nil registry and a nil trace,
+//     and every method on a nil *RequestTrace, performs no allocation and no
+//     time.Now call; TraceFromContext on a context without a trace is a
+//     single Value lookup. Pinned at 0 allocs/op by
+//     TestRequestTraceDisabledZeroAlloc and TestDisabledPathZeroAllocs.
 //   - Single-flight friendly. Spans recorded while computing a shared
 //     flight can be re-published into every coalesced waiter's trace via
 //     AdoptShared: the waiters keep their own trace IDs but reference the
@@ -27,6 +35,8 @@ package obs
 import (
 	"context"
 	"encoding/hex"
+	"encoding/json"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,17 +167,32 @@ func isHexLower(s string) bool {
 	return true
 }
 
-// SpanRecord is one finished span (or point event) in a request trace. It
-// marshals into the debug=1 response body and the flight-recorder JSONL.
+// SpanRecord is the package's one record type: a finished span, a point
+// event, or (in the flight ring only) a trip marker. A request trace keeps
+// its records for the debug=1 echo, the flight recorder keeps the most
+// recent ones in its ring, and a stream trace writes each one as a JSON
+// line.
 type SpanRecord struct {
+	// Seq numbers the records of one output (the flight ring or a stream)
+	// in write order; 0 in a request trace's own list.
+	Seq uint64 `json:"seq,omitempty"`
+	// TraceID is the owning trace. Records get it when they are published
+	// to the flight ring or written to a stream; ring entries that belong
+	// to no trace (trips, process events) have none.
+	TraceID string `json:"trace_id,omitempty"`
 	// SpanID identifies the span. Coalesced requests that shared one
 	// strong simulation carry the SAME span ID for the shared phases.
 	SpanID string `json:"span_id"`
 	// Phase is the pipeline phase label (obs.Phase*).
 	Phase string `json:"phase"`
-	// Kind is "span" for timed regions, "event" for point annotations.
+	// Kind is "span" for timed regions, "event" for point annotations, and
+	// "trip" for flight-recorder trip markers.
 	Kind string `json:"kind"`
-	// StartNS is the span start in nanoseconds since the Unix epoch.
+	// Name identifies an event ("op", "gc", a govern step), a trip reason,
+	// or the endpoint of a request's root span.
+	Name string `json:"name,omitempty"`
+	// StartNS is the span start (the event time) in nanoseconds since the
+	// Unix epoch.
 	StartNS int64 `json:"start_ns,omitempty"`
 	// DurNS is the span duration (0 for events).
 	DurNS int64 `json:"dur_ns"`
@@ -179,9 +204,11 @@ type SpanRecord struct {
 	Attrs map[string]any `json:"attrs,omitempty"`
 }
 
-// RequestTrace is the per-request span collection. Construct with
-// StartRequest, carry through the pipeline with ContextWithTrace /
-// TraceFromContext, and close with Finish. All methods are safe for
+// RequestTrace is a trace: the spans and events of one request, one batch
+// job, or one library run. Construct a request trace with StartRequest,
+// carry it through the pipeline with ContextWithTrace / TraceFromContext,
+// and close it with Finish; a stream trace (NewStreamTrace) writes every
+// record as it ends instead of keeping it. All methods are safe for
 // concurrent use and nil-safe no-ops on a nil receiver.
 type RequestTrace struct {
 	id       TraceID
@@ -189,23 +216,45 @@ type RequestTrace struct {
 	root     SpanID
 	start    time.Time
 	recorder *FlightRecorder
+	stream   *RequestTrace // receives a copy of every record on Finish
+
+	// enc makes the trace a stream: records are written as they end and
+	// never retained. every throttles op events (see OpDue).
+	enc   *json.Encoder
+	every int
 
 	mu    sync.Mutex
+	seq   uint64
 	spans []SpanRecord
+	sums  map[string]int64 // owned span time per phase, kept as records land
 }
 
 // StartRequest opens a request trace. traceparent, when a valid W3C header,
 // supplies the trace ID (the inbound parent span is retained for the
-// flight-recorder record); otherwise fresh IDs are minted. rec, when
-// non-nil, receives the finished spans on Finish.
-func StartRequest(traceparent string, rec *FlightRecorder) *RequestTrace {
-	rt := &RequestTrace{root: NewSpanID(), start: time.Now(), recorder: rec}
+// flight-recorder record); otherwise fresh IDs are minted. On Finish every
+// record is published to rec and copied to stream; either may be nil.
+func StartRequest(traceparent string, rec *FlightRecorder, stream *RequestTrace) *RequestTrace {
+	rt := &RequestTrace{root: NewSpanID(), start: time.Now(), recorder: rec, stream: stream, every: 1}
 	if tid, pid, ok := ParseTraceparent(traceparent); ok {
 		rt.id, rt.parent = tid, pid
 	} else {
 		rt.id = NewTraceID()
 	}
 	return rt
+}
+
+// NewStreamTrace returns a trace that writes each record to w as one JSON
+// line the moment it ends, and retains nothing: a million-op run costs no
+// memory for its op events. every throttles op events (see OpDue); n < 1
+// is treated as 1. A nil w yields a nil (disabled) trace.
+func NewStreamTrace(w io.Writer, every int) *RequestTrace {
+	if w == nil {
+		return nil
+	}
+	if every < 1 {
+		every = 1
+	}
+	return &RequestTrace{id: NewTraceID(), enc: json.NewEncoder(w), every: every}
 }
 
 // ID returns the trace ID (zero for a nil trace).
@@ -224,63 +273,65 @@ func (rt *RequestTrace) Root() SpanID {
 	return rt.root
 }
 
-// ReqSpan is an in-flight request-scoped span. The zero value (from a nil
-// trace) is inert.
-type ReqSpan struct {
+// OpDue is the op-event throttle: it reports whether a driver that has
+// just applied n operations, reaching applied, owes an op event — whether
+// (applied−n, applied] contains a multiple of the trace's every interval.
+// n stepwise ops and one fused window of n therefore report alike. Request
+// traces use an interval of 1; a nil trace is never due.
+func (rt *RequestTrace) OpDue(applied, n int) bool {
+	if rt == nil || n < 1 {
+		return false
+	}
+	return applied/rt.every > (applied-n)/rt.every
+}
+
+// Span is an in-flight phase span, opened by StartSpan. The zero Span is
+// inert.
+type Span struct {
+	reg   *Registry
 	rt    *RequestTrace
-	id    SpanID
 	phase string
 	start time.Time
 }
 
-// StartSpan opens a phase span. On a nil trace it returns the inert zero
-// ReqSpan without reading the clock or allocating.
-func (rt *RequestTrace) StartSpan(phase string) ReqSpan {
-	if rt == nil {
-		return ReqSpan{}
+// StartSpan opens a phase span: the one way a phase is timed. End adds the
+// duration to the registry's phase_<phase>_ns counter and appends the span
+// to the trace; either may be nil. With both nil it returns the inert zero
+// Span without reading the clock or allocating.
+func StartSpan(reg *Registry, rt *RequestTrace, phase string) Span {
+	if reg == nil && rt == nil {
+		return Span{}
 	}
-	return ReqSpan{rt: rt, id: NewSpanID(), phase: phase, start: time.Now()}
+	return Span{reg: reg, rt: rt, phase: phase, start: time.Now()}
 }
 
-// ID returns the span's ID (zero for the inert span).
-func (sp ReqSpan) ID() SpanID { return sp.id }
-
-// End closes the span and appends it to the trace. attrs may be nil.
-func (sp ReqSpan) End(attrs map[string]any) {
-	if sp.rt == nil {
-		return
+// End closes the span and returns its duration (0 for the inert span), the
+// one clock reading behind both the counter and the record. attrs may be
+// nil.
+func (sp Span) End(attrs map[string]any) time.Duration {
+	if sp.reg == nil && sp.rt == nil {
+		return 0
 	}
-	now := time.Now()
-	sp.rt.append(SpanRecord{
-		SpanID:  sp.id.String(),
-		Phase:   sp.phase,
-		Kind:    "span",
-		StartNS: sp.start.UnixNano(),
-		DurNS:   now.Sub(sp.start).Nanoseconds(),
-		Attrs:   attrs,
-	})
-}
-
-// AddSpanAt records a completed span from explicit timestamps — used when
-// the region was timed by other machinery (e.g. the admission queue knows
-// enqueue/dequeue times but never held a ReqSpan).
-func (rt *RequestTrace) AddSpanAt(phase string, start time.Time, dur time.Duration, attrs map[string]any) {
-	if rt == nil {
-		return
+	dur := time.Since(sp.start)
+	if sp.reg != nil {
+		sp.reg.Counter("phase_" + sp.phase + "_ns").Add(uint64(dur.Nanoseconds()))
 	}
-	rt.append(SpanRecord{
-		SpanID:  NewSpanID().String(),
-		Phase:   phase,
-		Kind:    "span",
-		StartNS: start.UnixNano(),
-		DurNS:   dur.Nanoseconds(),
-		Attrs:   attrs,
-	})
+	if sp.rt != nil {
+		sp.rt.append(SpanRecord{
+			SpanID:  NewSpanID().String(),
+			Phase:   sp.phase,
+			Kind:    "span",
+			StartNS: sp.start.UnixNano(),
+			DurNS:   dur.Nanoseconds(),
+			Attrs:   attrs,
+		})
+	}
+	return dur
 }
 
 // Event records a point annotation (no duration; excluded from phase-sum
 // accounting).
-func (rt *RequestTrace) Event(phase string, attrs map[string]any) {
+func (rt *RequestTrace) Event(phase, name string, attrs map[string]any) {
 	if rt == nil {
 		return
 	}
@@ -288,6 +339,7 @@ func (rt *RequestTrace) Event(phase string, attrs map[string]any) {
 		SpanID:  NewSpanID().String(),
 		Phase:   phase,
 		Kind:    "event",
+		Name:    name,
 		StartNS: time.Now().UnixNano(),
 		Attrs:   attrs,
 	})
@@ -295,8 +347,23 @@ func (rt *RequestTrace) Event(phase string, attrs map[string]any) {
 
 func (rt *RequestTrace) append(rec SpanRecord) {
 	rt.mu.Lock()
-	rt.spans = append(rt.spans, rec)
-	rt.mu.Unlock()
+	defer rt.mu.Unlock()
+	if rec.Kind == "span" && !rec.Shared {
+		if rt.sums == nil {
+			rt.sums = make(map[string]int64, 8)
+		}
+		rt.sums[rec.Phase] += rec.DurNS
+	}
+	if rt.enc == nil {
+		rt.spans = append(rt.spans, rec)
+		return
+	}
+	rt.seq++
+	rec.Seq = rt.seq
+	if rec.TraceID == "" {
+		rec.TraceID = rt.id.String()
+	}
+	_ = rt.enc.Encode(&rec) // telemetry must never fail the caller
 }
 
 // Mark returns the current span count; SpansSince(Mark()) later yields the
@@ -311,7 +378,8 @@ func (rt *RequestTrace) Mark() int {
 	return len(rt.spans)
 }
 
-// SpansSince copies the records appended at or after mark.
+// SpansSince copies the records appended at or after mark (none for a
+// stream, which keeps nothing).
 func (rt *RequestTrace) SpansSince(mark int) []SpanRecord {
 	if rt == nil {
 		return nil
@@ -345,66 +413,69 @@ func (rt *RequestTrace) AdoptShared(origin TraceID, spans []SpanRecord) {
 	if origin != rt.id && !origin.IsZero() {
 		originHex = origin.String()
 	}
-	rt.mu.Lock()
 	for _, rec := range spans {
 		rec.Shared = true
 		rec.OriginTrace = originHex
-		rt.spans = append(rt.spans, rec)
+		rt.append(rec)
 	}
-	rt.mu.Unlock()
 }
 
-// PhaseBreakdown sums the owned (non-shared) timed spans per phase. The
-// sequential pipeline phases tile a request, so for a cold request the
-// values sum to (approximately) the request wall time.
-func (rt *RequestTrace) PhaseBreakdown() map[string]int64 {
+// PhaseBreakdown returns the owned (non-shared) span time per phase,
+// restricted to phases when any are given. The sums are kept as records
+// land, so reading them never rescans the trace. The sequential pipeline
+// phases tile a request, so for a cold request the values sum to
+// (approximately) the request wall time.
+func (rt *RequestTrace) PhaseBreakdown(phases ...string) map[string]int64 {
 	if rt == nil {
 		return nil
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	out := make(map[string]int64, 8)
-	for _, rec := range rt.spans {
-		if rec.Kind == "span" && !rec.Shared {
-			out[rec.Phase] += rec.DurNS
+	out := make(map[string]int64, len(rt.sums))
+	if len(phases) == 0 {
+		for p, ns := range rt.sums {
+			out[p] = ns
+		}
+		return out
+	}
+	for _, p := range phases {
+		if ns, ok := rt.sums[p]; ok {
+			out[p] = ns
 		}
 	}
 	return out
 }
 
-// Finish closes the trace: the root request span is appended and, when a
-// flight recorder is attached, every span is published into the ring. name
-// is the endpoint, status the HTTP status code.
+// Finish closes the trace: the root span, named after the endpoint, is
+// appended, and every record is published to the flight recorder and
+// copied to the stream given to StartRequest, stamped with the trace ID
+// (unnamed records take the endpoint's name). name is the endpoint, status
+// the HTTP status code.
 func (rt *RequestTrace) Finish(name string, status int) {
 	if rt == nil {
 		return
 	}
-	dur := time.Since(rt.start)
-	rt.mu.Lock()
-	rt.spans = append(rt.spans, SpanRecord{
+	rt.append(SpanRecord{
 		SpanID:  rt.root.String(),
 		Phase:   PhaseServe,
 		Kind:    "span",
+		Name:    name,
 		StartNS: rt.start.UnixNano(),
-		DurNS:   dur.Nanoseconds(),
+		DurNS:   time.Since(rt.start).Nanoseconds(),
 		Attrs:   map[string]any{"endpoint": name, "status": status},
 	})
-	spans := make([]SpanRecord, len(rt.spans))
-	copy(spans, rt.spans)
-	rt.mu.Unlock()
-	if rec := rt.recorder; rec != nil {
-		trace := rt.id.String()
-		for _, sp := range spans {
-			rec.Record(FlightRecord{
-				Trace: trace,
-				Span:  sp.SpanID,
-				Kind:  sp.Kind,
-				Phase: sp.Phase,
-				Name:  name,
-				TS:    sp.StartNS,
-				DurNS: sp.DurNS,
-				Attrs: sp.Attrs,
-			})
+	if rt.recorder == nil && rt.stream == nil {
+		return
+	}
+	trace := rt.id.String()
+	for _, rec := range rt.Spans() {
+		rec.TraceID = trace
+		if rec.Name == "" {
+			rec.Name = name
+		}
+		rt.recorder.Record(rec)
+		if rt.stream != nil {
+			rt.stream.append(rec)
 		}
 	}
 }

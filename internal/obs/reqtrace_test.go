@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -60,11 +62,11 @@ func TestNewIDsUniqueAndNonZero(t *testing.T) {
 
 func TestStartRequestAdoptsInboundTraceID(t *testing.T) {
 	const h = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
-	rt := StartRequest(h, nil)
+	rt := StartRequest(h, nil, nil)
 	if got := rt.ID().String(); got != "4bf92f3577b34da6a3ce929d0e0e4736" {
 		t.Errorf("inbound trace id not adopted: %s", got)
 	}
-	rt2 := StartRequest("garbage", nil)
+	rt2 := StartRequest("garbage", nil, nil)
 	if rt2.ID().IsZero() {
 		t.Error("no trace id minted for invalid traceparent")
 	}
@@ -74,12 +76,12 @@ func TestStartRequestAdoptsInboundTraceID(t *testing.T) {
 }
 
 func TestRequestTraceSpansAndBreakdown(t *testing.T) {
-	rt := StartRequest("", nil)
-	sp := rt.StartSpan(PhaseParse)
+	rt := StartRequest("", nil, nil)
+	sp := StartSpan(nil, rt, PhaseParse)
 	time.Sleep(time.Millisecond)
 	sp.End(map[string]any{"qubits": 3})
-	rt.AddSpanAt(PhaseQueue, time.Now().Add(-2*time.Millisecond), 2*time.Millisecond, nil)
-	rt.Event(PhaseSample, map[string]any{"worker": 0})
+	queue := StartSpan(nil, rt, PhaseQueue).End(nil)
+	rt.Event(PhaseSample, "worker", map[string]any{"worker": 0})
 
 	spans := rt.Spans()
 	if len(spans) != 3 {
@@ -89,7 +91,7 @@ func TestRequestTraceSpansAndBreakdown(t *testing.T) {
 	if bd[PhaseParse] <= 0 {
 		t.Errorf("parse duration missing: %v", bd)
 	}
-	if bd[PhaseQueue] != (2 * time.Millisecond).Nanoseconds() {
+	if bd[PhaseQueue] != queue.Nanoseconds() {
 		t.Errorf("queue duration = %d", bd[PhaseQueue])
 	}
 	if _, ok := bd[PhaseSample]; ok {
@@ -98,16 +100,15 @@ func TestRequestTraceSpansAndBreakdown(t *testing.T) {
 }
 
 func TestAdoptSharedKeepsSpanIDsAndMarksOrigin(t *testing.T) {
-	leader := StartRequest("", nil)
+	leader := StartRequest("", nil, nil)
 	mark := leader.Mark()
-	sp := leader.StartSpan(PhaseFreeze)
-	sp.End(nil)
+	StartSpan(nil, leader, PhaseFreeze).End(nil)
 	shared := leader.SpansSince(mark)
 	if len(shared) != 1 {
 		t.Fatalf("SpansSince: got %d", len(shared))
 	}
 
-	waiter := StartRequest("", nil)
+	waiter := StartRequest("", nil, nil)
 	waiter.AdoptShared(leader.ID(), shared)
 	got := waiter.Spans()
 	if len(got) != 1 {
@@ -129,7 +130,7 @@ func TestAdoptSharedKeepsSpanIDsAndMarksOrigin(t *testing.T) {
 }
 
 func TestRequestTraceContextRoundTrip(t *testing.T) {
-	rt := StartRequest("", nil)
+	rt := StartRequest("", nil, nil)
 	ctx := ContextWithTrace(context.Background(), rt)
 	if got := TraceFromContext(ctx); got != rt {
 		t.Fatal("trace lost in context round trip")
@@ -141,8 +142,8 @@ func TestRequestTraceContextRoundTrip(t *testing.T) {
 
 func TestRequestTraceFinishPublishesToRecorder(t *testing.T) {
 	rec := NewFlightRecorder(64)
-	rt := StartRequest("", rec)
-	rt.StartSpan(PhaseParse).End(nil)
+	rt := StartRequest("", rec, nil)
+	StartSpan(nil, rt, PhaseParse).End(nil)
 	rt.Finish("/v1/sample", 200)
 
 	recs := rec.Snapshot()
@@ -150,8 +151,8 @@ func TestRequestTraceFinishPublishesToRecorder(t *testing.T) {
 		t.Fatalf("recorder got %d records, want 2", len(recs))
 	}
 	for _, r := range recs {
-		if r.Trace != rt.ID().String() {
-			t.Errorf("record trace = %s, want %s", r.Trace, rt.ID())
+		if r.TraceID != rt.ID().String() {
+			t.Errorf("record trace = %s, want %s", r.TraceID, rt.ID())
 		}
 		if r.Name != "/v1/sample" {
 			t.Errorf("record name = %s", r.Name)
@@ -159,17 +160,45 @@ func TestRequestTraceFinishPublishesToRecorder(t *testing.T) {
 	}
 }
 
+// TestRequestTraceFinishCopiesToStream: a finished request's records reach
+// the stream under the request's own trace ID, root span included.
+func TestRequestTraceFinishCopiesToStream(t *testing.T) {
+	var buf bytes.Buffer
+	stream := NewStreamTrace(&buf, 1)
+	rt := StartRequest("", nil, stream)
+	StartSpan(nil, rt, PhaseParse).End(nil)
+	if buf.Len() != 0 {
+		t.Fatal("request span reached the stream before Finish")
+	}
+	rt.Finish("/v1/sample", 200)
+	dec := json.NewDecoder(&buf)
+	var phases []string
+	for dec.More() {
+		var rec SpanRecord
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.TraceID != rt.ID().String() {
+			t.Errorf("copied record trace = %s, want %s", rec.TraceID, rt.ID())
+		}
+		phases = append(phases, rec.Phase)
+	}
+	if len(phases) != 2 || phases[0] != PhaseParse || phases[1] != PhaseServe {
+		t.Fatalf("stream got phases %v, want [parse serve]", phases)
+	}
+}
+
 // TestRequestTraceConcurrentAnnotation exercises concurrent span appends
 // from sampling workers under -race.
 func TestRequestTraceConcurrentAnnotation(t *testing.T) {
-	rt := StartRequest("", nil)
+	rt := StartRequest("", nil, nil)
 	var wg sync.WaitGroup
 	for k := 0; k < 16; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				rt.Event(PhaseSample, map[string]any{"worker": k})
+				rt.Event(PhaseSample, "worker", map[string]any{"worker": k})
 			}
 		}(k)
 	}
@@ -189,10 +218,9 @@ func TestRequestTraceDisabledZeroAlloc(t *testing.T) {
 		if ctx2 := ContextWithTrace(ctx, rt); ctx2 != ctx {
 			t.Fatal("nil trace wrapped the context")
 		}
-		sp := rt.StartSpan(PhaseParse)
-		sp.End(nil)
-		rt.AddSpanAt(PhaseQueue, time.Time{}, 0, nil)
-		rt.Event(PhaseSample, nil)
+		StartSpan(nil, rt, PhaseParse).End(nil)
+		rt.Event(PhaseSample, "worker", nil)
+		_ = rt.OpDue(1, 1)
 		rt.AdoptShared(TraceID{}, nil)
 		_ = rt.Mark()
 		_ = rt.SpansSince(0)
@@ -206,7 +234,7 @@ func TestRequestTraceDisabledZeroAlloc(t *testing.T) {
 }
 
 func TestTraceparentStringFormat(t *testing.T) {
-	rt := StartRequest("", nil)
+	rt := StartRequest("", nil, nil)
 	h := Traceparent(rt.ID(), rt.Root())
 	if len(h) != 55 || !strings.HasPrefix(h, "00-") || !strings.HasSuffix(h, "-01") {
 		t.Fatalf("bad traceparent %q", h)

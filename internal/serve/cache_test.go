@@ -110,7 +110,7 @@ func TestCacheSingleFlightCoalesces(t *testing.T) {
 		}(i)
 	}
 	// Let every goroutine either start the flight or join it, then release.
-	for c.stats().InFlight == 0 {
+	for st := c.stats(); st.Misses+st.Coalesced < clients; st = c.stats() {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)

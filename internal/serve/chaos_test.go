@@ -175,7 +175,7 @@ func TestChaosCacheAdmitFaultDegrades(t *testing.T) {
 
 func TestChaosSnapstoreWriteFaultDegrades(t *testing.T) {
 	dir := t.TempDir()
-	_, base := startServer(t, Config{SnapshotDir: dir})
+	srv, base := startServer(t, Config{SnapshotDir: dir})
 	armFault(t, "snapstore.write:err@1+")
 	var ok sampleResponse
 	if status, _ := post(t, base, sampleBody(32, 1), &ok); status != http.StatusOK {
@@ -194,6 +194,17 @@ func TestChaosSnapstoreWriteFaultDegrades(t *testing.T) {
 	var hit sampleResponse
 	if status, _ := post(t, base, sampleBody(32, 1), &hit); status != http.StatusOK || !hit.Cached {
 		t.Fatalf("status=%d cached=%v, want cached hit", status, hit.Cached)
+	}
+	// The failure is visible to an operator: counted once, and in the ring.
+	if got := srv.Metrics().Counter("serve_snapshot_persist_failures_total").Value(); got != 1 {
+		t.Fatalf("serve_snapshot_persist_failures_total = %d, want 1", got)
+	}
+	logged := false
+	for _, rec := range srv.recorder.Snapshot() {
+		logged = logged || (rec.Kind == "event" && rec.Name == "persist-failed")
+	}
+	if !logged {
+		t.Fatal("no persist-failed event in the flight ring")
 	}
 }
 
@@ -372,6 +383,14 @@ func TestWarmRestartDeterminismAcrossWorkers(t *testing.T) {
 	// Zero strong simulations after restart — the whole point of the store.
 	if sims := srv2.Metrics().Counter("serve_sims_total").Value(); sims != 0 {
 		t.Fatalf("restarted daemon ran %d strong simulations, want 0", sims)
+	}
+	// The warm load is on record in the flight ring.
+	warm := false
+	for _, rec := range srv2.recorder.Snapshot() {
+		warm = warm || (rec.Kind == "event" && rec.Name == "warm-restart" && rec.Attrs["loaded"] == 1)
+	}
+	if !warm {
+		t.Fatal("no warm-restart event in the restarted daemon's flight ring")
 	}
 }
 

@@ -181,7 +181,7 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 		begin := time.Now()
 		var rt *obs.RequestTrace
 		if !s.cfg.DisableRequestTraces {
-			rt = obs.StartRequest(r.Header.Get("traceparent"), s.recorder)
+			rt = obs.StartRequest(r.Header.Get("traceparent"), s.recorder, s.cfg.Tracer)
 			w.Header().Set("X-Weaksim-Trace-Id", rt.ID().String())
 			r = r.WithContext(obs.ContextWithTrace(r.Context(), rt))
 		}
@@ -264,7 +264,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // parseRequest decodes and validates a sample request, returning the circuit
 // and the resolved sampling parameters.
 func (s *Server) parseRequest(r *http.Request) (*circuit.Circuit, *sampleRequest, error) {
-	defer obs.StartPhase(s.cfg.Metrics, s.cfg.Tracer, obs.PhaseParse)()
 	var req sampleRequest
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
@@ -335,15 +334,14 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		s.reqHist.ObserveDuration(time.Since(begin))
 	}()
 	// Panic isolation lives in the route middleware (one structured 500 plus
-	// a flight-recorder trip; the daemon keeps serving).
-	sp := s.cfg.Tracer.Start(obs.PhaseServe, "sample")
+	// a flight-recorder trip; the daemon keeps serving), and so does the
+	// request's root span.
 	rt := obs.TraceFromContext(r.Context())
 
-	psp := rt.StartSpan(obs.PhaseParse)
+	sp := obs.StartSpan(s.cfg.Metrics, rt, obs.PhaseParse)
 	circ, req, err := s.parseRequest(r)
-	psp.End(errAttrs(err))
+	sp.End(errAttrs(err))
 	if err != nil {
-		sp.End(map[string]any{"error": err.Error()})
 		s.writeError(w, err)
 		return
 	}
@@ -361,7 +359,6 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	key := CircuitKey(circ, s.cfg.Norm, false)
 	ent, cached, err := s.lookup(ctx, key, circ)
 	if err != nil {
-		sp.End(map[string]any{"error": err.Error(), "key": key})
 		s.writeError(w, err)
 		return
 	}
@@ -370,19 +367,14 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	// the requested worker count. Counts are a pure function of
 	// (circuit, seed, shots) — rerunning the request reproduces them bit for
 	// bit, at any cache temperature and worker count.
-	stopSample := obs.StartPhase(s.cfg.Metrics, s.cfg.Tracer, obs.PhaseSample)
-	ssp := rt.StartSpan(obs.PhaseSample)
-	sampleStart := time.Now()
+	sp = obs.StartSpan(s.cfg.Metrics, rt, obs.PhaseSample)
 	idxCounts, err := core.CountsParallelContext(ctx, ent.sampler, *req.Seed, req.Shots, req.Workers)
-	sampleNS := time.Since(sampleStart).Nanoseconds()
-	stopSample()
 	if err != nil {
-		ssp.End(errAttrs(err))
-		sp.End(map[string]any{"error": err.Error(), "key": key})
+		sp.End(errAttrs(err))
 		s.writeError(w, err)
 		return
 	}
-	ssp.End(map[string]any{"shots": req.Shots, "workers": req.Workers})
+	sampleNS := sp.End(map[string]any{"shots": req.Shots, "workers": req.Workers}).Nanoseconds()
 	s.shotsCtr.Add(uint64(req.Shots))
 
 	counts := make(map[string]int, len(idxCounts))
@@ -408,7 +400,6 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 			Spans:   rt.Spans(),
 		}
 	}
-	sp.End(map[string]any{"key": key, "cached": cached, "shots": req.Shots})
 	writeJSON(w, http.StatusOK, resp)
 }
 

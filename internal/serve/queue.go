@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"weaksim/internal/fault"
 	"weaksim/internal/obs"
@@ -33,9 +32,8 @@ var ErrDraining = errors.New("serve: server is draining")
 
 // simJob is one queued strong-simulation request.
 type simJob struct {
-	run      func() // executes the compute and resolves the flight
-	enqueued time.Time
-	rt       *obs.RequestTrace // submitting request's trace (nil when disabled)
+	run    func()   // executes the compute and resolves the flight
+	queued obs.Span // the queue wait, opened at submit, closed at pickup
 }
 
 // simPool runs queued simulation jobs on a fixed set of workers.
@@ -46,14 +44,13 @@ type simPool struct {
 	closed  bool
 	workers int
 
+	reg      *obs.Registry
 	depth    *obs.Gauge
 	rejected *obs.Counter
 	sims     *obs.Counter
-	queueNS  *obs.Counter
-	tracer   *obs.Tracer
 }
 
-func newSimPool(workers, depth int, reg *obs.Registry, tr *obs.Tracer) *simPool {
+func newSimPool(workers, depth int, reg *obs.Registry) *simPool {
 	if workers < 1 {
 		workers = 1
 	}
@@ -63,11 +60,10 @@ func newSimPool(workers, depth int, reg *obs.Registry, tr *obs.Tracer) *simPool 
 	p := &simPool{
 		jobs:     make(chan *simJob, depth),
 		workers:  workers,
+		reg:      reg,
 		depth:    reg.Gauge("serve_queue_depth"),
 		rejected: reg.Counter("serve_queue_rejected_total"),
 		sims:     reg.Counter("serve_sims_total"),
-		queueNS:  reg.Counter("phase_" + obs.PhaseQueue + "_ns"),
-		tracer:   tr,
 	}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
@@ -80,15 +76,12 @@ func (p *simPool) worker() {
 	defer p.wg.Done()
 	for job := range p.jobs {
 		p.depth.Set(int64(len(p.jobs)))
-		wait := time.Since(job.enqueued)
-		p.queueNS.Add(uint64(wait.Nanoseconds()))
-		p.tracer.Event(obs.PhaseQueue, "dequeue", map[string]any{"wait_ns": wait.Nanoseconds()})
 		// The queue wait belongs to the submitting request's trace, but only
-		// the worker knows when the job was picked up — record it here from
-		// the explicit timestamps. The span lands before job.run takes its
-		// single-flight mark, so coalesced waiters never inherit the leader's
-		// queue wait.
-		job.rt.AddSpanAt(obs.PhaseQueue, job.enqueued, wait, nil)
+		// the worker knows when the job was picked up, so the span opened at
+		// submit closes here. It lands before job.run takes its
+		// single-flight mark, so coalesced waiters never inherit the
+		// leader's queue wait.
+		job.queued.End(nil)
 		p.sims.Inc()
 		job.run()
 	}
@@ -98,8 +91,8 @@ func (p *simPool) worker() {
 // the queue is at capacity and with ErrDraining after close.
 func (p *simPool) submit(run func()) error { return p.submitWith(nil, run) }
 
-// submitWith is submit with request-trace attribution: the dequeuing worker
-// records the queue-wait span into rt (nil skips, costing nothing).
+// submitWith is submit with request-trace attribution: the queue-wait span
+// feeds phase_queue_ns and rt (nil skips the trace).
 func (p *simPool) submitWith(rt *obs.RequestTrace, run func()) error {
 	// Fault hook: an injected error is indistinguishable from a full queue —
 	// the caller sheds load (HTTP 429 + Retry-After) exactly as it would
@@ -115,7 +108,7 @@ func (p *simPool) submitWith(rt *obs.RequestTrace, run func()) error {
 		p.rejected.Inc()
 		return ErrDraining
 	}
-	job := &simJob{run: run, enqueued: time.Now(), rt: rt}
+	job := &simJob{run: run, queued: obs.StartSpan(p.reg, rt, obs.PhaseQueue)}
 	select {
 	case p.jobs <- job:
 		p.depth.Set(int64(len(p.jobs)))

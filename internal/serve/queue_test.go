@@ -11,7 +11,7 @@ import (
 )
 
 func TestPoolRunsJobs(t *testing.T) {
-	p := newSimPool(2, 8, obs.NewRegistry(), nil)
+	p := newSimPool(2, 8, obs.NewRegistry())
 	var ran atomic.Int64
 	done := make(chan struct{}, 4)
 	for i := 0; i < 4; i++ {
@@ -41,7 +41,7 @@ func TestPoolQueueFull(t *testing.T) {
 	// One worker, unbuffered queue: occupy the worker, then the next submit
 	// must be rejected immediately with ErrQueueFull.
 	reg := obs.NewRegistry()
-	p := newSimPool(1, -1, reg, nil) // depth < 0 → clamped to 0 (unbuffered)
+	p := newSimPool(1, -1, reg) // depth < 0 → clamped to 0 (unbuffered)
 	block := make(chan struct{})
 	started := make(chan struct{})
 	// With an unbuffered queue a submit can only land once the worker
@@ -76,7 +76,7 @@ func TestPoolQueueFull(t *testing.T) {
 }
 
 func TestPoolDrainingAfterClose(t *testing.T) {
-	p := newSimPool(1, 4, obs.NewRegistry(), nil)
+	p := newSimPool(1, 4, obs.NewRegistry())
 	if err := p.close(context.Background()); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestPoolDrainingAfterClose(t *testing.T) {
 }
 
 func TestPoolCloseHonorsContext(t *testing.T) {
-	p := newSimPool(1, 1, obs.NewRegistry(), nil)
+	p := newSimPool(1, 1, obs.NewRegistry())
 	block := make(chan struct{})
 	defer close(block)
 	started := make(chan struct{})
@@ -110,7 +110,7 @@ func TestPoolCloseHonorsContext(t *testing.T) {
 
 func TestPoolDrainFinishesQueuedJobs(t *testing.T) {
 	// Jobs already admitted before close must still run to completion.
-	p := newSimPool(1, 8, obs.NewRegistry(), nil)
+	p := newSimPool(1, 8, obs.NewRegistry())
 	var ran atomic.Int64
 	gate := make(chan struct{})
 	started := make(chan struct{})

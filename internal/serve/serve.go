@@ -90,8 +90,11 @@ type Config struct {
 	// series from the simulation workers. nil creates a private registry
 	// (a daemon always wants its own numbers — expose them with DebugAddr).
 	Metrics *obs.Registry
-	// Tracer receives structured serve/queue/govern events. nil disables.
-	Tracer *obs.Tracer
+	// Tracer, when non-nil, is a stream trace (obs.NewStreamTrace) that
+	// receives the simulations' op, GC and verify records, process events
+	// (warm restart, failed snapshot persists), and a copy of every
+	// finished request trace.
+	Tracer *obs.RequestTrace
 	// DebugAddr, when non-empty, starts an obs.ServeDebug server (Prometheus
 	// /metrics, /metrics.json, expvar, pprof) on that address.
 	DebugAddr string
@@ -219,10 +222,12 @@ type Server struct {
 
 	// Snapshot-shipping counters: frames served to peers (GET), frames
 	// installed from peers (PUT), and frames rejected by the integrity
-	// ladder or the codec version gate.
+	// ladder or the codec version gate; and snapshots the store failed to
+	// persist.
 	snapServed   *obs.Counter
 	snapInstalls *obs.Counter
 	snapRejects  *obs.Counter
+	persistFails *obs.Counter
 }
 
 // tracedEndpoints are the routes wrapped by the observability middleware,
@@ -251,7 +256,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		cache:     newSnapCache(cfg.CacheBytes, reg),
-		pool:      newSimPool(cfg.SimWorkers, cfg.QueueDepth, reg, cfg.Tracer),
+		pool:      newSimPool(cfg.SimWorkers, cfg.QueueDepth, reg),
 		baseCtx:   baseCtx,
 		cancel:    cancel,
 		start:     time.Now(),
@@ -269,6 +274,9 @@ func New(cfg Config) *Server {
 	s.snapServed = reg.Counter("serve_snapshot_served_total")
 	s.snapInstalls = reg.Counter("serve_snapshot_installs_total")
 	s.snapRejects = reg.Counter("serve_snapshot_rejects_total")
+	obs.RegisterHelp("serve_snapshot_persist_failures_total",
+		"Frozen snapshots the on-disk store failed to persist (they re-simulate after a restart).")
+	s.persistFails = reg.Counter("serve_snapshot_persist_failures_total")
 	s.epHists = make(map[string]*obs.Histogram, len(tracedEndpoints))
 	for path, stem := range tracedEndpoints {
 		name := "serve_endpoint_" + stem + "_ns"
@@ -406,48 +414,43 @@ func (s *Server) simulate(rt *obs.RequestTrace, key string, circ *circuit.Circui
 	if s.store != nil {
 		if snap, err := s.store.Get(key); err == nil {
 			if ent, err := newEntry(key, snap, 0); err == nil {
-				rt.Event(obs.PhaseServe, map[string]any{"snapstore_hit": key})
+				rt.Event(obs.PhaseServe, "snapstore-hit", map[string]any{"snapstore_hit": key})
 				return ent, nil
 			}
 		}
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
 	defer cancel()
-	// The simulation runs on a pool worker under the server's base context,
-	// but its spans still belong to the leader request's trace — reattach it
-	// so dd.FreezeContext can annotate it.
-	ctx = obs.ContextWithTrace(ctx, rt)
-	reg, tr := s.cfg.Metrics, s.cfg.Tracer
+	// The simulation runs on a pool worker under the server's base context;
+	// its phase spans still belong to the leader request's trace.
+	reg := s.cfg.Metrics
 	begin := time.Now()
 
-	stopBuild := obs.StartPhase(reg, tr, obs.PhaseBuild)
-	bsp := rt.StartSpan(obs.PhaseBuild)
+	sp := obs.StartSpan(reg, rt, obs.PhaseBuild)
 	mgrOpts := []dd.Option{dd.WithNormalization(s.cfg.Norm)}
 	if s.cfg.NodeBudget > 0 {
 		mgrOpts = append(mgrOpts, dd.WithNodeBudget(s.cfg.NodeBudget))
 	}
 	ds, err := sim.NewDD(circ,
 		sim.WithManagerOptions(mgrOpts...),
-		sim.WithObservability(reg, tr))
-	stopBuild()
-	bsp.End(errAttrs(err))
+		sim.WithObservability(reg, s.cfg.Tracer))
+	sp.End(errAttrs(err))
 	if err != nil {
 		return nil, err
 	}
-	stopApply := obs.StartPhase(reg, tr, obs.PhaseApply)
-	asp := rt.StartSpan(obs.PhaseApply)
+	sp = obs.StartSpan(reg, rt, obs.PhaseApply)
 	edge, err := ds.RunContext(ctx)
-	stopApply()
-	asp.End(errAttrs(err))
+	sp.End(errAttrs(err))
 	if err != nil {
 		return nil, err
 	}
-	stopFreeze := obs.StartPhase(reg, tr, obs.PhaseFreeze)
-	snap, err := ds.Manager().FreezeContext(ctx, edge)
-	stopFreeze()
+	sp = obs.StartSpan(reg, rt, obs.PhaseFreeze)
+	snap, err := ds.Manager().Freeze(edge)
 	if err != nil {
+		sp.End(errAttrs(err))
 		return nil, err
 	}
+	sp.End(map[string]any{"nodes": snap.Len(), "bytes": snap.Bytes()})
 	reg.Gauge("snapshot_nodes").Set(int64(snap.Len()))
 	reg.Gauge("snapshot_bytes").Set(int64(snap.Bytes()))
 	s.persist(key, snap)
@@ -467,23 +470,33 @@ func errAttrs(err error) map[string]any {
 // strictly best-effort: a full disk, an injected fault, even a panic in the
 // store must degrade to "this circuit re-simulates after a restart" — never
 // to a failed request. The request's counts come from the in-memory
-// snapshot either way.
+// snapshot either way. A failure is counted and recorded in the flight
+// ring, so it is visible to an operator.
 func (s *Server) persist(key string, snap *dd.Snapshot) {
 	if s.store == nil {
 		return
 	}
+	var err error
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(*fault.InjectedPanic); !ok {
 				panic(r)
 			}
+			err = fmt.Errorf("panic: %v", r)
+		}
+		if err != nil {
+			s.persistFails.Inc()
+			s.event("persist-failed", map[string]any{"key": key, "error": err.Error()})
 		}
 	}()
-	if err := s.store.Put(key, snap); err != nil {
-		s.cfg.Tracer.Event(obs.PhaseServe, "persist-failed", map[string]any{
-			"key": key, "error": err.Error(),
-		})
-	}
+	err = s.store.Put(key, snap)
+}
+
+// event records a process-level serve event in the flight ring and, when
+// one is attached, the library stream.
+func (s *Server) event(name string, attrs map[string]any) {
+	s.recorder.Record(obs.SpanRecord{Kind: "event", Phase: obs.PhaseServe, Name: name, Attrs: attrs})
+	s.cfg.Tracer.Event(obs.PhaseServe, name, attrs)
 }
 
 // warmRestart loads every verified snapshot from the store into the cache
@@ -510,9 +523,7 @@ func (s *Server) warmRestart() {
 	}
 	s.cfg.Metrics.Counter("serve_warm_loaded_total").Add(uint64(loaded))
 	if loaded > 0 {
-		s.cfg.Tracer.Event(obs.PhaseServe, "warm-restart", map[string]any{
-			"loaded": loaded, "dir": s.cfg.SnapshotDir,
-		})
+		s.event("warm-restart", map[string]any{"loaded": loaded, "dir": s.cfg.SnapshotDir})
 	}
 }
 

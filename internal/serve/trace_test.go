@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"weaksim/internal/fault"
+	"weaksim/internal/job"
 	"weaksim/internal/obs"
 )
 
@@ -317,7 +318,7 @@ func TestServeFlightEndpointStreamsJSONL(t *testing.T) {
 	dec := json.NewDecoder(httpResp.Body)
 	records, sawServe := 0, false
 	for dec.More() {
-		var rec obs.FlightRecord
+		var rec obs.SpanRecord
 		if err := dec.Decode(&rec); err != nil {
 			t.Fatalf("record %d: %v", records, err)
 		}
@@ -328,5 +329,86 @@ func TestServeFlightEndpointStreamsJSONL(t *testing.T) {
 	}
 	if records == 0 || !sawServe {
 		t.Fatalf("flight dump has %d records, sawServe=%v", records, sawServe)
+	}
+}
+
+// TestServePhaseTimedOnce: each phase of a cold request is timed by one
+// span, so the phase_<p>_ns counter moves by exactly the duration the
+// debug=1 breakdown reports for it — both come from the same clock reading.
+func TestServePhaseTimedOnce(t *testing.T) {
+	srv, base := startServer(t, Config{Metrics: obs.NewRegistry()})
+	phases := []string{obs.PhaseParse, obs.PhaseQueue, obs.PhaseBuild, obs.PhaseApply, obs.PhaseFreeze, obs.PhaseSample}
+	counter := func(p string) uint64 { return srv.Metrics().Counter("phase_" + p + "_ns").Value() }
+	before := make(map[string]uint64, len(phases))
+	for _, p := range phases {
+		before[p] = counter(p)
+	}
+	var resp sampleResponse
+	body := map[string]any{"circuit": "qft_8", "shots": 4096, "seed": 7}
+	if status, _ := postTraced(t, base, body, nil, &resp); status != http.StatusOK {
+		t.Fatalf("status %d", status)
+	}
+	if resp.Cached || resp.Trace == nil {
+		t.Fatalf("want a cold traced request, got cached=%v trace=%v", resp.Cached, resp.Trace)
+	}
+	for _, p := range phases {
+		got, ok := resp.Trace.PhaseNS[p]
+		if !ok {
+			t.Fatalf("breakdown missing phase %q: %v", p, resp.Trace.PhaseNS)
+		}
+		if delta := counter(p) - before[p]; delta != uint64(got) {
+			t.Errorf("phase %s: counter moved %dns, trace reports %dns", p, delta, got)
+		}
+	}
+	if resp.SampleNS != resp.Trace.PhaseNS[obs.PhaseSample] {
+		t.Errorf("sample_ns %d differs from the sample span %d", resp.SampleNS, resp.Trace.PhaseNS[obs.PhaseSample])
+	}
+}
+
+// TestServeJobPhasesFromTrace: a job's phase breakdown is read from its
+// trace, with exactly the chunk phases as keys, and after completion the
+// flight ring holds the job's spans under its trace ID.
+func TestServeJobPhasesFromTrace(t *testing.T) {
+	_, base := startServer(t, Config{JobsDir: t.TempDir()})
+	var st job.Status
+	if code, _ := postJSON(t, base, "/v1/jobs", map[string]any{
+		"circuit": "qft_8", "shots": 3000, "chunk_shots": 1000, "seed": 7,
+	}, &st); code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	done := waitJob(t, base, st.ID, func(s job.Status) bool { return s.State == job.StateCompleted })
+	want := map[string]bool{obs.PhaseSnapshot: true, obs.PhaseSample: true, obs.PhaseWAL: true}
+	if len(done.PhaseNS) != len(want) {
+		t.Fatalf("job phase keys %v, want exactly snapshot/sample/wal", done.PhaseNS)
+	}
+	for p, ns := range done.PhaseNS {
+		if !want[p] || ns <= 0 {
+			t.Fatalf("job phase %q = %d in %v", p, ns, done.PhaseNS)
+		}
+	}
+
+	resp, err := http.Get(base + "/debug/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	seen := map[string]int{}
+	dec := json.NewDecoder(resp.Body)
+	for dec.More() {
+		var rec obs.SpanRecord
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.TraceID == done.TraceID && rec.Kind == "span" {
+			seen[rec.Phase]++
+			if rec.Phase == obs.PhaseServe && rec.Name != "job" {
+				t.Errorf("job root span named %q, want job", rec.Name)
+			}
+		}
+	}
+	// Three chunks: a snapshot and a sample span each, two wal spans each
+	// (encode, then append under the lock), and the root span.
+	if seen[obs.PhaseSnapshot] != 3 || seen[obs.PhaseSample] != 3 || seen[obs.PhaseWAL] != 6 || seen[obs.PhaseServe] != 1 {
+		t.Fatalf("flight ring holds job spans %v under trace %s", seen, done.TraceID)
 	}
 }

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"testing"
 
 	"weaksim/internal/algo"
 	"weaksim/internal/circuit"
-	"weaksim/internal/dd"
 	"weaksim/internal/obs"
 )
 
@@ -19,9 +21,8 @@ func TestSimTelemetryCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	var sink obs.CollectSink
-	tr := obs.NewTracer(&sink, obs.WithEvery(4))
-	s, err := NewDD(c, WithObservability(reg, tr))
+	var buf bytes.Buffer
+	s, err := NewDD(c, WithObservability(reg, obs.NewStreamTrace(&buf, 4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +63,8 @@ func TestSimTelemetryCounters(t *testing.T) {
 	}
 
 	// Throttled apply events: one per 4 applied ops.
-	var applyEvents int
-	for _, e := range sink.Events() {
-		if e.Kind == "event" && e.Phase == obs.PhaseApply && e.Name == "op" {
-			applyEvents++
-		}
-	}
-	if want := int(wantOps) / 4; applyEvents != want {
-		t.Errorf("apply trace events = %d, want %d (every=4 over %d ops)", applyEvents, want, wantOps)
+	if applyEvents := countOpEvents(t, &buf); applyEvents != int(wantOps)/4 {
+		t.Errorf("apply trace events = %d, want %d (every=4 over %d ops)", applyEvents, wantOps/4, wantOps)
 	}
 }
 
@@ -130,30 +125,47 @@ func TestFusedTelemetry(t *testing.T) {
 	}
 }
 
-// TestLegacyTraceStillFires ensures the pre-obs TraceFunc shim keeps firing
-// now that it rides the noteApplied path, including under fusion where a
-// window can jump the applied counter past several multiples at once.
-func TestLegacyTraceStillFires(t *testing.T) {
+// countOpEvents decodes a JSONL trace stream and counts its op events.
+func countOpEvents(t *testing.T, r io.Reader) int {
+	t.Helper()
+	n := 0
+	dec := json.NewDecoder(r)
+	for dec.More() {
+		var e obs.SpanRecord
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Kind == "event" && e.Phase == obs.PhaseApply && e.Name == "op" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestOpEventsSurviveFusion: a fused window advances the applied count by
+// its length, so an op event is owed whenever the window crosses a multiple
+// of the interval, not only when it lands on one. qft_6 has 30 ops; at an
+// interval of 3 a stepwise run emits 10 events, and a run in windows of 5
+// emits 6, one per window, since every window of 5 holds a multiple of 3.
+func TestOpEventsSurviveFusion(t *testing.T) {
 	c, err := algo.Generate("qft_6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fusion := range []int{1, 5} {
-		var calls int
-		s, err := NewDD(c, WithFusion(fusion), WithTrace(3, func(opIndex int, _ dd.Stats) {
-			calls++
-			if opIndex <= 0 {
-				t.Errorf("trace fired with opIndex %d", opIndex)
-			}
-		}))
+	if c.NumOps() != 30 {
+		t.Fatalf("qft_6 has %d ops, want 30", c.NumOps())
+	}
+	for _, tc := range []struct{ fusion, want int }{{1, 10}, {5, 6}} {
+		var buf bytes.Buffer
+		s, err := NewDD(c, WithFusion(tc.fusion), WithObservability(nil, obs.NewStreamTrace(&buf, 3)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if calls == 0 {
-			t.Errorf("fusion=%d: legacy trace never fired", fusion)
+		if got := countOpEvents(t, &buf); got != tc.want {
+			t.Errorf("fusion=%d: %d op events, want %d", tc.fusion, got, tc.want)
 		}
 	}
 }

@@ -34,18 +34,16 @@ func interrupted(ctx context.Context, name string, pos int) error {
 
 // DDSimulator advances a circuit on the decision-diagram backend.
 type DDSimulator struct {
-	mgr        *dd.Manager
-	circ       *circuit.Circuit
-	state      dd.VEdge
-	pos        int
-	opCache    map[string]dd.MEdge
-	roots      []dd.MEdge
-	applied    int
-	gcSweeps   int
-	fusion     int
-	trace      TraceFunc
-	traceEvery int
-	obs        *simObs // nil = telemetry disabled
+	mgr      *dd.Manager
+	circ     *circuit.Circuit
+	state    dd.VEdge
+	pos      int
+	opCache  map[string]dd.MEdge
+	roots    []dd.MEdge
+	applied  int
+	gcSweeps int
+	fusion   int
+	obs      *simObs // nil = telemetry disabled
 }
 
 // simObs caches the metric handles the simulator touches per operation.
@@ -54,7 +52,7 @@ type DDSimulator struct {
 // time.Now calls, a histogram observation, and a handful of atomic stores.
 type simObs struct {
 	reg *obs.Registry
-	tr  *obs.Tracer
+	tr  *obs.RequestTrace
 
 	opsApplied    *obs.Counter
 	gcSweeps      *obs.Counter
@@ -64,7 +62,7 @@ type simObs struct {
 	windowOps     *obs.Histogram
 }
 
-func newSimObs(reg *obs.Registry, tr *obs.Tracer) *simObs {
+func newSimObs(reg *obs.Registry, tr *obs.RequestTrace) *simObs {
 	if reg == nil && tr == nil {
 		return nil
 	}
@@ -84,20 +82,20 @@ func newSimObs(reg *obs.Registry, tr *obs.Tracer) *simObs {
 type DDOption func(*ddConfig)
 
 type ddConfig struct {
-	mgrOpts    []dd.Option
-	fusion     int
-	trace      TraceFunc
-	traceEvery int
-	reg        *obs.Registry
-	tracer     *obs.Tracer
+	mgrOpts []dd.Option
+	fusion  int
+	reg     *obs.Registry
+	tracer  *obs.RequestTrace
 }
 
-// WithObservability attaches a metrics registry and/or structured tracer to
-// the simulator and its dd.Manager. Either argument may be nil. With both
+// WithObservability attaches a metrics registry and/or a trace to the
+// simulator and its dd.Manager: throttled op events (see
+// obs.RequestTrace.OpDue), GC and budget-pressure events and invariant-check
+// spans land in tr. Either argument may be nil. With both
 // nil the simulator's telemetry path is a single disabled nil-check per
 // operation; the hot DD lookup paths keep their cheap local counters either
 // way and are mirrored into the registry after every applied operation.
-func WithObservability(reg *obs.Registry, tr *obs.Tracer) DDOption {
+func WithObservability(reg *obs.Registry, tr *obs.RequestTrace) DDOption {
 	return func(c *ddConfig) {
 		c.reg = reg
 		c.tracer = tr
@@ -153,14 +151,12 @@ func NewDD(c *circuit.Circuit, opts ...DDOption) (*DDSimulator, error) {
 		return nil, fmt.Errorf("sim: circuit %q initial state: %w", c.Name, err)
 	}
 	return &DDSimulator{
-		mgr:        mgr,
-		circ:       c,
-		state:      zero,
-		opCache:    make(map[string]dd.MEdge),
-		fusion:     cfg.fusion,
-		trace:      cfg.trace,
-		traceEvery: cfg.traceEvery,
-		obs:        newSimObs(cfg.reg, cfg.tracer),
+		mgr:     mgr,
+		circ:    c,
+		state:   zero,
+		opCache: make(map[string]dd.MEdge),
+		fusion:  cfg.fusion,
+		obs:     newSimObs(cfg.reg, cfg.tracer),
 	}, nil
 }
 
@@ -306,30 +302,25 @@ func (s *DDSimulator) runFused(ctx context.Context) (dd.VEdge, error) {
 // noteApplied records per-op telemetry for n operations just applied in
 // dur. Both drivers funnel through it — the stepwise loop (Step, which the
 // governance planner also drives directly, so degraded single-step runs are
-// just as observable) and the fused-window loop — and it fires the legacy
-// TraceFunc whenever the applied count crosses a multiple of the configured
-// interval. With no observer and no TraceFunc installed the cost is two
-// nil-checks.
+// just as observable) and the fused-window loop — and it emits an op event
+// whenever the applied count crosses a multiple of the trace's interval, so
+// a fused window reports like the n stepwise ops it replaces. With no
+// observer installed the cost is one nil-check.
 func (s *DDSimulator) noteApplied(n int, dur time.Duration) {
-	if o := s.obs; o != nil {
-		o.opsApplied.Add(uint64(n))
-		o.opLatency.ObserveDuration(dur)
-		s.mgr.PublishMetrics()
-		if o.tr != nil {
-			o.tr.EmitThrottled(s.applied, obs.PhaseApply, "op", map[string]any{
-				"applied":    s.applied,
-				"pos":        s.pos,
-				"dur_ns":     dur.Nanoseconds(),
-				"live_nodes": s.mgr.LiveNodes(),
-			})
-		}
+	o := s.obs
+	if o == nil {
+		return
 	}
-	if s.trace != nil && s.traceEvery > 0 && n > 0 {
-		// Fire when (applied-n, applied] contains a multiple of the
-		// interval, so fused windows report like n stepwise ops would.
-		if s.applied/s.traceEvery > (s.applied-n)/s.traceEvery {
-			s.trace(s.applied, s.mgr.TableStats())
-		}
+	o.opsApplied.Add(uint64(n))
+	o.opLatency.ObserveDuration(dur)
+	s.mgr.PublishMetrics()
+	if o.tr.OpDue(s.applied, n) {
+		o.tr.Event(obs.PhaseApply, "op", map[string]any{
+			"applied":    s.applied,
+			"pos":        s.pos,
+			"dur_ns":     dur.Nanoseconds(),
+			"live_nodes": s.mgr.LiveNodes(),
+		})
 	}
 }
 
@@ -542,23 +533,4 @@ func (s *VectorSimulator) RunContext(ctx context.Context) (*statevec.State, erro
 		s.pos++
 	}
 	return s.st, nil
-}
-
-// TraceFunc receives progress callbacks during Run: the index of the
-// operation just applied and a snapshot of the manager's table statistics.
-//
-// TraceFunc predates the structured telemetry layer (internal/obs) and is
-// kept as a compatibility shim; it now rides the same per-op notification
-// path as the obs spans, so it fires identically from the stepwise loop,
-// the fused-window loop, and single Step calls. New code should prefer
-// WithObservability.
-type TraceFunc func(opIndex int, stats dd.Stats)
-
-// WithTrace installs a progress callback invoked after every `every`
-// operations. Used by long-running harnesses to report DD growth.
-func WithTrace(every int, fn TraceFunc) DDOption {
-	return func(c *ddConfig) {
-		c.traceEvery = every
-		c.trace = fn
-	}
 }

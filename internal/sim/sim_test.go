@@ -258,26 +258,3 @@ func TestIdentityShortcutCorrectness(t *testing.T) {
 	c.H(7).CX(7, 0).T(0).CX(0, 7).H(3).CZ(3, 5)
 	crossValidate(t, c, dd.NormL2Phase)
 }
-
-func TestTraceHook(t *testing.T) {
-	c, _ := algo.Generate("qft_6")
-	var calls int
-	s, err := NewDD(c, WithTrace(5, func(opIndex int, st dd.Stats) {
-		calls++
-		if opIndex%5 != 0 {
-			t.Errorf("trace fired at op %d, want multiples of 5", opIndex)
-		}
-		if st.VNodes == 0 {
-			t.Error("trace saw empty unique table")
-		}
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Error("trace hook never fired")
-	}
-}

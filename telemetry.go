@@ -1,9 +1,15 @@
 package weaksim
 
 // Telemetry facade: re-exports of the internal/obs metrics registry and
-// structured tracer, plus the per-circuit machine-readable summary that
+// trace stream, plus the per-circuit machine-readable summary that
 // cmd/weaksim serializes with -metrics-out and SimulateAuto attaches to its
 // RunReport.
+//
+// A Tracer is the same trace type the daemon records requests in, in
+// stream mode: phase spans are timed once (one obs.StartSpan feeds both the
+// phase_<p>_ns counter and the trace), and each record is written as one
+// JSON line the moment it ends, so a long run holds none of its op events
+// in memory.
 //
 // The design rule throughout is "disabled means free": a run without
 // WithMetrics/WithTracer pays one nil-check per operation and zero
@@ -24,24 +30,26 @@ import (
 // with SummarizeMetrics.
 type Metrics = obs.Registry
 
-// Tracer emits structured trace events (phase-labeled spans and point
-// events). Create one with NewJSONLTracer (or obs.NewTracer over a custom
-// sink) and attach it with WithTracer.
-type Tracer = obs.Tracer
+// Tracer receives structured trace records (phase-labeled spans and point
+// events). Create one with NewJSONLTracer and attach it with WithTracer.
+type Tracer = obs.RequestTrace
 
-// TraceEvent is one structured trace record as serialized to JSONL.
-type TraceEvent = obs.Event
+// TraceEvent is one structured trace record as serialized to JSONL: the
+// span record the daemon's request traces and flight recorder use too.
+type TraceEvent = obs.SpanRecord
 
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
-// NewJSONLTracer returns a tracer writing one JSON event per line to w.
-// every throttles op-granularity events (1 = every op, n = one in n);
-// phase spans and governance events are never throttled. Tracing with a
-// large `every` on a million-gate circuit costs close to nothing; a nil
-// tracer costs exactly nothing.
+// NewJSONLTracer returns a tracer writing one JSON record per line to w as
+// each record ends; it retains nothing, and every line carries the tracer's
+// one trace ID. every throttles op-granularity events (1 = every op, n =
+// one per n applied ops, fused windows included); phase spans and
+// governance events are never throttled. Tracing with a large `every` on a
+// million-gate circuit costs close to nothing; a nil tracer costs exactly
+// nothing.
 func NewJSONLTracer(w io.Writer, every int) *Tracer {
-	return obs.NewTracer(obs.NewJSONLSink(w), obs.WithEvery(every))
+	return obs.NewStreamTrace(w, every)
 }
 
 // WithMetrics attaches a metrics registry to the simulation: the DD

@@ -119,8 +119,8 @@ type config struct {
 	nodeBudget   int
 	minFidelity  float64
 	workers      int
-	reg          *obs.Registry // nil = metrics disabled (see WithMetrics)
-	tracer       *obs.Tracer   // nil = tracing disabled (see WithTracer)
+	reg          *obs.Registry     // nil = metrics disabled (see WithMetrics)
+	tracer       *obs.RequestTrace // nil = tracing disabled (see WithTracer)
 }
 
 func newConfig(opts []Option) config {
@@ -315,13 +315,13 @@ func (s *State) Sampler(opts ...Option) (*Sampler, error) {
 		// for sampling: it may be reused for the next circuit or
 		// garbage-collected while sampling proceeds, and the walks can never
 		// hit the node budget.
-		stop := obs.StartPhase(cfg.reg, cfg.tracer, obs.PhaseFreeze)
+		sp := obs.StartSpan(cfg.reg, cfg.tracer, obs.PhaseFreeze)
 		var frOpts []dd.FreezeOption
 		if cfg.forceGeneric {
 			frOpts = append(frOpts, dd.FreezeGeneric())
 		}
 		snap, err := s.mgr.Freeze(s.edge, frOpts...)
-		stop()
+		sp.End(nil)
 		if err != nil {
 			return nil, fmt.Errorf("weaksim: %w", err)
 		}
@@ -339,10 +339,10 @@ func (s *State) Sampler(opts ...Option) (*Sampler, error) {
 		// For the dense family the probability expansion and prefix-sum /
 		// alias-table construction is the analogue of the DD freeze (the
 		// one-off pass before sampling), so it lands in the same phase bucket.
-		stop := obs.StartPhase(cfg.reg, cfg.tracer, obs.PhaseFreeze)
+		sp := obs.StartSpan(cfg.reg, cfg.tracer, obs.PhaseFreeze)
 		amps, err := s.vector()
 		if err != nil {
-			stop()
+			sp.End(nil)
 			return nil, err
 		}
 		probs := core.ProbabilitiesFromAmplitudes(amps)
@@ -354,7 +354,7 @@ func (s *State) Sampler(opts ...Option) (*Sampler, error) {
 		default:
 			inner, err = core.NewAliasSampler(probs)
 		}
-		stop()
+		sp.End(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -390,7 +390,7 @@ type Sampler struct {
 	// Telemetry (all nil when disabled — the hot ShotIndex path then costs
 	// one nil-check over the raw walk).
 	reg      *obs.Registry
-	tr       *obs.Tracer
+	tr       *obs.RequestTrace
 	walkHist *obs.Histogram
 	shotsCtr *obs.Counter
 	renorms  *obs.Counter
@@ -496,9 +496,9 @@ func (s *Sampler) CountsContext(ctx context.Context, shots int) (map[string]int,
 // samplers are safe for concurrent use: the frozen DD snapshot is immutable
 // and the vector-family samplers are read-only after construction.
 func (s *Sampler) CountsByIndexContext(ctx context.Context, shots int) (map[uint64]int, error) {
-	stop := obs.StartPhase(s.reg, s.tr, obs.PhaseSample)
+	sp := obs.StartSpan(s.reg, s.tr, obs.PhaseSample)
 	counts, err := core.CountsParallelContext(ctx, s.inner, s.rand.Uint64(), shots, s.workers)
-	stop()
+	sp.End(nil)
 	s.noteBatch(counts)
 	return counts, err
 }

@@ -1,6 +1,7 @@
 package weaksim_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -174,5 +175,48 @@ func TestServeClusterFacade(t *testing.T) {
 	defer cancel()
 	if err := router.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestServeFacadeTracerGetsServeSpans: a daemon started with WithTracer
+// copies each finished request trace to the JSONL stream, under the
+// request's trace ID, alongside the simulation's own records.
+func TestServeFacadeTracerGetsServeSpans(t *testing.T) {
+	var buf bytes.Buffer
+	d, err := weaksim.Serve(weaksim.ServeConfig{Addr: "127.0.0.1:0"},
+		weaksim.WithTracer(weaksim.NewJSONLTracer(&buf, 1)))
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer d.Close()
+	resp, err := http.Post("http://"+d.Addr()+"/v1/sample", "application/json",
+		strings.NewReader(`{"circuit":"ghz_4","shots":64,"seed":9}`))
+	if err != nil {
+		t.Fatalf("post: %v", err)
+	}
+	resp.Body.Close()
+	traceID := resp.Header.Get("X-Weaksim-Trace-Id")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	// The drain waits for the handler, so its trace has been copied by now.
+	if err := d.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	phases := map[string]bool{}
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var ev weaksim.TraceEvent
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.TraceID == traceID && ev.Kind == "span" {
+			phases[ev.Phase] = true
+		}
+	}
+	for _, p := range []string{"parse", "queue", "build", "apply", "freeze", "sample", "serve"} {
+		if !phases[p] {
+			t.Errorf("stream lacks the request's %s span: %v", p, phases)
+		}
 	}
 }
