@@ -125,7 +125,7 @@ bench-frozen:
 # regression that per-shot sampling can't see still trips CI. The third
 # gates what count-producing calls pay per shot: core.Counts over 65,536-shot
 # batches, drawn through FrozenSampler.SampleBlock's lockstep walk and
-# tallied into a map.
+# tallied into a core.Tally (dense for qft_16, a map for the wider rows).
 bench-gate:
 	$(GO) run ./cmd/benchcheck
 	$(GO) run ./cmd/benchcheck -bench BenchmarkBuildFreeze -benchtime 10x
@@ -133,9 +133,12 @@ bench-gate:
 
 # The end-to-end benchmark (cmd/weakbench) is a Go module of its own, so
 # root `go test ./...` never compiles it. This smoke target vets and tests
-# it against the library API it imports.
+# it against the library API it imports, then runs BenchmarkSampleResponse
+# (one warm 1M-shot qft_16 /v1/sample answer, encode included; reports
+# ns/shot and allocs/op, gates nothing).
 bench-smoke:
 	cd cmd/weakbench && $(GO) vet . && $(GO) test .
+	$(GO) test -run '^$$' -bench BenchmarkSampleResponse -benchtime 5x ./internal/serve
 
 # Statement coverage with an HTML-able profile.
 cover:

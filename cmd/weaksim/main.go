@@ -308,11 +308,7 @@ Exit codes:
 			return fmt.Errorf("sampling: %w", err)
 		}
 		if *histogram || *top > 0 {
-			counts := make(map[string]int, len(indexCounts))
-			for idx, n := range indexCounts {
-				counts[core.FormatBits(idx, c.NQubits)] = n
-			}
-			printHistogram(stdout, counts, *shots, *top)
+			printHistogram(stdout, core.BitstringCounts(indexCounts, c.NQubits), *shots, *top)
 		}
 	case *histogram || *top > 0:
 		counts, cerr := sampler.CountsContext(ctx, *shots)

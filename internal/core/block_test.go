@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"testing"
@@ -256,7 +257,8 @@ var fuzzSnaps = map[string]*dd.Snapshot{}
 
 // FuzzCountsFrozen: for any seed, shot count up to three tally blocks and a
 // bit, circuit and branch rule, Counts over the frozen sampler equals the
-// per-shot reference tally.
+// per-shot reference tally, and the dense and map tallies of the batch
+// agree whichever one the rule picks.
 func FuzzCountsFrozen(f *testing.F) {
 	f.Add(uint64(1), uint16(0), uint8(0), uint8(0))
 	f.Add(uint64(2), uint16(513), uint8(3), uint8(1))
@@ -278,6 +280,12 @@ func FuzzCountsFrozen(f *testing.F) {
 		want := perShotCounts(fs, rng.New(seed), n)
 		if got := Counts(fs, rng.New(seed), n); !maps.Equal(got, want) {
 			t.Fatalf("%s, seed %d, %d shots: Counts %v, per-shot %v", key, seed, n, got, want)
+		}
+		dense, _ := tallyContext(context.Background(), fs, rng.New(seed), n, true)
+		sparse, _ := tallyContext(context.Background(), fs, rng.New(seed), n, false)
+		checkTalliesAgree(t, fmt.Sprintf("%s, seed %d, %d shots", key, seed, n), dense, sparse)
+		if !maps.Equal(sparse.Map(), want) {
+			t.Fatalf("%s, seed %d, %d shots: map tally differs from the per-shot tally", key, seed, n)
 		}
 	})
 }

@@ -44,13 +44,14 @@ import (
 type Sampler interface {
 	// Sample draws one basis-state index using the supplied random source.
 	Sample(r *rng.RNG) uint64
-	// Qubits returns the width of sampled bitstrings.
+	// Qubits returns the width of sampled bitstrings: every index Sample
+	// returns is below 2^Qubits() (a dense tally indexes by it).
 	Qubits() int
 }
 
 // Counts draws shots samples and tallies them by basis-state index. The
-// result map is preallocated from the shot count and register width, so the
-// tally loop never rehashes.
+// tally is dense or a preallocated map by the one rule of tallyDense, so
+// the tally loop never hashes a dense batch and never rehashes a map one.
 func Counts(s Sampler, r *rng.RNG, shots int) map[uint64]int {
 	counts, _ := CountsContext(context.Background(), s, r, shots)
 	return counts
@@ -67,18 +68,22 @@ const CtxCheckShots = 512
 // alongside the context's error, so a timed-out batch still reports the
 // samples it managed to draw.
 func CountsContext(ctx context.Context, s Sampler, r *rng.RNG, shots int) (map[uint64]int, error) {
-	counts := make(map[uint64]int, CountsSizeHint(shots, s.Qubits()))
+	t, err := tallyContext(ctx, s, r, shots, tallyDense(s.Qubits(), shots))
+	return t.Map(), err
+}
+
+// tallyContext is CountsContext's loop, tallying densely or not as asked.
+func tallyContext(ctx context.Context, s Sampler, r *rng.RNG, shots int, dense bool) (*Tally, error) {
+	t := newTally(s.Qubits(), shots, dense)
 	var block [CtxCheckShots]uint64
 	for drawn := 0; drawn < shots; drawn += CtxCheckShots {
 		if ctx.Err() != nil {
-			return counts, fmt.Errorf("core: sampling interrupted after %d/%d shots: %w",
+			return t, fmt.Errorf("core: sampling interrupted after %d/%d shots: %w",
 				drawn, shots, context.Cause(ctx))
 		}
-		for _, idx := range drawBlock(s, r, block[:min(CtxCheckShots, shots-drawn)]) {
-			counts[idx]++
-		}
+		t.add(drawBlock(s, r, block[:min(CtxCheckShots, shots-drawn)]))
 	}
-	return counts, nil
+	return t, nil
 }
 
 // drawBlock fills out with len(out) successive samples from s and returns
@@ -109,6 +114,16 @@ func FormatBits(idx uint64, n int) string {
 		}
 	}
 	return string(buf)
+}
+
+// BitstringCounts re-keys index counts by FormatBits(idx, n): the shape the
+// library's Counts and the CLI's histogram report.
+func BitstringCounts(counts map[uint64]int, n int) map[string]int {
+	out := make(map[string]int, len(counts))
+	for idx, c := range counts {
+		out[FormatBits(idx, n)] = c
+	}
+	return out
 }
 
 // ParseBits is the inverse of FormatBits.

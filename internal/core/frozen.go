@@ -221,8 +221,25 @@ func CountsParallel(s Sampler, seed uint64, shots, workers int) (map[uint64]int,
 // tallies drawn so far are merged and returned alongside the context's
 // error.
 func CountsParallelContext(ctx context.Context, s Sampler, seed uint64, shots, workers int) (map[uint64]int, error) {
+	t, err := TallyParallelContext(ctx, s, seed, shots, workers)
+	return t.Map(), err
+}
+
+// TallyParallelContext is CountsParallelContext returning the Tally itself,
+// for callers that read the counts in index order (the daemon's response
+// writer) and so need no map.
+func TallyParallelContext(ctx context.Context, s Sampler, seed uint64, shots, workers int) (*Tally, error) {
+	return tallyParallel(ctx, s, seed, shots, workers, tallyDense(s.Qubits(), shots))
+}
+
+// tallyParallel is TallyParallelContext's body, tallying densely or not as
+// asked. Each worker tallies into its own Tally of the batch's
+// representation; the parts are merged by element-wise (dense) or
+// per-entry (map) addition, which commutes, so the counts do not depend on
+// which worker drew which chunk.
+func tallyParallel(ctx context.Context, s Sampler, seed uint64, shots, workers int, dense bool) (*Tally, error) {
 	if shots <= 0 {
-		return map[uint64]int{}, ctx.Err()
+		return TallyOf(map[uint64]int{}), ctx.Err()
 	}
 	chunks := (shots + ChunkShots - 1) / ChunkShots
 	workers = max(1, min(workers, chunks))
@@ -230,16 +247,16 @@ func CountsParallelContext(ctx context.Context, s Sampler, seed uint64, shots, w
 	var next atomic.Int64
 	if workers == 1 {
 		// One worker tallies straight into the result: no goroutine, no merge.
-		counts := make(map[uint64]int, CountsSizeHint(shots, qubits))
-		return counts, tallyChunks(ctx, s, seed, shots, &next, counts)
+		t := newTally(qubits, shots, dense)
+		return t, tallyChunks(ctx, s, seed, shots, &next, t)
 	}
 
 	share := min(shots, (chunks+workers-1)/workers*ChunkShots)
-	parts := make([]map[uint64]int, workers)
+	parts := make([]*Tally, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for k := range parts {
-		parts[k] = make(map[uint64]int, CountsSizeHint(share, qubits))
+		parts[k] = newTally(qubits, share, dense)
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
@@ -247,8 +264,12 @@ func CountsParallelContext(ctx context.Context, s Sampler, seed uint64, shots, w
 		}(k)
 	}
 	wg.Wait()
-	merged := make(map[uint64]int, CountsSizeHint(shots, qubits))
-	MergeCounts(merged, parts...)
+	merged, rest := parts[0], parts[1:]
+	if !dense {
+		// A worker's map is sized for its share; the merged one for the batch.
+		merged, rest = newTally(qubits, shots, false), parts
+	}
+	merged.merge(rest)
 	for _, err := range errs {
 		if err != nil {
 			return merged, err
@@ -258,12 +279,12 @@ func CountsParallelContext(ctx context.Context, s Sampler, seed uint64, shots, w
 }
 
 // tallyChunks claims chunks from next until the batch is exhausted and
-// tallies each into counts. Cancellation and the chaos hook share the
+// tallies each into t. Cancellation and the chaos hook share the
 // CtxCheckShots stride, so both cost nothing on CtxCheckShots-1 of every
 // CtxCheckShots shots. An injected panic (chaos testing) becomes the
 // returned error: it must not take down the process from a sampling
 // goroutine, where nothing else could recover it. Genuine panics propagate.
-func tallyChunks(ctx context.Context, s Sampler, seed uint64, shots int, next *atomic.Int64, counts map[uint64]int) (err error) {
+func tallyChunks(ctx context.Context, s Sampler, seed uint64, shots int, next *atomic.Int64, t *Tally) (err error) {
 	var (
 		chunk, drawn, quota int
 		block               [CtxCheckShots]uint64
@@ -291,9 +312,7 @@ func tallyChunks(ctx context.Context, s Sampler, seed uint64, shots int, next *a
 			if err := fault.Hit(fault.SamplerWalk); err != nil {
 				return fmt.Errorf("core: chunk %d after %d/%d shots: %w", chunk, drawn, quota, err)
 			}
-			for _, idx := range drawBlock(s, r, block[:min(CtxCheckShots, quota-drawn)]) {
-				counts[idx]++
-			}
+			t.add(drawBlock(s, r, block[:min(CtxCheckShots, quota-drawn)]))
 		}
 	}
 }

@@ -103,7 +103,7 @@ func TestFaultWALReplayCorrupt(t *testing.T) {
 	// Whatever survived must still be serviceable and exact.
 	if _, err := m2.Get(st.ID); err == nil {
 		final := waitFor(t, m2, st.ID, completed)
-		counts, err := m2.Result(st.ID)
+		counts, err := result(m2, st.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestReplayIgnoresGarbageRecords(t *testing.T) {
 	if st.ChunksRecovered != 1 {
 		t.Fatalf("recovered %d chunks, want 1", st.ChunksRecovered)
 	}
-	counts, err := m.Result("jok")
+	counts, err := result(m, "jok")
 	if err != nil {
 		t.Fatal(err)
 	}

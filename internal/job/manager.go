@@ -431,22 +431,22 @@ func (m *Manager) List() []Status {
 	return out
 }
 
-// Result returns a completed job's merged counts keyed by bitstring.
-func (m *Manager) Result(id string) (map[string]int, error) {
+// Result returns a completed job's merged counts keyed by basis-state index,
+// and the register width that renders them as bitstrings. The map is the
+// job's own, not a copy: a completed job's counts never change again (a
+// late chunk commit is dropped), so callers read and format it without the
+// manager's lock, and must not modify it.
+func (m *Manager) Result(id string) (counts map[uint64]int, qubits int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
-		return nil, ErrNotFound
+		return nil, 0, ErrNotFound
 	}
 	if j.state != StateCompleted {
-		return nil, ErrNotCompleted
+		return nil, 0, ErrNotCompleted
 	}
-	out := make(map[string]int, len(j.counts))
-	for idx, n := range j.counts {
-		out[core.FormatBits(idx, j.spec.Qubits)] = n
-	}
-	return out, nil
+	return j.counts, j.spec.Qubits, nil
 }
 
 // Cancel requests termination. Idempotent; an in-flight chunk is cancelled,

@@ -50,6 +50,16 @@ func testSpec(id string, shots, chunk int) Spec {
 	}
 }
 
+// result is Manager.Result keyed by bitstring, the shape the assertions
+// compare.
+func result(m *Manager, id string) (map[string]int, error) {
+	counts, qubits, err := m.Result(id)
+	if err != nil {
+		return nil, err
+	}
+	return core.BitstringCounts(counts, qubits), nil
+}
+
 func startManager(t *testing.T, cfg Config) *Manager {
 	t.Helper()
 	if cfg.Snapshot == nil {
@@ -100,7 +110,7 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	if st.ChunksExecuted != 10 || st.ChunksRecovered != 0 {
 		t.Errorf("executed=%d recovered=%d, want 10/0", st.ChunksExecuted, st.ChunksRecovered)
 	}
-	counts, err := m.Result("j1")
+	counts, err := result(m, "j1")
 	if err != nil {
 		t.Fatalf("Result: %v", err)
 	}
@@ -154,7 +164,7 @@ func TestInMemoryJobSkipsWALRecords(t *testing.T) {
 			t.Fatalf("%s: Submit: %v", tc.name, err)
 		}
 		waitFor(t, m, spec.ID, completed)
-		got, err := m.Result(spec.ID)
+		got, err := result(m, spec.ID)
 		if err != nil {
 			t.Fatalf("%s: Result: %v", tc.name, err)
 		}
@@ -181,7 +191,7 @@ func TestResumeBitIdentical(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	waitFor(t, ref, "jref", completed)
-	want, err := ref.Result("jref")
+	want, err := result(ref, "jref")
 	if err != nil {
 		t.Fatalf("Result: %v", err)
 	}
@@ -210,7 +220,7 @@ func TestResumeBitIdentical(t *testing.T) {
 
 	m2 := startManager(t, Config{Dir: dir})
 	st := waitFor(t, m2, "jref", completed)
-	got, err := m2.Result("jref")
+	got, err := result(m2, "jref")
 	if err != nil {
 		t.Fatalf("Result after resume: %v", err)
 	}
@@ -253,7 +263,7 @@ func TestDuplicateChunkReplay(t *testing.T) {
 	if st.ShotsDone != 100 {
 		t.Errorf("shots done %d after duplicate replay, want 100", st.ShotsDone)
 	}
-	counts, err := m.Result("jdup")
+	counts, err := result(m, "jdup")
 	if err != nil {
 		t.Fatalf("Result: %v", err)
 	}
@@ -368,7 +378,7 @@ func TestVerdictTerminal(t *testing.T) {
 			if n := calls.Load(); n != 1 {
 				t.Errorf("provider called %d times for a terminal verdict, want 1", n)
 			}
-			if _, err := m.Result("jv"); !errors.Is(err, ErrNotCompleted) {
+			if _, err := result(m, "jv"); !errors.Is(err, ErrNotCompleted) {
 				t.Errorf("Result on failed job = %v, want ErrNotCompleted", err)
 			}
 		})

@@ -49,7 +49,7 @@ func TestChaosUniqueInsertFaultIsMemoryOut(t *testing.T) {
 	}
 	// Disarm: the same circuit simulates cleanly — the fault left no residue.
 	fault.Disable()
-	var ok sampleResponse
+	var ok sampleResult
 	if status, _ := post(t, base, sampleBody(16, 1), &ok); status != http.StatusOK {
 		t.Fatalf("recovery request status=%d", status)
 	}
@@ -66,7 +66,7 @@ func TestChaosFreezeFaultIsInternal(t *testing.T) {
 	if status != http.StatusInternalServerError || eb.Error.Code != "internal" {
 		t.Fatalf("status=%d code=%q, want 500 internal", status, eb.Error.Code)
 	}
-	var ok sampleResponse
+	var ok sampleResult
 	if status, _ := post(t, base, sampleBody(16, 1), &ok); status != http.StatusOK {
 		t.Fatalf("recovery request status=%d", status)
 	}
@@ -83,7 +83,7 @@ func TestChaosQueueSubmitFaultShedsLoad(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	var ok sampleResponse
+	var ok sampleResult
 	if status, _ := post(t, base, sampleBody(16, 1), &ok); status != http.StatusOK {
 		t.Fatalf("recovery request status=%d", status)
 	}
@@ -105,7 +105,7 @@ func TestChaosSimPanicIsolated(t *testing.T) {
 		t.Fatalf("serve_panics_total=%d, want 1", got)
 	}
 	// Same (sole) worker must still be alive and simulate the next request.
-	var ok sampleResponse
+	var ok sampleResult
 	if status, _ := post(t, base, sampleBody(16, 1), &ok); status != http.StatusOK {
 		t.Fatalf("daemon stopped serving after a worker panic: status=%d", status)
 	}
@@ -117,7 +117,7 @@ func TestChaosSimPanicIsolated(t *testing.T) {
 func TestChaosSamplerLatencyIsTimeout(t *testing.T) {
 	_, base := startServer(t, Config{MaxSampleWorkers: 8})
 	// Prime the cache so the fault hits sampling, not simulation.
-	var ok sampleResponse
+	var ok sampleResult
 	if status, _ := post(t, base, sampleBody(16, 1), &ok); status != http.StatusOK {
 		t.Fatalf("prime status=%d", status)
 	}
@@ -143,7 +143,7 @@ func TestChaosCacheAdmitFaultDegrades(t *testing.T) {
 		t.Run(class, func(t *testing.T) {
 			_, base := startServer(t, Config{})
 			armFault(t, "serve.cache.admit:"+class+"@1+")
-			var first, second sampleResponse
+			var first, second sampleResult
 			if status, _ := post(t, base, sampleBody(64, 1), &first); status != http.StatusOK {
 				t.Fatalf("first status=%d", status)
 			}
@@ -164,7 +164,7 @@ func TestChaosCacheAdmitFaultDegrades(t *testing.T) {
 			if status, _ := post(t, base, sampleBody(64, 1), &first); status != http.StatusOK {
 				t.Fatalf("post-heal status=%d", status)
 			}
-			var hit sampleResponse
+			var hit sampleResult
 			if status, _ := post(t, base, sampleBody(64, 1), &hit); status != http.StatusOK || !hit.Cached {
 				t.Fatalf("status=%d cached=%v after heal, want cached hit", status, hit.Cached)
 			}
@@ -177,7 +177,7 @@ func TestChaosSnapstoreWriteFaultDegrades(t *testing.T) {
 	dir := t.TempDir()
 	srv, base := startServer(t, Config{SnapshotDir: dir})
 	armFault(t, "snapstore.write:err@1+")
-	var ok sampleResponse
+	var ok sampleResult
 	if status, _ := post(t, base, sampleBody(32, 1), &ok); status != http.StatusOK {
 		t.Fatalf("status=%d, want 200 despite persistence failure", status)
 	}
@@ -191,7 +191,7 @@ func TestChaosSnapstoreWriteFaultDegrades(t *testing.T) {
 		}
 	}
 	// The in-memory cache is unaffected by the dead store.
-	var hit sampleResponse
+	var hit sampleResult
 	if status, _ := post(t, base, sampleBody(32, 1), &hit); status != http.StatusOK || !hit.Cached {
 		t.Fatalf("status=%d cached=%v, want cached hit", status, hit.Cached)
 	}
@@ -215,7 +215,7 @@ func TestChaosCorruptSnapshotQuarantinedOnRestart(t *testing.T) {
 	dir := t.TempDir()
 	srv1, base1 := startServer(t, Config{SnapshotDir: dir})
 	armFault(t, "snapstore.write:corrupt@1")
-	var first sampleResponse
+	var first sampleResult
 	if status, _ := post(t, base1, sampleBody(64, 1), &first); status != http.StatusOK {
 		t.Fatalf("status=%d", status)
 	}
@@ -244,7 +244,7 @@ func TestChaosCorruptSnapshotQuarantinedOnRestart(t *testing.T) {
 	}
 	// The circuit re-simulates (never served from the bad file) with the
 	// same deterministic counts, and persists a fresh, valid snapshot.
-	var again sampleResponse
+	var again sampleResult
 	if status, _ := post(t, base2, sampleBody(64, 1), &again); status != http.StatusOK {
 		t.Fatalf("re-simulation status=%d", status)
 	}
@@ -277,7 +277,7 @@ func waitForFile(t *testing.T, dir, suffix string) {
 func TestChaosSnapstoreReadFaultFallsBackToSim(t *testing.T) {
 	dir := t.TempDir()
 	srv1, base1 := startServer(t, Config{SnapshotDir: dir})
-	var first sampleResponse
+	var first sampleResult
 	if status, _ := post(t, base1, sampleBody(64, 1), &first); status != http.StatusOK {
 		t.Fatalf("status=%d", status)
 	}
@@ -288,7 +288,7 @@ func TestChaosSnapstoreReadFaultFallsBackToSim(t *testing.T) {
 	// still serves by re-simulating — and the file survives untouched.
 	armFault(t, "snapstore.read:err@1+")
 	_, base2 := startServer(t, Config{SnapshotDir: dir})
-	var again sampleResponse
+	var again sampleResult
 	if status, _ := post(t, base2, sampleBody(64, 1), &again); status != http.StatusOK {
 		t.Fatalf("status=%d under read faults", status)
 	}
@@ -356,7 +356,7 @@ func TestWarmRestartDeterminismAcrossWorkers(t *testing.T) {
 	live := map[int]map[string]int{}
 	srv1, base1 := startServer(t, Config{SnapshotDir: dir, MaxSampleWorkers: 8})
 	for _, workers := range []int{1, 8} {
-		var resp sampleResponse
+		var resp sampleResult
 		if status, _ := post(t, base1, sampleBody(4096, workers), &resp); status != http.StatusOK {
 			t.Fatalf("workers=%d status=%d", workers, status)
 		}
@@ -369,7 +369,7 @@ func TestWarmRestartDeterminismAcrossWorkers(t *testing.T) {
 
 	srv2, base2 := startServer(t, Config{SnapshotDir: dir, MaxSampleWorkers: 8})
 	for _, workers := range []int{1, 8} {
-		var resp sampleResponse
+		var resp sampleResult
 		if status, _ := post(t, base2, sampleBody(4096, workers), &resp); status != http.StatusOK {
 			t.Fatalf("restarted workers=%d status=%d", workers, status)
 		}
@@ -404,7 +404,7 @@ func TestChaosFaultFiringDumpsFlightRecorder(t *testing.T) {
 	srv, base := startServer(t, Config{FlightDir: dir})
 
 	// A clean request first, so the ring has request spans to dump.
-	var ok sampleResponse
+	var ok sampleResult
 	if status, _ := post(t, base, sampleBody(16, 1), &ok); status != http.StatusOK {
 		t.Fatalf("prime status=%d", status)
 	}

@@ -55,15 +55,20 @@ type sampleRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// sampleResponse is the POST /v1/sample success body.
+// sampleResponse is the POST /v1/sample success body (see writeSample).
 type sampleResponse struct {
 	// Counts maps measured bitstrings (most significant qubit first) to
-	// occurrence counts; values sum to Shots.
-	Counts  map[string]int `json:"counts"`
-	Qubits  int            `json:"qubits"`
-	Shots   int            `json:"shots"`
-	Seed    uint64         `json:"seed"`
-	Workers int            `json:"workers"`
+	// occurrence counts, keys in ascending order; values sum to Shots.
+	Counts countsJSON `json:"counts"`
+	sampleMeta
+}
+
+// sampleMeta is every /v1/sample body member after the counts.
+type sampleMeta struct {
+	Qubits  int    `json:"qubits"`
+	Shots   int    `json:"shots"`
+	Seed    uint64 `json:"seed"`
+	Workers int    `json:"workers"`
 	// Cached reports whether the frozen snapshot was already resident (no
 	// strong simulation ran for this request, not even a shared one).
 	Cached bool `json:"cached"`
@@ -368,7 +373,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	// (circuit, seed, shots) — rerunning the request reproduces them bit for
 	// bit, at any cache temperature and worker count.
 	sp = obs.StartSpan(s.cfg.Metrics, rt, obs.PhaseSample)
-	idxCounts, err := core.CountsParallelContext(ctx, ent.sampler, *req.Seed, req.Shots, req.Workers)
+	tally, err := core.TallyParallelContext(ctx, ent.sampler, *req.Seed, req.Shots, req.Workers)
 	if err != nil {
 		sp.End(errAttrs(err))
 		s.writeError(w, err)
@@ -377,12 +382,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	sampleNS := sp.End(map[string]any{"shots": req.Shots, "workers": req.Workers}).Nanoseconds()
 	s.shotsCtr.Add(uint64(req.Shots))
 
-	counts := make(map[string]int, len(idxCounts))
-	for idx, n := range idxCounts {
-		counts[core.FormatBits(idx, ent.qubits)] = n
-	}
-	resp := sampleResponse{
-		Counts:        counts,
+	resp := sampleResponse{Counts: countsJSON{tally, ent.qubits}, sampleMeta: sampleMeta{
 		Qubits:        ent.qubits,
 		Shots:         req.Shots,
 		Seed:          *req.Seed,
@@ -392,7 +392,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		SnapshotNodes: ent.sampler.Snapshot().Len(),
 		SimNS:         ent.simNS,
 		SampleNS:      sampleNS,
-	}
+	}}
 	if rt != nil && r.URL.Query().Get("debug") == "1" {
 		resp.Trace = &traceDebug{
 			TraceID: rt.ID().String(),
@@ -400,7 +400,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 			Spans:   rt.Spans(),
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeSample(w, &resp)
 }
 
 func (s *Server) handleCircuits(w http.ResponseWriter, r *http.Request) {

@@ -59,11 +59,12 @@ type jobSubmitRequest struct {
 
 // jobResultResponse is the GET /v1/jobs/{id}/result success body.
 type jobResultResponse struct {
-	JobID  string         `json:"job_id"`
-	Counts map[string]int `json:"counts"`
-	Qubits int            `json:"qubits"`
-	Shots  int            `json:"shots"`
-	Seed   uint64         `json:"seed"`
+	JobID string `json:"job_id"`
+	// Counts is written like /v1/sample's: keys in ascending order.
+	Counts countsJSON `json:"counts"`
+	Qubits int        `json:"qubits"`
+	Shots  int        `json:"shots"`
+	Seed   uint64     `json:"seed"`
 }
 
 // resolveJobCircuit re-parses a job spec's circuit source. Used at submit
@@ -245,7 +246,7 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobResult(w http.ResponseWriter, id string) {
-	counts, err := s.jobs.Result(id)
+	counts, qubits, err := s.jobs.Result(id)
 	if err != nil {
 		if errors.Is(err, job.ErrNotCompleted) {
 			// 409: the resource exists but is not in a result-bearing state;
@@ -275,8 +276,8 @@ func (s *Server) handleJobResult(w http.ResponseWriter, id string) {
 	}
 	writeJSON(w, http.StatusOK, jobResultResponse{
 		JobID:  id,
-		Counts: counts,
-		Qubits: st.Qubits,
+		Counts: countsJSON{core.TallyOf(counts), qubits},
+		Qubits: qubits,
 		Shots:  st.Shots,
 		Seed:   st.Seed,
 	})

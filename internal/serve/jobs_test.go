@@ -75,7 +75,7 @@ func TestJobLifecycleHTTP(t *testing.T) {
 		t.Errorf("completed with shots=%d chunks=%d, want 5000/5", done.ShotsDone, done.ChunksDone)
 	}
 
-	var res jobResultResponse
+	var res jobResult
 	if code := getJSON(t, base+"/v1/jobs/"+st.ID+"/result", &res); code != http.StatusOK {
 		t.Fatalf("result status %d, want 200", code)
 	}
@@ -277,7 +277,7 @@ func TestJobResumeAcrossRestart(t *testing.T) {
 		t.Fatalf("reference submit status %d", code)
 	}
 	waitJob(t, refBase, refSt.ID, func(s job.Status) bool { return s.State == job.StateCompleted })
-	var ref jobResultResponse
+	var ref jobResult
 	getJSON(t, refBase+"/v1/jobs/"+refSt.ID+"/result", &ref)
 
 	// Interrupted run: stop the daemon mid-job, restart on the same WAL.
@@ -307,7 +307,7 @@ func TestJobResumeAcrossRestart(t *testing.T) {
 		t.Errorf("re-sampled %d chunks, want <= 1 (executed=%d total=%d recovered=%d)",
 			resampled, done.ChunksExecuted, done.ChunksTotal, done.ChunksRecovered)
 	}
-	var got jobResultResponse
+	var got jobResult
 	getJSON(t, base2+"/v1/jobs/"+st.ID+"/result", &got)
 	if !reflect.DeepEqual(got.Counts, ref.Counts) {
 		t.Errorf("resumed counts differ from uninterrupted run:\n got %v\nwant %v", got.Counts, ref.Counts)
@@ -318,7 +318,7 @@ func TestJobResumeAcrossRestart(t *testing.T) {
 // interactively reuses the cached snapshot (no second strong simulation).
 func TestJobSharesSnapshotWithSample(t *testing.T) {
 	srv, base := startServer(t, Config{Norm: dd.NormL2Phase})
-	var sr sampleResponse
+	var sr sampleResult
 	if code, _ := post(t, base, map[string]any{"qasm": ghzQASM, "shots": 100}, &sr); code != http.StatusOK {
 		t.Fatalf("sample status %d", code)
 	}

@@ -26,6 +26,19 @@ cx q[0],q[1];
 cx q[1],q[2];
 `
 
+// sampleResult decodes a /v1/sample response, its counts read back into the
+// map[string]int the wire object encodes.
+type sampleResult struct {
+	sampleResponse
+	Counts map[string]int `json:"counts"`
+}
+
+// jobResult decodes a /v1/jobs/{id}/result response the same way.
+type jobResult struct {
+	jobResultResponse
+	Counts map[string]int `json:"counts"`
+}
+
 // startServer boots a daemon on an ephemeral port and tears it down with the
 // test. The returned base URL has no trailing slash.
 func startServer(t *testing.T, cfg Config) (*Server, string) {
@@ -121,7 +134,7 @@ func TestServeParallelSingleFlight(t *testing.T) {
 
 	type result struct {
 		round int
-		resp  sampleResponse
+		resp  sampleResult
 	}
 	var mu sync.Mutex
 	var results []result
@@ -132,7 +145,7 @@ func TestServeParallelSingleFlight(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var resp sampleResponse
+				var resp sampleResult
 				status, _ := post(t, base, req, &resp)
 				if status != http.StatusOK {
 					t.Errorf("round %d: status %d", round, status)
@@ -327,7 +340,7 @@ func TestServeWorkersShardDeterministically(t *testing.T) {
 	_, base := startServer(t, Config{Norm: dd.NormL2Phase, MaxSampleWorkers: 4})
 	const circuit, shots, seed = "supremacy_3x3_10", 200_000, 11
 	sample := func(workers int) map[string]int {
-		var resp sampleResponse
+		var resp sampleResult
 		status, _ := post(t, base, map[string]any{
 			"circuit": circuit, "shots": shots, "seed": seed, "workers": workers}, &resp)
 		if status != http.StatusOK {
@@ -358,7 +371,7 @@ func TestServeWorkersShardDeterministically(t *testing.T) {
 		t.Fatalf("job split into %d chunks, want at least 3", st.ChunksTotal)
 	}
 	waitJob(t, base, st.ID, func(s job.Status) bool { return s.State == job.StateCompleted })
-	var res jobResultResponse
+	var res jobResult
 	if code := getJSON(t, base+"/v1/jobs/"+st.ID+"/result", &res); code != http.StatusOK {
 		t.Fatalf("job result status %d", code)
 	}
@@ -399,7 +412,7 @@ func TestServeCircuitsAndHealth(t *testing.T) {
 func TestServeEvictionUnderPressure(t *testing.T) {
 	_, base := startServer(t, Config{Norm: dd.NormL2Phase, CacheBytes: 1})
 	for i := 2; i <= 4; i++ {
-		var resp sampleResponse
+		var resp sampleResult
 		status, _ := post(t, base, map[string]any{"circuit": fmt.Sprintf("ghz_%d", i), "shots": 8}, &resp)
 		if status != http.StatusOK {
 			t.Fatalf("ghz_%d status=%d", i, status)
@@ -422,7 +435,7 @@ func TestServeEvictionUnderPressure(t *testing.T) {
 // listener closes and Shutdown returns cleanly.
 func TestServeGracefulDrain(t *testing.T) {
 	srv, base := startServer(t, Config{Norm: dd.NormL2Phase})
-	var resp sampleResponse
+	var resp sampleResult
 	if status, _ := post(t, base, map[string]any{"circuit": "ghz_2", "shots": 4}, &resp); status != http.StatusOK {
 		t.Fatalf("warmup status=%d", status)
 	}

@@ -174,7 +174,7 @@ func TestSLOEngineIgnoresUnknownAndDegenerate(t *testing.T) {
 
 func TestSLOEndpointWellFormed(t *testing.T) {
 	_, base := startServer(t, Config{})
-	var resp sampleResponse
+	var resp sampleResult
 	if status, _ := post(t, base, sampleBody(16, 1), &resp); status != http.StatusOK {
 		t.Fatalf("sample status %d", status)
 	}

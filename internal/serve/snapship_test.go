@@ -49,7 +49,7 @@ func TestSnapshotShippingEndToEnd(t *testing.T) {
 	srvB, baseB := startServer(t, Config{})
 
 	body := map[string]any{"qasm": ghzQASM, "shots": 256, "seed": uint64(7)}
-	var cold sampleResponse
+	var cold sampleResult
 	if status, _ := post(t, baseA, body, &cold); status != http.StatusOK {
 		t.Fatalf("cold sample on A: status %d", status)
 	}
@@ -69,7 +69,7 @@ func TestSnapshotShippingEndToEnd(t *testing.T) {
 		t.Fatalf("PUT: status %d, want 204", status)
 	}
 
-	var warm sampleResponse
+	var warm sampleResult
 	if status, _ := post(t, baseB, body, &warm); status != http.StatusOK {
 		t.Fatalf("sample on B: status %d", status)
 	}
@@ -98,7 +98,7 @@ func TestSnapshotPutRejectsDamageAndVersionSkew(t *testing.T) {
 	srvB, baseB := startServer(t, Config{})
 
 	body := map[string]any{"qasm": ghzQASM, "shots": 16}
-	var cold sampleResponse
+	var cold sampleResult
 	if status, _ := post(t, baseA, body, &cold); status != http.StatusOK {
 		t.Fatalf("cold sample on A: status %d", status)
 	}
@@ -137,7 +137,7 @@ func TestSnapshotPutRejectsDamageAndVersionSkew(t *testing.T) {
 		t.Errorf("B rejected %d frames, want %d", got, len(cases))
 	}
 	// Nothing was installed; B still simulates on demand.
-	var onB sampleResponse
+	var onB sampleResult
 	if status, _ := post(t, baseB, body, &onB); status != http.StatusOK || onB.Cached {
 		t.Fatalf("B after rejected ships: status %d cached %v, want cold 200", status, onB.Cached)
 	}
@@ -169,7 +169,7 @@ func TestSnapshotKeyValidation(t *testing.T) {
 func TestKeyForBodyMatchesServedKey(t *testing.T) {
 	_, base := startServer(t, Config{})
 	body := map[string]any{"qasm": ghzQASM, "shots": 8, "workers": 1}
-	var resp sampleResponse
+	var resp sampleResult
 	if status, _ := post(t, base, body, &resp); status != http.StatusOK {
 		t.Fatalf("sample: status %d", status)
 	}

@@ -54,7 +54,7 @@ func TestServeTraceIDOnEveryResponse(t *testing.T) {
 	_, base := startServer(t, Config{})
 
 	// Success path.
-	var resp sampleResponse
+	var resp sampleResult
 	status, hdr := postTraced(t, base, sampleBody(16, 1), nil, &resp)
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
@@ -94,7 +94,7 @@ func TestServeTraceparentAdoptedAndRejected(t *testing.T) {
 	_, base := startServer(t, Config{})
 
 	const inbound = "4bf92f3577b34da6a3ce929d0e0e4736"
-	var resp sampleResponse
+	var resp sampleResult
 	_, hdr := postTraced(t, base, sampleBody(16, 1), map[string]string{
 		"traceparent": "00-" + inbound + "-00f067aa0ba902b7-01",
 	}, &resp)
@@ -119,7 +119,7 @@ func TestServeTraceparentAdoptedAndRejected(t *testing.T) {
 
 func TestServeDisableRequestTracesOmitsHeader(t *testing.T) {
 	_, base := startServer(t, Config{DisableRequestTraces: true})
-	var resp sampleResponse
+	var resp sampleResult
 	status, hdr := postTraced(t, base, sampleBody(16, 1), nil, &resp)
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
@@ -149,7 +149,7 @@ func TestServeTraceParallelCoalesce(t *testing.T) {
 	const clients = 8
 	type res struct {
 		trace string
-		resp  sampleResponse
+		resp  sampleResult
 	}
 	results := make([]res, clients)
 	var wg sync.WaitGroup
@@ -157,7 +157,7 @@ func TestServeTraceParallelCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var resp sampleResponse
+			var resp sampleResult
 			status, hdr := postTraced(t, base, sampleBody(256, 2), nil, &resp)
 			if status != http.StatusOK {
 				t.Errorf("client %d: status %d", i, status)
@@ -234,7 +234,7 @@ func TestServeColdRequestPhaseSumMatchesWall(t *testing.T) {
 
 	// Warm the HTTP connection (and nothing else) so the measured request
 	// pays no dial/TLS setup: a different circuit key keeps the target cold.
-	var warm sampleResponse
+	var warm sampleResult
 	if status, _ := postTraced(t, base, map[string]any{"circuit": "ghz_3", "shots": 16}, nil, &warm); status != http.StatusOK {
 		t.Fatalf("warmup status %d", status)
 	}
@@ -243,7 +243,7 @@ func TestServeColdRequestPhaseSumMatchesWall(t *testing.T) {
 	// with only 2^8 distinct outcomes so the untraced response encoding
 	// stays negligible: an 8-qubit QFT with a fat shot batch.
 	body := map[string]any{"circuit": "qft_8", "shots": 2_000_000, "seed": 7, "workers": 1}
-	var resp sampleResponse
+	var resp sampleResult
 	begin := time.Now()
 	status, _ := postTraced(t, base, body, nil, &resp)
 	wall := time.Since(begin).Nanoseconds()
@@ -280,7 +280,7 @@ func TestServeColdRequestPhaseSumMatchesWall(t *testing.T) {
 func TestServeStatsEndpointPercentiles(t *testing.T) {
 	_, base := startServer(t, Config{Metrics: obs.NewRegistry()})
 	for i := 0; i < 5; i++ {
-		var resp sampleResponse
+		var resp sampleResult
 		if status, _ := postTraced(t, base, sampleBody(64, 1), nil, &resp); status != http.StatusOK {
 			t.Fatalf("status %d", status)
 		}
@@ -303,7 +303,7 @@ func TestServeStatsEndpointPercentiles(t *testing.T) {
 
 func TestServeFlightEndpointStreamsJSONL(t *testing.T) {
 	_, base := startServer(t, Config{})
-	var resp sampleResponse
+	var resp sampleResult
 	if status, _ := postTraced(t, base, sampleBody(16, 1), nil, &resp); status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
@@ -343,7 +343,7 @@ func TestServePhaseTimedOnce(t *testing.T) {
 	for _, p := range phases {
 		before[p] = counter(p)
 	}
-	var resp sampleResponse
+	var resp sampleResult
 	body := map[string]any{"circuit": "qft_8", "shots": 4096, "seed": 7}
 	if status, _ := postTraced(t, base, body, nil, &resp); status != http.StatusOK {
 		t.Fatalf("status %d", status)

@@ -459,16 +459,12 @@ func (s *Sampler) Shot() string { return core.FormatBits(s.ShotIndex(), s.n) }
 // WithWorkers(n > 1) the batch is sharded across up to n concurrent walkers
 // over the immutable snapshot and merged deterministically.
 func (s *Sampler) Counts(shots int) map[string]int {
-	idx := s.CountsByIndex(shots)
-	counts := make(map[string]int, len(idx))
-	for i, n := range idx {
-		counts[core.FormatBits(i, s.n)] = n
-	}
-	return counts
+	return core.BitstringCounts(s.CountsByIndex(shots), s.n)
 }
 
 // CountsByIndex draws shots samples and tallies them by basis-state index.
-// The result map is preallocated from the shot count and register width.
+// The batch tallies by core's one rule (dense for n ≤ 20 qubits when 2^n ≤
+// shots, else a preallocated map); the counts do not depend on which.
 func (s *Sampler) CountsByIndex(shots int) map[uint64]int {
 	counts, _ := s.CountsByIndexContext(context.Background(), shots)
 	return counts
@@ -479,11 +475,7 @@ func (s *Sampler) CountsByIndex(shots int) map[uint64]int {
 // tallies drawn so far alongside the context's error.
 func (s *Sampler) CountsContext(ctx context.Context, shots int) (map[string]int, error) {
 	idx, err := s.CountsByIndexContext(ctx, shots)
-	counts := make(map[string]int, len(idx))
-	for i, n := range idx {
-		counts[core.FormatBits(i, s.n)] = n
-	}
-	return counts, err
+	return core.BitstringCounts(idx, s.n), err
 }
 
 // CountsByIndexContext is CountsByIndex with cooperative cancellation. On
