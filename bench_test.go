@@ -480,39 +480,6 @@ func BenchmarkBuildFreeze(b *testing.B) {
 	}
 }
 
-// BenchmarkOperatorFusion ablates the matrix-matrix composition trade-off
-// (paper reference [18]): strong simulation of a small Grover instance
-// stepwise vs with barrier-delimited operator fusion. In this
-// implementation fusion loses: the composed iteration operator is compact,
-// but applying it touches every (operator node, state node) pair, and its
-// noisier entries fragment the state's node sharing.
-func BenchmarkOperatorFusion(b *testing.B) {
-	c, err := algo.Generate("grover_10")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		opts []sim.DDOption
-	}{
-		{"stepwise", nil},
-		{"fused_barriers", []sim.DDOption{sim.WithFusion(sim.FuseAtBarriers)}},
-	} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s, err := sim.NewDD(c, mode.opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkStreamSampling measures the out-of-core batch sampler against
 // in-memory prefix sampling on a qft_16-sized distribution.
 func BenchmarkStreamSampling(b *testing.B) {

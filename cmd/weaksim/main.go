@@ -136,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		minFid     = fs.Float64("min-fidelity", 0, "with -auto: allow DD approximation under node-budget pressure down to this fidelity floor (0 = exact only)")
 		metricsOut = fs.String("metrics-out", "", "write a machine-readable telemetry summary (phase timings, peak nodes, cache hit rates) as JSON to this file; written even on MO/TO")
 		traceOut   = fs.String("trace-out", "", "write structured trace events (phase spans, per-op events, GC, governance steps) as JSONL to this file")
-		traceEvery = fs.Int("trace-every", 1, "with -trace-out: emit one op event per N applied ops, fused windows included (phase spans are never throttled)")
+		traceEvery = fs.Int("trace-every", 1, "with -trace-out: emit one op event per N applied ops (phase spans are never throttled)")
 		debugAddr  = fs.String("debug-addr", "", "serve live Prometheus /metrics, expvar /debug/vars, and /debug/pprof on this address while running")
 	)
 	fs.Usage = func() {

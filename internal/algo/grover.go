@@ -40,12 +40,12 @@ func GroverFor(n int, marked uint64) *circuit.Circuit {
 		c.H(q)
 	}
 
-	c.Barrier() // fusion boundary after state preparation
+	c.Barrier() // end of state preparation
 	iters := GroverIterations(n)
 	for it := 0; it < iters; it++ {
 		appendGroverOracle(c, n, marked)
 		appendGroverDiffusion(c, n)
-		c.Barrier() // each Grover iteration is a natural fusion segment
+		c.Barrier() // end of one Grover iteration
 	}
 	return c
 }

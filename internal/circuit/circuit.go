@@ -8,6 +8,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"weaksim/internal/gate"
@@ -35,7 +36,7 @@ type Op struct {
 
 	Perm      []uint64 // PermutationOp only: |j⟩ -> |Perm[j]⟩ on the low register
 	PermWidth int      // PermutationOp only
-	Label     string   // optional diagnostic label
+	Label     string   // optional; names one permutation map (see Validate)
 }
 
 // Circuit is an ordered list of operations on NQubits qubits. Qubit 0 is
@@ -54,8 +55,12 @@ func New(n int, name string) *Circuit {
 	return &Circuit{NQubits: n, Name: name}
 }
 
-// Validate checks all operation indices against the register size.
+// Validate checks all operation indices against the register size. A
+// permutation label names one map: every labeled permutation must match
+// the width and map of the first one under its label, since simulators may
+// memoize a permutation's operator by label.
 func (c *Circuit) Validate() error {
+	labeled := make(map[string]int) // label -> index of its first permutation
 	for i, op := range c.Ops {
 		switch op.Kind {
 		case GateOp:
@@ -95,6 +100,13 @@ func (c *Circuit) Validate() error {
 			for _, ctl := range op.Controls {
 				if ctl.Qubit < op.PermWidth || ctl.Qubit >= c.NQubits {
 					return fmt.Errorf("circuit %q op %d: permutation control %d out of range", c.Name, i, ctl.Qubit)
+				}
+			}
+			if op.Label != "" {
+				if first, ok := labeled[op.Label]; !ok {
+					labeled[op.Label] = i
+				} else if f := c.Ops[first]; f.PermWidth != op.PermWidth || !slices.Equal(f.Perm, op.Perm) {
+					return fmt.Errorf("circuit %q op %d: permutation label %q already names a different map (op %d)", c.Name, i, op.Label, first)
 				}
 			}
 		case BarrierOp:

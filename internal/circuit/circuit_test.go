@@ -35,6 +35,12 @@ func TestValidateCatchesErrors(t *testing.T) {
 		func(c *Circuit) { c.Permutation([]uint64{0, 1}, 9, "p") },
 		func(c *Circuit) { c.Permutation([]uint64{0, 7, 1, 2}, 2, "p") }, // entry out of range
 		func(c *Circuit) { c.Permutation([]uint64{0, 0, 1, 2}, 2, "p") }, // not a bijection
+		func(c *Circuit) { // one label, two maps
+			c.Permutation([]uint64{1, 2, 3, 0}, 2, "f").Permutation([]uint64{0, 1, 3, 2}, 2, "f")
+		},
+		func(c *Circuit) { // one label, two widths
+			c.Permutation([]uint64{1, 0}, 1, "f").Permutation([]uint64{1, 0, 2, 3}, 2, "f")
+		},
 	}
 	for i, build := range cases {
 		c := New(3, "bad")

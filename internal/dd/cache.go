@@ -8,9 +8,9 @@ import (
 
 // Direct-mapped compute caches.
 //
-// The memoization tables for Mul/Add/MulMM/AddMM/Adjoint used to be Go maps,
-// flushed wholesale whenever they grew past cacheSize and rebuilt from
-// scratch after every GC. Each probe allocated nothing, but each insert paid
+// The memoization tables for Mul and Add used to be Go maps, flushed
+// wholesale whenever they grew past cacheSize and rebuilt from scratch
+// after every GC. Each probe allocated nothing, but each insert paid
 // map overhead, the flush threw away every hot entry along with the cold
 // ones, and the maps themselves were re-made (1024-bucket allocations) on
 // every flush and collection.
@@ -84,21 +84,6 @@ func (m *Manager) vNodeOf(id int32, w cnum.Complex) VEdge {
 	e := VEdge{W: w}
 	if id != cacheNilID {
 		e.N = m.varena.at(id)
-	}
-	return e
-}
-
-func mid(e MEdge) int32 {
-	if e.N == nil {
-		return cacheNilID
-	}
-	return e.N.id
-}
-
-func (m *Manager) mNodeOf(id int32, w cnum.Complex) MEdge {
-	e := MEdge{W: w}
-	if id != cacheNilID {
-		e.N = m.marena.at(id)
 	}
 	return e
 }
@@ -189,122 +174,4 @@ func (c *addCache) put(m *Manager, a, b *VNode, ratio cnum.Complex, r VEdge) {
 		c.thrash++
 	}
 	*e = addCEntry{a: a.id, b: b.id, r: vid(r), ratio: ratio, rW: r.W, epoch: m.cacheEpoch}
-}
-
-// mmCEntry memoizes one matrix-matrix product.
-type mmCEntry struct {
-	a, b  int32
-	r     int32
-	rW    cnum.Complex
-	epoch uint32
-}
-
-type mmCache struct {
-	entries []mmCEntry
-	thrash  int
-}
-
-func (c *mmCache) get(m *Manager, a, b *MNode) (MEdge, bool) {
-	if c.entries == nil {
-		return MEdge{}, false
-	}
-	e := &c.entries[cachePair(a.id, b.id)&uint64(len(c.entries)-1)]
-	if e.epoch == m.cacheEpoch && e.a == a.id && e.b == b.id {
-		return m.mNodeOf(e.r, e.rW), true
-	}
-	return MEdge{}, false
-}
-
-func (c *mmCache) put(m *Manager, a, b *MNode, r MEdge) {
-	if c.entries == nil {
-		c.entries = make([]mmCEntry, cacheStartSlots(m.cacheSlots()))
-	} else if c.thrash >= len(c.entries) && len(c.entries) < m.cacheSlots() {
-		c.entries = make([]mmCEntry, len(c.entries)*2)
-		c.thrash = 0
-	}
-	e := &c.entries[cachePair(a.id, b.id)&uint64(len(c.entries)-1)]
-	if e.epoch == m.cacheEpoch && (e.a != a.id || e.b != b.id) {
-		m.cacheEvictions++
-		c.thrash++
-	}
-	*e = mmCEntry{a: a.id, b: b.id, r: mid(r), rW: r.W, epoch: m.cacheEpoch}
-}
-
-// maddCEntry memoizes one matrix addition a + ratio·b.
-type maddCEntry struct {
-	a, b  int32
-	r     int32
-	ratio cnum.Complex
-	rW    cnum.Complex
-	epoch uint32
-}
-
-type maddCache struct {
-	entries []maddCEntry
-	thrash  int
-}
-
-func (c *maddCache) get(m *Manager, a, b *MNode, ratio cnum.Complex) (MEdge, bool) {
-	if c.entries == nil {
-		return MEdge{}, false
-	}
-	e := &c.entries[addSlotHash(a.id, b.id, ratio)&uint64(len(c.entries)-1)]
-	if e.epoch == m.cacheEpoch && e.a == a.id && e.b == b.id && e.ratio == ratio {
-		return m.mNodeOf(e.r, e.rW), true
-	}
-	return MEdge{}, false
-}
-
-func (c *maddCache) put(m *Manager, a, b *MNode, ratio cnum.Complex, r MEdge) {
-	if c.entries == nil {
-		c.entries = make([]maddCEntry, cacheStartSlots(m.cacheSlots()))
-	} else if c.thrash >= len(c.entries) && len(c.entries) < m.cacheSlots() {
-		c.entries = make([]maddCEntry, len(c.entries)*2)
-		c.thrash = 0
-	}
-	e := &c.entries[addSlotHash(a.id, b.id, ratio)&uint64(len(c.entries)-1)]
-	if e.epoch == m.cacheEpoch && (e.a != a.id || e.b != b.id || e.ratio != ratio) {
-		m.cacheEvictions++
-		c.thrash++
-	}
-	*e = maddCEntry{a: a.id, b: b.id, r: mid(r), ratio: ratio, rW: r.W, epoch: m.cacheEpoch}
-}
-
-// adjCEntry memoizes one operator adjoint.
-type adjCEntry struct {
-	a     int32
-	r     int32
-	rW    cnum.Complex
-	epoch uint32
-}
-
-type adjCache struct {
-	entries []adjCEntry
-	thrash  int
-}
-
-func (c *adjCache) get(m *Manager, a *MNode) (MEdge, bool) {
-	if c.entries == nil {
-		return MEdge{}, false
-	}
-	e := &c.entries[mix64(uint64(uint32(a.id)))&uint64(len(c.entries)-1)]
-	if e.epoch == m.cacheEpoch && e.a == a.id {
-		return m.mNodeOf(e.r, e.rW), true
-	}
-	return MEdge{}, false
-}
-
-func (c *adjCache) put(m *Manager, a *MNode, r MEdge) {
-	if c.entries == nil {
-		c.entries = make([]adjCEntry, cacheStartSlots(m.cacheSlots()))
-	} else if c.thrash >= len(c.entries) && len(c.entries) < m.cacheSlots() {
-		c.entries = make([]adjCEntry, len(c.entries)*2)
-		c.thrash = 0
-	}
-	e := &c.entries[mix64(uint64(uint32(a.id)))&uint64(len(c.entries)-1)]
-	if e.epoch == m.cacheEpoch && e.a != a.id {
-		m.cacheEvictions++
-		c.thrash++
-	}
-	*e = adjCEntry{a: a.id, r: mid(r), rW: r.W, epoch: m.cacheEpoch}
 }

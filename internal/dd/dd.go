@@ -125,7 +125,6 @@ type Manager struct {
 	// first insert, invalidated per-slot via cacheEpoch (bumped by GC).
 	mulCache   mulCache
 	addCache   addCache
-	mops       *matOps
 	cacheSize  int
 	cacheEpoch uint32
 
@@ -142,8 +141,6 @@ type Manager struct {
 	mulMisses      uint64
 	addHits        uint64
 	addMisses      uint64
-	matHits        uint64 // matrix-op caches (MulMM/AddMM/Adjoint) combined
-	matMisses      uint64
 	uniqueProbes   uint64 // cumulative unique-table slot inspections
 	uniqueLookups  uint64 // unique-table lookups (v + m)
 	cacheEvictions uint64 // compute-cache entries overwritten by collisions
@@ -225,7 +222,6 @@ type Stats struct {
 	MHits, MMisses       uint64
 	MulHits, MulMisses   uint64
 	AddHits, AddMisses   uint64
-	MatHits, MatMisses   uint64 // matrix-op caches (MulMM/AddMM/Adjoint)
 	UniqueProbeSteps     uint64 // cumulative unique-table slot inspections
 	UniqueLookups        uint64 // unique-table lookups across both tables
 	CacheEvictions       uint64 // compute-cache entries overwritten by collisions
@@ -250,7 +246,6 @@ func (m *Manager) TableStats() Stats {
 		MHits: m.mHits, MMisses: m.mMisses,
 		MulHits: m.mulHits, MulMisses: m.mulMisses,
 		AddHits: m.addHits, AddMisses: m.addMisses,
-		MatHits: m.matHits, MatMisses: m.matMisses,
 		UniqueProbeSteps:    m.uniqueProbes,
 		UniqueLookups:       m.uniqueLookups,
 		CacheEvictions:      m.cacheEvictions,

@@ -102,9 +102,6 @@ func (m *Manager) identityDD(k int) MEdge {
 	return e
 }
 
-// IdentityDD returns the full-width identity operator DD.
-func (m *Manager) IdentityDD() MEdge { return m.identityDD(m.nqubits) }
-
 // maxPermWidth bounds the direct permutation-DD construction, whose work is
 // quadratic in the permutation size.
 const maxPermWidth = 13

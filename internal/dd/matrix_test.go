@@ -138,15 +138,15 @@ func TestGateDDControlsAboveAndBelow(t *testing.T) {
 
 func TestIdentityDD(t *testing.T) {
 	m := New(3)
-	got, err := m.ToMatrix(m.IdentityDD())
+	got, err := m.ToMatrix(m.identityDD(m.nqubits))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !matApproxEq(got, denseIdentity(8), 1e-9) {
-		t.Error("IdentityDD mismatch")
+		t.Error("identityDD mismatch")
 	}
 	// Identity on n qubits has exactly n matrix nodes.
-	if c := m.MNodeCount(m.IdentityDD()); c != 3 {
+	if c := m.MNodeCount(m.identityDD(m.nqubits)); c != 3 {
 		t.Errorf("identity MNodeCount = %d, want 3", c)
 	}
 }

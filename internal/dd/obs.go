@@ -119,8 +119,8 @@ func (m *Manager) PublishMetrics() {
 	o.cnumHits.Set(ch)
 	o.cnumMiss.Set(cm)
 	o.probeLen.Set(m.uniqueProbes)
-	o.cacheHits.Set(m.mulHits + m.addHits + m.matHits)
-	o.cacheMisses.Set(m.mulMisses + m.addMisses + m.matMisses)
+	o.cacheHits.Set(m.mulHits + m.addHits)
+	o.cacheMisses.Set(m.mulMisses + m.addMisses)
 	o.cacheEvict.Set(m.cacheEvictions)
 	o.gcRuns.Set(m.gcRuns)
 	live := int64(m.LiveNodes())

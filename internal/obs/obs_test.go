@@ -158,18 +158,13 @@ func TestTracerThrottle(t *testing.T) {
 	tr := NewStreamTrace(&buf, 16)
 	due := 0
 	for i := 1; i <= 64; i++ {
-		if tr.OpDue(i, 1) {
+		if tr.OpDue(i) {
 			due++
 			tr.Event(PhaseApply, "op", nil)
 		}
 	}
 	if due != 4 {
 		t.Fatalf("throttled to %d events, want 4", due)
-	}
-	// A fused window that jumps past one multiple reports once, like the
-	// stepwise ops it replaces; a window crossing none reports nothing.
-	if !tr.OpDue(70, 10) || tr.OpDue(79, 9) || !tr.OpDue(96, 17) {
-		t.Fatal("fused windows misreport multiples of 16")
 	}
 	// Spans and plain events are never throttled.
 	tr.Event(PhaseGovern, "degrade", nil)
@@ -181,7 +176,7 @@ func TestTracerThrottle(t *testing.T) {
 
 func TestNilTracerSafe(t *testing.T) {
 	var tr *RequestTrace
-	if tr.OpDue(1, 1) {
+	if tr.OpDue(1) {
 		t.Fatal("nil trace owes op events")
 	}
 	tr.Event(PhaseApply, "op", nil)
@@ -218,7 +213,7 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		},
 		"tracer": func() {
 			tr.Event(PhaseApply, "op", nil)
-			_ = tr.OpDue(1, 1)
+			_ = tr.OpDue(1)
 		},
 		"span": func() { StartSpan(nil, nil, PhaseApply).End(nil) },
 	}

@@ -245,8 +245,8 @@ func StartRequest(traceparent string, rec *FlightRecorder, stream *RequestTrace)
 
 // NewStreamTrace returns a trace that writes each record to w as one JSON
 // line the moment it ends, and retains nothing: a million-op run costs no
-// memory for its op events. every throttles op events (see OpDue); n < 1
-// is treated as 1. A nil w yields a nil (disabled) trace.
+// memory for its op events. every throttles op events (see OpDue); an
+// every below 1 is treated as 1. A nil w yields a nil (disabled) trace.
 func NewStreamTrace(w io.Writer, every int) *RequestTrace {
 	if w == nil {
 		return nil
@@ -274,15 +274,11 @@ func (rt *RequestTrace) Root() SpanID {
 }
 
 // OpDue is the op-event throttle: it reports whether a driver that has
-// just applied n operations, reaching applied, owes an op event — whether
-// (applied−n, applied] contains a multiple of the trace's every interval.
-// n stepwise ops and one fused window of n therefore report alike. Request
-// traces use an interval of 1; a nil trace is never due.
-func (rt *RequestTrace) OpDue(applied, n int) bool {
-	if rt == nil || n < 1 {
-		return false
-	}
-	return applied/rt.every > (applied-n)/rt.every
+// just applied its applied-th operation owes an op event — whether applied
+// is a multiple of the trace's every interval. Request traces use an
+// interval of 1; a nil trace is never due.
+func (rt *RequestTrace) OpDue(applied int) bool {
+	return rt != nil && applied%rt.every == 0
 }
 
 // Span is an in-flight phase span, opened by StartSpan. The zero Span is

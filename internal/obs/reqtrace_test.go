@@ -220,7 +220,7 @@ func TestRequestTraceDisabledZeroAlloc(t *testing.T) {
 		}
 		StartSpan(nil, rt, PhaseParse).End(nil)
 		rt.Event(PhaseSample, "worker", nil)
-		_ = rt.OpDue(1, 1)
+		_ = rt.OpDue(1)
 		rt.AdoptShared(TraceID{}, nil)
 		_ = rt.Mark()
 		_ = rt.SpansSince(0)

@@ -7,13 +7,12 @@ import (
 	"testing"
 
 	"weaksim/internal/algo"
-	"weaksim/internal/circuit"
 	"weaksim/internal/obs"
 )
 
 // TestSimTelemetryCounters pins the exact op accounting on a deterministic
 // circuit: sim_ops_applied_total equals the non-barrier op count, the apply
-// latency histogram saw one observation per applied batch, and the mirrored
+// latency histogram saw one observation per applied op, and the mirrored
 // dd_* counters match the manager's own statistics.
 func TestSimTelemetryCounters(t *testing.T) {
 	c, err := algo.Generate("qft_6")
@@ -35,7 +34,7 @@ func TestSimTelemetryCounters(t *testing.T) {
 	if got := snap.Counters["sim_ops_applied_total"]; got != wantOps {
 		t.Fatalf("sim_ops_applied_total = %d, want %d", got, wantOps)
 	}
-	// Without fusion each applied op is one histogram observation.
+	// Each applied op is one histogram observation.
 	if got := reg.Histogram("sim_op_apply_ns", nil).Count(); got != wantOps {
 		t.Fatalf("sim_op_apply_ns count = %d, want %d", got, wantOps)
 	}
@@ -95,36 +94,6 @@ func TestStepTelemetryParity(t *testing.T) {
 	}
 }
 
-// TestFusedTelemetry checks the fused run path: windows counted, fused op
-// totals matching the circuit, and window-size histogram populated.
-func TestFusedTelemetry(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := circuit.New(3, "fusewin")
-	for i := 0; i < 12; i++ {
-		c.H(i % 3)
-	}
-	s, err := NewDD(c, WithFusion(4), WithObservability(reg, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["sim_fusion_windows_total"]; got != 3 {
-		t.Fatalf("sim_fusion_windows_total = %d, want 3", got)
-	}
-	if got := snap.Counters["sim_fusion_fused_ops_total"]; got != 12 {
-		t.Fatalf("sim_fusion_fused_ops_total = %d, want 12", got)
-	}
-	if got := snap.Counters["sim_ops_applied_total"]; got != 12 {
-		t.Fatalf("sim_ops_applied_total = %d, want 12", got)
-	}
-	if got := reg.Histogram("sim_fusion_window_ops", nil).Count(); got != 3 {
-		t.Fatalf("sim_fusion_window_ops count = %d, want 3", got)
-	}
-}
-
 // countOpEvents decodes a JSONL trace stream and counts its op events.
 func countOpEvents(t *testing.T, r io.Reader) int {
 	t.Helper()
@@ -142,12 +111,10 @@ func countOpEvents(t *testing.T, r io.Reader) int {
 	return n
 }
 
-// TestOpEventsSurviveFusion: a fused window advances the applied count by
-// its length, so an op event is owed whenever the window crosses a multiple
-// of the interval, not only when it lands on one. qft_6 has 30 ops; at an
-// interval of 3 a stepwise run emits 10 events, and a run in windows of 5
-// emits 6, one per window, since every window of 5 holds a multiple of 3.
-func TestOpEventsSurviveFusion(t *testing.T) {
+// TestOpEventsStepwise: a stepwise run emits one op event whenever the
+// applied count reaches a multiple of the trace interval. qft_6 has 30 ops,
+// so an interval of 3 yields 10 events.
+func TestOpEventsStepwise(t *testing.T) {
 	c, err := algo.Generate("qft_6")
 	if err != nil {
 		t.Fatal(err)
@@ -155,17 +122,15 @@ func TestOpEventsSurviveFusion(t *testing.T) {
 	if c.NumOps() != 30 {
 		t.Fatalf("qft_6 has %d ops, want 30", c.NumOps())
 	}
-	for _, tc := range []struct{ fusion, want int }{{1, 10}, {5, 6}} {
-		var buf bytes.Buffer
-		s, err := NewDD(c, WithFusion(tc.fusion), WithObservability(nil, obs.NewStreamTrace(&buf, 3)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if got := countOpEvents(t, &buf); got != tc.want {
-			t.Errorf("fusion=%d: %d op events, want %d", tc.fusion, got, tc.want)
-		}
+	var buf bytes.Buffer
+	s, err := NewDD(c, WithObservability(nil, obs.NewStreamTrace(&buf, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := countOpEvents(t, &buf); got != 10 {
+		t.Errorf("%d op events, want 10", got)
 	}
 }

@@ -21,10 +21,9 @@ import (
 )
 
 // CtxCheckOps is the amortization interval for context cancellation checks
-// in the Run loops: the context is consulted at most once every CtxCheckOps
-// operations (and at least once per fused window), so the no-context hot
-// path stays flat while a cancelled or expired context stops the run within
-// CtxCheckOps operations.
+// in the Run loop: the context is consulted once every CtxCheckOps
+// operations, so the no-context hot path stays flat while a cancelled or
+// expired context stops the run within CtxCheckOps operations.
 const CtxCheckOps = 32
 
 // interrupted wraps a context error with position information.
@@ -42,7 +41,6 @@ type DDSimulator struct {
 	roots    []dd.MEdge
 	applied  int
 	gcSweeps int
-	fusion   int
 	obs      *simObs // nil = telemetry disabled
 }
 
@@ -54,12 +52,9 @@ type simObs struct {
 	reg *obs.Registry
 	tr  *obs.RequestTrace
 
-	opsApplied    *obs.Counter
-	gcSweeps      *obs.Counter
-	fusionWindows *obs.Counter
-	fusionFused   *obs.Counter
-	opLatency     *obs.Histogram
-	windowOps     *obs.Histogram
+	opsApplied *obs.Counter
+	gcSweeps   *obs.Counter
+	opLatency  *obs.Histogram
 }
 
 func newSimObs(reg *obs.Registry, tr *obs.RequestTrace) *simObs {
@@ -67,14 +62,11 @@ func newSimObs(reg *obs.Registry, tr *obs.RequestTrace) *simObs {
 		return nil
 	}
 	return &simObs{
-		reg:           reg,
-		tr:            tr,
-		opsApplied:    reg.Counter("sim_ops_applied_total"),
-		gcSweeps:      reg.Counter("sim_gc_sweeps_total"),
-		fusionWindows: reg.Counter("sim_fusion_windows_total"),
-		fusionFused:   reg.Counter("sim_fusion_fused_ops_total"),
-		opLatency:     reg.Histogram("sim_op_apply_ns", obs.OpLatencyBounds),
-		windowOps:     reg.Histogram("sim_fusion_window_ops", []float64{1, 2, 4, 8, 16, 32, 64, 128}),
+		reg:        reg,
+		tr:         tr,
+		opsApplied: reg.Counter("sim_ops_applied_total"),
+		gcSweeps:   reg.Counter("sim_gc_sweeps_total"),
+		opLatency:  reg.Histogram("sim_op_apply_ns", obs.OpLatencyBounds),
 	}
 }
 
@@ -83,7 +75,6 @@ type DDOption func(*ddConfig)
 
 type ddConfig struct {
 	mgrOpts []dd.Option
-	fusion  int
 	reg     *obs.Registry
 	tracer  *obs.RequestTrace
 }
@@ -106,27 +97,6 @@ func WithObservability(reg *obs.Registry, tr *obs.RequestTrace) DDOption {
 // normalization scheme, tolerance, cache sizes).
 func WithManagerOptions(opts ...dd.Option) DDOption {
 	return func(c *ddConfig) { c.mgrOpts = append(c.mgrOpts, opts...) }
-}
-
-// FuseAtBarriers selects barrier-delimited fusion: each segment between
-// Barrier ops is composed into one operator. Generators that emit periodic
-// circuits (Grover) place barriers on the period boundary, where the
-// composed operator stays structured and compact.
-const FuseAtBarriers = -1
-
-// WithFusion composes consecutive operations into single operator DDs
-// (matrix-matrix products) before applying them to the state — the
-// matrix-matrix vs matrix-vector trade-off studied in the paper's
-// reference [18]. A positive window fuses every `window` consecutive ops;
-// FuseAtBarriers fuses barrier-delimited segments. Composed segments are
-// memoized on the identity of their operations, so periodic circuits
-// (Grover's identical iterations) pay for each distinct segment once and
-// afterwards apply one cached operator per period. Fusion is opt-in, and
-// segment boundaries matter: composing across a natural period boundary
-// (or fusing scrambling circuits like supremacy at all) can grow the
-// operator DD far beyond the sum of its factors.
-func WithFusion(window int) DDOption {
-	return func(c *ddConfig) { c.fusion = window }
 }
 
 // NewDD prepares a DD simulation of the circuit starting from |0...0⟩.
@@ -155,7 +125,6 @@ func NewDD(c *circuit.Circuit, opts ...DDOption) (*DDSimulator, error) {
 		circ:    c,
 		state:   zero,
 		opCache: make(map[string]dd.MEdge),
-		fusion:  cfg.fusion,
 		obs:     newSimObs(cfg.reg, cfg.tracer),
 	}, nil
 }
@@ -192,15 +161,11 @@ func (s *DDSimulator) Run() (dd.VEdge, error) {
 }
 
 // RunContext is Run with cooperative cancellation: the context is checked
-// every CtxCheckOps operations (every fused window under fusion), so a
-// cancelled or expired context stops the simulation promptly without adding
-// per-gate overhead. A context error leaves the simulator in a coherent
-// state — the failing position is not consumed, so the run can be resumed
-// with a fresh context.
+// every CtxCheckOps operations, so a cancelled or expired context stops the
+// simulation promptly without adding per-gate overhead. A context error
+// leaves the simulator in a coherent state — the failing position is not
+// consumed, so the run can be resumed with a fresh context.
 func (s *DDSimulator) RunContext(ctx context.Context) (dd.VEdge, error) {
-	if s.fusion > 1 || s.fusion == FuseAtBarriers {
-		return s.runFused(ctx)
-	}
 	for i := 0; s.pos < len(s.circ.Ops); i++ {
 		if i%CtxCheckOps == 0 && ctx.Err() != nil {
 			return dd.VEdge{}, interrupted(ctx, s.circ.Name, s.pos)
@@ -212,109 +177,20 @@ func (s *DDSimulator) RunContext(ctx context.Context) (dd.VEdge, error) {
 	return s.state, nil
 }
 
-// runFused applies the circuit window by window, composing each window of
-// operations into one operator DD and memoizing composed windows by the
-// identity of their operations.
-func (s *DDSimulator) runFused(ctx context.Context) (dd.VEdge, error) {
-	for s.pos < len(s.circ.Ops) {
-		if ctx.Err() != nil {
-			return dd.VEdge{}, interrupted(ctx, s.circ.Name, s.pos)
-		}
-		var end int
-		if s.fusion == FuseAtBarriers {
-			end = s.pos
-			for end < len(s.circ.Ops) && s.circ.Ops[end].Kind != circuit.BarrierOp {
-				end++
-			}
-			if end < len(s.circ.Ops) {
-				end++ // include the barrier itself (a no-op) in the window
-			}
-		} else {
-			end = s.pos + s.fusion
-			if end > len(s.circ.Ops) {
-				end = len(s.circ.Ops)
-			}
-		}
-		window := s.circ.Ops[s.pos:end]
-		var start time.Time
-		if s.obs != nil {
-			start = time.Now()
-		}
-		var key strings.Builder
-		for _, op := range window {
-			if op.Kind == circuit.BarrierOp {
-				continue
-			}
-			key.WriteString(opKey(op))
-			key.WriteByte('|')
-		}
-		applyWindow := func() error {
-			composed, ok := s.opCache[key.String()]
-			if !ok {
-				composed = s.mgr.IdentityDD()
-				built := false
-				for _, op := range window {
-					if op.Kind == circuit.BarrierOp {
-						continue
-					}
-					opDD, err := s.operatorDD(op)
-					if err != nil {
-						return err
-					}
-					if !built {
-						composed = opDD
-						built = true
-					} else {
-						composed = s.mgr.MulMM(opDD, composed)
-					}
-				}
-				s.opCache[key.String()] = composed
-			}
-			s.state = s.mgr.Mul(composed, s.state)
-			return nil
-		}
-		if err := s.guardedApply(applyWindow); err != nil {
-			return dd.VEdge{}, err
-		}
-		fused := 0
-		for _, op := range window {
-			if op.Kind != circuit.BarrierOp {
-				s.applied++
-				fused++
-			}
-		}
-		s.pos = end
-		var dur time.Duration
-		if s.obs != nil {
-			dur = time.Since(start)
-			s.obs.fusionWindows.Inc()
-			s.obs.fusionFused.Add(uint64(fused))
-			s.obs.windowOps.Observe(float64(fused))
-		}
-		s.noteApplied(fused, dur)
-		if s.mgr.ShouldGC() {
-			s.collect()
-		}
-	}
-	return s.state, nil
-}
-
-// noteApplied records per-op telemetry for n operations just applied in
-// dur. Both drivers funnel through it — the stepwise loop (Step, which the
-// governance planner also drives directly, so degraded single-step runs are
-// just as observable) and the fused-window loop — and it emits an op event
-// whenever the applied count crosses a multiple of the trace's interval, so
-// a fused window reports like the n stepwise ops it replaces. With no
-// observer installed the cost is one nil-check.
-func (s *DDSimulator) noteApplied(n int, dur time.Duration) {
+// noteApplied records per-op telemetry for the operation Step just applied
+// in dur (the governance planner drives Step directly, so degraded
+// single-step runs are just as observable), and it emits an op event
+// whenever the applied count reaches a multiple of the trace's interval.
+// With no observer installed the cost is one nil-check.
+func (s *DDSimulator) noteApplied(dur time.Duration) {
 	o := s.obs
 	if o == nil {
 		return
 	}
-	o.opsApplied.Add(uint64(n))
+	o.opsApplied.Inc()
 	o.opLatency.ObserveDuration(dur)
 	s.mgr.PublishMetrics()
-	if o.tr.OpDue(s.applied, n) {
+	if o.tr.OpDue(s.applied) {
 		o.tr.Event(obs.PhaseApply, "op", map[string]any{
 			"applied":    s.applied,
 			"pos":        s.pos,
@@ -397,7 +273,7 @@ func (s *DDSimulator) Step() error {
 	if s.obs != nil {
 		dur = time.Since(start)
 	}
-	s.noteApplied(1, dur)
+	s.noteApplied(dur)
 	if s.mgr.ShouldGC() {
 		s.collect()
 	}
@@ -455,8 +331,8 @@ func ddControls(cs []gate.Control) []dd.Control {
 }
 
 // opKey builds a memoization key for an operation. Permutations are keyed
-// by label and controls; generators must give distinct permutations
-// distinct labels (all in this repository do).
+// by label and controls; circuit.Validate guarantees that a label names a
+// single map.
 func opKey(op circuit.Op) string {
 	var b strings.Builder
 	switch op.Kind {

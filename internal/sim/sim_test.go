@@ -7,6 +7,7 @@ import (
 	"weaksim/internal/algo"
 	"weaksim/internal/circuit"
 	"weaksim/internal/dd"
+	"weaksim/internal/gate"
 )
 
 // crossValidate runs the circuit on both backends and compares amplitudes.
@@ -191,64 +192,26 @@ func TestBarrierIsNoOp(t *testing.T) {
 	}
 }
 
-func TestFusedRunMatchesStepwise(t *testing.T) {
-	// Barrier-delimited operator fusion must produce the same state as
-	// stepwise application (grover circuits carry the barriers).
-	c, err := algo.Generate("grover_8")
-	if err != nil {
-		t.Fatal(err)
+// TestPermutationLabelAlias: two different permutations under one label
+// must be refused by both backends. The DD backend memoizes a labeled
+// permutation's operator by label, so accepting the circuit would reuse the
+// first map for the second and answer wrongly without an error.
+func TestPermutationLabelAlias(t *testing.T) {
+	c := circuit.New(2, "alias")
+	c.Permutation([]uint64{1, 2, 3, 0}, 2, "f")
+	c.Permutation([]uint64{0, 1, 3, 2}, 2, "f")
+	if _, err := NewDD(c); err == nil {
+		t.Error("NewDD accepted one label naming two permutations")
 	}
-	step, err := NewDD(c)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewVector(c, 0); err == nil {
+		t.Error("NewVector accepted one label naming two permutations")
 	}
-	stepState, err := step.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused, err := NewDD(c, WithFusion(FuseAtBarriers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fusedState, err := fused.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step.AppliedOps() != fused.AppliedOps() {
-		t.Errorf("applied ops differ: %d vs %d", step.AppliedOps(), fused.AppliedOps())
-	}
-	a, _ := step.Manager().ToVector(stepState)
-	b, _ := fused.Manager().ToVector(fusedState)
-	for i := range a {
-		if !a[i].ApproxEq(b[i], 1e-6) {
-			t.Fatalf("amplitude %d: stepwise %v vs fused %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestFusedWindowRun(t *testing.T) {
-	// Fixed-size window fusion on a circuit without barriers.
-	c := circuit.New(3, "windowed")
-	for i := 0; i < 12; i++ {
-		c.H(i%3).CX(i%3, (i+1)%3)
-	}
-	step, _ := NewDD(c)
-	stepState, err := step.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused, _ := NewDD(c, WithFusion(5))
-	fusedState, err := fused.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := step.Manager().ToVector(stepState)
-	b, _ := fused.Manager().ToVector(fusedState)
-	for i := range a {
-		if !a[i].ApproxEq(b[i], 1e-7) {
-			t.Fatalf("amplitude %d: stepwise %v vs fused %v", i, a[i], b[i])
-		}
-	}
+	// The same label reused for the same map is fine and simulates exactly.
+	ok := circuit.New(3, "reuse")
+	ok.H(2)
+	ok.Permutation([]uint64{1, 2, 3, 0}, 2, "f")
+	ok.Permutation([]uint64{1, 2, 3, 0}, 2, "f", gate.Pos(2))
+	crossValidate(t, ok, dd.NormL2Phase)
 }
 
 func TestIdentityShortcutCorrectness(t *testing.T) {

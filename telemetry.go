@@ -44,8 +44,8 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 // NewJSONLTracer returns a tracer writing one JSON record per line to w as
 // each record ends; it retains nothing, and every line carries the tracer's
 // one trace ID. every throttles op-granularity events (1 = every op, n =
-// one per n applied ops, fused windows included); phase spans and
-// governance events are never throttled. Tracing with a large `every` on a
+// one per n applied ops); phase spans and governance events are never
+// throttled. Tracing with a large `every` on a
 // million-gate circuit costs close to nothing; a nil tracer costs exactly
 // nothing.
 func NewJSONLTracer(w io.Writer, every int) *Tracer {
