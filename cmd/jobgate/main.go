@@ -6,7 +6,7 @@
 // (an in-process server cannot be SIGKILLed) through three phases:
 //
 //   - reference: a daemon runs three jobs (distinct circuits, seeds,
-//     tenants, chunk sizes) to completion uninterrupted; their merged
+//     tenants, priorities) to completion uninterrupted; their merged
 //     counts are the ground truth;
 //   - kill: a fresh daemon on a fresh -jobs-dir gets the same three
 //     submissions and is SIGKILLed once every job has checkpointed at
@@ -46,22 +46,24 @@ const (
 	phaseTimeout    = 60 * time.Second
 )
 
-// jobSubmit describes one of the gate's three jobs. Shots and chunk size
-// are tuned so each job runs hundreds of milliseconds across tens of
-// chunks — slow enough to kill mid-run reliably, fast enough for CI.
+// jobSubmit describes one of the gate's three jobs. Shots are tuned so each
+// job runs hundreds of milliseconds across tens of 65,536-shot chunks (62,
+// 46 and 31) — slow enough to kill mid-run reliably, fast enough for CI.
+// Each job has a tenant of its own, so fair share advances all three
+// together: within one tenant a higher-priority job would run first, and
+// with equal chunk sizes the other job there could stall until it is done.
 type jobSubmit struct {
-	Circuit    string `json:"circuit"`
-	Shots      int    `json:"shots"`
-	Seed       uint64 `json:"seed"`
-	ChunkShots int    `json:"chunk_shots"`
-	Priority   string `json:"priority,omitempty"`
-	Tenant     string `json:"tenant,omitempty"`
+	Circuit  string `json:"circuit"`
+	Shots    int    `json:"shots"`
+	Seed     uint64 `json:"seed"`
+	Priority string `json:"priority,omitempty"`
+	Tenant   string `json:"tenant,omitempty"`
 }
 
 var jobs = []jobSubmit{
-	{Circuit: "ghz_10", Shots: 4_000_000, Seed: 7, ChunkShots: 100_000, Tenant: "acme"},
-	{Circuit: "ghz_12", Shots: 3_000_000, Seed: 11, ChunkShots: 75_000, Priority: "high", Tenant: "acme"},
-	{Circuit: "ghz_14", Shots: 2_000_000, Seed: 13, ChunkShots: 50_000, Priority: "low", Tenant: "guest"},
+	{Circuit: "ghz_10", Shots: 4_000_000, Seed: 7, Tenant: "acme"},
+	{Circuit: "ghz_12", Shots: 3_000_000, Seed: 11, Priority: "high", Tenant: "beta"},
+	{Circuit: "ghz_14", Shots: 2_000_000, Seed: 13, Priority: "low", Tenant: "guest"},
 }
 
 type jobStatus struct {

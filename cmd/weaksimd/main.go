@@ -47,9 +47,9 @@
 // job with final counts bit-identical to an uninterrupted run.
 // -job-workers sizes the chunk executor, -job-tenant-weights the fair-share
 // split, and -job-max-per-tenant the per-tenant active-job quota (429
-// beyond it). Jobs checkpoint every job.DefaultChunkShots shots unless a
-// submit picks its own chunk_shots; at the default, a job's counts equal
-// /v1/sample's for the same circuit, seed and shots.
+// beyond it). Jobs checkpoint every job.DefaultChunkShots shots, core's one
+// chunk size, so a job's counts equal /v1/sample's for the same circuit,
+// seed and shots.
 //
 // On startup the daemon logs one JSON line of the fully-resolved effective
 // config ({"event":"effective_config",...}) for field debugging.

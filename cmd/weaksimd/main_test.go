@@ -403,15 +403,15 @@ func TestRunEffectiveConfigLine(t *testing.T) {
 }
 
 // TestRunJobFlags boots the daemon with the batch-job flags and drives one
-// job, checkpointed in per-request 512-shot chunks, through the HTTP
-// surface: submit, poll to completion, fetch the merged result.
+// job, checkpointed in 65,536-shot chunks, through the HTTP surface: submit,
+// poll to completion, fetch the merged result.
 func TestRunJobFlags(t *testing.T) {
 	dir := t.TempDir()
 	srv, shutdown := bootDaemon(t, "-jobs-dir", dir, "-job-workers", "2")
 	defer shutdown()
 
 	resp, err := http.Post("http://"+srv.Addr()+"/v1/jobs", "application/json",
-		strings.NewReader(`{"circuit":"ghz_3","shots":2048,"seed":7,"chunk_shots":512}`))
+		strings.NewReader(`{"circuit":"ghz_3","shots":262144,"seed":7}`))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -446,7 +446,7 @@ func TestRunJobFlags(t *testing.T) {
 		r.Body.Close()
 	}
 	if st.ChunksTotal != 4 {
-		t.Fatalf("chunks_total=%d, want 4 chunks of 512 shots", st.ChunksTotal)
+		t.Fatalf("chunks_total=%d, want 4 chunks of 65,536 shots", st.ChunksTotal)
 	}
 
 	r, err := http.Get("http://" + srv.Addr() + "/v1/jobs/" + st.ID + "/result")
@@ -471,8 +471,8 @@ func TestRunJobFlags(t *testing.T) {
 		}
 		total += n
 	}
-	if total != 2048 {
-		t.Fatalf("counts sum to %d, want 2048", total)
+	if total != 262144 {
+		t.Fatalf("counts sum to %d, want 262144", total)
 	}
 	// The WAL must have materialized in -jobs-dir.
 	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.jlog"))

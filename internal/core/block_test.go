@@ -203,6 +203,14 @@ func TestSampleBlockAllocatesNothing(t *testing.T) {
 // one-Sample-per-shot path.
 type perShot struct{ Sampler }
 
+// drawForced tallies shots samples from r through drawChunk into a tally
+// of the asked representation.
+func drawForced(s Sampler, r *rng.RNG, shots int, dense bool) *Tally {
+	t := newTally(s.Qubits(), shots, dense)
+	_ = drawChunk(context.Background(), s, r, 0, shots, t)
+	return t
+}
+
 // perShotCounts is the reference tally: one Sample call per shot.
 func perShotCounts(s Sampler, r *rng.RNG, shots int) map[uint64]int {
 	counts := map[uint64]int{}
@@ -212,8 +220,8 @@ func perShotCounts(s Sampler, r *rng.RNG, shots int) map[uint64]int {
 	return counts
 }
 
-// TestCountsBlockLoopMatchesPerShot: Counts (CountsContext's block loop)
-// and CountsParallel (tallyChunks' block loop) over a *FrozenSampler, which
+// TestCountsBlockLoopMatchesPerShot: Counts and CountsParallel (drawChunk's
+// block loop, one chunk or many) over a *FrozenSampler, which
 // draw through the lockstep kernel, equal the plain per-shot tally, and so
 // does Counts over the same sampler behind another type, which takes the
 // per-shot path; shot counts end mid-block and mid-chunk.
@@ -281,8 +289,8 @@ func FuzzCountsFrozen(f *testing.F) {
 		if got := Counts(fs, rng.New(seed), n); !maps.Equal(got, want) {
 			t.Fatalf("%s, seed %d, %d shots: Counts %v, per-shot %v", key, seed, n, got, want)
 		}
-		dense, _ := tallyContext(context.Background(), fs, rng.New(seed), n, true)
-		sparse, _ := tallyContext(context.Background(), fs, rng.New(seed), n, false)
+		dense := drawForced(fs, rng.New(seed), n, true)
+		sparse := drawForced(fs, rng.New(seed), n, false)
 		checkTalliesAgree(t, fmt.Sprintf("%s, seed %d, %d shots", key, seed, n), dense, sparse)
 		if !maps.Equal(sparse.Map(), want) {
 			t.Fatalf("%s, seed %d, %d shots: map tally differs from the per-shot tally", key, seed, n)

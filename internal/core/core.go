@@ -34,6 +34,7 @@ import (
 	"context"
 	"fmt"
 
+	"weaksim/internal/fault"
 	"weaksim/internal/rng"
 )
 
@@ -49,12 +50,14 @@ type Sampler interface {
 	Qubits() int
 }
 
-// Counts draws shots samples and tallies them by basis-state index. The
-// tally is dense or a preallocated map by the one rule of tallyDense, so
-// the tally loop never hashes a dense batch and never rehashes a map one.
+// Counts draws shots samples and tallies them by basis-state index, through
+// drawChunk as one chunk drawn from r. The tally is dense or a preallocated
+// map by the one rule of tallyDense, so the tally loop never hashes a dense
+// batch and never rehashes a map one.
 func Counts(s Sampler, r *rng.RNG, shots int) map[uint64]int {
-	counts, _ := CountsContext(context.Background(), s, r, shots)
-	return counts
+	t := NewTally(s.Qubits(), shots)
+	_ = drawChunk(context.Background(), s, r, 0, shots, t) // fails only under fault injection
+	return t.Map()
 }
 
 // CtxCheckShots is the block size of the batch sampling loops: they draw
@@ -63,27 +66,46 @@ func Counts(s Sampler, r *rng.RNG, shots int) map[uint64]int {
 // while the per-sample hot path stays free of synchronization.
 const CtxCheckShots = 512
 
-// CountsContext is Counts with cooperative cancellation, checked every
-// CtxCheckShots shots. On cancellation it returns the partial tallies
-// alongside the context's error, so a timed-out batch still reports the
-// samples it managed to draw.
-func CountsContext(ctx context.Context, s Sampler, r *rng.RNG, shots int) (map[uint64]int, error) {
-	t, err := tallyContext(ctx, s, r, shots, tallyDense(s.Qubits(), shots))
-	return t.Map(), err
+// TallyChunk draws chunk of a batch seeded by seed: quota samples from
+// rng.Stream(seed, chunk), tallied by NewTally's rule. It is the unit a
+// durable job checkpoints; a batch cut into ChunkShots chunks, each drawn
+// this way and merged, equals CountsParallel's counts. On cancellation or an
+// injected fault it returns the partial tally alongside the error.
+func TallyChunk(ctx context.Context, s Sampler, seed uint64, chunk, quota int) (*Tally, error) {
+	t := NewTally(s.Qubits(), quota)
+	return t, drawChunk(ctx, s, rng.Stream(seed, chunk), chunk, quota, t)
 }
 
-// tallyContext is CountsContext's loop, tallying densely or not as asked.
-func tallyContext(ctx context.Context, s Sampler, r *rng.RNG, shots int, dense bool) (*Tally, error) {
-	t := newTally(s.Qubits(), shots, dense)
+// drawChunk is the one chunk body of every count-producing call: it tallies
+// quota samples drawn from r into t, a CtxCheckShots block at a time.
+// Cancellation and the chaos hook share that stride, so both cost nothing on
+// CtxCheckShots-1 of every CtxCheckShots shots. An injected panic (chaos
+// testing) becomes the returned error: it must not take down the process
+// from a sampling goroutine, where nothing else could recover it. Genuine
+// panics propagate. chunk labels the errors.
+func drawChunk(ctx context.Context, s Sampler, r *rng.RNG, chunk, quota int, t *Tally) (err error) {
 	var block [CtxCheckShots]uint64
-	for drawn := 0; drawn < shots; drawn += CtxCheckShots {
-		if ctx.Err() != nil {
-			return t, fmt.Errorf("core: sampling interrupted after %d/%d shots: %w",
-				drawn, shots, context.Cause(ctx))
+	drawn := 0
+	defer func() {
+		if rec := recover(); rec != nil {
+			p, ok := rec.(*fault.InjectedPanic)
+			if !ok {
+				panic(rec)
+			}
+			err = fmt.Errorf("core: chunk %d: %w after %d/%d shots", chunk, p, drawn, quota)
 		}
-		t.add(drawBlock(s, r, block[:min(CtxCheckShots, shots-drawn)]))
+	}()
+	for ; drawn < quota; drawn += CtxCheckShots {
+		if ctx.Err() != nil {
+			return fmt.Errorf("core: chunk %d interrupted after %d/%d shots: %w",
+				chunk, drawn, quota, context.Cause(ctx))
+		}
+		if err := fault.Hit(fault.SamplerWalk); err != nil {
+			return fmt.Errorf("core: chunk %d after %d/%d shots: %w", chunk, drawn, quota, err)
+		}
+		t.add(drawBlock(s, r, block[:min(CtxCheckShots, quota-drawn)]))
 	}
-	return t, nil
+	return nil
 }
 
 // drawBlock fills out with len(out) successive samples from s and returns

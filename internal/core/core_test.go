@@ -486,6 +486,9 @@ func TestCountsTotals(t *testing.T) {
 	}
 }
 
+// TestCountsContextCancellation: TallyChunk under a live context draws the
+// whole chunk; under a cancelled one it stops within the first check window
+// and returns the partial tally alongside the typed error.
 func TestCountsContextCancellation(t *testing.T) {
 	probs := []float64{0.25, 0.25, 0.25, 0.25}
 	s, err := NewPrefixSampler(probs)
@@ -493,29 +496,26 @@ func TestCountsContextCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A live context behaves exactly like Counts.
-	counts, err := CountsContext(context.Background(), s, rng.New(9), 3000)
+	chunk, err := TallyChunk(context.Background(), s, 9, 0, 3000)
 	if err != nil {
-		t.Fatalf("CountsContext with live ctx: %v", err)
+		t.Fatalf("TallyChunk with live ctx: %v", err)
 	}
 	total := 0
-	for _, n := range counts {
+	for _, n := range chunk.Map() {
 		total += n
 	}
 	if total != 3000 {
 		t.Errorf("counts total %d, want 3000", total)
 	}
 
-	// A pre-cancelled context stops within the first check window and
-	// returns the partial tallies alongside the typed error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	partial, err := CountsContext(ctx, s, rng.New(9), 1000000)
+	partial, err := TallyChunk(ctx, s, 9, 0, 1000000)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("CountsContext with cancelled ctx: %v, want context.Canceled", err)
+		t.Fatalf("TallyChunk with cancelled ctx: %v, want context.Canceled", err)
 	}
 	got := 0
-	for _, n := range partial {
+	for _, n := range partial.Map() {
 		got += n
 	}
 	if got >= CtxCheckShots {

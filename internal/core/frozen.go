@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"weaksim/internal/dd"
-	"weaksim/internal/fault"
 	"weaksim/internal/rng"
 )
 
@@ -269,7 +268,9 @@ func tallyParallel(ctx context.Context, s Sampler, seed uint64, shots, workers i
 		// A worker's map is sized for its share; the merged one for the batch.
 		merged, rest = newTally(qubits, shots, false), parts
 	}
-	merged.merge(rest)
+	for _, p := range rest {
+		merged.Add(p)
+	}
 	for _, err := range errs {
 		if err != nil {
 			return merged, err
@@ -279,40 +280,16 @@ func tallyParallel(ctx context.Context, s Sampler, seed uint64, shots, workers i
 }
 
 // tallyChunks claims chunks from next until the batch is exhausted and
-// tallies each into t. Cancellation and the chaos hook share the
-// CtxCheckShots stride, so both cost nothing on CtxCheckShots-1 of every
-// CtxCheckShots shots. An injected panic (chaos testing) becomes the
-// returned error: it must not take down the process from a sampling
-// goroutine, where nothing else could recover it. Genuine panics propagate.
-func tallyChunks(ctx context.Context, s Sampler, seed uint64, shots int, next *atomic.Int64, t *Tally) (err error) {
-	var (
-		chunk, drawn, quota int
-		block               [CtxCheckShots]uint64
-	)
-	defer func() {
-		if rec := recover(); rec != nil {
-			p, ok := rec.(*fault.InjectedPanic)
-			if !ok {
-				panic(rec)
-			}
-			err = fmt.Errorf("core: chunk %d: %w after %d/%d shots", chunk, p, drawn, quota)
-		}
-	}()
+// draws each into t through drawChunk, chunk i from rng.Stream(seed, i).
+func tallyChunks(ctx context.Context, s Sampler, seed uint64, shots int, next *atomic.Int64, t *Tally) error {
 	for {
-		chunk = int(next.Add(1) - 1)
-		if quota = min(ChunkShots, shots-chunk*ChunkShots); quota <= 0 {
+		chunk := int(next.Add(1) - 1)
+		quota := min(ChunkShots, shots-chunk*ChunkShots)
+		if quota <= 0 {
 			return nil
 		}
-		r := rng.Stream(seed, chunk)
-		for drawn = 0; drawn < quota; drawn += CtxCheckShots {
-			if ctx.Err() != nil {
-				return fmt.Errorf("core: chunk %d interrupted after %d/%d shots: %w",
-					chunk, drawn, quota, context.Cause(ctx))
-			}
-			if err := fault.Hit(fault.SamplerWalk); err != nil {
-				return fmt.Errorf("core: chunk %d after %d/%d shots: %w", chunk, drawn, quota, err)
-			}
-			t.add(drawBlock(s, r, block[:min(CtxCheckShots, quota-drawn)]))
+		if err := drawChunk(ctx, s, rng.Stream(seed, chunk), chunk, quota, t); err != nil {
+			return err
 		}
 	}
 }

@@ -27,6 +27,12 @@ type Tally struct {
 	sparse map[uint64]int // counts by index when dense is nil
 }
 
+// NewTally returns an empty tally for shots samples over qubits, dense or a
+// map by tallyDense.
+func NewTally(qubits, shots int) *Tally {
+	return newTally(qubits, shots, tallyDense(qubits, shots))
+}
+
 // newTally returns an empty tally for a batch of shots over qubits, dense
 // or not as asked.
 func newTally(qubits, shots int, dense bool) *Tally {
@@ -53,15 +59,37 @@ func (t *Tally) add(idxs []uint64) {
 	}
 }
 
-// merge adds every part's counts into t; all must share t's representation.
-func (t *Tally) merge(parts []*Tally) {
-	for _, p := range parts {
+// Add adds p's counts into t, whatever the representation of either. p
+// counts outcomes of t's register: a dense t holds every index p holds.
+func (t *Tally) Add(p *Tally) {
+	if t.dense != nil && p.dense != nil {
+		for idx, n := range p.dense {
+			t.dense[idx] += n
+		}
+		return
+	}
+	p.Each(func(idx uint64, n int) {
 		if t.dense != nil {
-			for idx, n := range p.dense {
-				t.dense[idx] += n
-			}
+			t.dense[idx] += uint32(n)
 		} else {
-			MergeCounts(t.sparse, p.sparse)
+			t.sparse[idx] += n
+		}
+	})
+}
+
+// Each calls f once per sampled outcome with its count (always positive),
+// in no particular order: a dense tally visits ascending indices, a map one
+// its map order, unsorted.
+func (t *Tally) Each(f func(idx uint64, n int)) {
+	if t.dense == nil {
+		for idx, n := range t.sparse {
+			f(idx, n)
+		}
+		return
+	}
+	for idx, n := range t.dense {
+		if n != 0 {
+			f(uint64(idx), int(n))
 		}
 	}
 }
@@ -70,11 +98,7 @@ func (t *Tally) merge(parts []*Tally) {
 // with its count (always positive). A map tally sorts its indices first.
 func (t *Tally) Ascending(f func(idx uint64, n int)) {
 	if t.dense != nil {
-		for idx, n := range t.dense {
-			if n != 0 {
-				f(uint64(idx), int(n))
-			}
-		}
+		t.Each(f)
 		return
 	}
 	idxs := make([]uint64, 0, len(t.sparse))
@@ -95,16 +119,8 @@ func (t *Tally) Map() map[uint64]int {
 		return t.sparse
 	}
 	distinct := 0
-	for _, n := range t.dense {
-		if n != 0 {
-			distinct++
-		}
-	}
+	t.Each(func(uint64, int) { distinct++ })
 	counts := make(map[uint64]int, distinct)
-	for idx, n := range t.dense {
-		if n != 0 {
-			counts[uint64(idx)] = int(n)
-		}
-	}
+	t.Each(func(idx uint64, n int) { counts[idx] = n })
 	return counts
 }

@@ -100,8 +100,7 @@ func TestTallyDenseMatchesMap(t *testing.T) {
 				t.Errorf("%s: CountsParallel differs from the map tally", name)
 			}
 		}
-		d, _ := tallyContext(context.Background(), wide, rng.New(5), shots, true)
-		m, _ := tallyContext(context.Background(), wide, rng.New(5), shots, false)
+		d, m := drawForced(wide, rng.New(5), shots, true), drawForced(wide, rng.New(5), shots, false)
 		checkTalliesAgree(t, fmt.Sprintf("10 qubits, %d shots, sequential", shots), d, m)
 	}
 
@@ -179,16 +178,16 @@ func TestTallyDenseCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	counts, err := CountsContext(ctx, &cancelAfter{Sampler: fs, limit: 1000, cancel: cancel}, rng.New(1), ChunkShots)
+	chunk, err := TallyChunk(ctx, &cancelAfter{Sampler: fs, limit: 1000, cancel: cancel}, 1, 0, ChunkShots)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("CountsContext: err = %v, want context.Canceled", err)
+		t.Fatalf("TallyChunk: err = %v, want context.Canceled", err)
 	}
 	total := 0
-	for _, n := range counts {
+	for _, n := range chunk.Map() {
 		total += n
 	}
 	if total < 1000 || total > 1000+CtxCheckShots {
-		t.Errorf("CountsContext: partial tally holds %d shots, want the %d drawn before the next check", total, 1000)
+		t.Errorf("TallyChunk: partial tally holds %d shots, want the %d drawn before the next check", total, 1000)
 	}
 }
 
@@ -212,6 +211,33 @@ func TestTallyDensePanicBecomesError(t *testing.T) {
 	}
 	if total != ChunkShots {
 		t.Fatalf("partial tally holds %d shots, want the healthy worker's %d", total, ChunkShots)
+	}
+}
+
+// TestTallyAddAcrossRepresentations: Add merges one chunk's tally into
+// another's, dense into map, map into dense, dense into dense and map into
+// map, and each sum equals the per-shot reference of both chunks while
+// keeping the receiver's representation.
+func TestTallyAddAcrossRepresentations(t *testing.T) {
+	vec, _ := frozenRandomVector(10, 17)
+	fs, err := NewFrozenSampler(freezeVector(t, vec, dd.NormL2Phase, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed, shots = 4, 3000
+	want := perShotCounts(fs, rng.Stream(seed, 0), shots)
+	MergeCounts(want, perShotCounts(fs, rng.Stream(seed, 1), shots))
+	for _, dst := range []bool{true, false} {
+		for _, src := range []bool{true, false} {
+			sum := drawForced(fs, rng.Stream(seed, 0), shots, dst)
+			sum.Add(drawForced(fs, rng.Stream(seed, 1), shots, src))
+			if (sum.dense != nil) != dst {
+				t.Errorf("dense=%v += dense=%v: the receiver changed representation", dst, src)
+			}
+			if !maps.Equal(sum.Map(), want) {
+				t.Errorf("dense=%v += dense=%v: sum differs from the per-shot reference", dst, src)
+			}
+		}
 	}
 }
 

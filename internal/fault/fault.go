@@ -64,8 +64,9 @@ const (
 	DDGC = "dd.gc"
 	// DDFreeze fires at the start of Manager.Freeze.
 	DDFreeze = "dd.freeze"
-	// SamplerWalk fires in the parallel sampling workers at the cooperative
-	// cancellation cadence (every core.CtxCheckShots shots).
+	// SamplerWalk fires in every chunk body (core's drawChunk: /v1/sample,
+	// job chunks, Counts) at the cooperative cancellation cadence (every
+	// core.CtxCheckShots shots).
 	SamplerWalk = "sampler.walk"
 	// ServeSim fires at the start of a strong-simulation job on a serve
 	// worker — inside the panic-isolation boundary.

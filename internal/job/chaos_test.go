@@ -10,6 +10,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -148,8 +149,9 @@ func TestFaultChunkSampleErr(t *testing.T) {
 // TestReplayIgnoresGarbageRecords replays a WAL salted with structurally
 // valid frames carrying nonsense payloads — malformed JSON, chunks for
 // unknown jobs, out-of-range chunk indices, a non-terminal state record, a
-// checkpoint for a ghost job — and requires replay to keep exactly the
-// coherent subset.
+// checkpoint for a ghost job, and chunks and a checkpoint whose counts no
+// 4-qubit job could have drawn in the shots they cover — and requires
+// replay to keep exactly the coherent subset.
 func TestReplayIgnoresGarbageRecords(t *testing.T) {
 	dir := t.TempDir()
 	w, _, _ := openTestWAL(t, dir, 0)
@@ -165,6 +167,16 @@ func TestReplayIgnoresGarbageRecords(t *testing.T) {
 		mustRecord(recState, stateRecord{ID: "ghost", State: StateFailed}),       // unknown job
 		mustRecord(recCheckpoint, checkpointRecord{ID: "ghost", Done: []int{0}}), // unknown job
 		{Type: 200, Payload: []byte(`{}`)},                                       // unknown record type
+		mustRecord(recChunk, chunkRecord{ID: "jok", Chunk: 1, Shots: 50,
+			Counts: map[string]int{"99999": 50}}), // key past the register
+		mustRecord(recChunk, chunkRecord{ID: "jok", Chunk: 1, Shots: 50,
+			Counts: map[string]int{"3": 10}}), // short of its shots
+		mustRecord(recChunk, chunkRecord{ID: "jok", Chunk: 1, Shots: 50,
+			Counts: map[string]int{"3": 60, "5": -10}}), // a negative count
+		mustRecord(recChunk, chunkRecord{ID: "jok", Chunk: 1, Shots: 40,
+			Counts: map[string]int{"3": 40}}), // not the chunk's quota
+		mustRecord(recCheckpoint, checkpointRecord{ID: "jok", Done: []int{1},
+			Counts: map[string]int{"5": 49}}), // short of its chunks' shots
 		mustRecord(recChunk, chunkRecord{ID: "jok", Chunk: 0, Shots: 50,
 			Counts: map[string]int{"3": 50}}), // the one real chunk
 	}
@@ -194,6 +206,13 @@ func TestReplayIgnoresGarbageRecords(t *testing.T) {
 	}
 	if counts["0011"] < 50 {
 		t.Fatalf("replayed chunk's counts missing: %v", counts)
+	}
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	if total != good.Shots {
+		t.Fatalf("result sums to %d shots, want %d: %v", total, good.Shots, counts)
 	}
 }
 
@@ -297,4 +316,38 @@ func TestFaultCancelCommitWindow(t *testing.T) {
 			t.Fatalf("iteration %d settled as %s", i, final.State)
 		}
 	}
+}
+
+// TestFaultSamplerWalkPanicFailsOneJob: a job chunk is drawn by core's one
+// chunk body, so it passes the sampler.walk hook and its panic recovery. An
+// injected walker panic while two jobs run fails the job whose chunk it hit
+// as an internal error; the other job completes, and the manager keeps
+// running jobs after it.
+func TestFaultSamplerWalkPanicFailsOneJob(t *testing.T) {
+	if err := fault.Enable("sampler.walk:panic@5", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Disable()
+	m := startManager(t, Config{Workers: 2, Snapshot: fakeProvider(4, time.Millisecond)})
+	ids := []string{"jwa", "jwb"}
+	for _, id := range ids {
+		if _, err := m.Submit(testSpec(id, 1000, 100)); err != nil { // one hook hit per chunk
+			t.Fatalf("Submit %s: %v", id, err)
+		}
+	}
+	states := map[State]int{}
+	for _, id := range ids {
+		st := waitFor(t, m, id, func(s Status) bool { return s.State.Terminal() })
+		states[st.State]++
+		if st.State == StateFailed && (st.ErrorCode != "internal" || !strings.Contains(st.Error, fault.SamplerWalk)) {
+			t.Errorf("job %s failed with %q: %s, want internal naming %s", id, st.ErrorCode, st.Error, fault.SamplerWalk)
+		}
+	}
+	if states[StateFailed] != 1 || states[StateCompleted] != 1 {
+		t.Fatalf("terminal states %v, want one failed and one completed", states)
+	}
+	if _, err := m.Submit(testSpec("jwc", 300, 100)); err != nil {
+		t.Fatalf("Submit after the panic: %v", err)
+	}
+	waitFor(t, m, "jwc", completed)
 }

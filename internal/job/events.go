@@ -6,11 +6,7 @@ package job
 // frames still converges — the hub drops the oldest buffered frame on
 // overflow rather than stalling the executor.
 
-import (
-	"sort"
-
-	"weaksim/internal/core"
-)
+import "weaksim/internal/core"
 
 // Event is one NDJSON progress frame.
 type Event struct {
@@ -70,22 +66,24 @@ func (s *subscriber) push(ev Event) {
 // topCounts extracts the k most frequent outcomes from a tally, formatted
 // as bitstrings. Ties break on ascending basis index so frames are
 // deterministic for a fixed tally.
-func topCounts(counts map[uint64]int, qubits, k int) []TopCount {
-	if len(counts) == 0 || k <= 0 {
+func topCounts(counts *core.Tally, qubits, k int) []TopCount {
+	if k <= 0 {
 		return nil
 	}
 	type kv struct {
 		idx uint64
 		n   int
 	}
+	// best stays sorted, most frequent first: each outcome is inserted at
+	// its rank, and whatever falls past k is dropped.
 	best := make([]kv, 0, k+1)
-	for idx, n := range counts {
+	counts.Each(func(idx uint64, n int) {
 		pos := len(best)
 		for pos > 0 && (best[pos-1].n < n || (best[pos-1].n == n && best[pos-1].idx > idx)) {
 			pos--
 		}
 		if pos >= k {
-			continue
+			return
 		}
 		best = append(best, kv{})
 		copy(best[pos+1:], best[pos:])
@@ -93,13 +91,10 @@ func topCounts(counts map[uint64]int, qubits, k int) []TopCount {
 		if len(best) > k {
 			best = best[:k]
 		}
-	}
-	sort.SliceStable(best, func(i, j int) bool {
-		if best[i].n != best[j].n {
-			return best[i].n > best[j].n
-		}
-		return best[i].idx < best[j].idx
 	})
+	if len(best) == 0 {
+		return nil
+	}
 	out := make([]TopCount, len(best))
 	for i, b := range best {
 		out[i] = TopCount{Bits: core.FormatBits(b.idx, qubits), Count: b.n}

@@ -149,6 +149,8 @@ type Spec struct {
 	// rng.Stream(Seed, i).
 	Seed uint64 `json:"seed"`
 	// ChunkShots is the per-chunk shot count (the checkpoint granularity).
+	// Submit sets DefaultChunkShots when it is zero; it is persisted so a
+	// job resumes in the chunks it started with.
 	ChunkShots int `json:"chunk_shots"`
 	// Norm is the DD normalization scheme the key was computed under.
 	Norm string `json:"norm"`
@@ -191,6 +193,9 @@ func (s *Spec) Validate() error {
 	}
 	if (s.QASM == "") == (s.Circuit == "") {
 		return errors.New("job: exactly one of QASM and Circuit must be set")
+	}
+	if s.Qubits < 0 || s.Qubits > 64 {
+		return fmt.Errorf("job: qubits out of range: %d", s.Qubits)
 	}
 	if s.Shots < 1 {
 		return fmt.Errorf("job: shots must be positive, got %d", s.Shots)

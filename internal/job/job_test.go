@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"weaksim/internal/core"
 )
 
 func TestParsePriorityRoundTrip(t *testing.T) {
@@ -97,6 +99,8 @@ func TestSpecValidate(t *testing.T) {
 		{"no ID", func(s *Spec) { s.ID = "" }},
 		{"no circuit", func(s *Spec) { s.Circuit = "" }},
 		{"both sources", func(s *Spec) { s.QASM = "OPENQASM 2.0;" }},
+		{"negative qubits", func(s *Spec) { s.Qubits = -1 }},
+		{"qubits past 64", func(s *Spec) { s.Qubits = 65 }},
 		{"zero shots", func(s *Spec) { s.Shots = 0 }},
 		{"zero chunk shots", func(s *Spec) { s.ChunkShots = 0 }},
 		{"priority too low", func(s *Spec) { s.Priority = PriorityLow + 1 }},
@@ -143,7 +147,7 @@ func TestSubscriberPushDropsOldest(t *testing.T) {
 }
 
 func TestTopCountsDeterministicTieBreak(t *testing.T) {
-	counts := map[uint64]int{0: 5, 1: 9, 2: 5, 3: 1, 4: 9, 5: 2}
+	counts := core.TallyOf(map[uint64]int{0: 5, 1: 9, 2: 5, 3: 1, 4: 9, 5: 2})
 	got := topCounts(counts, 3, 4)
 	want := []TopCount{
 		{Bits: "001", Count: 9}, {Bits: "100", Count: 9},
@@ -152,11 +156,11 @@ func TestTopCountsDeterministicTieBreak(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("topCounts = %v, want %v", got, want)
 	}
-	if topCounts(nil, 3, 4) != nil || topCounts(counts, 3, 0) != nil {
+	if topCounts(core.TallyOf(nil), 3, 4) != nil || topCounts(counts, 3, 0) != nil {
 		t.Error("empty tally or k<=0 must yield nil")
 	}
-	if got := topCounts(counts, 3, 100); len(got) != len(counts) {
-		t.Errorf("k beyond the tally returns %d entries, want %d", len(got), len(counts))
+	if got := topCounts(counts, 3, 100); len(got) != len(counts.Map()) {
+		t.Errorf("k beyond the tally returns %d entries, want %d", len(got), len(counts.Map()))
 	}
 }
 

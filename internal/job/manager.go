@@ -18,6 +18,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -26,7 +27,6 @@ import (
 	"weaksim/internal/dd"
 	"weaksim/internal/fault"
 	"weaksim/internal/obs"
-	"weaksim/internal/rng"
 	"weaksim/internal/statevec"
 )
 
@@ -34,9 +34,9 @@ import (
 const (
 	// DefaultWorkers is the chunk-executor pool size.
 	DefaultWorkers = 2
-	// DefaultChunkShots is the checkpoint granularity when a spec does not
-	// choose one: core's one chunk size, so a job's counts equal
-	// core.CountsParallel's for the same (circuit, seed, shots).
+	// DefaultChunkShots is the checkpoint granularity of every new job:
+	// core's one chunk size, so a job's chunks are core.TallyChunk's and its
+	// counts equal core.CountsParallel's for the same (circuit, seed, shots).
 	DefaultChunkShots = core.ChunkShots
 	// DefaultRetainTerminal is how many terminal jobs stay queryable before
 	// the oldest are evicted.
@@ -55,15 +55,9 @@ type Config struct {
 	Workers int
 	// TenantWeights maps tenant name to fair-share weight (absent = 1).
 	TenantWeights map[string]int
-	// MaxInFlightPerTenant bounds concurrently executing chunks per tenant
-	// (default DefaultMaxInFlightPerTenant).
-	MaxInFlightPerTenant int
 	// MaxPerTenant is the non-terminal job quota per tenant (default
 	// DefaultMaxPerTenant).
 	MaxPerTenant int
-	// AgingInterval is the queue wait that promotes a job one priority class
-	// (default DefaultAgingInterval).
-	AgingInterval time.Duration
 	// RetainTerminal is how many terminal jobs stay queryable (default
 	// DefaultRetainTerminal).
 	RetainTerminal int
@@ -101,8 +95,8 @@ type jobState struct {
 	spec  Spec
 	state State
 
-	counts     map[uint64]int // merged tallies of completed chunks
-	done       []bool         // per-chunk completion
+	counts     *core.Tally // merged tallies of completed chunks
+	done       []bool      // per-chunk completion
 	chunksDone int
 	shotsDone  int
 	recovered  int // chunks reconstructed from the WAL at startup
@@ -160,7 +154,7 @@ func NewManager(cfg Config) *Manager {
 	m := &Manager{
 		cfg:   cfg,
 		jobs:  make(map[string]*jobState),
-		sched: newSched(cfg.TenantWeights, cfg.MaxInFlightPerTenant, cfg.AgingInterval),
+		sched: newSched(cfg.TenantWeights, DefaultMaxInFlightPerTenant, DefaultAgingInterval),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.baseCtx, m.cancel = context.WithCancel(context.Background())
@@ -282,17 +276,18 @@ func (m *Manager) applyLocked(rec Record) {
 			return
 		}
 		j, ok := m.jobs[cr.ID]
-		if !ok || cr.Chunk < 0 || cr.Chunk >= len(j.done) || j.done[cr.Chunk] {
+		if !ok || cr.Chunk < 0 || cr.Chunk >= len(j.done) || j.done[cr.Chunk] ||
+			cr.Shots != j.spec.ChunkShotCount(cr.Chunk) {
 			return
 		}
-		counts, err := decodeCounts(cr.Counts)
+		counts, err := decodeCounts(cr.Counts, j.spec.Qubits, cr.Shots)
 		if err != nil {
 			return
 		}
 		j.done[cr.Chunk] = true
 		j.chunksDone++
 		j.shotsDone += cr.Shots
-		core.MergeCounts(j.counts, counts)
+		j.counts.Add(counts)
 	case recState:
 		var sr stateRecord
 		if json.Unmarshal(rec.Payload, &sr) != nil {
@@ -313,23 +308,25 @@ func (m *Manager) applyLocked(rec Record) {
 		if !ok {
 			return
 		}
-		counts, err := decodeCounts(cp.Counts)
+		done := make([]bool, j.spec.ChunksTotal())
+		chunksDone, shotsDone := 0, 0
+		for _, c := range cp.Done {
+			if c < 0 || c >= len(done) || done[c] {
+				continue
+			}
+			done[c] = true
+			chunksDone++
+			shotsDone += j.spec.ChunkShotCount(c)
+		}
+		counts, err := decodeCounts(cp.Counts, j.spec.Qubits, shotsDone)
 		if err != nil {
 			return
 		}
 		// Supersede: the checkpoint is the full merged state at compaction
 		// time, not a delta.
-		j.counts = counts
-		j.done = make([]bool, j.spec.ChunksTotal())
-		j.chunksDone, j.shotsDone = 0, 0
-		for _, c := range cp.Done {
-			if c < 0 || c >= len(j.done) || j.done[c] {
-				continue
-			}
-			j.done[c] = true
-			j.chunksDone++
-			j.shotsDone += j.spec.ChunkShotCount(c)
-		}
+		j.counts = core.NewTally(j.spec.Qubits, j.spec.Shots)
+		j.counts.Add(counts)
+		j.done, j.chunksDone, j.shotsDone = done, chunksDone, shotsDone
 	}
 }
 
@@ -431,12 +428,12 @@ func (m *Manager) List() []Status {
 	return out
 }
 
-// Result returns a completed job's merged counts keyed by basis-state index,
-// and the register width that renders them as bitstrings. The map is the
-// job's own, not a copy: a completed job's counts never change again (a
-// late chunk commit is dropped), so callers read and format it without the
-// manager's lock, and must not modify it.
-func (m *Manager) Result(id string) (counts map[uint64]int, qubits int, err error) {
+// Result returns a completed job's merged counts, and the register width
+// that renders them as bitstrings. The tally is the job's own, not a copy: a
+// completed job's counts never change again (a late chunk commit is
+// dropped), so callers read and format it without the manager's lock, and
+// must not modify it.
+func (m *Manager) Result(id string) (counts *core.Tally, qubits int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
@@ -510,7 +507,7 @@ func (m *Manager) addJobLocked(spec Spec) *jobState {
 	j := &jobState{
 		spec:      spec,
 		state:     StateQueued,
-		counts:    make(map[uint64]int, core.CountsSizeHint(spec.Shots, spec.Qubits)),
+		counts:    core.NewTally(spec.Qubits, spec.Shots),
 		done:      make([]bool, spec.ChunksTotal()),
 		trace:     obs.StartRequest("", m.cfg.Recorder, nil),
 		updatedMS: time.Now().UnixMilli(),
@@ -792,6 +789,10 @@ func (m *Manager) runChunk(ctx context.Context, j *jobState, chunk int) {
 
 	sp := obs.StartSpan(nil, j.trace, obs.PhaseSnapshot)
 	sampler, err := m.cfg.Snapshot(ctx, spec)
+	if err == nil && sampler.Qubits() != spec.Qubits {
+		// The job's tally indexes outcomes of spec.Qubits bits.
+		err = fmt.Errorf("job: sampler is %d qubits wide, the spec %d", sampler.Qubits(), spec.Qubits)
+	}
 	if err != nil {
 		sp.End(map[string]any{"chunk": chunk, "err": err.Error()})
 		m.finishChunkErr(j, chunk, err)
@@ -801,7 +802,7 @@ func (m *Manager) runChunk(ctx context.Context, j *jobState, chunk int) {
 
 	shots := spec.ChunkShotCount(chunk)
 	sp = obs.StartSpan(nil, j.trace, obs.PhaseSample)
-	counts, err := core.CountsContext(ctx, sampler, rng.Stream(spec.Seed, chunk), shots)
+	counts, err := core.TallyChunk(ctx, sampler, spec.Seed, chunk, shots)
 	if err != nil {
 		sp.End(map[string]any{"chunk": chunk, "err": err.Error()})
 		m.finishChunkErr(j, chunk, err)
@@ -817,7 +818,7 @@ func (m *Manager) runChunk(ctx context.Context, j *jobState, chunk int) {
 // is taken, and only when the manager has a WAL to write it to: an in-memory
 // manager would drop it unwritten. The wal phase is two spans: the encoding,
 // and the append plus merge under the lock.
-func (m *Manager) commitChunk(j *jobState, chunk, shots int, counts map[uint64]int) {
+func (m *Manager) commitChunk(j *jobState, chunk, shots int, counts *core.Tally) {
 	sp := obs.StartSpan(nil, j.trace, obs.PhaseWAL)
 	var rec Record
 	if m.cfg.Dir != "" {
@@ -853,7 +854,7 @@ func (m *Manager) commitChunk(j *jobState, chunk, shots int, counts map[uint64]i
 	j.chunksDone++
 	j.executed++
 	j.shotsDone += shots
-	core.MergeCounts(j.counts, counts)
+	j.counts.Add(counts)
 	sp.End(nil)
 	j.updatedMS = time.Now().UnixMilli()
 	m.mChunks.Inc()

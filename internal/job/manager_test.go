@@ -57,7 +57,7 @@ func result(m *Manager, id string) (map[string]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.BitstringCounts(counts, qubits), nil
+	return core.BitstringCounts(counts.Map(), qubits), nil
 }
 
 func startManager(t *testing.T, cfg Config) *Manager {
@@ -178,6 +178,36 @@ func TestInMemoryJobSkipsWALRecords(t *testing.T) {
 		if !tc.wantRecords && records != 0 {
 			t.Errorf("%s: job_wal_records_total = %d, want 0", tc.name, records)
 		}
+	}
+}
+
+// TestDenseJobTallyMergesMapChunks: a 17-qubit job of 2·65,536+5 shots
+// tallies densely while each of its chunks, 2^17 outcomes over at most
+// 65,536 shots, tallies into a map; the job's result equals
+// Σᵢ TallyChunk(seed, i, quota) all the same.
+func TestDenseJobTallyMergesMapChunks(t *testing.T) {
+	const qubits = 17
+	spec := testSpec("jdense", 2*DefaultChunkShots+5, DefaultChunkShots)
+	spec.Qubits = qubits
+	want := map[uint64]int{}
+	for i := 0; i < spec.ChunksTotal(); i++ {
+		chunk, err := core.TallyChunk(context.Background(), fakeSampler{qubits}, spec.Seed, i, spec.ChunkShotCount(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		core.MergeCounts(want, chunk.Map())
+	}
+	m := startManager(t, Config{Snapshot: fakeProvider(qubits, 0)})
+	if _, err := m.Submit(spec); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitFor(t, m, spec.ID, completed)
+	got, _, err := m.Result(spec.ID)
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	if !reflect.DeepEqual(got.Map(), want) {
+		t.Errorf("dense job result differs from the sum of its chunks' tallies")
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+
+	"weaksim/internal/core"
 )
 
 // chunkRecord marks one chunk's tallies final.
@@ -36,25 +38,37 @@ type checkpointRecord struct {
 
 // encodeCounts renders a basis-index tally as a JSON-safe map (decimal
 // uint64 keys).
-func encodeCounts(counts map[uint64]int) map[string]int {
-	out := make(map[string]int, len(counts))
-	for idx, n := range counts {
-		out[strconv.FormatUint(idx, 10)] = n
-	}
+func encodeCounts(counts *core.Tally) map[string]int {
+	distinct := 0
+	counts.Each(func(uint64, int) { distinct++ })
+	out := make(map[string]int, distinct)
+	counts.Each(func(idx uint64, n int) { out[strconv.FormatUint(idx, 10)] = n })
 	return out
 }
 
-// decodeCounts is the inverse of encodeCounts.
-func decodeCounts(in map[string]int) (map[uint64]int, error) {
+// decodeCounts is the inverse of encodeCounts. It refuses counts no job of
+// qubits could have committed for shots samples: a key at or past 2^qubits,
+// a count that is not positive, or counts that do not sum to shots. A job's
+// tally may be dense, indexed by outcome, so a key past the register would
+// not merge at all.
+func decodeCounts(in map[string]int, qubits, shots int) (*core.Tally, error) {
 	out := make(map[uint64]int, len(in))
+	sum := 0
 	for key, n := range in {
 		idx, err := strconv.ParseUint(key, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("job: bad count key %q: %w", key, err)
 		}
-		out[idx] = n
+		if idx>>uint(qubits) != 0 || n < 1 || n > shots {
+			return nil, fmt.Errorf("job: count %q: %d is not an outcome of %d qubits drawn in %d shots", key, n, qubits, shots)
+		}
+		out[idx] += n // "3" and "03" are one outcome
+		sum += n
 	}
-	return out, nil
+	if sum != shots {
+		return nil, fmt.Errorf("job: counts sum to %d, want %d shots", sum, shots)
+	}
+	return core.TallyOf(out), nil
 }
 
 // mustRecord marshals a payload into a Record; the payload types above

@@ -16,9 +16,10 @@ package job
 // banked credit).
 //
 // Within a tenant, jobs are ordered by effective priority class: the
-// submitted class (high/normal/low) minus one class per AgingInterval of
-// queue wait, so a low-priority job that has waited long enough competes as
-// high — starvation decays instead of compounding. Ties break oldest-first.
+// submitted class (high/normal/low) minus one class per
+// DefaultAgingInterval of queue wait, so a low-priority job that has waited
+// long enough competes as high — starvation decays instead of compounding.
+// Ties break oldest-first.
 //
 // At most one chunk per job is in flight at a time. That serializes a
 // single job's checkpoint stream (the resume invariant "lose at most one
@@ -126,7 +127,7 @@ func runnable(j *jobState, now time.Time) bool {
 }
 
 // effClass is the job's aged priority class: the submitted class minus one
-// per AgingInterval waited, floored at high.
+// per aging interval waited, floored at high.
 func (s *sched) effClass(j *jobState, now time.Time) int {
 	c := j.spec.Priority
 	if s.aging > 0 {

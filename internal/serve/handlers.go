@@ -34,13 +34,60 @@ import (
 	"weaksim/internal/statevec"
 )
 
-// sampleRequest is the POST /v1/sample body. Exactly one of QASM and Circuit
-// must be set.
-type sampleRequest struct {
-	// QASM is OpenQASM 2.0 source for the circuit to sample.
+// circuitSource names a request's circuit: exactly one of its fields is set.
+type circuitSource struct {
+	// QASM is OpenQASM 2.0 source for the circuit.
 	QASM string `json:"qasm,omitempty"`
 	// Circuit names an internal/algo benchmark (e.g. "qft_16", "ghz_8").
 	Circuit string `json:"circuit,omitempty"`
+}
+
+// resolveCircuit builds and validates the circuit a request names: exactly
+// one of OpenQASM source src and benchmark name. It is the one resolver of
+// /v1/sample, /v1/jobs, a job's chunks and the cluster router's key.
+func resolveCircuit(src, name string) (*circuit.Circuit, error) {
+	if (src == "") == (name == "") {
+		return nil, errors.New(`exactly one of "qasm" and "circuit" must be set`)
+	}
+	var circ *circuit.Circuit
+	var err error
+	if name != "" {
+		circ, err = algo.Generate(name)
+	} else {
+		circ, err = qasm.Parse(src, "request")
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := circ.Validate(); err != nil {
+		return nil, err
+	}
+	return circ, nil
+}
+
+// decodeRequest decodes a POST body into req, refusing unknown fields and
+// bodies past MaxBodyBytes, and resolves the circuit src, req's own
+// circuitSource, names within MaxQubits. Every error is a bad request.
+func (s *Server) decodeRequest(r *http.Request, req any, src *circuitSource) (*circuit.Circuit, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return nil, badRequest{fmt.Errorf("invalid JSON body: %w", err)}
+	}
+	circ, err := resolveCircuit(src.QASM, src.Circuit)
+	if err != nil {
+		return nil, badRequest{err}
+	}
+	if circ.NQubits > s.cfg.MaxQubits {
+		return nil, badRequest{fmt.Errorf("circuit has %d qubits; this server accepts at most %d",
+			circ.NQubits, s.cfg.MaxQubits)}
+	}
+	return circ, nil
+}
+
+// sampleRequest is the POST /v1/sample body.
+type sampleRequest struct {
+	circuitSource
 	// Shots is the number of measurement samples (default DefaultShots,
 	// capped at MaxShots).
 	Shots int `json:"shots,omitempty"`
@@ -270,33 +317,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // and the resolved sampling parameters.
 func (s *Server) parseRequest(r *http.Request) (*circuit.Circuit, *sampleRequest, error) {
 	var req sampleRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, badRequest{fmt.Errorf("invalid JSON body: %w", err)}
-	}
-	if (req.QASM == "") == (req.Circuit == "") {
-		return nil, nil, badRequest{errors.New(`exactly one of "qasm" and "circuit" must be set`)}
-	}
-	var circ *circuit.Circuit
-	var err error
-	if req.Circuit != "" {
-		circ, err = algo.Generate(req.Circuit)
-		if err != nil {
-			return nil, nil, badRequest{err}
-		}
-	} else {
-		circ, err = qasm.Parse(req.QASM, "request")
-		if err != nil {
-			return nil, nil, badRequest{err}
-		}
-	}
-	if err := circ.Validate(); err != nil {
-		return nil, nil, badRequest{err}
-	}
-	if circ.NQubits > s.cfg.MaxQubits {
-		return nil, nil, badRequest{fmt.Errorf("circuit has %d qubits; this server accepts at most %d",
-			circ.NQubits, s.cfg.MaxQubits)}
+	circ, err := s.decodeRequest(r, &req, &req.circuitSource)
+	if err != nil {
+		return nil, nil, err
 	}
 	if req.Shots == 0 {
 		req.Shots = s.cfg.DefaultShots

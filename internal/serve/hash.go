@@ -25,13 +25,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 
-	"weaksim/internal/algo"
 	"weaksim/internal/circuit"
-	"weaksim/internal/circuit/qasm"
 	"weaksim/internal/dd"
 )
 
@@ -118,27 +115,12 @@ func CircuitKey(c *circuit.Circuit, norm dd.Norm, generic bool) string {
 // replica still enforces its full request schema); a body whose circuit
 // cannot be built fails with an error the router reports as HTTP 400.
 func KeyForBody(body []byte, norm dd.Norm) (string, error) {
-	var req struct {
-		QASM    string `json:"qasm"`
-		Circuit string `json:"circuit"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	var src circuitSource
+	if err := json.Unmarshal(body, &src); err != nil {
 		return "", fmt.Errorf("invalid JSON body: %w", err)
 	}
-	if (req.QASM == "") == (req.Circuit == "") {
-		return "", errors.New(`exactly one of "qasm" and "circuit" must be set`)
-	}
-	var circ *circuit.Circuit
-	var err error
-	if req.Circuit != "" {
-		circ, err = algo.Generate(req.Circuit)
-	} else {
-		circ, err = qasm.Parse(req.QASM, "request")
-	}
+	circ, err := resolveCircuit(src.QASM, src.Circuit)
 	if err != nil {
-		return "", err
-	}
-	if err := circ.Validate(); err != nil {
 		return "", err
 	}
 	return CircuitKey(circ, norm, false), nil

@@ -1,9 +1,13 @@
 package serve
 
-// Batch-job HTTP surface, backed by internal/job:
+// Batch-job HTTP surface, backed by internal/job. A job is a /v1/sample
+// batch made durable: the same circuit resolution, the same core.ChunkShots
+// chunks drawn by the same chunk body (core.TallyChunk), each checkpointed
+// in the WAL, so a job's counts equal /v1/sample's for the same (circuit,
+// seed, shots), and its result writes them with the same counts writer.
 //
-//	POST   /v1/jobs             {qasm|circuit, shots, seed?, chunk_shots?,
-//	                             priority?, tenant?} → 202 + job status
+//	POST   /v1/jobs             {qasm|circuit, shots, seed?, priority?,
+//	                             tenant?} → 202 + job status
 //	GET    /v1/jobs             → all known jobs, newest first
 //	GET    /v1/jobs/{id}        → job status
 //	GET    /v1/jobs/{id}/result → merged counts (409 until completed)
@@ -25,31 +29,24 @@ import (
 	"net/http"
 	"strings"
 
-	"weaksim/internal/algo"
-	"weaksim/internal/circuit"
-	"weaksim/internal/circuit/qasm"
 	"weaksim/internal/core"
 	"weaksim/internal/job"
 )
 
-// DefaultJobMaxShots caps a single job's shot budget (distinct from the
+// JobMaxShots caps a single job's shot budget (distinct from the
 // per-request MaxShots: jobs exist precisely to exceed it).
-const DefaultJobMaxShots = 1 << 30
+const JobMaxShots = 1 << 30
 
 // jobSubmitRequest is the POST /v1/jobs body.
 type jobSubmitRequest struct {
-	// QASM or Circuit names the work; exactly one must be set (same contract
-	// as /v1/sample).
-	QASM    string `json:"qasm,omitempty"`
-	Circuit string `json:"circuit,omitempty"`
+	// circuitSource names the work, as for /v1/sample.
+	circuitSource
 	// Shots is the total sample budget (required; capped at JobMaxShots).
 	Shots int `json:"shots"`
 	// Seed seeds sampling; omitted means 1. Chunk i draws from
 	// rng.Stream(seed, i), so results are reproducible and
 	// checkpoint-stable.
 	Seed *uint64 `json:"seed,omitempty"`
-	// ChunkShots overrides the server's checkpoint granularity.
-	ChunkShots int `json:"chunk_shots,omitempty"`
 	// Priority is "high", "normal" (default), or "low".
 	Priority string `json:"priority,omitempty"`
 	// Tenant attributes the job for fair-share weighting and quotas
@@ -67,26 +64,6 @@ type jobResultResponse struct {
 	Seed   uint64     `json:"seed"`
 }
 
-// resolveJobCircuit re-parses a job spec's circuit source. Used at submit
-// (validation) and by every chunk (the spec, not a pointer, is what survives
-// a restart).
-func (s *Server) resolveJobCircuit(spec job.Spec) (*circuit.Circuit, error) {
-	var circ *circuit.Circuit
-	var err error
-	if spec.Circuit != "" {
-		circ, err = algo.Generate(spec.Circuit)
-	} else {
-		circ, err = qasm.Parse(spec.QASM, "job "+spec.ID)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := circ.Validate(); err != nil {
-		return nil, err
-	}
-	return circ, nil
-}
-
 // jobSnapshot is the job manager's SnapshotFunc: resolve the chunk's frozen
 // sampler through the shared cache/flight/pool path. Error translation is
 // the contract here — the job layer must know retryable from terminal:
@@ -97,7 +74,7 @@ func (s *Server) resolveJobCircuit(spec job.Spec) (*circuit.Circuit, error) {
 //	cache key drifted since submit → VerdictError "config_changed"
 //	MO / TO / anything else       → terminal verdict, unchanged
 func (s *Server) jobSnapshot(ctx context.Context, spec job.Spec) (core.Sampler, error) {
-	circ, err := s.resolveJobCircuit(spec)
+	circ, err := resolveCircuit(spec.QASM, spec.Circuit)
 	if err != nil {
 		return nil, &job.VerdictError{Code: "bad_circuit", Err: err}
 	}
@@ -145,27 +122,21 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, ErrDraining)
 		return
 	}
+	// The circuit is resolved at the door — a job that can never run should
+	// be a 400 now, not a failed state later — and its key pinned for the
+	// chunks to verify against.
 	var req jobSubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, badRequest{fmt.Errorf("invalid JSON body: %w", err)})
-		return
-	}
-	if (req.QASM == "") == (req.Circuit == "") {
-		s.writeError(w, badRequest{errors.New(`exactly one of "qasm" and "circuit" must be set`)})
+	circ, err := s.decodeRequest(r, &req, &req.circuitSource)
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
 	if req.Shots < 1 {
 		s.writeError(w, badRequest{fmt.Errorf("shots must be positive, got %d", req.Shots)})
 		return
 	}
-	if req.Shots > s.cfg.JobMaxShots {
-		s.writeError(w, badRequest{fmt.Errorf("shots %d exceeds the per-job cap %d", req.Shots, s.cfg.JobMaxShots)})
-		return
-	}
-	if req.ChunkShots < 0 {
-		s.writeError(w, badRequest{fmt.Errorf("chunk_shots must be non-negative, got %d", req.ChunkShots)})
+	if req.Shots > JobMaxShots {
+		s.writeError(w, badRequest{fmt.Errorf("shots %d exceeds the per-job cap %d", req.Shots, JobMaxShots)})
 		return
 	}
 	prio, err := job.ParsePriority(req.Priority)
@@ -178,31 +149,16 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		req.Seed = &one
 	}
 	spec := job.Spec{
-		QASM:       req.QASM,
-		Circuit:    req.Circuit,
-		Shots:      req.Shots,
-		Seed:       *req.Seed,
-		ChunkShots: req.ChunkShots,
-		Norm:       s.cfg.Norm.String(),
-		Priority:   prio,
-		Tenant:     req.Tenant,
+		Key:      CircuitKey(circ, s.cfg.Norm, false),
+		QASM:     req.QASM,
+		Circuit:  req.Circuit,
+		Qubits:   circ.NQubits,
+		Shots:    req.Shots,
+		Seed:     *req.Seed,
+		Norm:     s.cfg.Norm.String(),
+		Priority: prio,
+		Tenant:   req.Tenant,
 	}
-	// Validate the circuit at the door — a job that can never run should be
-	// a 400 now, not a failed state later — and pin the cache key the chunks
-	// will verify against.
-	circ, err := s.resolveJobCircuit(spec)
-	if err != nil {
-		s.writeError(w, badRequest{err})
-		return
-	}
-	if circ.NQubits > s.cfg.MaxQubits {
-		s.writeError(w, badRequest{fmt.Errorf("circuit has %d qubits; this server accepts at most %d",
-			circ.NQubits, s.cfg.MaxQubits)})
-		return
-	}
-	spec.Key = CircuitKey(circ, s.cfg.Norm, false)
-	spec.Qubits = circ.NQubits
-
 	st, err := s.jobs.Submit(spec)
 	if err != nil {
 		s.writeError(w, err)
@@ -276,7 +232,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, id string) {
 	}
 	writeJSON(w, http.StatusOK, jobResultResponse{
 		JobID:  id,
-		Counts: countsJSON{core.TallyOf(counts), qubits},
+		Counts: countsJSON{counts, qubits},
 		Qubits: qubits,
 		Shots:  st.Shots,
 		Seed:   st.Seed,

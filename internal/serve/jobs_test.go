@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"weaksim/internal/core"
 	"weaksim/internal/dd"
 	"weaksim/internal/job"
 )
@@ -61,7 +62,7 @@ func TestJobLifecycleHTTP(t *testing.T) {
 
 	var st job.Status
 	code, _ := postJSON(t, base, "/v1/jobs", map[string]any{
-		"qasm": ghzQASM, "shots": 5000, "chunk_shots": 1000, "seed": 7,
+		"qasm": ghzQASM, "shots": 4*core.ChunkShots + 1000, "seed": 7,
 	}, &st)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d, want 202", code)
@@ -71,8 +72,8 @@ func TestJobLifecycleHTTP(t *testing.T) {
 	}
 
 	done := waitJob(t, base, st.ID, func(s job.Status) bool { return s.State == job.StateCompleted })
-	if done.ShotsDone != 5000 || done.ChunksDone != 5 {
-		t.Errorf("completed with shots=%d chunks=%d, want 5000/5", done.ShotsDone, done.ChunksDone)
+	if done.ShotsDone != 4*core.ChunkShots+1000 || done.ChunksDone != 5 {
+		t.Errorf("completed with shots=%d chunks=%d, want %d/5", done.ShotsDone, done.ChunksDone, 4*core.ChunkShots+1000)
 	}
 
 	var res jobResult
@@ -86,8 +87,8 @@ func TestJobLifecycleHTTP(t *testing.T) {
 		}
 		sum += n
 	}
-	if sum != 5000 {
-		t.Errorf("result counts sum to %d, want 5000", sum)
+	if sum != 4*core.ChunkShots+1000 {
+		t.Errorf("result counts sum to %d, want %d", sum, 4*core.ChunkShots+1000)
 	}
 
 	var list struct {
@@ -102,7 +103,7 @@ func TestJobEventsNDJSON(t *testing.T) {
 	_, base := startServer(t, Config{Norm: dd.NormL2Phase})
 	var st job.Status
 	code, _ := postJSON(t, base, "/v1/jobs", map[string]any{
-		"circuit": "ghz_4", "shots": 50_000, "chunk_shots": 5000,
+		"circuit": "ghz_4", "shots": 10 * core.ChunkShots,
 	}, &st)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
@@ -140,7 +141,7 @@ func TestJobCancelAndConflict(t *testing.T) {
 	_, base := startServer(t, Config{Norm: dd.NormL2Phase, JobsDir: t.TempDir()})
 	var st job.Status
 	code, _ := postJSON(t, base, "/v1/jobs", map[string]any{
-		"circuit": "ghz_3", "shots": 100_000_000, "chunk_shots": 65536,
+		"circuit": "ghz_3", "shots": 100_000_000,
 	}, &st)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
@@ -218,19 +219,23 @@ func TestJobNotFound(t *testing.T) {
 }
 
 func TestJobBadRequests(t *testing.T) {
-	_, base := startServer(t, Config{Norm: dd.NormL2Phase, JobMaxShots: 10_000})
+	_, base := startServer(t, Config{Norm: dd.NormL2Phase})
+	// A job's chunk size is persisted in its spec but is no request field.
+	chunkSize, _ := reflect.TypeOf(job.Spec{}).FieldByName("ChunkShots")
 	cases := []map[string]any{
 		{"shots": 100}, // no circuit
 		{"qasm": ghzQASM, "circuit": "ghz_3", "shots": 100}, // both
-		{"circuit": "ghz_3"},                                  // no shots
-		{"circuit": "ghz_3", "shots": -5},                     // negative shots
-		{"circuit": "ghz_3", "shots": 20_000},                 // over the job cap
-		{"circuit": "ghz_3", "shots": 100, "priority": "max"}, // bad priority
-		{"circuit": "nope_99", "shots": 100},                  // unknown benchmark
+		{"circuit": "ghz_3"},                                                // no shots
+		{"circuit": "ghz_3", "shots": -5},                                   // negative shots
+		{"circuit": "ghz_3", "shots": JobMaxShots + 1},                      // over the job cap
+		{"circuit": "ghz_3", "shots": 2048, chunkSize.Tag.Get("json"): 512}, // no such field
+		{"circuit": "ghz_3", "shots": 100, "priority": "max"},               // bad priority
+		{"circuit": "nope_99", "shots": 100},                                // unknown benchmark
 	}
 	for i, body := range cases {
-		if code, _ := postJSON(t, base, "/v1/jobs", body, nil); code != http.StatusBadRequest {
-			t.Errorf("case %d (%v): status %d, want 400", i, body, code)
+		var eb errorBody
+		if code, _ := postJSON(t, base, "/v1/jobs", body, &eb); code != http.StatusBadRequest || eb.Error.Code != "bad_request" {
+			t.Errorf("case %d (%v): status %d code %q, want 400 bad_request", i, body, code, eb.Error.Code)
 		}
 	}
 }
@@ -267,7 +272,7 @@ func TestDrainingRetryAfter(t *testing.T) {
 // uninterrupted run of the same spec.
 func TestJobResumeAcrossRestart(t *testing.T) {
 	spec := map[string]any{
-		"qasm": ghzQASM, "shots": 1_000_000, "chunk_shots": 50_000, "seed": 11,
+		"qasm": ghzQASM, "shots": 1_000_000, "seed": 11,
 	}
 
 	// Reference: uninterrupted run.
@@ -386,7 +391,7 @@ func TestJobResultHTTP(t *testing.T) {
 	_, base := startServer(t, Config{Norm: dd.NormL2Phase})
 	var st job.Status
 	code, _ := postJSON(t, base, "/v1/jobs", map[string]any{
-		"circuit": "ghz_4", "shots": 300, "chunk_shots": 100, "seed": 9,
+		"circuit": "ghz_4", "shots": 300, "seed": 9,
 	}, &st)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)

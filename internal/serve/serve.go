@@ -131,10 +131,6 @@ type Config struct {
 	// JobWorkers sizes the chunk-executor pool (<= 0 selects
 	// job.DefaultWorkers).
 	JobWorkers int
-	// JobMaxShots caps a single job's shot budget (<= 0 selects
-	// DefaultJobMaxShots). Deliberately distinct from MaxShots: jobs exist
-	// to exceed the per-request cap.
-	JobMaxShots int
 	// JobTenantWeights maps tenant name to fair-share weight (absent = 1).
 	JobTenantWeights map[string]int
 	// JobMaxPerTenant is the per-tenant non-terminal job quota (<= 0
@@ -176,9 +172,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SLOs == nil {
 		c.SLOs = DefaultSLOs(c.RequestTimeout)
-	}
-	if c.JobMaxShots <= 0 {
-		c.JobMaxShots = DefaultJobMaxShots
 	}
 	return c
 }

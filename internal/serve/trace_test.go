@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"weaksim/internal/core"
 	"weaksim/internal/fault"
 	"weaksim/internal/job"
 	"weaksim/internal/obs"
@@ -372,7 +373,7 @@ func TestServeJobPhasesFromTrace(t *testing.T) {
 	_, base := startServer(t, Config{JobsDir: t.TempDir()})
 	var st job.Status
 	if code, _ := postJSON(t, base, "/v1/jobs", map[string]any{
-		"circuit": "qft_8", "shots": 3000, "chunk_shots": 1000, "seed": 7,
+		"circuit": "qft_8", "shots": 3 * core.ChunkShots, "seed": 7,
 	}, &st); code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
