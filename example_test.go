@@ -56,9 +56,9 @@ func ExampleState_Sampler() {
 		fmt.Println(sampler.Shot())
 	}
 	// Output:
-	// 011
+	// 111
 	// 001
-	// 100
+	// 001
 }
 
 // Probabilities of the paper's running example (Fig. 2).

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"weaksim/internal/algo"
+	"weaksim/internal/circuit"
 	"weaksim/internal/cnum"
 	"weaksim/internal/dd"
 	"weaksim/internal/rng"
@@ -54,6 +55,12 @@ func freezeCircuit(t testing.TB, name string, norm dd.Norm, generic bool) *dd.Sn
 	if err != nil {
 		t.Fatal(err)
 	}
+	return freezeOf(t, c, norm, generic)
+}
+
+// freezeOf strong-simulates a circuit and freezes it.
+func freezeOf(t testing.TB, c *circuit.Circuit, norm dd.Norm, generic bool) *dd.Snapshot {
+	t.Helper()
 	s, err := sim.NewDD(c, sim.WithManagerOptions(dd.WithNormalization(norm)))
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +273,9 @@ var fuzzSnaps = map[string]*dd.Snapshot{}
 // FuzzCountsFrozen: for any seed, shot count up to three tally blocks and a
 // bit, circuit and branch rule, Counts over the frozen sampler equals the
 // per-shot reference tally, and the dense and map tallies of the batch
-// agree whichever one the rule picks.
+// agree whichever one the rule picks. SampleBlock returns Sample's indices
+// in order, each with a nonzero snapshot amplitude unless a zero-edge
+// fallback was counted, and every path takes exactly one draw per shot.
 func FuzzCountsFrozen(f *testing.F) {
 	f.Add(uint64(1), uint16(0), uint8(0), uint8(0))
 	f.Add(uint64(2), uint16(513), uint8(3), uint8(1))
@@ -294,6 +303,27 @@ func FuzzCountsFrozen(f *testing.F) {
 		checkTalliesAgree(t, fmt.Sprintf("%s, seed %d, %d shots", key, seed, n), dense, sparse)
 		if !maps.Equal(sparse.Map(), want) {
 			t.Fatalf("%s, seed %d, %d shots: map tally differs from the per-shot tally", key, seed, n)
+		}
+
+		ra, rb := rng.New(seed), rng.New(seed)
+		block := make([]uint64, n)
+		before := fs.Renorms()
+		fs.SampleBlock(rb, block)
+		fellBack := fs.Renorms() != before
+		for i, idx := range block {
+			if got := fs.Sample(ra); got != idx {
+				t.Fatalf("%s, seed %d: shot %d: SampleBlock %d, Sample %d", key, seed, i, idx, got)
+			}
+			if !fellBack && snap.Amplitude(idx).Abs2() == 0 {
+				t.Fatalf("%s, seed %d: shot %d: outcome %d has amplitude 0 and no fallback was counted", key, seed, i, idx)
+			}
+		}
+		ref := rng.New(seed)
+		for range n {
+			ref.Uint64()
+		}
+		if a, b, w := ra.Uint64(), rb.Uint64(), ref.Uint64(); a != w || b != w {
+			t.Fatalf("%s, seed %d, %d shots: Sample or SampleBlock did not take one draw per shot", key, seed, n)
 		}
 	})
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -10,40 +12,64 @@ import (
 	"weaksim/internal/rng"
 )
 
+// WalkVersion names the rule that turns a shot's draw into an outcome: the
+// range decoder below, over the walk table's 0.64 fixed-point thresholds.
+// Counts are a function of (circuit, seed, shots) under one WalkVersion.
+// Durable jobs stamp it into their persisted spec, so a job never merges
+// chunks drawn under two walks; a change to the decoder, the threshold
+// conversion or the per-shot draw must bump it.
+const WalkVersion = 1
+
 // FrozenSampler draws measurement samples from an immutable dd.Snapshot
-// (paper Section IV over frozen arrays). The walk reads a flat
-// []dd.SnapNode by int32 index and compares the uniform draw against the
-// precomputed cumulative threshold P0: a handful of cache-friendly array
-// loads per level, with no map lookups and no pointer chasing. Each level is
-// one branch-free step (see step): the draw's comparison with P0 selects
-// the kid by index, so a 50/50 branch costs no mispredicted jump.
+// (paper Section IV over frozen arrays). NewFrozenSampler copies the 16
+// bytes of each node a walk reads — the two kid indices and the 0-branch
+// probability P0 as a 0.64 fixed-point threshold (see threshold) — into a
+// flat walk table, so a level is one 16-byte load by int32 index.
+//
+// A shot is one range-decoder pass (see step): it takes exactly one
+// Uint64 from r and splits the interval it names level by level, so it
+// consumes about its outcome's information content in random bits. Each
+// level is branch-free: the draw's position in the interval selects the
+// kid by index.
 //
 // Sample walks one shot. SampleBlock, which every count-producing loop uses
 // (see drawBlock), walks walkWidth shots in lockstep, level by level, so the
 // independent walks' node loads overlap instead of each waiting on its own
-// chain. Its draws are taken up front in Sample's order — shot by shot,
-// level n−1 first, one uniform per level — and each shot runs the same
-// step on the same draws, so a block's indices, renorm count and final
-// generator state equal those of len(out) Sample calls bit for bit.
+// chain. A shot is a pure function of its one draw, so a block's indices,
+// renorm count and final generator state equal those of len(out) Sample
+// calls bit for bit.
 //
 // A FrozenSampler is safe for concurrent use by any number of goroutines,
-// each with its own *rng.RNG: the snapshot is immutable, and the only
+// each with its own *rng.RNG: the walk table is immutable, and the only
 // mutable field (the renorm counter) is atomic. This is what the parallel
 // shot generator relies on — one snapshot, many lock-free walkers.
 //
-// Exactly one uniform is consumed per level, and the zero-edge fallback
-// flips the branch without drawing again; the tests check the walk bit for
-// bit against a pointer walk over the live diagram, and SampleBlock bit for
-// bit against Sample.
+// The zero-edge fallback flips the branch without touching the decoder
+// state. The tests check the walk bit for bit against a pointer walk over
+// the live diagram through the same decoder, SampleBlock bit for bit
+// against Sample, and both against exact Born probabilities.
 type FrozenSampler struct {
-	nodes   []dd.SnapNode
+	walk    []walkNode
 	root    int32
 	n       int
 	snap    *dd.Snapshot
 	renorms atomic.Uint64
 }
 
-// NewFrozenSampler prepares lock-free sampling from a frozen state.
+// walkNode is one node of the walk table: a dd.SnapNode's kids and its P0
+// as threshold(P0). The walk table is a property of the sampling code, not
+// of the snapshot, so persisted and shipped snapshots stay valid whatever
+// the walk.
+type walkNode struct {
+	Kid [2]int32
+	T   uint64
+}
+
+// walkNodeBytes is the size of one walkNode.
+const walkNodeBytes = 16
+
+// NewFrozenSampler prepares lock-free sampling from a frozen state, building
+// its walk table in one pass over the snapshot's nodes.
 func NewFrozenSampler(snap *dd.Snapshot) (*FrozenSampler, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("core: nil snapshot")
@@ -51,12 +77,32 @@ func NewFrozenSampler(snap *dd.Snapshot) (*FrozenSampler, error) {
 	if snap.Qubits() > 0 && (snap.Len() == 0 || snap.Root() < 0) {
 		return nil, fmt.Errorf("core: snapshot has no root node for %d qubits", snap.Qubits())
 	}
+	nodes := snap.Nodes()
+	walk := make([]walkNode, len(nodes))
+	for i := range nodes {
+		walk[i] = walkNode{Kid: nodes[i].Kid, T: threshold(nodes[i].P0)}
+	}
 	return &FrozenSampler{
-		nodes: snap.Nodes(),
-		root:  snap.Root(),
-		n:     snap.Qubits(),
-		snap:  snap,
+		walk: walk,
+		root: snap.Root(),
+		n:    snap.Qubits(),
+		snap: snap,
 	}, nil
+}
+
+// threshold converts a branch probability P0 to the 0.64 fixed-point
+// threshold the decoder splits on: ⌊P0·2^64⌋, with NaN and P0 ≤ 0 mapped to
+// 0 (always branch 1) and P0 ≥ 1 to MaxUint64. The product of a float64
+// below 1 and 2^64 is exact and below 2^64, so the conversion never
+// overflows.
+func threshold(p0 float64) uint64 {
+	switch {
+	case !(p0 > 0):
+		return 0
+	case p0 >= 1:
+		return math.MaxUint64
+	}
+	return uint64(p0 * (1 << 64))
 }
 
 // Qubits returns the sampled bitstring width.
@@ -65,6 +111,10 @@ func (s *FrozenSampler) Qubits() int { return s.n }
 // Snapshot returns the frozen state the sampler walks.
 func (s *FrozenSampler) Snapshot() *dd.Snapshot { return s.snap }
 
+// WalkBytes returns the size of the walk table the sampler holds next to
+// its snapshot: 16 bytes per node.
+func (s *FrozenSampler) WalkBytes() int { return len(s.walk) * walkNodeBytes }
+
 // Renorms returns how many zero-edge fallbacks walks have taken so far,
 // summed across all goroutines: the "rejection/renormalization" events of
 // the randomized traversal, caused purely by floating-point slack at
@@ -72,97 +122,127 @@ func (s *FrozenSampler) Snapshot() *dd.Snapshot { return s.snap }
 // zero.
 func (s *FrozenSampler) Renorms() uint64 { return s.renorms.Load() }
 
-// Sample draws one basis-state index by a randomized walk over the frozen
-// arrays. Safe for concurrent use; r must be goroutine-local.
+// A shot is decoded like an arithmetic-coded message: its state is a
+// position x in an interval [0, r) and a SplitMix64 state w. A shot starts
+// from one 64-bit draw: x is the draw, r is 2^64−1, and w is seeded by the
+// draw, so the whole shot is a pure function of it.
+//
+// Each level splits the interval at s = ⌊T·r/2^64⌋, T the node's threshold:
+// x < s takes branch 0 and keeps [0, s), else branch 1 keeps [s, r), shifted
+// to start at 0. x is uniform in the surviving sub-interval again, so the
+// next level splits the same way. Before a split, r < 2^32 shifts 32 bits
+// from the SplitMix64 sequence into x (and r by 32 bits), so every split
+// has r ≥ 2^32: s/r is then within 2^-64 + 1/r < 2^-31 of P0, the bias
+// bound per level.
+
+// refillBelow is the interval width under which a level first refills.
+const refillBelow = 1 << 32
+
+// step decodes one level on threshold t from the shot state (x, r, w) and
+// returns the level's bit and the next state: a refill when r is below
+// refillBelow, then the split. Sample and the live-diagram test oracle walk
+// through it; SampleBlock spells out its two calls so they inline.
+func step(t, x, r, w uint64) (bit, nx, nr, nw uint64) {
+	if r < refillBelow {
+		x, r, w = refill(x, r, w)
+	}
+	bit, x, r = split(t, x, r)
+	return bit, x, r, w
+}
+
+// split is the interval rule on threshold t: it returns the level's bit and
+// the surviving interval (x, r). It is branch-free: the comparison's borrow
+// picks the bit, and a mask picks the sub-interval.
+func split(t, x, r uint64) (bit, nx, nr uint64) {
+	s, _ := bits.Mul64(t, r)
+	_, borrow := bits.Sub64(x, s, 0)
+	mask := borrow - 1 // all ones iff x ≥ s
+	return mask & 1, x - s&mask, s ^ (s^(r-s))&mask
+}
+
+// refill shifts the next 32 bits of the shot's SplitMix64 sequence into x.
+func refill(x, r, w uint64) (nx, nr, nw uint64) {
+	w, z := rng.SplitMix(w)
+	return x<<32 | z>>32, r << 32, w
+}
+
+// Sample draws one basis-state index by a randomized walk over the walk
+// table, from exactly one r.Uint64. Safe for concurrent use; r must be
+// goroutine-local.
 func (s *FrozenSampler) Sample(r *rng.RNG) uint64 {
+	x := r.Uint64()
+	rr, w := uint64(math.MaxUint64), x
 	var idx uint64
 	cur := s.root
-	for v := s.n - 1; v >= 0; v-- {
-		next, bit, zero := step(&s.nodes[cur], r.Float64())
-		if zero {
+	for range s.n {
+		nd := &s.walk[cur]
+		var bit uint64
+		bit, x, rr, w = step(nd.T, x, rr, w)
+		next := nd.Kid[bit]
+		if next == dd.SnapZero {
+			// Floating-point slack put the walk on a zero edge: the other
+			// branch holds all the mass. Take it; the decoder state stays.
+			bit ^= 1
+			next = nd.Kid[bit]
 			s.renorms.Add(1)
 		}
-		idx |= bit << (uint(v) & 63)
+		idx = idx<<1 | bit
 		cur = next
 	}
 	return idx
 }
 
-// step takes one level of a walk from node nd on the uniform draw u: bit 0
-// (to Kid[0]) iff u < P0, selected without a data-dependent branch. If that
-// lands on a zero edge, floating-point slack put the walk there and the
-// other branch holds all the mass: step flips to it, consuming no draw, and
-// reports zero so the caller can count the renormalization event.
-func step(nd *dd.SnapNode, u float64) (next int32, bit uint64, zero bool) {
-	if !(u < nd.P0) {
-		bit = 1
-	}
-	next = nd.Kid[bit&1]
-	if next == dd.SnapZero {
-		bit ^= 1
-		next, zero = nd.Kid[bit&1], true
-	}
-	return next, bit, zero
-}
-
 // walkWidth is how many shots SampleBlock walks in lockstep. Any width from
 // 8 to 64 runs at about the same speed: wide enough for the independent
-// walks' loads to overlap, small enough that a block's draws (walkWidth·n
-// uint64s) stay in L1.
+// walks' loads to overlap, small enough that a block's state stays in L1.
 const walkWidth = 32
 
 // SampleBlock fills out with len(out) samples: bit for bit the indices that
 // len(out) successive Sample calls would return from the same r, leaving r
-// where they would leave it and adding the same count to Renorms. It
-// allocates nothing. Safe for concurrent use; r must be goroutine-local.
+// where they would leave it (one Uint64 per shot) and adding the same count
+// to Renorms. It allocates nothing. Safe for concurrent use; r must be
+// goroutine-local.
 //
-// Shots are taken walkWidth at a time. The block's draws are filled up front
-// in Sample's order (shot by shot, level n−1 first), then the shots descend
-// in lockstep, one level for all of them before the next, so their
-// independent chains of node loads overlap. Each step is a branch-free
-// select on the draw; only the rare zero-edge fallback branches, and it
-// consumes no draw.
+// Shots are taken walkWidth at a time. The block's draws are taken up front
+// in shot order, then the shots descend in lockstep, one level for all of
+// them before the next, so their independent chains of node loads overlap.
+// Only the decoder's refill and the rare zero-edge fallback branch; each
+// shot shifts its bits into its index, top qubit first, so no shift count
+// is kept.
 func (s *FrozenSampler) SampleBlock(r *rng.RNG, out []uint64) {
-	n := s.n
-	if n == 0 {
-		clear(out)
-		return
-	}
 	var (
-		draws   [walkWidth * dd.MaxQubits]uint64
-		cur     [walkWidth]int32
-		renorms uint64
+		xs, rs, ws [walkWidth]uint64
+		cur        [walkWidth]int32
 	)
-	nodes := s.nodes
+	walk := s.walk
 	for len(out) > 0 {
 		b := min(len(out), walkWidth)
-		u := draws[:b*n]
-		r.Fill53(u)
 		idx, at := out[:b], cur[:b]
 		for j := range idx {
-			idx[j], at[j] = 0, s.root
+			d := r.Uint64()
+			idx[j], at[j], xs[j], rs[j], ws[j] = 0, s.root, d, math.MaxUint64, d
 		}
-		for v := n - 1; v >= 0; v-- {
-			shift := uint(v) & 63
-			// Shot j's draw for level v is u[j*n + n-1-v].
-			d := n - 1 - v
+		for range s.n {
 			for j := range idx {
-				// u[d] < 2^53, so float64(int64(u[d]))/2^53 is exactly the
-				// value Float64 returns; the signed conversion is one
-				// instruction.
-				next, bit, zero := step(&nodes[at[j]], float64(int64(u[d]))/(1<<53))
-				if zero {
-					renorms++
+				// step(nd.T, xs[j], rs[j], ws[j]), spelled out.
+				nd := &walk[at[j]]
+				x, rr := xs[j], rs[j]
+				if rr < refillBelow {
+					x, rr, ws[j] = refill(x, rr, ws[j])
 				}
-				d += n
+				bit, x, rr := split(nd.T, x, rr)
+				xs[j], rs[j] = x, rr
+				next := nd.Kid[bit]
+				if next == dd.SnapZero {
+					bit ^= 1
+					next = nd.Kid[bit]
+					s.renorms.Add(1)
+				}
 				at[j] = next
-				idx[j] |= bit << shift
+				idx[j] = idx[j]<<1 | bit
 			}
 		}
 		out = out[b:]
-	}
-	if renorms != 0 {
-		s.renorms.Add(renorms)
 	}
 }
 

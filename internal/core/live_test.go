@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"weaksim/internal/dd"
 	"weaksim/internal/rng"
 )
@@ -39,8 +41,12 @@ func (s *liveSampler) downOf(n *dd.VNode) float64 {
 
 func (s *liveSampler) Qubits() int { return s.m.Qubits() }
 
+// Sample decodes one draw through the frozen walk's step, on thresholds it
+// converts from its own P0 with the same threshold rule.
 func (s *liveSampler) Sample(r *rng.RNG) uint64 {
 	var idx uint64
+	x := r.Uint64()
+	rr, w := uint64(math.MaxUint64), x
 	e := s.root
 	for v := s.m.Qubits() - 1; v >= 0; v-- {
 		n := e.N
@@ -50,18 +56,15 @@ func (s *liveSampler) Sample(r *rng.RNG) uint64 {
 			d1 := n.E[1].W.Abs2() * s.downOf(n.E[1].N)
 			p0 = d0 / (d0 + d1)
 		}
-		bit := uint64(1) << uint(v)
-		if r.Float64() < p0 {
-			e = n.E[0]
-		} else {
-			e = n.E[1]
-			idx |= bit
-		}
+		var b uint64
+		b, x, rr, w = step(threshold(p0), x, rr, w)
+		e = n.E[b]
+		idx |= b << uint(v)
 		if e.IsZero() {
 			// Floating-point slack put us on a zero edge; take the other.
 			s.renorms++
-			idx ^= bit
-			e = n.E[(idx>>uint(v))&1]
+			idx ^= 1 << uint(v)
+			e = n.E[b^1]
 		}
 	}
 	return idx

@@ -154,6 +154,11 @@ type Spec struct {
 	ChunkShots int `json:"chunk_shots"`
 	// Norm is the DD normalization scheme the key was computed under.
 	Norm string `json:"norm"`
+	// Walk is the core.WalkVersion the job's chunks are drawn under. Submit
+	// stamps it; it is not settable. A WAL written before the stamp existed
+	// decodes it as 0. Replay fails a job that still needs chunks under
+	// another walk with config_changed, so no job mixes two walks' chunks.
+	Walk int `json:"walk"`
 	// Priority is the class (PriorityHigh..PriorityLow).
 	Priority int `json:"priority"`
 	// Tenant attributes the job for fair-share scheduling and quotas.

@@ -350,6 +350,12 @@ func (m *Manager) finishReplayLocked() {
 			m.terminalizeLocked(j, StateCompleted, "", "")
 			continue
 		}
+		if j.spec.Walk != core.WalkVersion {
+			// The job's chunks so far were drawn under another walk: merging
+			// this binary's chunks with them would be neither run's counts.
+			m.failStaleWalkLocked(j)
+			continue
+		}
 		if j.chunksDone > 0 {
 			j.state = StateRunning
 		} else {
@@ -358,6 +364,20 @@ func (m *Manager) finishReplayLocked() {
 	}
 	m.gActive.Set(int64(m.activeLocked()))
 	m.evictTerminalLocked()
+}
+
+// failStaleWalkLocked drops a replayed job's chunks and fails it with the
+// config_changed verdict, before any chunk of it is drawn. An empty
+// checkpoint ahead of the terminal record drops the chunks on every later
+// replay too.
+func (m *Manager) failStaleWalkLocked(j *jobState) {
+	_ = m.appendLocked(mustRecord(recCheckpoint, checkpointRecord{ID: j.spec.ID, Done: []int{}, Counts: map[string]int{}}))
+	j.counts = core.NewTally(j.spec.Qubits, j.spec.Shots)
+	j.done = make([]bool, j.spec.ChunksTotal())
+	j.chunksDone, j.shotsDone, j.recovered = 0, 0, 0
+	m.terminalizeLocked(j, StateFailed, "config_changed",
+		fmt.Sprintf("job: chunks drawn under walk version %d, this build walks version %d",
+			j.spec.Walk, core.WalkVersion))
 }
 
 // ---- store API ----
@@ -377,6 +397,7 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 	if spec.CreatedUnixMS == 0 {
 		spec.CreatedUnixMS = time.Now().UnixMilli()
 	}
+	spec.Walk = core.WalkVersion
 	if err := spec.Validate(); err != nil {
 		return Status{}, err
 	}

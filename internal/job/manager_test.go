@@ -47,6 +47,7 @@ func testSpec(id string, shots, chunk int) Spec {
 		Norm:       "sum",
 		Priority:   PriorityNormal,
 		Tenant:     "t",
+		Walk:       core.WalkVersion, // as Submit stamps it
 	}
 }
 

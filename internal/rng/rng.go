@@ -10,7 +10,7 @@ import "math/rand/v2"
 // It is not safe for concurrent use.
 //
 // The concrete *rand.PCG is kept next to the *rand.Rand that wraps it: both
-// advance the same state, so the sampling draws (Float64, Fill53) call the
+// advance the same state, so the sampling draws (Float64, Uint64) call the
 // PCG directly instead of through the rand.Source interface, while the other
 // methods keep math/rand/v2's exact algorithms.
 type RNG struct {
@@ -24,27 +24,10 @@ func New(seed uint64) *RNG {
 	return &RNG{r: rand.New(pcg), pcg: pcg}
 }
 
-// float53 is the exact divisor behind Float64: a draw k < 2^53 maps to
-// k/2^53, so every representable multiple of 2^-53 in [0, 1) is equally
-// likely.
-const float53 = 1 << 53
-
 // Float64 returns a uniform value in [0, 1): float64(k)/2^53, where k is the
 // low 53 bits of the next 64-bit draw. That is bit for bit what
 // math/rand/v2.Rand.Float64 returns over the same state.
-func (g *RNG) Float64() float64 { return float64(g.pcg.Uint64()<<11>>11) / float53 }
-
-// Fill53 fills dst with the 53-bit integers k behind the next len(dst)
-// Float64 draws, in draw order: after Fill53(dst), float64(dst[i])/2^53 is
-// exactly what the i-th Float64 call would have returned, and the generator
-// is where len(dst) Float64 calls would have left it. Block samplers use it
-// to draw a whole block of uniforms in one tight loop.
-func (g *RNG) Fill53(dst []uint64) {
-	pcg := g.pcg
-	for i := range dst {
-		dst[i] = pcg.Uint64() << 11 >> 11
-	}
-}
+func (g *RNG) Float64() float64 { return float64(g.pcg.Uint64()<<11>>11) / (1 << 53) }
 
 // IntN returns a uniform value in [0, n).
 func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
@@ -52,8 +35,9 @@ func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
 // Uint64N returns a uniform value in [0, n).
 func (g *RNG) Uint64N(n uint64) uint64 { return g.r.Uint64N(n) }
 
-// Uint64 returns a uniform 64-bit value.
-func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
+// Uint64 returns a uniform 64-bit value: the PCG's next output, which is
+// what math/rand/v2.Rand.Uint64 returns over the same state.
+func (g *RNG) Uint64() uint64 { return g.pcg.Uint64() }
 
 // Split derives an independent generator from this one, for components that
 // need their own stream without perturbing the parent's sequence.

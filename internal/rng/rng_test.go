@@ -76,38 +76,58 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-// TestFill53MatchesFloat64: Fill53 yields the integers behind Float64 draw
-// for draw, Float64 still equals math/rand/v2's Float64 over the same PCG
-// state, and interleaving block draws with Uint64, IntN and Uint64N leaves
-// the whole sequence unchanged.
-func TestFill53MatchesFloat64(t *testing.T) {
-	for _, seed := range []uint64{0, 1, 42, ^uint64(0)} {
-		ref := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-		a, b := New(seed), New(seed)
-		for round, width := range []int{1, 7, 64, 0, 513, 3} {
-			buf := make([]uint64, width)
-			b.Fill53(buf)
-			for i, k := range buf {
-				want := a.Float64()
-				if k>>53 != 0 {
-					t.Fatalf("seed %d round %d draw %d: %#x is wider than 53 bits", seed, round, i, k)
-				}
-				if got := float64(k) / (1 << 53); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("seed %d round %d draw %d: Fill53 gives %v, Float64 %v", seed, round, i, got, want)
-				}
-				if r := ref.Float64(); math.Float64bits(r) != math.Float64bits(want) {
-					t.Fatalf("seed %d round %d draw %d: Float64 %v, math/rand/v2 %v", seed, round, i, want, r)
-				}
-			}
-			if x, y := a.Uint64(), b.Uint64(); x != y || x != ref.Uint64() {
-				t.Fatalf("seed %d round %d: Uint64 after the block diverges", seed, round)
-			}
-			if x, y := a.IntN(1000), b.IntN(1000); x != y || x != ref.IntN(1000) {
-				t.Fatalf("seed %d round %d: IntN after the block diverges", seed, round)
-			}
-			if x, y := a.Uint64N(7), b.Uint64N(7); x != y || x != ref.Uint64N(7) {
-				t.Fatalf("seed %d round %d: Uint64N after the block diverges", seed, round)
+// TestSamplingDrawsMatchMathRand: Uint64 and Float64, which call the PCG
+// directly, return what math/rand/v2's Rand returns over the same state —
+// Uint64 also the pinned values it returned when it called through the
+// Rand — and interleaving them with IntN and Uint64N leaves the whole
+// sequence unchanged.
+func TestSamplingDrawsMatchMathRand(t *testing.T) {
+	pins := map[uint64][3]uint64{
+		0:          {0x7655d15c919ef624, 0xb87a4210b4edc8b7, 0xfd6b59475f0cb751},
+		42:         {0x743a6a4551a9b830, 0xf9015ec7f256d640, 0xb818d59725fa3c01},
+		^uint64(0): {0x68f932d87a2d2fbe, 0x486ac681367e3694, 0xd8763762af0c84be},
+	}
+	for seed, want := range pins {
+		g := New(seed)
+		for i, w := range want {
+			if got := g.Uint64(); got != w {
+				t.Fatalf("seed %d draw %d: Uint64 %#x, pinned %#x", seed, i, got, w)
 			}
 		}
+	}
+	for _, seed := range []uint64{0, 1, 42, ^uint64(0)} {
+		ref := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+		g := New(seed)
+		for round := 0; round < 64; round++ {
+			if x, y := g.Uint64(), ref.Uint64(); x != y {
+				t.Fatalf("seed %d round %d: Uint64 %#x, math/rand/v2 %#x", seed, round, x, y)
+			}
+			if x, y := g.Float64(), ref.Float64(); math.Float64bits(x) != math.Float64bits(y) {
+				t.Fatalf("seed %d round %d: Float64 %v, math/rand/v2 %v", seed, round, x, y)
+			}
+			if x, y := g.IntN(1000), ref.IntN(1000); x != y {
+				t.Fatalf("seed %d round %d: IntN diverges", seed, round)
+			}
+			if x, y := g.Uint64N(7), ref.Uint64N(7); x != y {
+				t.Fatalf("seed %d round %d: Uint64N diverges", seed, round)
+			}
+		}
+	}
+}
+
+// TestSplitMixWalksTheSequence: SplitMix's outputs are the SplitMix64
+// sequence (the published first outputs from state 0), and its state
+// advances by the golden gamma.
+func TestSplitMixWalksTheSequence(t *testing.T) {
+	w := uint64(0)
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		next, out := SplitMix(w)
+		if out != want {
+			t.Fatalf("output %d: %#x, want %#x", i, out, want)
+		}
+		if next != w+goldenGamma {
+			t.Fatalf("output %d: state %#x, want %#x", i, next, w+goldenGamma)
+		}
+		w = next
 	}
 }

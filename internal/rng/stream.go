@@ -30,6 +30,14 @@ func splitmix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// SplitMix steps a SplitMix64 sequence: it advances state w by the golden
+// gamma and returns the new state and that state's output. Feeding each
+// returned state back in walks the sequence from any starting w.
+func SplitMix(w uint64) (next, out uint64) {
+	w += goldenGamma
+	return w, splitmix64(w)
+}
+
 // Stream returns chunk k's generator for the given batch seed, a pure
 // function of (seed, k). Stream(seed, 0) is identical to New(seed); streams
 // for distinct k are derived through two rounds of the SplitMix64 finalizer

@@ -9,9 +9,10 @@ package serve
 // hitting the node budget (the paper's "compile once, sample in O(n)"
 // economics, Hillmich/Markov/Wille DAC 2020, turned into a serving contract).
 //
-// Capacity is accounted in bytes (dd.Snapshot.Bytes), not entries: a cached
-// supremacy state can be five orders of magnitude bigger than a GHZ state,
-// so entry-count bounds would be meaningless. Eviction is strict LRU.
+// Capacity is accounted in bytes (dd.Snapshot.Bytes plus the sampler's walk
+// table, core.FrozenSampler.WalkBytes), not entries: a cached supremacy
+// state can be five orders of magnitude bigger than a GHZ state, so
+// entry-count bounds would be meaningless. Eviction is strict LRU.
 //
 // Single-flight: concurrent misses on one key elect exactly one leader; the
 // leader runs the compute function while every follower (and the leader)
@@ -308,7 +309,7 @@ func newEntry(key string, snap *dd.Snapshot, simElapsed time.Duration) (*entry, 
 		key:     key,
 		sampler: sampler,
 		qubits:  snap.Qubits(),
-		bytes:   int64(snap.Bytes()),
+		bytes:   int64(snap.Bytes() + sampler.WalkBytes()),
 		simNS:   simElapsed.Nanoseconds(),
 	}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"weaksim/internal/algo"
 	"weaksim/internal/core"
 	"weaksim/internal/dd"
 	"weaksim/internal/obs"
@@ -203,5 +204,31 @@ func TestCacheStatsCounters(t *testing.T) {
 	}
 	if got := reg.Counter("serve_cache_hits_total").Value(); got != 5 {
 		t.Fatalf("registry hits=%d, want 5", got)
+	}
+}
+
+// TestCacheEntryCountsWalkTable: a cached circuit charges the cache its
+// snapshot's bytes plus its sampler's walk table, 16 bytes per node, so
+// CacheBytes bounds both.
+func TestCacheEntryCountsWalkTable(t *testing.T) {
+	srv, _ := startServer(t, Config{})
+	circ, err := algo.Generate("qft_6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent, _, err := srv.lookup(context.Background(), CircuitKey(circ, srv.cfg.Norm, false), circ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := ent.sampler.Snapshot()
+	if snap.Len() != 6 {
+		t.Fatalf("qft_6 froze to %d nodes, want 6", snap.Len())
+	}
+	want := int64(snap.Bytes() + 6*16)
+	if ent.bytes != want {
+		t.Fatalf("entry charges %d bytes, want snapshot %d + walk table %d", ent.bytes, snap.Bytes(), 6*16)
+	}
+	if got := srv.cache.stats().Bytes; got != want {
+		t.Fatalf("cache holds %d bytes, want %d", got, want)
 	}
 }

@@ -62,7 +62,8 @@ type Config struct {
 	// overruns surface as HTTP 507.
 	NodeBudget int
 	// CacheBytes bounds the frozen-snapshot LRU (bytes of snapshot arrays,
-	// dd.Snapshot.Bytes). <= 0 selects DefaultCacheBytes.
+	// dd.Snapshot.Bytes, plus each sampler's walk table). <= 0 selects
+	// DefaultCacheBytes.
 	CacheBytes int64
 	// QueueDepth bounds the simulation admission queue; a full queue
 	// rejects with HTTP 429. < 0 disables queueing (every miss needs an
