@@ -88,15 +88,18 @@ chaos:
 	$(GO) test -race -run 'Chaos|Fault' -count=1 ./...
 
 # Short fuzz smoke for CI: the QASM parser fuzzers, the snapshot binary
-# decoder, the unique-table node constructor, and the block-drawn frozen
-# walk against the per-shot walk, ~30s each. Not a soak — just enough to
-# catch a decoder that panics on the corpus neighborhoods of valid inputs,
-# or a sampling kernel that drifts from Sample.
+# decoder, the unique-table node constructor, the block-drawn frozen
+# walk against the per-shot walk, and weight canonicalization against its
+# Frexp/Ldexp reference, ~30s each. Not a soak — just enough to catch a
+# decoder that panics on the corpus neighborhoods of valid inputs, a
+# sampling kernel that drifts from Sample, or a canonical weight that
+# moves by one bit.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/circuit/qasm
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/dd
 	$(GO) test -run '^$$' -fuzz FuzzMakeVNode -fuzztime 30s ./internal/dd
 	$(GO) test -run '^$$' -fuzz FuzzCountsFrozen -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzLookupFloat -fuzztime 30s ./internal/cnum
 
 # The sampling fast path benchmark watched for regressions (Section IV).
 bench:

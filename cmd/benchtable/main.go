@@ -90,7 +90,7 @@ type benchRow struct {
 	DDFrozenSeconds float64 `json:"dd_frozen_seconds,omitempty"`
 
 	// HitRates maps cache kind → hit rate in [0,1] after strong
-	// simulation: unique_v, unique_m, cache_mul, cache_add, cnum_intern.
+	// simulation: unique_v, unique_m, cache_mul, cache_add.
 	HitRates map[string]float64 `json:"hit_rates,omitempty"`
 
 	// Storage-engine health after strong simulation: mean open-addressing
@@ -273,7 +273,6 @@ func hitRates(st dd.Stats) map[string]float64 {
 	set("unique_m", st.MHits, st.MMisses)
 	set("cache_mul", st.MulHits, st.MulMisses)
 	set("cache_add", st.AddHits, st.AddMisses)
-	set("cnum_intern", st.ComplexHits, st.CMisses)
 	return m
 }
 

@@ -54,7 +54,7 @@ func TestRunSuccessExitOK(t *testing.T) {
 	if doc.Telemetry.PhaseNS["build"] <= 0 || doc.Telemetry.PhaseNS["apply"] <= 0 {
 		t.Fatalf("phase timings missing: %v", doc.Telemetry.PhaseNS)
 	}
-	for _, kind := range []string{"unique_v", "unique_m", "cache_mul", "cnum_intern"} {
+	for _, kind := range []string{"unique_v", "unique_m", "cache_mul"} {
 		if _, ok := doc.Telemetry.HitRates[kind]; !ok {
 			t.Errorf("hit rate %q missing: %v", kind, doc.Telemetry.HitRates)
 		}

@@ -8,6 +8,7 @@ package circuit
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -66,6 +67,11 @@ func (c *Circuit) Validate() error {
 		case GateOp:
 			if op.Target < 0 || op.Target >= c.NQubits {
 				return fmt.Errorf("circuit %q op %d: target %d out of range", c.Name, i, op.Target)
+			}
+			for _, p := range op.Gate.Params {
+				if math.IsNaN(p) || math.IsInf(p, 0) {
+					return fmt.Errorf("circuit %q op %d: %s parameter %v is not finite", c.Name, i, op.Gate.Name(), p)
+				}
 			}
 			seen := map[int]bool{op.Target: true}
 			for _, ctl := range op.Controls {

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -28,7 +29,10 @@ func TestValidateCatchesErrors(t *testing.T) {
 		func(c *Circuit) { c.H(3) },
 		func(c *Circuit) { c.H(-1) },
 		func(c *Circuit) { c.CX(3, 0) },
-		func(c *Circuit) { c.CX(1, 1) },                                       // control == target
+		func(c *Circuit) { c.CX(1, 1) }, // control == target
+		func(c *Circuit) { c.Apply(gate.RXGate(math.NaN()), 0) },
+		func(c *Circuit) { c.Apply(gate.RXGate(math.Inf(1)), 0) },
+		func(c *Circuit) { c.Apply(gate.UGate(0, math.Inf(-1), 0), 0) },
 		func(c *Circuit) { c.Apply(gate.XGate, 0, gate.Pos(1), gate.Pos(1)) }, // dup control
 		func(c *Circuit) { c.Permutation([]uint64{0, 1}, 1, "p", gate.Pos(0)) },
 		func(c *Circuit) { c.Permutation([]uint64{0, 1, 2}, 2, "p") },

@@ -1,12 +1,13 @@
 // Package cnum implements complex arithmetic on explicit structs together
-// with a tolerance-based value-interning table.
+// with tolerance-based weight canonicalization.
 //
 // Decision-diagram packages hash nodes by their edge weights, so two weights
 // that are "equal up to floating-point noise" must compare as identical Go
 // values. The Table type canonicalizes every weight that enters a decision
-// diagram, following the approach of Zulehner, Hillmich, and Wille,
-// "How to efficiently handle complex values?" (ICCAD 2019) — reference [24]
-// of the reproduced paper.
+// diagram by rounding it to a fixed relative grid — a stateless stand-in
+// for the value tables of Zulehner, Hillmich, and Wille, "How to
+// efficiently handle complex values?" (ICCAD 2019), reference [24] of the
+// reproduced paper.
 package cnum
 
 import (

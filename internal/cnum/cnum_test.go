@@ -176,16 +176,28 @@ func TestTableComplexAndStats(t *testing.T) {
 	if c1 != c2 {
 		t.Errorf("complex interning failed: %v vs %v", c1, c2)
 	}
-	hits, misses := tab.Stats()
-	if hits == 0 || misses == 0 {
-		t.Errorf("expected both hits and misses, got %d/%d", hits, misses)
+}
+
+func TestTableLookupDoesNotAllocate(t *testing.T) {
+	tab := NewTable()
+	c := New(1/math.Sqrt2, -0.3)
+	if n := testing.AllocsPerRun(100, func() { c = tab.Lookup(c.Mul(c)) }); n != 0 {
+		t.Errorf("Lookup allocates %v times per call", n)
 	}
-	if tab.Len() != 2 {
-		t.Errorf("Len = %d, want 2 distinct components", tab.Len())
+}
+
+func TestTableNonFinitePassThrough(t *testing.T) {
+	tab := NewTable()
+	for _, v := range []float64{math.Inf(1), math.Inf(-1)} {
+		if got := tab.LookupFloat(v); got != v {
+			t.Errorf("LookupFloat(%v) = %v, want it unchanged", v, got)
+		}
 	}
-	tab.Clear()
-	if tab.Len() != 0 {
-		t.Errorf("Len after Clear = %d", tab.Len())
+	if got := tab.LookupFloat(math.NaN()); !math.IsNaN(got) {
+		t.Errorf("LookupFloat(NaN) = %v, want NaN", got)
+	}
+	if got := tab.Lookup(New(math.NaN(), math.Inf(-1))); !math.IsNaN(got.Re) || !math.IsInf(got.Im, -1) {
+		t.Errorf("Lookup(NaN-Inf·i) = %v", got)
 	}
 }
 

@@ -23,10 +23,10 @@
 //     nil target. A nil target with non-zero weight is the terminal and only
 //     appears below level 0.
 //
-// The Manager owns the unique tables, the complex-value interning table, the
-// compute caches, and a mark-and-sweep garbage collector. All operations on
-// edges must go through the Manager that created them. A Manager is not safe
-// for concurrent use.
+// The Manager owns the unique tables, the weight canonicalization tolerance,
+// the compute caches, and a mark-and-sweep garbage collector. All operations
+// on edges must go through the Manager that created them. A Manager is not
+// safe for concurrent use.
 package dd
 
 import (
@@ -154,7 +154,7 @@ type Option func(*Manager)
 // default is NormL2Phase.
 func WithNormalization(n Norm) Option { return func(m *Manager) { m.norm = n } }
 
-// WithTolerance sets the complex-value interning tolerance.
+// WithTolerance sets the weight canonicalization tolerance.
 func WithTolerance(tol float64) Option {
 	return func(m *Manager) { m.ctab = cnum.NewTableTol(tol) }
 }
@@ -203,11 +203,11 @@ func (m *Manager) Qubits() int { return m.nqubits }
 // Normalization returns the active vector normalization scheme.
 func (m *Manager) Normalization() Norm { return m.norm }
 
-// Tolerance returns the complex interning tolerance.
+// Tolerance returns the weight canonicalization tolerance.
 func (m *Manager) Tolerance() float64 { return m.ctab.Tolerance() }
 
-// Lookup canonicalizes a complex value through the Manager's interning
-// table. Exported for packages that construct DDs node by node.
+// Lookup canonicalizes a complex value on the Manager's weight grid.
+// Exported for packages that construct DDs node by node.
 func (m *Manager) Lookup(c cnum.Complex) cnum.Complex { return m.ctab.Lookup(c) }
 
 // Stats reports the current table and cache occupancy.
@@ -216,20 +216,18 @@ type Stats struct {
 	PeakNodes      int
 	// MulEntries/AddEntries report the allocated direct-mapped slot count
 	// of the matrix-vector and vector-add caches (0 until first use).
-	MulEntries           int
-	AddEntries           int
-	VHits, VMisses       uint64
-	MHits, MMisses       uint64
-	MulHits, MulMisses   uint64
-	AddHits, AddMisses   uint64
-	UniqueProbeSteps     uint64 // cumulative unique-table slot inspections
-	UniqueLookups        uint64 // unique-table lookups across both tables
-	CacheEvictions       uint64 // compute-cache entries overwritten by collisions
-	ArenaSlabs           int    // allocated node slabs across both arenas
-	FreelistLen          int    // recycled-and-unused arena slots
-	GCRuns               uint64
-	ComplexTableEntries  int
-	ComplexHits, CMisses uint64
+	MulEntries         int
+	AddEntries         int
+	VHits, VMisses     uint64
+	MHits, MMisses     uint64
+	MulHits, MulMisses uint64
+	AddHits, AddMisses uint64
+	UniqueProbeSteps   uint64 // cumulative unique-table slot inspections
+	UniqueLookups      uint64 // unique-table lookups across both tables
+	CacheEvictions     uint64 // compute-cache entries overwritten by collisions
+	ArenaSlabs         int    // allocated node slabs across both arenas
+	FreelistLen        int    // recycled-and-unused arena slots
+	GCRuns             uint64
 }
 
 // TableStats returns a snapshot of table and cache statistics. Reading a
@@ -237,7 +235,6 @@ type Stats struct {
 // stale relative to the live count a reader observes.
 func (m *Manager) TableStats() Stats {
 	m.refreshPeak()
-	ch, cm := m.ctab.Stats()
 	return Stats{
 		VNodes: m.vTab.n, MNodes: m.mTab.n,
 		PeakNodes:  m.peakNodes,
@@ -246,13 +243,11 @@ func (m *Manager) TableStats() Stats {
 		MHits: m.mHits, MMisses: m.mMisses,
 		MulHits: m.mulHits, MulMisses: m.mulMisses,
 		AddHits: m.addHits, AddMisses: m.addMisses,
-		UniqueProbeSteps:    m.uniqueProbes,
-		UniqueLookups:       m.uniqueLookups,
-		CacheEvictions:      m.cacheEvictions,
-		ArenaSlabs:          len(m.varena.slabs) + len(m.marena.slabs),
-		FreelistLen:         len(m.varena.free) + len(m.marena.free),
-		GCRuns:              m.gcRuns,
-		ComplexTableEntries: m.ctab.Len(),
-		ComplexHits:         ch, CMisses: cm,
+		UniqueProbeSteps: m.uniqueProbes,
+		UniqueLookups:    m.uniqueLookups,
+		CacheEvictions:   m.cacheEvictions,
+		ArenaSlabs:       len(m.varena.slabs) + len(m.marena.slabs),
+		FreelistLen:      len(m.varena.free) + len(m.marena.free),
+		GCRuns:           m.gcRuns,
 	}
 }

@@ -21,7 +21,6 @@ type ddMetrics struct {
 	mHits, mMisses     *obs.Counter
 	mulHits, mulMisses *obs.Counter
 	addHits, addMisses *obs.Counter
-	cnumHits, cnumMiss *obs.Counter
 
 	probeLen    *obs.Counter
 	cacheHits   *obs.Counter
@@ -37,7 +36,6 @@ type ddMetrics struct {
 
 	liveNodes   *obs.Gauge
 	peakNodes   *obs.Gauge
-	cnumEntries *obs.Gauge
 	arenaSlabs  *obs.Gauge
 	freelistLen *obs.Gauge
 }
@@ -54,8 +52,6 @@ type ddMetrics struct {
 //	dd_cache_add_{hits,misses}_total   vector-add compute cache
 //	dd_cache_{hits,misses}_total       all compute caches combined
 //	dd_cache_evictions_total           direct-mapped entries overwritten
-//	cnum_intern_{hits,misses}_total    complex interning table
-//	cnum_table_entries                 distinct interned components (gauge)
 //	dd_gc_runs_total                   mark-and-sweep collections
 //	dd_gc_reclaimed_nodes_total        nodes reclaimed by GC
 //	dd_budget_pressure_total           node-budget aborts surfaced
@@ -78,8 +74,6 @@ func (m *Manager) SetObserver(reg *obs.Registry, tr *obs.RequestTrace) {
 		mulMisses:   reg.Counter("dd_cache_mul_misses_total"),
 		addHits:     reg.Counter("dd_cache_add_hits_total"),
 		addMisses:   reg.Counter("dd_cache_add_misses_total"),
-		cnumHits:    reg.Counter("cnum_intern_hits_total"),
-		cnumMiss:    reg.Counter("cnum_intern_misses_total"),
 		probeLen:    reg.Counter("dd_unique_probe_len"),
 		cacheHits:   reg.Counter("dd_cache_hits_total"),
 		cacheMisses: reg.Counter("dd_cache_misses_total"),
@@ -91,7 +85,6 @@ func (m *Manager) SetObserver(reg *obs.Registry, tr *obs.RequestTrace) {
 		invFails:    reg.Counter("dd_invariant_failures_total"),
 		liveNodes:   reg.Gauge("dd_live_nodes"),
 		peakNodes:   reg.Gauge("dd_peak_nodes"),
-		cnumEntries: reg.Gauge("cnum_table_entries"),
 		arenaSlabs:  reg.Gauge("dd_arena_slabs"),
 		freelistLen: reg.Gauge("dd_freelist_len"),
 	}
@@ -115,9 +108,6 @@ func (m *Manager) PublishMetrics() {
 	o.mulMisses.Set(m.mulMisses)
 	o.addHits.Set(m.addHits)
 	o.addMisses.Set(m.addMisses)
-	ch, cm := m.ctab.Stats()
-	o.cnumHits.Set(ch)
-	o.cnumMiss.Set(cm)
 	o.probeLen.Set(m.uniqueProbes)
 	o.cacheHits.Set(m.mulHits + m.addHits)
 	o.cacheMisses.Set(m.mulMisses + m.addMisses)
@@ -127,7 +117,6 @@ func (m *Manager) PublishMetrics() {
 	o.liveNodes.Set(live)
 	o.peakNodes.SetMax(live)
 	o.peakNodes.SetMax(int64(m.peakNodes))
-	o.cnumEntries.Set(int64(m.ctab.Len()))
 	o.arenaSlabs.Set(int64(len(m.varena.slabs) + len(m.marena.slabs)))
 	o.freelistLen.Set(int64(len(m.varena.free) + len(m.marena.free)))
 }

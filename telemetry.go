@@ -106,8 +106,8 @@ type Telemetry struct {
 	LiveNodes       int `json:"live_nodes"`
 	FinalStateNodes int `json:"final_state_nodes,omitempty"`
 	// HitRates maps cache kind → hits/(hits+misses) in [0,1]. Kinds:
-	// unique_v, unique_m, cache_mul, cache_add, cnum_intern. Absent kinds
-	// saw no lookups.
+	// unique_v, unique_m, cache_mul, cache_add. Absent kinds saw no
+	// lookups.
 	HitRates map[string]float64 `json:"hit_rates"`
 	// GCRuns counts mark-and-sweep collections; BudgetPressure counts
 	// node-budget aborts surfaced (including ones relieved by GC).
@@ -148,7 +148,6 @@ func telemetryFromDD(st dd.Stats, peak, live int, reg *Metrics) *Telemetry {
 	setRate(t.HitRates, "unique_m", st.MHits, st.MMisses)
 	setRate(t.HitRates, "cache_mul", st.MulHits, st.MulMisses)
 	setRate(t.HitRates, "cache_add", st.AddHits, st.AddMisses)
-	setRate(t.HitRates, "cnum_intern", st.ComplexHits, st.CMisses)
 	t.fillFromRegistry(reg)
 	return t
 }
@@ -181,7 +180,7 @@ func phaseCounter(name string) (string, bool) {
 
 // SummarizeMetrics builds a Telemetry digest from a registry alone — the
 // fallback summary surface when no State survived (the run went MO/TO).
-// Hit rates are recomputed from the mirrored dd_*/cnum_* counters.
+// Hit rates are recomputed from the mirrored dd_* counters.
 func SummarizeMetrics(reg *Metrics) *Telemetry {
 	t := &Telemetry{HitRates: map[string]float64{}}
 	if reg == nil {
@@ -193,7 +192,6 @@ func SummarizeMetrics(reg *Metrics) *Telemetry {
 	setRate(t.HitRates, "unique_m", c["dd_unique_m_hits_total"], c["dd_unique_m_misses_total"])
 	setRate(t.HitRates, "cache_mul", c["dd_cache_mul_hits_total"], c["dd_cache_mul_misses_total"])
 	setRate(t.HitRates, "cache_add", c["dd_cache_add_hits_total"], c["dd_cache_add_misses_total"])
-	setRate(t.HitRates, "cnum_intern", c["cnum_intern_hits_total"], c["cnum_intern_misses_total"])
 	t.GCRuns = c["dd_gc_runs_total"]
 	t.PeakNodes = int(snap.Gauges["dd_peak_nodes"])
 	t.LiveNodes = int(snap.Gauges["dd_live_nodes"])

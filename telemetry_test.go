@@ -58,8 +58,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 			t.Errorf("phase %q has no accumulated time: %v", phase, tel.PhaseNS)
 		}
 	}
-	if _, ok := tel.HitRates["cnum_intern"]; !ok {
-		t.Errorf("cnum_intern hit rate missing: %v", tel.HitRates)
+	if _, ok := tel.HitRates["unique_v"]; !ok {
+		t.Errorf("unique_v hit rate missing: %v", tel.HitRates)
 	}
 	if tel.Counters["sim_ops_applied_total"] != 4 {
 		t.Errorf("sim_ops_applied_total = %d, want 4", tel.Counters["sim_ops_applied_total"])

@@ -63,6 +63,19 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestSimulateRefusesNonFiniteAngles checks that a NaN or infinite gate
+// angle is refused up front instead of simulating to a state of garbage
+// amplitudes.
+func TestSimulateRefusesNonFiniteAngles(t *testing.T) {
+	for _, theta := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		c := weaksim.NewCircuit(2, "bad_angle")
+		c.H(0).RX(theta, 1).CX(0, 1)
+		if st, err := weaksim.Simulate(c); err == nil {
+			t.Errorf("RX(%v): Simulate returned a state with Norm2 %v and no error", theta, st.Norm2())
+		}
+	}
+}
+
 // TestFigure2Pipeline reproduces the paper's Fig. 2 end to end: circuit →
 // strong simulation → probabilities → samples.
 func TestFigure2Pipeline(t *testing.T) {
