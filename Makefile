@@ -15,11 +15,13 @@
 #                     BENCH_FROZEN.txt (best of 3 runs vs the slowest
 #                     committed row, 25% tolerance)
 #   make cover-gate   total statement coverage >= the floor in coverage.floor
-#   make slo-gate     observability smoke: daemon boot, trace IDs on every
-#                     response, well-formed /v1/slo (see cmd/slogate)
-#   make cluster-gate replica-cluster e2e: 3 in-process replicas + router,
-#                     cold/warm/kill-one-mid-load, zero failed requests and
-#                     zero second strong simulations (see cmd/clustergate)
+#   make slo-gate     the serve trace and SLO tests, uncached: trace IDs on
+#                     every response, cold/warm ?debug=1 breakdowns,
+#                     well-formed /v1/slo, /v1/stats and /debug/flight
+#   make cluster-gate the cluster e2e tests under -race, uncached: 3
+#                     in-process replicas + router, cold/warm/kill-one-mid-
+#                     load, zero failed requests and zero second strong
+#                     simulations
 #   make bench-smoke  vet and test cmd/weakbench, a module of its own that
 #                     root `go test ./...` never builds, against the library
 #                     API it compiles with
@@ -157,22 +159,24 @@ cover-gate: cover
 	awk -v t="$$total" -v f="$$floor" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage gate FAILED: $$total% < $$floor%"; exit 1; }
 
-# Observability smoke gate: boot the daemon in-process, issue cold + warm
-# /v1/sample requests, and assert the tracing/SLO contract — every response
-# carries X-Weaksim-Trace-Id, an inbound traceparent is adopted, ?debug=1
-# phase breakdowns cover the pipeline, /v1/slo and /v1/stats are
-# well-formed, and /debug/flight streams valid JSONL. See cmd/slogate.
+# Observability gate: the serve package's trace and SLO tests
+# (internal/serve/trace_test.go, slo_test.go, and the error-counter test),
+# uncached. An in-process daemon takes cold and warm /v1/sample requests;
+# every response carries X-Weaksim-Trace-Id, an inbound traceparent is
+# adopted, a cold ?debug=1 breakdown covers parse..sample and sums to the
+# wall time, a warm one is cached with no build/apply/freeze phase, and
+# /v1/slo, /v1/stats and /debug/flight are well-formed.
 slo-gate:
-	$(GO) run ./cmd/slogate
+	$(GO) test -count=1 -run '^Test(SLO|Serve(Trace|DisableRequestTraces|ColdRequestPhaseSum|StatsEndpoint|FlightEndpoint|PhaseTimedOnce|JobPhasesFromTrace|ErrorsCountSampleAnswersOnly))' ./internal/serve
 
-# Replica-cluster e2e gate: boot three real replicas plus a router
-# in-process, drive cold/warm/failover phases (killing one replica in the
-# middle of concurrent load), and assert zero non-200 responses, bit-for-bit
-# deterministic counts, snapshot shipping to every ring secondary, and a
-# fleet-wide strong-simulation count that never exceeds the number of
-# distinct circuits. See cmd/clustergate.
+# Replica-cluster gate: the cluster e2e tests (internal/cluster/e2e_test.go)
+# under the race detector, uncached. Three in-process replicas behind the
+# router serve six circuits, each simulated once fleet-wide and shipped
+# once; one primary is killed under six concurrent loaders with zero
+# non-200 answers and baseline counts, no second strong simulation, and
+# GET /v1/cluster then reports it unhealthy.
 cluster-gate:
-	$(GO) run ./cmd/clustergate
+	$(GO) test -race -count=1 -run '^TestCluster(EndToEndKillAndShip|ShipOnJoin|TraceRidesToReplica)$$' ./internal/cluster
 
 # Durable batch-job e2e gate: build weaksimd, run three jobs uninterrupted
 # for reference counts, SIGKILL a second daemon mid-run, restart it on the

@@ -203,13 +203,14 @@ func BenchmarkNormalizationSchemes(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(state.NodeCount()), "ddnodes")
 			b.ResetTimer()
 			var sink uint64
 			for i := 0; i < b.N; i++ {
 				sink ^= sampler.ShotIndex()
 			}
 			_ = sink
+			// After the loop: ResetTimer deletes metrics reported before it.
+			b.ReportMetric(float64(state.NodeCount()), "ddnodes")
 		})
 	}
 }

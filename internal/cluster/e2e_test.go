@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,16 +42,26 @@ type sampleResp struct {
 	CircuitKey string         `json:"circuit_key"`
 }
 
-func postSample(t *testing.T, base string, body []byte) (int, string, sampleResp) {
-	t.Helper()
+// sampleVia posts one request and returns its status, answering backend
+// and decoded body; unlike postSample it is safe off the test goroutine.
+func sampleVia(base string, body []byte) (int, string, sampleResp, error) {
 	resp, err := http.Post(base+"/v1/sample", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /v1/sample: %v", err)
+		return 0, "", sampleResp{}, err
 	}
 	defer resp.Body.Close()
 	var out sampleResp
 	_ = json.NewDecoder(resp.Body).Decode(&out)
-	return resp.StatusCode, resp.Header.Get("X-Weaksim-Backend"), out
+	return resp.StatusCode, resp.Header.Get("X-Weaksim-Backend"), out, nil
+}
+
+func postSample(t *testing.T, base string, body []byte) (int, string, sampleResp) {
+	t.Helper()
+	status, name, out, err := sampleVia(base, body)
+	if err != nil {
+		t.Fatalf("POST /v1/sample: %v", err)
+	}
+	return status, name, out
 }
 
 func totalSims(reps []*replica) uint64 {
@@ -60,12 +72,19 @@ func totalSims(reps []*replica) uint64 {
 	return n
 }
 
-// TestClusterEndToEndKillAndShip is the acceptance e2e: with three replicas
-// under load, killing the primary of a circuit loses zero client requests —
-// the first post-kill request fails over to a ring candidate that snapshot
-// shipping already warmed, so the circuit is never strongly simulated a
-// second time.
+// TestClusterEndToEndKillAndShip is the acceptance e2e: three replicas
+// behind the router serve six circuits, each strongly simulated exactly once
+// fleet-wide and shipped once to its ring secondary. Killing one circuit's
+// primary in the middle of concurrent load loses zero client requests —
+// requests fail over to ring candidates that snapshot shipping already
+// warmed, so no circuit is strongly simulated a second time — and the
+// prober's verdict shows on GET /v1/cluster.
 func TestClusterEndToEndKillAndShip(t *testing.T) {
+	const (
+		nCircuits = 6
+		loaders   = 6
+		loadIters = 120
+	)
 	reps := []*replica{startReplica(t), startReplica(t), startReplica(t)}
 	backends := make([]string, len(reps))
 	for i, r := range reps {
@@ -81,51 +100,102 @@ func TestClusterEndToEndKillAndShip(t *testing.T) {
 	})
 	base := "http://" + router.Addr()
 
-	body, err := json.Marshal(map[string]any{"qasm": ghzQASMN(6), "shots": 512, "seed": uint64(9)})
-	if err != nil {
-		t.Fatal(err)
+	bodies := make([][]byte, nCircuits)
+	for i := range bodies {
+		body, err := json.Marshal(map[string]any{"qasm": ghzQASMN(3 + i), "shots": 512, "seed": uint64(9)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = body
 	}
 
-	status, primaryName, cold := postSample(t, base, body)
-	if status != http.StatusOK || cold.Cached {
-		t.Fatalf("cold request: status %d cached %v", status, cold.Cached)
-	}
-	if totalSims(reps) != 1 {
-		t.Fatalf("cold request ran %d sims, want 1", totalSims(reps))
+	// Cold: each circuit is strongly simulated exactly once, somewhere.
+	baseline := make([]map[string]int, nCircuits)
+	primary := make([]string, nCircuits)
+	for i, body := range bodies {
+		status, name, cold := postSample(t, base, body)
+		if status != http.StatusOK || cold.Cached {
+			t.Fatalf("cold request %d: status %d cached %v", i, status, cold.Cached)
+		}
+		if got := totalSims(reps); got != uint64(i+1) {
+			t.Fatalf("cold request %d: %d sims fleet-wide, want %d", i, got, i+1)
+		}
+		baseline[i], primary[i] = cold.Counts, name
 	}
 	router.Quiesce()
-	if got := router.Metrics().Counter("cluster_ship_installed_total").Value(); got != 1 {
-		t.Fatalf("ship_installed_total = %d after cold build, want 1 (ReplicaCount=1)", got)
+	if got := router.Metrics().Counter("cluster_ship_installed_total").Value(); got != nCircuits {
+		t.Fatalf("ship_installed_total = %d after the cold builds, want %d (ReplicaCount=1)", got, nCircuits)
 	}
 
-	status, warmName, warm := postSample(t, base, body)
-	if status != http.StatusOK || !warm.Cached || warmName != primaryName {
-		t.Fatalf("warm request: status %d cached %v backend %s (primary %s)",
-			status, warm.Cached, warmName, primaryName)
-	}
-	if !reflect.DeepEqual(cold.Counts, warm.Counts) {
-		t.Fatalf("warm counts diverge:\ncold %v\nwarm %v", cold.Counts, warm.Counts)
-	}
-
-	var primary *replica
-	for _, r := range reps {
-		if r.name == primaryName {
-			primary = r
+	// Warm: deterministic cache hits pinned to each circuit's primary.
+	for i, body := range bodies {
+		status, name, warm := postSample(t, base, body)
+		if status != http.StatusOK || !warm.Cached || name != primary[i] {
+			t.Fatalf("warm request %d: status %d cached %v backend %s (primary %s)",
+				i, status, warm.Cached, name, primary[i])
+		}
+		if !reflect.DeepEqual(baseline[i], warm.Counts) {
+			t.Fatalf("warm counts diverge on circuit %d:\ncold %v\nwarm %v", i, baseline[i], warm.Counts)
 		}
 	}
-	if primary == nil {
-		t.Fatalf("unknown primary %q", primaryName)
-	}
-	simsBefore := totalSims(reps)
-	if err := primary.srv.Close(); err != nil {
-		t.Fatalf("killing primary: %v", err)
+	if got := totalSims(reps); got != nCircuits {
+		t.Fatalf("warm requests re-simulated: %d sims, want %d", got, nCircuits)
 	}
 
-	// Every request from the instant of the kill must succeed: transport
-	// errors fail over immediately, and the failover target was warmed by
-	// snapshot shipping.
+	primaryName := primary[0]
+	var victim *replica
+	for _, r := range reps {
+		if r.name == primaryName {
+			victim = r
+		}
+	}
+	if victim == nil {
+		t.Fatalf("unknown primary %q", primaryName)
+	}
+
+	// Kill circuit 0's primary once the loaders are under way. Every request,
+	// before and after the kill, must be a 200 with the baseline counts:
+	// transport errors fail over immediately, and the failover targets were
+	// warmed by snapshot shipping.
+	var served atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < loaders; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for it := 0; it < loadIters; it++ {
+				i := (w + it) % nCircuits
+				status, name, got, err := sampleVia(base, bodies[i])
+				served.Add(1)
+				if err != nil || status != http.StatusOK {
+					t.Errorf("loader %d iter %d circuit %d: status %d err %v", w, it, i, status, err)
+					return
+				}
+				if !got.Cached {
+					t.Errorf("loader %d iter %d circuit %d: served cold by %s", w, it, i, name)
+					return
+				}
+				if !reflect.DeepEqual(baseline[i], got.Counts) {
+					t.Errorf("loader %d iter %d circuit %d: counts diverge on %s", w, it, i, name)
+					return
+				}
+			}
+		}(w)
+	}
+	for served.Load() < loaders*10 && !t.Failed() {
+		time.Sleep(time.Millisecond)
+	}
+	if err := victim.srv.Close(); err != nil {
+		t.Fatalf("killing primary: %v", err)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	// After the kill, circuit 0 is answered warm by someone else.
 	for i := 0; i < 12; i++ {
-		status, name, got := postSample(t, base, body)
+		status, name, got := postSample(t, base, bodies[0])
 		if status != http.StatusOK {
 			t.Fatalf("post-kill request %d: status %d", i, status)
 		}
@@ -135,39 +205,59 @@ func TestClusterEndToEndKillAndShip(t *testing.T) {
 		if !got.Cached {
 			t.Fatalf("post-kill request %d served cold — snapshot shipping did not warm %s", i, name)
 		}
-		if !reflect.DeepEqual(cold.Counts, got.Counts) {
+		if !reflect.DeepEqual(baseline[0], got.Counts) {
 			t.Fatalf("post-kill counts diverge on request %d", i)
 		}
 	}
-	if got := totalSims(reps); got != simsBefore {
-		t.Fatalf("failover re-simulated: sims %d -> %d, want unchanged", simsBefore, got)
+	if got := totalSims(reps); got != nCircuits {
+		t.Fatalf("failover re-simulated: %d sims, want still %d", got, nCircuits)
 	}
 	if fo := router.Metrics().Counter("cluster_failovers_total").Value(); fo == 0 {
 		t.Fatal("no failover was recorded")
 	}
 
-	// The probe window ejects the corpse; once ejected, requests stop
-	// paying the failed-connect hop entirely.
+	// The probe window ejects the corpse, GET /v1/cluster reports it
+	// unhealthy, and once ejected requests stop paying the failed-connect
+	// hop entirely.
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		healthy := false
-		for _, b := range router.statusNow().Backends {
-			if b.Name == primaryName {
-				healthy = b.Healthy
-			}
-		}
-		if !healthy {
-			break
+	for !reportsUnhealthy(t, base, primaryName) {
+		if time.Now().After(deadline) {
+			t.Fatalf("GET /v1/cluster never reported the dead primary %s unhealthy", primaryName)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	foBefore := router.Metrics().Counter("cluster_failovers_total").Value()
-	if status, _, _ := postSample(t, base, body); status != http.StatusOK {
+	if status, _, _ := postSample(t, base, bodies[0]); status != http.StatusOK {
 		t.Fatalf("post-ejection request: status %d", status)
 	}
 	if fo := router.Metrics().Counter("cluster_failovers_total").Value(); fo != foBefore {
 		t.Fatalf("ejected primary still tried first (failovers %d -> %d)", foBefore, fo)
 	}
+}
+
+// reportsUnhealthy reads GET /v1/cluster and reports whether it lists the
+// backend name as unhealthy.
+func reportsUnhealthy(t *testing.T, base, name string) bool {
+	t.Helper()
+	var st clusterStatus
+	resp, err := http.Get(base + "/v1/cluster")
+	if err != nil {
+		t.Fatalf("GET /v1/cluster: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/cluster: status %d", resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decode /v1/cluster: %v", err)
+	}
+	for _, b := range st.Backends {
+		if b.Name == name {
+			return !b.Healthy
+		}
+	}
+	t.Fatalf("GET /v1/cluster does not list %s: %+v", name, st.Backends)
+	return false
 }
 
 // TestClusterShipOnJoin: a backend joining the ring takes over as primary

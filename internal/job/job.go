@@ -152,8 +152,6 @@ type Spec struct {
 	// Submit sets DefaultChunkShots when it is zero; it is persisted so a
 	// job resumes in the chunks it started with.
 	ChunkShots int `json:"chunk_shots"`
-	// Norm is the DD normalization scheme the key was computed under.
-	Norm string `json:"norm"`
 	// Walk is the core.WalkVersion the job's chunks are drawn under. Submit
 	// stamps it; it is not settable. A WAL written before the stamp existed
 	// decodes it as 0. Replay fails a job that still needs chunks under

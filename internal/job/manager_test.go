@@ -44,7 +44,6 @@ func testSpec(id string, shots, chunk int) Spec {
 		Shots:      shots,
 		Seed:       42,
 		ChunkShots: chunk,
-		Norm:       "sum",
 		Priority:   PriorityNormal,
 		Tenant:     "t",
 		Walk:       core.WalkVersion, // as Submit stamps it

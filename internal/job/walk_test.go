@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"weaksim/internal/core"
+	"weaksim/internal/rng"
 )
 
 // preStampSubmit is a submit record as written before specs carried the
@@ -113,4 +114,52 @@ func TestSubmitStampsWalk(t *testing.T) {
 		return
 	}
 	t.Fatal("no submit record in the WAL")
+}
+
+// TestNormFieldWALJobResumes replays a WAL written while specs still
+// carried "norm": the submit record is hand-written in that shape, with one
+// chunk committed. The job resumes, draws only the chunks it lacks, and
+// finishes with the counts an uninterrupted run of the same spec returns.
+func TestNormFieldWALJobResumes(t *testing.T) {
+	spec := testSpec("jnorm", 400, 100)
+	want := map[string]int{}
+	for i := 0; i < spec.ChunksTotal(); i++ {
+		for idx, n := range core.Counts(fakeSampler{4}, rng.Stream(spec.Seed, i), spec.ChunkShotCount(i)) {
+			want[core.FormatBits(idx, 4)] += n
+		}
+	}
+	chunk0 := map[string]int{}
+	for idx, n := range core.Counts(fakeSampler{4}, rng.Stream(spec.Seed, 0), spec.ChunkShotCount(0)) {
+		chunk0[strconv.FormatUint(idx, 10)] = n
+	}
+
+	dir := t.TempDir()
+	w, _, _ := openTestWAL(t, dir, 0)
+	for _, rec := range []Record{
+		{Type: recSubmit, Payload: []byte(`{"id":"jnorm","key":"k-jnorm","circuit":"ghz","qubits":4,"shots":400,` +
+			`"seed":42,"chunk_shots":100,"norm":"sum","walk":` + strconv.Itoa(core.WalkVersion) +
+			`,"priority":1,"tenant":"t","created_unix_ms":1}`)},
+		mustRecord(recChunk, chunkRecord{ID: "jnorm", Chunk: 0, Shots: 100, Counts: chunk0}),
+	} {
+		if err := w.append(rec); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m := startManager(t, Config{Dir: dir})
+	st := waitFor(t, m, "jnorm", completed)
+	if st.ChunksRecovered != 1 || st.ChunksExecuted != 3 || st.ShotsDone != 400 {
+		t.Fatalf("resumed job: recovered %d executed %d shots %d, want 1, 3, 400",
+			st.ChunksRecovered, st.ChunksExecuted, st.ShotsDone)
+	}
+	got, err := result(m, "jnorm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("resumed result %v, uninterrupted reference %v", got, want)
+	}
 }

@@ -25,7 +25,6 @@ var (
 		"serve_requests_total":        "Total /v1/sample requests accepted by the daemon.",
 		"serve_errors_total":          "Total /v1/sample requests answered with an error status.",
 		"serve_shots_total":           "Total measurement shots sampled across all requests.",
-		"serve_request_ns":            "End-to-end /v1/sample request latency in nanoseconds.",
 		"serve_inflight":              "Requests currently being handled.",
 		"serve_sims_total":            "Strong simulations executed by the worker pool.",
 		"serve_queue_depth":           "Simulation admission queue length.",

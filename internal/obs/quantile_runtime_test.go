@@ -111,7 +111,7 @@ func TestWritePrometheusHelpAndOrdering(t *testing.T) {
 	r.Counter("serve_requests_total").Add(3)
 	r.Counter("zz_undocumented_total").Add(1)
 	r.Gauge("serve_inflight").Set(2)
-	r.Histogram("serve_request_ns", []float64{1e6, 1e9}).Observe(5e5)
+	r.Histogram("go_gc_pause_ns", []float64{1e6, 1e9}).Observe(5e5)
 
 	var a, b bytes.Buffer
 	if err := r.WritePrometheus(&a); err != nil {
@@ -129,7 +129,7 @@ func TestWritePrometheusHelpAndOrdering(t *testing.T) {
 	if !strings.Contains(out, wantHelp) {
 		t.Errorf("HELP/TYPE block missing or misordered:\n%s", out)
 	}
-	if !strings.Contains(out, "# HELP serve_request_ns ") {
+	if !strings.Contains(out, "# HELP go_gc_pause_ns ") {
 		t.Error("histogram HELP line missing")
 	}
 	if !strings.Contains(out, "# HELP serve_inflight ") {

@@ -241,6 +241,9 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 		defer func() {
 			if p := recover(); p != nil {
 				s.cache.panics.Inc()
+				if name == "/v1/sample" {
+					s.reqErrors.Inc()
+				}
 				s.writeError(sw, &panicError{val: p})
 				s.recorder.Trip("panic", map[string]any{
 					"endpoint": name, "panic": fmt.Sprint(p), "trace": rt.ID().String(),
@@ -287,8 +290,15 @@ type badRequest struct{ err error }
 func (b badRequest) Error() string { return b.err.Error() }
 func (b badRequest) Unwrap() error { return b.err }
 
-func (s *Server) writeError(w http.ResponseWriter, err error) {
+// sampleError answers a /v1/sample request with err. serve_errors_total
+// counts these answers (and the route's recovered /v1/sample panics) only,
+// so it never exceeds serve_requests_total.
+func (s *Server) sampleError(w http.ResponseWriter, err error) {
 	s.reqErrors.Inc()
+	s.writeError(w, err)
+}
+
+func (s *Server) writeError(w http.ResponseWriter, err error) {
 	status, code := classify(err)
 	var br badRequest
 	if errors.As(err, &br) {
@@ -354,13 +364,9 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 			Code: "method_not_allowed", Message: "use POST", Status: http.StatusMethodNotAllowed}})
 		return
 	}
-	begin := time.Now()
 	s.reqTotal.Inc()
 	s.inflight.Add(1)
-	defer func() {
-		s.inflight.Add(-1)
-		s.reqHist.ObserveDuration(time.Since(begin))
-	}()
+	defer s.inflight.Add(-1)
 	// Panic isolation lives in the route middleware (one structured 500 plus
 	// a flight-recorder trip; the daemon keeps serving), and so does the
 	// request's root span.
@@ -370,7 +376,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	circ, req, err := s.parseRequest(r)
 	sp.End(errAttrs(err))
 	if err != nil {
-		s.writeError(w, err)
+		s.sampleError(w, err)
 		return
 	}
 
@@ -387,7 +393,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	key := CircuitKey(circ, s.cfg.Norm, false)
 	ent, cached, err := s.lookup(ctx, key, circ)
 	if err != nil {
-		s.writeError(w, err)
+		s.sampleError(w, err)
 		return
 	}
 
@@ -399,7 +405,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	tally, err := core.TallyParallelContext(ctx, ent.sampler, *req.Seed, req.Shots, req.Workers)
 	if err != nil {
 		sp.End(errAttrs(err))
-		s.writeError(w, err)
+		s.sampleError(w, err)
 		return
 	}
 	sampleNS := sp.End(map[string]any{"shots": req.Shots, "workers": req.Workers}).Nanoseconds()

@@ -155,7 +155,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		Qubits:   circ.NQubits,
 		Shots:    req.Shots,
 		Seed:     *req.Seed,
-		Norm:     s.cfg.Norm.String(),
 		Priority: prio,
 		Tenant:   req.Tenant,
 	}

@@ -202,7 +202,6 @@ type Server struct {
 
 	reqTotal  *obs.Counter
 	reqErrors *obs.Counter
-	reqHist   *obs.Histogram
 	inflight  *obs.Gauge
 	shotsCtr  *obs.Counter
 
@@ -256,7 +255,6 @@ func New(cfg Config) *Server {
 		start:     time.Now(),
 		reqTotal:  reg.Counter("serve_requests_total"),
 		reqErrors: reg.Counter("serve_errors_total"),
-		reqHist:   reg.Histogram("serve_request_ns", obs.OpLatencyBounds),
 		inflight:  reg.Gauge("serve_inflight"),
 		shotsCtr:  reg.Counter("serve_shots_total"),
 	}

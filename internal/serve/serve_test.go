@@ -217,6 +217,43 @@ func TestServeParallelSingleFlight(t *testing.T) {
 	}
 }
 
+// TestServeErrorsCountSampleAnswersOnly: serve_errors_total counts
+// /v1/sample requests answered with an error status, as its help text says,
+// so a rejected job submit, an unknown job and a malformed snapshot key
+// leave it alone, a bad /v1/sample raises it by one, and /v1/stats never
+// reports more errors than requests.
+func TestServeErrorsCountSampleAnswersOnly(t *testing.T) {
+	srv, base := startServer(t, Config{Metrics: obs.NewRegistry()})
+	errs := srv.Metrics().Counter("serve_errors_total")
+
+	if code, _ := postJSON(t, base, "/v1/jobs", map[string]any{"shots": 100}, nil); code != http.StatusBadRequest {
+		t.Fatalf("job submit without a circuit: status %d, want 400", code)
+	}
+	if code := getJSON(t, base+"/v1/jobs/nope", nil); code != http.StatusNotFound {
+		t.Fatalf("unknown job: status %d, want 404", code)
+	}
+	if code := getJSON(t, base+snapshotPathPrefix+"bad.key", nil); code != http.StatusBadRequest {
+		t.Fatalf("malformed snapshot key: status %d, want 400", code)
+	}
+	if got := errs.Value(); got != 0 {
+		t.Fatalf("serve_errors_total = %d after job and snapshot errors, want 0", got)
+	}
+
+	if code, _ := post(t, base, map[string]any{"qasm": "not qasm"}, nil); code != http.StatusBadRequest {
+		t.Fatalf("bad sample: status %d, want 400", code)
+	}
+	if got := errs.Value(); got != 1 {
+		t.Fatalf("serve_errors_total = %d after one bad /v1/sample, want 1", got)
+	}
+	var st statsResponse
+	if code := getJSON(t, base+"/v1/stats", &st); code != http.StatusOK {
+		t.Fatalf("stats status %d", code)
+	}
+	if st.Requests != 1 || st.Errors != 1 {
+		t.Fatalf("stats requests_total %d errors_total %d, want 1 and 1", st.Requests, st.Errors)
+	}
+}
+
 // TestServeMemoryOutBudget checks the MO leg of the degradation ladder: a
 // node-budgeted server answers an over-budget circuit with 507 and a
 // structured JSON error body.

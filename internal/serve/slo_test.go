@@ -174,9 +174,11 @@ func TestSLOEngineIgnoresUnknownAndDegenerate(t *testing.T) {
 
 func TestSLOEndpointWellFormed(t *testing.T) {
 	_, base := startServer(t, Config{})
-	var resp sampleResult
-	if status, _ := post(t, base, sampleBody(16, 1), &resp); status != http.StatusOK {
-		t.Fatalf("sample status %d", status)
+	for i := 0; i < 2; i++ {
+		var resp sampleResult
+		if status, _ := post(t, base, sampleBody(16, 1), &resp); status != http.StatusOK {
+			t.Fatalf("sample %d status %d", i, status)
+		}
 	}
 	var rep sloReport
 	if status := getJSON(t, base+"/v1/slo", &rep); status != http.StatusOK {
@@ -206,10 +208,15 @@ func TestSLOEndpointWellFormed(t *testing.T) {
 	if !seen["/v1/sample"] {
 		t.Fatalf("default SLOs missing /v1/sample: %+v", rep.SLOs)
 	}
-	// The successful sample above must have been tallied.
+	// Both successful samples above must have been tallied, in both windows.
 	for _, s := range rep.SLOs {
-		if s.Endpoint == "/v1/sample" && s.Windows["5m"].Requests == 0 {
-			t.Fatal("sample request not observed by the SLO engine")
+		if s.Endpoint != "/v1/sample" {
+			continue
+		}
+		for _, win := range []string{"5m", "1h"} {
+			if got := s.Windows[win].Requests; got != 2 {
+				t.Fatalf("%s window tallied %d sample requests, want 2", win, got)
+			}
 		}
 	}
 }

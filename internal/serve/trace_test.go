@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"regexp"
 	"sync"
 	"testing"
@@ -336,6 +337,9 @@ func TestServeFlightEndpointStreamsJSONL(t *testing.T) {
 // TestServePhaseTimedOnce: each phase of a cold request is timed by one
 // span, so the phase_<p>_ns counter moves by exactly the duration the
 // debug=1 breakdown reports for it — both come from the same clock reading.
+// The same request again, under an inbound traceparent, is a cache hit that
+// adopts the trace ID and times a sample phase but no build, apply or
+// freeze: the warm path runs no simulation.
 func TestServePhaseTimedOnce(t *testing.T) {
 	srv, base := startServer(t, Config{Metrics: obs.NewRegistry()})
 	phases := []string{obs.PhaseParse, obs.PhaseQueue, obs.PhaseBuild, obs.PhaseApply, obs.PhaseFreeze, obs.PhaseSample}
@@ -363,6 +367,41 @@ func TestServePhaseTimedOnce(t *testing.T) {
 	}
 	if resp.SampleNS != resp.Trace.PhaseNS[obs.PhaseSample] {
 		t.Errorf("sample_ns %d differs from the sample span %d", resp.SampleNS, resp.Trace.PhaseNS[obs.PhaseSample])
+	}
+	if resp.Trace.PhaseNS[obs.PhaseSample] <= 0 {
+		t.Errorf("cold breakdown has a zero-length sample phase: %v", resp.Trace.PhaseNS)
+	}
+
+	for _, p := range phases {
+		before[p] = counter(p)
+	}
+	const inbound = "0af7651916cd43dd8448eb211c80319c"
+	var warm sampleResult
+	status, hdr := postTraced(t, base, body, map[string]string{
+		"traceparent": "00-" + inbound + "-b7ad6b7169203331-01",
+	}, &warm)
+	if status != http.StatusOK {
+		t.Fatalf("warm status %d", status)
+	}
+	if got := hdr.Get("X-Weaksim-Trace-Id"); got != inbound {
+		t.Fatalf("warm request did not adopt the inbound traceparent: got %q want %q", got, inbound)
+	}
+	if !warm.Cached || warm.Trace == nil {
+		t.Fatalf("want a cached traced request, got cached=%v trace=%v", warm.Cached, warm.Trace)
+	}
+	if !reflect.DeepEqual(warm.Counts, resp.Counts) {
+		t.Fatal("warm counts differ from the cold request's")
+	}
+	for _, p := range []string{obs.PhaseBuild, obs.PhaseApply, obs.PhaseFreeze} {
+		if ns, ok := warm.Trace.PhaseNS[p]; ok {
+			t.Errorf("warm breakdown has a %s phase (%dns): %v", p, ns, warm.Trace.PhaseNS)
+		}
+		if delta := counter(p) - before[p]; delta != 0 {
+			t.Errorf("warm request moved phase_%s_ns by %dns", p, delta)
+		}
+	}
+	if warm.Trace.PhaseNS[obs.PhaseSample] <= 0 {
+		t.Errorf("warm breakdown has a zero-length sample phase: %v", warm.Trace.PhaseNS)
 	}
 }
 
