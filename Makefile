@@ -103,9 +103,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCountsFrozen -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLookupFloat -fuzztime 30s ./internal/cnum
 
-# The sampling fast path benchmark watched for regressions (Section IV).
+# The DD sampling benchmarks watched for regressions (Section IV): the
+# per-shot frozen walk per Table I row, and the walk under each
+# normalization scheme (Section IV-C).
 bench:
-	$(GO) test -run '^$$' -bench BenchmarkDDSampling -benchtime 2s .
+	$(GO) test -run '^$$' -bench 'BenchmarkSampleFrozen|BenchmarkNormalizationSchemes' -benchtime 2s .
 
 # Frozen-walk per-shot sampling cost (committed snapshot lives in
 # BENCH_FROZEN.txt). Sampling rows run at 2M fixed iterations x3 so the

@@ -13,7 +13,6 @@ package weaksim_test
 // EXPERIMENTS.md for full-table runs.
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
@@ -184,9 +183,12 @@ func BenchmarkVectorSamplerVariants(b *testing.B) {
 }
 
 // BenchmarkNormalizationSchemes is the Section IV-C ablation: DD sampling
-// throughput under the conventional leftmost normalization (which forces
-// the generic downstream-weighted traversal) vs the proposed L2 scheme
-// (branch probabilities read directly from edge weights).
+// throughput under the conventional leftmost normalization vs the proposed
+// L2 schemes. The schemes differ in how NewFrozenSampler derives a node's
+// branch probability — from a downstream-mass pass under NormLeft, read off
+// the edge weights under L2 — not in the walk, which reads the same 16-byte
+// walk table under all three, so per-shot costs are expected to match; the
+// ddnodes metric reports each scheme's DD size.
 func BenchmarkNormalizationSchemes(b *testing.B) {
 	c, err := weaksim.GenerateBenchmark("shor_33_2")
 	if err != nil {
@@ -211,34 +213,6 @@ func BenchmarkNormalizationSchemes(b *testing.B) {
 			_ = sink
 			// After the loop: ResetTimer deletes metrics reported before it.
 			b.ReportMetric(float64(state.NodeCount()), "ddnodes")
-		})
-	}
-}
-
-// BenchmarkDDSamplingFastPath isolates the L2 fast path: identical state
-// and normalization, sampling with and without the downstream table.
-func BenchmarkDDSamplingFastPath(b *testing.B) {
-	state := benchState(b, "shor_55_2")
-	for _, mode := range []struct {
-		name string
-		opts []weaksim.Option
-	}{
-		{"fast_l2_weights", nil},
-		{"generic_downstream", []weaksim.Option{weaksim.WithGenericTraversal()}},
-	} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			opts := append([]weaksim.Option{weaksim.WithSeed(1)}, mode.opts...)
-			sampler, err := state.Sampler(opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			var sink uint64
-			for i := 0; i < b.N; i++ {
-				sink ^= sampler.ShotIndex()
-			}
-			_ = sink
 		})
 	}
 }
@@ -279,41 +253,32 @@ func frozenBenchState(b *testing.B, name string) (*dd.Manager, dd.VEdge) {
 // thousands of nodes (shor, jellium).
 var frozenBenchRows = []string{"qft_16", "shor_33_2", "shor_55_2", "jellium_2x2"}
 
-// frozenBenchModes runs fn as one sub-benchmark per frozenBenchRows row and
-// branch rule ("fast": the L2 rule; "generic": the downstream rule), handing
-// it that row's sampler.
-func frozenBenchModes(b *testing.B, fn func(b *testing.B, sampler *core.FrozenSampler)) {
+// frozenBenchSamplers runs fn as one sub-benchmark per frozenBenchRows row,
+// handing it that row's sampler.
+func frozenBenchSamplers(b *testing.B, fn func(b *testing.B, sampler *core.FrozenSampler)) {
 	for _, name := range frozenBenchRows {
-		for _, generic := range []bool{false, true} {
-			mode := "fast"
-			var opts []dd.FreezeOption
-			if generic {
-				mode = "generic"
-				opts = append(opts, dd.FreezeGeneric())
+		b.Run(name, func(b *testing.B) {
+			m, edge := frozenBenchState(b, name)
+			snap, err := m.Freeze(edge)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(name+"/"+mode, func(b *testing.B) {
-				m, edge := frozenBenchState(b, name)
-				snap, err := m.Freeze(edge, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sampler, err := core.NewFrozenSampler(snap)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(snap.Len()), "snapnodes")
-				b.ResetTimer()
-				fn(b, sampler)
-			})
-		}
+			sampler, err := core.NewFrozenSampler(snap)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(snap.Len()), "snapnodes")
+			b.ResetTimer()
+			fn(b, sampler)
+		})
 	}
 }
 
 // BenchmarkSampleFrozen measures the per-shot cost of the walk over the
-// immutable flat-array snapshot, under the L2 fast rule and the generic
-// downstream rule. The one-off freeze cost is measured by BenchmarkFreeze.
+// frozen snapshot's walk table. The one-off freeze cost is measured by
+// BenchmarkFreeze.
 func BenchmarkSampleFrozen(b *testing.B) {
-	frozenBenchModes(b, func(b *testing.B, sampler *core.FrozenSampler) {
+	frozenBenchSamplers(b, func(b *testing.B, sampler *core.FrozenSampler) {
 		r := rng.New(1)
 		var sink uint64
 		for i := 0; i < b.N; i++ {
@@ -331,7 +296,7 @@ var frozenSink uint64
 // which draws through FrozenSampler.SampleBlock's lockstep walk and tallies
 // into a fresh map. One op is one shot, so ns/op reads as ns/shot.
 func BenchmarkCountsFrozen(b *testing.B) {
-	frozenBenchModes(b, func(b *testing.B, sampler *core.FrozenSampler) {
+	frozenBenchSamplers(b, func(b *testing.B, sampler *core.FrozenSampler) {
 		r := rng.New(1)
 		for drawn := 0; drawn < b.N; drawn += core.ChunkShots {
 			frozenSink += uint64(len(core.Counts(sampler, r, min(core.ChunkShots, b.N-drawn))))
@@ -354,27 +319,6 @@ func BenchmarkFreeze(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkDDSamplerPrecomputation measures the linear-time precomputation
-// (paper Section IV-B) in isolation: building the sampler including the
-// downstream pass.
-func BenchmarkDDSamplerPrecomputation(b *testing.B) {
-	state := benchState(b, "shor_33_2")
-	b.Run("fast_l2", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := state.Sampler(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("generic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := state.Sampler(weaksim.WithGenericTraversal()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkPrefixPrecomputation measures the vector-based precomputation:
@@ -479,43 +423,4 @@ func BenchmarkBuildFreeze(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkStreamSampling measures the out-of-core batch sampler against
-// in-memory prefix sampling on a qft_16-sized distribution.
-func BenchmarkStreamSampling(b *testing.B) {
-	state := benchState(b, "qft_16")
-	probs, err := state.Probabilities()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var blob bytes.Buffer
-	if err := core.WriteProbabilityStream(&blob, probs); err != nil {
-		b.Fatal(err)
-	}
-	data := blob.Bytes()
-	const batch = 4096
-	b.Run("stream_batch4096", func(b *testing.B) {
-		r := rng.New(1)
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if _, err := core.StreamCounts(bytes.NewReader(data), batch, r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("prefix_batch4096", func(b *testing.B) {
-		s, err := core.NewPrefixSampler(probs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := rng.New(1)
-		for i := 0; i < b.N; i++ {
-			var sink uint64
-			for j := 0; j < batch; j++ {
-				sink ^= s.Sample(r)
-			}
-			_ = sink
-		}
-	})
 }

@@ -43,7 +43,7 @@ import (
 
 // benchLine matches a `go test -bench` result row, e.g.
 //
-//	BenchmarkSampleFrozen/qft_16/fast-8   200000   261.5 ns/op
+//	BenchmarkSampleFrozen/qft_16-8   200000   261.5 ns/op
 //
 // The trailing -N GOMAXPROCS suffix is stripped so runs from machines with
 // different core counts compare against the same baseline name.

@@ -34,6 +34,7 @@ func Approximate(m *dd.Manager, state dd.VEdge, threshold float64) (dd.VEdge, fl
 		return dd.VEdge{}, 0, err
 	}
 
+	down, up := downMass(snap), upMass(snap)
 	// Rebuild bottom-up from the frozen arrays; memo is indexed by snapshot
 	// node (post-order, so every child is visited before its parents).
 	memo := make([]dd.VEdge, snap.Len())
@@ -53,7 +54,7 @@ func Approximate(m *dd.Manager, state dd.VEdge, threshold float64) (dd.VEdge, fl
 			if k == dd.SnapZero {
 				continue
 			}
-			contribution := snap.Up(i) * nd.W[b].Abs2() * kidDown(snap, k)
+			contribution := up[i] * nd.W[b].Abs2() * kidDown(down, k)
 			if contribution < threshold {
 				continue // prune
 			}

@@ -18,23 +18,20 @@ import (
 // block of the tally loops.
 var blockLengths = []int{1, 63, 64, 65, 511, 512, 513}
 
-// blockRules are the branch rules the kernel must reproduce: the generic
-// downstream rule under every normalization, and the L2 fast rule where it
-// applies.
+// blockRules are the normalizations the kernel must reproduce the walk
+// under: NormLeft's thresholds come from the downstream rule, the L2
+// schemes' from |w0|².
 var blockRules = []struct {
-	name    string
-	norm    dd.Norm
-	generic bool
+	name string
+	norm dd.Norm
 }{
-	{"left", dd.NormLeft, false},
-	{"l2", dd.NormL2, false},
-	{"l2-generic", dd.NormL2, true},
-	{"l2phase", dd.NormL2Phase, false},
-	{"l2phase-generic", dd.NormL2Phase, true},
+	{"left", dd.NormLeft},
+	{"l2", dd.NormL2},
+	{"l2phase", dd.NormL2Phase},
 }
 
-// freezeVector freezes an amplitude vector under the given rule.
-func freezeVector(t testing.TB, vec []cnum.Complex, norm dd.Norm, generic bool) *dd.Snapshot {
+// freezeVector freezes an amplitude vector under the given normalization.
+func freezeVector(t testing.TB, vec []cnum.Complex, norm dd.Norm) *dd.Snapshot {
 	t.Helper()
 	n := 0
 	for 1<<uint(n) < len(vec) {
@@ -45,21 +42,21 @@ func freezeVector(t testing.TB, vec []cnum.Complex, norm dd.Norm, generic bool) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return freezeState(t, m, state, generic)
+	return freezeState(t, m, state)
 }
 
 // freezeCircuit strong-simulates a named benchmark circuit and freezes it.
-func freezeCircuit(t testing.TB, name string, norm dd.Norm, generic bool) *dd.Snapshot {
+func freezeCircuit(t testing.TB, name string, norm dd.Norm) *dd.Snapshot {
 	t.Helper()
 	c, err := algo.Generate(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return freezeOf(t, c, norm, generic)
+	return freezeOf(t, c, norm)
 }
 
 // freezeOf strong-simulates a circuit and freezes it.
-func freezeOf(t testing.TB, c *circuit.Circuit, norm dd.Norm, generic bool) *dd.Snapshot {
+func freezeOf(t testing.TB, c *circuit.Circuit, norm dd.Norm) *dd.Snapshot {
 	t.Helper()
 	s, err := sim.NewDD(c, sim.WithManagerOptions(dd.WithNormalization(norm)))
 	if err != nil {
@@ -69,16 +66,12 @@ func freezeOf(t testing.TB, c *circuit.Circuit, norm dd.Norm, generic bool) *dd.
 	if err != nil {
 		t.Fatal(err)
 	}
-	return freezeState(t, s.Manager(), state, generic)
+	return freezeState(t, s.Manager(), state)
 }
 
-func freezeState(t testing.TB, m *dd.Manager, state dd.VEdge, generic bool) *dd.Snapshot {
+func freezeState(t testing.TB, m *dd.Manager, state dd.VEdge) *dd.Snapshot {
 	t.Helper()
-	var opts []dd.FreezeOption
-	if generic {
-		opts = append(opts, dd.FreezeGeneric())
-	}
-	snap, err := m.Freeze(state, opts...)
+	snap, err := m.Freeze(state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +81,11 @@ func freezeState(t testing.TB, m *dd.Manager, state dd.VEdge, generic bool) *dd.
 // checkBlockMatchesSample asserts that SampleBlock over shots outputs equals
 // shots successive Sample calls from an equal generator, bit for bit: the
 // same indices, the same Renorms, and both generators left in one state.
-// Each side walks its own sampler so their renorm counters stay apart.
-func checkBlockMatchesSample(t *testing.T, snap *dd.Snapshot, seed uint64, shots int) {
+// Each side walks its own sampler from newSampler so their renorm counters
+// stay apart.
+func checkBlockMatchesSample(t *testing.T, newSampler func() *FrozenSampler, seed uint64, shots int) {
 	t.Helper()
-	perShot, err := NewFrozenSampler(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	block, _ := NewFrozenSampler(snap)
+	perShot, block := newSampler(), newSampler()
 	ra, rb := rng.New(seed), rng.New(seed)
 	got := make([]uint64, shots)
 	block.SampleBlock(rb, got)
@@ -121,40 +111,50 @@ func TestSampleBlockMatchesSample(t *testing.T) {
 	vec, _ := frozenRandomVector(7, 31)
 	for _, rule := range blockRules {
 		states := map[string]*dd.Snapshot{
-			"random_7":        freezeVector(t, vec, rule.norm, rule.generic),
-			"running_example": freezeVector(t, runningExampleVector(), rule.norm, rule.generic),
-			"qft_6":           freezeCircuit(t, "qft_6", rule.norm, rule.generic),
-			"supremacy_3x3_8": freezeCircuit(t, "supremacy_3x3_8", rule.norm, rule.generic),
+			"random_7":        freezeVector(t, vec, rule.norm),
+			"running_example": freezeVector(t, runningExampleVector(), rule.norm),
+			"qft_6":           freezeCircuit(t, "qft_6", rule.norm),
+			"supremacy_3x3_8": freezeCircuit(t, "supremacy_3x3_8", rule.norm),
 		}
 		for name, snap := range states {
 			t.Run(rule.name+"/"+name, func(t *testing.T) {
+				newSampler := func() *FrozenSampler {
+					fs, err := NewFrozenSampler(snap)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return fs
+				}
 				for i, shots := range blockLengths {
-					checkBlockMatchesSample(t, snap, uint64(100+i), shots)
+					checkBlockMatchesSample(t, newSampler, uint64(100+i), shots)
 				}
 			})
 		}
 	}
 }
 
-// slackSnapshot freezes the running example (which has zero edges) and then
-// moves every zero-edge node's threshold to 1/2, as floating-point slack
-// would on a smaller scale: about half the walks through such a node land
-// on its zero edge and must fall back to the other branch.
-func slackSnapshot(t testing.TB, norm dd.Norm, generic bool) *dd.Snapshot {
+// slackSampler samples the running example (which has zero edges) with
+// every zero-edge node's walk-table threshold moved to 1/2, as
+// floating-point slack would on a smaller scale: about half the walks
+// through such a node land on its zero edge and must fall back to the
+// other branch.
+func slackSampler(t testing.TB, norm dd.Norm) *FrozenSampler {
 	t.Helper()
-	snap := freezeVector(t, runningExampleVector(), norm, generic)
+	fs, err := NewFrozenSampler(freezeVector(t, runningExampleVector(), norm))
+	if err != nil {
+		t.Fatal(err)
+	}
 	slack := 0
-	nodes := snap.Nodes()
-	for i := range nodes {
-		if nodes[i].Kid[0] == dd.SnapZero || nodes[i].Kid[1] == dd.SnapZero {
-			nodes[i].P0 = 0.5
+	for i := range fs.walk {
+		if fs.walk[i].Kid[0] == dd.SnapZero || fs.walk[i].Kid[1] == dd.SnapZero {
+			fs.walk[i].T = threshold(0.5)
 			slack++
 		}
 	}
 	if slack == 0 {
 		t.Fatal("running example froze without a zero edge")
 	}
-	return snap
+	return fs
 }
 
 // TestSampleBlockZeroEdgeFallback: with thresholds that put walks on zero
@@ -164,11 +164,11 @@ func slackSnapshot(t testing.TB, norm dd.Norm, generic bool) *dd.Snapshot {
 func TestSampleBlockZeroEdgeFallback(t *testing.T) {
 	for _, rule := range blockRules {
 		t.Run(rule.name, func(t *testing.T) {
-			snap := slackSnapshot(t, rule.norm, rule.generic)
+			newSampler := func() *FrozenSampler { return slackSampler(t, rule.norm) }
 			for i, shots := range blockLengths {
-				checkBlockMatchesSample(t, snap, uint64(7+i), shots)
+				checkBlockMatchesSample(t, newSampler, uint64(7+i), shots)
 			}
-			fs, _ := NewFrozenSampler(snap)
+			fs := newSampler()
 			out := make([]uint64, 4096)
 			fs.SampleBlock(rng.New(3), out)
 			if fs.Renorms() == 0 {
@@ -191,8 +191,8 @@ func TestSampleBlockAllocatesNothing(t *testing.T) {
 		name string
 		snap *dd.Snapshot
 	}{
-		{"running_example", freezeVector(t, runningExampleVector(), dd.NormL2Phase, false)},
-		{"ghz_64", freezeCircuit(t, "ghz_64", dd.NormL2Phase, false)},
+		{"running_example", freezeVector(t, runningExampleVector(), dd.NormL2Phase)},
+		{"ghz_64", freezeCircuit(t, "ghz_64", dd.NormL2Phase)},
 	} {
 		fs, err := NewFrozenSampler(tc.snap)
 		if err != nil {
@@ -234,7 +234,7 @@ func perShotCounts(s Sampler, r *rng.RNG, shots int) map[uint64]int {
 // per-shot path; shot counts end mid-block and mid-chunk.
 func TestCountsBlockLoopMatchesPerShot(t *testing.T) {
 	for _, rule := range blockRules {
-		fs, err := NewFrozenSampler(freezeCircuit(t, "supremacy_3x3_8", rule.norm, rule.generic))
+		fs, err := NewFrozenSampler(freezeCircuit(t, "supremacy_3x3_8", rule.norm))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func FuzzCountsFrozen(f *testing.F) {
 		key := fmt.Sprintf("%s/%s", name, r.name)
 		snap, ok := fuzzSnaps[key]
 		if !ok {
-			snap = freezeCircuit(t, name, r.norm, r.generic)
+			snap = freezeCircuit(t, name, r.norm)
 			fuzzSnaps[key] = snap
 		}
 		fs, err := NewFrozenSampler(snap)

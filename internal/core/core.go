@@ -12,13 +12,16 @@
 //     method.
 //
 //   - DD-based (paper Section IV): the final state DD is frozen once into
-//     an immutable dd.Snapshot, whose flat arrays carry the per-node
-//     downstream/upstream masses and branch thresholds, and FrozenSampler
-//     draws each sample with a randomized root-to-terminal walk over it in
-//     O(n) time. Under the paper's proposed L2 normalization scheme the
-//     branch probabilities are directly the squared magnitudes of the
-//     outgoing edge weights. MeasureAll, QubitProbability, TopOutcomes and
-//     Approximate read the same snapshot by index.
+//     an immutable dd.Snapshot, a flat array of the DD's nodes (kids, edge
+//     weights, level) and nothing derived from them. FrozenSampler builds
+//     a walk table of branch thresholds from it by one rule, branchP0, and
+//     draws each sample with a randomized root-to-terminal walk in O(n)
+//     time. Under the paper's proposed L2 normalization scheme the branch
+//     probabilities are directly the squared magnitudes of the outgoing
+//     edge weights; under NormLeft they come from the downstream masses
+//     (downMass). MeasureAll, QubitProbability, TopOutcomes and
+//     Approximate compute the downstream and upstream masses they read
+//     over the same kind of snapshot.
 //
 // Every count-producing batch is cut into ChunkShots chunks, chunk i drawn
 // from rng.Stream(seed, i) (see CountsParallel), so counts are a function of

@@ -155,9 +155,9 @@ func TestSamplersAcceptUnnormalizedWeights(t *testing.T) {
 }
 
 // freezeFor freezes state and wraps it in a FrozenSampler.
-func freezeFor(t *testing.T, m *dd.Manager, state dd.VEdge, opts ...dd.FreezeOption) (*dd.Snapshot, *FrozenSampler) {
+func freezeFor(t *testing.T, m *dd.Manager, state dd.VEdge) (*dd.Snapshot, *FrozenSampler) {
 	t.Helper()
-	snap, err := m.Freeze(state, opts...)
+	snap, err := m.Freeze(state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,23 +181,9 @@ func TestDDSamplerMatchesDistribution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, s := freezeFor(t, m, state)
-		wantGeneric := norm == dd.NormLeft
-		if snap.Generic() != wantGeneric {
-			t.Errorf("norm=%v: Generic = %v, want %v", norm, snap.Generic(), wantGeneric)
-		}
+		_, s := freezeFor(t, m, state)
 		chiSquareCheck(t, "dd-"+norm.String(), s, runningExampleProbs(), 40000, 5)
 	}
-}
-
-func TestDDSamplerForceGeneric(t *testing.T) {
-	m := dd.New(3) // NormL2Phase default
-	state, _ := m.FromVector(runningExampleVector())
-	snap, s := freezeFor(t, m, state, dd.FreezeGeneric())
-	if !snap.Generic() {
-		t.Error("FreezeGeneric did not disable the fast path")
-	}
-	chiSquareCheck(t, "dd-generic", s, runningExampleProbs(), 40000, 6)
 }
 
 func TestDDSamplerRejectsZeroVector(t *testing.T) {
@@ -217,30 +203,31 @@ func TestDownstreamUpstreamRunningExample(t *testing.T) {
 	state, _ := m.FromVector(runningExampleVector())
 	snap, _ := freezeFor(t, m, state)
 	root, kids := rootKids(snap)
+	down, up := downMass(snap), upMass(snap)
 
 	// Left subtree of the root holds 3/4 of the (normalized) mass.
-	w := snap.At(root).W
-	dl := w[0].Abs2() * snap.Down(kids[0])
-	dr := w[1].Abs2() * snap.Down(kids[1])
+	nd := snap.At(root)
+	dl, dr := branchMass(&nd, down)
 	if !approx(dl/(dl+dr), 0.75, 1e-9) {
 		t.Errorf("root left mass fraction = %v, want 3/4", dl/(dl+dr))
 	}
-	if p0 := snap.At(root).P0; !approx(p0, 0.75, 1e-9) {
-		t.Errorf("root branch threshold = %v, want 3/4 (Fig. 4c)", p0)
+	if p0 := branchP0(&nd, down); !approx(p0, 0.75, 1e-9) {
+		t.Errorf("root branch probability = %v, want 3/4 (Fig. 4c)", p0)
 	}
 	for i, k := range kids {
-		if p0 := snap.At(k).P0; !approx(p0, 0.5, 1e-9) {
-			t.Errorf("q1 node %d branch threshold = %v, want 1/2 (Fig. 4c)", i, p0)
+		kid := snap.At(k)
+		if p0 := branchP0(&kid, down); !approx(p0, 0.5, 1e-9) {
+			t.Errorf("q1 node %d branch probability = %v, want 1/2 (Fig. 4c)", i, p0)
 		}
 	}
 
 	// Upstream values are half-path masses: combined with downstream they
 	// give absolute traversal probabilities (up·down), 1 at the root and
 	// 3/4 / 1/4 at the two q1 nodes — under any normalization scheme.
-	if got := snap.Traversal(root); !approx(got, 1, 1e-9) {
+	if got := up[root] * down[root]; !approx(got, 1, 1e-9) {
 		t.Errorf("up·down(root) = %v, want 1", got)
 	}
-	t0, t1 := snap.Traversal(kids[0]), snap.Traversal(kids[1])
+	t0, t1 := up[kids[0]]*down[kids[0]], up[kids[1]]*down[kids[1]]
 	if !approx(t0, 0.75, 1e-9) || !approx(t1, 0.25, 1e-9) {
 		t.Errorf("traversal probabilities of q1 nodes = %v, %v; want 3/4, 1/4", t0, t1)
 	}
@@ -253,10 +240,11 @@ func TestUpstreamDirectlyReadableUnderL2(t *testing.T) {
 	state, _ := m.FromVector(runningExampleVector())
 	snap, _ := freezeFor(t, m, state)
 	root, kids := rootKids(snap)
-	if !approx(snap.Up(root), 1, 1e-9) {
-		t.Errorf("up(root) = %v, want 1", snap.Up(root))
+	up := upMass(snap)
+	if !approx(up[root], 1, 1e-9) {
+		t.Errorf("up(root) = %v, want 1", up[root])
 	}
-	u0, u1 := snap.Up(kids[0]), snap.Up(kids[1])
+	u0, u1 := up[kids[0]], up[kids[1]]
 	if !approx(u0, 0.75, 1e-9) || !approx(u1, 0.25, 1e-9) {
 		t.Errorf("upstream(q1 nodes) = %v, %v; want 3/4, 1/4", u0, u1)
 	}
@@ -266,9 +254,10 @@ func TestTraversalProbabilitiesSumPerLevel(t *testing.T) {
 	m := dd.New(3, dd.WithNormalization(dd.NormLeft))
 	state, _ := m.FromVector(runningExampleVector())
 	snap, _ := freezeFor(t, m, state)
+	down, up := downMass(snap), upMass(snap)
 	sums := make(map[int32]float64)
-	for i := int32(0); i < int32(snap.Len()); i++ {
-		sums[snap.At(i).V] += snap.Traversal(i)
+	for i, nd := range snap.Nodes() {
+		sums[nd.V] += up[i] * down[i]
 	}
 	for level, sum := range sums {
 		if !approx(sum, 1, 1e-9) {
@@ -281,10 +270,68 @@ func TestDownstreamIsOneUnderL2(t *testing.T) {
 	m := dd.New(3, dd.WithNormalization(dd.NormL2))
 	state, _ := m.FromVector(runningExampleVector())
 	snap, _ := freezeFor(t, m, state)
-	for i := int32(0); i < int32(snap.Len()); i++ {
-		if d := snap.Down(i); !approx(d, 1, 1e-9) {
-			t.Errorf("downstream of node at level %d = %v, want 1 under NormL2", snap.At(i).V, d)
+	for i, d := range downMass(snap) {
+		if !approx(d, 1, 1e-9) {
+			t.Errorf("downstream of node at level %d = %v, want 1 under NormL2", snap.At(int32(i)).V, d)
 		}
+	}
+}
+
+// TestL2BranchRuleIsWeightSquared asserts the paper's Section IV-C claim on
+// whole benchmark states: under L2 normalization every node's downstream
+// mass is 1, so the downstream rule's P0, d0/(d0+d1), equals |w0|² read off
+// the edge weights, at every node within dd.InvariantTol.
+func TestL2BranchRuleIsWeightSquared(t *testing.T) {
+	rows := []string{"qft_16", "jellium_2x2", "grover_12"}
+	if !testing.Short() {
+		rows = append(rows, "shor_33_2")
+	}
+	for _, name := range rows {
+		for _, norm := range []dd.Norm{dd.NormL2, dd.NormL2Phase} {
+			t.Run(name+"/"+norm.String(), func(t *testing.T) {
+				snap := freezeCircuit(t, name, norm)
+				down := downMass(snap)
+				nodes := snap.Nodes()
+				for i := range nodes {
+					generic, weights := branchP0(&nodes[i], down), branchP0(&nodes[i], nil)
+					if math.Abs(generic-weights) > dd.InvariantTol {
+						t.Fatalf("node %d of %d: downstream P0 %.15f, |w0|² %.15f", i, len(nodes), generic, weights)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestMassesMatchLiveReference: the downstream masses computed over a
+// snapshot equal, bit for bit, the live oracle's recursion over the nodes
+// they were frozen from, under every normalization.
+func TestMassesMatchLiveReference(t *testing.T) {
+	vec, _ := frozenRandomVector(6, 29)
+	for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2, dd.NormL2Phase} {
+		m := dd.New(6, dd.WithNormalization(norm))
+		state, err := m.FromVector(vec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, _ := freezeFor(t, m, state)
+		down := downMass(snap)
+		live := &liveSampler{m: m, root: state, down: map[*dd.VNode]float64{}}
+		seen := make([]bool, snap.Len())
+		var walk func(n *dd.VNode, i int32)
+		walk = func(n *dd.VNode, i int32) {
+			if i < 0 || seen[i] {
+				return
+			}
+			seen[i] = true
+			if got, want := down[i], live.downOf(n); got != want {
+				t.Errorf("norm %v: down[%d] = %v, live %v", norm, i, got, want)
+			}
+			for b, k := range snap.At(i).Kid {
+				walk(n.E[b].N, k)
+			}
+		}
+		walk(state.N, snap.Root())
 	}
 }
 
@@ -431,25 +478,33 @@ func TestSamplersAgreeOnRandomStates(t *testing.T) {
 func TestFigure4cEdgeProbabilities(t *testing.T) {
 	// The paper's Fig. 4c edge probabilities — 3/4 and 1/4 at the root,
 	// 1/2 everywhere on the q1 level — are properties of the state, so
-	// every normalization scheme and both branch rules must produce them.
+	// every normalization scheme must produce them under the downstream
+	// rule, and the L2 schemes under |w0|² (down == nil) too.
 	for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2, dd.NormL2Phase} {
-		for _, opts := range [][]dd.FreezeOption{nil, {dd.FreezeGeneric()}} {
-			m := dd.New(3, dd.WithNormalization(norm))
-			state, _ := m.FromVector(runningExampleVector())
-			snap, _ := freezeFor(t, m, state, opts...)
-			root, kids := rootKids(snap)
-			if p := snap.At(root).P0; !approx(p, 0.75, 1e-9) {
-				t.Errorf("norm=%v generic=%v: root P0 %v, want 3/4", norm, snap.Generic(), p)
+		m := dd.New(3, dd.WithNormalization(norm))
+		state, _ := m.FromVector(runningExampleVector())
+		snap, _ := freezeFor(t, m, state)
+		rules := map[string][]float64{"downstream": downMass(snap)}
+		if norm != dd.NormLeft {
+			rules["|w0|²"] = nil
+		}
+		p0 := func(i int32, down []float64) float64 {
+			nd := snap.At(i)
+			return branchP0(&nd, down)
+		}
+		root, kids := rootKids(snap)
+		for rule, down := range rules {
+			if p := p0(root, down); !approx(p, 0.75, 1e-9) {
+				t.Errorf("norm=%v %s: root P0 %v, want 3/4", norm, rule, p)
 			}
 			for i, k := range kids {
-				nd := snap.At(k)
-				if !approx(nd.P0, 0.5, 1e-9) {
-					t.Errorf("norm=%v generic=%v: q1[%d] P0 %v, want 1/2", norm, snap.Generic(), i, nd.P0)
+				if p := p0(k, down); !approx(p, 0.5, 1e-9) {
+					t.Errorf("norm=%v %s: q1[%d] P0 %v, want 1/2", norm, rule, i, p)
 				}
 				// The q0 nodes put all probability on their non-zero edge.
-				for _, q0 := range nd.Kid {
-					if p := snap.At(q0).P0; !approx(p, 0, 1e-9) && !approx(p, 1, 1e-9) {
-						t.Errorf("norm=%v generic=%v: q0 P0 %v, want 0 or 1", norm, snap.Generic(), p)
+				for _, q0 := range snap.At(k).Kid {
+					if p := p0(q0, down); !approx(p, 0, 1e-9) && !approx(p, 1, 1e-9) {
+						t.Errorf("norm=%v %s: q0 P0 %v, want 0 or 1", norm, rule, p)
 					}
 				}
 			}

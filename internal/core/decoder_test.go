@@ -77,8 +77,8 @@ func TestZeroEdgeFallbackKeepsDecoder(t *testing.T) {
 	for i := range vec {
 		vec[i] = cnum.New(1/math.Sqrt(1<<n), 0)
 	}
-	intact := freezeVector(t, vec, dd.NormL2Phase, false)
-	cut := freezeVector(t, vec, dd.NormL2Phase, false)
+	intact := freezeVector(t, vec, dd.NormL2Phase)
+	cut := freezeVector(t, vec, dd.NormL2Phase)
 	root := cut.Nodes()[cut.Root()]
 	if root.Kid[0] != root.Kid[1] || root.Kid[0] < 0 {
 		t.Fatalf("uniform state's root does not share one kid: %+v", root)
@@ -117,9 +117,9 @@ func TestOneDrawPerShot(t *testing.T) {
 	for _, name := range []string{"running_example", "ghz_64", "qft_6", "bv_6", "supremacy_3x3_8"} {
 		var snap *dd.Snapshot
 		if name == "running_example" {
-			snap = freezeVector(t, runningExampleVector(), dd.NormL2Phase, false)
+			snap = freezeVector(t, runningExampleVector(), dd.NormL2Phase)
 		} else {
-			snap = freezeCircuit(t, name, dd.NormL2Phase, false)
+			snap = freezeCircuit(t, name, dd.NormL2Phase)
 		}
 		fs, err := NewFrozenSampler(snap)
 		if err != nil {
@@ -155,7 +155,7 @@ func checkDrawBudget(t *testing.T, label string, shots int, draw func(*rng.RNG))
 }
 
 // TestBornTableI: on every Table I row of at most 18 qubits, 2^20 shots
-// under each branch rule pass chi-square (p ≥ 1e-6) against the exact Born
+// pass chi-square (p ≥ 1e-6) against the exact Born
 // distribution from a state-vector simulation, and their total variation
 // distance stays within the bound an exact sampler meets: E[TVD] ≤
 // ½Σ√(p(1−p)/N), plus a McDiarmid margin of √(ln(10^6)/2N) for a 10^-6
@@ -197,29 +197,27 @@ func TestBornTableI(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, generic := range []bool{false, true} {
-				fs, err := NewFrozenSampler(freezeState(t, ds.Manager(), state, generic))
-				if err != nil {
-					t.Fatal(err)
-				}
-				counts, err := CountsParallel(fs, 2020, shots, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := stats.ChiSquareGOF(counts, probs, shots)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.PValue < 1e-6 {
-					t.Errorf("generic=%v: chi-square rejects: stat %.1f, dof %d, p %g", generic, res.Statistic, res.DoF, res.PValue)
-				}
-				tvd, err := stats.TotalVariation(stats.EmpiricalDistribution(counts, uint64(len(probs)), shots), probs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tvd > bound {
-					t.Errorf("generic=%v: TVD %.4f above an exact sampler's bound %.4f", generic, tvd, bound)
-				}
+			fs, err := NewFrozenSampler(freezeState(t, ds.Manager(), state))
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts, err := CountsParallel(fs, 2020, shots, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := stats.ChiSquareGOF(counts, probs, shots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.PValue < 1e-6 {
+				t.Errorf("chi-square rejects: stat %.1f, dof %d, p %g", res.Statistic, res.DoF, res.PValue)
+			}
+			tvd, err := stats.TotalVariation(stats.EmpiricalDistribution(counts, uint64(len(probs)), shots), probs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tvd > bound {
+				t.Errorf("TVD %.4f above an exact sampler's bound %.4f", tvd, bound)
 			}
 		})
 	}
@@ -234,7 +232,7 @@ func TestWideUniformState(t *testing.T) {
 	for q := 0; q < n; q++ {
 		c.H(q)
 	}
-	fs, err := NewFrozenSampler(freezeOf(t, c, dd.NormL2Phase, false))
+	fs, err := NewFrozenSampler(freezeOf(t, c, dd.NormL2Phase))
 	if err != nil {
 		t.Fatal(err)
 	}

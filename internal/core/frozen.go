@@ -21,10 +21,10 @@ import (
 const WalkVersion = 1
 
 // FrozenSampler draws measurement samples from an immutable dd.Snapshot
-// (paper Section IV over frozen arrays). NewFrozenSampler copies the 16
-// bytes of each node a walk reads — the two kid indices and the 0-branch
-// probability P0 as a 0.64 fixed-point threshold (see threshold) — into a
-// flat walk table, so a level is one 16-byte load by int32 index.
+// (paper Section IV over frozen arrays). NewFrozenSampler builds a flat walk
+// table of the 16 bytes a walk reads per node — the two kid indices and the
+// 0-branch probability P0 (see branchP0) as a 0.64 fixed-point threshold
+// (see threshold) — so a level is one 16-byte load by int32 index.
 //
 // A shot is one range-decoder pass (see step): it takes exactly one
 // Uint64 from r and splits the interval it names level by level, so it
@@ -56,10 +56,10 @@ type FrozenSampler struct {
 	renorms atomic.Uint64
 }
 
-// walkNode is one node of the walk table: a dd.SnapNode's kids and its P0
-// as threshold(P0). The walk table is a property of the sampling code, not
-// of the snapshot, so persisted and shipped snapshots stay valid whatever
-// the walk.
+// walkNode is one node of the walk table: a dd.SnapNode's kids and its
+// threshold(branchP0). The walk table is a property of the sampling code,
+// not of the snapshot, so persisted and shipped snapshots stay valid
+// whatever the walk.
 type walkNode struct {
 	Kid [2]int32
 	T   uint64
@@ -69,7 +69,9 @@ type walkNode struct {
 const walkNodeBytes = 16
 
 // NewFrozenSampler prepares lock-free sampling from a frozen state, building
-// its walk table in one pass over the snapshot's nodes.
+// its walk table in one pass over the snapshot's nodes. Under NormLeft the
+// branch rule needs downstream masses, which one more ascending pass
+// computes first.
 func NewFrozenSampler(snap *dd.Snapshot) (*FrozenSampler, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("core: nil snapshot")
@@ -77,10 +79,14 @@ func NewFrozenSampler(snap *dd.Snapshot) (*FrozenSampler, error) {
 	if snap.Qubits() > 0 && (snap.Len() == 0 || snap.Root() < 0) {
 		return nil, fmt.Errorf("core: snapshot has no root node for %d qubits", snap.Qubits())
 	}
+	var down []float64
+	if snap.Norm() == dd.NormLeft {
+		down = downMass(snap)
+	}
 	nodes := snap.Nodes()
 	walk := make([]walkNode, len(nodes))
 	for i := range nodes {
-		walk[i] = walkNode{Kid: nodes[i].Kid, T: threshold(nodes[i].P0)}
+		walk[i] = walkNode{Kid: nodes[i].Kid, T: threshold(branchP0(&nodes[i], down))}
 	}
 	return &FrozenSampler{
 		walk: walk,
@@ -88,6 +94,23 @@ func NewFrozenSampler(snap *dd.Snapshot) (*FrozenSampler, error) {
 		n:    snap.Qubits(),
 		snap: snap,
 	}, nil
+}
+
+// branchP0 is the probability that a walk through nd takes its 0-branch:
+// the sampler's one branch rule. Without downstream masses (down == nil) it
+// is |w0|², which is exact under L2 normalization, where every node's
+// downstream mass is 1 (paper Section IV-C). With them it is d0/(d0+d1),
+// the 0-branch's share of the node's downstream mass, which holds under any
+// normalization (Section IV-B); a node without mass gets 0.
+func branchP0(nd *dd.SnapNode, down []float64) float64 {
+	if down == nil {
+		return nd.W[0].Abs2()
+	}
+	d0, d1 := branchMass(nd, down)
+	if total := d0 + d1; total > 0 {
+		return d0 / total
+	}
+	return 0
 }
 
 // threshold converts a branch probability P0 to the 0.64 fixed-point

@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -33,20 +37,18 @@ func frozenRandomVector(n int, seed uint64) ([]cnum.Complex, []float64) {
 
 // TestFrozenMatchesLiveBitForBit: for the same random sequence, walks over
 // the frozen arrays select exactly the indices the live pointer walk (the
-// liveSampler oracle) selects — under every normalization scheme and under
-// both branch-probability rules.
+// liveSampler oracle) selects — under every normalization scheme, and so
+// under both branch-probability rules (downstream under NormLeft, |w0|²
+// under the L2 schemes).
 func TestFrozenMatchesLiveBitForBit(t *testing.T) {
 	vec, _ := frozenRandomVector(6, 23)
 	cases := []struct {
-		name    string
-		norm    dd.Norm
-		generic bool
+		name string
+		norm dd.Norm
 	}{
-		{"left-generic", dd.NormLeft, false},
-		{"l2-fast", dd.NormL2, false},
-		{"l2-forced-generic", dd.NormL2, true},
-		{"l2phase-fast", dd.NormL2Phase, false},
-		{"l2phase-forced-generic", dd.NormL2Phase, true},
+		{"left-generic", dd.NormLeft},
+		{"l2-fast", dd.NormL2},
+		{"l2phase-fast", dd.NormL2Phase},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -55,12 +57,8 @@ func TestFrozenMatchesLiveBitForBit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var frOpts []dd.FreezeOption
-			if tc.generic {
-				frOpts = append(frOpts, dd.FreezeGeneric())
-			}
-			live := newLiveSampler(m, state, tc.generic)
-			snap, err := m.Freeze(state, frOpts...)
+			live := newLiveSampler(m, state)
+			snap, err := m.Freeze(state)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,6 +75,56 @@ func TestFrozenMatchesLiveBitForBit(t *testing.T) {
 			}
 			if live.renorms != frozen.Renorms() {
 				t.Errorf("renorm counts diverge: live %d, frozen %d", live.renorms, frozen.Renorms())
+			}
+		})
+	}
+}
+
+// TestWalkTableGolden pins every walk-table entry — kids and threshold —
+// of benchmark states under each branch rule, as SHA-256 digests of the
+// entries in index order (two little-endian int32 kids, then the uint64
+// threshold). The digests were captured at commit a275163, when the
+// snapshot still stored each node's P0, so they prove the thresholds
+// derived from the snapshot's weights unchanged bit for bit. Pinned on
+// amd64 only, like TestGoldenDDIdentity.
+func TestWalkTableGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("threshold bits are pinned on amd64 only")
+	}
+	for _, g := range []struct {
+		name string
+		norm dd.Norm
+		sha  string
+	}{
+		{"qft_16", dd.NormL2Phase, "ac61a3a9d35cd7df1a875cd800252cfc43edc4e105258b3a42e2f9152062a32f"},
+		{"qft_16", dd.NormLeft, "feeb02632e6d6a983b5736b8b2c6f6b474df417a1409183b90ff3a698a68da30"},
+		{"shor_33_2", dd.NormL2Phase, "74556f9c82f706fe9cee2097e239133ae35f5a6cde40089a2948f095189d7387"},
+		{"shor_33_2", dd.NormLeft, "b3da4b93c3b3a4df8419284d738656fb44c8baaf837ae6799dded54b7c31074d"},
+		{"jellium_2x2", dd.NormL2Phase, "2e97aab69c671553658a1ca68e7b184a10cf939196b4e9481bb964a6364ef21c"},
+		{"jellium_2x2", dd.NormLeft, "e8ef1fca90171da092da54ccfe122d98a267a11e3dc5bb53081384daaa121a31"},
+		{"supremacy_4x4_10", dd.NormL2Phase, "91fc4a63e37a2e44ae79fb4dce011ab925e1c100aa3b4d836d53eaf255d32cc7"},
+		{"supremacy_4x4_10", dd.NormLeft, "5ba543907c4d86d8c6a580ac4a03e1fa839b256858e6a19d6fc8a34c2546f437"},
+		{"grover_12", dd.NormL2Phase, "403b1eace193d89a4ab1407f1cb4eb89db1b4e571db7307a308d7e56f646bdf3"},
+		{"grover_12", dd.NormL2, "403b1eace193d89a4ab1407f1cb4eb89db1b4e571db7307a308d7e56f646bdf3"},
+	} {
+		t.Run(g.name+"/"+g.norm.String(), func(t *testing.T) {
+			if testing.Short() && (g.name == "shor_33_2" || g.name == "supremacy_4x4_10") {
+				t.Skip("slow row under -short")
+			}
+			fs, err := NewFrozenSampler(freezeCircuit(t, g.name, g.norm))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			var entry [16]byte
+			for _, w := range fs.walk {
+				binary.LittleEndian.PutUint32(entry[:], uint32(w.Kid[0]))
+				binary.LittleEndian.PutUint32(entry[4:], uint32(w.Kid[1]))
+				binary.LittleEndian.PutUint64(entry[8:], w.T)
+				h.Write(entry[:])
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != g.sha {
+				t.Errorf("walk table SHA-256 %s, want %s", got, g.sha)
 			}
 		})
 	}

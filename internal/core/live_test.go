@@ -8,19 +8,19 @@ import (
 )
 
 // liveSampler is the pointer walk over the live diagram that FrozenSampler
-// replaced, kept as an independent test oracle: in generic mode it computes
+// replaced, kept as an independent test oracle: under NormLeft it computes
 // its own downstream masses by recursion over live nodes, never reading a
 // dd.Snapshot.
 type liveSampler struct {
 	m       *dd.Manager
 	root    dd.VEdge
-	down    map[*dd.VNode]float64 // nil on the L2 fast path
+	down    map[*dd.VNode]float64 // nil under L2 normalization
 	renorms uint64
 }
 
-func newLiveSampler(m *dd.Manager, root dd.VEdge, generic bool) *liveSampler {
+func newLiveSampler(m *dd.Manager, root dd.VEdge) *liveSampler {
 	s := &liveSampler{m: m, root: root}
-	if generic || m.Normalization() == dd.NormLeft {
+	if m.Normalization() == dd.NormLeft {
 		s.down = map[*dd.VNode]float64{}
 	}
 	return s

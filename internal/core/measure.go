@@ -9,8 +9,8 @@ import (
 	"weaksim/internal/rng"
 )
 
-// freezeNormalized freezes state scaled to unit norm, so the snapshot's
-// upstream/downstream masses are probabilities even for an unnormalized
+// freezeNormalized freezes state scaled to unit norm, so the masses
+// computed over the snapshot are probabilities even for an unnormalized
 // input (a projection, say). The freeze runs its own invariant audit; its
 // error is the caller's error.
 func freezeNormalized(m *dd.Manager, state dd.VEdge) (*dd.Snapshot, error) {
@@ -22,16 +22,55 @@ func freezeNormalized(m *dd.Manager, state dd.VEdge) (*dd.Snapshot, error) {
 	return m.Freeze(state)
 }
 
+// downMass returns every node's downstream mass: the total probability of
+// the half-paths from the node to the terminal under a unit incoming weight
+// (paper Section IV-B). A snapshot indexes children before their parents,
+// so one ascending pass computes it. Under L2 normalization every value is
+// 1 up to the interning tolerance.
+func downMass(snap *dd.Snapshot) []float64 {
+	nodes := snap.Nodes()
+	down := make([]float64, len(nodes))
+	for i := range nodes {
+		d0, d1 := branchMass(&nodes[i], down)
+		down[i] = d0 + d1
+	}
+	return down
+}
+
+// upMass returns every node's upstream mass: the total probability of the
+// half-paths from the root to the node, in one descending pass. A node's
+// traversal probability is up·down, and the values on one level sum to 1
+// for a normalized state.
+func upMass(snap *dd.Snapshot) []float64 {
+	nodes := snap.Nodes()
+	up := make([]float64, len(nodes))
+	up[snap.Root()] = snap.RootWeight().Abs2()
+	for i := len(nodes) - 1; i >= 0; i-- {
+		for b, k := range nodes[i].Kid {
+			if k >= 0 {
+				up[k] += up[i] * nodes[i].W[b].Abs2()
+			}
+		}
+	}
+	return up
+}
+
+// branchMass returns the downstream mass below each branch of nd: |w_b|²
+// times the mass below its kid.
+func branchMass(nd *dd.SnapNode, down []float64) (d0, d1 float64) {
+	return nd.W[0].Abs2() * kidDown(down, nd.Kid[0]), nd.W[1].Abs2() * kidDown(down, nd.Kid[1])
+}
+
 // kidDown is the downstream mass below a snapshot child index: 1 for the
 // terminal, 0 for a zero edge.
-func kidDown(snap *dd.Snapshot, k int32) float64 {
-	switch {
-	case k == dd.SnapTerminal:
+func kidDown(down []float64, k int32) float64 {
+	switch k {
+	case dd.SnapTerminal:
 		return 1
-	case k == dd.SnapZero:
+	case dd.SnapZero:
 		return 0
 	}
-	return snap.Down(k)
+	return down[k]
 }
 
 // MeasureAll performs a destructive measurement of all qubits: it samples
@@ -64,11 +103,11 @@ func QubitProbability(m *dd.Manager, state dd.VEdge, qubit int) (float64, error)
 	if err != nil {
 		return 0, err
 	}
+	down, up := downMass(snap), upMass(snap)
 	var p1 float64
-	for i := int32(0); i < int32(snap.Len()); i++ {
-		nd := snap.At(i)
+	for i, nd := range snap.Nodes() {
 		if int(nd.V) == qubit {
-			p1 += snap.Up(i) * nd.W[1].Abs2() * kidDown(snap, nd.Kid[1])
+			p1 += up[i] * nd.W[1].Abs2() * kidDown(down, nd.Kid[1])
 		}
 	}
 	return p1, nil

@@ -76,7 +76,7 @@ func checkTalliesAgree(t *testing.T, name string, dense, sparse *Tally) {
 // above the shot count, and across the n = 20/21 width limit.
 func TestTallyDenseMatchesMap(t *testing.T) {
 	vec, _ := frozenRandomVector(10, 17)
-	wide, err := NewFrozenSampler(freezeVector(t, vec, dd.NormL2Phase, false))
+	wide, err := NewFrozenSampler(freezeVector(t, vec, dd.NormL2Phase))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestTallyDenseMatchesMap(t *testing.T) {
 	// Across the width limit: GHZ states keep the walk cheap and the maps
 	// tiny while the batch fills a 2^20-entry dense histogram.
 	for _, n := range []int{20, 21} {
-		fs, err := NewFrozenSampler(freezeCircuit(t, fmt.Sprintf("ghz_%d", n), dd.NormL2Phase, false))
+		fs, err := NewFrozenSampler(freezeCircuit(t, fmt.Sprintf("ghz_%d", n), dd.NormL2Phase))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestTallyDensePanicBecomesError(t *testing.T) {
 // keeping the receiver's representation.
 func TestTallyAddAcrossRepresentations(t *testing.T) {
 	vec, _ := frozenRandomVector(10, 17)
-	fs, err := NewFrozenSampler(freezeVector(t, vec, dd.NormL2Phase, false))
+	fs, err := NewFrozenSampler(freezeVector(t, vec, dd.NormL2Phase))
 	if err != nil {
 		t.Fatal(err)
 	}

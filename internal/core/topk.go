@@ -37,10 +37,11 @@ func TopOutcomes(m *dd.Manager, state dd.VEdge, k int) ([]Outcome, error) {
 		return nil, err
 	}
 
+	down := downMass(snap)
 	pq := &pathQueue{}
 	heap.Init(pq)
 	heap.Push(pq, pathItem{
-		mass: snap.RootWeight().Abs2() * kidDown(snap, snap.Root()),
+		mass: snap.RootWeight().Abs2() * kidDown(down, snap.Root()),
 		node: snap.Root(),
 		v:    m.Qubits() - 1,
 	})
@@ -61,7 +62,7 @@ func TopOutcomes(m *dd.Manager, state dd.VEdge, k int) ([]Outcome, error) {
 				continue
 			}
 			child := pathItem{
-				mass: it.mass / snap.Down(it.node) * nd.W[bit].Abs2() * kidDown(snap, k),
+				mass: it.mass / down[it.node] * nd.W[bit].Abs2() * kidDown(down, k),
 				node: k,
 				idx:  it.idx | bit<<uint(it.v),
 				v:    it.v - 1,

@@ -46,9 +46,7 @@ const (
 	CheckArena      = "arena"      // every node occupies its own arena slot; free slots are truly dead
 	CheckTable      = "table"      // unique-table slots, stored hashes, and counts are coherent
 	CheckPostOrder  = "post_order" // snapshot children carry smaller indices
-	CheckP0Range    = "p0_range"   // branch thresholds lie in [0, 1]
-	CheckThreshold  = "threshold"  // P0 matches the active sampling rule
-	CheckMass       = "mass"       // downstream/upstream masses consistent, total mass 1
+	CheckMass       = "mass"       // total probability mass 1
 )
 
 // InvariantError reports one violated invariant.
@@ -298,18 +296,14 @@ func checkNormWeights(norm Norm, level int, w0, w1 cnum.Complex) error {
 	return nil
 }
 
-// Verify audits the frozen flat arrays against every invariant the sampling
-// walk depends on: array-length coherence, post-order child indexing, strict
-// level descent, the zero-edge convention mirrored into Kid/W, branch
-// thresholds in [0, 1] that match the active sampling rule, the edge-weight
-// normalization rule, and downstream/upstream mass consistency with unit
-// total probability. It is pure and read-only, and it is the gate a
-// persisted snapshot must pass before the cache may serve from it.
+// Verify audits the frozen node array against every invariant the
+// sampling walk depends on: post-order child indexing, strict level
+// descent, the zero-edge convention mirrored into Kid/W, the edge-weight
+// normalization rule, and unit total probability mass, which it computes
+// in one ascending downstream pass. It is pure and read-only, and it is the
+// gate a persisted snapshot must pass before the cache may serve from it.
 func (s *Snapshot) Verify() error {
 	n := len(s.nodes)
-	if len(s.down) != n || len(s.up) != n {
-		return violated(CheckMass, "array lengths diverge: %d nodes, %d down, %d up", n, len(s.down), len(s.up))
-	}
 	if s.nqubits < 1 || s.nqubits > MaxQubits {
 		return violated(CheckLevels, "snapshot claims %d qubits", s.nqubits)
 	}
@@ -320,13 +314,12 @@ func (s *Snapshot) Verify() error {
 		return violated(CheckLevels, "root node at level %d, want %d", rv, s.nqubits-1)
 	}
 
+	down := make([]float64, n)
 	for i := 0; i < n; i++ {
 		nd := &s.nodes[i]
 		if nd.V < 0 || int(nd.V) >= s.nqubits {
 			return violated(CheckLevels, "node %d at level %d outside [0, %d)", i, nd.V, s.nqubits)
 		}
-		var d [2]float64
-		var downMass float64
 		for b := 0; b < 2; b++ {
 			kid := nd.Kid[b]
 			switch {
@@ -351,52 +344,15 @@ func (s *Snapshot) Verify() error {
 			}
 			dk := 1.0
 			if kid >= 0 {
-				dk = s.down[kid]
+				dk = down[kid]
 			}
-			d[b] = nd.W[b].Abs2() * dk
-			downMass += d[b]
-		}
-		if math.Abs(s.down[i]-downMass) > InvariantTol*math.Max(1, downMass) {
-			return violated(CheckMass, "node %d: stored downstream mass %.12f, recomputed %.12f", i, s.down[i], downMass)
-		}
-		if nd.P0 < -InvariantTol || nd.P0 > 1+InvariantTol {
-			return violated(CheckP0Range, "node %d: branch threshold P0 = %.12f outside [0, 1]", i, nd.P0)
-		}
-		// Threshold rule: fast path reads |w0|² off the weights; generic
-		// path renormalizes by downstream mass.
-		if s.generic {
-			if total := d[0] + d[1]; total > 0 {
-				if want := d[0] / total; math.Abs(nd.P0-want) > InvariantTol {
-					return violated(CheckThreshold, "node %d: generic P0 = %.12f, want d0/(d0+d1) = %.12f", i, nd.P0, want)
-				}
-			}
-		} else {
-			if want := nd.W[0].Abs2(); math.Abs(nd.P0-want) > InvariantTol {
-				return violated(CheckThreshold, "node %d: fast-path P0 = %.12f, want |w0|² = %.12f", i, nd.P0, want)
-			}
+			down[i] += nd.W[b].Abs2() * dk
 		}
 		if err := checkNormWeights(s.norm, int(nd.V), nd.W[0], nd.W[1]); err != nil {
 			return err
 		}
 	}
-
-	// Upstream masses: one descending recompute pass, then total mass.
-	up := make([]float64, n)
-	up[s.root] = s.rootW.Abs2()
-	for i := n - 1; i >= 0; i-- {
-		nd := &s.nodes[i]
-		for b := 0; b < 2; b++ {
-			if k := nd.Kid[b]; k >= 0 {
-				up[k] += up[i] * nd.W[b].Abs2()
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if math.Abs(up[i]-s.up[i]) > InvariantTol*math.Max(1, up[i]) {
-			return violated(CheckMass, "node %d: stored upstream mass %.12f, recomputed %.12f", i, s.up[i], up[i])
-		}
-	}
-	if mass := s.rootW.Abs2() * s.down[s.root]; math.Abs(mass-1) > InvariantTol {
+	if mass := s.rootW.Abs2() * down[s.root]; math.Abs(mass-1) > InvariantTol {
 		return violated(CheckMass, "total probability mass %.12f, want 1 ± %g", mass, InvariantTol)
 	}
 	return nil

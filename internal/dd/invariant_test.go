@@ -80,10 +80,10 @@ func TestCheckInvariantsDetectsViolations(t *testing.T) {
 }
 
 // mustFreeze freezes the running-example state under the given norm.
-func mustFreeze(t *testing.T, norm Norm, opts ...FreezeOption) *Snapshot {
+func mustFreeze(t *testing.T, norm Norm) *Snapshot {
 	t.Helper()
 	m, state := snapTestState(t, norm)
-	snap, err := m.Freeze(state, opts...)
+	snap, err := m.Freeze(state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,17 +97,9 @@ func TestSnapshotVerifyPassesOnFreshFreeze(t *testing.T) {
 			t.Errorf("norm %v: %v", norm, err)
 		}
 	}
-	if err := mustFreeze(t, NormL2, FreezeGeneric()).Verify(); err != nil {
-		t.Errorf("generic freeze under L2: %v", err)
-	}
 }
 
 func TestSnapshotVerifyDetectsCorruption(t *testing.T) {
-	t.Run("array lengths", func(t *testing.T) {
-		s := mustFreeze(t, NormL2)
-		s.down = s.down[:len(s.down)-1]
-		mustInvariant(t, s.Verify(), CheckMass)
-	})
 	t.Run("root out of range", func(t *testing.T) {
 		s := mustFreeze(t, NormL2)
 		s.root = int32(len(s.nodes))
@@ -150,29 +142,15 @@ func TestSnapshotVerifyDetectsCorruption(t *testing.T) {
 		mustInvariant(t, s.Verify(), CheckZeroEdge)
 	})
 	t.Run("downstream mass", func(t *testing.T) {
-		s := mustFreeze(t, NormL2)
-		s.down[0] += 0.25
-		mustInvariant(t, s.Verify(), CheckMass)
-	})
-	t.Run("upstream mass", func(t *testing.T) {
-		s := mustFreeze(t, NormL2)
-		s.up[0] += 0.25
-		mustInvariant(t, s.Verify(), CheckMass)
-	})
-	t.Run("p0 range", func(t *testing.T) {
-		s := mustFreeze(t, NormL2)
-		s.nodes[s.root].P0 = 1.5
-		mustInvariant(t, s.Verify(), CheckP0Range)
-	})
-	t.Run("threshold fast", func(t *testing.T) {
-		s := mustFreeze(t, NormL2)
-		s.nodes[s.root].P0 = clamp01(s.nodes[s.root].P0 + 0.01)
-		mustInvariant(t, s.Verify(), CheckThreshold)
-	})
-	t.Run("threshold generic", func(t *testing.T) {
+		// NormLeft fixes only the leading weight, so a scaled 1-edge passes
+		// the norm rule: the computed downstream mass must catch it.
 		s := mustFreeze(t, NormLeft)
-		s.nodes[s.root].P0 = clamp01(s.nodes[s.root].P0 + 0.01)
-		mustInvariant(t, s.Verify(), CheckThreshold)
+		nd := &s.nodes[s.root]
+		if nd.Kid[1] == SnapZero {
+			t.Fatal("running example's root has no 1-edge")
+		}
+		nd.W[1] = nd.W[1].Mul(cnum.New(2, 0))
+		mustInvariant(t, s.Verify(), CheckMass)
 	})
 	t.Run("norm rule", func(t *testing.T) {
 		s := mustFreeze(t, NormL2Phase)
@@ -189,20 +167,8 @@ func TestSnapshotVerifyDetectsCorruption(t *testing.T) {
 	t.Run("total mass", func(t *testing.T) {
 		s := mustFreeze(t, NormL2)
 		s.rootW = s.rootW.Mul(cnum.New(2, 0))
-		// Scaling rootW also scales every upstream mass, so recompute them
-		// the way the corruption would have: only the total-mass check fires.
-		for i := range s.up {
-			s.up[i] *= 4
-		}
 		mustInvariant(t, s.Verify(), CheckMass)
 	})
-}
-
-func clamp01(x float64) float64 {
-	if x > 1 {
-		return x - 0.02
-	}
-	return x
 }
 
 // TestInvariantObsCounters: checks and failures are mirrored into the

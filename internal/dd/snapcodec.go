@@ -2,8 +2,8 @@ package dd
 
 // Binary snapshot codec.
 //
-// A Snapshot is already flat data — int32 indices, float64 masses, value
-// structs — so its on-disk form is a direct little-endian image of the
+// A Snapshot is already flat data — int32 indices and value structs — so
+// its on-disk form is a direct little-endian image of the
 // arrays behind a small versioned header. The codec lives in package dd
 // because the Snapshot fields are deliberately unexported; the persistence
 // layer (internal/snapstore) wraps these bytes in integrity framing (CRC
@@ -11,9 +11,9 @@ package dd
 //
 // DecodeSnapshot is defensive — it is fuzzed (FuzzSnapshotDecode) and must
 // return an error, never panic or over-allocate, on arbitrary input. It
-// validates framing and array geometry only; semantic integrity (masses,
-// thresholds, normalization) is Snapshot.Verify's job, which the store runs
-// on every load.
+// validates framing and array geometry only; semantic integrity (levels,
+// post-order, normalization, total mass) is Snapshot.Verify's job, which
+// the store runs on every load.
 
 import (
 	"encoding/binary"
@@ -25,19 +25,21 @@ import (
 )
 
 // snapMagic brands snapshot encodings; snapVersion gates layout changes.
+// Version 1 also carried each node's branch threshold, a generic-rule flag
+// and the downstream/upstream masses; version 2 is the DD alone.
 const (
 	snapMagic   = "WSNP"
-	snapVersion = 1
+	snapVersion = 2
 )
 
 // snapNodeBytes is the encoded size of one SnapNode:
-// Kid[2]×int32 + P0 float64 + W[2]×(Re,Im float64) + V int32.
-const snapNodeBytes = 8 + 8 + 32 + 4
+// Kid[2]×int32 + W[2]×(Re,Im float64) + V int32.
+const snapNodeBytes = 8 + 32 + 4
 
 // snapHeaderBytes is the fixed prefix before the node array:
-// magic + version uint16 + norm uint8 + generic uint8 + nqubits uint32 +
-// root int32 + rootW (Re,Im float64) + node count uint32.
-const snapHeaderBytes = 4 + 2 + 1 + 1 + 4 + 4 + 16 + 4
+// magic + version uint16 + norm uint8 + nqubits uint32 + root int32 +
+// rootW (Re,Im float64) + node count uint32.
+const snapHeaderBytes = 4 + 2 + 1 + 4 + 4 + 16 + 4
 
 // ErrSnapshotEncoding reports malformed snapshot bytes; detect with
 // errors.Is. Framing errors wrap it, so the persistence layer can separate
@@ -57,10 +59,10 @@ var ErrSnapshotVersion = errors.New("dd: snapshot codec version mismatch")
 // bytes, which lets the persistence layer hash and checksum them stably.
 func EncodeSnapshot(s *Snapshot) []byte {
 	n := len(s.nodes)
-	buf := make([]byte, 0, snapHeaderBytes+n*snapNodeBytes+16*n)
+	buf := make([]byte, 0, snapHeaderBytes+n*snapNodeBytes)
 	buf = append(buf, snapMagic...)
 	buf = binary.LittleEndian.AppendUint16(buf, snapVersion)
-	buf = append(buf, byte(s.norm), bool2byte(s.generic))
+	buf = append(buf, byte(s.norm))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.nqubits))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.root))
 	buf = appendComplex(buf, s.rootW)
@@ -69,16 +71,9 @@ func EncodeSnapshot(s *Snapshot) []byte {
 		nd := &s.nodes[i]
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(nd.Kid[0]))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(nd.Kid[1]))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(nd.P0))
 		buf = appendComplex(buf, nd.W[0])
 		buf = appendComplex(buf, nd.W[1])
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(nd.V))
-	}
-	for _, d := range s.down {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d))
-	}
-	for _, u := range s.up {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(u))
 	}
 	return buf
 }
@@ -100,12 +95,11 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	}
 	s := &Snapshot{
 		norm:    Norm(data[6]),
-		generic: data[7] != 0,
-		nqubits: int(binary.LittleEndian.Uint32(data[8:])),
+		nqubits: int(binary.LittleEndian.Uint32(data[7:])),
 	}
-	s.root = int32(binary.LittleEndian.Uint32(data[12:]))
-	s.rootW = readComplex(data[16:])
-	n := int(binary.LittleEndian.Uint32(data[32:]))
+	s.root = int32(binary.LittleEndian.Uint32(data[11:]))
+	s.rootW = readComplex(data[15:])
+	n := int(binary.LittleEndian.Uint32(data[31:]))
 
 	// Geometry gate before any allocation: the declared node count must
 	// account for the remaining bytes exactly, which also bounds n by the
@@ -113,32 +107,21 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if s.nqubits < 1 || s.nqubits > MaxQubits {
 		return nil, fmt.Errorf("%w: %d qubits", ErrSnapshotEncoding, s.nqubits)
 	}
-	want := snapHeaderBytes + n*(snapNodeBytes+16)
+	want := snapHeaderBytes + n*snapNodeBytes
 	if n < 0 || len(data) != want {
 		return nil, fmt.Errorf("%w: %d bytes for %d nodes, want %d", ErrSnapshotEncoding, len(data), n, want)
 	}
 
 	s.nodes = make([]SnapNode, n)
-	s.down = make([]float64, n)
-	s.up = make([]float64, n)
 	off := snapHeaderBytes
 	for i := 0; i < n; i++ {
 		nd := &s.nodes[i]
 		nd.Kid[0] = int32(binary.LittleEndian.Uint32(data[off:]))
 		nd.Kid[1] = int32(binary.LittleEndian.Uint32(data[off+4:]))
-		nd.P0 = math.Float64frombits(binary.LittleEndian.Uint64(data[off+8:]))
-		nd.W[0] = readComplex(data[off+16:])
-		nd.W[1] = readComplex(data[off+32:])
-		nd.V = int32(binary.LittleEndian.Uint32(data[off+48:]))
+		nd.W[0] = readComplex(data[off+8:])
+		nd.W[1] = readComplex(data[off+24:])
+		nd.V = int32(binary.LittleEndian.Uint32(data[off+40:]))
 		off += snapNodeBytes
-	}
-	for i := 0; i < n; i++ {
-		s.down[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-	}
-	for i := 0; i < n; i++ {
-		s.up[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
 	}
 	return s, nil
 }
@@ -153,11 +136,4 @@ func readComplex(b []byte) cnum.Complex {
 		Re: math.Float64frombits(binary.LittleEndian.Uint64(b)),
 		Im: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
 	}
-}
-
-func bool2byte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -24,15 +24,18 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		if !bytes.Equal(enc, EncodeSnapshot(dec)) {
 			t.Fatalf("norm %v: decode/encode is not the identity", norm)
 		}
-		if dec.Qubits() != snap.Qubits() || dec.Norm() != snap.Norm() ||
-			dec.Generic() != snap.Generic() || dec.Len() != snap.Len() ||
+		if dec.Qubits() != snap.Qubits() || dec.Norm() != snap.Norm() || dec.Len() != snap.Len() ||
 			dec.Root() != snap.Root() || dec.RootWeight() != snap.RootWeight() {
 			t.Fatalf("norm %v: header fields diverge after round trip", norm)
 		}
 		for i := int32(0); int(i) < snap.Len(); i++ {
-			if dec.At(i) != snap.At(i) || dec.Down(i) != snap.Down(i) || dec.Up(i) != snap.Up(i) {
+			if dec.At(i) != snap.At(i) {
 				t.Fatalf("norm %v: node %d diverges after round trip", norm, i)
 			}
+		}
+		// Version 2 is the DD alone: a 35-byte header and 44 bytes a node.
+		if got, want := len(enc), 35+44*snap.Len(); got != want {
+			t.Fatalf("norm %v: %d encoded bytes for %d nodes, want %d", norm, got, snap.Len(), want)
 		}
 	}
 }
@@ -55,19 +58,22 @@ func TestSnapshotDecodeRejectsBadFraming(t *testing.T) {
 }
 
 // TestSnapshotDecodeVersionMismatchTyped: a frame from a different codec
-// version is separately detectable (ErrSnapshotVersion) while still counting
-// as undecodable here (ErrSnapshotEncoding); other framing damage must NOT
-// read as a version mismatch.
+// version — version 1, the layout with stored thresholds and masses, or a
+// newer one — is separately detectable (ErrSnapshotVersion) while still
+// counting as undecodable here (ErrSnapshotEncoding); other framing damage
+// must NOT read as a version mismatch.
 func TestSnapshotDecodeVersionMismatchTyped(t *testing.T) {
 	enc := EncodeSnapshot(mustFreeze(t, NormL2))
-	newer := append([]byte{}, enc...)
-	newer[4], newer[5] = 2, 0 // version 2 little-endian
-	_, err := DecodeSnapshot(newer)
-	if !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("newer version: err = %v, want ErrSnapshotVersion", err)
-	}
-	if !errors.Is(err, ErrSnapshotEncoding) {
-		t.Fatalf("version mismatch must still wrap ErrSnapshotEncoding: %v", err)
+	for _, v := range []byte{1, 99} {
+		other := append([]byte{}, enc...)
+		other[4], other[5] = v, 0 // little-endian
+		_, err := DecodeSnapshot(other)
+		if !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("version %d: err = %v, want ErrSnapshotVersion", v, err)
+		}
+		if !errors.Is(err, ErrSnapshotEncoding) {
+			t.Fatalf("version %d: a mismatch must still wrap ErrSnapshotEncoding: %v", v, err)
+		}
 	}
 	if _, err := DecodeSnapshot(enc[:len(enc)-1]); errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("truncation misread as a version mismatch: %v", err)
@@ -76,7 +82,7 @@ func TestSnapshotDecodeVersionMismatchTyped(t *testing.T) {
 
 // FuzzSnapshotDecode: the decoder must never panic, and anything it accepts
 // must survive Verify without panicking either (Verify may well fail — the
-// fuzzer forges masses — but it must fail with an error).
+// fuzzer forges weights and kids — but it must fail with an error).
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, norm := range []Norm{NormLeft, NormL2, NormL2Phase} {
 		m := New(2, WithNormalization(norm))

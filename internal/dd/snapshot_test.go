@@ -22,43 +22,6 @@ func snapTestState(t *testing.T, norm Norm) (*Manager, VEdge) {
 	return m, state
 }
 
-// refDown recursively computes downstream mass the way the pre-snapshot
-// map-based annotation did, as the test oracle.
-func refDown(n *VNode, memo map[*VNode]float64) float64 {
-	if n == nil {
-		return 1
-	}
-	if d, ok := memo[n]; ok {
-		return d
-	}
-	var d float64
-	for i := 0; i < 2; i++ {
-		if e := n.E[i]; !e.IsZero() {
-			d += e.W.Abs2() * refDown(e.N, memo)
-		}
-	}
-	memo[n] = d
-	return d
-}
-
-// snapOrigins maps every snapshot index to the live node it was frozen
-// from, by walking the live diagram and the frozen arrays side by side.
-func snapOrigins(snap *Snapshot, state VEdge) []*VNode {
-	origin := make([]*VNode, snap.Len())
-	var walk func(n *VNode, i int32)
-	walk = func(n *VNode, i int32) {
-		if i < 0 || origin[i] != nil {
-			return
-		}
-		origin[i] = n
-		for b, k := range snap.At(i).Kid {
-			walk(n.E[b].N, k)
-		}
-	}
-	walk(state.N, snap.Root())
-	return origin
-}
-
 // TestFreezeSizesArraysExactly: a snapshot frozen from a manager whose
 // unique table holds far more nodes than the state reaches keeps no spare
 // capacity, so the heap it retains is what Bytes reports.
@@ -88,9 +51,8 @@ func TestFreezeSizesArraysExactly(t *testing.T) {
 	if m.vTab.n <= 8*snap.Len() {
 		t.Fatalf("unique table holds %d nodes for a %d-node state; the test needs dead weight", m.vTab.n, snap.Len())
 	}
-	if cap(snap.nodes) != len(snap.nodes) || cap(snap.down) != len(snap.down) || cap(snap.up) != len(snap.up) {
-		t.Errorf("snapshot of %d nodes keeps spare capacity: nodes %d, down %d, up %d",
-			snap.Len(), cap(snap.nodes), cap(snap.down), cap(snap.up))
+	if cap(snap.nodes) != len(snap.nodes) {
+		t.Errorf("snapshot of %d nodes keeps spare capacity %d", snap.Len(), cap(snap.nodes))
 	}
 }
 
@@ -123,75 +85,6 @@ func TestFreezeTopologicalOrder(t *testing.T) {
 					t.Errorf("norm %v: node %d child %d has invalid index %d", norm, i, b, k)
 				}
 			}
-		}
-	}
-}
-
-// TestFreezeDownUpMassMatchReference: the flat-array annotation reproduces
-// the recursive reference computation node for node, and traversal
-// probabilities sum to 1 per level.
-func TestFreezeDownUpMassMatchReference(t *testing.T) {
-	for _, norm := range []Norm{NormLeft, NormL2, NormL2Phase} {
-		m, state := snapTestState(t, norm)
-		snap, err := m.Freeze(state)
-		if err != nil {
-			t.Fatal(err)
-		}
-		memo := make(map[*VNode]float64)
-		refDown(state.N, memo)
-		if got, want := snap.Len(), len(memo); got != want {
-			t.Fatalf("norm %v: %d frozen nodes, reference reaches %d", norm, got, want)
-		}
-		origin := snapOrigins(snap, state)
-		for i := 0; i < snap.Len(); i++ {
-			n := origin[i]
-			if n == nil {
-				t.Fatalf("norm %v: node %d has no origin", norm, i)
-			}
-			if got, want := snap.Down(int32(i)), memo[n]; got != want {
-				t.Errorf("norm %v: down[%d] = %v, want %v (bit-exact)", norm, i, got, want)
-			}
-		}
-		levelSums := make(map[int32]float64)
-		for i := 0; i < snap.Len(); i++ {
-			levelSums[snap.At(int32(i)).V] += snap.Traversal(int32(i))
-		}
-		for level, sum := range levelSums {
-			if math.Abs(sum-1) > 1e-9 {
-				t.Errorf("norm %v: level %d traversal mass %v, want 1", norm, level, sum)
-			}
-		}
-	}
-}
-
-// TestFreezeBranchThresholds: under L2 the threshold is exactly |w0|²; the
-// generic rule renormalizes by downstream mass, and both versions describe
-// the same distribution.
-func TestFreezeBranchThresholds(t *testing.T) {
-	m, state := snapTestState(t, NormL2Phase)
-	fast, err := m.Freeze(state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Generic() {
-		t.Error("L2Phase snapshot should use the fast probability rule")
-	}
-	gen, err := m.Freeze(state, FreezeGeneric())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gen.Generic() {
-		t.Error("FreezeGeneric snapshot should report the generic rule")
-	}
-	root := fast.At(fast.Root())
-	if got := root.W[0].Abs2(); got != root.P0 {
-		t.Errorf("fast root P0 = %v, want |w0|² = %v", root.P0, got)
-	}
-	// Paper Fig. 4c/4d: the root splits 3/4 vs 1/4 under both rules.
-	for name, snap := range map[string]*Snapshot{"fast": fast, "generic": gen} {
-		p0 := snap.At(snap.Root()).P0
-		if math.Abs(p0-0.75) > 1e-9 {
-			t.Errorf("%s root threshold = %v, want 3/4", name, p0)
 		}
 	}
 }
@@ -229,7 +122,7 @@ func TestSnapshotSurvivesManagerReuse(t *testing.T) {
 		wantAmps[idx] = snap.Amplitude(idx)
 	}
 	wantNodes := snap.Len()
-	wantP0 := snap.At(snap.Root()).P0
+	wantRoot := snap.At(snap.Root())
 
 	// Reuse the Manager: drop every root, collect, and build a fresh state.
 	m.GC(nil, nil)
@@ -242,8 +135,8 @@ func TestSnapshotSurvivesManagerReuse(t *testing.T) {
 	if snap.Len() != wantNodes {
 		t.Errorf("snapshot node count changed after manager reuse: %d vs %d", snap.Len(), wantNodes)
 	}
-	if got := snap.At(snap.Root()).P0; got != wantP0 {
-		t.Errorf("root threshold changed after manager reuse: %v vs %v", got, wantP0)
+	if got := snap.At(snap.Root()); got != wantRoot {
+		t.Errorf("root node changed after manager reuse: %+v vs %+v", got, wantRoot)
 	}
 	for idx := uint64(0); idx < 8; idx++ {
 		if got := snap.Amplitude(idx); got != wantAmps[idx] {
@@ -252,21 +145,11 @@ func TestSnapshotSurvivesManagerReuse(t *testing.T) {
 	}
 }
 
-// TestSnapshotStats: the size report is self-consistent.
+// TestSnapshotStats: the size report is self-consistent — a snapshot holds
+// its node array and nothing else, so Bytes is 48 bytes a node.
 func TestSnapshotStats(t *testing.T) {
-	m, state := snapTestState(t, NormL2Phase)
-	snap, err := m.Freeze(state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := snap.Stats()
-	if st.Nodes != snap.Len() {
-		t.Errorf("Stats.Nodes = %d, want %d", st.Nodes, snap.Len())
-	}
-	if st.Bytes < st.Nodes*48 {
-		t.Errorf("Stats.Bytes = %d implausibly small for %d nodes", st.Bytes, st.Nodes)
-	}
-	if st.Generic {
-		t.Error("L2Phase snapshot reported generic")
+	snap := mustFreeze(t, NormL2Phase)
+	if got, want := snap.Bytes(), 48*snap.Len(); got != want {
+		t.Errorf("Bytes = %d, want %d for %d nodes", got, want, snap.Len())
 	}
 }

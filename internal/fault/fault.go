@@ -78,8 +78,8 @@ const (
 	// snapshot LRU. Any injected fault skips the admission (the result is
 	// still served, uncached — degrade, never fail).
 	ServeCacheAdmit = "serve.cache.admit"
-	// SnapstoreWrite is a byte-stream hook over the encoded snapshot file
-	// payload before it is written.
+	// SnapstoreWrite is a byte-stream hook over the snapshot file's bytes,
+	// CRC trailer included, before they are written.
 	SnapstoreWrite = "snapstore.write"
 	// SnapstoreRead is a byte-stream hook over the snapshot file payload
 	// after it is read and before integrity checks.

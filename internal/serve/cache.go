@@ -9,10 +9,12 @@ package serve
 // hitting the node budget (the paper's "compile once, sample in O(n)"
 // economics, Hillmich/Markov/Wille DAC 2020, turned into a serving contract).
 //
-// Capacity is accounted in bytes (dd.Snapshot.Bytes plus the sampler's walk
-// table, core.FrozenSampler.WalkBytes), not entries: a cached supremacy
-// state can be five orders of magnitude bigger than a GHZ state, so
-// entry-count bounds would be meaningless. Eviction is strict LRU.
+// Capacity is accounted in bytes, not entries: an entry charges its
+// snapshot's node array (dd.Snapshot.Bytes, 48 B a node) plus its sampler's
+// walk table (core.FrozenSampler.WalkBytes, 16 B a node), 64 B a node in
+// all. A cached supremacy state can be five orders of magnitude bigger than
+// a GHZ state, so entry-count bounds would be meaningless. Eviction is
+// strict LRU.
 //
 // Single-flight: concurrent misses on one key elect exactly one leader; the
 // leader runs the compute function while every follower (and the leader)

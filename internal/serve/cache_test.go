@@ -208,8 +208,8 @@ func TestCacheStatsCounters(t *testing.T) {
 }
 
 // TestCacheEntryCountsWalkTable: a cached circuit charges the cache its
-// snapshot's bytes plus its sampler's walk table, 16 bytes per node, so
-// CacheBytes bounds both.
+// snapshot's node array, 48 bytes per node, plus its sampler's walk table,
+// 16 bytes per node — 64 in all — so CacheBytes bounds both.
 func TestCacheEntryCountsWalkTable(t *testing.T) {
 	srv, _ := startServer(t, Config{})
 	circ, err := algo.Generate("qft_6")
@@ -224,9 +224,10 @@ func TestCacheEntryCountsWalkTable(t *testing.T) {
 	if snap.Len() != 6 {
 		t.Fatalf("qft_6 froze to %d nodes, want 6", snap.Len())
 	}
-	want := int64(snap.Bytes() + 6*16)
-	if ent.bytes != want {
-		t.Fatalf("entry charges %d bytes, want snapshot %d + walk table %d", ent.bytes, snap.Bytes(), 6*16)
+	const want = 6 * 64
+	if ent.bytes != want || snap.Bytes() != 6*48 {
+		t.Fatalf("entry charges %d bytes (snapshot %d), want %d (snapshot %d + walk table %d)",
+			ent.bytes, snap.Bytes(), want, 6*48, 6*16)
 	}
 	if got := srv.cache.stats().Bytes; got != want {
 		t.Fatalf("cache holds %d bytes, want %d", got, want)

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"weaksim/internal/fault"
+	"weaksim/internal/snapstore"
 )
 
 // armFault enables a fault spec for the duration of the test.
@@ -255,6 +256,65 @@ func TestChaosCorruptSnapshotQuarantinedOnRestart(t *testing.T) {
 		t.Fatal("re-simulated counts diverged")
 	}
 	waitForFile(t, dir, ".wsnap")
+}
+
+// TestWarmRestartOverV1SnapshotResimulates: a daemon started over a
+// directory holding a snapshot from the retired codec version 1 neither
+// loads nor quarantines it. The circuit's first request re-simulates it
+// once and rewrites the file in the current version, which the next
+// restart serves warm.
+func TestWarmRestartOverV1SnapshotResimulates(t *testing.T) {
+	dir := t.TempDir()
+	key, v1 := v1Snapshot(t)
+	path := filepath.Join(dir, key+".wsnap")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv1, base1 := startServer(t, Config{SnapshotDir: dir})
+	if got := srv1.Metrics().Counter("serve_warm_loaded_total").Value(); got != 0 {
+		t.Fatalf("warm restart loaded %d version-1 snapshots, want 0", got)
+	}
+	if got := srv1.Metrics().Counter("snapstore_quarantined_total").Value(); got != 0 {
+		t.Fatalf("version-1 snapshot was quarantined (%d)", got)
+	}
+	var first sampleResult
+	if status, _ := post(t, base1, sampleBody(64, 1), &first); status != http.StatusOK {
+		t.Fatalf("status=%d", status)
+	}
+	if first.Cached || first.CircuitKey != key {
+		t.Fatalf("first request cached=%v key=%s, want a cold simulation of %s", first.Cached, first.CircuitKey, key)
+	}
+	// The counts the version-1 build answered this request with.
+	if want := map[string]int{"000": 33, "111": 31}; !reflect.DeepEqual(first.Counts, want) {
+		t.Fatalf("re-simulated counts %v, want the version-1 build's %v", first.Counts, want)
+	}
+	if sims := srv1.Metrics().Counter("serve_sims_total").Value(); sims != 1 {
+		t.Fatalf("serve_sims_total=%d, want 1", sims)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snapstore.Decode(data); err != nil {
+		t.Fatalf("rewritten snapshot does not decode in this version: %v", err)
+	}
+	if err := srv1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, base2 := startServer(t, Config{SnapshotDir: dir})
+	var again sampleResult
+	if status, _ := post(t, base2, sampleBody(64, 1), &again); status != http.StatusOK {
+		t.Fatalf("restarted status=%d", status)
+	}
+	if !again.Cached || !reflect.DeepEqual(first.Counts, again.Counts) {
+		t.Fatalf("restarted daemon: cached=%v, counts equal=%v; want a warm hit with the same counts",
+			again.Cached, reflect.DeepEqual(first.Counts, again.Counts))
+	}
+	if sims := srv2.Metrics().Counter("serve_sims_total").Value(); sims != 0 {
+		t.Fatalf("restarted daemon ran %d strong simulations, want 0", sims)
+	}
 }
 
 func waitForFile(t *testing.T, dir, suffix string) {

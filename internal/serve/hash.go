@@ -12,9 +12,9 @@ package serve
 //   - everything that changes the simulated state — register width, gate
 //     kinds, exact float64 parameter bits, targets, control polarity, and
 //     permutation tables — is hashed, in op order;
-//   - the DD normalization scheme and the generic-traversal flag are mixed
-//     in, because they change the frozen snapshot's thresholds (and hence
-//     the exact sample stream for a given seed), even though the Born
+//   - the DD normalization scheme is mixed in, because it changes the
+//     frozen snapshot's weights and the walk's thresholds (and hence the
+//     exact sample stream for a given seed), even though the Born
 //     distribution is identical.
 //
 // The encoding is versioned (hashVersion) so a change to the scheme can
@@ -37,7 +37,9 @@ const hashVersion = 1
 
 // CircuitKey returns the canonical cache key for a circuit simulated under
 // the given normalization scheme. The key is a hex-encoded SHA-256, stable
-// across processes and architectures.
+// across processes and architectures. Every caller passes generic false:
+// the sampler has one branch rule, and the flag's zero byte stays in the
+// key so keys do not move.
 func CircuitKey(c *circuit.Circuit, norm dd.Norm, generic bool) string {
 	h := sha256.New()
 	var buf [8]byte

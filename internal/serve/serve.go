@@ -61,9 +61,9 @@ type Config struct {
 	// NodeBudget bounds live DD nodes per simulation (0 = unlimited);
 	// overruns surface as HTTP 507.
 	NodeBudget int
-	// CacheBytes bounds the frozen-snapshot LRU (bytes of snapshot arrays,
-	// dd.Snapshot.Bytes, plus each sampler's walk table). <= 0 selects
-	// DefaultCacheBytes.
+	// CacheBytes bounds the frozen-snapshot LRU: an entry charges 64 bytes
+	// per DD node, 48 for the snapshot's node array (dd.Snapshot.Bytes) and
+	// 16 for its sampler's walk table. <= 0 selects DefaultCacheBytes.
 	CacheBytes int64
 	// QueueDepth bounds the simulation admission queue; a full queue
 	// rejects with HTTP 429. < 0 disables queueing (every miss needs an

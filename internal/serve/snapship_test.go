@@ -7,7 +7,10 @@ import (
 	"hash/crc64"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"weaksim/internal/snapstore"
@@ -39,6 +42,26 @@ func shipSnapshot(t *testing.T, fromBase, toBase, key string, mutate func([]byte
 	}
 	putResp.Body.Close()
 	return putResp.StatusCode
+}
+
+// v1Snapshot returns the ghzQASM circuit's snapshot frame as a build on
+// codec version 1 persisted it under Config{}, and its circuit key, which
+// names the file in testdata/v1. Version 1 also carried each node's branch
+// threshold, a generic-rule flag and the downstream/upstream masses.
+func v1Snapshot(t *testing.T) (key string, frame []byte) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("testdata", "v1", "*.wsnap"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("want one version-1 snapshot in testdata/v1, found %v (%v)", paths, err)
+	}
+	frame, err = os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint16(frame[4:]); v != 1 {
+		t.Fatalf("%s claims codec version %d, want 1", paths[0], v)
+	}
+	return strings.TrimSuffix(filepath.Base(paths[0]), ".wsnap"), frame
 }
 
 // TestSnapshotShippingEndToEnd: a snapshot frozen on daemon A is fetched
@@ -91,8 +114,8 @@ func TestSnapshotShippingEndToEnd(t *testing.T) {
 }
 
 // TestSnapshotPutRejectsDamageAndVersionSkew: the PUT integrity ladder
-// separates corruption (400) from a mixed-version peer (409), and neither
-// pollutes the cache.
+// separates corruption (400) from a mixed-version peer (409) — one on the
+// retired codec version 1 or on a newer one — and none pollutes the cache.
 func TestSnapshotPutRejectsDamageAndVersionSkew(t *testing.T) {
 	srvA, baseA := startServer(t, Config{})
 	srvB, baseB := startServer(t, Config{})
@@ -103,6 +126,10 @@ func TestSnapshotPutRejectsDamageAndVersionSkew(t *testing.T) {
 		t.Fatalf("cold sample on A: status %d", status)
 	}
 	key := cold.CircuitKey
+	v1Key, v1 := v1Snapshot(t)
+	if v1Key != key {
+		t.Fatalf("version-1 frame is for key %s, want %s", v1Key, key)
+	}
 
 	crcTable := crc64.MakeTable(crc64.ECMA)
 	cases := map[string]struct {
@@ -117,10 +144,14 @@ func TestSnapshotPutRejectsDamageAndVersionSkew(t *testing.T) {
 			mutate: func(b []byte) []byte { return b[:len(b)-3] },
 			status: http.StatusBadRequest,
 		},
+		"retired codec version 1": {
+			mutate: func([]byte) []byte { return v1 },
+			status: http.StatusConflict,
+		},
 		"newer codec version": {
 			mutate: func(b []byte) []byte {
 				payload := b[:len(b)-8]
-				binary.LittleEndian.PutUint16(payload[4:], 42)
+				binary.LittleEndian.PutUint16(payload[4:], 99)
 				var trailer [8]byte
 				binary.LittleEndian.PutUint64(trailer[:], crc64.Checksum(payload, crcTable))
 				return append(payload, trailer[:]...)

@@ -2,45 +2,87 @@ package sim
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"runtime"
+	"slices"
 	"testing"
 
 	"weaksim/internal/algo"
+	"weaksim/internal/core"
 	"weaksim/internal/dd"
 )
 
 // goldenDD pins the frozen DD of one benchmark row under one normalization:
-// the snapshot's node count and the SHA-256 of its dd.EncodeSnapshot bytes.
+// the snapshot's node count, the SHA-256 of its dd.EncodeSnapshot bytes, and
+// the SHA-256 of goldenShots counts drawn at goldenSeed (see countsDigest).
 type goldenDD struct {
-	name  string
-	norm  dd.Norm
-	nodes int
-	sha   string
-	slow  bool // skipped under -short
+	name   string
+	norm   dd.Norm
+	nodes  int
+	sha    string
+	counts string
+	slow   bool // skipped under -short
 }
 
-// goldenDDs were captured at commit 2a195b4, before weight canonicalization
-// became a stateless function, and must never change: any engine edit that
-// moves one of them changes the DDs, snapshots and counts the system
-// serves. grover_12 under NormLeft fails the freeze audit and is left out.
+// goldenSeed and goldenShots fix the counts each row's digest pins: one
+// sampling chunk.
+const (
+	goldenSeed  = 2020
+	goldenShots = 65536
+)
+
+// goldenDDs must never change: any engine edit that moves one of them
+// changes the DDs, snapshots and counts the system serves. The node counts
+// date from commit 2a195b4, before weight canonicalization became a
+// stateless function. The snapshot digests are of codec version 2: each
+// equals the version-1 snapshot of commit a275163 re-encoded in the
+// version-2 layout. The counts digests were captured at a275163.
+// grover_12 under NormLeft fails the freeze audit and is left out.
 var goldenDDs = []goldenDD{
-	{"qft_16", dd.NormL2Phase, 16, "6908039125e0d207c393eead2dde99f819aab6aad7e6b1da457d9ff757cdbd8d", false},
-	{"qft_16", dd.NormLeft, 16, "f8365a88b26176e21e9c0cc0508fe321a9223806e5781fe4e0c606264378f617", false},
-	{"shor_33_2", dd.NormL2Phase, 49105, "a9fd6226e83627bc62cdf22411cad154ee7a2035c34caa295e2fac0a0680e615", true},
-	{"shor_33_2", dd.NormLeft, 49003, "7085ae9d2d54755a78f152e64cc8a5bed6d34b07f5dd052374b1a2c3e93378e0", true},
-	{"jellium_2x2", dd.NormL2Phase, 53, "2f2a779bf6d28afa8a90367ec87dc2f4ac5e770e664b55f8d4512a7444eb0826", false},
-	{"jellium_2x2", dd.NormLeft, 53, "47ce7f69ba40a1bdb8df1c682f28d8bb1c8ea825698957d2ca571b7800b1e7ec", false},
-	{"supremacy_4x4_10", dd.NormL2Phase, 62349, "c3a0ace18705c07cc53b3d120c14f59ec79e658fb314be9a384eaad204550724", true},
-	{"supremacy_4x4_10", dd.NormLeft, 54144, "0491915c1121715f0fe0d2ecbaa33e575bac8660ca421b401674a929986505f8", true},
-	{"grover_12", dd.NormL2Phase, 157, "51b400f9cef8e8e8b6ba9b07b616ea6abae903045512477967f0f0e9fd4b1b68", false},
+	{"qft_16", dd.NormL2Phase, 16, "f770a3d217327ef81821d063796196ea55c1de6a6cad9feff1a19933a89288cc",
+		"5d16b86f82749430faa22dac2be39b21660d42c45a6a902a961e3b7bf8af845a", false},
+	{"qft_16", dd.NormLeft, 16, "74fa3828b7465f5ea1740f309cd8a946e7f70f80f6a9149e520cc5660d39d3eb",
+		"5d16b86f82749430faa22dac2be39b21660d42c45a6a902a961e3b7bf8af845a", false},
+	{"shor_33_2", dd.NormL2Phase, 49105, "2fb96e554b8773ae72761af4f21e54ae0ebf95b1107e007ec20f38c693676097",
+		"d1b3f78c2e19aa134b1352571bcc5ee5faeba1458b72b5fc5ac98ffb2ed6ac93", true},
+	{"shor_33_2", dd.NormLeft, 49003, "b8db11cd491ebd8c9013a9de9968ed443b3866743b768c1bb251313d2416555e",
+		"d1b3f78c2e19aa134b1352571bcc5ee5faeba1458b72b5fc5ac98ffb2ed6ac93", true},
+	{"jellium_2x2", dd.NormL2Phase, 53, "01579b86c972f2eb05b07b800c2838bb609f62fd569d7fcdae79f6b022d89509",
+		"3476eb78bec6d08fcf56cb352608aec549425ab0167cbbd7a5634d05ec6d3b2c", false},
+	{"jellium_2x2", dd.NormLeft, 53, "529b75b000137e457f283d279c9ba403b901708a89d9f9c6e0d210d8f6901c7c",
+		"3476eb78bec6d08fcf56cb352608aec549425ab0167cbbd7a5634d05ec6d3b2c", false},
+	{"supremacy_4x4_10", dd.NormL2Phase, 62349, "b20d639c46762b2342cbc3d0c2e388f5d0f618709b3c346fe52a738c7d4de4b6",
+		"cb145d579502928ae446aa73fa9aaf4b7b92f33378f13d4d837ee53781296e4a", true},
+	{"supremacy_4x4_10", dd.NormLeft, 54144, "fbb7fec79bc5128c44ee00556b11ec5e9d0d7ac0b1ad73f703e2ad17c16d1053",
+		"cb145d579502928ae446aa73fa9aaf4b7b92f33378f13d4d837ee53781296e4a", true},
+	{"grover_12", dd.NormL2Phase, 157, "17e7dee66784a7b65222ab2322790efeeaef4853c647cadc1d85ace41cac119e",
+		"c8a84325cc27f787829a76e081c556b68e550d1d609e6dd5096c5ae160d99fd3", false},
 }
 
-// TestGoldenDDIdentity proves the engine bit-identical across changes that
-// promise so. Node counts are pinned on every architecture. Digests are
-// pinned on amd64 only: elsewhere the Go compiler may fuse a multiply and
-// an add into one instruction, which rounds once instead of twice and can
-// move a weight by one grid step.
+// countsDigest is the SHA-256 of counts as (index, count) pairs of
+// little-endian uint64s in ascending index order.
+func countsDigest(counts map[uint64]int) string {
+	keys := make([]uint64, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	h := sha256.New()
+	var pair [16]byte
+	for _, k := range keys {
+		binary.LittleEndian.PutUint64(pair[:], k)
+		binary.LittleEndian.PutUint64(pair[8:], uint64(counts[k]))
+		h.Write(pair[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGoldenDDIdentity proves the engine and the sampler bit-identical
+// across changes that promise so. Node counts are pinned on every
+// architecture. Digests are pinned on amd64 only: elsewhere the Go compiler
+// may fuse a multiply and an add into one instruction, which rounds once
+// instead of twice and can move a weight, or a threshold, by one step.
 func TestGoldenDDIdentity(t *testing.T) {
 	for _, g := range goldenDDs {
 		g := g
@@ -69,8 +111,22 @@ func TestGoldenDDIdentity(t *testing.T) {
 			if snap.Len() != g.nodes {
 				t.Errorf("snapshot has %d nodes, want %d", snap.Len(), g.nodes)
 			}
-			if runtime.GOARCH == "amd64" && sha != g.sha {
+			if runtime.GOARCH != "amd64" {
+				return
+			}
+			if sha != g.sha {
 				t.Errorf("snapshot SHA-256 %s, want %s", sha, g.sha)
+			}
+			fs, err := core.NewFrozenSampler(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts, err := core.CountsParallel(fs, goldenSeed, goldenShots, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := countsDigest(counts); got != g.counts {
+				t.Errorf("counts SHA-256 %s, want %s", got, g.counts)
 			}
 		})
 	}

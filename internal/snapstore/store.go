@@ -119,25 +119,20 @@ func (s *Store) Put(key string, snap *dd.Snapshot) error {
 	if err != nil {
 		return err
 	}
-	payload := dd.EncodeSnapshot(snap)
-	// Fault hook: chaos tests forge torn writes and bit rot here, proving
-	// the CRC/quarantine path end to end without hex-editing files.
-	payload, err = fault.Mangle(fault.SnapstoreWrite, payload)
+	// Fault hook: chaos tests forge torn writes and bit rot in the file's
+	// bytes, CRC trailer included, as a disk would, proving the
+	// CRC/quarantine path end to end without hex-editing files.
+	frame, err := fault.Mangle(fault.SnapstoreWrite, Encode(snap))
 	if err != nil {
 		return fmt.Errorf("snapstore: write %s: %w", key, err)
 	}
-	var trailer [8]byte
-	binary.LittleEndian.PutUint64(trailer[:], crc64.Checksum(payload, crcTable))
 
 	tmp, err := os.CreateTemp(s.dir, "put-*"+ext+".tmp")
 	if err != nil {
 		return fmt.Errorf("snapstore: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	_, werr := tmp.Write(payload)
-	if werr == nil {
-		_, werr = tmp.Write(trailer[:])
-	}
+	_, werr := tmp.Write(frame)
 	if werr == nil {
 		werr = tmp.Sync()
 	}

@@ -115,7 +115,6 @@ type config struct {
 	seed         uint64
 	method       Method
 	vectorQubits int
-	forceGeneric bool
 	nodeBudget   int
 	minFidelity  float64
 	workers      int
@@ -149,10 +148,6 @@ func WithMethod(m Method) Option { return func(c *config) { c.method = m } }
 // (default statevec.DefaultMaxQubits = 26). Larger circuits yield
 // ErrMemoryOut from the dense paths, mirroring the paper's MO entries.
 func WithVectorBudget(qubits int) Option { return func(c *config) { c.vectorQubits = qubits } }
-
-// WithGenericTraversal forces the downstream-probability precomputation in
-// the DD sampler even under L2 normalization (ablation).
-func WithGenericTraversal() Option { return func(c *config) { c.forceGeneric = true } }
 
 // WithWorkers shards batch sampling (Counts, CountsByIndex, and their
 // context-aware variants) across up to n goroutines walking the same
@@ -308,19 +303,15 @@ func (s *State) Sampler(opts ...Option) (*Sampler, error) {
 	switch cfg.method {
 	case MethodDD:
 		// Freeze-then-sample (paper Section IV over immutable arrays): the
-		// final state DD is converted once into a flat, pointer-free snapshot
-		// with branch probabilities precomputed inline (the downstream
-		// annotation), and every walk thereafter is a lock-free traversal of
-		// the frozen arrays. After the freeze the Manager is no longer needed
+		// final state DD is converted once into a flat, pointer-free snapshot,
+		// the sampler derives its walk table of branch thresholds from it,
+		// and every walk thereafter is a lock-free traversal of that table.
+		// After the freeze the Manager is no longer needed
 		// for sampling: it may be reused for the next circuit or
 		// garbage-collected while sampling proceeds, and the walks can never
 		// hit the node budget.
 		sp := obs.StartSpan(cfg.reg, cfg.tracer, obs.PhaseFreeze)
-		var frOpts []dd.FreezeOption
-		if cfg.forceGeneric {
-			frOpts = append(frOpts, dd.FreezeGeneric())
-		}
-		snap, err := s.mgr.Freeze(s.edge, frOpts...)
+		snap, err := s.mgr.Freeze(s.edge)
 		sp.End(nil)
 		if err != nil {
 			return nil, fmt.Errorf("weaksim: %w", err)
@@ -330,9 +321,8 @@ func (s *State) Sampler(opts ...Option) (*Sampler, error) {
 			return nil, err
 		}
 		if cfg.reg != nil {
-			st := snap.Stats()
-			cfg.reg.Gauge("snapshot_nodes").Set(int64(st.Nodes))
-			cfg.reg.Gauge("snapshot_bytes").Set(int64(st.Bytes))
+			cfg.reg.Gauge("snapshot_nodes").Set(int64(snap.Len()))
+			cfg.reg.Gauge("snapshot_bytes").Set(int64(snap.Bytes()))
 		}
 		inner = frozen
 	case MethodPrefix, MethodLinear, MethodAlias:
@@ -647,8 +637,9 @@ type ServeConfig struct {
 	// DebugAddr optionally starts the observability server (/metrics,
 	// /metrics.json, expvar, pprof) on a second address.
 	DebugAddr string
-	// CacheBytes bounds the frozen-snapshot LRU in bytes of snapshot
-	// arrays.
+	// CacheBytes bounds the frozen-snapshot LRU in bytes: a cached circuit
+	// charges 64 bytes per DD node, its frozen snapshot and its sampler's
+	// walk table.
 	CacheBytes int64
 	// QueueDepth bounds the strong-simulation admission queue; a full
 	// queue answers HTTP 429 with Retry-After.

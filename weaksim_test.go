@@ -221,18 +221,3 @@ func TestNormalizationOptionsAllSampleCorrectly(t *testing.T) {
 		}
 	}
 }
-
-func TestGenericTraversalOption(t *testing.T) {
-	c, _ := weaksim.GenerateBenchmark("running_example")
-	state, err := weaksim.Simulate(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampler, err := state.Sampler(weaksim.WithGenericTraversal(), weaksim.WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shot := sampler.Shot(); len(shot) != 3 {
-		t.Errorf("shot = %q", shot)
-	}
-}
