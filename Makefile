@@ -10,7 +10,7 @@
 #                     concurrently by weaksimd), so those paths get dedicated
 #                     race coverage
 #   make bench-gate   frozen-sampling ns/shot (one Sample call, and
-#                     core.Counts' block-drawn lockstep walk) and live
+#                     core.Counts' binomial split) and live
 #                     build+freeze vs the committed baseline in
 #                     BENCH_FROZEN.txt (best of 3 runs vs the slowest
 #                     committed row, 25% tolerance)
@@ -90,17 +90,19 @@ chaos:
 	$(GO) test -race -run 'Chaos|Fault' -count=1 ./...
 
 # Short fuzz smoke for CI: the QASM parser fuzzers, the snapshot binary
-# decoder, the unique-table node constructor, the block-drawn frozen
-# walk against the per-shot walk, and weight canonicalization against its
+# decoder, the unique-table node constructor, the frozen binomial split
+# against a reference split over the live diagram, the binomial sampler
+# over every float64 probability, and weight canonicalization against its
 # Frexp/Ldexp reference, ~30s each. Not a soak — just enough to catch a
 # decoder that panics on the corpus neighborhoods of valid inputs, a
-# sampling kernel that drifts from Sample, or a canonical weight that
-# moves by one bit.
+# sampling path that drifts from its reference, a binomial draw that
+# leaves [0, n] or hangs, or a canonical weight that moves by one bit.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/circuit/qasm
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/dd
 	$(GO) test -run '^$$' -fuzz FuzzMakeVNode -fuzztime 30s ./internal/dd
 	$(GO) test -run '^$$' -fuzz FuzzCountsFrozen -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzBinomial -fuzztime 30s ./internal/rng
 	$(GO) test -run '^$$' -fuzz FuzzLookupFloat -fuzztime 30s ./internal/cnum
 
 # The DD sampling benchmarks watched for regressions (Section IV): the
@@ -131,8 +133,8 @@ bench-frozen:
 # a whole-circuit strong simulation plus Freeze per iteration, so a storage
 # regression that per-shot sampling can't see still trips CI. The third
 # gates what count-producing calls pay per shot: core.Counts over 65,536-shot
-# batches, drawn through FrozenSampler.SampleBlock's lockstep walk and
-# tallied into a core.Tally (dense for qft_16, a map for the wider rows).
+# batches, split down the walk table by binomial draws and tallied into a
+# core.Tally (dense for qft_16, a map for the wider rows).
 bench-gate:
 	$(GO) run ./cmd/benchcheck
 	$(GO) run ./cmd/benchcheck -bench BenchmarkBuildFreeze -benchtime 10x

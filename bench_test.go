@@ -293,8 +293,8 @@ var frozenSink uint64
 
 // BenchmarkCountsFrozen measures what a count-producing call pays per shot:
 // core.Counts over core.ChunkShots-shot batches (one sampling chunk each),
-// which draws through FrozenSampler.SampleBlock's lockstep walk and tallies
-// into a fresh map. One op is one shot, so ns/op reads as ns/shot.
+// which splits the chunk down the walk table by binomial draws and returns
+// a fresh map. One op is one shot, so ns/op reads as ns/shot.
 func BenchmarkCountsFrozen(b *testing.B) {
 	frozenBenchSamplers(b, func(b *testing.B, sampler *core.FrozenSampler) {
 		r := rng.New(1)

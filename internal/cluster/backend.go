@@ -33,6 +33,9 @@ type backend struct {
 	consecFails int
 	backoff     time.Duration
 	retryAt     time.Time // ejected backends are probed only after this
+	// walk is the core.WalkVersion the backend's last successful /readyz
+	// probe reported; 0 until one has.
+	walk int
 
 	// Per-backend series, named cluster_backend_<sanitized>_*: request
 	// count, health (1/0), and primary-ownership share of the ring in
@@ -128,6 +131,21 @@ func (b *backend) probeDue(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.healthy || !now.Before(b.retryAt)
+}
+
+// noteWalk records the walk version a /readyz probe reported.
+func (b *backend) noteWalk(walk int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.walk = walk
+}
+
+// walkVersion returns the walk version the backend last reported, 0 if
+// none.
+func (b *backend) walkVersion() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.walk
 }
 
 // snapshotState returns the fields the /v1/cluster status endpoint reports.

@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"weaksim/internal/core"
 	"weaksim/internal/obs"
 	"weaksim/internal/serve"
 )
@@ -343,5 +346,111 @@ func TestClusterTraceRidesToReplica(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-Weaksim-Trace-Id"); got != traceID {
 		t.Fatalf("replica traced request as %q, want the caller's trace %q spanning router->replica", got, traceID)
+	}
+}
+
+// TestClusterMixedWalkFailover: a rolling upgrade leaves one replica on an
+// older walk version behind the router next to two current ones. Once
+// /readyz has told the router each replica's walk, a key whose primary dies
+// fails over only to a replica of the primary's walk, so the answer's
+// counts equal the primary's; and a key owned by the old replica is never
+// answered by a current one, even when that replica refuses it.
+func TestClusterMixedWalkFailover(t *testing.T) {
+	reps := []*replica{startReplica(t), startReplica(t)}
+	var oldHits atomic.Int64
+	var oldStatus atomic.Int64
+	oldStatus.Store(http.StatusOK)
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/readyz":
+			fmt.Fprint(w, `{"status":"ready","walk":1}`)
+		case "/v1/sample":
+			oldHits.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(int(oldStatus.Load()))
+			fmt.Fprint(w, `{"counts":{"000":1},"cached":true}`)
+		default:
+			w.WriteHeader(http.StatusNotFound)
+		}
+	}))
+	defer old.Close()
+	oldName := normalizeBackend(old.URL)
+	names := []string{reps[0].name, reps[1].name, oldName}
+	router := startRouter(t, Config{
+		Backends:      names,
+		ReplicaCount:  2,
+		ProbeInterval: 20 * time.Millisecond,
+		ProbeTimeout:  250 * time.Millisecond,
+		FailThreshold: 1,
+		MaxBackoff:    100 * time.Millisecond,
+	})
+	base := "http://" + router.Addr()
+	// GET /v1/cluster shows each replica's walk once the prober has it.
+	walks := map[string]int{}
+	for deadline := time.Now().Add(5 * time.Second); len(walks) < len(names); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("GET /v1/cluster reported the walk of %d of %d replicas: %v", len(walks), len(names), walks)
+		}
+		var st clusterStatus
+		resp, err := http.Get(base + "/v1/cluster")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range st.Backends {
+			if b.Walk != 0 {
+				walks[b.Name] = b.Walk
+			}
+		}
+	}
+	if walks[oldName] != 1 || walks[reps[0].name] != core.WalkVersion || walks[reps[1].name] != core.WalkVersion {
+		t.Fatalf("GET /v1/cluster walks %v, want 1 for %s and %d for the others", walks, oldName, core.WalkVersion)
+	}
+
+	// keyed finds a circuit whose ring order starts with first, then second.
+	ring := buildRing(names, 0)
+	keyed := func(first, second string) []byte {
+		for n := 2; n < 60; n++ {
+			body := sampleBody(t, n)
+			key, err := serve.KeyForBody(body, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if order := ring.lookup(key, 3); order[0] == first && (second == "" || order[1] == second) {
+				return body
+			}
+		}
+		t.Fatalf("no GHZ circuit routes to %s then %s", first, second)
+		return nil
+	}
+
+	// A current primary with the old replica next in ring order.
+	body := keyed(reps[0].name, oldName)
+	status, by, want := postSample(t, base, body)
+	if status != http.StatusOK || by != reps[0].name {
+		t.Fatalf("first answer: status %d from %s, want 200 from the primary %s", status, by, reps[0].name)
+	}
+	_ = reps[0].srv.Close()
+	status, by, got := postSample(t, base, body)
+	if status != http.StatusOK || by != reps[1].name {
+		t.Fatalf("after the primary died: status %d from %s, want 200 from %s (fleet %v)", status, by, reps[1].name, names)
+	}
+	if !reflect.DeepEqual(got.Counts, want.Counts) {
+		t.Fatalf("failover counts %v, primary's %v", got.Counts, want.Counts)
+	}
+	if n := oldHits.Load(); n != 0 {
+		t.Fatalf("the old-walk replica received %d requests for a current-walk key", n)
+	}
+
+	// The old replica owns a key and refuses it: no current replica takes it.
+	body = keyed(oldName, "")
+	oldStatus.Store(http.StatusServiceUnavailable)
+	status, by, _ = postSample(t, base, body)
+	if status != http.StatusServiceUnavailable || by != oldName {
+		t.Fatalf("old-walk key: status %d from %s, want the old replica's 503 relayed", status, by)
 	}
 }

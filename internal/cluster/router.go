@@ -431,6 +431,12 @@ func (r *Router) probe(b *backend) {
 	resp, err := r.client.Do(req)
 	ok := err == nil && resp.StatusCode == http.StatusOK
 	if resp != nil {
+		var ready struct {
+			Walk int `json:"walk"`
+		}
+		if ok && json.NewDecoder(resp.Body).Decode(&ready) == nil && ready.Walk > 0 {
+			b.noteWalk(ready.Walk)
+		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
@@ -477,15 +483,26 @@ func (r *Router) watchLoop() {
 // candidates returns the ring's candidate backends for key — primary first,
 // healthy before ejected (ejected ones stay as a last resort so a fully
 // dark fleet still produces a real upstream error instead of a guess).
+// Once the primary's /readyz has named its walk version, a candidate that
+// reported another one is left out: counts are a function of (circuit,
+// seed, shots) only under one walk, so during a rolling upgrade a key is
+// never answered under two. A backend not yet probed stays in.
 func (r *Router) candidates(key string) []*backend {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	names := r.ring.lookup(key, r.cfg.ReplicaCount+1)
 	healthy := make([]*backend, 0, len(names))
 	var ejected []*backend
+	walk := 0
+	if len(names) > 0 && r.backends[names[0]] != nil {
+		walk = r.backends[names[0]].walkVersion()
+	}
 	for _, n := range names {
 		b := r.backends[n]
 		if b == nil {
+			continue
+		}
+		if w := b.walkVersion(); walk != 0 && w != 0 && w != walk {
 			continue
 		}
 		if b.isHealthy() {
@@ -806,6 +823,9 @@ type backendStatus struct {
 	BackoffMS    int64  `json:"backoff_ms"`
 	Requests     uint64 `json:"requests_total"`
 	RingPermille int64  `json:"ring_permille"`
+	// Walk is the core.WalkVersion the backend's /readyz last reported, 0
+	// before the first successful probe.
+	Walk int `json:"walk"`
 }
 
 // clusterStatus is the GET /v1/cluster body: the routing brain's view of
@@ -849,6 +869,7 @@ func (r *Router) statusNow() clusterStatus {
 			BackoffMS:    backoff.Milliseconds(),
 			Requests:     b.requests.Value(),
 			RingPermille: int64(own[n] * 1000),
+			Walk:         b.walkVersion(),
 		})
 	}
 	return st

@@ -14,18 +14,19 @@
 //   - DD-based (paper Section IV): the final state DD is frozen once into
 //     an immutable dd.Snapshot, a flat array of the DD's nodes (kids, edge
 //     weights, level) and nothing derived from them. FrozenSampler builds
-//     a walk table of branch thresholds from it by one rule, branchP0, and
-//     draws each sample with a randomized root-to-terminal walk in O(n)
-//     time. Under the paper's proposed L2 normalization scheme the branch
+//     a walk table of branch thresholds from it by one rule, branchP0. A
+//     sample is a randomized root-to-terminal walk in O(n) time; a batch's
+//     N shots at a node split between its kids by one Binomial(N, P0)
+//     draw. Under the paper's proposed L2 normalization scheme the branch
 //     probabilities are directly the squared magnitudes of the outgoing
 //     edge weights; under NormLeft they come from the downstream masses
 //     (downMass). MeasureAll, QubitProbability, TopOutcomes and
 //     Approximate compute the downstream and upstream masses they read
 //     over the same kind of snapshot.
 //
-// Every count-producing batch is cut into ChunkShots chunks, chunk i drawn
-// from rng.Stream(seed, i) (see CountsParallel), so counts are a function of
-// (sampler, seed, shots) whatever the worker count.
+// Every count-producing batch is cut into ChunkShots chunks, chunk i split
+// from rng.Stream(seed, i) (see CountsParallel), so counts are a function
+// of (sampler, seed, shots) whatever the worker count.
 //
 // Both families produce exact (error-free) weak simulation: the sampled
 // distribution equals the state's Born distribution up to floating-point
@@ -63,10 +64,9 @@ func Counts(s Sampler, r *rng.RNG, shots int) map[uint64]int {
 	return t.Map()
 }
 
-// CtxCheckShots is the block size of the batch sampling loops: they draw
-// CtxCheckShots samples at a time (see drawBlock) and consult the context
-// once per block, so cancellation latency is bounded by CtxCheckShots shots
-// while the per-sample hot path stays free of synchronization.
+// CtxCheckShots is the stride of a chunk's cancellation and chaos checks
+// (see chunk.place): latency to cancel is bounded by CtxCheckShots shots,
+// while the per-shot hot path stays free of synchronization.
 const CtxCheckShots = 512
 
 // TallyChunk draws chunk of a batch seeded by seed: quota samples from
@@ -80,50 +80,64 @@ func TallyChunk(ctx context.Context, s Sampler, seed uint64, chunk, quota int) (
 }
 
 // drawChunk is the one chunk body of every count-producing call: it tallies
-// quota samples drawn from r into t, a CtxCheckShots block at a time.
-// Cancellation and the chaos hook share that stride, so both cost nothing on
-// CtxCheckShots-1 of every CtxCheckShots shots. An injected panic (chaos
-// testing) becomes the returned error: it must not take down the process
-// from a sampling goroutine, where nothing else could recover it. Genuine
-// panics propagate. chunk labels the errors.
-func drawChunk(ctx context.Context, s Sampler, r *rng.RNG, chunk, quota int, t *Tally) (err error) {
-	var block [CtxCheckShots]uint64
-	drawn := 0
+// quota samples drawn from r into t. A *FrozenSampler splits them down its
+// walk table (see FrozenSampler.splitNode); any other sampler draws one
+// Sample per shot, a CtxCheckShots block at a time. An injected panic
+// (chaos testing) becomes the returned error: it must not take down the
+// process from a sampling goroutine, where nothing else could recover it.
+// Genuine panics propagate. index labels the errors.
+func drawChunk(ctx context.Context, s Sampler, r *rng.RNG, index, quota int, t *Tally) (err error) {
+	c := &chunk{ctx: ctx, r: r, t: t, index: index, quota: quota}
 	defer func() {
 		if rec := recover(); rec != nil {
 			p, ok := rec.(*fault.InjectedPanic)
 			if !ok {
 				panic(rec)
 			}
-			err = fmt.Errorf("core: chunk %d: %w after %d/%d shots", chunk, p, drawn, quota)
+			err = fmt.Errorf("core: chunk %d: %w after %d/%d shots", index, p, c.placed, quota)
 		}
 	}()
-	for ; drawn < quota; drawn += CtxCheckShots {
-		if ctx.Err() != nil {
-			return fmt.Errorf("core: chunk %d interrupted after %d/%d shots: %w",
-				chunk, drawn, quota, context.Cause(ctx))
+	if fs, ok := s.(*FrozenSampler); ok {
+		return fs.splitNode(c, fs.root, fs.n, 0, quota)
+	}
+	for c.placed < quota {
+		n := min(CtxCheckShots, quota-c.placed)
+		if err := c.place(n); err != nil {
+			return err
 		}
-		if err := fault.Hit(fault.SamplerWalk); err != nil {
-			return fmt.Errorf("core: chunk %d after %d/%d shots: %w", chunk, drawn, quota, err)
+		for range n {
+			t.add(s.Sample(r), 1)
 		}
-		t.add(drawBlock(s, r, block[:min(CtxCheckShots, quota-drawn)]))
 	}
 	return nil
 }
 
-// drawBlock fills out with len(out) successive samples from s and returns
-// it: through FrozenSampler.SampleBlock's lockstep walk when s is frozen,
-// else one Sample call per shot. Either way r ends where len(out) Sample
-// calls would leave it, and out holds what they would return.
-func drawBlock(s Sampler, r *rng.RNG, out []uint64) []uint64 {
-	if fs, ok := s.(*FrozenSampler); ok {
-		fs.SampleBlock(r, out)
-		return out
+// chunk is one drawChunk call in progress: where its shots come from and
+// go, and how many of them are placed and checked.
+type chunk struct {
+	ctx             context.Context
+	r               *rng.RNG
+	t               *Tally
+	index, quota    int
+	placed, checked int
+}
+
+// place accounts for n shots about to be tallied, one at a time or by the
+// thousand: before the shots that reach each multiple of CtxCheckShots it
+// consults the context and the chaos hook. On an error the n shots are not
+// placed.
+func (c *chunk) place(n int) error {
+	for ; c.checked < c.placed+n; c.checked += CtxCheckShots {
+		if c.ctx.Err() != nil {
+			return fmt.Errorf("core: chunk %d interrupted after %d/%d shots: %w",
+				c.index, c.placed, c.quota, context.Cause(c.ctx))
+		}
+		if err := fault.Hit(fault.SamplerWalk); err != nil {
+			return fmt.Errorf("core: chunk %d after %d/%d shots: %w", c.index, c.placed, c.quota, err)
+		}
 	}
-	for i := range out {
-		out[i] = s.Sample(r)
-	}
-	return out
+	c.placed += n
+	return nil
 }
 
 // FormatBits renders a basis-state index as the paper renders measurement

@@ -91,10 +91,8 @@ func TestZeroEdgeFallbackKeepsDecoder(t *testing.T) {
 	ra, rb := rng.New(5), rng.New(5)
 	wantRenorms := uint64(0)
 	top := uint64(1) << (n - 1)
-	got := make([]uint64, shots)
-	b.SampleBlock(rb, got)
-	for i, g := range got {
-		w := a.Sample(ra)
+	for i := range shots {
+		g, w := b.Sample(rb), a.Sample(ra)
 		if w&top == 0 {
 			wantRenorms++
 		}
@@ -110,31 +108,21 @@ func TestZeroEdgeFallbackKeepsDecoder(t *testing.T) {
 	}
 }
 
-// TestOneDrawPerShot: every frozen path takes exactly one Uint64 per shot
-// from its generator, whatever the state's entropy: after N shots the next
-// draw is a fresh generator's (N+1)-th.
+// TestOneDrawPerShot: Sample takes exactly one Uint64 per shot from its
+// generator, whatever the state's entropy — after N shots the next draw is
+// a fresh generator's (N+1)-th — and Counts, which splits, leaves its
+// generator exactly where the reference splitter over the live diagram
+// leaves an equal one, with equal counts.
 func TestOneDrawPerShot(t *testing.T) {
 	for _, name := range []string{"running_example", "ghz_64", "qft_6", "bv_6", "supremacy_3x3_8"} {
-		var snap *dd.Snapshot
-		if name == "running_example" {
-			snap = freezeVector(t, runningExampleVector(), dd.NormL2Phase)
-		} else {
-			snap = freezeCircuit(t, name, dd.NormL2Phase)
-		}
-		fs, err := NewFrozenSampler(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
+		live, fs := liveCircuit(t, name, dd.NormL2Phase)
 		for _, shots := range []int{0, 1, 33, CtxCheckShots + 1} {
 			checkDrawBudget(t, name+"/Sample", shots, func(r *rng.RNG) {
 				for range shots {
 					fs.Sample(r)
 				}
 			})
-			checkDrawBudget(t, name+"/SampleBlock", shots, func(r *rng.RNG) {
-				fs.SampleBlock(r, make([]uint64, shots))
-			})
-			checkDrawBudget(t, name+"/Counts", shots, func(r *rng.RNG) { Counts(fs, r, shots) })
+			checkSplitMatchesReference(t, name+"/Counts", live, fs, 77, shots)
 		}
 	}
 }
@@ -255,28 +243,28 @@ func TestWideUniformState(t *testing.T) {
 		}
 	}
 
-	out := make([]uint64, shots)
-	fs.SampleBlock(r, out)
+	counts := Counts(fs, r, shots)
 	for q := 0; q < n; q++ {
-		checkUniform(t, fmt.Sprintf("qubit %d", q), out, q, 1)
+		checkUniform(t, fmt.Sprintf("qubit %d", q), counts, shots, q, 1)
 		if q+1 < n {
-			checkUniform(t, fmt.Sprintf("qubits %d,%d", q, q+1), out, q, 2)
+			checkUniform(t, fmt.Sprintf("qubits %d,%d", q, q+1), counts, shots, q, 2)
 		}
 	}
 }
 
-// checkUniform tests bits [lo, lo+width) of the samples against uniform.
-func checkUniform(t *testing.T, label string, samples []uint64, lo, width int) {
+// checkUniform tests bits [lo, lo+width) of the counted outcomes against
+// uniform.
+func checkUniform(t *testing.T, label string, counts map[uint64]int, shots, lo, width int) {
 	t.Helper()
-	counts := map[uint64]int{}
-	for _, s := range samples {
-		counts[s>>uint(lo)&(1<<uint(width)-1)]++
+	window := map[uint64]int{}
+	for idx, c := range counts {
+		window[idx>>uint(lo)&(1<<uint(width)-1)] += c
 	}
 	probs := make([]float64, 1<<uint(width))
 	for i := range probs {
 		probs[i] = 1 / float64(len(probs))
 	}
-	res, err := stats.ChiSquareGOF(counts, probs, len(samples))
+	res, err := stats.ChiSquareGOF(window, probs, shots)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,13 +12,18 @@ import (
 	"weaksim/internal/rng"
 )
 
-// WalkVersion names the rule that turns a shot's draw into an outcome: the
-// range decoder below, over the walk table's 0.64 fixed-point thresholds.
-// Counts are a function of (circuit, seed, shots) under one WalkVersion.
-// Durable jobs stamp it into their persisted spec, so a job never merges
-// chunks drawn under two walks; a change to the decoder, the threshold
-// conversion or the per-shot draw must bump it.
-const WalkVersion = 1
+// WalkVersion names the rule that turns a chunk's random stream into
+// counts. Version 2 is the binomial split (see splitNode): a node's shots
+// divide between its kids by one rng.Binomial draw over the walk table's
+// 0.64 fixed-point threshold, and a node reached by at most splitMax shots
+// walks each through the range decoder below. (Version 1 walked every shot
+// through the decoder from the root.) Counts are a function of (circuit,
+// seed, shots) under one WalkVersion. Durable jobs stamp it into their
+// persisted spec, so a job never merges chunks drawn under two walks, and
+// replicas report it on /readyz, so a router never answers one key under
+// two; a change to the split, the decoder, the threshold conversion or the
+// draws must bump it.
+const WalkVersion = 2
 
 // FrozenSampler draws measurement samples from an immutable dd.Snapshot
 // (paper Section IV over frozen arrays). NewFrozenSampler builds a flat walk
@@ -26,18 +31,12 @@ const WalkVersion = 1
 // 0-branch probability P0 (see branchP0) as a 0.64 fixed-point threshold
 // (see threshold) — so a level is one 16-byte load by int32 index.
 //
-// A shot is one range-decoder pass (see step): it takes exactly one
-// Uint64 from r and splits the interval it names level by level, so it
-// consumes about its outcome's information content in random bits. Each
-// level is branch-free: the draw's position in the interval selects the
-// kid by index.
-//
-// Sample walks one shot. SampleBlock, which every count-producing loop uses
-// (see drawBlock), walks walkWidth shots in lockstep, level by level, so the
-// independent walks' node loads overlap instead of each waiting on its own
-// chain. A shot is a pure function of its one draw, so a block's indices,
-// renorm count and final generator state equal those of len(out) Sample
-// calls bit for bit.
+// Sample walks one shot as one range-decoder pass (see step): it takes
+// exactly one Uint64 from r and splits the interval it names level by
+// level, branch-free, so it consumes about its outcome's information
+// content in random bits. Count-producing calls split a chunk's shots down
+// the table instead (see splitNode), at a cost of one draw per distinct
+// outcome prefix rather than one walk per shot.
 //
 // A FrozenSampler is safe for concurrent use by any number of goroutines,
 // each with its own *rng.RNG: the walk table is immutable, and the only
@@ -45,9 +44,9 @@ const WalkVersion = 1
 // shot generator relies on — one snapshot, many lock-free walkers.
 //
 // The zero-edge fallback flips the branch without touching the decoder
-// state. The tests check the walk bit for bit against a pointer walk over
-// the live diagram through the same decoder, SampleBlock bit for bit
-// against Sample, and both against exact Born probabilities.
+// state. The tests check the walk and the split bit for bit against a
+// walk and a split over the live diagram, and both against exact Born
+// probabilities.
 type FrozenSampler struct {
 	walk    []walkNode
 	root    int32
@@ -163,8 +162,8 @@ const refillBelow = 1 << 32
 
 // step decodes one level on threshold t from the shot state (x, r, w) and
 // returns the level's bit and the next state: a refill when r is below
-// refillBelow, then the split. Sample and the live-diagram test oracle walk
-// through it; SampleBlock spells out its two calls so they inline.
+// refillBelow, then the split. Every walk, the live-diagram test oracle's
+// too, decodes through it.
 func step(t, x, r, w uint64) (bit, nx, nr, nw uint64) {
 	if r < refillBelow {
 		x, r, w = refill(x, r, w)
@@ -192,12 +191,14 @@ func refill(x, r, w uint64) (nx, nr, nw uint64) {
 // Sample draws one basis-state index by a randomized walk over the walk
 // table, from exactly one r.Uint64. Safe for concurrent use; r must be
 // goroutine-local.
-func (s *FrozenSampler) Sample(r *rng.RNG) uint64 {
-	x := r.Uint64()
-	rr, w := uint64(math.MaxUint64), x
+func (s *FrozenSampler) Sample(r *rng.RNG) uint64 { return s.descend(r.Uint64(), s.root, s.n) }
+
+// descend decodes draw d down the levels levels below node cur and returns
+// the bits it takes, the top level's most significant.
+func (s *FrozenSampler) descend(d uint64, cur int32, levels int) uint64 {
+	x, rr, w := d, uint64(math.MaxUint64), d
 	var idx uint64
-	cur := s.root
-	for range s.n {
+	for range levels {
 		nd := &s.walk[cur]
 		var bit uint64
 		bit, x, rr, w = step(nd.T, x, rr, w)
@@ -215,58 +216,53 @@ func (s *FrozenSampler) Sample(r *rng.RNG) uint64 {
 	return idx
 }
 
-// walkWidth is how many shots SampleBlock walks in lockstep. Any width from
-// 8 to 64 runs at about the same speed: wide enough for the independent
-// walks' loads to overlap, small enough that a block's state stays in L1.
-const walkWidth = 32
+// splitMax is the most shots a node walks one by one: splitNode sends a
+// node's shots on to its kids by a binomial draw only when more than
+// splitMax reach it, since below that the draw costs about what it saves.
+// 16 measured fastest on BenchmarkCountsFrozen's qft_16, with 8 and 32
+// within 10%.
+const splitMax = 16
 
-// SampleBlock fills out with len(out) samples: bit for bit the indices that
-// len(out) successive Sample calls would return from the same r, leaving r
-// where they would leave it (one Uint64 per shot) and adding the same count
-// to Renorms. It allocates nothing. Safe for concurrent use; r must be
-// goroutine-local.
-//
-// Shots are taken walkWidth at a time. The block's draws are taken up front
-// in shot order, then the shots descend in lockstep, one level for all of
-// them before the next, so their independent chains of node loads overlap.
-// Only the decoder's refill and the rare zero-edge fallback branch; each
-// shot shifts its bits into its index, top qubit first, so no shift count
-// is kept.
-func (s *FrozenSampler) SampleBlock(r *rng.RNG, out []uint64) {
-	var (
-		xs, rs, ws [walkWidth]uint64
-		cur        [walkWidth]int32
-	)
-	walk := s.walk
-	for len(out) > 0 {
-		b := min(len(out), walkWidth)
-		idx, at := out[:b], cur[:b]
-		for j := range idx {
-			d := r.Uint64()
-			idx[j], at[j], xs[j], rs[j], ws[j] = 0, s.root, d, math.MaxUint64, d
+// splitNode tallies n shots that reached node cur, levels levels above the
+// terminal, with their walks so far spelling prefix: the shots split
+// between the kids as Binomial(n, P0) (paper Section IV: every shot at a
+// node takes its 0-branch with probability P0, independently), the 0-kid
+// first, so a chunk's leaves come in ascending index order. Shots a draw
+// sends to a zero kid — floating-point slack — go to the other kid and
+// count as renorms, as in descend. c.place runs the chunk's cancellation
+// and chaos checks before each group of shots is tallied, so on an error
+// the tally holds exactly the subtrees finished before it.
+func (s *FrozenSampler) splitNode(c *chunk, cur int32, levels int, prefix uint64, n int) error {
+	if levels == 0 || n <= splitMax {
+		if err := c.place(n); err != nil {
+			return err
 		}
-		for range s.n {
-			for j := range idx {
-				// step(nd.T, xs[j], rs[j], ws[j]), spelled out.
-				nd := &walk[at[j]]
-				x, rr := xs[j], rs[j]
-				if rr < refillBelow {
-					x, rr, ws[j] = refill(x, rr, ws[j])
-				}
-				bit, x, rr := split(nd.T, x, rr)
-				xs[j], rs[j] = x, rr
-				next := nd.Kid[bit]
-				if next == dd.SnapZero {
-					bit ^= 1
-					next = nd.Kid[bit]
-					s.renorms.Add(1)
-				}
-				at[j] = next
-				idx[j] = idx[j]<<1 | bit
+		if levels == 0 {
+			c.t.add(prefix, n)
+			return nil
+		}
+		for range n {
+			c.t.add(prefix<<levels|s.descend(c.r.Uint64(), cur, levels), 1)
+		}
+		return nil
+	}
+	nd := &s.walk[cur]
+	n0 := c.r.Binomial(n, float64(nd.T)*0x1p-64)
+	k := [2]int{n0, n - n0}
+	for bit, kid := range nd.Kid {
+		if kid == dd.SnapZero && k[bit] > 0 {
+			s.renorms.Add(uint64(k[bit]))
+			k[bit^1], k[bit] = n, 0
+		}
+	}
+	for bit, kid := range nd.Kid {
+		if k[bit] > 0 {
+			if err := s.splitNode(c, kid, levels-1, prefix<<1|uint64(bit), k[bit]); err != nil {
+				return err
 			}
 		}
-		out = out[b:]
 	}
+	return nil
 }
 
 // CountsSizeHint bounds the number of distinct outcomes a tally of shots

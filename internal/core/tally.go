@@ -46,16 +46,12 @@ func newTally(qubits, shots int, dense bool) *Tally {
 // the Tally reads counts and must not outlive its owner's changes to it.
 func TallyOf(counts map[uint64]int) *Tally { return &Tally{sparse: counts} }
 
-// add counts each index in idxs once.
-func (t *Tally) add(idxs []uint64) {
-	if h := t.dense; h != nil {
-		for _, idx := range idxs {
-			h[idx]++
-		}
-		return
-	}
-	for _, idx := range idxs {
-		t.sparse[idx]++
+// add counts idx n times.
+func (t *Tally) add(idx uint64, n int) {
+	if t.dense != nil {
+		t.dense[idx] += uint32(n)
+	} else {
+		t.sparse[idx] += n
 	}
 }
 
@@ -68,13 +64,7 @@ func (t *Tally) Add(p *Tally) {
 		}
 		return
 	}
-	p.Each(func(idx uint64, n int) {
-		if t.dense != nil {
-			t.dense[idx] += uint32(n)
-		} else {
-			t.sparse[idx] += n
-		}
-	})
+	p.Each(t.add)
 }
 
 // Each calls f once per sampled outcome with its count (always positive),

@@ -216,17 +216,14 @@ func TestTallyDensePanicBecomesError(t *testing.T) {
 
 // TestTallyAddAcrossRepresentations: Add merges one chunk's tally into
 // another's, dense into map, map into dense, dense into dense and map into
-// map, and each sum equals the per-shot reference of both chunks while
-// keeping the receiver's representation.
+// map, and each sum equals the reference splitter's counts of both chunks
+// while keeping the receiver's representation.
 func TestTallyAddAcrossRepresentations(t *testing.T) {
 	vec, _ := frozenRandomVector(10, 17)
-	fs, err := NewFrozenSampler(freezeVector(t, vec, dd.NormL2Phase))
-	if err != nil {
-		t.Fatal(err)
-	}
+	live, fs := liveVector(t, vec, dd.NormL2Phase)
 	const seed, shots = 4, 3000
-	want := perShotCounts(fs, rng.Stream(seed, 0), shots)
-	MergeCounts(want, perShotCounts(fs, rng.Stream(seed, 1), shots))
+	want := live.splitCounts(rng.Stream(seed, 0), shots)
+	MergeCounts(want, live.splitCounts(rng.Stream(seed, 1), shots))
 	for _, dst := range []bool{true, false} {
 		for _, src := range []bool{true, false} {
 			sum := drawForced(fs, rng.Stream(seed, 0), shots, dst)

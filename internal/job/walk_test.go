@@ -6,6 +6,7 @@ import (
 	"errors"
 	"maps"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -81,6 +82,47 @@ func TestPreStampWALJobs(t *testing.T) {
 	check(startManager(t, Config{Dir: dir, Snapshot: provider}))
 	if n := drawn.Load(); n != 0 {
 		t.Fatalf("snapshot resolved %d times for pre-stamp jobs, want 0", n)
+	}
+}
+
+// TestWalkOneWALJobFailsConfigChanged replays a WAL whose unfinished job
+// was submitted, with one chunk drawn, under walk version 1, the per-shot
+// decoder that preceded the binomial split: the job ends failed with
+// config_changed, the old chunk is not merged and no chunk is drawn.
+func TestWalkOneWALJobFailsConfigChanged(t *testing.T) {
+	if core.WalkVersion == 1 {
+		t.Fatal("walk version 1 is current")
+	}
+	dir := t.TempDir()
+	w, _, _ := openTestWAL(t, dir, 0)
+	submit := preStampSubmit("jwalk1", 100, 50)
+	submit.Payload = []byte(strings.Replace(string(submit.Payload), `"priority"`, `"walk":1,"priority"`, 1))
+	for _, rec := range []Record{
+		submit,
+		mustRecord(recChunk, chunkRecord{ID: "jwalk1", Chunk: 0, Shots: 50, Counts: map[string]int{"3": 50}}),
+	} {
+		if err := w.append(rec); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	var drawn atomic.Int64
+	provider := func(ctx context.Context, spec Spec) (core.Sampler, error) {
+		drawn.Add(1)
+		return fakeSampler{4}, nil
+	}
+	m := startManager(t, Config{Dir: dir, Snapshot: provider})
+	st, err := m.Get("jwalk1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || st.ErrorCode != "config_changed" {
+		t.Fatalf("walk-1 job: state %s code %q, want failed config_changed", st.State, st.ErrorCode)
+	}
+	if st.ChunksDone != 0 || st.ShotsDone != 0 || st.ChunksExecuted != 0 || drawn.Load() != 0 {
+		t.Fatalf("walk-1 job kept or drew chunks: %+v, %d snapshot resolutions", st, drawn.Load())
 	}
 }
 

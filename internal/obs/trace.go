@@ -15,12 +15,16 @@ const (
 	PhaseGovern = "govern"
 
 	// Serving phases (internal/serve): PhaseParse covers request decoding
-	// and QASM parsing, PhaseQueue the time a simulation job waits in the
-	// bounded admission queue before a worker picks it up, and PhaseServe
-	// whole-request handling on the daemon.
-	PhaseParse = "parse"
-	PhaseQueue = "queue"
-	PhaseServe = "serve"
+	// and QASM parsing, PhaseHash the canonical circuit hash (the cache
+	// key), PhaseQueue the time a simulation job waits in the bounded
+	// admission queue before a worker picks it up, PhaseEncode writing a
+	// response's counts, and PhaseServe whole-request handling on the
+	// daemon.
+	PhaseParse  = "parse"
+	PhaseHash   = "hash"
+	PhaseQueue  = "queue"
+	PhaseEncode = "encode"
+	PhaseServe  = "serve"
 
 	// Batch-job phases (internal/job): PhaseSnapshot covers resolving a
 	// chunk's frozen snapshot (a cache hit, or a whole strong simulation),

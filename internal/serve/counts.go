@@ -62,20 +62,25 @@ func (c countsJSON) stream(buf []byte, w io.Writer) ([]byte, error) {
 // writes for resp, but streams the counts through one countsFlushBytes
 // buffer: encoding/json marshals only sampleMeta, whose size does not grow
 // with the outcomes, and never holds or re-scans the counts object, which
-// has one member per outcome.
-func writeSample(w http.ResponseWriter, resp *sampleResponse) {
-	meta, err := json.Marshal(&resp.sampleMeta)
-	if err != nil {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
+// has one member per outcome. finish, when not nil, runs once the counts
+// are written and before sampleMeta is marshaled, so it can end the
+// request's encode phase and fill in the trace echo that reports it.
+func writeSample(w http.ResponseWriter, resp *sampleResponse, finish func(*sampleMeta)) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	buf := make([]byte, 0, countsFlushBytes+256)
 	buf = append(buf, `{"counts":`...)
 	// A failed write means the client is gone; like writeJSON, there is no
 	// one left to tell, so the body just stops.
-	if buf, err = resp.Counts.stream(buf, w); err != nil {
+	buf, err := resp.Counts.stream(buf, w)
+	if err != nil {
+		return
+	}
+	if finish != nil {
+		finish(&resp.sampleMeta)
+	}
+	meta, err := json.Marshal(&resp.sampleMeta)
+	if err != nil {
 		return
 	}
 	// meta is a JSON object: its members follow the counts in resp's order.

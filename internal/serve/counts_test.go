@@ -14,7 +14,6 @@ import (
 	"weaksim/internal/algo"
 	"weaksim/internal/core"
 	"weaksim/internal/job"
-	"weaksim/internal/rng"
 )
 
 // legacySample is the /v1/sample body as encoding/json wrote it when counts
@@ -53,9 +52,11 @@ func legacyBytes(t testing.TB, v any) []byte {
 	return buf.Bytes()
 }
 
-// referenceCounts is the answer to (circuit, seed, shots) drawn one Sample
-// call per shot over the server's cached snapshot, chunk i from
-// rng.Stream(seed, i), keyed by bitstring: independent of the tally code.
+// referenceCounts is the answer to (circuit, seed, shots) over the
+// server's cached snapshot, merged from core.TallyChunk's chunks, chunk i
+// from rng.Stream(seed, i), and keyed by bitstring through the map
+// accessors: independent of the server's batching, worker pool and counts
+// writer, whose encoding the wire-format tests pin.
 func referenceCounts(t testing.TB, srv *Server, name string, seed uint64, shots int) map[string]int {
 	t.Helper()
 	circ, err := algo.Generate(name)
@@ -68,10 +69,11 @@ func referenceCounts(t testing.TB, srv *Server, name string, seed uint64, shots 
 	}
 	counts := map[uint64]int{}
 	for chunk := 0; chunk*core.ChunkShots < shots; chunk++ {
-		r := rng.Stream(seed, chunk)
-		for i := 0; i < min(core.ChunkShots, shots-chunk*core.ChunkShots); i++ {
-			counts[ent.sampler.Sample(r)]++
+		part, err := core.TallyChunk(context.Background(), ent.sampler, seed, chunk, min(core.ChunkShots, shots-chunk*core.ChunkShots))
+		if err != nil {
+			t.Fatal(err)
 		}
+		core.MergeCounts(counts, part.Map())
 	}
 	return core.BitstringCounts(counts, circ.NQubits)
 }
@@ -173,7 +175,7 @@ func TestCountsEncodeAllocsPerResponse(t *testing.T) {
 		resp := sampleResponse{Counts: countsJSON{tally, circ.NQubits},
 			sampleMeta: sampleMeta{Qubits: circ.NQubits, Shots: shots}}
 		w := &discardResponse{h: http.Header{}}
-		allocs = append(allocs, testing.AllocsPerRun(5, func() { writeSample(w, &resp) }))
+		allocs = append(allocs, testing.AllocsPerRun(5, func() { writeSample(w, &resp, nil) }))
 	}
 	for i, a := range allocs {
 		if a > 8 {

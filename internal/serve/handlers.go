@@ -390,7 +390,9 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
+	sp = obs.StartSpan(s.cfg.Metrics, rt, obs.PhaseHash)
 	key := CircuitKey(circ, s.cfg.Norm, false)
+	sp.End(nil)
 	ent, cached, err := s.lookup(ctx, key, circ)
 	if err != nil {
 		s.sampleError(w, err)
@@ -422,14 +424,18 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		SimNS:         ent.simNS,
 		SampleNS:      sampleNS,
 	}}
-	if rt != nil && r.URL.Query().Get("debug") == "1" {
-		resp.Trace = &traceDebug{
-			TraceID: rt.ID().String(),
-			PhaseNS: rt.PhaseBreakdown(),
-			Spans:   rt.Spans(),
+	debug := rt != nil && r.URL.Query().Get("debug") == "1"
+	sp = obs.StartSpan(s.cfg.Metrics, rt, obs.PhaseEncode)
+	writeSample(w, &resp, func(meta *sampleMeta) {
+		sp.End(nil)
+		if debug {
+			meta.Trace = &traceDebug{
+				TraceID: rt.ID().String(),
+				PhaseNS: rt.PhaseBreakdown(),
+				Spans:   rt.Spans(),
+			}
 		}
-	}
-	writeSample(w, &resp)
+	})
 }
 
 func (s *Server) handleCircuits(w http.ResponseWriter, r *http.Request) {
@@ -532,11 +538,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleReadyz is the readiness probe: 503 from the moment a drain begins,
 // so load balancers stop routing new requests here while in-flight work
-// finishes. Distinct from liveness — a draining process is healthy.
+// finishes. Distinct from liveness — a draining process is healthy. The
+// body names the core.WalkVersion the replica's counts are drawn under, so
+// a router keeps each circuit on replicas of one walk.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining", "walk": core.WalkVersion})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
+	writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "walk": core.WalkVersion})
 }

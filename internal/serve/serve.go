@@ -436,8 +436,14 @@ func (s *Server) simulate(rt *obs.RequestTrace, key string, circ *circuit.Circui
 	if err != nil {
 		return nil, err
 	}
+	// The freeze phase ends with the sampler's walk table built: the entry
+	// is what sampling reads.
 	sp = obs.StartSpan(reg, rt, obs.PhaseFreeze)
 	snap, err := ds.Manager().Freeze(edge)
+	var ent *entry
+	if err == nil {
+		ent, err = newEntry(key, snap, 0)
+	}
 	if err != nil {
 		sp.End(errAttrs(err))
 		return nil, err
@@ -446,7 +452,8 @@ func (s *Server) simulate(rt *obs.RequestTrace, key string, circ *circuit.Circui
 	reg.Gauge("snapshot_nodes").Set(int64(snap.Len()))
 	reg.Gauge("snapshot_bytes").Set(int64(snap.Bytes()))
 	s.persist(key, snap)
-	return newEntry(key, snap, time.Since(begin))
+	ent.simNS = time.Since(begin).Nanoseconds()
+	return ent, nil
 }
 
 // errAttrs renders an error as span attributes (nil for success, so the

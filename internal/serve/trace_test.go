@@ -241,10 +241,14 @@ func TestServeColdRequestPhaseSumMatchesWall(t *testing.T) {
 		t.Fatalf("warmup status %d", status)
 	}
 
-	// Heavy enough that the traced phases dominate scheduling noise, yet
-	// with only 2^8 distinct outcomes so the untraced response encoding
-	// stays negligible: an 8-qubit QFT with a fat shot batch.
-	body := map[string]any{"circuit": "qft_8", "shots": 2_000_000, "seed": 7, "workers": 1}
+	// Every server phase is traced, encoding the counts included; what no
+	// phase can hold is the client's share of the wall (the HTTP round trip,
+	// decoding the body, and marshaling the trace echo itself, about 0.5 ms
+	// together) and scheduling delays between phases on a loaded host, a
+	// few ms. A strong simulation of some 200 ms makes that share small,
+	// and few shots keep the body small: the binomial split draws even 2M
+	// shots of a small register in under a millisecond.
+	body := map[string]any{"circuit": "supremacy_4x4_10", "shots": 256, "seed": 7, "workers": 1}
 	var resp sampleResult
 	begin := time.Now()
 	status, _ := postTraced(t, base, body, nil, &resp)

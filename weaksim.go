@@ -693,7 +693,8 @@ type Daemon struct{ inner *serve.Server }
 // measurement counts. Each distinct circuit is strongly simulated at most
 // once — concurrent first requests are coalesced by a single-flight guard —
 // and the frozen snapshot is kept in a byte-bounded LRU, so warm circuits
-// are served entirely by lock-free O(n)-per-shot walks with zero DD work.
+// are served entirely by lock-free binomial splits down the frozen DD, with
+// zero DD work.
 //
 // Resource governance maps onto status codes: WithNodeBudget overruns
 // answer 507 (the paper's MO), deadlines 504 (TO), a full admission queue
