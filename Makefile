@@ -89,16 +89,22 @@ race-stress:
 chaos:
 	$(GO) test -race -run 'Chaos|Fault' -count=1 ./...
 
-# Short fuzz smoke for CI: the QASM parser fuzzers, the snapshot binary
-# decoder, the unique-table node constructor, the frozen binomial split
-# against a reference split over the live diagram, the binomial sampler
-# over every float64 probability, and weight canonicalization against its
+# Short fuzz smoke for CI: the QASM parser on byte soup, the parser against
+# its reference (reference_test.go: same errors, same ops to the parameter
+# bit), QASM write/parse round trips, the snapshot binary decoder, the
+# unique-table node constructor, the frozen binomial split against a
+# reference split over the live diagram, the binomial sampler over every
+# float64 probability, and weight canonicalization against its
 # Frexp/Ldexp reference, ~30s each. Not a soak — just enough to catch a
 # decoder that panics on the corpus neighborhoods of valid inputs, a
-# sampling path that drifts from its reference, a binomial draw that
-# leaves [0, n] or hangs, or a canonical weight that moves by one bit.
+# parsing or sampling path that drifts from its reference, a binomial draw
+# that leaves [0, n] or hangs, or a canonical weight that moves by one bit.
+# Each -fuzz pattern is anchored: go test refuses one that matches two
+# targets, and FuzzParse prefixes FuzzParseMatchesReference.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/circuit/qasm
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/circuit/qasm
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMatchesReference$$' -fuzztime 30s ./internal/circuit/qasm
+	$(GO) test -run '^$$' -fuzz '^FuzzWriteParse$$' -fuzztime 30s ./internal/circuit/qasm
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/dd
 	$(GO) test -run '^$$' -fuzz FuzzMakeVNode -fuzztime 30s ./internal/dd
 	$(GO) test -run '^$$' -fuzz FuzzCountsFrozen -fuzztime 30s ./internal/core

@@ -73,15 +73,13 @@ func (c *Circuit) Validate() error {
 					return fmt.Errorf("circuit %q op %d: %s parameter %v is not finite", c.Name, i, op.Gate.Name(), p)
 				}
 			}
-			seen := map[int]bool{op.Target: true}
-			for _, ctl := range op.Controls {
+			for j, ctl := range op.Controls {
 				if ctl.Qubit < 0 || ctl.Qubit >= c.NQubits {
 					return fmt.Errorf("circuit %q op %d: control %d out of range", c.Name, i, ctl.Qubit)
 				}
-				if seen[ctl.Qubit] {
+				if ctl.Qubit == op.Target || slices.ContainsFunc(op.Controls[:j], func(o gate.Control) bool { return o.Qubit == ctl.Qubit }) {
 					return fmt.Errorf("circuit %q op %d: qubit %d used twice", c.Name, i, ctl.Qubit)
 				}
-				seen[ctl.Qubit] = true
 			}
 		case PermutationOp:
 			if op.PermWidth < 1 || op.PermWidth > c.NQubits {

@@ -55,6 +55,45 @@ func TestValidateCatchesErrors(t *testing.T) {
 	}
 }
 
+// TestValidateAllocatesNothing pins the duplicate-qubit check to the op's
+// own control list: no per-op set, however many controls a gate has.
+func TestValidateAllocatesNothing(t *testing.T) {
+	c := New(12, "gates")
+	wide := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for i := 0; i < 50; i++ {
+		c.H(i%12).CX(i%12, (i+1)%12).RZ(0.25, 3).MCZ(wide, 11).MCX(wide[:5], 7)
+	}
+	c.Barrier()
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Validate allocates %.0f times per call, want 0", allocs)
+	}
+}
+
+// TestValidateNamesTheBadQubit: a wide gate's repeated or out-of-range
+// qubit is reported by number.
+func TestValidateNamesTheBadQubit(t *testing.T) {
+	cases := []struct {
+		ctls   []int
+		target int
+		want   string
+	}{
+		{[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 5}, 11, "qubit 5 used twice"},
+		{[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 3, "qubit 3 used twice"},
+		{[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12}, 11, "control 12 out of range"},
+		{[]int{0, 1, 1}, 11, "qubit 1 used twice"},
+	}
+	for _, tc := range cases {
+		c := New(12, "bad").MCX(tc.ctls, tc.target)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("MCX(%v, %d): Validate = %v, want %q", tc.ctls, tc.target, err, tc.want)
+		}
+	}
+}
+
 func TestGateCounts(t *testing.T) {
 	c := New(3, "counts")
 	c.H(0).H(1).CX(0, 1).CCX(0, 1, 2)

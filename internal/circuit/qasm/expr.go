@@ -10,6 +10,15 @@ import (
 // evalExpr evaluates an OpenQASM parameter expression: floating literals,
 // the constant pi, unary minus, + - * / ^, and parentheses.
 func evalExpr(src string) (float64, error) {
+	// A lone literal, perhaps negated, skips the descent below: it would
+	// read the same literal and negate it.
+	if lit := strings.TrimPrefix(src, "-"); lit != "" && (lit[0] >= '0' && lit[0] <= '9' || lit[0] == '.') && numberLen(lit) == len(lit) {
+		v, err := strconv.ParseFloat(lit, 64)
+		if len(lit) < len(src) {
+			v = -v
+		}
+		return v, err
+	}
 	e := &exprParser{src: src}
 	v, err := e.parseSum()
 	if err != nil {
@@ -142,22 +151,9 @@ func (e *exprParser) parseAtom() (float64, error) {
 		e.pos++
 		return v, nil
 	case c >= '0' && c <= '9' || c == '.':
-		start := e.pos
-		for e.pos < len(e.src) {
-			c := e.src[e.pos]
-			if c >= '0' && c <= '9' || c == '.' || c == 'e' || c == 'E' {
-				e.pos++
-				continue
-			}
-			// Exponent sign.
-			if (c == '+' || c == '-') && e.pos > start &&
-				(e.src[e.pos-1] == 'e' || e.src[e.pos-1] == 'E') {
-				e.pos++
-				continue
-			}
-			break
-		}
-		return strconv.ParseFloat(e.src[start:e.pos], 64)
+		lit := e.src[e.pos : e.pos+numberLen(e.src[e.pos:])]
+		e.pos += len(lit)
+		return strconv.ParseFloat(lit, 64)
 	case c == 'p' || c == 'P':
 		if strings.HasPrefix(strings.ToLower(e.src[e.pos:]), "pi") {
 			e.pos += 2
@@ -169,4 +165,16 @@ func (e *exprParser) parseAtom() (float64, error) {
 	default:
 		return 0, fmt.Errorf("unexpected character %q", string(c))
 	}
+}
+
+// numberLen is the length of the numeric literal that starts s: digits,
+// '.', 'e' and 'E', and a sign right after an exponent mark.
+func numberLen(s string) int {
+	for i, c := range []byte(s) {
+		if !(c >= '0' && c <= '9' || c == '.' || c == 'e' || c == 'E' ||
+			(c == '+' || c == '-') && i > 0 && (s[i-1] == 'e' || s[i-1] == 'E')) {
+			return i
+		}
+	}
+	return len(s)
 }

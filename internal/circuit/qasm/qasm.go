@@ -18,12 +18,16 @@ import (
 
 // Parse converts OpenQASM 2.0 source into a circuit. All quantum registers
 // are concatenated in declaration order; qubit q of register r maps to
-// offset(r)+q.
+// offset(r)+q. A program that declares a register but applies no gate is
+// an empty circuit of that width.
 func Parse(src, name string) (*circuit.Circuit, error) {
-	p := &parser{name: name, regs: map[string]qreg{}}
+	// Every op-making statement ends in ';' and spends at least 7 bytes
+	// ("x a[0];"), so this presizes Ops without trusting a run of bare ';'.
+	p := &parser{name: name, regs: map[string]qreg{}, ops: min(strings.Count(src, ";"), len(src)/7)}
 	if err := p.run(src); err != nil {
 		return nil, err
 	}
+	p.ensureCirc()
 	if p.circ == nil {
 		return nil, fmt.Errorf("qasm: no quantum registers declared")
 	}
@@ -35,81 +39,132 @@ type qreg struct {
 }
 
 type parser struct {
-	name   string
-	regs   map[string]qreg
-	width  int
-	circ   *circuit.Circuit
-	sawHdr bool
-	line   int
+	name  string
+	regs  map[string]qreg
+	width int
+	ops   int // capacity to presize Ops with
+	circ  *circuit.Circuit
+	line  int
+	slab  []gate.Control
+
+	// The last register and gate looked up (a failed lookup ends the
+	// parse): runs of one register and of one gate are the common case.
+	lastName, lastGate string
+	last               qreg
+	lastForm           gateForm
 }
 
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("qasm:%d: %s", p.line, fmt.Sprintf(format, args...))
 }
 
+// scanClass sorts source bytes for run: the bytes it acts on map to
+// themselves, ASCII white space to ' ', and statement content to 0.
+var scanClass = [256]byte{'\n': '\n', '/': '/', ';': ';', ' ': ' ', '\t': ' ', '\r': ' ', '\v': ' ', '\f': ' '}
+
+// run scans src once. A statement is the text up to a ';', with comments
+// ("//" to the end of the line) removed, newlines read as spaces and the
+// ends trimmed; it is a substring of src unless a newline or comment falls
+// inside it. Errors carry the count of newlines before the statement's ';',
+// or the number of lines for an unterminated last statement.
 func (p *parser) run(src string) error {
-	// Strip comments, then split on ';'. OpenQASM 2.0 statements are
-	// semicolon-terminated, so this is a faithful statement splitter.
-	var clean strings.Builder
-	for ln, raw := range strings.Split(src, "\n") {
-		line := raw
-		if i := strings.Index(line, "//"); i >= 0 {
-			line = line[:i]
+	start, end := -1, -1       // the statement's first and past-last content bytes
+	split, gap := false, false // a newline or comment inside it; since its last content byte
+	for i := 0; i < len(src); i++ {
+		c := scanClass[src[i]]
+		if c == '/' && (i+1 == len(src) || src[i+1] != '/') {
+			c = 0
 		}
-		_ = ln
-		clean.WriteString(line)
-		clean.WriteByte('\n')
+		switch c {
+		case '\n':
+			p.line++
+			gap = true
+		case '/':
+			for i+1 < len(src) && src[i+1] != '\n' {
+				i++
+			}
+			gap = true
+		case ';':
+			if err := p.statement(src, start, end, split); err != nil {
+				return err
+			}
+			start, end, split, gap = -1, -1, false, false
+		case 0:
+			if start < 0 {
+				start = i
+			} else if gap {
+				split = true
+			}
+			for i+1 < len(src) && scanClass[src[i+1]] == 0 {
+				i++
+			}
+			gap, end = false, i+1
+		}
 	}
-	stmts := strings.Split(clean.String(), ";")
-	p.line = 0
-	for _, stmt := range stmts {
-		p.line += strings.Count(stmt, "\n")
-		s := strings.TrimSpace(strings.ReplaceAll(stmt, "\n", " "))
-		if s == "" {
-			continue
-		}
-		if err := p.statement(s); err != nil {
-			return err
-		}
-	}
-	return nil
+	p.line++
+	return p.statement(src, start, end, split)
 }
 
-func (p *parser) statement(s string) error {
-	switch {
-	case strings.HasPrefix(s, "OPENQASM"):
-		ver := strings.TrimSpace(strings.TrimPrefix(s, "OPENQASM"))
-		if ver != "2.0" {
-			return p.errf("unsupported OPENQASM version %q", ver)
-		}
-		p.sawHdr = true
+func (p *parser) statement(src string, start, end int, split bool) error {
+	if start < 0 {
 		return nil
-	case strings.HasPrefix(s, "include"):
+	}
+	s := src[start:end]
+	if split { // the rare copy: each line without its comment, joined by spaces
+		var b []byte
+		for line, rest, more := "", s, true; more; {
+			line, rest, more = strings.Cut(rest, "\n")
+			line, _, _ = strings.Cut(line, "//")
+			b = append(append(b, line...), ' ')
+		}
+		s = string(b[:len(b)-1])
+	}
+	s = strings.TrimSpace(s) // Unicode white space at the ends
+	if s == "" {
+		return nil
+	}
+	switch s[0] { // the keywords differ in their first byte
+	case 'O':
+		if ver, ok := strings.CutPrefix(s, "OPENQASM"); ok {
+			if ver = strings.TrimSpace(ver); ver != "2.0" {
+				return p.errf("unsupported OPENQASM version %q", ver)
+			}
+			return nil
+		}
+	case 'i':
 		// The qelib1 gate set is built in, so includes are not read — but
 		// the statement must still be well-formed: a quoted file name.
-		arg := strings.TrimSpace(strings.TrimPrefix(s, "include"))
-		if len(arg) < 2 || arg[0] != '"' || arg[len(arg)-1] != '"' {
-			return p.errf(`malformed include %q: want include "file"`, arg)
+		if arg, ok := strings.CutPrefix(s, "include"); ok {
+			if arg = strings.TrimSpace(arg); len(arg) < 2 || arg[0] != '"' || arg[len(arg)-1] != '"' {
+				return p.errf(`malformed include %q: want include "file"`, arg)
+			}
+			return nil
 		}
-		return nil
-	case strings.HasPrefix(s, "qreg "):
-		return p.declare(strings.TrimPrefix(s, "qreg "))
-	case strings.HasPrefix(s, "creg "):
-		return nil // classical registers are irrelevant to weak simulation
-	case strings.HasPrefix(s, "measure ") || strings.HasPrefix(s, "measure\t"):
-		return nil // measurement of all qubits is implicit
-	case strings.HasPrefix(s, "barrier"):
-		if p.circ != nil {
-			p.circ.Barrier()
+	case 'q':
+		if decl, ok := strings.CutPrefix(s, "qreg "); ok {
+			return p.declare(decl)
 		}
-		return nil
-	default:
-		return p.gateStatement(s)
+	case 'c':
+		if strings.HasPrefix(s, "creg ") {
+			return nil // classical registers are irrelevant to weak simulation
+		}
+	case 'm':
+		if strings.HasPrefix(s, "measure ") || strings.HasPrefix(s, "measure\t") {
+			return nil // measurement of all qubits is implicit
+		}
+	case 'b':
+		if strings.HasPrefix(s, "barrier") {
+			if p.ensureCirc(); p.circ != nil {
+				p.circ.Barrier()
+			}
+			return nil
+		}
 	}
+	return p.gateStatement(s)
 }
 
 func (p *parser) declare(decl string) error {
-	name, size, err := parseRegRef(decl)
+	name, size, err := parseRegRef(strings.TrimSpace(decl))
 	if err != nil {
 		return p.errf("bad qreg declaration %q: %v", decl, err)
 	}
@@ -127,161 +182,145 @@ func (p *parser) declare(decl string) error {
 	return nil
 }
 
-// ensureCirc lazily creates the circuit once the first gate appears, fixing
-// the total width.
+// ensureCirc creates the circuit once a register exists, at the first gate
+// or barrier or at the end of input, fixing the total width.
 func (p *parser) ensureCirc() {
 	if p.circ == nil && p.width > 0 {
 		p.circ = circuit.New(p.width, p.name)
+		p.circ.Ops = make([]circuit.Op, 0, p.ops)
 	}
 }
 
-// gateTable maps parameterless qelib1 mnemonics to gates.
-var gateTable = map[string]gate.Gate{
-	"id": gate.IDGate, "x": gate.XGate, "y": gate.YGate, "z": gate.ZGate,
-	"h": gate.HGate, "s": gate.SGate, "sdg": gate.SdgGate,
-	"t": gate.TGate, "tdg": gate.TdgGate, "sx": gate.SXGate, "sy": gate.SYGate,
-}
-
+// gateStatement applies "name(p1,p2) a[0],b[1]". Its checks run in a fixed
+// order, so a bad statement always reports the same error: parentheses,
+// shape, each operand, each parameter, then the mnemonic and its arity.
 func (p *parser) gateStatement(s string) error {
 	p.ensureCirc()
 	if p.circ == nil {
 		return p.errf("gate before any qreg declaration: %q", s)
 	}
-	mnemonic, params, operands, err := splitGate(s)
-	if err != nil {
-		return p.errf("%v", err)
+	mnemonic, params, rest := s, "", ""
+	paren := strings.IndexByte(s, '(')
+	if paren >= 0 {
+		closeAt := topIndex(s[paren+1:], ')')
+		if closeAt < 0 {
+			return p.errf("unbalanced parentheses in %q", s)
+		}
+		closeAt += paren + 1
+		mnemonic, params, rest = strings.TrimSpace(s[:paren]), s[paren+1:closeAt], s[closeAt+1:]
+	} else if sp := strings.IndexByte(s, ' '); sp >= 0 {
+		mnemonic, rest = s[:sp], s[sp+1:]
 	}
-	qubits := make([]int, len(operands))
-	seen := make(map[int]bool, len(operands))
-	for i, op := range operands {
-		q, err := p.resolve(op)
+	if mnemonic == "" {
+		return p.errf("malformed gate statement %q", s)
+	}
+	var qbuf [3]int
+	qubits := qbuf[:0]
+	for more := true; more; {
+		ref := rest
+		if comma := strings.IndexByte(rest, ','); comma >= 0 {
+			ref, rest = rest[:comma], rest[comma+1:]
+		} else {
+			more = false
+		}
+		if ref = strings.TrimSpace(ref); ref == "" {
+			continue
+		}
+		q, err := p.resolve(ref)
 		if err != nil {
 			return p.errf("%v", err)
 		}
-		if seen[q] {
-			return p.errf("qubit %s used twice in %q", op, s)
+		for _, prev := range qubits {
+			if prev == q {
+				return p.errf("qubit %s used twice in %q", ref, s)
+			}
 		}
-		seen[q] = true
-		qubits[i] = q
+		qubits = append(qubits, q)
 	}
-	angles := make([]float64, len(params))
-	for i, expr := range params {
+	if len(qubits) == 0 {
+		return p.errf("malformed gate statement %q", s)
+	}
+	var abuf [3]float64
+	angles := abuf[:0]
+	for more := paren >= 0; more; {
+		expr := params
+		if comma := topIndex(params, ','); comma >= 0 {
+			expr, params = params[:comma], params[comma+1:]
+		} else {
+			more = false
+		}
+		expr = strings.TrimSpace(expr)
 		v, err := evalExpr(expr)
 		if err != nil {
 			return p.errf("bad parameter %q: %v", expr, err)
 		}
-		angles[i] = v
+		angles = append(angles, v)
 	}
-	return p.applyGate(mnemonic, angles, qubits)
-}
-
-func (p *parser) applyGate(mnemonic string, angles []float64, q []int) error {
-	need := func(nq, na int) error {
-		if len(q) != nq || len(angles) != na {
-			return p.errf("%s expects %d qubits and %d parameters, got %d and %d",
-				mnemonic, nq, na, len(q), len(angles))
-		}
-		return nil
+	form, ok := p.lastForm, mnemonic == p.lastGate
+	if !ok {
+		form, ok = gateForms[mnemonic]
+		p.lastForm, p.lastGate = form, mnemonic
 	}
-	if g, ok := gateTable[mnemonic]; ok {
-		if err := need(1, 0); err != nil {
-			return err
-		}
-		p.circ.Apply(g, q[0])
-		return nil
-	}
-	switch mnemonic {
-	case "rx", "ry", "rz", "p", "u1":
-		if err := need(1, 1); err != nil {
-			return err
-		}
-		switch mnemonic {
-		case "rx":
-			p.circ.RX(angles[0], q[0])
-		case "ry":
-			p.circ.RY(angles[0], q[0])
-		case "rz":
-			p.circ.RZ(angles[0], q[0])
-		default:
-			p.circ.P(angles[0], q[0])
-		}
-	case "u", "u3":
-		if err := need(1, 3); err != nil {
-			return err
-		}
-		p.circ.Apply(gate.UGate(angles[0], angles[1], angles[2]), q[0])
-	case "u2":
-		if err := need(1, 2); err != nil {
-			return err
-		}
-		p.circ.Apply(gate.UGate(math.Pi/2, angles[0], angles[1]), q[0])
-	case "cx", "CX":
-		if err := need(2, 0); err != nil {
-			return err
-		}
-		p.circ.CX(q[0], q[1])
-	case "cz":
-		if err := need(2, 0); err != nil {
-			return err
-		}
-		p.circ.CZ(q[0], q[1])
-	case "cy":
-		if err := need(2, 0); err != nil {
-			return err
-		}
-		p.circ.Apply(gate.YGate, q[1], gate.Pos(q[0]))
-	case "ch":
-		if err := need(2, 0); err != nil {
-			return err
-		}
-		p.circ.Apply(gate.HGate, q[1], gate.Pos(q[0]))
-	case "cp", "cu1":
-		if err := need(2, 1); err != nil {
-			return err
-		}
-		p.circ.CP(angles[0], q[0], q[1])
-	case "crx":
-		if err := need(2, 1); err != nil {
-			return err
-		}
-		p.circ.Apply(gate.RXGate(angles[0]), q[1], gate.Pos(q[0]))
-	case "cry":
-		if err := need(2, 1); err != nil {
-			return err
-		}
-		p.circ.Apply(gate.RYGate(angles[0]), q[1], gate.Pos(q[0]))
-	case "crz":
-		if err := need(2, 1); err != nil {
-			return err
-		}
-		p.circ.Apply(gate.RZGate(angles[0]), q[1], gate.Pos(q[0]))
-	case "swap":
-		if err := need(2, 0); err != nil {
-			return err
-		}
-		p.circ.Swap(q[0], q[1])
-	case "ccx":
-		if err := need(3, 0); err != nil {
-			return err
-		}
-		p.circ.CCX(q[0], q[1], q[2])
-	case "ccz":
-		if err := need(3, 0); err != nil {
-			return err
-		}
-		p.circ.Apply(gate.ZGate, q[2], gate.Pos(q[0]), gate.Pos(q[1]))
-	case "cswap":
-		if err := need(3, 0); err != nil {
-			return err
-		}
-		// Controlled swap via three Toffolis.
-		p.circ.CCX(q[0], q[1], q[2])
-		p.circ.CCX(q[0], q[2], q[1])
-		p.circ.CCX(q[0], q[1], q[2])
-	default:
+	if !ok {
 		return p.errf("unsupported gate %q", mnemonic)
 	}
+	if len(qubits) != form.nq || len(angles) != form.na {
+		return p.errf("%s expects %d qubits and %d parameters, got %d and %d",
+			mnemonic, form.nq, form.na, len(qubits), len(angles))
+	}
+	// Within their arity, angles and qubits are abuf and qbuf.
+	if mnemonic == "u2" {
+		abuf = [3]float64{math.Pi / 2, abuf[0], abuf[1]}
+	}
+	g := gate.Gate{Kind: form.kind, Params: abuf}
+	switch q := qbuf; mnemonic {
+	case "swap":
+		p.add(g, q[1], q[0]).add(g, q[0], q[1]).add(g, q[1], q[0])
+	case "cswap":
+		p.add(g, q[2], q[0], q[1]).add(g, q[1], q[0], q[2]).add(g, q[2], q[0], q[1])
+	default:
+		p.add(g, q[form.nq-1], q[:form.nq-1]...)
+	}
 	return nil
+}
+
+// add appends g on target under positive controls ctls. Each op's controls
+// are a capped window of a shared slab, so a parse allocates them in bulk.
+func (p *parser) add(g gate.Gate, target int, ctls ...int) *parser {
+	op := circuit.Op{Kind: circuit.GateOp, Gate: g, Target: target}
+	if len(ctls) > 0 {
+		if cap(p.slab)-len(p.slab) < len(ctls) {
+			p.slab = make([]gate.Control, 0, 256)
+		}
+		n := len(p.slab)
+		for _, c := range ctls {
+			p.slab = append(p.slab, gate.Pos(c))
+		}
+		op.Controls = p.slab[n:len(p.slab):len(p.slab)]
+	}
+	p.circ.Ops = append(p.circ.Ops, op)
+	return p
+}
+
+// gateForm is one qelib1 mnemonic: how many qubits and parameters it takes
+// and the kind of gate it puts on its last qubit, controlled by the others.
+type gateForm struct {
+	nq, na int
+	kind   gate.Kind
+}
+
+// gateForms holds every mnemonic; swap and cswap expand to three CNOTs and
+// three Toffolis, and u2(φ,λ) is u3(π/2,φ,λ).
+var gateForms = map[string]gateForm{
+	"id": {1, 0, gate.I}, "x": {1, 0, gate.X}, "y": {1, 0, gate.Y}, "z": {1, 0, gate.Z},
+	"h": {1, 0, gate.H}, "s": {1, 0, gate.S}, "sdg": {1, 0, gate.Sdg}, "t": {1, 0, gate.T},
+	"tdg": {1, 0, gate.Tdg}, "sx": {1, 0, gate.SX}, "sy": {1, 0, gate.SY},
+	"rx": {1, 1, gate.RX}, "ry": {1, 1, gate.RY}, "rz": {1, 1, gate.RZ}, "p": {1, 1, gate.Phase},
+	"u1": {1, 1, gate.Phase}, "u2": {1, 2, gate.U}, "u3": {1, 3, gate.U}, "u": {1, 3, gate.U},
+	"cx": {2, 0, gate.X}, "CX": {2, 0, gate.X}, "cy": {2, 0, gate.Y}, "cz": {2, 0, gate.Z},
+	"ch": {2, 0, gate.H}, "cp": {2, 1, gate.Phase}, "cu1": {2, 1, gate.Phase},
+	"crx": {2, 1, gate.RX}, "cry": {2, 1, gate.RY}, "crz": {2, 1, gate.RZ},
+	"swap": {2, 0, gate.X}, "ccx": {3, 0, gate.X}, "ccz": {3, 0, gate.Z}, "cswap": {3, 0, gate.X},
 }
 
 // resolve maps "reg[i]" to an absolute qubit index.
@@ -290,7 +329,11 @@ func (p *parser) resolve(ref string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad qubit reference %q: %v", ref, err)
 	}
-	reg, ok := p.regs[name]
+	reg, ok := p.last, name == p.lastName
+	if !ok {
+		reg, ok = p.regs[name]
+		p.last, p.lastName = reg, name
+	}
 	if !ok {
 		return 0, fmt.Errorf("unknown register %q", name)
 	}
@@ -302,7 +345,6 @@ func (p *parser) resolve(ref string) (int, error) {
 
 // parseRegRef splits "name[k]" into its parts.
 func parseRegRef(s string) (string, int, error) {
-	s = strings.TrimSpace(s)
 	open := strings.IndexByte(s, '[')
 	if open < 1 || !strings.HasSuffix(s, "]") {
 		return "", 0, fmt.Errorf("want name[index]")
@@ -314,74 +356,23 @@ func parseRegRef(s string) (string, int, error) {
 	return strings.TrimSpace(s[:open]), idx, nil
 }
 
-// splitGate splits "name(p1,p2) a[0],b[1]" into mnemonic, parameter
-// expressions, and operand references.
-func splitGate(s string) (mnemonic string, params, operands []string, err error) {
-	s = strings.TrimSpace(s)
-	head := s
-	rest := ""
-	if open := strings.IndexByte(s, '('); open >= 0 {
-		depth := 0
-		closeAt := -1
-		for i := open; i < len(s); i++ {
-			switch s[i] {
-			case '(':
-				depth++
-			case ')':
-				depth--
-				if depth == 0 {
-					closeAt = i
-				}
-			}
-			if closeAt >= 0 {
-				break
-			}
-		}
-		if closeAt < 0 {
-			return "", nil, nil, fmt.Errorf("unbalanced parentheses in %q", s)
-		}
-		head = strings.TrimSpace(s[:open])
-		for _, part := range splitTop(s[open+1:closeAt], ',') {
-			params = append(params, strings.TrimSpace(part))
-		}
-		rest = s[closeAt+1:]
-	} else {
-		fields := strings.SplitN(s, " ", 2)
-		head = fields[0]
-		if len(fields) == 2 {
-			rest = fields[1]
-		}
+// topIndex is the index of the first c in s outside the parentheses s
+// opens, or -1.
+func topIndex(s string, c byte) int {
+	i := strings.IndexByte(s, c)
+	if i < 0 || strings.IndexByte(s[:i], '(') < 0 {
+		return i
 	}
-	mnemonic = head
-	for _, op := range strings.Split(rest, ",") {
-		op = strings.TrimSpace(op)
-		if op != "" {
-			operands = append(operands, op)
-		}
-	}
-	if mnemonic == "" || len(operands) == 0 {
-		return "", nil, nil, fmt.Errorf("malformed gate statement %q", s)
-	}
-	return mnemonic, params, operands, nil
-}
-
-// splitTop splits on sep at parenthesis depth zero.
-func splitTop(s string, sep byte) []string {
-	var out []string
-	depth, start := 0, 0
+	depth := 0
 	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '(':
+		switch {
+		case s[i] == c && depth == 0:
+			return i
+		case s[i] == '(':
 			depth++
-		case ')':
+		case s[i] == ')':
 			depth--
-		case sep:
-			if depth == 0 {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
 		}
 	}
-	out = append(out, s[start:])
-	return out
+	return -1
 }

@@ -121,19 +121,53 @@ swap q[0],q[1];
 	}
 }
 
+// TestParseShapes pins the width and the op list of small programs,
+// including ones that apply no gate.
+func TestParseShapes(t *testing.T) {
+	cases := []struct {
+		src    string
+		qubits int
+		ops    []string
+	}{
+		{"OPENQASM 2.0; qreg q[2]; creg c[2]; measure q[0] -> c[0];", 2, nil},
+		{"qreg a[1];\nqreg b[2];", 3, nil},
+		{"qreg q[2];\nbarrier q;\nh q[0];", 2, []string{"barrier", "h q0"}},
+		{"qreg q[2];\nbarrier q;", 2, []string{"barrier"}},
+		{"qreg q[2];\nh q[1];\nbarrier q;\ncx q[1],q[0];", 2, []string{"h q1", "barrier", "x c1 q0"}},
+		{"qreg q[2]; // h q[0];\nh\nq[1] // split by a newline\n;", 2, []string{"h q1"}},
+		{"qreg q[2];\nswap q[0],q[1];", 2, []string{"x c0 q1", "x c1 q0", "x c0 q1"}},
+	}
+	for _, tc := range cases {
+		c, err := Parse(tc.src, "shape")
+		if err != nil {
+			t.Errorf("Parse(%q): %v", tc.src, err)
+			continue
+		}
+		var ops []string
+		for _, op := range c.Ops {
+			ops = append(ops, circuit.OpString(op))
+		}
+		if c.NQubits != tc.qubits || strings.Join(ops, "; ") != strings.Join(tc.ops, "; ") {
+			t.Errorf("Parse(%q) = %d qubits %q, want %d qubits %q", tc.src, c.NQubits, ops, tc.qubits, tc.ops)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		"OPENQASM 3.0;\nqreg q[1];",       // wrong version
-		"qreg q[0];",                      // empty register
-		"qreg q[1];\nqreg q[2];",          // duplicate
-		"h q[0];",                         // gate before qreg
-		"qreg q[1];\nh q[5];",             // out of range
-		"qreg q[1];\nfrobnicate q[0];",    // unknown gate
-		"qreg q[1];\nh r[0];",             // unknown register
-		"qreg q[2];\ncx q[0];",            // wrong arity
-		"qreg q[1];\nrx(oops) q[0];",      // bad parameter
-		"qreg q[1];\nh q[0];\nqreg r[1];", // late declaration
-		"qreg q[1];\nrx(pi q[0];",         // unbalanced parens
+		"OPENQASM 3.0;\nqreg q[1];",          // wrong version
+		"qreg q[0];",                         // empty register
+		"qreg q[1];\nqreg q[2];",             // duplicate
+		"h q[0];",                            // gate before qreg
+		"qreg q[1];\nh q[5];",                // out of range
+		"qreg q[1];\nfrobnicate q[0];",       // unknown gate
+		"qreg q[1];\nh r[0];",                // unknown register
+		"qreg q[2];\ncx q[0];",               // wrong arity
+		"qreg q[1];\nrx(oops) q[0];",         // bad parameter
+		"qreg q[1];\nh q[0];\nqreg r[1];",    // late declaration
+		"qreg q[1];\nrx(pi q[0];",            // unbalanced parens
+		"OPENQASM 2.0;\ncreg c[1];",          // no quantum register
+		"qreg q[1];\nbarrier q;\nqreg r[1];", // declaration after a barrier
 	}
 	for _, src := range cases {
 		if _, err := Parse(src, "bad"); err == nil {
@@ -280,5 +314,46 @@ cswap q[2],q[0],q[1];
 	// q2=1 control, q0=1 swapped into q1: expect |110⟩ = index 6.
 	if p := st.Probabilities()[6]; math.Abs(p-1) > 1e-9 {
 		t.Errorf("cswap result wrong: p(110)=%v", p)
+	}
+}
+
+// TestParseAllocatesPerParse pins that a parse allocates a few times per
+// circuit (the circuit, its op list, the controls slab), not per gate or
+// statement.
+func TestParseAllocatesPerParse(t *testing.T) {
+	for _, name := range []string{"qft_16", "qft_32"} {
+		c, err := algo.Generate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := Write(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _, _ = Parse(src, "request") }); allocs > 10 {
+			t.Errorf("%s: Parse allocates %.0f times, want at most 10", name, allocs)
+		}
+	}
+}
+
+func BenchmarkParse(b *testing.B) {
+	for _, name := range []string{"qft_16", "qft_32"} {
+		c, err := algo.Generate(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src, err := Write(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				if _, err := Parse(src, "request"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

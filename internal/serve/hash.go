@@ -26,10 +26,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"math"
 
 	"weaksim/internal/circuit"
 	"weaksim/internal/dd"
+	"weaksim/internal/gate"
 )
 
 // hashVersion tags the canonical encoding; bump on any layout change.
@@ -41,69 +43,78 @@ const hashVersion = 1
 // the sampler has one branch rule, and the flag's zero byte stays in the
 // key so keys do not move.
 func CircuitKey(c *circuit.Circuit, norm dd.Norm, generic bool) string {
-	h := sha256.New()
-	var buf [8]byte
-	wu := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	wi := func(v int) { wu(uint64(int64(v))) }
-	wf := func(v float64) { wu(math.Float64bits(v)) }
-
-	wu(uint64(hashVersion))
-	wi(int(norm))
-	if generic {
-		wu(1)
-	} else {
-		wu(0)
-	}
-	wi(c.NQubits)
+	k := keyWriter{h: sha256.New()}
+	k.word(hashVersion)
+	k.signed(int(norm))
+	k.flag(generic)
+	k.signed(c.NQubits)
 	for _, op := range c.Ops {
 		switch op.Kind {
 		case circuit.BarrierOp:
 			continue // structural no-op: excluded from the key
 		case circuit.GateOp:
-			wu(0xA1) // op-kind tag
-			wi(int(op.Gate.Kind))
+			k.word(0xA1) // op-kind tag
+			k.signed(int(op.Gate.Kind))
 			for _, p := range op.Gate.Params {
-				wf(p)
+				k.word(math.Float64bits(p))
 			}
-			wi(op.Target)
-			wi(len(op.Controls))
-			for _, ctl := range op.Controls {
-				wi(ctl.Qubit)
-				if ctl.Negative {
-					wu(1)
-				} else {
-					wu(0)
-				}
-			}
+			k.signed(op.Target)
+			k.controls(op.Controls)
 		case circuit.PermutationOp:
-			wu(0xA2)
-			wi(op.PermWidth)
-			wi(len(op.Perm))
+			k.word(0xA2)
+			k.signed(op.PermWidth)
+			k.signed(len(op.Perm))
 			for _, p := range op.Perm {
-				wu(p)
+				k.word(p)
 			}
-			wi(len(op.Controls))
-			for _, ctl := range op.Controls {
-				wi(ctl.Qubit)
-				if ctl.Negative {
-					wu(1)
-				} else {
-					wu(0)
-				}
-			}
+			k.controls(op.Controls)
 		default:
 			// Unknown op kinds cannot be canonicalized; hash the raw kind so
 			// the key at least never aliases a known circuit. Validation
 			// rejects these before simulation anyway.
-			wu(0xFF)
-			wi(int(op.Kind))
+			k.word(0xFF)
+			k.signed(int(op.Kind))
 		}
 	}
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:])
+	k.h.Write(k.buf[:k.n])
+	sum := k.h.Sum(k.buf[:0]) // the staged words are hashed: buf holds the digest, then its hex
+
+	return string(hex.AppendEncode(k.buf[len(sum):len(sum)], sum))
+}
+
+// keyWriter stages the key's little-endian 8-byte words and hands the hash
+// whole buffers, not one word per call.
+type keyWriter struct {
+	h   hash.Hash
+	n   int
+	buf [512]byte
+}
+
+func (k *keyWriter) word(v uint64) {
+	if k.n == len(k.buf) {
+		k.h.Write(k.buf[:])
+		k.n = 0
+	}
+	binary.LittleEndian.PutUint64(k.buf[k.n:], v)
+	k.n += 8
+}
+
+func (k *keyWriter) signed(v int) { k.word(uint64(int64(v))) }
+
+func (k *keyWriter) flag(b bool) {
+	if b {
+		k.word(1)
+	} else {
+		k.word(0)
+	}
+}
+
+func (k *keyWriter) controls(ctls []gate.Control) {
+	k.signed(len(ctls))
+	for _, ctl := range ctls {
+		k.signed(ctl.Qubit)
+		k.flag(ctl.Negative)
+	}
 }
 
 // KeyForBody computes the canonical circuit key for a raw /v1/sample request

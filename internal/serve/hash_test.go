@@ -1,10 +1,18 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
+	"weaksim/internal/algo"
 	"weaksim/internal/circuit"
+	"weaksim/internal/circuit/qasm"
 	"weaksim/internal/dd"
+	"weaksim/internal/gate"
 )
 
 func bell(name string) *circuit.Circuit {
@@ -67,5 +75,101 @@ func TestCircuitKeyPermutation(t *testing.T) {
 	p3 := circuit.New(2, "p").Permutation([]uint64{1, 0}, 1, "other-label")
 	if got := CircuitKey(p3, dd.NormL2Phase, false); got != a {
 		t.Fatalf("permutation label changed the key")
+	}
+}
+
+// TestCircuitKeyGolden pins the key bytes: persisted snapshot files are
+// named by key and the cluster router places circuits on its ring by key,
+// so a key that moves orphans every snapshot on disk and reshuffles the
+// ring. The values were recorded before keys were hashed from a staged
+// buffer; they cover a circuit parsed from QASM, wide multi-controlled
+// gates, permutation ops and negative controls, under both norms.
+func TestCircuitKeyGolden(t *testing.T) {
+	qft, err := algo.Generate("qft_16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := qasm.Write(qft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := qasm.Parse(src, "request")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grover, err := algo.Generate("grover_12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shor, err := algo.Generate("shor_33_2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	neg := circuit.New(3, "neg").H(0).Apply(gate.XGate, 2, gate.Neg(0), gate.Pos(1)).RZ(0.25, 1)
+	neg.Barrier()
+	neg.Apply(gate.UGate(0.1, -0.2, 0.3), 0, gate.Neg(2))
+	cases := []struct {
+		name string
+		c    *circuit.Circuit
+		norm dd.Norm
+		want string
+	}{
+		{"qft_16 from QASM", parsed, dd.NormL2Phase, "57544f1afeb5a3a5479650f8408256d7815a784a54efcf46261127a84fe7fa6b"},
+		{"qft_16 from QASM", parsed, dd.NormLeft, "604e55b55d540fdc04674af891700565d1333ccfa4be019f32395bb9ec7e7b03"},
+		{"grover_12", grover, dd.NormL2Phase, "0b7477b905a9ebb7c69463ecc3d7e40835150bc50f15b1590a8fc8e06a1f1a2f"},
+		{"grover_12", grover, dd.NormLeft, "e7680768d383260237c60113a73594c36fb018f3b373878fd584553811c91463"},
+		{"shor_33_2", shor, dd.NormL2Phase, "b488ea095b6054e272a064843a5aa6826135006f1d1332b8de4ac4af77e24620"},
+		{"shor_33_2", shor, dd.NormLeft, "14b2cc597b39550fd4ac20b08f487fe624246f598868b8ba3e14b32ef90b7df0"},
+		{"negative controls", neg, dd.NormL2Phase, "158130d938ba7c987def10e3c693f585145ce254b87f6c0c10e6a865df0a2fc4"},
+		{"negative controls", neg, dd.NormLeft, "09e48012856805f24e8059388cb8f3fc2ca2c7ef247caf4ade4f4caeb4dca21a"},
+	}
+	for _, tc := range cases {
+		if got := CircuitKey(tc.c, tc.norm, false); got != tc.want {
+			t.Errorf("%s under norm %d: key %s, want %s", tc.name, tc.norm, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkResolveRequest times what a warm /v1/sample request spends
+// before the cache lookup: decoding the body, resolving the circuit
+// (parsing QASM or generating a named benchmark, then validating) and
+// hashing its key. It reports allocations; the parse and hash phases of
+// the daemon's request trace are these steps.
+func BenchmarkResolveRequest(b *testing.B) {
+	s := New(Config{Norm: dd.NormL2Phase, DisableRequestTraces: true})
+	defer s.Close()
+	for _, tc := range []struct{ member, circuit string }{
+		{"qasm", "qft_16"}, {"qasm", "qft_32"}, {"circuit", "grover_12"},
+	} {
+		circ := tc.circuit
+		if tc.member == "qasm" {
+			c, err := algo.Generate(circ)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if circ, err = qasm.Write(c); err != nil {
+				b.Fatal(err)
+			}
+		}
+		js, err := json.Marshal(circ)
+		if err != nil {
+			b.Fatal(err)
+		}
+		body := []byte(`{"` + tc.member + `":` + string(js) + `,"shots":1024,"seed":7}`)
+		b.Run(tc.member+"/"+tc.circuit, func(b *testing.B) {
+			rd := bytes.NewReader(body)
+			r := httptest.NewRequest(http.MethodPost, "/v1/sample", nil)
+			r.Body = io.NopCloser(rd)
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				rd.Reset(body)
+				c, _, err := s.parseRequest(r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				_ = CircuitKey(c, s.cfg.Norm, false)
+			}
+		})
 	}
 }
