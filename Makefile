@@ -174,10 +174,12 @@ cover-gate: cover
 # uncached. An in-process daemon takes cold and warm /v1/sample requests;
 # every response carries X-Weaksim-Trace-Id, an inbound traceparent is
 # adopted, a cold ?debug=1 breakdown covers parse..sample and sums to the
-# wall time, a warm one is cached with no build/apply/freeze phase, and
-# /v1/slo, /v1/stats and /debug/flight are well-formed.
+# wall time, a warm one is cached with no build/apply/freeze phase, one
+# answered from the spelling memo is timed as parse (the decode), hash (the
+# memo probe), sample and encode, tiling its wall time, and /v1/slo,
+# /v1/stats and /debug/flight are well-formed.
 slo-gate:
-	$(GO) test -count=1 -run '^Test(SLO|Serve(Trace|DisableRequestTraces|ColdRequestPhaseSum|StatsEndpoint|FlightEndpoint|PhaseTimedOnce|JobPhasesFromTrace|ErrorsCountSampleAnswersOnly))' ./internal/serve
+	$(GO) test -count=1 -run '^Test(SLO|Serve(Trace|DisableRequestTraces|ColdRequestPhaseSum|StatsEndpoint|FlightEndpoint|PhaseTimedOnce|JobPhasesFromTrace|ErrorsCountSampleAnswersOnly|WarmHitPhases))' ./internal/serve
 
 # Replica-cluster gate: the cluster e2e tests (internal/cluster/e2e_test.go)
 # under the race detector, uncached. Three in-process replicas behind the

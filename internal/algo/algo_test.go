@@ -2,9 +2,12 @@ package algo
 
 import (
 	"math"
+	"reflect"
+	"strconv"
 	"testing"
 
 	"weaksim/internal/circuit"
+	"weaksim/internal/gate"
 	"weaksim/internal/sim"
 )
 
@@ -110,6 +113,69 @@ func TestGroverDeterministicPerSeed(t *testing.T) {
 	_, m2 := Grover(6, 7)
 	if m1 != m2 {
 		t.Error("same seed produced different marked elements")
+	}
+}
+
+// refGrover builds GroverFor's circuit op by op through the circuit API,
+// each multi-controlled gate with its own control slice: the reference
+// the presized construction must match.
+func refGrover(n int, marked uint64) *circuit.Circuit {
+	c := circuit.New(n+1, "grover_"+strconv.Itoa(n))
+	c.X(n).H(n)
+	for q := 0; q < n; q++ {
+		c.H(q)
+	}
+	c.Barrier()
+	for it := 0; it < GroverIterations(n); it++ {
+		oracle := make([]gate.Control, n)
+		for q := range oracle {
+			oracle[q] = gate.Control{Qubit: q, Negative: marked>>uint(q)&1 == 0}
+		}
+		c.Apply(gate.XGate, n, oracle...)
+		for q := 0; q < n; q++ {
+			c.H(q)
+		}
+		for q := 0; q < n; q++ {
+			c.X(q)
+		}
+		diffusion := make([]gate.Control, n-1)
+		for q := range diffusion {
+			diffusion[q] = gate.Pos(q)
+		}
+		c.Apply(gate.ZGate, n-1, diffusion...)
+		for q := 0; q < n; q++ {
+			c.X(q)
+		}
+		for q := 0; q < n; q++ {
+			c.H(q)
+		}
+		c.Barrier()
+	}
+	return c
+}
+
+// TestGroverForPresized: GroverFor allocates its ops and their controls
+// once each, fills them exactly, and builds the same ops as the reference.
+func TestGroverForPresized(t *testing.T) {
+	for _, n := range []int{2, 3, 5, 8, 12} {
+		marked := uint64(0b1011_0110_1101) & (1<<uint(n) - 1)
+		got, want := GroverFor(n, marked), refGrover(n, marked)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("grover_%d: ops differ from the reference construction", n)
+		}
+		if len(got.Ops) != cap(got.Ops) {
+			t.Errorf("grover_%d: %d ops in a capacity of %d", n, len(got.Ops), cap(got.Ops))
+		}
+		for i, op := range got.Ops {
+			if len(op.Controls) != cap(op.Controls) {
+				t.Fatalf("grover_%d op %d: controls window is not capped", n, i)
+			}
+		}
+	}
+	// The name, the circuit, its ops and the control slab; 118 allocations
+	// when every op was appended to a growing slice.
+	if a := testing.AllocsPerRun(5, func() { GroverFor(12, 2893) }); a > 5 {
+		t.Errorf("GroverFor(12) allocates %v times, want at most 5", a)
 	}
 }
 

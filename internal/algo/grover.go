@@ -32,6 +32,12 @@ func GroverFor(n int, marked uint64) *circuit.Circuit {
 	}
 	c := circuit.New(n+1, fmt.Sprintf("grover_%d", n))
 	anc := n
+	iters := GroverIterations(n)
+	// State preparation is n+3 ops; an iteration is the oracle, 4n+1
+	// diffusion ops and a barrier. Every iteration's two multi-controlled
+	// gates take their controls from one slab.
+	c.Ops = make([]circuit.Op, 0, n+3+iters*(4*n+3))
+	slab := make([]gate.Control, 0, iters*(2*n-1))
 
 	// Ancilla |−⟩ and uniform superposition over the search register.
 	c.X(anc)
@@ -41,10 +47,9 @@ func GroverFor(n int, marked uint64) *circuit.Circuit {
 	}
 
 	c.Barrier() // end of state preparation
-	iters := GroverIterations(n)
 	for it := 0; it < iters; it++ {
-		appendGroverOracle(c, n, marked)
-		appendGroverDiffusion(c, n)
+		slab = appendGroverOracle(c, slab, n, marked)
+		slab = appendGroverDiffusion(c, slab, n)
 		c.Barrier() // end of one Grover iteration
 	}
 	return c
@@ -58,33 +63,36 @@ func GroverIterations(n int) int {
 
 // appendGroverOracle flips the ancilla iff the search register equals the
 // marked element: a multi-controlled X with a negative control on every
-// zero bit.
-func appendGroverOracle(c *circuit.Circuit, n int, marked uint64) {
-	controls := make([]gate.Control, n)
+// zero bit. Its controls are appended to slab, which it returns.
+func appendGroverOracle(c *circuit.Circuit, slab []gate.Control, n int, marked uint64) []gate.Control {
+	start := len(slab)
 	for q := 0; q < n; q++ {
-		controls[q] = gate.Control{Qubit: q, Negative: marked>>uint(q)&1 == 0}
+		slab = append(slab, gate.Control{Qubit: q, Negative: marked>>uint(q)&1 == 0})
 	}
-	c.Apply(gate.XGate, n, controls...)
+	c.Apply(gate.XGate, n, slab[start:len(slab):len(slab)]...)
+	return slab
 }
 
 // appendGroverDiffusion applies the inversion about the mean on the search
-// register: H^n X^n (multi-controlled Z) X^n H^n.
-func appendGroverDiffusion(c *circuit.Circuit, n int) {
+// register: H^n X^n (multi-controlled Z) X^n H^n. Its controls are
+// appended to slab, which it returns.
+func appendGroverDiffusion(c *circuit.Circuit, slab []gate.Control, n int) []gate.Control {
 	for q := 0; q < n; q++ {
 		c.H(q)
 	}
 	for q := 0; q < n; q++ {
 		c.X(q)
 	}
-	controls := make([]gate.Control, n-1)
+	start := len(slab)
 	for q := 0; q < n-1; q++ {
-		controls[q] = gate.Pos(q)
+		slab = append(slab, gate.Pos(q))
 	}
-	c.Apply(gate.ZGate, n-1, controls...)
+	c.Apply(gate.ZGate, n-1, slab[start:len(slab):len(slab)]...)
 	for q := 0; q < n; q++ {
 		c.X(q)
 	}
 	for q := 0; q < n; q++ {
 		c.H(q)
 	}
+	return slab
 }

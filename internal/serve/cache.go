@@ -12,15 +12,27 @@ package serve
 // Capacity is accounted in bytes, not entries: an entry charges its
 // snapshot's node array (dd.Snapshot.Bytes, 48 B a node) plus its sampler's
 // walk table (core.FrozenSampler.WalkBytes, 16 B a node), 64 B a node in
-// all. A cached supremacy state can be five orders of magnitude bigger than
-// a GHZ state, so entry-count bounds would be meaningless. Eviction is
-// strict LRU.
+// all, plus the spellings it remembers (below). A cached supremacy state
+// can be five orders of magnitude bigger than a GHZ state, so entry-count
+// bounds would be meaningless. Eviction is strict LRU.
 //
 // Single-flight: concurrent misses on one key elect exactly one leader; the
 // leader runs the compute function while every follower (and the leader)
 // waits on the flight's done channel under its own request context. Failed
 // computes are never cached — the flight propagates the error to everyone
 // who joined it and the next request starts a fresh flight.
+//
+// Spelling memo: a request names its circuit by a spelling, its QASM source
+// or a benchmark name (a circuitSource). Resolving a spelling to its key
+// means parsing or generating the circuit, validating it and hashing it,
+// which costs more than a warm 1024-shot answer. Once a spelling has
+// resolved to a resident entry, the cache remembers it on that entry, so
+// the next request with the same bytes is one map probe. The key depends
+// on the spelling and the normalization, and the normalization is fixed
+// for the process, so the spelling alone decides the entry. An entry keeps
+// its maxSpellings most recently recorded spellings, each charged to the
+// entry's bytes, and forgets them when it leaves the cache. A spelling of
+// more than maxSpellingBytes is never remembered.
 
 import (
 	"container/list"
@@ -42,8 +54,32 @@ type entry struct {
 	key     string
 	sampler *core.FrozenSampler
 	qubits  int
-	bytes   int64
+	bytes   int64 // snapshot, walk table and spellings; guarded by snapCache.mu once cached
 	simNS   int64 // wall-clock cost of the strong simulation + freeze that built it
+
+	// spellings are the memo's spellings of this entry, oldest first,
+	// guarded by snapCache.mu.
+	spellings []circuitSource
+}
+
+// maxSpellings bounds the spellings one entry remembers: the same circuit
+// sent as QASM and by name, and a few whitespace variants, without letting
+// one circuit's spellings grow without bound.
+const maxSpellings = 4
+
+// maxSpellingBytes bounds the QASM source the memo takes. A longer source
+// is neither probed nor remembered: it takes the resolving path alone, its
+// bytes are never hashed under the cache lock, and no entry is charged more
+// than maxSpellings of these. Parsing this much QASM takes about 0.8 ms.
+const maxSpellingBytes = 64 << 10
+
+// spellingOverhead is what a remembered spelling charges beyond its bytes:
+// its memo map slot and its place in the entry's list.
+const spellingOverhead = 64
+
+// spellingBytes is what remembering sp charges its entry.
+func spellingBytes(sp circuitSource) int64 {
+	return int64(len(sp.QASM) + len(sp.Circuit) + spellingOverhead)
 }
 
 // flight is one in-progress compute, shared by every request that missed on
@@ -71,11 +107,16 @@ type snapCache struct {
 	ll       *list.List               // front = most recently used; values are *entry
 	elems    map[string]*list.Element // key -> list element
 	flights  map[string]*flight
+	// spellings is the memo: a spelling that resolved to a resident entry
+	// -> that entry's list element.
+	spellings map[circuitSource]*list.Element
 
 	// Telemetry (nil-safe: a nil registry yields nil metrics whose methods
 	// are no-ops).
 	hits      *obs.Counter
 	misses    *obs.Counter
+	spHits    *obs.Counter
+	spMisses  *obs.Counter
 	coalesced *obs.Counter
 	evictions *obs.Counter
 	panics    *obs.Counter
@@ -85,13 +126,20 @@ type snapCache struct {
 }
 
 func newSnapCache(maxBytes int64, reg *obs.Registry) *snapCache {
+	obs.RegisterHelp("serve_spelling_hits_total",
+		"Requests whose circuit spelling the memo resolved without parsing, validating or hashing.")
+	obs.RegisterHelp("serve_spelling_misses_total",
+		"Requests whose circuit spelling the memo did not hold, so the circuit was resolved and hashed.")
 	return &snapCache{
 		maxBytes:  maxBytes,
 		ll:        list.New(),
 		elems:     make(map[string]*list.Element),
 		flights:   make(map[string]*flight),
+		spellings: make(map[circuitSource]*list.Element),
 		hits:      reg.Counter("serve_cache_hits_total"),
 		misses:    reg.Counter("serve_cache_misses_total"),
+		spHits:    reg.Counter("serve_spelling_hits_total"),
+		spMisses:  reg.Counter("serve_spelling_misses_total"),
 		coalesced: reg.Counter("serve_cache_coalesced_total"),
 		evictions: reg.Counter("serve_cache_evictions_total"),
 		panics:    reg.Counter("serve_panics_total"),
@@ -149,6 +197,87 @@ func (c *snapCache) getOrCompute(ctx context.Context, key string, submit func(*f
 		return nil, false, err
 	}
 	return c.wait(ctx, fl)
+}
+
+// getBySpelling returns the entry a remembered spelling resolved to. A hit
+// is a cache hit: it moves the entry to the front and counts in
+// serve_cache_hits_total as well as serve_spelling_hits_total.
+func (c *snapCache) getBySpelling(sp circuitSource) (*entry, bool) {
+	var ent *entry
+	if len(sp.QASM) <= maxSpellingBytes {
+		c.mu.Lock()
+		if el, ok := c.spellings[sp]; ok {
+			c.ll.MoveToFront(el)
+			ent = el.Value.(*entry)
+		}
+		c.mu.Unlock()
+	}
+	if ent == nil {
+		c.spMisses.Inc()
+		return nil, false
+	}
+	c.hits.Inc()
+	c.spHits.Inc()
+	return ent, true
+}
+
+// spelled is getBySpelling that counts nothing and leaves the LRU order as
+// it is, for a caller that only needs the key, not the snapshot.
+func (c *snapCache) spelled(sp circuitSource) (*entry, bool) {
+	if len(sp.QASM) > maxSpellingBytes {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.spellings[sp]; ok {
+		return el.Value.(*entry), true
+	}
+	return nil, false
+}
+
+// remember records that sp resolved to ent, unless ent has left the cache
+// since it was looked up, sp is already remembered or sp is longer than
+// maxSpellingBytes. Past maxSpellings the entry forgets its oldest
+// spelling. Callers remember only spellings that passed every check a
+// request makes of its circuit.
+func (c *snapCache) remember(sp circuitSource, ent *entry) {
+	if len(sp.QASM) > maxSpellingBytes {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.elems[ent.key]
+	if !ok || el.Value.(*entry) != ent {
+		return
+	}
+	// Store first and see whether the memo grew, which hashes sp once: a
+	// spelling already remembered maps to el already, since it resolves to
+	// ent's key and the entry it was remembered on is resident.
+	n := len(c.spellings)
+	c.spellings[sp] = el
+	if len(c.spellings) == n {
+		return
+	}
+	if len(ent.spellings) == maxSpellings {
+		c.forget(ent, 1)
+	}
+	ent.spellings = append(ent.spellings, sp)
+	b := spellingBytes(sp)
+	ent.bytes += b
+	c.bytes += b
+	c.evict()
+}
+
+// forget drops ent's k oldest spellings from the memo and uncharges them.
+// Caller holds c.mu.
+func (c *snapCache) forget(ent *entry, k int) {
+	for _, sp := range ent.spellings[:k] {
+		delete(c.spellings, sp)
+		n := spellingBytes(sp)
+		ent.bytes -= n
+		c.bytes -= n
+	}
+	ent.spellings = append(ent.spellings[:0], ent.spellings[k:]...)
 }
 
 // panicError carries a recovered simulation panic to the waiters as an
@@ -245,23 +374,33 @@ func (c *snapCache) peek(key string) *entry {
 func (c *snapCache) admit(ent *entry) {
 	if old, ok := c.elems[ent.key]; ok {
 		// Two flights for one key cannot overlap, but an entry can race a
-		// manual invalidation; keep the freshest.
-		c.bytes -= old.Value.(*entry).bytes
-		c.ll.Remove(old)
-		delete(c.elems, ent.key)
+		// manual invalidation or a shipped snapshot; keep the freshest.
+		c.remove(old)
 	}
 	c.elems[ent.key] = c.ll.PushFront(ent)
 	c.bytes += ent.bytes
+	c.evict()
+}
+
+// evict removes LRU entries until the byte budget holds, keeping the most
+// recently used one whatever its size. Caller holds c.mu.
+func (c *snapCache) evict() {
 	for c.maxBytes > 0 && c.bytes > c.maxBytes && c.ll.Len() > 1 {
-		back := c.ll.Back()
-		victim := back.Value.(*entry)
-		c.ll.Remove(back)
-		delete(c.elems, victim.key)
-		c.bytes -= victim.bytes
+		c.remove(c.ll.Back())
 		c.evictions.Inc()
 	}
 	c.gBytes.Set(c.bytes)
 	c.gEntries.Set(int64(c.ll.Len()))
+}
+
+// remove takes an entry and its spellings out of the cache. Caller holds
+// c.mu.
+func (c *snapCache) remove(el *list.Element) {
+	ent := el.Value.(*entry)
+	c.forget(ent, len(ent.spellings))
+	c.ll.Remove(el)
+	delete(c.elems, ent.key)
+	c.bytes -= ent.bytes
 }
 
 // wait blocks until the flight resolves or ctx expires.
@@ -276,28 +415,35 @@ func (c *snapCache) wait(ctx context.Context, fl *flight) (*entry, bool, error) 
 
 // stats is a point-in-time cache summary for /healthz and /v1/stats.
 type cacheStats struct {
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	MaxBytes  int64  `json:"max_bytes"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Coalesced uint64 `json:"coalesced"`
-	Evictions uint64 `json:"evictions"`
-	InFlight  int    `json:"in_flight"`
+	Entries  int    `json:"entries"`
+	Bytes    int64  `json:"bytes"`
+	MaxBytes int64  `json:"max_bytes"`
+	Hits     uint64 `json:"hits"`
+	Misses   uint64 `json:"misses"`
+	// SpellingHits counts requests answered from the spelling memo, with
+	// no parse, validation or hash; SpellingMisses the probes that had to
+	// resolve the circuit.
+	SpellingHits   uint64 `json:"spelling_hits"`
+	SpellingMisses uint64 `json:"spelling_misses"`
+	Coalesced      uint64 `json:"coalesced"`
+	Evictions      uint64 `json:"evictions"`
+	InFlight       int    `json:"in_flight"`
 }
 
 func (c *snapCache) stats() cacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return cacheStats{
-		Entries:   c.ll.Len(),
-		Bytes:     c.bytes,
-		MaxBytes:  c.maxBytes,
-		Hits:      c.hits.Value(),
-		Misses:    c.misses.Value(),
-		Coalesced: c.coalesced.Value(),
-		Evictions: c.evictions.Value(),
-		InFlight:  len(c.flights),
+		Entries:        c.ll.Len(),
+		Bytes:          c.bytes,
+		MaxBytes:       c.maxBytes,
+		Hits:           c.hits.Value(),
+		Misses:         c.misses.Value(),
+		SpellingHits:   c.spHits.Value(),
+		SpellingMisses: c.spMisses.Value(),
+		Coalesced:      c.coalesced.Value(),
+		Evictions:      c.evictions.Value(),
+		InFlight:       len(c.flights),
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 
 // testEntry builds a real (tiny) cache entry by simulating a GHZ-like state,
 // then overrides the accounted byte size so LRU tests can control pressure.
-func testEntry(t *testing.T, key string, bytes int64) *entry {
+func testEntry(t testing.TB, key string, bytes int64) *entry {
 	t.Helper()
 	m := dd.New(2)
 	e := m.ZeroState()

@@ -65,24 +65,45 @@ func resolveCircuit(src, name string) (*circuit.Circuit, error) {
 	return circ, nil
 }
 
-// decodeRequest decodes a POST body into req, refusing unknown fields and
-// bodies past MaxBodyBytes, and resolves the circuit src, req's own
-// circuitSource, names within MaxQubits. Every error is a bad request.
-func (s *Server) decodeRequest(r *http.Request, req any, src *circuitSource) (*circuit.Circuit, error) {
+// decodeBody decodes a POST body into req, refusing unknown fields and
+// bodies past MaxBodyBytes. Every error is a bad request.
+func (s *Server) decodeBody(r *http.Request, req any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
-		return nil, badRequest{fmt.Errorf("invalid JSON body: %w", err)}
+		return badRequest{fmt.Errorf("invalid JSON body: %w", err)}
 	}
+	return nil
+}
+
+// keyFor returns the cache key of the circuit a request spells. A spelling
+// the memo holds (probe, the cache's getBySpelling or spelled) returns its
+// entry as well and resolves nothing: it passed every check below when it
+// was remembered. Any other spelling is resolved within MaxQubits and
+// hashed, and its circuit is returned for the lookup; every error is a bad
+// request. With reg or rt set, the memo probe and the key are timed as the
+// hash phase and a resolution as the parse phase.
+func (s *Server) keyFor(reg *obs.Registry, rt *obs.RequestTrace, src circuitSource,
+	probe func(circuitSource) (*entry, bool)) (string, *entry, *circuit.Circuit, error) {
+	sp := obs.StartSpan(reg, rt, obs.PhaseHash)
+	ent, ok := probe(src)
+	sp.End(nil)
+	if ok {
+		return ent.key, ent, nil, nil
+	}
+	sp = obs.StartSpan(reg, rt, obs.PhaseParse)
 	circ, err := resolveCircuit(src.QASM, src.Circuit)
+	if err == nil && circ.NQubits > s.cfg.MaxQubits {
+		err = fmt.Errorf("circuit has %d qubits; this server accepts at most %d", circ.NQubits, s.cfg.MaxQubits)
+	}
+	sp.End(errAttrs(err))
 	if err != nil {
-		return nil, badRequest{err}
+		return "", nil, nil, badRequest{err}
 	}
-	if circ.NQubits > s.cfg.MaxQubits {
-		return nil, badRequest{fmt.Errorf("circuit has %d qubits; this server accepts at most %d",
-			circ.NQubits, s.cfg.MaxQubits)}
-	}
-	return circ, nil
+	sp = obs.StartSpan(reg, rt, obs.PhaseHash)
+	key := CircuitKey(circ, s.cfg.Norm, false)
+	sp.End(nil)
+	return key, nil, circ, nil
 }
 
 // sampleRequest is the POST /v1/sample body.
@@ -323,22 +344,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// parseRequest decodes and validates a sample request, returning the circuit
-// and the resolved sampling parameters.
-func (s *Server) parseRequest(r *http.Request) (*circuit.Circuit, *sampleRequest, error) {
+// parseRequest decodes a sample request and resolves its sampling
+// parameters; keyFor resolves its circuit.
+func (s *Server) parseRequest(r *http.Request) (*sampleRequest, error) {
 	var req sampleRequest
-	circ, err := s.decodeRequest(r, &req, &req.circuitSource)
-	if err != nil {
-		return nil, nil, err
+	if err := s.decodeBody(r, &req); err != nil {
+		return nil, err
 	}
 	if req.Shots == 0 {
 		req.Shots = s.cfg.DefaultShots
 	}
 	if req.Shots < 1 {
-		return nil, nil, badRequest{fmt.Errorf("shots must be positive, got %d", req.Shots)}
+		return nil, badRequest{fmt.Errorf("shots must be positive, got %d", req.Shots)}
 	}
 	if req.Shots > s.cfg.MaxShots {
-		return nil, nil, badRequest{fmt.Errorf("shots %d exceeds the per-request cap %d", req.Shots, s.cfg.MaxShots)}
+		return nil, badRequest{fmt.Errorf("shots %d exceeds the per-request cap %d", req.Shots, s.cfg.MaxShots)}
 	}
 	if req.Seed == nil {
 		one := uint64(1)
@@ -348,13 +368,13 @@ func (s *Server) parseRequest(r *http.Request) (*circuit.Circuit, *sampleRequest
 		req.Workers = 1
 	}
 	if req.Workers < 1 || req.Workers > s.cfg.MaxSampleWorkers {
-		return nil, nil, badRequest{fmt.Errorf("workers must be in [1, %d], got %d",
+		return nil, badRequest{fmt.Errorf("workers must be in [1, %d], got %d",
 			s.cfg.MaxSampleWorkers, req.Workers)}
 	}
 	if req.TimeoutMS < 0 {
-		return nil, nil, badRequest{fmt.Errorf("timeout_ms must be non-negative, got %d", req.TimeoutMS)}
+		return nil, badRequest{fmt.Errorf("timeout_ms must be non-negative, got %d", req.TimeoutMS)}
 	}
-	return circ, &req, nil
+	return &req, nil
 }
 
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
@@ -373,8 +393,13 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	rt := obs.TraceFromContext(r.Context())
 
 	sp := obs.StartSpan(s.cfg.Metrics, rt, obs.PhaseParse)
-	circ, req, err := s.parseRequest(r)
+	req, err := s.parseRequest(r)
 	sp.End(errAttrs(err))
+	if err != nil {
+		s.sampleError(w, err)
+		return
+	}
+	key, ent, circ, err := s.keyFor(s.cfg.Metrics, rt, req.circuitSource, s.cache.getBySpelling)
 	if err != nil {
 		s.sampleError(w, err)
 		return
@@ -390,13 +415,13 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	sp = obs.StartSpan(s.cfg.Metrics, rt, obs.PhaseHash)
-	key := CircuitKey(circ, s.cfg.Norm, false)
-	sp.End(nil)
-	ent, cached, err := s.lookup(ctx, key, circ)
-	if err != nil {
-		s.sampleError(w, err)
-		return
+	cached := ent != nil
+	if !cached {
+		if ent, cached, err = s.lookup(ctx, key, circ); err != nil {
+			s.sampleError(w, err)
+			return
+		}
+		s.cache.remember(req.circuitSource, ent)
 	}
 
 	// Sampling: lock-free walks over the immutable snapshot, sharded across

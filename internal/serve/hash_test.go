@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"weaksim/internal/algo"
@@ -130,45 +131,74 @@ func TestCircuitKeyGolden(t *testing.T) {
 	}
 }
 
-// BenchmarkResolveRequest times what a warm /v1/sample request spends
-// before the cache lookup: decoding the body, resolving the circuit
-// (parsing QASM or generating a named benchmark, then validating) and
-// hashing its key. It reports allocations; the parse and hash phases of
-// the daemon's request trace are these steps.
+// BenchmarkResolveRequest times what a /v1/sample request spends before
+// it samples, for each circuit of weakbench's interactive mix, spelled as
+// that mix sends it (the first six as QASM, the rest by name). A cold row
+// is a spelling the memo does not hold: decode the body, probe the memo,
+// resolve the circuit (parse the QASM or generate the benchmark, then
+// validate), hash its key, then remember the spelling and forget it again,
+// which is what each request costs when no spelling ever repeats and the
+// entry's memo is full. A warm row decodes the body and finds the spelling
+// in the memo. These steps are the parse and hash phases of the daemon's
+// request trace. Spellings are remembered on a stand-in entry, so no
+// circuit is simulated.
 func BenchmarkResolveRequest(b *testing.B) {
 	s := New(Config{Norm: dd.NormL2Phase, DisableRequestTraces: true})
 	defer s.Close()
-	for _, tc := range []struct{ member, circuit string }{
-		{"qasm", "qft_16"}, {"qasm", "qft_32"}, {"circuit", "grover_12"},
-	} {
-		circ := tc.circuit
-		if tc.member == "qasm" {
-			c, err := algo.Generate(circ)
+	for _, name := range []string{"q:qft_16", "q:qft_32", "q:jellium_2x2", "q:supremacy_3x3_10", "q:ghz_24", "q:bv_20",
+		"shor_33_2", "grover_12", "shor_21_2", "supremacy_4x4_10"} {
+		member, spelled := "circuit", name
+		if rest, ok := strings.CutPrefix(name, "q:"); ok {
+			c, err := algo.Generate(rest)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if circ, err = qasm.Write(c); err != nil {
+			if spelled, err = qasm.Write(c); err != nil {
 				b.Fatal(err)
 			}
+			member, name = "qasm", rest
 		}
-		js, err := json.Marshal(circ)
+		js, err := json.Marshal(spelled)
 		if err != nil {
 			b.Fatal(err)
 		}
-		body := []byte(`{"` + tc.member + `":` + string(js) + `,"shots":1024,"seed":7}`)
-		b.Run(tc.member+"/"+tc.circuit, func(b *testing.B) {
-			rd := bytes.NewReader(body)
-			r := httptest.NewRequest(http.MethodPost, "/v1/sample", nil)
-			r.Body = io.NopCloser(rd)
+		body := []byte(`{"` + member + `":` + string(js) + `,"shots":1024,"seed":7}`)
+		rd := bytes.NewReader(body)
+		r := httptest.NewRequest(http.MethodPost, "/v1/sample", nil)
+		r.Body = io.NopCloser(rd)
+		resolve := func() (string, circuitSource) {
+			rd.Reset(body)
+			req, err := s.parseRequest(r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			key, _, _, err := s.keyFor(nil, nil, req.circuitSource, s.cache.getBySpelling)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return key, req.circuitSource
+		}
+		key, _ := resolve()
+		ent := testEntry(b, key, 0)
+		s.cache.insert(ent)
+		b.Run("cold/"+member+"/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
 			for i := 0; i < b.N; i++ {
-				rd.Reset(body)
-				c, _, err := s.parseRequest(r)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = CircuitKey(c, s.cfg.Norm, false)
+				_, src := resolve()
+				s.cache.remember(src, ent)
+				s.cache.mu.Lock()
+				s.cache.forget(ent, 1)
+				s.cache.mu.Unlock()
+			}
+		})
+		_, src := resolve()
+		s.cache.remember(src, ent)
+		b.Run("warm/"+member+"/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				resolve()
 			}
 		})
 	}

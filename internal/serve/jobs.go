@@ -29,6 +29,7 @@ import (
 	"net/http"
 	"strings"
 
+	"weaksim/internal/circuit"
 	"weaksim/internal/core"
 	"weaksim/internal/job"
 )
@@ -73,12 +74,23 @@ type jobResultResponse struct {
 //	circuit no longer parses      → VerdictError "bad_circuit"
 //	cache key drifted since submit → VerdictError "config_changed"
 //	MO / TO / anything else       → terminal verdict, unchanged
+//
+// A spelling the memo holds gives the key and the entry without resolving
+// the circuit; its key is still checked against the spec's.
 func (s *Server) jobSnapshot(ctx context.Context, spec job.Spec) (core.Sampler, error) {
-	circ, err := resolveCircuit(spec.QASM, spec.Circuit)
-	if err != nil {
-		return nil, &job.VerdictError{Code: "bad_circuit", Err: err}
+	src := circuitSource{QASM: spec.QASM, Circuit: spec.Circuit}
+	var key string
+	var circ *circuit.Circuit
+	ent, ok := s.cache.getBySpelling(src)
+	if ok {
+		key = ent.key
+	} else {
+		var err error
+		if circ, err = resolveCircuit(spec.QASM, spec.Circuit); err != nil {
+			return nil, &job.VerdictError{Code: "bad_circuit", Err: err}
+		}
+		key = CircuitKey(circ, s.cfg.Norm, false)
 	}
-	key := CircuitKey(circ, s.cfg.Norm, false)
 	if key != spec.Key {
 		// The WAL outlived a config change (norm, hashing codec): refusing is
 		// the only answer that keeps "same job ID → same counts" true.
@@ -87,6 +99,9 @@ func (s *Server) jobSnapshot(ctx context.Context, spec job.Spec) (core.Sampler, 
 			Err: fmt.Errorf("serve: circuit key drifted: spec has %s, server computes %s",
 				spec.Key, key),
 		}
+	}
+	if ok {
+		return ent.sampler, nil
 	}
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
@@ -99,6 +114,12 @@ func (s *Server) jobSnapshot(ctx context.Context, spec job.Spec) (core.Sampler, 
 			return nil, fmt.Errorf("%w: %v", job.ErrRetry, err)
 		}
 		return nil, err
+	}
+	// The spec passed MaxQubits at submit, but perhaps under an earlier
+	// process's configuration: the memo holds only spellings this one
+	// accepts.
+	if circ.NQubits <= s.cfg.MaxQubits {
+		s.cache.remember(src, ent)
 	}
 	return ent.sampler, nil
 }
@@ -126,10 +147,23 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// be a 400 now, not a failed state later — and its key pinned for the
 	// chunks to verify against.
 	var req jobSubmitRequest
-	circ, err := s.decodeRequest(r, &req, &req.circuitSource)
+	if err := s.decodeBody(r, &req); err != nil {
+		s.writeError(w, err)
+		return
+	}
+	// A submit times no phases; its chunks time theirs. It needs the key,
+	// not the snapshot, so a remembered spelling counts as no cache hit and
+	// keeps its entry's place in the LRU.
+	key, ent, circ, err := s.keyFor(nil, nil, req.circuitSource, s.cache.spelled)
 	if err != nil {
 		s.writeError(w, err)
 		return
+	}
+	var qubits int
+	if ent != nil {
+		qubits = ent.qubits
+	} else {
+		qubits = circ.NQubits
 	}
 	if req.Shots < 1 {
 		s.writeError(w, badRequest{fmt.Errorf("shots must be positive, got %d", req.Shots)})
@@ -149,10 +183,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		req.Seed = &one
 	}
 	spec := job.Spec{
-		Key:      CircuitKey(circ, s.cfg.Norm, false),
+		Key:      key,
 		QASM:     req.QASM,
 		Circuit:  req.Circuit,
-		Qubits:   circ.NQubits,
+		Qubits:   qubits,
 		Shots:    req.Shots,
 		Seed:     *req.Seed,
 		Priority: prio,

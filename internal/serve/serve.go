@@ -63,7 +63,8 @@ type Config struct {
 	NodeBudget int
 	// CacheBytes bounds the frozen-snapshot LRU: an entry charges 64 bytes
 	// per DD node, 48 for the snapshot's node array (dd.Snapshot.Bytes) and
-	// 16 for its sampler's walk table. <= 0 selects DefaultCacheBytes.
+	// 16 for its sampler's walk table, plus the request spellings it
+	// remembers (cache.go). <= 0 selects DefaultCacheBytes.
 	CacheBytes int64
 	// QueueDepth bounds the simulation admission queue; a full queue
 	// rejects with HTTP 429. < 0 disables queueing (every miss needs an

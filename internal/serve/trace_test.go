@@ -9,12 +9,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"regexp"
 	"sync"
 	"testing"
 	"time"
 
+	"weaksim/internal/algo"
+	"weaksim/internal/circuit/qasm"
 	"weaksim/internal/core"
 	"weaksim/internal/fault"
 	"weaksim/internal/job"
@@ -281,6 +284,82 @@ func TestServeColdRequestPhaseSumMatchesWall(t *testing.T) {
 		t.Fatalf("phase sum %dns accounts for only %.1f%% of wall %dns (want >= 95%%); breakdown %v",
 			sum, 100*float64(sum)/float64(wall), wall, resp.Trace.PhaseNS)
 	}
+}
+
+// TestServeWarmHitPhases: a request whose spelling the memo holds is
+// timed as parse (decoding the body), hash (the memo probe), sample and
+// encode, with no queue, build, apply or freeze phase, and those phases
+// tile the handler's wall time. The handler runs in-process, so the wall
+// holds no network round trip, and 2^18 shots of qft_16 make the sample
+// and encode phases long next to what no phase holds: opening and
+// finishing the trace, and marshaling the trace echo.
+func TestServeWarmHitPhases(t *testing.T) {
+	srv := New(Config{Metrics: obs.NewRegistry()})
+	defer srv.Close()
+	h := srv.Handler()
+	qft, err := algo.Generate("qft_16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := qasm.Write(qft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(map[string]any{"qasm": src, "shots": 1 << 18, "seed": 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func() (sampleResult, int64) {
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/v1/sample?debug=1", bytes.NewReader(raw))
+		begin := time.Now()
+		h.ServeHTTP(w, r)
+		wall := time.Since(begin).Nanoseconds()
+		var resp sampleResult
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body.Bytes())
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp, wall
+	}
+	cold, _ := serve()
+	hit, wall := serve()
+	if cold.Cached || !hit.Cached || hit.Trace == nil {
+		t.Fatalf("want a cold request, then a traced cached one: cached %v, %v", cold.Cached, hit.Cached)
+	}
+	if st := srv.cache.stats(); st.SpellingHits != 1 {
+		t.Fatalf("spelling hits %d, want the second request answered from the memo", st.SpellingHits)
+	}
+	for _, p := range []string{obs.PhaseParse, obs.PhaseHash, obs.PhaseSample, obs.PhaseEncode} {
+		if _, ok := hit.Trace.PhaseNS[p]; !ok {
+			t.Errorf("memo hit breakdown missing phase %q: %v", p, hit.Trace.PhaseNS)
+		}
+	}
+	for _, p := range []string{obs.PhaseQueue, obs.PhaseBuild, obs.PhaseApply, obs.PhaseFreeze} {
+		if ns, ok := hit.Trace.PhaseNS[p]; ok {
+			t.Errorf("memo hit breakdown has a %s phase (%dns): %v", p, ns, hit.Trace.PhaseNS)
+		}
+	}
+	parses := 0
+	for _, sp := range hit.Trace.Spans {
+		if sp.Phase == obs.PhaseParse {
+			parses++
+		}
+	}
+	if parses != 1 {
+		t.Errorf("memo hit has %d parse spans, want the decode's alone", parses)
+	}
+	var sum int64
+	for _, ns := range hit.Trace.PhaseNS {
+		sum += ns
+	}
+	if sum > wall || float64(sum) < 0.9*float64(wall) {
+		t.Fatalf("phase sum %dns is %.1f%% of wall %dns (want 90-100%%); breakdown %v",
+			sum, 100*float64(sum)/float64(wall), wall, hit.Trace.PhaseNS)
+	}
+	t.Logf("memo hit: phases %v sum to %.1f%% of %dns", hit.Trace.PhaseNS, 100*float64(sum)/float64(wall), wall)
 }
 
 func TestServeStatsEndpointPercentiles(t *testing.T) {
