@@ -10,7 +10,7 @@
 #                     concurrently by weaksimd), so those paths get dedicated
 #                     race coverage
 #   make bench-gate   frozen-sampling ns/shot (one Sample call, and
-#                     core.Counts' binomial split) and live
+#                     core.TallyChunk's binomial split) and live
 #                     build+freeze vs the committed baseline in
 #                     BENCH_FROZEN.txt (best of 3 runs vs the slowest
 #                     committed row, 25% tolerance)
@@ -138,9 +138,10 @@ bench-frozen:
 # allocation, open-addressing unique tables, direct-mapped compute caches):
 # a whole-circuit strong simulation plus Freeze per iteration, so a storage
 # regression that per-shot sampling can't see still trips CI. The third
-# gates what count-producing calls pay per shot: core.Counts over 65,536-shot
-# batches, split down the walk table by binomial draws and tallied into a
-# core.Tally (dense for qft_16, a map for the wider rows).
+# gates what count-producing calls pay per shot: core.TallyChunk over
+# 65,536-shot chunks, split down the walk table by binomial draws and
+# tallied into a core.Tally (dense for qft_16 and jellium_2x2, one
+# ascending run for the 18-qubit shor rows), with no map built.
 bench-gate:
 	$(GO) run ./cmd/benchcheck
 	$(GO) run ./cmd/benchcheck -bench BenchmarkBuildFreeze -benchtime 10x
@@ -150,10 +151,12 @@ bench-gate:
 # root `go test ./...` never compiles it. This smoke target vets and tests
 # it against the library API it imports, then runs BenchmarkSampleResponse
 # (one warm 1M-shot qft_16 /v1/sample answer, encode included; reports
-# ns/shot and allocs/op, gates nothing).
+# ns/shot and allocs/op) and BenchmarkWarmSample (warm 1,024-shot QASM
+# qft_16 and qft_32 requests through the handler with traces on; reports
+# allocs/op and B/op). Neither gates anything.
 bench-smoke:
 	cd cmd/weakbench && $(GO) vet . && $(GO) test .
-	$(GO) test -run '^$$' -bench BenchmarkSampleResponse -benchtime 5x ./internal/serve
+	$(GO) test -run '^$$' -bench 'BenchmarkSampleResponse|BenchmarkWarmSample' -benchtime 5x ./internal/serve
 
 # Statement coverage with an HTML-able profile.
 cover:

@@ -13,6 +13,7 @@ package weaksim_test
 // EXPERIMENTS.md for full-table runs.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -292,14 +293,18 @@ func BenchmarkSampleFrozen(b *testing.B) {
 var frozenSink uint64
 
 // BenchmarkCountsFrozen measures what a count-producing call pays per shot:
-// core.Counts over core.ChunkShots-shot batches (one sampling chunk each),
-// which splits the chunk down the walk table by binomial draws and returns
-// a fresh map. One op is one shot, so ns/op reads as ns/shot.
+// core.TallyChunk over core.ChunkShots-shot chunks, which splits the chunk
+// down the walk table by binomial draws into a fresh core.Tally (dense for
+// qft_16 and jellium_2x2, one ascending run for the 18-qubit shor rows).
+// No map is built, so the rows time the split and its tally. One op is one
+// shot, so ns/op reads as ns/shot.
 func BenchmarkCountsFrozen(b *testing.B) {
 	frozenBenchSamplers(b, func(b *testing.B, sampler *core.FrozenSampler) {
-		r := rng.New(1)
-		for drawn := 0; drawn < b.N; drawn += core.ChunkShots {
-			frozenSink += uint64(len(core.Counts(sampler, r, min(core.ChunkShots, b.N-drawn))))
+		ctx := context.Background()
+		for chunk, drawn := 0, 0; drawn < b.N; chunk, drawn = chunk+1, drawn+core.ChunkShots {
+			if _, err := core.TallyChunk(ctx, sampler, 1, chunk, min(core.ChunkShots, b.N-drawn)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

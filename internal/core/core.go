@@ -26,7 +26,11 @@
 //
 // Every count-producing batch is cut into ChunkShots chunks, chunk i split
 // from rng.Stream(seed, i) (see CountsParallel), so counts are a function
-// of (sampler, seed, shots) whatever the worker count.
+// of (sampler, seed, shots) whatever the worker count. A batch tallies into
+// a Tally: a dense histogram when the register is small next to the shots,
+// else one strictly ascending run per chunk, in the index order the split
+// yields. Tally.Ascending merges the runs k ways for the daemon's counts
+// writer and job records; only Tally.Map, at the library's edge, hashes.
 //
 // Both families produce exact (error-free) weak simulation: the sampled
 // distribution equals the state's Born distribution up to floating-point
@@ -55,9 +59,9 @@ type Sampler interface {
 }
 
 // Counts draws shots samples and tallies them by basis-state index, through
-// drawChunk as one chunk drawn from r. The tally is dense or a preallocated
-// map by the one rule of tallyDense, so the tally loop never hashes a dense
-// batch and never rehashes a map one.
+// drawChunk as one chunk drawn from r, dense or one run by the one rule of
+// tallyDense, and builds the map from the tally once. shots must stay below
+// 2^32: a run counts an outcome in a uint32.
 func Counts(s Sampler, r *rng.RNG, shots int) map[uint64]int {
 	t := NewTally(s.Qubits(), shots)
 	_ = drawChunk(context.Background(), s, r, 0, shots, t) // fails only under fault injection
@@ -80,15 +84,19 @@ func TallyChunk(ctx context.Context, s Sampler, seed uint64, chunk, quota int) (
 }
 
 // drawChunk is the one chunk body of every count-producing call: it tallies
-// quota samples drawn from r into t. A *FrozenSampler splits them down its
-// walk table (see FrozenSampler.splitNode); any other sampler draws one
-// Sample per shot, a CtxCheckShots block at a time. An injected panic
-// (chaos testing) becomes the returned error: it must not take down the
-// process from a sampling goroutine, where nothing else could recover it.
-// Genuine panics propagate. index labels the errors.
+// quota samples drawn from r into t, a run tally into a new run sized by
+// CountsSizeHint. A *FrozenSampler splits them down its walk table (see
+// FrozenSampler.splitNode); any other sampler draws one Sample per shot, a
+// CtxCheckShots block at a time, and its run is settled once at the end,
+// even a partial one. An injected panic (chaos testing) becomes the
+// returned error: it must not take down the process from a sampling
+// goroutine, where nothing else could recover it. Genuine panics
+// propagate. index labels the errors.
 func drawChunk(ctx context.Context, s Sampler, r *rng.RNG, index, quota int, t *Tally) (err error) {
 	c := &chunk{ctx: ctx, r: r, t: t, index: index, quota: quota}
+	t.newRun(CountsSizeHint(quota, s.Qubits()))
 	defer func() {
+		t.settle()
 		if rec := recover(); rec != nil {
 			p, ok := rec.(*fault.InjectedPanic)
 			if !ok {
@@ -106,7 +114,7 @@ func drawChunk(ctx context.Context, s Sampler, r *rng.RNG, index, quota int, t *
 			return err
 		}
 		for range n {
-			t.add(s.Sample(r), 1)
+			t.shot(s.Sample(r))
 		}
 	}
 	return nil

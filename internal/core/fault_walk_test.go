@@ -121,7 +121,7 @@ func TestSplitCancelStride(t *testing.T) {
 			t.Fatalf("limit %d: err = %v, want context.Canceled", limit, err)
 		}
 		total := 0
-		tally.Each(func(_ uint64, n int) { total += n })
+		tally.Ascending(func(_ uint64, n int) { total += n })
 		if hi := (limit - 1) * CtxCheckShots; total > hi || total < hi-splitMax {
 			t.Errorf("check %d cancelled after %d shots, want %d less at most %d", limit, total, hi, splitMax)
 		}
@@ -156,7 +156,7 @@ func TestSplitCancelLatency(t *testing.T) {
 		t.Errorf("returned %v after the cancel, want within one 2 ms check", lag)
 	}
 	total := 0
-	tally.Each(func(_ uint64, n int) { total += n })
+	tally.Ascending(func(_ uint64, n int) { total += n })
 	if total == 0 || total >= ChunkShots {
 		t.Errorf("partial tally holds %d of %d shots", total, ChunkShots)
 	}

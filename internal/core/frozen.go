@@ -242,8 +242,9 @@ func (s *FrozenSampler) splitNode(c *chunk, cur int32, levels int, prefix uint64
 			return nil
 		}
 		for range n {
-			c.t.add(prefix<<levels|s.descend(c.r.Uint64(), cur, levels), 1)
+			c.t.shot(prefix<<levels | s.descend(c.r.Uint64(), cur, levels))
 		}
+		c.t.settle()
 		return nil
 	}
 	nd := &s.walk[cur]
@@ -267,8 +268,8 @@ func (s *FrozenSampler) splitNode(c *chunk, cur int32, levels int, prefix uint64
 
 // CountsSizeHint bounds the number of distinct outcomes a tally of shots
 // samples over n qubits can hold: no more than the shot count, and no more
-// than the 2^n basis states. Used to preallocate result maps so the tally
-// loop never rehashes.
+// than the 2^n basis states. A chunk's run is preallocated to it, so the
+// split never regrows the run.
 func CountsSizeHint(shots, qubits int) int {
 	if shots < 0 {
 		return 0
@@ -332,12 +333,12 @@ func TallyParallelContext(ctx context.Context, s Sampler, seed uint64, shots, wo
 
 // tallyParallel is TallyParallelContext's body, tallying densely or not as
 // asked. Each worker tallies into its own Tally of the batch's
-// representation; the parts are merged by element-wise (dense) or
-// per-entry (map) addition, which commutes, so the counts do not depend on
+// representation; the parts are merged by element-wise addition (dense) or
+// by taking over their runs, one per chunk, so the counts do not depend on
 // which worker drew which chunk.
 func tallyParallel(ctx context.Context, s Sampler, seed uint64, shots, workers int, dense bool) (*Tally, error) {
 	if shots <= 0 {
-		return TallyOf(map[uint64]int{}), ctx.Err()
+		return &Tally{}, ctx.Err()
 	}
 	chunks := (shots + ChunkShots - 1) / ChunkShots
 	workers = max(1, min(workers, chunks))
@@ -345,16 +346,15 @@ func tallyParallel(ctx context.Context, s Sampler, seed uint64, shots, workers i
 	var next atomic.Int64
 	if workers == 1 {
 		// One worker tallies straight into the result: no goroutine, no merge.
-		t := newTally(qubits, shots, dense)
+		t := newTally(qubits, dense)
 		return t, tallyChunks(ctx, s, seed, shots, &next, t)
 	}
 
-	share := min(shots, (chunks+workers-1)/workers*ChunkShots)
 	parts := make([]*Tally, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for k := range parts {
-		parts[k] = newTally(qubits, share, dense)
+		parts[k] = newTally(qubits, dense)
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
@@ -362,20 +362,15 @@ func tallyParallel(ctx context.Context, s Sampler, seed uint64, shots, workers i
 		}(k)
 	}
 	wg.Wait()
-	merged, rest := parts[0], parts[1:]
-	if !dense {
-		// A worker's map is sized for its share; the merged one for the batch.
-		merged, rest = newTally(qubits, shots, false), parts
-	}
-	for _, p := range rest {
-		merged.Add(p)
+	for _, p := range parts[1:] {
+		parts[0].Add(p)
 	}
 	for _, err := range errs {
 		if err != nil {
-			return merged, err
+			return parts[0], err
 		}
 	}
-	return merged, nil
+	return parts[0], nil
 }
 
 // tallyChunks claims chunks from next until the batch is exhausted and

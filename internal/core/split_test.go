@@ -233,10 +233,11 @@ func TestSplitZeroEdgeFallback(t *testing.T) {
 	}
 }
 
-// TestSplitAllocatesNothing: a chunk drawn into a tally that already holds
-// its outcomes allocates nothing, at the widest register the split
-// supports: the recursion, the binomial draws and the per-shot walks all
-// stay on the stack.
+// TestSplitAllocatesNothing: a chunk drawn into a reset tally, which keeps
+// its dense array or its run's storage, allocates nothing, at the widest
+// register the split supports: the recursion, the binomial draws, the
+// per-shot walks and the fallback's sort all stay on the stack, and the
+// run is reused rather than reallocated.
 func TestSplitAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -252,8 +253,12 @@ func TestSplitAllocatesNothing(t *testing.T) {
 		r := rng.New(1)
 		tally := NewTally(fs.Qubits(), CtxCheckShots+1)
 		ctx := context.Background()
-		_ = drawChunk(ctx, fs, r, 0, CtxCheckShots+1, tally)
-		if allocs := testing.AllocsPerRun(20, func() { _ = drawChunk(ctx, fs, r, 0, CtxCheckShots+1, tally) }); allocs != 0 {
+		draw := func() {
+			tally.reset()
+			_ = drawChunk(ctx, fs, r, 0, CtxCheckShots+1, tally)
+		}
+		draw()
+		if allocs := testing.AllocsPerRun(20, draw); allocs != 0 {
 			t.Errorf("%s: drawChunk allocates %.1f times per call, want 0", tc.name, allocs)
 		}
 	}
@@ -266,7 +271,7 @@ type perShot struct{ Sampler }
 // drawForced tallies shots samples from r through drawChunk into a tally
 // of the asked representation.
 func drawForced(s Sampler, r *rng.RNG, shots int, dense bool) *Tally {
-	t := newTally(s.Qubits(), shots, dense)
+	t := newTally(s.Qubits(), dense)
 	_ = drawChunk(context.Background(), s, r, 0, shots, t)
 	return t
 }
@@ -330,9 +335,9 @@ var fuzzStates = map[string]fuzzState{}
 // a bit, circuit and branch rule, Counts over the frozen sampler equals the
 // reference splitter over the live diagram, leaves the generator where it
 // does, and only lands on outcomes of nonzero amplitude unless a zero-edge
-// fallback was counted; the dense and map tallies of the batch agree
-// whichever one the rule picks; and Sample takes exactly one draw per
-// shot.
+// fallback was counted; the dense and run tallies of the batch agree
+// whichever one the rule picks, the run strictly ascending; and Sample
+// takes exactly one draw per shot.
 func FuzzCountsFrozen(f *testing.F) {
 	f.Add(uint64(1), uint16(0), uint8(0), uint8(0))
 	f.Add(uint64(2), uint16(513), uint8(3), uint8(1))
@@ -359,10 +364,10 @@ func FuzzCountsFrozen(f *testing.F) {
 			}
 		}
 		dense := drawForced(fs, rng.New(seed), n, true)
-		sparse := drawForced(fs, rng.New(seed), n, false)
-		checkTalliesAgree(t, fmt.Sprintf("%s, %d shots", label, n), dense, sparse)
-		if !maps.Equal(sparse.Map(), counts) {
-			t.Fatalf("%s, %d shots: map tally differs from Counts", label, n)
+		runs := drawForced(fs, rng.New(seed), n, false)
+		checkTalliesAgree(t, fmt.Sprintf("%s, %d shots", label, n), dense, runs, n)
+		if !maps.Equal(runs.Map(), counts) {
+			t.Fatalf("%s, %d shots: run tally differs from Counts", label, n)
 		}
 		checkDrawBudget(t, label+"/Sample", n, func(r *rng.RNG) {
 			for range n {

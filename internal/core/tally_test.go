@@ -47,23 +47,50 @@ func ascending(t *Tally) [][2]uint64 {
 	return out
 }
 
-// checkTalliesAgree fails unless the dense and map tallies hold the same
-// counts through both accessors, with Ascending strictly increasing.
-func checkTalliesAgree(t *testing.T, name string, dense, sparse *Tally) {
+// checkRuns fails unless every run of a run tally is settled and strictly
+// ascending with positive counts, and, when shots is not negative, the
+// runs' counts sum to shots.
+func checkRuns(t *testing.T, name string, tally *Tally, shots int) {
 	t.Helper()
-	if dense.dense == nil || sparse.dense != nil {
-		t.Fatalf("%s: representations not as forced (dense %v, map %v)", name, dense.dense != nil, sparse.dense == nil)
+	if tally.dense != nil {
+		t.Fatalf("%s: a dense tally has no runs", name)
 	}
-	if !maps.Equal(dense.Map(), sparse.Map()) {
-		t.Fatalf("%s: dense and map tallies differ", name)
+	total := 0
+	for k, r := range tally.runs {
+		if len(r.idx) != len(r.n) {
+			t.Fatalf("%s: run %d holds %d indices and %d counts", name, k, len(r.idx), len(r.n))
+		}
+		for i, idx := range r.idx {
+			if r.n[i] == 0 || i > 0 && idx <= r.idx[i-1] {
+				t.Fatalf("%s: run %d entry %d (%d, %d) is not strictly ascending with a positive count", name, k, i, idx, r.n[i])
+			}
+			total += int(r.n[i])
+		}
 	}
-	d, s := ascending(dense), ascending(sparse)
+	if shots >= 0 && total != shots {
+		t.Fatalf("%s: runs hold %d shots, want %d", name, total, shots)
+	}
+}
+
+// checkTalliesAgree fails unless the dense and run tallies hold the same
+// (index, count) pairs through both readers, with Ascending strictly
+// increasing, and the runs pass checkRuns for shots.
+func checkTalliesAgree(t *testing.T, name string, dense, runs *Tally, shots int) {
+	t.Helper()
+	if dense.dense == nil || runs.dense != nil {
+		t.Fatalf("%s: representations not as forced (dense %v, runs %v)", name, dense.dense != nil, runs.dense == nil)
+	}
+	checkRuns(t, name, runs, shots)
+	if !maps.Equal(dense.Map(), runs.Map()) {
+		t.Fatalf("%s: dense and run tallies differ", name)
+	}
+	d, s := ascending(dense), ascending(runs)
 	if len(d) != len(s) {
-		t.Fatalf("%s: Ascending yields %d dense vs %d map pairs", name, len(d), len(s))
+		t.Fatalf("%s: Ascending yields %d dense vs %d run pairs", name, len(d), len(s))
 	}
 	for i := range d {
 		if d[i] != s[i] {
-			t.Fatalf("%s: Ascending pair %d: dense %v, map %v", name, i, d[i], s[i])
+			t.Fatalf("%s: Ascending pair %d: dense %v, runs %v", name, i, d[i], s[i])
 		}
 		if i > 0 && d[i][0] <= d[i-1][0] {
 			t.Fatalf("%s: Ascending not increasing at pair %d", name, i)
@@ -71,17 +98,18 @@ func checkTalliesAgree(t *testing.T, name string, dense, sparse *Tally) {
 	}
 }
 
-// TestTallyDenseMatchesMap: the dense and map tallies of one batch agree bit
-// for bit, at every worker count, where 2^n is one below, equal to and one
-// above the shot count, and across the n = 20/21 width limit.
-func TestTallyDenseMatchesMap(t *testing.T) {
+// TestTallyDenseMatchesRuns: the dense and run tallies of one batch agree
+// bit for bit, in one chunk and many, at 1 to 3 workers, where 2^n is one
+// below, equal to and one above the shot count, and across the n = 20/21
+// width limit; a run tally keeps one run per chunk.
+func TestTallyDenseMatchesRuns(t *testing.T) {
 	vec, _ := frozenRandomVector(10, 17)
 	wide, err := NewFrozenSampler(freezeVector(t, vec, dd.NormL2Phase))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shots := range []int{1023, 1024, 1025, 3*ChunkShots + 5} {
-		for _, workers := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 2, 3} {
 			name := fmt.Sprintf("10 qubits, %d shots, workers=%d", shots, workers)
 			d, err := tallyParallel(context.Background(), wide, 3, shots, workers, true)
 			if err != nil {
@@ -91,21 +119,24 @@ func TestTallyDenseMatchesMap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkTalliesAgree(t, name, d, m)
+			checkTalliesAgree(t, name, d, m, shots)
+			if chunks := (shots + ChunkShots - 1) / ChunkShots; len(m.runs) != chunks {
+				t.Errorf("%s: %d runs, want one per chunk (%d)", name, len(m.runs), chunks)
+			}
 			got, err := CountsParallel(wide, 3, shots, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !maps.Equal(got, m.Map()) {
-				t.Errorf("%s: CountsParallel differs from the map tally", name)
+				t.Errorf("%s: CountsParallel differs from the run tally", name)
 			}
 		}
 		d, m := drawForced(wide, rng.New(5), shots, true), drawForced(wide, rng.New(5), shots, false)
-		checkTalliesAgree(t, fmt.Sprintf("10 qubits, %d shots, sequential", shots), d, m)
+		checkTalliesAgree(t, fmt.Sprintf("10 qubits, %d shots, sequential", shots), d, m, shots)
 	}
 
-	// Across the width limit: GHZ states keep the walk cheap and the maps
-	// tiny while the batch fills a 2^20-entry dense histogram.
+	// Across the width limit: GHZ states keep the walk cheap and the runs
+	// short while the batch fills a 2^20-entry dense histogram.
 	for _, n := range []int{20, 21} {
 		fs, err := NewFrozenSampler(freezeCircuit(t, fmt.Sprintf("ghz_%d", n), dd.NormL2Phase))
 		if err != nil {
@@ -124,11 +155,93 @@ func TestTallyDenseMatchesMap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkTalliesAgree(t, fmt.Sprintf("ghz_%d", n), tally, m)
+			checkTalliesAgree(t, fmt.Sprintf("ghz_%d", n), tally, m, shots)
+		} else {
+			checkRuns(t, fmt.Sprintf("ghz_%d", n), tally, shots)
 		}
 		counts := tally.Map()
 		if len(counts) != 2 || counts[0]+counts[1<<uint(n)-1] != shots {
 			t.Errorf("ghz_%d: counts %v, want all %d shots on the two GHZ outcomes", n, counts, shots)
+		}
+	}
+}
+
+// TestTallyRunsCancellation: a run tally cancelled mid-batch, on the split
+// and on the per-shot path, returns partial runs that are still settled and
+// strictly ascending, at 1 to 3 workers.
+func TestTallyRunsCancellation(t *testing.T) {
+	vec, _ := frozenRandomVector(10, 17)
+	fs, err := NewFrozenSampler(freezeVector(t, vec, dd.NormL2Phase))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shots = 4 * ChunkShots
+	for _, workers := range []int{1, 2, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		s := &cancelAfter{Sampler: fs, limit: ChunkShots + 700, cancel: cancel}
+		tally, err := tallyParallel(ctx, s, 3, shots, workers, false)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("per-shot, workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		checkRuns(t, fmt.Sprintf("per-shot, workers=%d", workers), tally, -1)
+
+		split, err := tallyParallel(&sharedCountdown{Context: context.Background(), limit: 200}, fs, 3, shots, workers, false)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("split, workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		checkRuns(t, fmt.Sprintf("split, workers=%d", workers), split, -1)
+		if got := ascending(split); len(got) == 0 {
+			t.Errorf("split, workers=%d: the cancelled batch kept no outcomes", workers)
+		}
+	}
+}
+
+// sharedCountdown is countdownCtx for many goroutines: its Err turns to
+// context.Canceled on the limit-th call across all of them.
+type sharedCountdown struct {
+	context.Context
+	calls atomic.Int64
+	limit int64
+}
+
+func (c *sharedCountdown) Err() error {
+	if c.calls.Add(1) >= c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestTallyMergeRuns: Ascending merges runs k ways, summing an index that
+// repeats across runs and skipping empty runs; Map agrees; one run reads
+// back as is.
+func TestTallyMergeRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		runs []run
+		want [][2]uint64
+	}{
+		{"none", nil, nil},
+		{"single", []run{{[]uint64{1, 5, 9}, []uint32{2, 1, 4}}}, [][2]uint64{{1, 2}, {5, 1}, {9, 4}}},
+		{"empty runs", []run{{}, {[]uint64{3}, []uint32{1}}, {}}, [][2]uint64{{3, 1}}},
+		{"duplicates", []run{
+			{[]uint64{1, 4, 7, 1 << 40}, []uint32{1, 1, 1, 3}},
+			{[]uint64{0, 4, 8}, []uint32{2, 5, 1}},
+			{},
+			{[]uint64{4, 7, 9, 1 << 40}, []uint32{1, 2, 1, 1}},
+			{[]uint64{2}, []uint32{6}},
+		}, [][2]uint64{{0, 2}, {1, 1}, {2, 6}, {4, 7}, {7, 3}, {8, 1}, {9, 1}, {1 << 40, 4}}},
+	} {
+		tally := &Tally{runs: tc.runs}
+		if got := ascending(tally); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: Ascending = %v, want %v", tc.name, got, tc.want)
+		}
+		want := map[uint64]int{}
+		for _, p := range tc.want {
+			want[p[0]] = int(p[1])
+		}
+		if got := tally.Map(); !maps.Equal(got, want) {
+			t.Errorf("%s: Map = %v, want %v", tc.name, got, want)
 		}
 	}
 }
@@ -215,8 +328,8 @@ func TestTallyDensePanicBecomesError(t *testing.T) {
 }
 
 // TestTallyAddAcrossRepresentations: Add merges one chunk's tally into
-// another's, dense into map, map into dense, dense into dense and map into
-// map, and each sum equals the reference splitter's counts of both chunks
+// another's, dense into runs, runs into dense, dense into dense and runs
+// into runs, and each sum equals the reference splitter's counts of both chunks
 // while keeping the receiver's representation.
 func TestTallyAddAcrossRepresentations(t *testing.T) {
 	vec, _ := frozenRandomVector(10, 17)
@@ -238,16 +351,21 @@ func TestTallyAddAcrossRepresentations(t *testing.T) {
 	}
 }
 
-// TestTallyOf: a wrapped map reads back through both accessors unchanged,
-// its indices in ascending order.
-func TestTallyOf(t *testing.T) {
-	counts := map[uint64]int{9: 1, 2: 5, 1 << 40: 3}
-	tally := TallyOf(counts)
-	if !maps.Equal(tally.Map(), counts) {
-		t.Fatalf("Map() = %v, want %v", tally.Map(), counts)
+// TestTallyRun: a wrapped run reads back through both readers unchanged.
+func TestTallyRun(t *testing.T) {
+	tally := TallyRun([]uint64{2, 9, 1 << 40}, []uint32{5, 1, 3})
+	if want := map[uint64]int{9: 1, 2: 5, 1 << 40: 3}; !maps.Equal(tally.Map(), want) {
+		t.Fatalf("Map() = %v, want %v", tally.Map(), want)
 	}
 	want := [][2]uint64{{2, 5}, {9, 1}, {1 << 40, 3}}
 	if got := ascending(tally); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("Ascending = %v, want %v", got, want)
 	}
+}
+
+// reset empties a tally and keeps its storage, so the next chunk's run
+// reuses the last one's.
+func (t *Tally) reset() {
+	clear(t.dense)
+	t.runs = t.runs[:0]
 }

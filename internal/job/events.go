@@ -77,7 +77,7 @@ func topCounts(counts *core.Tally, qubits, k int) []TopCount {
 	// best stays sorted, most frequent first: each outcome is inserted at
 	// its rank, and whatever falls past k is dropped.
 	best := make([]kv, 0, k+1)
-	counts.Each(func(idx uint64, n int) {
+	counts.Ascending(func(idx uint64, n int) {
 		pos := len(best)
 		for pos > 0 && (best[pos-1].n < n || (best[pos-1].n == n && best[pos-1].idx > idx)) {
 			pos--

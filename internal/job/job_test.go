@@ -147,7 +147,7 @@ func TestSubscriberPushDropsOldest(t *testing.T) {
 }
 
 func TestTopCountsDeterministicTieBreak(t *testing.T) {
-	counts := core.TallyOf(map[uint64]int{0: 5, 1: 9, 2: 5, 3: 1, 4: 9, 5: 2})
+	counts := core.TallyRun([]uint64{0, 1, 2, 3, 4, 5}, []uint32{5, 9, 5, 1, 9, 2})
 	got := topCounts(counts, 3, 4)
 	want := []TopCount{
 		{Bits: "001", Count: 9}, {Bits: "100", Count: 9},
@@ -156,7 +156,7 @@ func TestTopCountsDeterministicTieBreak(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("topCounts = %v, want %v", got, want)
 	}
-	if topCounts(core.TallyOf(nil), 3, 4) != nil || topCounts(counts, 3, 0) != nil {
+	if topCounts(core.TallyRun(nil, nil), 3, 4) != nil || topCounts(counts, 3, 0) != nil {
 		t.Error("empty tally or k<=0 must yield nil")
 	}
 	if got := topCounts(counts, 3, 100); len(got) != len(counts.Map()) {

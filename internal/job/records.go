@@ -5,8 +5,10 @@ package job
 // atomicity come from the frame layer, not the payload encoding.
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"weaksim/internal/core"
@@ -37,22 +39,25 @@ type checkpointRecord struct {
 }
 
 // encodeCounts renders a basis-index tally as a JSON-safe map (decimal
-// uint64 keys).
+// uint64 keys), in one pass over its ascending outcomes.
 func encodeCounts(counts *core.Tally) map[string]int {
-	distinct := 0
-	counts.Each(func(uint64, int) { distinct++ })
-	out := make(map[string]int, distinct)
-	counts.Each(func(idx uint64, n int) { out[strconv.FormatUint(idx, 10)] = n })
+	out := make(map[string]int, counts.Len())
+	counts.Ascending(func(idx uint64, n int) { out[strconv.FormatUint(idx, 10)] = n })
 	return out
 }
 
-// decodeCounts is the inverse of encodeCounts. It refuses counts no job of
-// qubits could have committed for shots samples: a key at or past 2^qubits,
-// a count that is not positive, or counts that do not sum to shots. A job's
+// decodeCounts is the inverse of encodeCounts: it sorts the decoded
+// outcomes once into a one-run tally. It refuses counts no job of qubits
+// could have committed for shots samples: a key at or past 2^qubits, a
+// count that is not positive, or counts that do not sum to shots. A job's
 // tally may be dense, indexed by outcome, so a key past the register would
 // not merge at all.
 func decodeCounts(in map[string]int, qubits, shots int) (*core.Tally, error) {
-	out := make(map[uint64]int, len(in))
+	type pair struct {
+		idx uint64
+		n   int
+	}
+	pairs := make([]pair, 0, len(in))
 	sum := 0
 	for key, n := range in {
 		idx, err := strconv.ParseUint(key, 10, 64)
@@ -62,13 +67,22 @@ func decodeCounts(in map[string]int, qubits, shots int) (*core.Tally, error) {
 		if idx>>uint(qubits) != 0 || n < 1 || n > shots {
 			return nil, fmt.Errorf("job: count %q: %d is not an outcome of %d qubits drawn in %d shots", key, n, qubits, shots)
 		}
-		out[idx] += n // "3" and "03" are one outcome
+		pairs = append(pairs, pair{idx, n})
 		sum += n
 	}
 	if sum != shots {
 		return nil, fmt.Errorf("job: counts sum to %d, want %d shots", sum, shots)
 	}
-	return core.TallyOf(out), nil
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.idx, b.idx) })
+	idx, ns := make([]uint64, 0, len(pairs)), make([]uint32, 0, len(pairs))
+	for _, p := range pairs {
+		if k := len(idx) - 1; k >= 0 && idx[k] == p.idx {
+			ns[k] += uint32(p.n) // "3" and "03" are one outcome
+			continue
+		}
+		idx, ns = append(idx, p.idx), append(ns, uint32(p.n))
+	}
+	return core.TallyRun(idx, ns), nil
 }
 
 // mustRecord marshals a payload into a Record; the payload types above

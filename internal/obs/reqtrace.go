@@ -301,6 +301,26 @@ func StartSpan(reg *Registry, rt *RequestTrace, phase string) Span {
 	return Span{reg: reg, rt: rt, phase: phase, start: time.Now()}
 }
 
+// phaseCounters holds each Phase* constant's phase_<p>_ns counter name,
+// built once, so ending a span concatenates no strings.
+var phaseCounters = func() map[string]string {
+	m := map[string]string{}
+	for _, p := range []string{PhaseBuild, PhaseApply, PhaseFreeze, PhaseSample, PhaseGovern,
+		PhaseParse, PhaseHash, PhaseQueue, PhaseEncode, PhaseServe, PhaseSnapshot, PhaseWAL, PhaseVerify} {
+		m[p] = "phase_" + p + "_ns"
+	}
+	return m
+}()
+
+// phaseCounter returns phase's counter name: the table's, or one built for
+// a phase outside it.
+func phaseCounter(phase string) string {
+	if name, ok := phaseCounters[phase]; ok {
+		return name
+	}
+	return "phase_" + phase + "_ns"
+}
+
 // End closes the span and returns its duration (0 for the inert span), the
 // one clock reading behind both the counter and the record. attrs may be
 // nil.
@@ -310,7 +330,7 @@ func (sp Span) End(attrs map[string]any) time.Duration {
 	}
 	dur := time.Since(sp.start)
 	if sp.reg != nil {
-		sp.reg.Counter("phase_" + sp.phase + "_ns").Add(uint64(dur.Nanoseconds()))
+		sp.reg.Counter(phaseCounter(sp.phase)).Add(uint64(dur.Nanoseconds()))
 	}
 	if sp.rt != nil {
 		sp.rt.append(SpanRecord{

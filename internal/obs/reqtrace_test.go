@@ -233,6 +233,26 @@ func TestRequestTraceDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSpanEndZeroAllocWithRegistry: ending an untraced span that feeds a
+// registry allocates nothing for every Phase* constant, and the span's
+// duration still lands on that phase's phase_<p>_ns counter.
+func TestSpanEndZeroAllocWithRegistry(t *testing.T) {
+	reg := NewRegistry()
+	for _, p := range []string{PhaseBuild, PhaseApply, PhaseFreeze, PhaseSample, PhaseGovern,
+		PhaseParse, PhaseHash, PhaseQueue, PhaseEncode, PhaseServe, PhaseSnapshot, PhaseWAL, PhaseVerify} {
+		if allocs := testing.AllocsPerRun(100, func() { StartSpan(reg, nil, p).End(nil) }); allocs != 0 {
+			t.Errorf("%s: StartSpan(reg, nil, p).End(nil) allocates %.1f/op, want 0", p, allocs)
+		}
+		if reg.Counter("phase_"+p+"_ns").Value() == 0 {
+			t.Errorf("%s: phase_%s_ns counter never advanced", p, p)
+		}
+	}
+	StartSpan(reg, nil, "custom").End(nil)
+	if reg.Counter("phase_custom_ns").Value() == 0 {
+		t.Error("a phase outside the table lost its counter")
+	}
+}
+
 func TestTraceparentStringFormat(t *testing.T) {
 	rt := StartRequest("", nil, nil)
 	h := Traceparent(rt.ID(), rt.Root())

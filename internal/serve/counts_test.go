@@ -12,8 +12,10 @@ import (
 	"testing"
 
 	"weaksim/internal/algo"
+	"weaksim/internal/circuit/qasm"
 	"weaksim/internal/core"
 	"weaksim/internal/job"
+	"weaksim/internal/obs"
 )
 
 // legacySample is the /v1/sample body as encoding/json wrote it when counts
@@ -80,14 +82,15 @@ func referenceCounts(t testing.TB, srv *Server, name string, seed uint64, shots 
 
 // TestSampleResponseWireFormat pins the /v1/sample body: byte for byte what
 // encoding/json wrote for the old map[string]int counts, on the dense tally
-// (70,000 shots over 16 qubits) and the map tally (1024 shots), at 1, 2 and
-// 4 workers, with and without the ?debug=1 trace echo.
+// (70,000 shots over 16 qubits), one run (1024 shots) and two runs that
+// share both their outcomes (70,000 shots of ghz_24), at 1, 2 and 4
+// workers, with and without the ?debug=1 trace echo.
 func TestSampleResponseWireFormat(t *testing.T) {
 	srv, base := startServer(t, Config{MaxSampleWorkers: 4})
 	for _, tc := range []struct {
 		circuit string
 		shots   int
-	}{{"qft_16", 70000}, {"qft_16", 1024}, {"ghz_3", 256}} {
+	}{{"qft_16", 70000}, {"qft_16", 1024}, {"ghz_3", 256}, {"ghz_24", 70000}} {
 		want := referenceCounts(t, srv, tc.circuit, 7, tc.shots)
 		for _, workers := range []int{1, 2, 4} {
 			for _, debug := range []string{"", "?debug=1"} {
@@ -119,11 +122,12 @@ func TestSampleResponseWireFormat(t *testing.T) {
 }
 
 // TestJobResultWireFormat: a job's result body is byte for byte the old
-// map[string]int encoding, with the counts /v1/sample draws.
+// map[string]int encoding, with the counts /v1/sample draws, for dense jobs
+// and for ghz_24, whose four chunks' runs share both outcomes.
 func TestJobResultWireFormat(t *testing.T) {
 	srv, base := startServer(t, Config{})
-	const shots = 3*core.ChunkShots + 100 // dense rule holds for the batch and each chunk
-	for _, name := range []string{"qft_16", "ghz_3"} {
+	const shots = 3*core.ChunkShots + 100 // dense rule holds for the 16- and 3-qubit batches and each chunk
+	for _, name := range []string{"qft_16", "ghz_3", "ghz_24"} {
 		var st job.Status
 		body := map[string]any{"circuit": name, "shots": shots, "seed": 5}
 		if code, _ := postJSON(t, base, "/v1/jobs", body, &st); code != http.StatusAccepted {
@@ -185,6 +189,45 @@ func TestCountsEncodeAllocsPerResponse(t *testing.T) {
 	t.Logf("allocs per response at 2^10, 2^16, 2^18 shots: %v", allocs)
 }
 
+// warmAnswerBytesBound caps the heap bytes one warm 1,024-shot qft_16
+// answer allocates, tally plus encode. Measured on linux/amd64 with Go
+// 1.24: the map tally allocated 86,504 bytes per answer in 16 allocations
+// (a map presized for 1,024 outcomes and a sorted copy of its keys, next to
+// the 32 KiB encode buffer); one ascending run, presized to the 1,024
+// outcomes a 1,024-shot chunk can hold, brings it to 53,663 bytes in 12.
+const warmAnswerBytesBound = 56_000
+
+// TestWarmAnswerBytes bounds the bytes a warm 1,024-shot qft_16 answer
+// allocates: the tally of TallyParallelContext and writeSample's encode.
+func TestWarmAnswerBytes(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	circ, err := algo.Generate("qft_16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent, _, err := srv.lookup(context.Background(), CircuitKey(circ, srv.cfg.Norm, false), circ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &discardResponse{h: http.Header{}}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tally, err := core.TallyParallelContext(context.Background(), ent.sampler, uint64(i), 1024, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			writeSample(w, &sampleResponse{Counts: countsJSON{tally, circ.NQubits},
+				sampleMeta: sampleMeta{Qubits: circ.NQubits, Shots: 1024}}, nil)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got > warmAnswerBytesBound {
+		t.Errorf("a warm 1,024-shot qft_16 answer allocates %d bytes, want at most %d", got, warmAnswerBytesBound)
+	}
+	t.Logf("a warm 1,024-shot qft_16 answer allocates %d bytes in %d allocations", res.AllocedBytesPerOp(), res.AllocsPerOp())
+}
+
 // discardResponse is an http.ResponseWriter that drops the body.
 type discardResponse struct{ h http.Header }
 
@@ -214,4 +257,40 @@ func BenchmarkSampleResponse(b *testing.B) {
 		serve()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/shots, "ns/shot")
+}
+
+// BenchmarkWarmSample is one warm 1,024-shot /v1/sample answer to a QASM
+// request through Handler(), with request traces and metrics on: the
+// interactive request on a 16- or 32-qubit circuit, whose ~1,000 distinct
+// outcomes a run tally holds. It reports allocs/op and B/op.
+func BenchmarkWarmSample(b *testing.B) {
+	for _, name := range []string{"qft_16", "qft_32"} {
+		b.Run(name, func(b *testing.B) {
+			s := New(Config{Metrics: obs.NewRegistry()})
+			defer s.Close()
+			h := s.Handler()
+			circ, err := algo.Generate(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			src, err := qasm.Write(circ)
+			if err != nil {
+				b.Fatal(err)
+			}
+			body, err := json.Marshal(map[string]any{"qasm": src, "shots": 1024, "seed": 11})
+			if err != nil {
+				b.Fatal(err)
+			}
+			serve := func() {
+				w := &discardResponse{h: http.Header{}}
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sample", bytes.NewReader(body)))
+			}
+			serve() // simulate and cache the circuit
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+		})
+	}
 }
