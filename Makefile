@@ -94,11 +94,13 @@ chaos:
 # bit), QASM write/parse round trips, the snapshot binary decoder, the
 # unique-table node constructor, the frozen binomial split against a
 # reference split over the live diagram, the binomial sampler over every
-# float64 probability, and weight canonicalization against its
-# Frexp/Ldexp reference, ~30s each. Not a soak — just enough to catch a
-# decoder that panics on the corpus neighborhoods of valid inputs, a
-# parsing or sampling path that drifts from its reference, a binomial draw
-# that leaves [0, n] or hangs, or a canonical weight that moves by one bit.
+# float64 probability, weight canonicalization against its Frexp/Ldexp
+# reference, and the request body scanner against the encoding/json
+# decoder it replaced (front_test.go), ~30s each. Not a soak — just enough
+# to catch a decoder that panics on the corpus neighborhoods of valid
+# inputs, a parsing or sampling path that drifts from its reference, a
+# binomial draw that leaves [0, n] or hangs, a canonical weight that moves
+# by one bit, or a request body the scanner and the decoder disagree on.
 # Each -fuzz pattern is anchored: go test refuses one that matches two
 # targets, and FuzzParse prefixes FuzzParseMatchesReference.
 fuzz-smoke:
@@ -110,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCountsFrozen -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzBinomial -fuzztime 30s ./internal/rng
 	$(GO) test -run '^$$' -fuzz FuzzLookupFloat -fuzztime 30s ./internal/cnum
+	$(GO) test -run '^$$' -fuzz '^FuzzScanMatchesJSON$$' -fuzztime 30s ./internal/serve
 
 # The DD sampling benchmarks watched for regressions (Section IV): the
 # per-shot frozen walk per Table I row, and the walk under each
@@ -153,10 +156,15 @@ bench-gate:
 # (one warm 1M-shot qft_16 /v1/sample answer, encode included; reports
 # ns/shot and allocs/op) and BenchmarkWarmSample (warm 1,024-shot QASM
 # qft_16 and qft_32 requests through the handler with traces on; reports
-# allocs/op and B/op). Neither gates anything.
+# allocs/op and B/op) and BenchmarkResolveRequest's warm rows (a body read,
+# scanned and answered from the spelling memo). None gates anything. The
+# resolve rows get their own run: -bench matches sub-benchmarks level by
+# level, so "BenchmarkResolveRequest/warm" in the first pattern would also
+# filter BenchmarkWarmSample's rows.
 bench-smoke:
 	cd cmd/weakbench && $(GO) vet . && $(GO) test .
 	$(GO) test -run '^$$' -bench 'BenchmarkSampleResponse|BenchmarkWarmSample' -benchtime 5x ./internal/serve
+	$(GO) test -run '^$$' -bench 'BenchmarkResolveRequest/warm' -benchtime 5x ./internal/serve
 
 # Statement coverage with an HTML-able profile.
 cover:

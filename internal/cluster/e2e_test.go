@@ -416,7 +416,7 @@ func TestClusterMixedWalkFailover(t *testing.T) {
 	keyed := func(first, second string) []byte {
 		for n := 2; n < 60; n++ {
 			body := sampleBody(t, n)
-			key, err := serve.KeyForBody(body, 0)
+			key, err := serve.NewKeyMemo(0, 0).Key(body)
 			if err != nil {
 				t.Fatal(err)
 			}

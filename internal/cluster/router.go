@@ -4,9 +4,11 @@ package cluster
 //
 // Request path for POST /v1/sample:
 //
-//  1. read the body and compute the canonical circuit key with
-//     serve.KeyForBody — the router and every replica's cache must name the
-//     same owner, so the routing function IS the cache-key function;
+//  1. read the body and compute the canonical circuit key with a
+//     serve.KeyMemo — the router and every replica's cache must name the
+//     same owner, so the routing function IS the cache-key function. The
+//     memo scans the body as a replica does and resolves and hashes each
+//     spelling once;
 //  2. walk the consistent-hash ring for the primary and its failover
 //     candidates (healthy candidates first, ejected ones only as a last
 //     resort when the whole candidate set is down);
@@ -55,6 +57,11 @@ const (
 	DefaultRequestTimeout = 30 * time.Second
 	DefaultMaxBodyBytes   = 4 << 20
 )
+
+// keyMemoBytes bounds the router's spelling -> key memo: at least 128 keys
+// even when each holds maxSpellings spellings of the largest size a
+// replica's memo takes (64 KiB).
+const keyMemoBytes = 32 << 20
 
 // Config configures a cluster router. Backends and BackendsFile are
 // mutually composable: the static list seeds the fleet and the file, when
@@ -162,6 +169,9 @@ type Router struct {
 	fileMod time.Time
 	fileLen int64
 
+	// keys resolves request bodies to circuit keys, remembering spellings.
+	keys *serve.KeyMemo
+
 	shipWG   sync.WaitGroup
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -208,6 +218,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		placement:     make(map[string]string),
 		shipped:       make(map[string]map[string]bool),
 		stopCh:        make(chan struct{}),
+		keys:          serve.NewKeyMemo(cfg.Norm, keyMemoBytes),
 		reqTotal:      reg.Counter("cluster_requests_total"),
 		reqErrors:     reg.Counter("cluster_errors_total"),
 		failovers:     reg.Counter("cluster_failovers_total"),
@@ -572,7 +583,7 @@ func (r *Router) handleSample(w http.ResponseWriter, req *http.Request) {
 		r.writeError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
 		return
 	}
-	key, err := serve.KeyForBody(body, r.cfg.Norm)
+	key, err := r.keys.Key(body)
 	if err != nil {
 		r.writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return

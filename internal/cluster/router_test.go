@@ -44,7 +44,7 @@ func circuitKeyed(t *testing.T, names []string, owner string) []byte {
 	r := buildRing(names, 0)
 	for n := 2; n < 40; n++ {
 		body := sampleBody(t, n)
-		key, err := serve.KeyForBody(body, 0)
+		key, err := serve.NewKeyMemo(0, 0).Key(body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,6 +311,36 @@ func TestRouterBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/sample: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestRouterResolvesSpellingOnce: the router keys a repeated spelling from
+// its memo, resolving and hashing it once, and refuses a body with bytes
+// after its object, as a replica does, before any backend sees it.
+func TestRouterResolvesSpellingOnce(t *testing.T) {
+	a := newFakeBackend(http.StatusOK)
+	defer a.srv.Close()
+	r := startRouter(t, Config{Backends: []string{a.srv.URL}})
+	body := sampleBody(t, 5)
+	for i := 0; i < 3; i++ {
+		resp := postRouter(t, r, body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+	}
+	if hits, misses := r.keys.Stats(); hits != 2 || misses != 1 {
+		t.Fatalf("three requests of one spelling: %d memo hits, %d resolutions; want 2 and 1", hits, misses)
+	}
+	for _, bad := range []string{string(body) + " garbage", string(body) + string(body)} {
+		resp := postRouter(t, r, []byte(bad))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body with trailing bytes: status %d, want 400", resp.StatusCode)
+		}
+	}
+	if n := a.hits.Load(); n != 3 {
+		t.Fatalf("backend saw %d requests, want the 3 valid ones", n)
 	}
 }
 

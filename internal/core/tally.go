@@ -140,9 +140,9 @@ func (t *Tally) Len() int {
 }
 
 // Ascending calls f once per sampled outcome, in ascending index order,
-// with its count (always positive). Several runs merge k ways: a min-heap of
-// the runs' unread tails, keyed by their heads, yields the least head, and
-// its count sums across the runs that share it.
+// with its count (always positive). Several runs merge k ways: a min-heap
+// of cursors, one per unread run, keyed by the run's head index, yields the
+// least head, and its count sums across the runs that share it.
 func (t *Tally) Ascending(f func(idx uint64, n int)) {
 	for idx, n := range t.dense {
 		if n != 0 {
@@ -155,20 +155,25 @@ func (t *Tally) Ascending(f func(idx uint64, n int)) {
 		}
 		return
 	}
-	h := make([]run, 0, len(t.runs))
-	for _, r := range t.runs {
-		if len(r.idx) > 0 {
-			h = append(h, r)
+	var small [16]cursor // a 2^20-shot batch's runs fit on the stack
+	h := small[:0]
+	for r := range t.runs {
+		if len(t.runs[r].idx) > 0 {
+			h = append(h, cursor{head: t.runs[r].idx[0], run: uint32(r)})
 		}
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(h, i)
 	}
 	for len(h) > 0 {
-		idx, n := h[0].idx[0], 0
-		for len(h) > 0 && h[0].idx[0] == idx {
-			n += int(h[0].n[0])
-			if h[0].idx, h[0].n = h[0].idx[1:], h[0].n[1:]; len(h[0].idx) == 0 {
+		idx, n := h[0].head, 0
+		for len(h) > 0 && h[0].head == idx {
+			c := &h[0]
+			r := &t.runs[c.run]
+			n += int(r.n[c.pos])
+			if c.pos++; int(c.pos) < len(r.idx) {
+				c.head = r.idx[c.pos]
+			} else {
 				h[0], h = h[len(h)-1], h[:len(h)-1]
 			}
 			siftDown(h, 0)
@@ -177,13 +182,21 @@ func (t *Tally) Ascending(f func(idx uint64, n int)) {
 	}
 }
 
-// siftDown restores the heap order of h's run heads below h[i].
-func siftDown(h []run, i int) {
+// cursor is a merge heap slot: a run's head index, the run, and the head's
+// position in it. A run holds fewer than 2^32 entries (Counts keeps shots
+// below 2^32).
+type cursor struct {
+	head     uint64
+	run, pos uint32
+}
+
+// siftDown restores the heap order of h's heads below h[i].
+func siftDown(h []cursor, i int) {
 	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
-		if c+1 < len(h) && h[c+1].idx[0] < h[c].idx[0] {
+		if c+1 < len(h) && h[c+1].head < h[c].head {
 			c++
 		}
-		if h[i].idx[0] <= h[c].idx[0] {
+		if h[i].head <= h[c].head {
 			return
 		}
 		h[i], h[c] = h[c], h[i]

@@ -369,3 +369,30 @@ func (t *Tally) reset() {
 	clear(t.dense)
 	t.runs = t.runs[:0]
 }
+
+// BenchmarkTallyAscending times one Ascending pass over a 2^20-shot qft_32
+// tally: sixteen 65,536-shot runs, one per chunk, of nearly as many
+// distinct outcomes each, merged k ways.
+func BenchmarkTallyAscending(b *testing.B) {
+	fs, err := NewFrozenSampler(freezeCircuit(b, "qft_32", dd.NormL2Phase))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const shots = 1 << 20
+	tally, err := tallyParallel(context.Background(), fs, 7, shots, 1, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(tally.runs) != shots/ChunkShots {
+		b.Fatalf("%d runs, want %d", len(tally.runs), shots/ChunkShots)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum := 0
+		tally.Ascending(func(_ uint64, n int) { sum += n })
+		if sum != shots {
+			b.Fatalf("merged %d shots, want %d", sum, shots)
+		}
+	}
+}

@@ -22,17 +22,19 @@ package serve
 // computes are never cached — the flight propagates the error to everyone
 // who joined it and the next request starts a fresh flight.
 //
-// Spelling memo: a request names its circuit by a spelling, its QASM source
-// or a benchmark name (a circuitSource). Resolving a spelling to its key
-// means parsing or generating the circuit, validating it and hashing it,
-// which costs more than a warm 1024-shot answer. Once a spelling has
-// resolved to a resident entry, the cache remembers it on that entry, so
-// the next request with the same bytes is one map probe. The key depends
-// on the spelling and the normalization, and the normalization is fixed
-// for the process, so the spelling alone decides the entry. An entry keeps
-// its maxSpellings most recently recorded spellings, each charged to the
-// entry's bytes, and forgets them when it leaves the cache. A spelling of
-// more than maxSpellingBytes is never remembered.
+// Spelling memo: a request names its circuit by a spelling, the raw JSON
+// string token of its QASM source or of a benchmark name, escapes as sent
+// (front.go). Resolving a spelling to its key means unescaping it, parsing
+// or generating the circuit, validating it and hashing it, which costs more
+// than a warm 1024-shot answer. Once a spelling has resolved to a resident
+// entry, the cache remembers it on that entry, so the next request with the
+// same bytes is one map probe. The key depends on the spelling and the
+// normalization, and the normalization is fixed for the process, so the
+// spelling alone decides the entry. Two escapings of one source are two
+// spellings of one entry. An entry keeps its maxSpellings most recently
+// recorded spellings, each charged to the entry's bytes, and forgets them
+// when it leaves the cache. A token of more than maxSpellingBytes is never
+// remembered.
 
 import (
 	"container/list"
@@ -59,16 +61,30 @@ type entry struct {
 
 	// spellings are the memo's spellings of this entry, oldest first,
 	// guarded by snapCache.mu.
-	spellings []circuitSource
+	spellings []memoSpelling
 }
+
+// memoSpelling is a remembered spelling: a token and the memo map that
+// holds it.
+type memoSpelling struct {
+	tok  string
+	kind int
+}
+
+// The memo's maps: QASM tokens and benchmark-name tokens are kept apart, so
+// a name never answers for QASM that happens to read the same.
+const (
+	memoQASM = iota
+	memoName
+)
 
 // maxSpellings bounds the spellings one entry remembers: the same circuit
 // sent as QASM and by name, and a few whitespace variants, without letting
 // one circuit's spellings grow without bound.
 const maxSpellings = 4
 
-// maxSpellingBytes bounds the QASM source the memo takes. A longer source
-// is neither probed nor remembered: it takes the resolving path alone, its
+// maxSpellingBytes bounds the tokens the memo takes. A longer token is
+// neither probed nor remembered: it takes the resolving path alone, its
 // bytes are never hashed under the cache lock, and no entry is charged more
 // than maxSpellings of these. Parsing this much QASM takes about 0.8 ms.
 const maxSpellingBytes = 64 << 10
@@ -77,9 +93,9 @@ const maxSpellingBytes = 64 << 10
 // its memo map slot and its place in the entry's list.
 const spellingOverhead = 64
 
-// spellingBytes is what remembering sp charges its entry.
-func spellingBytes(sp circuitSource) int64 {
-	return int64(len(sp.QASM) + len(sp.Circuit) + spellingOverhead)
+// spellingBytes is what remembering a token of n bytes charges its entry.
+func spellingBytes(n int) int64 {
+	return int64(n + spellingOverhead)
 }
 
 // flight is one in-progress compute, shared by every request that missed on
@@ -107,9 +123,9 @@ type snapCache struct {
 	ll       *list.List               // front = most recently used; values are *entry
 	elems    map[string]*list.Element // key -> list element
 	flights  map[string]*flight
-	// spellings is the memo: a spelling that resolved to a resident entry
-	// -> that entry's list element.
-	spellings map[circuitSource]*list.Element
+	// spellings is the memo, one map per memoSpelling kind: a token that
+	// resolved to a resident entry -> that entry's list element.
+	spellings [2]map[string]*list.Element
 
 	// Telemetry (nil-safe: a nil registry yields nil metrics whose methods
 	// are no-ops).
@@ -135,7 +151,7 @@ func newSnapCache(maxBytes int64, reg *obs.Registry) *snapCache {
 		ll:        list.New(),
 		elems:     make(map[string]*list.Element),
 		flights:   make(map[string]*flight),
-		spellings: make(map[circuitSource]*list.Element),
+		spellings: [2]map[string]*list.Element{make(map[string]*list.Element), make(map[string]*list.Element)},
 		hits:      reg.Counter("serve_cache_hits_total"),
 		misses:    reg.Counter("serve_cache_misses_total"),
 		spHits:    reg.Counter("serve_spelling_hits_total"),
@@ -202,11 +218,11 @@ func (c *snapCache) getOrCompute(ctx context.Context, key string, submit func(*f
 // getBySpelling returns the entry a remembered spelling resolved to. A hit
 // is a cache hit: it moves the entry to the front and counts in
 // serve_cache_hits_total as well as serve_spelling_hits_total.
-func (c *snapCache) getBySpelling(sp circuitSource) (*entry, bool) {
+func (c *snapCache) getBySpelling(sp spelling) (*entry, bool) {
 	var ent *entry
-	if len(sp.QASM) <= maxSpellingBytes {
+	if tok, kind, ok := sp.memoKey(); ok && len(tok) <= maxSpellingBytes {
 		c.mu.Lock()
-		if el, ok := c.spellings[sp]; ok {
+		if el, ok := c.spellings[kind][string(tok)]; ok {
 			c.ll.MoveToFront(el)
 			ent = el.Value.(*entry)
 		}
@@ -223,25 +239,27 @@ func (c *snapCache) getBySpelling(sp circuitSource) (*entry, bool) {
 
 // spelled is getBySpelling that counts nothing and leaves the LRU order as
 // it is, for a caller that only needs the key, not the snapshot.
-func (c *snapCache) spelled(sp circuitSource) (*entry, bool) {
-	if len(sp.QASM) > maxSpellingBytes {
+func (c *snapCache) spelled(sp spelling) (*entry, bool) {
+	tok, kind, ok := sp.memoKey()
+	if !ok || len(tok) > maxSpellingBytes {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.spellings[sp]; ok {
+	if el, ok := c.spellings[kind][string(tok)]; ok {
 		return el.Value.(*entry), true
 	}
 	return nil, false
 }
 
 // remember records that sp resolved to ent, unless ent has left the cache
-// since it was looked up, sp is already remembered or sp is longer than
-// maxSpellingBytes. Past maxSpellings the entry forgets its oldest
-// spelling. Callers remember only spellings that passed every check a
-// request makes of its circuit.
-func (c *snapCache) remember(sp circuitSource, ent *entry) {
-	if len(sp.QASM) > maxSpellingBytes {
+// since it was looked up, sp is already remembered, sp does not name
+// exactly one source or its token is longer than maxSpellingBytes. Past
+// maxSpellings the entry forgets its oldest spelling. Callers remember only
+// spellings that passed every check a request makes of its circuit.
+func (c *snapCache) remember(sp spelling, ent *entry) {
+	tok, kind, ok := sp.memoKey()
+	if !ok || len(tok) > maxSpellingBytes {
 		return
 	}
 	c.mu.Lock()
@@ -250,19 +268,21 @@ func (c *snapCache) remember(sp circuitSource, ent *entry) {
 	if !ok || el.Value.(*entry) != ent {
 		return
 	}
-	// Store first and see whether the memo grew, which hashes sp once: a
-	// spelling already remembered maps to el already, since it resolves to
-	// ent's key and the entry it was remembered on is resident.
-	n := len(c.spellings)
-	c.spellings[sp] = el
-	if len(c.spellings) == n {
+	// Store first and see whether the memo grew, which hashes the token
+	// once: a spelling already remembered maps to el already, since it
+	// resolves to ent's key and the entry it was remembered on is resident.
+	memo := c.spellings[kind]
+	n := len(memo)
+	key := string(tok)
+	memo[key] = el
+	if len(memo) == n {
 		return
 	}
 	if len(ent.spellings) == maxSpellings {
 		c.forget(ent, 1)
 	}
-	ent.spellings = append(ent.spellings, sp)
-	b := spellingBytes(sp)
+	ent.spellings = append(ent.spellings, memoSpelling{key, kind})
+	b := spellingBytes(len(key))
 	ent.bytes += b
 	c.bytes += b
 	c.evict()
@@ -272,8 +292,8 @@ func (c *snapCache) remember(sp circuitSource, ent *entry) {
 // Caller holds c.mu.
 func (c *snapCache) forget(ent *entry, k int) {
 	for _, sp := range ent.spellings[:k] {
-		delete(c.spellings, sp)
-		n := spellingBytes(sp)
+		delete(c.spellings[sp.kind], sp.tok)
+		n := spellingBytes(len(sp.tok))
 		ent.bytes -= n
 		c.bytes -= n
 	}
@@ -353,6 +373,20 @@ func (c *snapCache) insert(ent *entry) {
 	c.mu.Lock()
 	c.admit(ent)
 	c.mu.Unlock()
+}
+
+// keyed returns the resident entry for key, admitting one of the given
+// bytes with no snapshot when there is none: a KeyMemo's entries are keys
+// that spellings resolve to.
+func (c *snapCache) keyed(key string, bytes int64) *entry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.elems[key]; ok {
+		return el.Value.(*entry)
+	}
+	ent := &entry{key: key, bytes: bytes}
+	c.admit(ent)
+	return ent
 }
 
 // peek returns the resident entry for key without disturbing LRU order, or

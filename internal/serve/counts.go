@@ -26,6 +26,16 @@ func (c countsJSON) MarshalJSON() ([]byte, error) {
 	return buf, nil
 }
 
+// byteBits spells each byte's eight bits, most significant first.
+var byteBits = func() (t [256][8]byte) {
+	for b := range t {
+		for i := range t[b] {
+			t[b][i] = '0' + byte(b>>(7-i)&1)
+		}
+	}
+	return t
+}()
+
 // countsFlushBytes is how much of a streamed counts object writeSample
 // buffers before writing it out.
 const countsFlushBytes = 32 << 10
@@ -37,14 +47,18 @@ func (c countsJSON) stream(buf []byte, w io.Writer) ([]byte, error) {
 	var err error
 	buf = append(buf, '{')
 	sep := false
+	top := c.qubits % 8 // the bits above the last whole byte
 	c.tally.Ascending(func(idx uint64, n int) {
 		if sep {
 			buf = append(buf, ',')
 		}
 		sep = true
 		buf = append(buf, '"')
-		for i := c.qubits - 1; i >= 0; i-- {
-			buf = append(buf, '0'+byte(idx>>uint(i)&1))
+		if top > 0 {
+			buf = append(buf, byteBits[byte(idx>>(c.qubits-top))][8-top:]...)
+		}
+		for shift := c.qubits - top - 8; shift >= 0; shift -= 8 {
+			buf = append(buf, byteBits[byte(idx>>shift)][:]...)
 		}
 		buf = append(buf, '"', ':')
 		buf = strconv.AppendInt(buf, int64(n), 10)

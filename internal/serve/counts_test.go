@@ -294,3 +294,33 @@ func BenchmarkWarmSample(b *testing.B) {
 		})
 	}
 }
+
+// TestCountsBitstringWidths: the byte-at-a-time bitstring writer spells
+// every register width as core.FormatBits does, whole bytes or not.
+func TestCountsBitstringWidths(t *testing.T) {
+	for _, qubits := range []int{1, 3, 7, 8, 9, 13, 16, 17, 31, 63, 64} {
+		var idx []uint64
+		var want strings.Builder
+		want.WriteByte('{')
+		for i, v := range []uint64{0, 1, 0x5a5a5a5a5a5a5a5a, 0xfedcba9876543210, ^uint64(0)} {
+			v &= ^uint64(0) >> (64 - qubits)
+			if len(idx) > 0 && v <= idx[len(idx)-1] {
+				continue
+			}
+			idx = append(idx, v)
+			if i > 0 {
+				want.WriteByte(',')
+			}
+			fmt.Fprintf(&want, "%q:%d", core.FormatBits(v, qubits), len(idx))
+		}
+		want.WriteByte('}')
+		n := make([]uint32, len(idx))
+		for i := range n {
+			n[i] = uint32(i + 1)
+		}
+		got, _ := countsJSON{core.TallyRun(idx, n), qubits}.stream(nil, nil)
+		if string(got) != want.String() {
+			t.Errorf("%d qubits: %s, want %s", qubits, got, want.String())
+		}
+	}
+}

@@ -34,17 +34,9 @@ import (
 	"weaksim/internal/statevec"
 )
 
-// circuitSource names a request's circuit: exactly one of its fields is set.
-type circuitSource struct {
-	// QASM is OpenQASM 2.0 source for the circuit.
-	QASM string `json:"qasm,omitempty"`
-	// Circuit names an internal/algo benchmark (e.g. "qft_16", "ghz_8").
-	Circuit string `json:"circuit,omitempty"`
-}
-
 // resolveCircuit builds and validates the circuit a request names: exactly
 // one of OpenQASM source src and benchmark name. It is the one resolver of
-// /v1/sample, /v1/jobs, a job's chunks and the cluster router's key.
+// /v1/sample, /v1/jobs, a job's chunks and the cluster router's KeyMemo.
 func resolveCircuit(src, name string) (*circuit.Circuit, error) {
 	if (src == "") == (name == "") {
 		return nil, errors.New(`exactly one of "qasm" and "circuit" must be set`)
@@ -65,15 +57,21 @@ func resolveCircuit(src, name string) (*circuit.Circuit, error) {
 	return circ, nil
 }
 
-// decodeBody decodes a POST body into req, refusing unknown fields and
-// bodies past MaxBodyBytes. Every error is a bad request.
-func (s *Server) decodeBody(r *http.Request, req any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		return badRequest{fmt.Errorf("invalid JSON body: %w", err)}
+// scanRequest reads a POST body of at most MaxBodyBytes into a pooled
+// buffer and scans it under the schema allowed (front.go). The body's
+// tokens point into the buffer, which the caller hands back with putBody.
+// Every error is a bad request.
+func (s *Server) scanRequest(r *http.Request, allowed member) (requestBody, *[]byte, error) {
+	buf, err := readBody(r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
+	if err != nil {
+		return requestBody{}, nil, badRequest{err}
 	}
-	return nil
+	body, err := scanBody(*buf, allowed)
+	if err != nil {
+		putBody(buf)
+		return requestBody{}, nil, badRequest{err}
+	}
+	return body, buf, nil
 }
 
 // keyFor returns the cache key of the circuit a request spells. A spelling
@@ -82,9 +80,10 @@ func (s *Server) decodeBody(r *http.Request, req any) error {
 // was remembered. Any other spelling is resolved within MaxQubits and
 // hashed, and its circuit is returned for the lookup; every error is a bad
 // request. With reg or rt set, the memo probe and the key are timed as the
-// hash phase and a resolution as the parse phase.
-func (s *Server) keyFor(reg *obs.Registry, rt *obs.RequestTrace, src circuitSource,
-	probe func(circuitSource) (*entry, bool)) (string, *entry, *circuit.Circuit, error) {
+// hash phase and a resolution, which unescapes the spelling first, as the
+// parse phase.
+func (s *Server) keyFor(reg *obs.Registry, rt *obs.RequestTrace, src spelling,
+	probe func(spelling) (*entry, bool)) (string, *entry, *circuit.Circuit, error) {
 	sp := obs.StartSpan(reg, rt, obs.PhaseHash)
 	ent, ok := probe(src)
 	sp.End(nil)
@@ -92,7 +91,7 @@ func (s *Server) keyFor(reg *obs.Registry, rt *obs.RequestTrace, src circuitSour
 		return ent.key, ent, nil, nil
 	}
 	sp = obs.StartSpan(reg, rt, obs.PhaseParse)
-	circ, err := resolveCircuit(src.QASM, src.Circuit)
+	circ, err := src.resolve()
 	if err == nil && circ.NQubits > s.cfg.MaxQubits {
 		err = fmt.Errorf("circuit has %d qubits; this server accepts at most %d", circ.NQubits, s.cfg.MaxQubits)
 	}
@@ -106,21 +105,24 @@ func (s *Server) keyFor(reg *obs.Registry, rt *obs.RequestTrace, src circuitSour
 	return key, nil, circ, nil
 }
 
-// sampleRequest is the POST /v1/sample body.
+// sampleRequest is a POST /v1/sample body, its defaults filled in. The
+// body's members are "qasm" or "circuit", "shots", "seed", "workers" and
+// "timeout_ms".
 type sampleRequest struct {
-	circuitSource
-	// Shots is the number of measurement samples (default DefaultShots,
+	// spelling names the circuit: the "qasm" or "circuit" token.
+	spelling
+	// shots is the number of measurement samples (default DefaultShots,
 	// capped at MaxShots).
-	Shots int `json:"shots,omitempty"`
-	// Seed seeds sampling; omitted means 1. Counts are a pure function of
+	shots int
+	// seed seeds sampling; omitted means 1. Counts are a pure function of
 	// (circuit, seed, shots), and /v1/jobs draws the same counts.
-	Seed *uint64 `json:"seed,omitempty"`
-	// Workers shards the shot batch across concurrent lock-free walkers
+	seed uint64
+	// workers shards the shot batch across concurrent lock-free walkers
 	// over the cached snapshot (default 1, capped at MaxSampleWorkers). It
 	// changes latency, never counts.
-	Workers int `json:"workers,omitempty"`
-	// TimeoutMS lowers the request deadline below the server default.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	workers int
+	// timeoutMS lowers the request deadline below the server default.
+	timeoutMS int64
 }
 
 // sampleResponse is the POST /v1/sample success body (see writeSample).
@@ -344,37 +346,41 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// parseRequest decodes a sample request and resolves its sampling
-// parameters; keyFor resolves its circuit.
-func (s *Server) parseRequest(r *http.Request) (*sampleRequest, error) {
-	var req sampleRequest
-	if err := s.decodeBody(r, &req); err != nil {
-		return nil, err
+// parseRequest scans a sample request and resolves its sampling
+// parameters; keyFor resolves its circuit. The request's spelling points
+// into the returned body buffer, which the caller hands back with putBody
+// once it is done with the request.
+func (s *Server) parseRequest(r *http.Request) (sampleRequest, *[]byte, error) {
+	body, buf, err := s.scanRequest(r, sampleMembers)
+	if err != nil {
+		return sampleRequest{}, nil, err
 	}
-	if req.Shots == 0 {
-		req.Shots = s.cfg.DefaultShots
+	req := sampleRequest{spelling: body.spelling, shots: body.shots, seed: 1,
+		workers: body.workers, timeoutMS: body.timeoutMS}
+	if body.seeded {
+		req.seed = body.seed
 	}
-	if req.Shots < 1 {
-		return nil, badRequest{fmt.Errorf("shots must be positive, got %d", req.Shots)}
+	if req.shots == 0 {
+		req.shots = s.cfg.DefaultShots
 	}
-	if req.Shots > s.cfg.MaxShots {
-		return nil, badRequest{fmt.Errorf("shots %d exceeds the per-request cap %d", req.Shots, s.cfg.MaxShots)}
+	if req.workers == 0 {
+		req.workers = 1
 	}
-	if req.Seed == nil {
-		one := uint64(1)
-		req.Seed = &one
+	switch {
+	case req.shots < 1:
+		err = fmt.Errorf("shots must be positive, got %d", req.shots)
+	case req.shots > s.cfg.MaxShots:
+		err = fmt.Errorf("shots %d exceeds the per-request cap %d", req.shots, s.cfg.MaxShots)
+	case req.workers < 1 || req.workers > s.cfg.MaxSampleWorkers:
+		err = fmt.Errorf("workers must be in [1, %d], got %d", s.cfg.MaxSampleWorkers, req.workers)
+	case req.timeoutMS < 0:
+		err = fmt.Errorf("timeout_ms must be non-negative, got %d", req.timeoutMS)
 	}
-	if req.Workers == 0 {
-		req.Workers = 1
+	if err != nil {
+		putBody(buf)
+		return sampleRequest{}, nil, badRequest{err}
 	}
-	if req.Workers < 1 || req.Workers > s.cfg.MaxSampleWorkers {
-		return nil, badRequest{fmt.Errorf("workers must be in [1, %d], got %d",
-			s.cfg.MaxSampleWorkers, req.Workers)}
-	}
-	if req.TimeoutMS < 0 {
-		return nil, badRequest{fmt.Errorf("timeout_ms must be non-negative, got %d", req.TimeoutMS)}
-	}
-	return &req, nil
+	return req, buf, nil
 }
 
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
@@ -393,13 +399,14 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	rt := obs.TraceFromContext(r.Context())
 
 	sp := obs.StartSpan(s.cfg.Metrics, rt, obs.PhaseParse)
-	req, err := s.parseRequest(r)
+	req, buf, err := s.parseRequest(r)
 	sp.End(errAttrs(err))
 	if err != nil {
 		s.sampleError(w, err)
 		return
 	}
-	key, ent, circ, err := s.keyFor(s.cfg.Metrics, rt, req.circuitSource, s.cache.getBySpelling)
+	defer putBody(buf)
+	key, ent, circ, err := s.keyFor(s.cfg.Metrics, rt, req.spelling, s.cache.getBySpelling)
 	if err != nil {
 		s.sampleError(w, err)
 		return
@@ -407,8 +414,8 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 
 	// Per-request deadline: the server default, lowered by timeout_ms.
 	timeout := s.cfg.RequestTimeout
-	if req.TimeoutMS > 0 {
-		if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < timeout {
+	if req.timeoutMS > 0 {
+		if t := time.Duration(req.timeoutMS) * time.Millisecond; t < timeout {
 			timeout = t
 		}
 	}
@@ -421,7 +428,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 			s.sampleError(w, err)
 			return
 		}
-		s.cache.remember(req.circuitSource, ent)
+		s.cache.remember(req.spelling, ent)
 	}
 
 	// Sampling: lock-free walks over the immutable snapshot, sharded across
@@ -429,20 +436,20 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	// (circuit, seed, shots) — rerunning the request reproduces them bit for
 	// bit, at any cache temperature and worker count.
 	sp = obs.StartSpan(s.cfg.Metrics, rt, obs.PhaseSample)
-	tally, err := core.TallyParallelContext(ctx, ent.sampler, *req.Seed, req.Shots, req.Workers)
+	tally, err := core.TallyParallelContext(ctx, ent.sampler, req.seed, req.shots, req.workers)
 	if err != nil {
 		sp.End(errAttrs(err))
 		s.sampleError(w, err)
 		return
 	}
-	sampleNS := sp.End(map[string]any{"shots": req.Shots, "workers": req.Workers}).Nanoseconds()
-	s.shotsCtr.Add(uint64(req.Shots))
+	sampleNS := sp.End(map[string]any{"shots": req.shots, "workers": req.workers}).Nanoseconds()
+	s.shotsCtr.Add(uint64(req.shots))
 
 	resp := sampleResponse{Counts: countsJSON{tally, ent.qubits}, sampleMeta: sampleMeta{
 		Qubits:        ent.qubits,
-		Shots:         req.Shots,
-		Seed:          *req.Seed,
-		Workers:       req.Workers,
+		Shots:         req.shots,
+		Seed:          req.seed,
+		Workers:       req.workers,
 		Cached:        cached,
 		CircuitKey:    key,
 		SnapshotNodes: ent.sampler.Snapshot().Len(),

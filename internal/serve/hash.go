@@ -24,8 +24,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"hash"
 	"math"
 
@@ -115,26 +113,4 @@ func (k *keyWriter) controls(ctls []gate.Control) {
 		k.signed(ctl.Qubit)
 		k.flag(ctl.Negative)
 	}
-}
-
-// KeyForBody computes the canonical circuit key for a raw /v1/sample request
-// body without simulating anything: it decodes just the circuit description
-// (qasm or named benchmark), builds the circuit, and hashes it under norm.
-//
-// This is the cluster router's routing function — the router must place a
-// request on the ring before any replica sees it, using exactly the key the
-// replica's cache will use, or routing and caching would disagree about
-// which backend owns a circuit. Unknown body fields are ignored here (the
-// replica still enforces its full request schema); a body whose circuit
-// cannot be built fails with an error the router reports as HTTP 400.
-func KeyForBody(body []byte, norm dd.Norm) (string, error) {
-	var src circuitSource
-	if err := json.Unmarshal(body, &src); err != nil {
-		return "", fmt.Errorf("invalid JSON body: %w", err)
-	}
-	circ, err := resolveCircuit(src.QASM, src.Circuit)
-	if err != nil {
-		return "", err
-	}
-	return CircuitKey(circ, norm, false), nil
 }

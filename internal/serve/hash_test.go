@@ -134,12 +134,12 @@ func TestCircuitKeyGolden(t *testing.T) {
 // BenchmarkResolveRequest times what a /v1/sample request spends before
 // it samples, for each circuit of weakbench's interactive mix, spelled as
 // that mix sends it (the first six as QASM, the rest by name). A cold row
-// is a spelling the memo does not hold: decode the body, probe the memo,
-// resolve the circuit (parse the QASM or generate the benchmark, then
-// validate), hash its key, then remember the spelling and forget it again,
-// which is what each request costs when no spelling ever repeats and the
-// entry's memo is full. A warm row decodes the body and finds the spelling
-// in the memo. These steps are the parse and hash phases of the daemon's
+// is a spelling the memo does not hold: read and scan the body, probe the
+// memo, resolve the circuit (unescape the token, parse the QASM or generate
+// the benchmark, then validate), hash its key, then remember the spelling
+// and forget it again, which is what each request costs when no spelling
+// ever repeats and the entry's memo is full. A warm row reads and scans
+// the body and finds the spelling in the memo. These steps are the parse and hash phases of the daemon's
 // request trace. Spellings are remembered on a stand-in entry, so no
 // circuit is simulated.
 func BenchmarkResolveRequest(b *testing.B) {
@@ -165,40 +165,46 @@ func BenchmarkResolveRequest(b *testing.B) {
 		body := []byte(`{"` + member + `":` + string(js) + `,"shots":1024,"seed":7}`)
 		rd := bytes.NewReader(body)
 		r := httptest.NewRequest(http.MethodPost, "/v1/sample", nil)
-		r.Body = io.NopCloser(rd)
-		resolve := func() (string, circuitSource) {
+		r.Body, r.ContentLength = io.NopCloser(rd), int64(len(body))
+		// resolve returns the request's key and spelling, and the body
+		// buffer the spelling points into.
+		resolve := func() (string, spelling, *[]byte) {
 			rd.Reset(body)
-			req, err := s.parseRequest(r)
+			req, buf, err := s.parseRequest(r)
 			if err != nil {
 				b.Fatal(err)
 			}
-			key, _, _, err := s.keyFor(nil, nil, req.circuitSource, s.cache.getBySpelling)
+			key, _, _, err := s.keyFor(nil, nil, req.spelling, s.cache.getBySpelling)
 			if err != nil {
 				b.Fatal(err)
 			}
-			return key, req.circuitSource
+			return key, req.spelling, buf
 		}
-		key, _ := resolve()
+		key, _, buf := resolve()
+		putBody(buf)
 		ent := testEntry(b, key, 0)
 		s.cache.insert(ent)
 		b.Run("cold/"+member+"/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
 			for i := 0; i < b.N; i++ {
-				_, src := resolve()
+				_, src, buf := resolve()
 				s.cache.remember(src, ent)
 				s.cache.mu.Lock()
 				s.cache.forget(ent, 1)
 				s.cache.mu.Unlock()
+				putBody(buf)
 			}
 		})
-		_, src := resolve()
+		_, src, buf := resolve()
 		s.cache.remember(src, ent)
+		putBody(buf)
 		b.Run("warm/"+member+"/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
 			for i := 0; i < b.N; i++ {
-				resolve()
+				_, _, buf := resolve()
+				putBody(buf)
 			}
 		})
 	}

@@ -38,23 +38,6 @@ import (
 // per-request MaxShots: jobs exist precisely to exceed it).
 const JobMaxShots = 1 << 30
 
-// jobSubmitRequest is the POST /v1/jobs body.
-type jobSubmitRequest struct {
-	// circuitSource names the work, as for /v1/sample.
-	circuitSource
-	// Shots is the total sample budget (required; capped at JobMaxShots).
-	Shots int `json:"shots"`
-	// Seed seeds sampling; omitted means 1. Chunk i draws from
-	// rng.Stream(seed, i), so results are reproducible and
-	// checkpoint-stable.
-	Seed *uint64 `json:"seed,omitempty"`
-	// Priority is "high", "normal" (default), or "low".
-	Priority string `json:"priority,omitempty"`
-	// Tenant attributes the job for fair-share weighting and quotas
-	// (default "default").
-	Tenant string `json:"tenant,omitempty"`
-}
-
 // jobResultResponse is the GET /v1/jobs/{id}/result success body.
 type jobResultResponse struct {
 	JobID string `json:"job_id"`
@@ -76,9 +59,11 @@ type jobResultResponse struct {
 //	MO / TO / anything else       → terminal verdict, unchanged
 //
 // A spelling the memo holds gives the key and the entry without resolving
-// the circuit; its key is still checked against the spec's.
+// the circuit; its key is still checked against the spec's. The spec holds
+// its source unescaped, so a chunk spells it in one canonical escaping
+// (quote), which its first miss remembers for the chunks after it.
 func (s *Server) jobSnapshot(ctx context.Context, spec job.Spec) (core.Sampler, error) {
-	src := circuitSource{QASM: spec.QASM, Circuit: spec.Circuit}
+	src := spelling{qasm: quote(spec.QASM), circuit: quote(spec.Circuit)}
 	var key string
 	var circ *circuit.Circuit
 	ent, ok := s.cache.getBySpelling(src)
@@ -145,16 +130,21 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// The circuit is resolved at the door — a job that can never run should
 	// be a 400 now, not a failed state later — and its key pinned for the
-	// chunks to verify against.
-	var req jobSubmitRequest
-	if err := s.decodeBody(r, &req); err != nil {
+	// chunks to verify against. The body's members are "qasm" or "circuit",
+	// "shots" (required, capped at JobMaxShots), "seed" (default 1; chunk i
+	// draws from rng.Stream(seed, i)), "priority" ("high", "normal" by
+	// default, or "low") and "tenant" (default "default", for fair-share
+	// weights and quotas).
+	req, buf, err := s.scanRequest(r, jobMembers)
+	if err != nil {
 		s.writeError(w, err)
 		return
 	}
+	defer putBody(buf)
 	// A submit times no phases; its chunks time theirs. It needs the key,
 	// not the snapshot, so a remembered spelling counts as no cache hit and
 	// keeps its entry's place in the LRU.
-	key, ent, circ, err := s.keyFor(nil, nil, req.circuitSource, s.cache.spelled)
+	key, ent, circ, err := s.keyFor(nil, nil, req.spelling, s.cache.spelled)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -165,32 +155,37 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	} else {
 		qubits = circ.NQubits
 	}
-	if req.Shots < 1 {
-		s.writeError(w, badRequest{fmt.Errorf("shots must be positive, got %d", req.Shots)})
+	if req.shots < 1 {
+		s.writeError(w, badRequest{fmt.Errorf("shots must be positive, got %d", req.shots)})
 		return
 	}
-	if req.Shots > JobMaxShots {
-		s.writeError(w, badRequest{fmt.Errorf("shots %d exceeds the per-job cap %d", req.Shots, JobMaxShots)})
+	if req.shots > JobMaxShots {
+		s.writeError(w, badRequest{fmt.Errorf("shots %d exceeds the per-job cap %d", req.shots, JobMaxShots)})
 		return
 	}
-	prio, err := job.ParsePriority(req.Priority)
+	prio, err := job.ParsePriority(req.priority)
 	if err != nil {
 		s.writeError(w, badRequest{err})
 		return
 	}
-	if req.Seed == nil {
-		one := uint64(1)
-		req.Seed = &one
+	if !req.seeded {
+		req.seed = 1
+	}
+	// The spec keeps its source unescaped, as the WAL records it.
+	src, name, err := req.decode()
+	if err != nil {
+		s.writeError(w, badRequest{err})
+		return
 	}
 	spec := job.Spec{
 		Key:      key,
-		QASM:     req.QASM,
-		Circuit:  req.Circuit,
+		QASM:     src,
+		Circuit:  name,
 		Qubits:   qubits,
-		Shots:    req.Shots,
-		Seed:     *req.Seed,
+		Shots:    req.shots,
+		Seed:     req.seed,
 		Priority: prio,
-		Tenant:   req.Tenant,
+		Tenant:   req.tenant,
 	}
 	st, err := s.jobs.Submit(spec)
 	if err != nil {

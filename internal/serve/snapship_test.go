@@ -194,10 +194,11 @@ func TestSnapshotKeyValidation(t *testing.T) {
 	}
 }
 
-// TestKeyForBodyMatchesServedKey: the router-side key function agrees with
+// TestKeyMemoMatchesServedKey: the router-side key function agrees with
 // the key the replica derives from a full request — the invariant that makes
-// ring routing and replica caching name the same owner.
-func TestKeyForBodyMatchesServedKey(t *testing.T) {
+// ring routing and replica caching name the same owner — and resolves a
+// repeated spelling once.
+func TestKeyMemoMatchesServedKey(t *testing.T) {
 	_, base := startServer(t, Config{})
 	body := map[string]any{"qasm": ghzQASM, "shots": 8, "workers": 1}
 	var resp sampleResult
@@ -205,19 +206,25 @@ func TestKeyForBodyMatchesServedKey(t *testing.T) {
 		t.Fatalf("sample: status %d", status)
 	}
 	raw, _ := json.Marshal(body)
-	key, err := KeyForBody(raw, 0)
-	if err != nil {
-		t.Fatalf("KeyForBody: %v", err)
+	memo := NewKeyMemo(0, 1<<20)
+	for i := 0; i < 3; i++ {
+		key, err := memo.Key(raw)
+		if err != nil {
+			t.Fatalf("KeyMemo.Key: %v", err)
+		}
+		if key != resp.CircuitKey {
+			t.Fatalf("KeyMemo.Key = %s, server used %s", key, resp.CircuitKey)
+		}
 	}
-	if key != resp.CircuitKey {
-		t.Fatalf("KeyForBody = %s, server used %s", key, resp.CircuitKey)
+	if hits, misses := memo.Stats(); hits != 2 || misses != 1 {
+		t.Fatalf("three keys of one spelling: %d hits, %d misses, want 2 and 1", hits, misses)
 	}
-	if _, err := KeyForBody([]byte(`{"shots":4}`), 0); err == nil {
-		t.Fatal("KeyForBody accepted a body with no circuit")
+	for _, bad := range []string{`{"shots":4}`, `not json`, `{"circuit":"ghz_3"} {}`, `{"circuit":"ghz_3","frob":1}`} {
+		if _, err := memo.Key([]byte(bad)); err == nil {
+			t.Fatalf("KeyMemo.Key accepted %s", bad)
+		}
 	}
-	if _, err := KeyForBody([]byte(`not json`), 0); err == nil {
-		t.Fatal("KeyForBody accepted junk")
-	}
+	key := resp.CircuitKey
 	// Wire format check: the shipped frame decodes with the snapstore codec.
 	get, err := http.Get(base + snapshotPathPrefix + key)
 	if err != nil {

@@ -4,8 +4,9 @@ package serve
 // hashing, with the counts a resolved request draws; spellings of one
 // circuit share one entry; eviction, the per-entry cap and the byte charge
 // keep the memo inside the cache; invalid spellings are never remembered;
-// a job chunk still checks its pinned key on a memo hit; and a job submit
-// reads the memo without counting a cache hit.
+// a job chunk still checks its pinned key on a memo hit, and a QASM job's
+// chunks after the first hit the memo; two escapings of one source share
+// one entry; and a job submit reads the memo without counting a cache hit.
 
 import (
 	"bytes"
@@ -23,6 +24,7 @@ import (
 
 	"weaksim/internal/algo"
 	"weaksim/internal/circuit/qasm"
+	"weaksim/internal/core"
 	"weaksim/internal/job"
 	"weaksim/internal/obs"
 )
@@ -43,14 +45,14 @@ func checkMemo(t *testing.T, c *snapCache) {
 			t.Errorf("entry %s keeps %d spellings, cap %d", ent.key, len(ent.spellings), maxSpellings)
 		}
 		for _, sp := range ent.spellings {
-			if c.spellings[sp] != el {
+			if c.spellings[sp.kind][sp.tok] != el {
 				t.Errorf("entry %s lists a spelling the memo maps elsewhere", ent.key)
 			}
 		}
 		listed += len(ent.spellings)
 	}
-	if listed != len(c.spellings) {
-		t.Errorf("memo holds %d spellings, entries list %d", len(c.spellings), listed)
+	if n := len(c.spellings[memoQASM]) + len(c.spellings[memoName]); listed != n {
+		t.Errorf("memo holds %d spellings, entries list %d", n, listed)
 	}
 	if bytes != c.bytes {
 		t.Errorf("cache accounts %d bytes, its entries %d", c.bytes, bytes)
@@ -60,13 +62,25 @@ func checkMemo(t *testing.T, c *snapCache) {
 func memoLen(c *snapCache) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.spellings)
+	return len(c.spellings[memoQASM]) + len(c.spellings[memoName])
+}
+
+// qasmSpelling and nameSpelling spell a circuit as encoding/json writes a
+// request's "qasm" or "circuit" member.
+func qasmSpelling(src string) spelling  { return spelling{qasm: quote(src)} }
+func nameSpelling(name string) spelling { return spelling{circuit: quote(name)} }
+
+// charge is what remembering sp charges its entry.
+func charge(sp spelling) int64 {
+	tok, _, _ := sp.memoKey()
+	return spellingBytes(len(tok))
 }
 
 // TestSpellingHitResolvesNothing: the second request for qft_32's QASM is
 // answered from the memo with the first one's counts, and a memo hit
-// allocates nothing beyond decoding the body: no parse, no validation, no
-// key.
+// allocates nothing: no unescape, no parse, no validation, no key. Reading
+// and scanning the body into its pooled buffer and the probe allocate at
+// most 4 times together.
 func TestSpellingHitResolvesNothing(t *testing.T) {
 	srv, base := startServer(t, Config{})
 	qft, err := algo.Generate("qft_32")
@@ -98,32 +112,35 @@ func TestSpellingHitResolvesNothing(t *testing.T) {
 	}
 	rd := bytes.NewReader(raw)
 	r := httptest.NewRequest(http.MethodPost, "/v1/sample", nil)
-	r.Body = io.NopCloser(rd)
-	parse := func() *sampleRequest {
+	r.Body, r.ContentLength = io.NopCloser(rd), int64(len(raw))
+	parse := func() (sampleRequest, *[]byte) {
 		rd.Reset(raw)
-		req, err := srv.parseRequest(r)
+		req, buf, err := srv.parseRequest(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return req
+		return req, buf
 	}
-	spelled := parse().circuitSource
+	req, buf := parse()
+	spelled := req.spelling
 	if key, ent, circ, err := srv.keyFor(nil, nil, spelled, srv.cache.getBySpelling); err != nil || ent == nil || circ != nil || key != miss.CircuitKey {
 		t.Fatalf("keyFor on a remembered spelling: key %s entry %v circuit %v err %v", key, ent != nil, circ != nil, err)
 	}
 	if a := testing.AllocsPerRun(20, func() { _, _, _, _ = srv.keyFor(nil, nil, spelled, srv.cache.getBySpelling) }); a != 0 {
 		t.Errorf("a memo hit allocates %v times, want 0", a)
 	}
-	decode := testing.AllocsPerRun(20, func() { parse() })
+	putBody(buf)
 	both := testing.AllocsPerRun(20, func() {
-		if _, ok := srv.cache.getBySpelling(parse().circuitSource); !ok {
+		req, buf := parse()
+		if _, ok := srv.cache.getBySpelling(req.spelling); !ok {
 			t.Fatal("spelling forgotten")
 		}
+		putBody(buf)
 	})
-	if both > decode || both > 24 {
-		t.Errorf("decode and memo hit allocate %v times (decode alone %v), want no more than decoding and at most 24", both, decode)
+	if both > 4 {
+		t.Errorf("read, scan and memo hit allocate %v times, want at most 4", both)
 	}
-	t.Logf("qft_32 as QASM (%d bytes): decode %v allocations, decode + memo hit %v", len(raw), decode, both)
+	t.Logf("qft_32 as QASM (%d bytes): read, scan and memo hit %v allocations", len(raw), both)
 }
 
 // TestSpellingVariantsShareOneEntry: a benchmark name, its QASM and the
@@ -214,9 +231,9 @@ func TestSpellingCapAndCharge(t *testing.T) {
 	c := newSnapCache(1000, obs.NewRegistry())
 	ent := testEntry(t, "k", 100)
 	c.insert(ent)
-	var sps []circuitSource
+	var sps []spelling
 	for i := 0; i < maxSpellings+2; i++ {
-		sp := circuitSource{QASM: strings.Repeat(" ", i) + "OPENQASM 2.0;"}
+		sp := qasmSpelling(strings.Repeat(" ", i) + "OPENQASM 2.0;")
 		c.remember(sp, ent)
 		c.remember(sp, ent) // a second time changes nothing
 		sps = append(sps, sp)
@@ -228,7 +245,7 @@ func TestSpellingCapAndCharge(t *testing.T) {
 			t.Errorf("spelling %d remembered %v, want %v", i, ok, kept)
 		}
 		if i >= 2 {
-			want += spellingBytes(sp)
+			want += charge(sp)
 		}
 	}
 	if ent.bytes != want || c.stats().Bytes != want {
@@ -238,26 +255,27 @@ func TestSpellingCapAndCharge(t *testing.T) {
 
 	other := testEntry(t, "other", 100)
 	c.insert(other)
-	big := circuitSource{Circuit: strings.Repeat("y", 800)}
+	big := nameSpelling(strings.Repeat("y", 800))
 	c.remember(big, other)
-	if st := c.stats(); st.Entries != 1 || st.Evictions != 1 || st.Bytes != 100+spellingBytes(big) {
+	if st := c.stats(); st.Entries != 1 || st.Evictions != 1 || st.Bytes != 100+charge(big) {
 		t.Fatalf("after charging an 800-byte spelling: %+v, want k evicted", st)
 	}
 	if _, ok := c.getBySpelling(sps[len(sps)-1]); ok {
 		t.Fatal("an evicted entry's spelling still answers")
 	}
-	c.remember(circuitSource{Circuit: "late"}, ent)
-	if _, ok := c.getBySpelling(circuitSource{Circuit: "late"}); ok {
+	c.remember(nameSpelling("late"), ent)
+	if _, ok := c.getBySpelling(nameSpelling("late")); ok {
 		t.Fatal("a spelling was remembered on an evicted entry")
 	}
 	checkMemo(t, c)
 
-	// The memo takes QASM up to maxSpellingBytes and never a longer one.
+	// The memo takes tokens up to maxSpellingBytes, quotes included, and
+	// never a longer one.
 	c = newSnapCache(0, obs.NewRegistry())
 	ent = testEntry(t, "k", 100)
 	c.insert(ent)
-	longest := circuitSource{QASM: strings.Repeat(" ", maxSpellingBytes)}
-	tooLong := circuitSource{QASM: strings.Repeat(" ", maxSpellingBytes+1)}
+	longest := qasmSpelling(strings.Repeat(" ", maxSpellingBytes-2))
+	tooLong := qasmSpelling(strings.Repeat(" ", maxSpellingBytes-1))
 	c.remember(longest, ent)
 	c.remember(tooLong, ent)
 	if _, ok := c.getBySpelling(longest); !ok {
@@ -266,7 +284,7 @@ func TestSpellingCapAndCharge(t *testing.T) {
 	if _, ok := c.getBySpelling(tooLong); ok {
 		t.Error("a spelling longer than maxSpellingBytes was remembered")
 	}
-	if st := c.stats(); st.SpellingHits != 1 || st.SpellingMisses != 1 || st.Bytes != 100+spellingBytes(longest) {
+	if st := c.stats(); st.SpellingHits != 1 || st.SpellingMisses != 1 || st.Bytes != 100+charge(longest) {
 		t.Fatalf("stats %+v, want one hit, one miss and only the shorter spelling charged", st)
 	}
 	checkMemo(t, c)
@@ -346,7 +364,7 @@ func TestSpellingParallelHitsAndEviction(t *testing.T) {
 	c := newSnapCache(300, obs.NewRegistry())
 	base := testEntry(t, "base", 0)
 	const circuits = 8
-	sp := func(i int) circuitSource { return circuitSource{Circuit: "c" + strconv.Itoa(i)} }
+	sp := func(i int) spelling { return nameSpelling("c" + strconv.Itoa(i)) }
 	key := func(i int) string { return "k" + strconv.Itoa(i) }
 
 	var wg sync.WaitGroup
@@ -404,7 +422,7 @@ func TestJobSubmitCountsNoCacheHit(t *testing.T) {
 			t.Fatalf("sample %s: status %d", name, code)
 		}
 	}
-	src := circuitSource{Circuit: "ghz_3"}
+	src := nameSpelling("ghz_3")
 	ent, ok := srv.cache.spelled(src)
 	if !ok {
 		t.Fatal("ghz_3's spelling was not remembered")
@@ -434,5 +452,85 @@ func TestJobSubmitCountsNoCacheHit(t *testing.T) {
 		after.Misses != before.Misses || after.SpellingMisses != before.SpellingMisses {
 		t.Fatalf("a job of %d chunks moved the stats from %+v to %+v, want one cache and spelling hit per chunk and none for the submit",
 			chunks, before, after)
+	}
+}
+
+// postRaw posts body as it is and decodes a 200 answer into out.
+func postRaw(t *testing.T, url, body string, out any) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK && out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode
+}
+
+// TestSpellingEscapingsShareOneEntry: the memo keys a spelling by its raw
+// token, so one QASM source escaped two ways (\n and \u000a) is two
+// spellings, each resolved once, of one entry with one key and one strong
+// simulation; each answers from the memo when it repeats.
+func TestSpellingEscapingsShareOneEntry(t *testing.T) {
+	srv, base := startServer(t, Config{})
+	src := "OPENQASM 2.0;\\ninclude \\\"qelib1.inc\\\";\\nqreg q[3];\\nh q[0];\\ncx q[0],q[1];\\ncx q[1],q[2];\\n"
+	bodies := []string{
+		`{"qasm":"` + src + `","shots":512,"seed":2}`,
+		`{"qasm":"` + strings.ReplaceAll(src, `\n`, `\u000a`) + `","shots":512,"seed":2}`,
+	}
+	var first sampleResult
+	for round := 0; round < 2; round++ {
+		for i, body := range bodies {
+			var got sampleResult
+			if code := postRaw(t, base+"/v1/sample", body, &got); code != http.StatusOK {
+				t.Fatalf("round %d escaping %d: status %d", round, i, code)
+			}
+			if round == 0 && i == 0 {
+				first = got
+				continue
+			}
+			if !got.Cached || got.CircuitKey != first.CircuitKey || !reflect.DeepEqual(got.Counts, first.Counts) {
+				t.Fatalf("round %d escaping %d: cached %v key %s, want the first answer (key %s)",
+					round, i, got.Cached, got.CircuitKey, first.CircuitKey)
+			}
+		}
+	}
+	st := srv.cache.stats()
+	if sims := srv.pool.sims.Value(); sims != 1 || st.Entries != 1 || memoLen(srv.cache) != 2 {
+		t.Fatalf("%d simulations, %d entries, %d spellings; want 1, 1 and 2", sims, st.Entries, memoLen(srv.cache))
+	}
+	if st.SpellingMisses != 2 || st.SpellingHits != 2 {
+		t.Fatalf("spelling misses %d hits %d, want 2 and 2", st.SpellingMisses, st.SpellingHits)
+	}
+	checkMemo(t, srv.cache)
+}
+
+// TestJobChunksHitTheMemo: a QASM job's chunks probe the memo with one
+// canonical escaping of the spec's source, whatever escaping the submit
+// used, so the first chunk resolves the circuit and every chunk after it
+// is a spelling hit.
+func TestJobChunksHitTheMemo(t *testing.T) {
+	srv, base := startServer(t, Config{JobWorkers: 1})
+	src := strings.ReplaceAll(string(quote(ghzQASM)), `\n`, `\u000a`)
+	body := `{"qasm":` + src + `,"shots":` + strconv.Itoa(4*core.ChunkShots) + `,"seed":3}`
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st job.Status
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+	}
+	done := waitJob(t, base, st.ID, func(s job.Status) bool { return s.State == job.StateCompleted })
+	stats := srv.cache.stats()
+	if done.ChunksDone != 4 || stats.SpellingMisses != 1 || stats.SpellingHits != 3 {
+		t.Fatalf("%d chunks: spelling misses %d hits %d, want 4 chunks, one miss and three hits",
+			done.ChunksDone, stats.SpellingMisses, stats.SpellingHits)
 	}
 }
