@@ -95,24 +95,31 @@ chaos:
 # unique-table node constructor, the frozen binomial split against a
 # reference split over the live diagram, the binomial sampler over every
 # float64 probability, weight canonicalization against its Frexp/Ldexp
-# reference, and the request body scanner against the encoding/json
-# decoder it replaced (front_test.go), ~30s each. Not a soak — just enough
-# to catch a decoder that panics on the corpus neighborhoods of valid
-# inputs, a parsing or sampling path that drifts from its reference, a
-# binomial draw that leaves [0, n] or hangs, a canonical weight that moves
-# by one bit, or a request body the scanner and the decoder disagree on.
+# reference, the request body scanner against the encoding/json decoder it
+# replaced (front_test.go), and the job WAL's run record decoders
+# (records_test.go), ~30s each. Not a soak — just enough to catch a decoder
+# that panics on the corpus neighborhoods of valid inputs, a parsing or
+# sampling path that drifts from its reference, a binomial draw that leaves
+# [0, n] or hangs, a canonical weight that moves by one bit, a request body
+# the scanner and the decoder disagree on, or a WAL record that replays
+# when it should be refused or does not round-trip.
 # Each -fuzz pattern is anchored: go test refuses one that matches two
-# targets, and FuzzParse prefixes FuzzParseMatchesReference.
+# targets, and FuzzParse prefixes FuzzParseMatchesReference. The two
+# targets whose interesting inputs run to kilobytes minimize each for at
+# most 100 runs (Go's default is 60 s), so they fuzz for their budget
+# instead of minimizing through it. .github/workflows/nightly.yml soaks the
+# same list.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/circuit/qasm
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMatchesReference$$' -fuzztime 30s ./internal/circuit/qasm
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteParse$$' -fuzztime 30s ./internal/circuit/qasm
-	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/dd
-	$(GO) test -run '^$$' -fuzz FuzzMakeVNode -fuzztime 30s ./internal/dd
-	$(GO) test -run '^$$' -fuzz FuzzCountsFrozen -fuzztime 30s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzBinomial -fuzztime 30s ./internal/rng
-	$(GO) test -run '^$$' -fuzz FuzzLookupFloat -fuzztime 30s ./internal/cnum
-	$(GO) test -run '^$$' -fuzz '^FuzzScanMatchesJSON$$' -fuzztime 30s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 30s ./internal/dd
+	$(GO) test -run '^$$' -fuzz '^FuzzMakeVNode$$' -fuzztime 30s ./internal/dd
+	$(GO) test -run '^$$' -fuzz '^FuzzCountsFrozen$$' -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzBinomial$$' -fuzztime 30s ./internal/rng
+	$(GO) test -run '^$$' -fuzz '^FuzzLookupFloat$$' -fuzztime 30s ./internal/cnum
+	$(GO) test -run '^$$' -fuzz '^FuzzScanMatchesJSON$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzRunRecord$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/job
 
 # The DD sampling benchmarks watched for regressions (Section IV): the
 # per-shot frozen walk per Table I row, and the walk under each

@@ -83,9 +83,15 @@ func TallyChunk(ctx context.Context, s Sampler, seed uint64, chunk, quota int) (
 	return t, drawChunk(ctx, s, rng.Stream(seed, chunk), chunk, quota, t)
 }
 
+// runStartLen is the capacity a chunk's run starts at. A 1,024-shot answer
+// never regrows it; a larger chunk lets append grow it to its outcomes,
+// which can be far fewer than CountsSizeHint's bound: a 65,536-shot chunk
+// of shor_33_2 holds about 1,840 of a possible 65,536.
+const runStartLen = 1 << 10
+
 // drawChunk is the one chunk body of every count-producing call: it tallies
-// quota samples drawn from r into t, a run tally into a new run sized by
-// CountsSizeHint. A *FrozenSampler splits them down its walk table (see
+// quota samples drawn from r into t, a run tally into a new run that starts
+// at runStartLen. A *FrozenSampler splits them down its walk table (see
 // FrozenSampler.splitNode); any other sampler draws one Sample per shot, a
 // CtxCheckShots block at a time, and its run is settled once at the end,
 // even a partial one. An injected panic (chaos testing) becomes the
@@ -94,7 +100,7 @@ func TallyChunk(ctx context.Context, s Sampler, seed uint64, chunk, quota int) (
 // propagate. index labels the errors.
 func drawChunk(ctx context.Context, s Sampler, r *rng.RNG, index, quota int, t *Tally) (err error) {
 	c := &chunk{ctx: ctx, r: r, t: t, index: index, quota: quota}
-	t.newRun(CountsSizeHint(quota, s.Qubits()))
+	t.newRun(min(CountsSizeHint(quota, s.Qubits()), runStartLen))
 	defer func() {
 		t.settle()
 		if rec := recover(); rec != nil {

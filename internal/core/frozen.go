@@ -268,8 +268,7 @@ func (s *FrozenSampler) splitNode(c *chunk, cur int32, levels int, prefix uint64
 
 // CountsSizeHint bounds the number of distinct outcomes a tally of shots
 // samples over n qubits can hold: no more than the shot count, and no more
-// than the 2^n basis states. A chunk's run is preallocated to it, so the
-// split never regrows the run.
+// than the 2^n basis states. A chunk's run starts at no more than it.
 func CountsSizeHint(shots, qubits int) int {
 	if shots < 0 {
 		return 0

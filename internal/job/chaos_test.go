@@ -158,26 +158,26 @@ func TestReplayIgnoresGarbageRecords(t *testing.T) {
 	good := testSpec("jok", 100, 50)
 	records := []Record{
 		mustRecord(recSubmit, good),
-		{Type: recSubmit, Payload: []byte(`{"id":`)},                             // malformed JSON
-		{Type: recSubmit, Payload: []byte(`{"id":"jbad"}`)},                      // fails Validate
-		mustRecord(recChunk, chunkRecord{ID: "ghost", Chunk: 0, Shots: 50}),      // unknown job
-		mustRecord(recChunk, chunkRecord{ID: "jok", Chunk: 99, Shots: 50}),       // out of range
-		mustRecord(recChunk, chunkRecord{ID: "jok", Chunk: -1, Shots: 50}),       // negative
-		mustRecord(recState, stateRecord{ID: "jok", State: StateRunning}),        // non-terminal state
-		mustRecord(recState, stateRecord{ID: "ghost", State: StateFailed}),       // unknown job
-		mustRecord(recCheckpoint, checkpointRecord{ID: "ghost", Done: []int{0}}), // unknown job
-		{Type: 200, Payload: []byte(`{}`)},                                       // unknown record type
-		mustRecord(recChunk, chunkRecord{ID: "jok", Chunk: 1, Shots: 50,
+		{Type: recSubmit, Payload: []byte(`{"id":`)},                                 // malformed JSON
+		{Type: recSubmit, Payload: []byte(`{"id":"jbad"}`)},                          // fails Validate
+		mustRecord(recChunkJSON, chunkRecord{ID: "ghost", Chunk: 0, Shots: 50}),      // unknown job
+		mustRecord(recChunkJSON, chunkRecord{ID: "jok", Chunk: 99, Shots: 50}),       // out of range
+		mustRecord(recChunkJSON, chunkRecord{ID: "jok", Chunk: -1, Shots: 50}),       // negative
+		mustRecord(recState, stateRecord{ID: "jok", State: StateRunning}),            // non-terminal state
+		mustRecord(recState, stateRecord{ID: "ghost", State: StateFailed}),           // unknown job
+		mustRecord(recCheckpointJSON, checkpointRecord{ID: "ghost", Done: []int{0}}), // unknown job
+		{Type: 200, Payload: []byte(`{}`)},                                           // unknown record type
+		mustRecord(recChunkJSON, chunkRecord{ID: "jok", Chunk: 1, Shots: 50,
 			Counts: map[string]int{"99999": 50}}), // key past the register
-		mustRecord(recChunk, chunkRecord{ID: "jok", Chunk: 1, Shots: 50,
+		mustRecord(recChunkJSON, chunkRecord{ID: "jok", Chunk: 1, Shots: 50,
 			Counts: map[string]int{"3": 10}}), // short of its shots
-		mustRecord(recChunk, chunkRecord{ID: "jok", Chunk: 1, Shots: 50,
+		mustRecord(recChunkJSON, chunkRecord{ID: "jok", Chunk: 1, Shots: 50,
 			Counts: map[string]int{"3": 60, "5": -10}}), // a negative count
-		mustRecord(recChunk, chunkRecord{ID: "jok", Chunk: 1, Shots: 40,
+		mustRecord(recChunkJSON, chunkRecord{ID: "jok", Chunk: 1, Shots: 40,
 			Counts: map[string]int{"3": 40}}), // not the chunk's quota
-		mustRecord(recCheckpoint, checkpointRecord{ID: "jok", Done: []int{1},
+		mustRecord(recCheckpointJSON, checkpointRecord{ID: "jok", Done: []int{1},
 			Counts: map[string]int{"5": 49}}), // short of its chunks' shots
-		mustRecord(recChunk, chunkRecord{ID: "jok", Chunk: 0, Shots: 50,
+		mustRecord(recChunkJSON, chunkRecord{ID: "jok", Chunk: 0, Shots: 50,
 			Counts: map[string]int{"3": 50}}), // the one real chunk
 	}
 	for _, rec := range records {
@@ -225,10 +225,10 @@ func TestCheckpointSupersedesChunks(t *testing.T) {
 	spec := testSpec("jcp", 200, 50) // 4 chunks
 	for _, rec := range []Record{
 		mustRecord(recSubmit, spec),
-		mustRecord(recChunk, chunkRecord{ID: "jcp", Chunk: 0, Shots: 50, Counts: map[string]int{"1": 50}}),
-		mustRecord(recChunk, chunkRecord{ID: "jcp", Chunk: 1, Shots: 50, Counts: map[string]int{"2": 50}}),
+		mustRecord(recChunkJSON, chunkRecord{ID: "jcp", Chunk: 0, Shots: 50, Counts: map[string]int{"1": 50}}),
+		mustRecord(recChunkJSON, chunkRecord{ID: "jcp", Chunk: 1, Shots: 50, Counts: map[string]int{"2": 50}}),
 		// Compaction summary claiming only chunk 2: the authoritative state.
-		mustRecord(recCheckpoint, checkpointRecord{ID: "jcp", Done: []int{2, 2, 99},
+		mustRecord(recCheckpointJSON, checkpointRecord{ID: "jcp", Done: []int{2, 2, 99},
 			Counts: map[string]int{"5": 50}}),
 	} {
 		if err := w.append(rec); err != nil {

@@ -61,8 +61,9 @@ type Config struct {
 	// RetainTerminal is how many terminal jobs stay queryable (default
 	// DefaultRetainTerminal).
 	RetainTerminal int
-	// SegmentBytes is the WAL rotation threshold (default
-	// DefaultSegmentBytes).
+	// SegmentBytes is the least size at which the active WAL segment
+	// rotates (default DefaultSegmentBytes); past it, rotation waits for
+	// twice what the last rotation wrote.
 	SegmentBytes int64
 	// Snapshot resolves a job's frozen sampler. Required.
 	Snapshot SnapshotFunc
@@ -270,24 +271,26 @@ func (m *Manager) applyLocked(rec Record) {
 			return
 		}
 		m.addJobLocked(spec)
-	case recChunk:
+	case recChunkJSON:
 		var cr chunkRecord
 		if json.Unmarshal(rec.Payload, &cr) != nil {
 			return
 		}
-		j, ok := m.jobs[cr.ID]
-		if !ok || cr.Chunk < 0 || cr.Chunk >= len(j.done) || j.done[cr.Chunk] ||
-			cr.Shots != j.spec.ChunkShotCount(cr.Chunk) {
-			return
+		if j := m.chunkTargetLocked(cr.ID, cr.Chunk, cr.Shots); j != nil {
+			if counts, err := decodeCounts(cr.Counts, j.spec.Qubits, cr.Shots); err == nil {
+				replayChunk(j, cr.Chunk, cr.Shots, counts)
+			}
 		}
-		counts, err := decodeCounts(cr.Counts, j.spec.Qubits, cr.Shots)
+	case recChunkRun:
+		h, err := readRunHead(rec.Type, rec.Payload)
 		if err != nil {
 			return
 		}
-		j.done[cr.Chunk] = true
-		j.chunksDone++
-		j.shotsDone += cr.Shots
-		j.counts.Add(counts)
+		if j := m.chunkTargetLocked(h.id, h.chunk, h.shots); j != nil {
+			if counts, err := decodeRun(h.pairs, j.spec.Qubits, h.shots); err == nil {
+				replayChunk(j, h.chunk, h.shots, counts)
+			}
+		}
 	case recState:
 		var sr stateRecord
 		if json.Unmarshal(rec.Payload, &sr) != nil {
@@ -299,7 +302,7 @@ func (m *Manager) applyLocked(rec Record) {
 		}
 		j.state = sr.State
 		j.errCode, j.errMsg = sr.ErrCode, sr.Err
-	case recCheckpoint:
+	case recCheckpointJSON:
 		var cp checkpointRecord
 		if json.Unmarshal(rec.Payload, &cp) != nil {
 			return
@@ -308,26 +311,73 @@ func (m *Manager) applyLocked(rec Record) {
 		if !ok {
 			return
 		}
-		done := make([]bool, j.spec.ChunksTotal())
-		chunksDone, shotsDone := 0, 0
-		for _, c := range cp.Done {
-			if c < 0 || c >= len(done) || done[c] {
-				continue
-			}
-			done[c] = true
-			chunksDone++
-			shotsDone += j.spec.ChunkShotCount(c)
+		// The JSON form skips a done chunk out of range or repeated.
+		done, chunksDone, shotsDone := doneSet(j.spec, cp.Done)
+		if counts, err := decodeCounts(cp.Counts, j.spec.Qubits, shotsDone); err == nil {
+			replayCheckpoint(j, done, chunksDone, shotsDone, counts)
 		}
-		counts, err := decodeCounts(cp.Counts, j.spec.Qubits, shotsDone)
+	case recCheckpointRun:
+		h, err := readRunHead(rec.Type, rec.Payload)
 		if err != nil {
 			return
 		}
-		// Supersede: the checkpoint is the full merged state at compaction
-		// time, not a delta.
-		j.counts = core.NewTally(j.spec.Qubits, j.spec.Shots)
-		j.counts.Add(counts)
-		j.done, j.chunksDone, j.shotsDone = done, chunksDone, shotsDone
+		j, ok := m.jobs[h.id]
+		if !ok {
+			return
+		}
+		// The run form ascends strictly, so a done chunk the set lacks is
+		// out of range; and its shots must be those of its chunks.
+		done, chunksDone, shotsDone := doneSet(j.spec, h.done)
+		if chunksDone != len(h.done) || shotsDone != h.shots {
+			return
+		}
+		if counts, err := decodeRun(h.pairs, j.spec.Qubits, shotsDone); err == nil {
+			replayCheckpoint(j, done, chunksDone, shotsDone, counts)
+		}
 	}
+}
+
+// chunkTargetLocked returns the job a replayed chunk record of shots
+// samples names, or nil when there is no such job, the chunk is out of
+// range or already done, or the shots are not its quota.
+func (m *Manager) chunkTargetLocked(id string, chunk, shots int) *jobState {
+	j, ok := m.jobs[id]
+	if !ok || chunk < 0 || chunk >= len(j.done) || j.done[chunk] || shots != j.spec.ChunkShotCount(chunk) {
+		return nil
+	}
+	return j
+}
+
+// replayChunk merges a replayed chunk's counts into j.
+func replayChunk(j *jobState, chunk, shots int, counts *core.Tally) {
+	j.done[chunk] = true
+	j.chunksDone++
+	j.shotsDone += shots
+	j.counts.Add(counts)
+}
+
+// doneSet marks chunks done among spec's chunks, skipping any out of range
+// or repeated, and sums the chunks and shots it marked.
+func doneSet(spec Spec, chunks []int) (done []bool, chunksDone, shotsDone int) {
+	done = make([]bool, spec.ChunksTotal())
+	for _, c := range chunks {
+		if c < 0 || c >= len(done) || done[c] {
+			continue
+		}
+		done[c] = true
+		chunksDone++
+		shotsDone += spec.ChunkShotCount(c)
+	}
+	return done, chunksDone, shotsDone
+}
+
+// replayCheckpoint replaces j's progress with a replayed checkpoint's. The
+// checkpoint is the full merged state at compaction time, not a delta: it
+// supersedes, never merges.
+func replayCheckpoint(j *jobState, done []bool, chunksDone, shotsDone int, counts *core.Tally) {
+	j.counts = core.NewTally(j.spec.Qubits, j.spec.Shots)
+	j.counts.Add(counts)
+	j.done, j.chunksDone, j.shotsDone = done, chunksDone, shotsDone
 }
 
 // finishReplayLocked settles the replayed table: terminal jobs enter the
@@ -371,10 +421,10 @@ func (m *Manager) finishReplayLocked() {
 // checkpoint ahead of the terminal record drops the chunks on every later
 // replay too.
 func (m *Manager) failStaleWalkLocked(j *jobState) {
-	_ = m.appendLocked(mustRecord(recCheckpoint, checkpointRecord{ID: j.spec.ID, Done: []int{}, Counts: map[string]int{}}))
 	j.counts = core.NewTally(j.spec.Qubits, j.spec.Shots)
 	j.done = make([]bool, j.spec.ChunksTotal())
 	j.chunksDone, j.shotsDone, j.recovered = 0, 0, 0
+	_ = m.appendLocked(checkpointRun(j.spec.ID, nil, 0, j.counts))
 	m.terminalizeLocked(j, StateFailed, "config_changed",
 		fmt.Sprintf("job: chunks drawn under walk version %d, this build walks version %d",
 			j.spec.Walk, core.WalkVersion))
@@ -570,7 +620,9 @@ func (m *Manager) appendLocked(rec Record) error {
 		return err
 	}
 	m.mWALRecords.Inc()
-	m.updateWALGaugesLocked()
+	// An append moves the size alone: the segment count changes only at
+	// open and rotation, which re-read the directory.
+	m.gWALBytes.Set(m.w.size)
 	return nil
 }
 
@@ -593,17 +645,13 @@ func (m *Manager) rotateLocked() {
 		j := m.jobs[id]
 		snap = append(snap, mustRecord(recSubmit, j.spec))
 		if j.chunksDone > 0 {
-			var done []int
+			done := make([]int, 0, j.chunksDone)
 			for i, d := range j.done {
 				if d {
 					done = append(done, i)
 				}
 			}
-			snap = append(snap, mustRecord(recCheckpoint, checkpointRecord{
-				ID:     id,
-				Done:   done,
-				Counts: encodeCounts(j.counts),
-			}))
+			snap = append(snap, checkpointRun(id, done, j.shotsDone, j.counts))
 		}
 		if j.state.Terminal() {
 			snap = append(snap, mustRecord(recState, stateRecord{
@@ -843,12 +891,7 @@ func (m *Manager) commitChunk(j *jobState, chunk, shots int, counts *core.Tally)
 	sp := obs.StartSpan(nil, j.trace, obs.PhaseWAL)
 	var rec Record
 	if m.cfg.Dir != "" {
-		rec = mustRecord(recChunk, chunkRecord{
-			ID:     j.spec.ID,
-			Chunk:  chunk,
-			Shots:  shots,
-			Counts: encodeCounts(counts),
-		})
+		rec = chunkRun(j.spec.ID, chunk, shots, counts)
 	}
 	sp.End(nil)
 

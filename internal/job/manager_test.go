@@ -276,7 +276,7 @@ func TestDuplicateChunkReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("openWAL: %v", err)
 	}
-	chunk := mustRecord(recChunk, chunkRecord{
+	chunk := mustRecord(recChunkJSON, chunkRecord{
 		ID: "jdup", Chunk: 0, Shots: 100, Counts: map[string]int{"3": 100},
 	})
 	for _, rec := range []Record{mustRecord(recSubmit, spec), chunk, chunk} {

@@ -8,7 +8,7 @@ package job
 //	u32  payload length (little-endian)
 //	u16  codec version
 //	u8   record type
-//	...  payload (JSON)
+//	...  payload (JSON or a binary run record; see records.go)
 //	u64  CRC-64 (ECMA) over [version..payload]
 //
 // Appends are fsynced before the in-memory state they describe becomes
@@ -30,6 +30,12 @@ package job
 //     construction: checkpoints supersede, duplicate chunk records are
 //     skipped).
 //
+// Rotation is due once the active segment holds max(maxSeg, 2 × what the
+// last rotation wrote) bytes. A rotation rewrites the live state, so before
+// it rewrites L bytes again at least L more have been appended: however
+// large the retained results grow, compaction's cost stays proportional to
+// the bytes appended, and the log to a small multiple of the live state.
+//
 // Record ordering is the only contract: replaying records in append order
 // through Manager's apply function reconstructs the store exactly.
 
@@ -50,14 +56,21 @@ import (
 const (
 	// recSubmit carries a Spec: a new job entered the system.
 	recSubmit uint8 = 1
-	// recChunk carries a chunkRecord: one chunk's tallies are final.
-	recChunk uint8 = 2
+	// recChunkJSON carries a chunkRecord, recChunkRun's JSON form in older
+	// builds. Replayed, never written.
+	recChunkJSON uint8 = 2
 	// recState carries a stateRecord: a terminal transition.
 	recState uint8 = 3
-	// recCheckpoint carries a checkpointRecord: a full merged snapshot of
+	// recCheckpointJSON carries a checkpointRecord, recCheckpointRun's JSON
+	// form in older builds. Replayed, never written.
+	recCheckpointJSON uint8 = 4
+	// recChunkRun carries a chunk run (records.go): one chunk's tallies are
+	// final.
+	recChunkRun uint8 = 5
+	// recCheckpointRun carries a checkpoint run: a full merged snapshot of
 	// one job's progress, written during compaction. It supersedes every
 	// earlier record for the job.
-	recCheckpoint uint8 = 4
+	recCheckpointRun uint8 = 6
 )
 
 const (
@@ -69,7 +82,8 @@ const (
 	// maxRecordBytes bounds a single record; anything larger in a frame
 	// header is treated as corruption, not an allocation request.
 	maxRecordBytes = 64 << 20
-	// DefaultSegmentBytes is the rotation threshold for the active segment.
+	// DefaultSegmentBytes is the least size at which the active segment
+	// rotates.
 	DefaultSegmentBytes = 8 << 20
 )
 
@@ -84,12 +98,13 @@ var walCRC = crc64.MakeTable(crc64.ECMA)
 // wal is the segmented log. The Manager serializes access (every call runs
 // under the manager mutex), so the type itself carries no lock.
 type wal struct {
-	dir     string
-	f       *os.File // active segment, opened for append
-	seq     uint64   // active segment sequence number
-	size    int64    // active segment size
-	maxSeg  int64    // rotation threshold
-	appends uint64   // records appended over the wal's lifetime
+	dir       string
+	f         *os.File // active segment, opened for append
+	seq       uint64   // active segment sequence number
+	size      int64    // active segment size
+	maxSeg    int64    // least rotation threshold
+	compacted int64    // bytes the last rotation wrote
+	rotations int      // rotations over the wal's lifetime
 }
 
 func segName(seq uint64) string { return fmt.Sprintf("%s%08d%s", segPrefix, seq, segExt) }
@@ -279,12 +294,12 @@ func (w *wal) append(rec Record) error {
 		return fmt.Errorf("job: wal sync: %w", err)
 	}
 	w.size += int64(len(frame))
-	w.appends++
 	return nil
 }
 
-// needsRotate reports whether the active segment has outgrown the threshold.
-func (w *wal) needsRotate() bool { return w.size >= w.maxSeg }
+// needsRotate reports whether the active segment has outgrown both the
+// threshold and twice the live state the last rotation wrote.
+func (w *wal) needsRotate() bool { return w.size >= max(w.maxSeg, 2*w.compacted) }
 
 // rotate compacts: the caller's snapshot records (the entire live state,
 // re-encoded) are written to the next segment via tmp+fsync+rename, the
@@ -324,7 +339,8 @@ func (w *wal) rotate(snapshot []Record) error {
 	}
 	old := w.f
 	oldSeq := w.seq
-	w.f, w.seq, w.size = f, next, size
+	w.f, w.seq, w.size, w.compacted = f, next, size, size
+	w.rotations++
 	if old != nil {
 		_ = old.Close()
 	}

@@ -25,7 +25,7 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	want := []Record{
 		{Type: recSubmit, Payload: []byte(`{"id":"j1"}`)},
-		{Type: recChunk, Payload: []byte(`{"id":"j1","chunk":0}`)},
+		{Type: recChunkJSON, Payload: []byte(`{"id":"j1","chunk":0}`)},
 		{Type: recState, Payload: []byte(`{"id":"j1","state":"completed"}`)},
 	}
 	for _, rec := range want {
@@ -52,7 +52,7 @@ func TestWALRoundTrip(t *testing.T) {
 		}
 	}
 	// The reopened log must accept further appends (O_APPEND on the tail).
-	if err := w2.append(Record{Type: recChunk, Payload: []byte(`{"id":"j1","chunk":1}`)}); err != nil {
+	if err := w2.append(Record{Type: recChunkJSON, Payload: []byte(`{"id":"j1","chunk":1}`)}); err != nil {
 		t.Fatalf("append after reopen: %v", err)
 	}
 }
@@ -63,7 +63,7 @@ func TestWALTornTail(t *testing.T) {
 	dir := t.TempDir()
 	w, _, _ := openTestWAL(t, dir, 0)
 	for i := 0; i < 3; i++ {
-		if err := w.append(Record{Type: recChunk, Payload: []byte(`{"chunk":true}`)}); err != nil {
+		if err := w.append(Record{Type: recChunkJSON, Payload: []byte(`{"chunk":true}`)}); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -73,7 +73,7 @@ func TestWALTornTail(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 	// Append half a frame: a plausible header promising more bytes than exist.
-	full := encodeFrame(Record{Type: recChunk, Payload: []byte(`{"torn":true}`)})
+	full := encodeFrame(Record{Type: recChunkJSON, Payload: []byte(`{"torn":true}`)})
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestWALCorruptQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	w, _, _ := openTestWAL(t, dir, 0)
 	for i := 0; i < 4; i++ {
-		if err := w.append(Record{Type: recChunk, Payload: []byte(`{"n":123456}`)}); err != nil {
+		if err := w.append(Record{Type: recChunkJSON, Payload: []byte(`{"n":123456}`)}); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -121,7 +121,7 @@ func TestWALCorruptQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Damage the payload of the second record (offset past the first frame).
-	frameLen := len(encodeFrame(Record{Type: recChunk, Payload: []byte(`{"n":123456}`)}))
+	frameLen := len(encodeFrame(Record{Type: recChunkJSON, Payload: []byte(`{"n":123456}`)}))
 	data[frameLen+10] ^= 0xFF
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestWALRotation(t *testing.T) {
 	dir := t.TempDir()
 	w, _, _ := openTestWAL(t, dir, 128) // tiny threshold
 	for i := 0; i < 10; i++ {
-		if err := w.append(Record{Type: recChunk, Payload: []byte(`{"filler":"xxxxxxxxxxxxxxxx"}`)}); err != nil {
+		if err := w.append(Record{Type: recChunkJSON, Payload: []byte(`{"filler":"xxxxxxxxxxxxxxxx"}`)}); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -162,7 +162,7 @@ func TestWALRotation(t *testing.T) {
 	}
 	snapshot := []Record{
 		{Type: recSubmit, Payload: []byte(`{"id":"j9"}`)},
-		{Type: recCheckpoint, Payload: []byte(`{"id":"j9","done":[0,1]}`)},
+		{Type: recCheckpointJSON, Payload: []byte(`{"id":"j9","done":[0,1]}`)},
 	}
 	if err := w.rotate(snapshot); err != nil {
 		t.Fatalf("rotate: %v", err)
@@ -192,7 +192,7 @@ func TestWALRotation(t *testing.T) {
 func TestScanSegmentOversizedLength(t *testing.T) {
 	// A frame header promising an absurd payload is corruption, not an
 	// allocation request.
-	frame := encodeFrame(Record{Type: recChunk, Payload: []byte("x")})
+	frame := encodeFrame(Record{Type: recChunkJSON, Payload: []byte("x")})
 	frame[0], frame[1], frame[2], frame[3] = 0xFF, 0xFF, 0xFF, 0x7F
 	res := scanSegment(frame)
 	if !res.corrupt {

@@ -31,10 +31,10 @@ func TestPreStampWALJobs(t *testing.T) {
 	w, _, _ := openTestWAL(t, dir, 0)
 	for _, rec := range []Record{
 		preStampSubmit("jold", 100, 50),
-		mustRecord(recChunk, chunkRecord{ID: "jold", Chunk: 0, Shots: 50, Counts: map[string]int{"3": 50}}),
+		mustRecord(recChunkJSON, chunkRecord{ID: "jold", Chunk: 0, Shots: 50, Counts: map[string]int{"3": 50}}),
 		preStampSubmit("jdone", 100, 50),
-		mustRecord(recChunk, chunkRecord{ID: "jdone", Chunk: 0, Shots: 50, Counts: map[string]int{"3": 50}}),
-		mustRecord(recChunk, chunkRecord{ID: "jdone", Chunk: 1, Shots: 50, Counts: map[string]int{"12": 50}}),
+		mustRecord(recChunkJSON, chunkRecord{ID: "jdone", Chunk: 0, Shots: 50, Counts: map[string]int{"3": 50}}),
+		mustRecord(recChunkJSON, chunkRecord{ID: "jdone", Chunk: 1, Shots: 50, Counts: map[string]int{"12": 50}}),
 		mustRecord(recState, stateRecord{ID: "jdone", State: StateCompleted}),
 	} {
 		if err := w.append(rec); err != nil {
@@ -99,7 +99,7 @@ func TestWalkOneWALJobFailsConfigChanged(t *testing.T) {
 	submit.Payload = []byte(strings.Replace(string(submit.Payload), `"priority"`, `"walk":1,"priority"`, 1))
 	for _, rec := range []Record{
 		submit,
-		mustRecord(recChunk, chunkRecord{ID: "jwalk1", Chunk: 0, Shots: 50, Counts: map[string]int{"3": 50}}),
+		mustRecord(recChunkJSON, chunkRecord{ID: "jwalk1", Chunk: 0, Shots: 50, Counts: map[string]int{"3": 50}}),
 	} {
 		if err := w.append(rec); err != nil {
 			t.Fatalf("append: %v", err)
@@ -181,7 +181,7 @@ func TestNormFieldWALJobResumes(t *testing.T) {
 		{Type: recSubmit, Payload: []byte(`{"id":"jnorm","key":"k-jnorm","circuit":"ghz","qubits":4,"shots":400,` +
 			`"seed":42,"chunk_shots":100,"norm":"sum","walk":` + strconv.Itoa(core.WalkVersion) +
 			`,"priority":1,"tenant":"t","created_unix_ms":1}`)},
-		mustRecord(recChunk, chunkRecord{ID: "jnorm", Chunk: 0, Shots: 100, Counts: chunk0}),
+		mustRecord(recChunkJSON, chunkRecord{ID: "jnorm", Chunk: 0, Shots: 100, Counts: chunk0}),
 	} {
 		if err := w.append(rec); err != nil {
 			t.Fatalf("append: %v", err)

@@ -73,31 +73,51 @@ func (c countsJSON) stream(buf []byte, w io.Writer) ([]byte, error) {
 }
 
 // writeSample writes a 200 /v1/sample body, byte for byte what writeJSON
-// writes for resp, but streams the counts through one countsFlushBytes
-// buffer: encoding/json marshals only sampleMeta, whose size does not grow
-// with the outcomes, and never holds or re-scans the counts object, which
-// has one member per outcome. finish, when not nil, runs once the counts
-// are written and before sampleMeta is marshaled, so it can end the
+// writes for resp, through writeCounts. finish, when not nil, runs once the
+// counts are written and before sampleMeta is marshaled, so it can end the
 // request's encode phase and fill in the trace echo that reports it.
 func writeSample(w http.ResponseWriter, resp *sampleResponse, finish func(*sampleMeta)) {
+	writeCounts(w, nil, resp.Counts, func() any {
+		if finish != nil {
+			finish(&resp.sampleMeta)
+		}
+		return &resp.sampleMeta
+	})
+}
+
+// writeCounts writes a 200 body whose object holds head's members, then
+// "counts", then the members of the value tail returns: byte for byte what
+// writeJSON writes for a struct of those members in that order. It streams
+// the counts through one countsFlushBytes buffer, so encoding/json marshals
+// only head and tail, whose sizes do not grow with the outcomes, and never
+// holds or re-scans the counts object, which has one member per outcome.
+// head is nil or marshals to a JSON object with members, as tail's value
+// does; tail runs once the counts are written.
+func writeCounts(w http.ResponseWriter, head any, counts countsJSON, tail func() any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	buf := make([]byte, 0, countsFlushBytes+256)
-	buf = append(buf, `{"counts":`...)
+	buf = append(buf, '{')
+	if head != nil {
+		b, err := json.Marshal(head)
+		if err != nil {
+			return
+		}
+		// b is a JSON object: its members precede the counts.
+		buf = append(append(buf, b[1:len(b)-1]...), ',')
+	}
+	buf = append(buf, `"counts":`...)
 	// A failed write means the client is gone; like writeJSON, there is no
 	// one left to tell, so the body just stops.
-	buf, err := resp.Counts.stream(buf, w)
+	buf, err := counts.stream(buf, w)
 	if err != nil {
 		return
 	}
-	if finish != nil {
-		finish(&resp.sampleMeta)
-	}
-	meta, err := json.Marshal(&resp.sampleMeta)
+	b, err := json.Marshal(tail())
 	if err != nil {
 		return
 	}
-	// meta is a JSON object: its members follow the counts in resp's order.
-	buf = append(append(buf, ','), meta[1:]...)
+	// b is a JSON object: its members follow the counts.
+	buf = append(append(buf, ','), b[1:]...)
 	_, _ = w.Write(append(buf, '\n'))
 }

@@ -157,6 +157,51 @@ func TestJobResultWireFormat(t *testing.T) {
 	}
 }
 
+// TestWriteJobResultMatchesWriteJSON: the streamed job result body is byte
+// for byte what writeJSON writes for the same response, on a dense tally,
+// on two runs that share outcomes and whose counts object passes
+// countsFlushBytes, and on a job ID that JSON must escape.
+func TestWriteJobResultMatchesWriteJSON(t *testing.T) {
+	dense := core.NewTally(3, 100)
+	dense.Add(core.TallyRun([]uint64{0, 5, 7}, []uint32{50, 30, 20}))
+	var idx []uint64
+	var n []uint32
+	for i := uint64(0); i < 5000; i++ {
+		idx, n = append(idx, i*197), append(n, uint32(i%7+1))
+	}
+	runs := core.TallyRun(idx, n)
+	runs.Add(core.TallyRun(idx[1000:3000:3000], n[2000:4000:4000]))
+	for _, tc := range []struct {
+		id     string
+		tally  *core.Tally
+		qubits int
+	}{
+		{"j0123456789abcdef", dense, 3},
+		{"j0123456789abcdef", runs, 20},
+		{`j"<&>` + "\u2028", dense, 3},
+	} {
+		resp := &jobResultResponse{
+			jobResultHead: jobResultHead{JobID: tc.id},
+			Counts:        countsJSON{tc.tally, tc.qubits},
+			jobResultMeta: jobResultMeta{Qubits: tc.qubits, Shots: 100, Seed: 1 << 63},
+		}
+		want, got := httptest.NewRecorder(), httptest.NewRecorder()
+		writeJSON(want, http.StatusOK, resp)
+		writeJobResult(got, resp)
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%q over %d qubits: streamed body differs from writeJSON's\n got %.300s\nwant %.300s",
+				tc.id, tc.qubits, got.Body.Bytes(), want.Body.Bytes())
+		}
+		if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
+			t.Errorf("%q: status %d %q, want %d %q", tc.id, got.Code, got.Header().Get("Content-Type"),
+				want.Code, want.Header().Get("Content-Type"))
+		}
+	}
+	if b, _ := json.Marshal(countsJSON{runs, 20}); len(b) < countsFlushBytes {
+		t.Fatalf("the runs' counts object is %d bytes, not past countsFlushBytes", len(b))
+	}
+}
+
 // TestCountsEncodeAllocsPerResponse: encoding a response allocates a
 // constant number of times, however many outcomes its counts hold.
 func TestCountsEncodeAllocsPerResponse(t *testing.T) {

@@ -38,14 +38,31 @@ import (
 // per-request MaxShots: jobs exist precisely to exceed it).
 const JobMaxShots = 1 << 30
 
-// jobResultResponse is the GET /v1/jobs/{id}/result success body.
+// jobResultResponse is the GET /v1/jobs/{id}/result success body (see
+// writeJobResult).
 type jobResultResponse struct {
-	JobID string `json:"job_id"`
+	jobResultHead
 	// Counts is written like /v1/sample's: keys in ascending order.
 	Counts countsJSON `json:"counts"`
-	Qubits int        `json:"qubits"`
-	Shots  int        `json:"shots"`
-	Seed   uint64     `json:"seed"`
+	jobResultMeta
+}
+
+// jobResultHead is every job result member before the counts.
+type jobResultHead struct {
+	JobID string `json:"job_id"`
+}
+
+// jobResultMeta is every job result member after the counts.
+type jobResultMeta struct {
+	Qubits int    `json:"qubits"`
+	Shots  int    `json:"shots"`
+	Seed   uint64 `json:"seed"`
+}
+
+// writeJobResult writes a 200 job result body, byte for byte what writeJSON
+// writes for resp, streaming the counts through writeCounts.
+func writeJobResult(w http.ResponseWriter, resp *jobResultResponse) {
+	writeCounts(w, &resp.jobResultHead, resp.Counts, func() any { return &resp.jobResultMeta })
 }
 
 // jobSnapshot is the job manager's SnapshotFunc: resolve the chunk's frozen
@@ -258,12 +275,10 @@ func (s *Server) handleJobResult(w http.ResponseWriter, id string) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, jobResultResponse{
-		JobID:  id,
-		Counts: countsJSON{counts, qubits},
-		Qubits: qubits,
-		Shots:  st.Shots,
-		Seed:   st.Seed,
+	writeJobResult(w, &jobResultResponse{
+		jobResultHead: jobResultHead{JobID: id},
+		Counts:        countsJSON{counts, qubits},
+		jobResultMeta: jobResultMeta{Qubits: qubits, Shots: st.Shots, Seed: st.Seed},
 	})
 }
 
