@@ -107,23 +107,24 @@ chaos:
 # targets, and FuzzParse prefixes FuzzParseMatchesReference. The two
 # targets whose interesting inputs run to kilobytes minimize each for at
 # most 100 runs (Go's default is 60 s), so they fuzz for their budget
-# instead of minimizing through it. .github/workflows/nightly.yml soaks the
-# same list.
+# instead of minimizing through it. FUZZTIME sets each target's budget:
+# .github/workflows/nightly.yml soaks this same list with FUZZTIME=5m.
+FUZZTIME ?= 30s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/circuit/qasm
-	$(GO) test -run '^$$' -fuzz '^FuzzParseMatchesReference$$' -fuzztime 30s ./internal/circuit/qasm
-	$(GO) test -run '^$$' -fuzz '^FuzzWriteParse$$' -fuzztime 30s ./internal/circuit/qasm
-	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 30s ./internal/dd
-	$(GO) test -run '^$$' -fuzz '^FuzzMakeVNode$$' -fuzztime 30s ./internal/dd
-	$(GO) test -run '^$$' -fuzz '^FuzzCountsFrozen$$' -fuzztime 30s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzBinomial$$' -fuzztime 30s ./internal/rng
-	$(GO) test -run '^$$' -fuzz '^FuzzLookupFloat$$' -fuzztime 30s ./internal/cnum
-	$(GO) test -run '^$$' -fuzz '^FuzzScanMatchesJSON$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzRunRecord$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/job
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/circuit/qasm
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/circuit/qasm
+	$(GO) test -run '^$$' -fuzz '^FuzzWriteParse$$' -fuzztime $(FUZZTIME) ./internal/circuit/qasm
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/dd
+	$(GO) test -run '^$$' -fuzz '^FuzzMakeVNode$$' -fuzztime $(FUZZTIME) ./internal/dd
+	$(GO) test -run '^$$' -fuzz '^FuzzCountsFrozen$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzBinomial$$' -fuzztime $(FUZZTIME) ./internal/rng
+	$(GO) test -run '^$$' -fuzz '^FuzzLookupFloat$$' -fuzztime $(FUZZTIME) ./internal/cnum
+	$(GO) test -run '^$$' -fuzz '^FuzzScanMatchesJSON$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzRunRecord$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/job
 
 # The DD sampling benchmarks watched for regressions (Section IV): the
-# per-shot frozen walk per Table I row, and the walk under each
-# normalization scheme (Section IV-C).
+# per-shot frozen walk per Table I row, and each normalization scheme's DD
+# size over the same walk table (Section IV-C).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSampleFrozen|BenchmarkNormalizationSchemes' -benchtime 2s .
 

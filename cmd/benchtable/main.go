@@ -38,7 +38,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtable:", err)
 		os.Exit(1)
 	}
@@ -116,19 +116,24 @@ type benchDoc struct {
 	Rows        []benchRow `json:"rows"`
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("benchtable", flag.ExitOnError)
 	var (
-		rows     = flag.String("rows", "fast", `"fast", "all", or a comma-separated list of Table I rows`)
-		shots    = flag.Int("shots", 1000000, "samples per row (paper: one million)")
-		seed     = flag.Uint64("seed", 1, "sampling seed")
-		budget   = flag.Int("vector-budget", 26, "max log2(state vector entries) for the vector-based column; larger rows report MO")
-		norm     = flag.String("norm", "l2phase", "DD normalization scheme: left, l2, or l2phase")
-		timeout  = flag.Duration("timeout", 0, "per-row wall-clock bound; rows exceeding it report TO like the paper (0 = none)")
-		ddBudget = flag.Int("dd-node-budget", 0, "max live DD nodes per row; rows exceeding it report MO in the DD columns (0 = unlimited)")
-		workers  = flag.Int("workers", 1, "worker goroutines for the frozen-snapshot sampling column (0 = GOMAXPROCS)")
-		jsonOut  = flag.String("json-out", "", `write a machine-readable run summary to this path ("auto" = BENCH_<timestamp>.json)`)
+		rows     = fs.String("rows", "fast", `"fast", "all", or a comma-separated list of Table I rows`)
+		shots    = fs.Int("shots", 1000000, "samples per row (paper: one million)")
+		seed     = fs.Uint64("seed", 1, "sampling seed")
+		budget   = fs.Int("vector-budget", 26, "max log2(state vector entries) for the vector-based column; larger rows report MO")
+		timeout  = fs.Duration("timeout", 0, "per-row wall-clock bound; rows exceeding it report TO like the paper (0 = none)")
+		ddBudget = fs.Int("dd-node-budget", 0, "max live DD nodes per row; rows exceeding it report MO in the DD columns (0 = unlimited)")
+		workers  = fs.Int("workers", 1, "worker goroutines for the frozen-snapshot sampling column (0 = GOMAXPROCS)")
+		jsonOut  = fs.String("json-out", "", `write a machine-readable run summary to this path ("auto" = BENCH_<timestamp>.json)`)
 	)
-	flag.Parse()
+	normScheme := dd.NormL2Phase
+	fs.Func("norm", "DD normalization `scheme`: l2phase (the default) or left", func(s string) (err error) {
+		normScheme, err = dd.ParseNorm(s)
+		return err
+	})
+	_ = fs.Parse(args) // ExitOnError: a bad flag, -norm l2 included, exits 2
 
 	var names []string
 	switch *rows {
@@ -138,10 +143,6 @@ func run() error {
 		names = algo.TableIBenchmarks()
 	default:
 		names = strings.Split(*rows, ",")
-	}
-	normScheme, err := dd.ParseNorm(*norm)
-	if err != nil {
-		return err
 	}
 	// Resolve (and probe) the JSON output path up front: a doomed -json-out
 	// must fail before hours of benchmarking, not after, and an "auto" name

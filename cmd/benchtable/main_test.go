@@ -2,12 +2,32 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
+
+// TestRunRefusesRetiredNorm: the retired l2 scheme is a usage error (exit
+// code 2, like any bad flag) before any row runs, and the error names its
+// replacement. The flag set exits the process, so run runs in a child copy
+// of this test binary.
+func TestRunRefusesRetiredNorm(t *testing.T) {
+	if os.Getenv("BENCHTABLE_RETIRED_NORM") == "1" {
+		_ = run([]string{"-norm", "l2", "-rows", "qft_16", "-shots", "1"})
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRunRefusesRetiredNorm$")
+	cmd.Env = append(os.Environ(), "BENCHTABLE_RETIRED_NORM=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "l2phase") {
+		t.Fatalf("benchtable -norm l2: %v, output %q; want exit code 2 and an error naming l2phase", err, out)
+	}
+}
 
 func TestResolveJSONOut(t *testing.T) {
 	dir := t.TempDir()

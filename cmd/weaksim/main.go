@@ -37,6 +37,7 @@ import (
 	"weaksim"
 	"weaksim/internal/circuit/qasm"
 	"weaksim/internal/core"
+	"weaksim/internal/dd"
 	"weaksim/internal/stats"
 )
 
@@ -120,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		seed       = fs.Uint64("seed", 1, "random seed (equal seeds reproduce samples exactly)")
 		workers    = fs.Int("workers", 1, "worker goroutines for batch sampling over the frozen state snapshot (0 = GOMAXPROCS); counts do not depend on the worker count")
 		method     = fs.String("method", "dd", "sampling method: dd, prefix, linear, or alias")
-		norm       = fs.String("norm", "l2phase", "DD normalization scheme: left, l2, or l2phase")
+		norm       = fs.String("norm", "l2phase", "DD normalization scheme: l2phase or left")
 		top        = fs.Int("top", 0, "print only the k most frequent outcomes as a histogram")
 		histogram  = fs.Bool("histogram", false, "aggregate shots into a histogram instead of listing them")
 		render     = fs.Bool("render", false, "print the circuit diagram before simulating")
@@ -183,7 +184,7 @@ Exit codes:
 	if err != nil {
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}
-	normScheme, err := parseNorm(*norm)
+	normScheme, err := dd.ParseNorm(*norm)
 	if err != nil {
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}
@@ -410,18 +411,6 @@ func loadCircuit(bench, qasmFile string) (*weaksim.Circuit, error) {
 		return nil, fmt.Errorf("%w: pass -bench <name> or -qasm <file>; available benchmarks include %s",
 			errUsage, strings.Join(weaksim.TableIBenchmarks(), ", "))
 	}
-}
-
-func parseNorm(s string) (weaksim.Norm, error) {
-	switch s {
-	case "left":
-		return weaksim.NormLeft, nil
-	case "l2":
-		return weaksim.NormL2, nil
-	case "l2phase":
-		return weaksim.NormL2Phase, nil
-	}
-	return 0, fmt.Errorf("unknown normalization %q (want left, l2, or l2phase)", s)
 }
 
 func printHistogram(w io.Writer, counts map[string]int, shots, top int) {

@@ -115,6 +115,11 @@ func TestRunUsageErrors(t *testing.T) {
 			t.Errorf("run(%v): exit code = %d (%v), want %d", args, code, err, exitUsage)
 		}
 	}
+	// The retired l2 scheme is a usage error that names its replacement.
+	err := run([]string{"-bench", "qft_8", "-norm", "l2"}, io.Discard, io.Discard)
+	if code := exitCode(err); code != exitUsage || !strings.Contains(err.Error(), "l2phase") {
+		t.Errorf("run(-norm l2): exit code %d (%v), want %d and an error naming l2phase", code, err, exitUsage)
+	}
 }
 
 // TestRunTraceOut pins the -trace-out stream: every line decodes as a

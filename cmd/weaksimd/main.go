@@ -118,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *serve.Server, cl
 	var (
 		addr        = fs.String("addr", ":8080", "listen address (\":0\" = ephemeral)")
 		debugAddr   = fs.String("debug-addr", "", "optional debug server address (/metrics, /metrics.json, expvar, pprof)")
-		norm        = fs.String("norm", "l2phase", "DD normalization scheme: left, l2, or l2phase")
+		norm        = fs.String("norm", "l2phase", "DD normalization scheme: l2phase or left")
 		nodeBudget  = fs.Int("dd-node-budget", 0, "max live DD nodes per simulation; overruns return HTTP 507 (0 = unlimited)")
 		cacheBytes  = fs.Int64("cache-bytes", serve.DefaultCacheBytes, "frozen-snapshot LRU capacity in bytes")
 		queueDepth  = fs.Int("queue", serve.DefaultQueueDepth, "simulation admission queue depth; a full queue returns HTTP 429")

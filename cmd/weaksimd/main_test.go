@@ -83,6 +83,9 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run([]string{"-norm", "bogus"}, &out, &errBuf, nil, nil, nil); err == nil {
 		t.Fatal("bad -norm accepted")
 	}
+	if err := run([]string{"-norm", "l2"}, &out, &errBuf, nil, nil, nil); err == nil || !strings.Contains(err.Error(), "l2phase") {
+		t.Fatalf("-norm l2: %v, want an error naming l2phase", err)
+	}
 	if err := run([]string{"positional"}, &out, &errBuf, nil, nil, nil); err == nil {
 		t.Fatal("positional argument accepted")
 	}

@@ -97,7 +97,7 @@ type Config struct {
 	MaxBackoff time.Duration
 	// Norm must match the replicas' normalization scheme: the canonical
 	// circuit key hashes it, so a mismatch would route and cache under
-	// different names.
+	// different names. The zero value, NormL2Phase, is serve.Config's.
 	Norm dd.Norm
 	// RequestTimeout bounds one forwarded exchange (0 = default).
 	RequestTimeout time.Duration

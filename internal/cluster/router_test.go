@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"weaksim/internal/dd"
 	"weaksim/internal/serve"
 )
 
@@ -341,6 +342,27 @@ func TestRouterResolvesSpellingOnce(t *testing.T) {
 	}
 	if n := a.hits.Load(); n != 3 {
 		t.Fatalf("backend saw %d requests, want the 3 valid ones", n)
+	}
+}
+
+// TestRouterZeroConfigKeysL2Phase: a router's zero Config keys bodies as
+// a zero-config replica does, under NormL2Phase.
+func TestRouterZeroConfigKeysL2Phase(t *testing.T) {
+	r, err := NewRouter(Config{Addr: "127.0.0.1:0", Backends: []string{"http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := sampleBody(t, 5)
+	got, err := r.keys.Key(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := serve.NewKeyMemo(dd.NormL2Phase, 1<<20).Key(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("zero-config router key %s, want the NormL2Phase key %s", got, want)
 	}
 }
 

@@ -32,16 +32,17 @@ const DefaultTolerance = 1e-10
 // never corrupts a value.
 type Table struct {
 	tol     float64 // zero floor: |v| <= tol canonicalizes to 0
-	invGrid float64 // reciprocal of the mantissa grid spacing (tol/gridRatio)
+	invGrid float64 // reciprocal of the mantissa grid spacing (tol/GridRatio)
 	grid    float64
 }
 
-// gridRatio separates the two scales of the table: values are quantized on
-// a relative grid gridRatio times finer than the zero floor. The gap
+// GridRatio separates the two scales of the table: values are quantized on
+// a relative grid GridRatio times finer than the zero floor. The gap
 // matters: quantization noise must sit far below the zero floor, or a
 // mathematically-zero amplitude can survive the flush, become a leftmost
-// normalization divisor, and blow up downstream weights.
-const gridRatio = 100
+// normalization divisor, and blow up downstream weights. Package dd puts
+// its relative residue flush the same ratio above the zero floor.
+const GridRatio = 100
 
 // NewTable returns a Table with the default tolerance.
 func NewTable() *Table { return NewTableTol(DefaultTolerance) }
@@ -52,7 +53,7 @@ func NewTableTol(tol float64) *Table {
 	if tol <= 0 {
 		panic("cnum: tolerance must be positive")
 	}
-	grid := tol / gridRatio
+	grid := tol / GridRatio
 	return &Table{tol: tol, grid: grid, invGrid: 1 / grid}
 }
 

@@ -175,7 +175,7 @@ func rootKids(snap *dd.Snapshot) (root int32, kids [2]int32) {
 }
 
 func TestDDSamplerMatchesDistribution(t *testing.T) {
-	for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2, dd.NormL2Phase} {
+	for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2Phase} {
 		m := dd.New(3, dd.WithNormalization(norm))
 		state, err := m.FromVector(runningExampleVector())
 		if err != nil {
@@ -236,7 +236,7 @@ func TestDownstreamUpstreamRunningExample(t *testing.T) {
 func TestUpstreamDirectlyReadableUnderL2(t *testing.T) {
 	// Under L2 normalization downstream ≡ 1, so upstream values alone are
 	// the traversal probabilities.
-	m := dd.New(3, dd.WithNormalization(dd.NormL2))
+	m := dd.New(3)
 	state, _ := m.FromVector(runningExampleVector())
 	snap, _ := freezeFor(t, m, state)
 	root, kids := rootKids(snap)
@@ -267,12 +267,12 @@ func TestTraversalProbabilitiesSumPerLevel(t *testing.T) {
 }
 
 func TestDownstreamIsOneUnderL2(t *testing.T) {
-	m := dd.New(3, dd.WithNormalization(dd.NormL2))
+	m := dd.New(3)
 	state, _ := m.FromVector(runningExampleVector())
 	snap, _ := freezeFor(t, m, state)
 	for i, d := range downMass(snap) {
 		if !approx(d, 1, 1e-9) {
-			t.Errorf("downstream of node at level %d = %v, want 1 under NormL2", snap.At(int32(i)).V, d)
+			t.Errorf("downstream of node at level %d = %v, want 1 under NormL2Phase", snap.At(int32(i)).V, d)
 		}
 	}
 }
@@ -287,19 +287,17 @@ func TestL2BranchRuleIsWeightSquared(t *testing.T) {
 		rows = append(rows, "shor_33_2")
 	}
 	for _, name := range rows {
-		for _, norm := range []dd.Norm{dd.NormL2, dd.NormL2Phase} {
-			t.Run(name+"/"+norm.String(), func(t *testing.T) {
-				snap := freezeCircuit(t, name, norm)
-				down := downMass(snap)
-				nodes := snap.Nodes()
-				for i := range nodes {
-					generic, weights := branchP0(&nodes[i], down), branchP0(&nodes[i], nil)
-					if math.Abs(generic-weights) > dd.InvariantTol {
-						t.Fatalf("node %d of %d: downstream P0 %.15f, |w0|² %.15f", i, len(nodes), generic, weights)
-					}
+		t.Run(name+"/"+dd.NormL2Phase.String(), func(t *testing.T) {
+			snap := freezeCircuit(t, name, dd.NormL2Phase)
+			down := downMass(snap)
+			nodes := snap.Nodes()
+			for i := range nodes {
+				generic, weights := branchP0(&nodes[i], down), branchP0(&nodes[i], nil)
+				if math.Abs(generic-weights) > dd.InvariantTol {
+					t.Fatalf("node %d of %d: downstream P0 %.15f, |w0|² %.15f", i, len(nodes), generic, weights)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -308,7 +306,7 @@ func TestL2BranchRuleIsWeightSquared(t *testing.T) {
 // they were frozen from, under every normalization.
 func TestMassesMatchLiveReference(t *testing.T) {
 	vec, _ := frozenRandomVector(6, 29)
-	for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2, dd.NormL2Phase} {
+	for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2Phase} {
 		m := dd.New(6, dd.WithNormalization(norm))
 		state, err := m.FromVector(vec)
 		if err != nil {
@@ -480,7 +478,7 @@ func TestFigure4cEdgeProbabilities(t *testing.T) {
 	// 1/2 everywhere on the q1 level — are properties of the state, so
 	// every normalization scheme must produce them under the downstream
 	// rule, and the L2 schemes under |w0|² (down == nil) too.
-	for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2, dd.NormL2Phase} {
+	for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2Phase} {
 		m := dd.New(3, dd.WithNormalization(norm))
 		state, _ := m.FromVector(runningExampleVector())
 		snap, _ := freezeFor(t, m, state)

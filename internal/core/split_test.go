@@ -20,14 +20,13 @@ import (
 var blockLengths = []int{1, splitMax, splitMax + 1, 63, 64, 65, 511, 512, 513}
 
 // blockRules are the normalizations the split must reproduce the reference
-// under: NormLeft's thresholds come from the downstream rule, the L2
-// schemes' from |w0|².
+// under: NormLeft's thresholds come from the downstream rule,
+// NormL2Phase's from |w0|².
 var blockRules = []struct {
 	name string
 	norm dd.Norm
 }{
 	{"left", dd.NormLeft},
-	{"l2", dd.NormL2},
 	{"l2phase", dd.NormL2Phase},
 }
 

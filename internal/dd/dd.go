@@ -31,6 +31,7 @@ package dd
 
 import (
 	"fmt"
+	"slices"
 
 	"weaksim/internal/cnum"
 )
@@ -41,48 +42,51 @@ import (
 type Norm int
 
 const (
+	// NormL2Phase, the zero value, divides both outgoing weights by their
+	// Euclidean norm and by the phase of the leftmost non-zero one. The
+	// weights' squared magnitudes are the branch probabilities (the
+	// paper's Section IV-C, Fig. 4d), and equal sub-vectors share a node
+	// whatever global phase they arrive with (canonical up to the
+	// interning tolerance).
+	NormL2Phase Norm = iota
 	// NormLeft divides both outgoing weights by the leftmost non-zero
 	// weight. This is the conventional scheme the paper uses as the point
 	// of comparison (Fig. 4b).
-	NormLeft Norm = iota
-	// NormL2 divides both outgoing weights by the Euclidean norm of the
-	// weight pair, so the squared magnitudes of the outgoing weights sum
-	// to 1. This is the paper's proposed scheme (Section IV-C, Fig. 4d):
-	// the weights directly encode measurement probabilities.
-	NormL2
-	// NormL2Phase additionally divides out the phase of the leftmost
-	// non-zero weight, making the representation canonical up to the
-	// interning tolerance (two equal sub-vectors always share a node even
-	// when they reach the node with different global phases). It keeps
-	// the probability-readability of NormL2.
-	NormL2Phase
+	NormLeft
+)
+
+// normNames and wireCodes give each scheme its flag name and the byte that
+// names it in a snapshot frame and a circuit key. The codes predate
+// NormL2Phase becoming the zero value, so frames and keys did not move;
+// code 1 named a retired scheme that left the phase free.
+var (
+	normNames = [...]string{NormL2Phase: "l2phase", NormLeft: "left"}
+	wireCodes = [...]byte{NormL2Phase: 2, NormLeft: 0}
 )
 
 // String returns the scheme name used in benchmarks and CLI flags.
 func (n Norm) String() string {
-	switch n {
-	case NormLeft:
-		return "left"
-	case NormL2:
-		return "l2"
-	case NormL2Phase:
-		return "l2phase"
-	default:
+	if n < 0 || int(n) >= len(normNames) {
 		return fmt.Sprintf("Norm(%d)", int(n))
 	}
+	return normNames[n]
 }
 
 // ParseNorm converts a CLI flag value into a Norm.
 func ParseNorm(s string) (Norm, error) {
-	switch s {
-	case "left":
-		return NormLeft, nil
-	case "l2":
-		return NormL2, nil
-	case "l2phase":
-		return NormL2Phase, nil
+	if i := slices.Index(normNames[:], s); i >= 0 {
+		return Norm(i), nil
 	}
-	return 0, fmt.Errorf("dd: unknown normalization scheme %q (want left, l2, or l2phase)", s)
+	return 0, fmt.Errorf("dd: unknown normalization scheme %q (want l2phase or left)", s)
+}
+
+// Wire returns the scheme's wire code, or 0xff for a value that names no
+// scheme.
+func (n Norm) Wire() byte {
+	if n < 0 || int(n) >= len(wireCodes) {
+		return 0xff
+	}
+	return wireCodes[n]
 }
 
 // Control describes a control qubit of a quantum operation. A negative
@@ -151,13 +155,8 @@ type Manager struct {
 type Option func(*Manager)
 
 // WithNormalization selects the vector-node normalization scheme. The
-// default is NormL2Phase.
+// default is the zero value, NormL2Phase.
 func WithNormalization(n Norm) Option { return func(m *Manager) { m.norm = n } }
-
-// WithTolerance sets the weight canonicalization tolerance.
-func WithTolerance(tol float64) Option {
-	return func(m *Manager) { m.ctab = cnum.NewTableTol(tol) }
-}
 
 // WithCacheSize bounds the compute caches to n entries each.
 func WithCacheSize(n int) Option { return func(m *Manager) { m.cacheSize = n } }
@@ -179,7 +178,6 @@ func New(nqubits int, opts ...Option) *Manager {
 	}
 	m := &Manager{
 		nqubits:     nqubits,
-		norm:        NormL2Phase,
 		ctab:        cnum.NewTable(),
 		vTab:        newVTable(),
 		mTab:        newMTable(),

@@ -9,7 +9,7 @@ import (
 )
 
 func TestWriteDOTRunningExample(t *testing.T) {
-	m := New(3, WithNormalization(NormL2))
+	m := New(3, WithNormalization(NormL2Phase))
 	a := cnum.New(0, -math.Sqrt(3.0/8.0))
 	b := cnum.New(math.Sqrt(1.0/8.0), 0)
 	e, _ := m.FromVector([]cnum.Complex{cnum.Zero, a, cnum.Zero, a, b, cnum.Zero, cnum.Zero, b})

@@ -11,9 +11,10 @@ type VNode struct {
 	// E holds the 0-successor and 1-successor edges.
 	E [2]VEdge
 
-	hash uint64 // unique-table hash of (V, E), computed once at creation
-	id   int32  // arena slot index, stable for the Manager's lifetime
-	gen  uint32 // GC mark, managed by Manager.GC
+	hash  uint64  // unique-table hash of (V, E), computed once at creation
+	norm2 float64 // squared norm of the sub-vector under a unit incoming weight
+	id    int32   // arena slot index, stable for the Manager's lifetime
+	gen   uint32  // GC mark, managed by Manager.GC
 }
 
 // VEdge is a weighted edge to a vector node. The zero value is the zero
@@ -27,8 +28,15 @@ type VEdge struct {
 // IsZero reports whether e is the zero edge (all-zero sub-vector).
 func (e VEdge) IsZero() bool { return e.W.IsZero() }
 
-// IsTerminal reports whether e points to the terminal, i.e. below level 0.
-func (e VEdge) IsTerminal() bool { return e.N == nil }
+// norm2 returns the squared Euclidean norm of the sub-vector e represents.
+// Under NormL2Phase a node's own norm is 1 and this is |W|²; under NormLeft
+// it is not, since a weight there is only the first non-zero amplitude.
+func (e VEdge) norm2() float64 {
+	if e.N == nil {
+		return e.W.Abs2()
+	}
+	return e.W.Abs2() * e.N.norm2
+}
 
 // MNode is a matrix decision-diagram node. It splits a sub-matrix into four
 // quadrants on qubit V: E[2*r+c] covers the quadrant with row bit r and
@@ -58,6 +66,3 @@ type MEdge struct {
 
 // IsZero reports whether e is the zero edge (all-zero sub-matrix).
 func (e MEdge) IsZero() bool { return e.W.IsZero() }
-
-// IsTerminal reports whether e points to the terminal.
-func (e MEdge) IsTerminal() bool { return e.N == nil }

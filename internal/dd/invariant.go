@@ -281,14 +281,12 @@ func checkNormWeights(norm Norm, level int, w0, w1 cnum.Complex) error {
 		if !lead.ApproxEq(cnum.One, InvariantTol) {
 			return violated(CheckNormRule, "level %d: leftmost non-zero weight %v, want 1 (NormLeft)", level, lead)
 		}
-	case NormL2, NormL2Phase:
+	case NormL2Phase:
 		if sum := w0.Abs2() + w1.Abs2(); math.Abs(sum-1) > InvariantTol {
 			return violated(CheckNormRule, "level %d: |w0|²+|w1|² = %.12f, want 1 ± %g (%s)", level, sum, InvariantTol, norm)
 		}
-		if norm == NormL2Phase {
-			if math.Abs(lead.Im) > InvariantTol || lead.Re < 0 {
-				return violated(CheckNormRule, "level %d: leading weight %v carries a phase (NormL2Phase pulls it out)", level, lead)
-			}
+		if math.Abs(lead.Im) > InvariantTol || lead.Re < 0 {
+			return violated(CheckNormRule, "level %d: leading weight %v carries a phase (NormL2Phase pulls it out)", level, lead)
 		}
 	default:
 		return violated(CheckNormRule, "unknown normalization scheme %d", int(norm))

@@ -27,7 +27,7 @@ func mustInvariant(t *testing.T, err error, check string) {
 }
 
 func TestCheckInvariantsPassesOnWellFormedStates(t *testing.T) {
-	for _, norm := range []Norm{NormLeft, NormL2, NormL2Phase} {
+	for _, norm := range []Norm{NormLeft, NormL2Phase} {
 		m, state := snapTestState(t, norm)
 		if err := m.CheckInvariants(state); err != nil {
 			t.Errorf("norm %v: running-example state: %v", norm, err)
@@ -44,7 +44,7 @@ func TestCheckInvariantsDetectsViolations(t *testing.T) {
 		mustInvariant(t, m.CheckInvariants(VEdge{}), CheckZeroEdge)
 	})
 	t.Run("root level", func(t *testing.T) {
-		m, state := snapTestState(t, NormL2)
+		m, state := snapTestState(t, NormL2Phase)
 		// A sub-edge's node sits below the register's top level.
 		sub := state.N.E[0]
 		if sub.N == nil {
@@ -66,14 +66,14 @@ func TestCheckInvariantsDetectsViolations(t *testing.T) {
 		mustInvariant(t, m.CheckInvariants(state), CheckNormRule)
 	})
 	t.Run("canonicity", func(t *testing.T) {
-		m, state := snapTestState(t, NormL2)
+		m, state := snapTestState(t, NormL2Phase)
 		// A structurally valid node fabricated outside the unique table.
 		orphanKid := state.N.E[0]
 		fake := &VNode{V: m.nqubits - 1, E: [2]VEdge{orphanKid, state.N.E[1]}}
 		mustInvariant(t, m.CheckInvariants(VEdge{W: state.W, N: fake}), CheckCanonicity)
 	})
 	t.Run("mass", func(t *testing.T) {
-		m, state := snapTestState(t, NormL2)
+		m, state := snapTestState(t, NormL2Phase)
 		inflated := VEdge{W: state.W.Mul(cnum.New(2, 0)), N: state.N}
 		mustInvariant(t, m.CheckInvariants(inflated), CheckMass)
 	})
@@ -91,7 +91,7 @@ func mustFreeze(t *testing.T, norm Norm) *Snapshot {
 }
 
 func TestSnapshotVerifyPassesOnFreshFreeze(t *testing.T) {
-	for _, norm := range []Norm{NormLeft, NormL2, NormL2Phase} {
+	for _, norm := range []Norm{NormLeft, NormL2Phase} {
 		snap := mustFreeze(t, norm)
 		if err := snap.Verify(); err != nil {
 			t.Errorf("norm %v: %v", norm, err)
@@ -101,28 +101,28 @@ func TestSnapshotVerifyPassesOnFreshFreeze(t *testing.T) {
 
 func TestSnapshotVerifyDetectsCorruption(t *testing.T) {
 	t.Run("root out of range", func(t *testing.T) {
-		s := mustFreeze(t, NormL2)
+		s := mustFreeze(t, NormL2Phase)
 		s.root = int32(len(s.nodes))
 		mustInvariant(t, s.Verify(), CheckPostOrder)
 	})
 	t.Run("qubit count", func(t *testing.T) {
-		s := mustFreeze(t, NormL2)
+		s := mustFreeze(t, NormL2Phase)
 		s.nqubits = 0
 		mustInvariant(t, s.Verify(), CheckLevels)
 	})
 	t.Run("root level", func(t *testing.T) {
-		s := mustFreeze(t, NormL2)
+		s := mustFreeze(t, NormL2Phase)
 		s.nqubits++
 		mustInvariant(t, s.Verify(), CheckLevels)
 	})
 	t.Run("post-order", func(t *testing.T) {
-		s := mustFreeze(t, NormL2)
+		s := mustFreeze(t, NormL2Phase)
 		// A self-referential child closes a cycle post-order forbids.
 		s.nodes[s.root].Kid[0] = s.root
 		mustInvariant(t, s.Verify(), CheckPostOrder)
 	})
 	t.Run("zero edge with weight", func(t *testing.T) {
-		s := mustFreeze(t, NormL2)
+		s := mustFreeze(t, NormL2Phase)
 		found := false
 		for i := range s.nodes {
 			for b := 0; b < 2; b++ {
@@ -165,7 +165,7 @@ func TestSnapshotVerifyDetectsCorruption(t *testing.T) {
 		mustInvariant(t, s.Verify(), CheckNormRule)
 	})
 	t.Run("total mass", func(t *testing.T) {
-		s := mustFreeze(t, NormL2)
+		s := mustFreeze(t, NormL2Phase)
 		s.rootW = s.rootW.Mul(cnum.New(2, 0))
 		mustInvariant(t, s.Verify(), CheckMass)
 	})
@@ -174,7 +174,7 @@ func TestSnapshotVerifyDetectsCorruption(t *testing.T) {
 // TestInvariantObsCounters: checks and failures are mirrored into the
 // registry, with a per-check failure series.
 func TestInvariantObsCounters(t *testing.T) {
-	m, state := snapTestState(t, NormL2)
+	m, state := snapTestState(t, NormL2Phase)
 	reg := obs.NewRegistry()
 	m.SetObserver(reg, nil)
 	if err := m.CheckInvariants(state); err != nil {

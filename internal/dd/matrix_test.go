@@ -243,7 +243,7 @@ func TestFromMatrixRoundtrip(t *testing.T) {
 
 func TestMulMatchesDense(t *testing.T) {
 	r := rand.New(rand.NewPCG(31, 32))
-	for _, norm := range []Norm{NormLeft, NormL2, NormL2Phase} {
+	for _, norm := range []Norm{NormLeft, NormL2Phase} {
 		m := New(3, WithNormalization(norm))
 		vec := randomState(r, 3)
 		st, _ := m.FromVector(vec)
@@ -349,7 +349,7 @@ func TestGCKeepsMatrixRoots(t *testing.T) {
 
 func TestUnitaryPreservesNorm(t *testing.T) {
 	// Long alternating circuit keeps Norm2 == 1 under all schemes.
-	for _, norm := range []Norm{NormLeft, NormL2, NormL2Phase} {
+	for _, norm := range []Norm{NormLeft, NormL2Phase} {
 		m := New(5, WithNormalization(norm))
 		st := m.ZeroState()
 		for i := 0; i < 40; i++ {
@@ -369,7 +369,7 @@ func TestUnitaryPreservesNorm(t *testing.T) {
 }
 
 func TestParseNorm(t *testing.T) {
-	for _, n := range []Norm{NormLeft, NormL2, NormL2Phase} {
+	for _, n := range []Norm{NormLeft, NormL2Phase} {
 		got, err := ParseNorm(n.String())
 		if err != nil || got != n {
 			t.Errorf("ParseNorm(%q) = %v, %v", n.String(), got, err)

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"weaksim/internal/cnum"
 )
@@ -37,8 +38,8 @@ const (
 const snapNodeBytes = 8 + 32 + 4
 
 // snapHeaderBytes is the fixed prefix before the node array:
-// magic + version uint16 + norm uint8 + nqubits uint32 + root int32 +
-// rootW (Re,Im float64) + node count uint32.
+// magic + version uint16 + norm uint8 (Norm.Wire) + nqubits uint32 +
+// root int32 + rootW (Re,Im float64) + node count uint32.
 const snapHeaderBytes = 4 + 2 + 1 + 4 + 4 + 16 + 4
 
 // ErrSnapshotEncoding reports malformed snapshot bytes; detect with
@@ -47,11 +48,12 @@ const snapHeaderBytes = 4 + 2 + 1 + 4 + 4 + 16 + 4
 var ErrSnapshotEncoding = errors.New("dd: malformed snapshot encoding")
 
 // ErrSnapshotVersion reports a well-framed snapshot written by a different
-// codec version than this build reads. It wraps ErrSnapshotEncoding (the
-// bytes are still undecodable here) but is separately detectable so a
-// mixed-version cluster can tell "peer runs a newer codec" apart from
-// corruption: the persistence layer must not quarantine such files, and the
-// shipping layer must fall back to re-simulation instead of retrying.
+// codec version than this build reads, or under a normalization scheme it
+// does not simulate. It wraps ErrSnapshotEncoding (the bytes are still
+// undecodable here) but is separately detectable so a mixed-version cluster
+// can tell "peer runs a newer codec" apart from corruption: the persistence
+// layer must not quarantine such files, and the shipping layer must fall
+// back to re-simulation instead of retrying.
 var ErrSnapshotVersion = errors.New("dd: snapshot codec version mismatch")
 
 // EncodeSnapshot serializes the snapshot to its versioned little-endian
@@ -62,7 +64,7 @@ func EncodeSnapshot(s *Snapshot) []byte {
 	buf := make([]byte, 0, snapHeaderBytes+n*snapNodeBytes)
 	buf = append(buf, snapMagic...)
 	buf = binary.LittleEndian.AppendUint16(buf, snapVersion)
-	buf = append(buf, byte(s.norm))
+	buf = append(buf, s.norm.Wire())
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.nqubits))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.root))
 	buf = appendComplex(buf, s.rootW)
@@ -79,9 +81,9 @@ func EncodeSnapshot(s *Snapshot) []byte {
 }
 
 // DecodeSnapshot parses bytes produced by EncodeSnapshot. It performs only
-// structural validation (framing, version, exact length); callers that will
-// sample from the result must also run Verify — corrupted-but-well-framed
-// bytes decode fine and fail there.
+// structural validation (framing, version, normalization code, exact
+// length); callers that will sample from the result must also run Verify —
+// corrupted-but-well-framed bytes decode fine and fail there.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) < snapHeaderBytes {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrSnapshotEncoding, len(data))
@@ -93,8 +95,13 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w (%w): version %d, this build reads %d",
 			ErrSnapshotVersion, ErrSnapshotEncoding, v, snapVersion)
 	}
+	norm := slices.Index(wireCodes[:], data[6])
+	if norm < 0 {
+		return nil, fmt.Errorf("%w (%w): normalization code %d, this build reads %v",
+			ErrSnapshotVersion, ErrSnapshotEncoding, data[6], wireCodes)
+	}
 	s := &Snapshot{
-		norm:    Norm(data[6]),
+		norm:    Norm(norm),
 		nqubits: int(binary.LittleEndian.Uint32(data[7:])),
 	}
 	s.root = int32(binary.LittleEndian.Uint32(data[11:]))

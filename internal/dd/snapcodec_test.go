@@ -9,7 +9,7 @@ import (
 )
 
 func TestSnapshotCodecRoundTrip(t *testing.T) {
-	for _, norm := range []Norm{NormLeft, NormL2, NormL2Phase} {
+	for _, norm := range []Norm{NormLeft, NormL2Phase} {
 		snap := mustFreeze(t, norm)
 		enc := EncodeSnapshot(snap)
 		dec, err := DecodeSnapshot(enc)
@@ -38,10 +38,17 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 			t.Fatalf("norm %v: %d encoded bytes for %d nodes, want %d", norm, got, snap.Len(), want)
 		}
 	}
+	// The norm byte is the scheme's wire code, which did not move when
+	// NormL2Phase became the zero value: frames on disk stay readable.
+	for norm, code := range map[Norm]byte{NormLeft: 0, NormL2Phase: 2} {
+		if got := EncodeSnapshot(mustFreeze(t, norm))[6]; got != code {
+			t.Errorf("norm %v encodes as code %d, want %d", norm, got, code)
+		}
+	}
 }
 
 func TestSnapshotDecodeRejectsBadFraming(t *testing.T) {
-	enc := EncodeSnapshot(mustFreeze(t, NormL2))
+	enc := EncodeSnapshot(mustFreeze(t, NormL2Phase))
 	cases := map[string][]byte{
 		"empty":         nil,
 		"short header":  enc[:10],
@@ -59,11 +66,11 @@ func TestSnapshotDecodeRejectsBadFraming(t *testing.T) {
 
 // TestSnapshotDecodeVersionMismatchTyped: a frame from a different codec
 // version — version 1, the layout with stored thresholds and masses, or a
-// newer one — is separately detectable (ErrSnapshotVersion) while still
+// newer one — or of another normalization scheme is separately detectable (ErrSnapshotVersion) while still
 // counting as undecodable here (ErrSnapshotEncoding); other framing damage
 // must NOT read as a version mismatch.
 func TestSnapshotDecodeVersionMismatchTyped(t *testing.T) {
-	enc := EncodeSnapshot(mustFreeze(t, NormL2))
+	enc := EncodeSnapshot(mustFreeze(t, NormL2Phase))
 	for _, v := range []byte{1, 99} {
 		other := append([]byte{}, enc...)
 		other[4], other[5] = v, 0 // little-endian
@@ -78,13 +85,22 @@ func TestSnapshotDecodeVersionMismatchTyped(t *testing.T) {
 	if _, err := DecodeSnapshot(enc[:len(enc)-1]); errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("truncation misread as a version mismatch: %v", err)
 	}
+	// A norm code this build does not simulate — the retired code 1 or one
+	// never assigned — is skew of the same kind.
+	for _, code := range []byte{1, 3, 0xff} {
+		other := append([]byte{}, enc...)
+		other[6] = code
+		if _, err := DecodeSnapshot(other); !errors.Is(err, ErrSnapshotVersion) || !errors.Is(err, ErrSnapshotEncoding) {
+			t.Fatalf("norm code %d: err = %v, want ErrSnapshotVersion wrapping ErrSnapshotEncoding", code, err)
+		}
+	}
 }
 
 // FuzzSnapshotDecode: the decoder must never panic, and anything it accepts
 // must survive Verify without panicking either (Verify may well fail — the
 // fuzzer forges weights and kids — but it must fail with an error).
 func FuzzSnapshotDecode(f *testing.F) {
-	for _, norm := range []Norm{NormLeft, NormL2, NormL2Phase} {
+	for _, norm := range []Norm{NormLeft, NormL2Phase} {
 		m := New(2, WithNormalization(norm))
 		h := cnum.New(0.5, 0)
 		state, err := m.FromVector([]cnum.Complex{h, h, h, h})
@@ -96,6 +112,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(EncodeSnapshot(snap))
+		if norm == NormL2Phase {
+			retired := EncodeSnapshot(snap)
+			retired[6] = 1 // the deleted scheme's wire code
+			f.Add(retired)
+		}
 	}
 	f.Add([]byte(snapMagic))
 	f.Add([]byte{})

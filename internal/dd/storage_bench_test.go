@@ -99,7 +99,7 @@ func BenchmarkComputeCacheHit(b *testing.B) {
 // paths: MakeVNode of an existing node, the same probe under NormLeft, and a
 // compute-cache hit. A regression here means a probe started allocating.
 func TestStorageHitPathsAllocFree(t *testing.T) {
-	for _, norm := range []Norm{NormLeft, NormL2, NormL2Phase} {
+	for _, norm := range []Norm{NormLeft, NormL2Phase} {
 		m := New(8, WithNormalization(norm))
 		r := rand.New(rand.NewPCG(11, 13))
 		st, err := m.FromVector(randomState(r, 8))

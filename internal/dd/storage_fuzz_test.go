@@ -25,7 +25,7 @@ func FuzzMakeVNode(f *testing.F) {
 				t.Skip()
 			}
 		}
-		m := New(2, WithNormalization(Norm(normSel%3)))
+		m := New(2, WithNormalization(Norm(normSel%2)))
 
 		// Two level-0 nodes from the fuzzed weights, then a level-1 node
 		// over them: every makeVNode call must be reproducible.

@@ -22,15 +22,20 @@ func (m *Manager) MakeVNode(v int, e0, e1 VEdge) VEdge {
 }
 
 func (m *Manager) makeVNode(v int, e0, e1 VEdge) VEdge {
-	// Canonicalize zero successors to the zero edge.
-	if e0.W.IsZero() {
-		e0 = VEdge{}
-	}
-	if e1.W.IsZero() {
-		e1 = VEdge{}
-	}
 	if e0.IsZero() && e1.IsZero() {
 		return VEdge{}
+	}
+	// Drop a successor whose sub-vector norm is below ε =
+	// tolerance·cnum.GridRatio times its sibling's before dividing by it:
+	// it is a zero, or an exact zero gone to rounding noise by cancellation
+	// (DESIGN.md, "Numerical design"). Either way it becomes the zero edge.
+	// The norms, not the weights, are compared: under NormLeft a weight is
+	// only the first non-zero amplitude of its sub-vector.
+	eps := m.ctab.Tolerance() * cnum.GridRatio
+	if a0, a1 := e0.norm2(), e1.norm2(); a0 < eps*eps*a1 {
+		e0 = VEdge{}
+	} else if a1 < eps*eps*a0 {
+		e1 = VEdge{}
 	}
 
 	f := m.normFactor(e0.W, e1.W)
@@ -57,6 +62,7 @@ func (m *Manager) makeVNode(v int, e0, e1 VEdge) VEdge {
 		n.V = v
 		n.E = [2]VEdge{e0, e1}
 		n.hash = h
+		n.norm2 = e0.norm2() + e1.norm2()
 		m.vTab.insert(slot, n)
 		m.noteGrowth()
 	}
@@ -66,21 +72,15 @@ func (m *Manager) makeVNode(v int, e0, e1 VEdge) VEdge {
 // normFactor returns the common factor to divide out of the weight pair
 // (w0, w1), at least one of which is non-zero.
 func (m *Manager) normFactor(w0, w1 cnum.Complex) cnum.Complex {
+	lead := w0
+	if lead.IsZero() {
+		lead = w1
+	}
 	switch m.norm {
-	case NormLeft:
-		if !w0.IsZero() {
-			return w0
-		}
-		return w1
-	case NormL2:
-		return cnum.New(math.Sqrt(w0.Abs2()+w1.Abs2()), 0)
 	case NormL2Phase:
-		mag := math.Sqrt(w0.Abs2() + w1.Abs2())
-		lead := w0
-		if lead.IsZero() {
-			lead = w1
-		}
-		return cnum.FromPolar(mag, lead.Phase())
+		return cnum.FromPolar(math.Sqrt(w0.Abs2()+w1.Abs2()), lead.Phase())
+	case NormLeft:
+		return lead
 	default:
 		panic("dd: unknown normalization scheme")
 	}

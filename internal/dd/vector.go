@@ -114,29 +114,7 @@ func (m *Manager) countNodes(n *VNode, seen map[*VNode]struct{}) {
 
 // Norm2 returns the squared Euclidean norm of the vector represented by e.
 // A valid quantum state has Norm2 == 1 up to the interning tolerance.
-func (m *Manager) Norm2(e VEdge) float64 {
-	memo := make(map[*VNode]float64)
-	return e.W.Abs2() * m.subtreeNorm2(e.N, memo)
-}
-
-// subtreeNorm2 returns the squared norm of the sub-vector represented by n
-// with a unit incoming weight. The terminal has norm 1.
-func (m *Manager) subtreeNorm2(n *VNode, memo map[*VNode]float64) float64 {
-	if n == nil {
-		return 1
-	}
-	if s, ok := memo[n]; ok {
-		return s
-	}
-	var s float64
-	for i := 0; i < 2; i++ {
-		if !n.E[i].IsZero() {
-			s += n.E[i].W.Abs2() * m.subtreeNorm2(n.E[i].N, memo)
-		}
-	}
-	memo[n] = s
-	return s
-}
+func (m *Manager) Norm2(e VEdge) float64 { return e.norm2() }
 
 // InnerProduct returns ⟨a|b⟩, the conjugate-linear inner product of the two
 // state DDs. Both edges must be full-height states of this Manager.

@@ -8,6 +8,7 @@ package job
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -213,6 +214,47 @@ func TestReplayIgnoresGarbageRecords(t *testing.T) {
 	}
 	if total != good.Shots {
 		t.Fatalf("result sums to %d shots, want %d: %v", total, good.Shots, counts)
+	}
+}
+
+// TestReplayCompletedWithoutChunksFails: a WAL holding a submit and a
+// completed state record but none of the job's chunks (what a build reads
+// when a newer one wrote them in a record type it does not know) must never
+// answer the job's result with empty counts. The job fails with
+// result_lost, on this replay and again on the next.
+func TestReplayCompletedWithoutChunksFails(t *testing.T) {
+	dir := t.TempDir()
+	w, _, _ := openTestWAL(t, dir, 0)
+	for _, rec := range []Record{
+		mustRecord(recSubmit, testSpec("jgone", 100, 50)),
+		{Type: 200, Payload: []byte{1, 2, 3}}, // its chunks, in a type this build skips
+		mustRecord(recState, stateRecord{ID: "jgone", State: StateCompleted}),
+	} {
+		if err := w.append(rec); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		m := startManager(t, Config{Dir: dir})
+		st, err := m.Get("jgone")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateFailed || st.ErrorCode != "result_lost" {
+			t.Fatalf("run %d: state %s code %q, want failed result_lost", run, st.State, st.ErrorCode)
+		}
+		if counts, err := result(m, "jgone"); !errors.Is(err, ErrNotCompleted) {
+			t.Fatalf("run %d: Result = %v, %v; want ErrNotCompleted", run, counts, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err = m.Stop(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -253,7 +253,7 @@ type Status struct {
 	// the durability contract bounds at one.
 	ChunksExecuted int `json:"chunks_executed"`
 	// ErrorCode/Error describe a failed job (memory_out, timeout, internal,
-	// bad_circuit, config_changed).
+	// bad_circuit, config_changed, result_lost).
 	ErrorCode string `json:"error_code,omitempty"`
 	Error     string `json:"error,omitempty"`
 	// PhaseNS is the cumulative per-phase wall-clock breakdown, summed from

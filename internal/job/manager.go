@@ -382,13 +382,19 @@ func replayCheckpoint(j *jobState, done []bool, chunksDone, shotsDone int, count
 
 // finishReplayLocked settles the replayed table: terminal jobs enter the
 // retention ring, complete-but-unmarked jobs are finalized, and everything
-// else is enqueued to resume.
+// else is enqueued to resume. A completed job whose chunks did not all
+// replay (a record type this build does not read, a lost segment) has no
+// result to answer with, so it fails with result_lost.
 func (m *Manager) finishReplayLocked() {
 	now := time.Now()
 	for _, id := range m.ids {
 		j := m.jobs[id]
 		j.recovered = j.chunksDone
 		j.enqueued = now
+		if j.state == StateCompleted && j.chunksDone < j.spec.ChunksTotal() {
+			j.state, j.errCode = StateFailed, "result_lost"
+			j.errMsg = fmt.Sprintf("job: completed, but %d of %d chunks replayed", j.chunksDone, j.spec.ChunksTotal())
+		}
 		if j.state.Terminal() {
 			m.sched.dequeue(j)
 			m.term = append(m.term, id)

@@ -11,8 +11,11 @@ package serve
 // and always disarm on cleanup.
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc64"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -22,6 +25,7 @@ import (
 	"testing"
 	"time"
 
+	"weaksim/internal/dd"
 	"weaksim/internal/fault"
 	"weaksim/internal/snapstore"
 )
@@ -262,7 +266,8 @@ func TestChaosCorruptSnapshotQuarantinedOnRestart(t *testing.T) {
 // directory holding a snapshot from the retired codec version 1 neither
 // loads nor quarantines it. The circuit's first request re-simulates it
 // once and rewrites the file in the current version, which the next
-// restart serves warm.
+// restart serves warm. The fixture was written by a NormLeft daemon, so
+// both daemons here run NormLeft: the key names the same file.
 func TestWarmRestartOverV1SnapshotResimulates(t *testing.T) {
 	dir := t.TempDir()
 	key, v1 := v1Snapshot(t)
@@ -271,7 +276,7 @@ func TestWarmRestartOverV1SnapshotResimulates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv1, base1 := startServer(t, Config{SnapshotDir: dir})
+	srv1, base1 := startServer(t, Config{SnapshotDir: dir, Norm: dd.NormLeft})
 	if got := srv1.Metrics().Counter("serve_warm_loaded_total").Value(); got != 0 {
 		t.Fatalf("warm restart loaded %d version-1 snapshots, want 0", got)
 	}
@@ -304,7 +309,7 @@ func TestWarmRestartOverV1SnapshotResimulates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, base2 := startServer(t, Config{SnapshotDir: dir})
+	srv2, base2 := startServer(t, Config{SnapshotDir: dir, Norm: dd.NormLeft})
 	var again sampleResult
 	if status, _ := post(t, base2, sampleBody(64, 1), &again); status != http.StatusOK {
 		t.Fatalf("restarted status=%d", status)
@@ -315,6 +320,50 @@ func TestWarmRestartOverV1SnapshotResimulates(t *testing.T) {
 	}
 	if sims := srv2.Metrics().Counter("serve_sims_total").Value(); sims != 0 {
 		t.Fatalf("restarted daemon ran %d strong simulations, want 0", sims)
+	}
+}
+
+// TestWarmRestartSkipsOtherSchemes: a restart loads only snapshots frozen
+// under the daemon's own scheme (here the default, NormL2Phase). One
+// frozen under NormLeft is intact, but no key of this daemon names it, so
+// loading it would only charge the cache. One carrying the retired norm
+// code 1 under a valid CRC is version skew: skipped and left in place, not
+// quarantined.
+func TestWarmRestartSkipsOtherSchemes(t *testing.T) {
+	dir := t.TempDir()
+	st, err := snapstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := dd.New(2, dd.WithNormalization(dd.NormLeft))
+	snap, err := m.Freeze(m.ZeroState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("left", snap); err != nil {
+		t.Fatal(err)
+	}
+	frame := snapstore.Encode(snap)
+	payload := frame[:len(frame)-8]
+	payload[6] = 1 // the retired scheme's wire code
+	retired := binary.LittleEndian.AppendUint64(payload, crc64.Checksum(payload, crc64.MakeTable(crc64.ECMA)))
+	retiredPath := filepath.Join(dir, "retired.wsnap")
+	if err := os.WriteFile(retiredPath, retired, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, _ := startServer(t, Config{SnapshotDir: dir})
+	if got := srv.Metrics().Counter("serve_warm_loaded_total").Value(); got != 0 {
+		t.Fatalf("warm restart loaded %d snapshots of other schemes, want 0", got)
+	}
+	if got := srv.Metrics().Counter("snapstore_quarantined_total").Value(); got != 0 {
+		t.Fatalf("%d snapshots quarantined, want 0", got)
+	}
+	if got, err := os.ReadFile(retiredPath); err != nil || !bytes.Equal(got, retired) {
+		t.Fatalf("retired-scheme file changed or gone: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "left.wsnap")); err != nil {
+		t.Fatalf("NormLeft snapshot gone: %v", err)
 	}
 }
 

@@ -12,10 +12,11 @@ package serve
 //   - everything that changes the simulated state — register width, gate
 //     kinds, exact float64 parameter bits, targets, control polarity, and
 //     permutation tables — is hashed, in op order;
-//   - the DD normalization scheme is mixed in, because it changes the
-//     frozen snapshot's weights and the walk's thresholds (and hence the
-//     exact sample stream for a given seed), even though the Born
-//     distribution is identical.
+//   - the DD normalization scheme is mixed in, by its wire code
+//     (dd.Norm.Wire, so keys did not move when NormL2Phase became the
+//     zero value), because it changes the frozen snapshot's weights and
+//     the walk's thresholds (and hence the exact sample stream for a
+//     given seed), even though the Born distribution is identical.
 //
 // The encoding is versioned (hashVersion) so a change to the scheme can
 // never silently alias old keys.
@@ -43,7 +44,7 @@ const hashVersion = 1
 func CircuitKey(c *circuit.Circuit, norm dd.Norm, generic bool) string {
 	k := keyWriter{h: sha256.New()}
 	k.word(hashVersion)
-	k.signed(int(norm))
+	k.signed(int(norm.Wire()))
 	k.flag(generic)
 	k.signed(c.NQubits)
 	for _, op := range c.Ops {

@@ -143,7 +143,7 @@ func TestCircuitKeyGolden(t *testing.T) {
 // request trace. Spellings are remembered on a stand-in entry, so no
 // circuit is simulated.
 func BenchmarkResolveRequest(b *testing.B) {
-	s := New(Config{Norm: dd.NormL2Phase, DisableRequestTraces: true})
+	s := New(Config{DisableRequestTraces: true})
 	defer s.Close()
 	for _, name := range []string{"q:qft_16", "q:qft_32", "q:jellium_2x2", "q:supremacy_3x3_10", "q:ghz_24", "q:bv_20",
 		"shor_33_2", "grover_12", "shor_21_2", "supremacy_4x4_10"} {

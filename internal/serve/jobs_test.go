@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"weaksim/internal/core"
-	"weaksim/internal/dd"
 	"weaksim/internal/job"
 )
 
@@ -58,7 +57,7 @@ func waitJob(t *testing.T, base, id string, pred func(job.Status) bool) job.Stat
 }
 
 func TestJobLifecycleHTTP(t *testing.T) {
-	_, base := startServer(t, Config{Norm: dd.NormL2Phase, JobsDir: t.TempDir()})
+	_, base := startServer(t, Config{JobsDir: t.TempDir()})
 
 	var st job.Status
 	code, _ := postJSON(t, base, "/v1/jobs", map[string]any{
@@ -100,7 +99,7 @@ func TestJobLifecycleHTTP(t *testing.T) {
 }
 
 func TestJobEventsNDJSON(t *testing.T) {
-	_, base := startServer(t, Config{Norm: dd.NormL2Phase})
+	_, base := startServer(t, Config{})
 	var st job.Status
 	code, _ := postJSON(t, base, "/v1/jobs", map[string]any{
 		"circuit": "ghz_4", "shots": 10 * core.ChunkShots,
@@ -138,7 +137,7 @@ func TestJobEventsNDJSON(t *testing.T) {
 }
 
 func TestJobCancelAndConflict(t *testing.T) {
-	_, base := startServer(t, Config{Norm: dd.NormL2Phase, JobsDir: t.TempDir()})
+	_, base := startServer(t, Config{JobsDir: t.TempDir()})
 	var st job.Status
 	code, _ := postJSON(t, base, "/v1/jobs", map[string]any{
 		"circuit": "ghz_3", "shots": 100_000_000,
@@ -175,7 +174,7 @@ func TestJobCancelAndConflict(t *testing.T) {
 }
 
 func TestJobQuota429(t *testing.T) {
-	_, base := startServer(t, Config{Norm: dd.NormL2Phase, JobMaxPerTenant: 1})
+	_, base := startServer(t, Config{JobMaxPerTenant: 1})
 	var first job.Status
 	code, _ := postJSON(t, base, "/v1/jobs", map[string]any{
 		"circuit": "ghz_3", "shots": 100_000_000, "tenant": "acme",
@@ -208,7 +207,7 @@ func TestJobQuota429(t *testing.T) {
 }
 
 func TestJobNotFound(t *testing.T) {
-	_, base := startServer(t, Config{Norm: dd.NormL2Phase})
+	_, base := startServer(t, Config{})
 	var body errorBody
 	if code := getJSON(t, base+"/v1/jobs/jdoesnotexist", &body); code != http.StatusNotFound {
 		t.Fatalf("unknown job status %d, want 404", code)
@@ -219,7 +218,7 @@ func TestJobNotFound(t *testing.T) {
 }
 
 func TestJobBadRequests(t *testing.T) {
-	_, base := startServer(t, Config{Norm: dd.NormL2Phase})
+	_, base := startServer(t, Config{})
 	// A job's chunk size is persisted in its spec but is no request field.
 	chunkSize, _ := reflect.TypeOf(job.Spec{}).FieldByName("ChunkShots")
 	cases := []map[string]any{
@@ -243,7 +242,7 @@ func TestJobBadRequests(t *testing.T) {
 // TestDrainingRetryAfter pins the satellite contract: a draining daemon's
 // 503 carries Retry-After guidance exactly like the 429 path does.
 func TestDrainingRetryAfter(t *testing.T) {
-	srv, _ := startServer(t, Config{Norm: dd.NormL2Phase})
+	srv, _ := startServer(t, Config{})
 	srv.draining.Store(true)
 
 	body, _ := json.Marshal(map[string]any{"circuit": "ghz_3", "shots": 100})
@@ -276,7 +275,7 @@ func TestJobResumeAcrossRestart(t *testing.T) {
 	}
 
 	// Reference: uninterrupted run.
-	_, refBase := startServer(t, Config{Norm: dd.NormL2Phase, JobsDir: t.TempDir()})
+	_, refBase := startServer(t, Config{JobsDir: t.TempDir()})
 	var refSt job.Status
 	if code, _ := postJSON(t, refBase, "/v1/jobs", spec, &refSt); code != http.StatusAccepted {
 		t.Fatalf("reference submit status %d", code)
@@ -287,7 +286,7 @@ func TestJobResumeAcrossRestart(t *testing.T) {
 
 	// Interrupted run: stop the daemon mid-job, restart on the same WAL.
 	dir := t.TempDir()
-	srv1 := New(Config{Addr: "127.0.0.1:0", Norm: dd.NormL2Phase, JobsDir: dir})
+	srv1 := New(Config{Addr: "127.0.0.1:0", JobsDir: dir})
 	if err := srv1.Start(); err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -301,7 +300,7 @@ func TestJobResumeAcrossRestart(t *testing.T) {
 		t.Logf("close: %v", err)
 	}
 
-	srv2, base2 := startServer(t, Config{Norm: dd.NormL2Phase, JobsDir: dir})
+	srv2, base2 := startServer(t, Config{JobsDir: dir})
 	_ = srv2
 	done := waitJob(t, base2, st.ID, func(s job.Status) bool { return s.State == job.StateCompleted })
 	if done.ChunksRecovered < 2 {
@@ -322,7 +321,7 @@ func TestJobResumeAcrossRestart(t *testing.T) {
 // TestJobSharesSnapshotWithSample: a job for a circuit already sampled
 // interactively reuses the cached snapshot (no second strong simulation).
 func TestJobSharesSnapshotWithSample(t *testing.T) {
-	srv, base := startServer(t, Config{Norm: dd.NormL2Phase})
+	srv, base := startServer(t, Config{})
 	var sr sampleResult
 	if code, _ := post(t, base, map[string]any{"qasm": ghzQASM, "shots": 100}, &sr); code != http.StatusOK {
 		t.Fatalf("sample status %d", code)
@@ -346,7 +345,7 @@ func TestJobSharesSnapshotWithSample(t *testing.T) {
 // carry Allow headers, missing IDs are 400s, and result/events on unknown
 // jobs are 404s.
 func TestJobMethodRouting(t *testing.T) {
-	_, base := startServer(t, Config{Norm: dd.NormL2Phase})
+	_, base := startServer(t, Config{})
 
 	do := func(method, path string) (int, http.Header) {
 		t.Helper()
@@ -388,7 +387,7 @@ func TestJobMethodRouting(t *testing.T) {
 // TestJobResultHTTP exercises the result handler's success shape directly:
 // counts, qubits, shots, and seed all round-trip.
 func TestJobResultHTTP(t *testing.T) {
-	_, base := startServer(t, Config{Norm: dd.NormL2Phase})
+	_, base := startServer(t, Config{})
 	var st job.Status
 	code, _ := postJSON(t, base, "/v1/jobs", map[string]any{
 		"circuit": "ghz_4", "shots": 300, "seed": 9,

@@ -56,7 +56,8 @@ const (
 type Config struct {
 	// Addr is the listen address (host:port; ":0" = ephemeral).
 	Addr string
-	// Norm is the DD normalization scheme for strong simulation.
+	// Norm is the DD normalization scheme for strong simulation (zero
+	// value: NormL2Phase, the library's default).
 	Norm dd.Norm
 	// NodeBudget bounds live DD nodes per simulation (0 = unlimited);
 	// overruns surface as HTTP 507.
@@ -499,10 +500,11 @@ func (s *Server) event(name string, attrs map[string]any) {
 	s.cfg.Tracer.Event(obs.PhaseServe, name, attrs)
 }
 
-// warmRestart loads every verified snapshot from the store into the cache
-// before the listener opens. Corrupt files are quarantined by the store; a
-// key that fails to load simply stays cold and re-simulates on first
-// request.
+// warmRestart loads every verified snapshot frozen under cfg.Norm from the
+// store into the cache before the listener opens. Corrupt files are
+// quarantined by the store; a snapshot of another scheme is skipped, since
+// no key of this daemon names it; a key that fails to load simply stays
+// cold and re-simulates on first request.
 func (s *Server) warmRestart() {
 	keys, err := s.store.Keys()
 	if err != nil {
@@ -511,7 +513,7 @@ func (s *Server) warmRestart() {
 	loaded := 0
 	for _, key := range keys {
 		snap, err := s.store.Get(key)
-		if err != nil {
+		if err != nil || snap.Norm() != s.cfg.Norm {
 			continue
 		}
 		ent, err := newEntry(key, snap, 0)

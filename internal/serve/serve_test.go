@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"weaksim/internal/circuit/qasm"
 	"weaksim/internal/dd"
 	"weaksim/internal/job"
 	"weaksim/internal/obs"
@@ -118,13 +119,30 @@ func occupyWorker(t *testing.T, p *simPool) (release func()) {
 	return func() { close(block) }
 }
 
+// TestZeroConfigIsL2Phase: a zero Config simulates and keys under the
+// library's default scheme, NormL2Phase, with no Norm field set.
+func TestZeroConfigIsL2Phase(t *testing.T) {
+	_, base := startServer(t, Config{})
+	var resp sampleResult
+	if status, _ := post(t, base, map[string]any{"qasm": ghzQASM, "shots": 8}, &resp); status != http.StatusOK {
+		t.Fatalf("sample: status %d", status)
+	}
+	circ, err := qasm.Parse(ghzQASM, "request")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := CircuitKey(circ, dd.NormL2Phase, false); resp.CircuitKey != want {
+		t.Fatalf("zero-config key %s, want the NormL2Phase key %s", resp.CircuitKey, want)
+	}
+}
+
 // TestServeParallelSingleFlight is the end-to-end acceptance test: 8
 // concurrent clients post the same QASM circuit for 3 rounds. Exactly one
 // strong simulation must run (single-flight), rounds after the first must be
 // warm cache hits, and the counts for a fixed (seed, shots, workers) must be
 // identical across every response at every cache temperature.
 func TestServeParallelSingleFlight(t *testing.T) {
-	srv, base := startServer(t, Config{Norm: dd.NormL2Phase, MaxSampleWorkers: 4, Metrics: obs.NewRegistry()})
+	srv, base := startServer(t, Config{MaxSampleWorkers: 4, Metrics: obs.NewRegistry()})
 	const (
 		clients = 8
 		rounds  = 3
@@ -258,7 +276,7 @@ func TestServeErrorsCountSampleAnswersOnly(t *testing.T) {
 // node-budgeted server answers an over-budget circuit with 507 and a
 // structured JSON error body.
 func TestServeMemoryOutBudget(t *testing.T) {
-	_, base := startServer(t, Config{Norm: dd.NormL2Phase, NodeBudget: 2})
+	_, base := startServer(t, Config{NodeBudget: 2})
 	var eb errorBody
 	status, _ := post(t, base, map[string]any{"circuit": "qft_8", "shots": 16}, &eb)
 	if status != http.StatusInsufficientStorage {
@@ -281,7 +299,7 @@ func TestServeMemoryOutBudget(t *testing.T) {
 }
 
 func TestServeBadRequests(t *testing.T) {
-	_, base := startServer(t, Config{Norm: dd.NormL2Phase, MaxShots: 1000, MaxSampleWorkers: 2, MaxQubits: 4})
+	_, base := startServer(t, Config{MaxShots: 1000, MaxSampleWorkers: 2, MaxQubits: 4})
 	cases := []struct {
 		name string
 		body string
@@ -329,7 +347,7 @@ func TestServeBadRequests(t *testing.T) {
 // TestServeQueueFullReturns429 saturates a 1-worker, zero-depth admission
 // queue and checks the 429 + Retry-After contract.
 func TestServeQueueFullReturns429(t *testing.T) {
-	srv, base := startServer(t, Config{Norm: dd.NormL2Phase, SimWorkers: 1, QueueDepth: -1})
+	srv, base := startServer(t, Config{SimWorkers: 1, QueueDepth: -1})
 	release := occupyWorker(t, srv.pool)
 	defer release()
 
@@ -354,7 +372,7 @@ func TestServeQueueFullReturns429(t *testing.T) {
 // TestServeTimeoutReturns504 queues behind a stuck worker with a short
 // timeout_ms and expects the TO leg of the ladder.
 func TestServeTimeoutReturns504(t *testing.T) {
-	srv, base := startServer(t, Config{Norm: dd.NormL2Phase, SimWorkers: 1, QueueDepth: 4})
+	srv, base := startServer(t, Config{SimWorkers: 1, QueueDepth: 4})
 	release := occupyWorker(t, srv.pool)
 	defer release()
 
@@ -374,7 +392,7 @@ func TestServeTimeoutReturns504(t *testing.T) {
 // and 4 workers, and a /v1/jobs job at the default chunk size draws the
 // same counts.
 func TestServeWorkersShardDeterministically(t *testing.T) {
-	_, base := startServer(t, Config{Norm: dd.NormL2Phase, MaxSampleWorkers: 4})
+	_, base := startServer(t, Config{MaxSampleWorkers: 4})
 	const circuit, shots, seed = "supremacy_3x3_10", 200_000, 11
 	sample := func(workers int) map[string]int {
 		var resp sampleResult
@@ -418,7 +436,7 @@ func TestServeWorkersShardDeterministically(t *testing.T) {
 }
 
 func TestServeCircuitsAndHealth(t *testing.T) {
-	_, base := startServer(t, Config{Norm: dd.NormL2Phase})
+	_, base := startServer(t, Config{})
 	var circuits map[string][]string
 	if code := getJSON(t, base+"/v1/circuits", &circuits); code != http.StatusOK {
 		t.Fatalf("circuits status %d", code)
@@ -447,7 +465,7 @@ func TestServeCircuitsAndHealth(t *testing.T) {
 // snapshot and confirms distinct circuits evict each other while the daemon
 // keeps answering correctly.
 func TestServeEvictionUnderPressure(t *testing.T) {
-	_, base := startServer(t, Config{Norm: dd.NormL2Phase, CacheBytes: 1})
+	_, base := startServer(t, Config{CacheBytes: 1})
 	for i := 2; i <= 4; i++ {
 		var resp sampleResult
 		status, _ := post(t, base, map[string]any{"circuit": fmt.Sprintf("ghz_%d", i), "shots": 8}, &resp)
@@ -471,7 +489,7 @@ func TestServeEvictionUnderPressure(t *testing.T) {
 // TestServeGracefulDrain shuts the server down mid-life and verifies the
 // listener closes and Shutdown returns cleanly.
 func TestServeGracefulDrain(t *testing.T) {
-	srv, base := startServer(t, Config{Norm: dd.NormL2Phase})
+	srv, base := startServer(t, Config{})
 	var resp sampleResult
 	if status, _ := post(t, base, map[string]any{"circuit": "ghz_2", "shots": 4}, &resp); status != http.StatusOK {
 		t.Fatalf("warmup status=%d", status)

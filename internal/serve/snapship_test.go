@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"weaksim/internal/dd"
 	"weaksim/internal/snapstore"
 )
 
@@ -115,10 +116,12 @@ func TestSnapshotShippingEndToEnd(t *testing.T) {
 
 // TestSnapshotPutRejectsDamageAndVersionSkew: the PUT integrity ladder
 // separates corruption (400) from a mixed-version peer (409) — one on the
-// retired codec version 1 or on a newer one — and none pollutes the cache.
+// retired codec version 1, on a newer one, or on the retired norm code 1 —
+// and none pollutes the cache. The version-1 fixture was written by a
+// NormLeft daemon, so both daemons run NormLeft.
 func TestSnapshotPutRejectsDamageAndVersionSkew(t *testing.T) {
-	srvA, baseA := startServer(t, Config{})
-	srvB, baseB := startServer(t, Config{})
+	srvA, baseA := startServer(t, Config{Norm: dd.NormLeft})
+	srvB, baseB := startServer(t, Config{Norm: dd.NormLeft})
 
 	body := map[string]any{"qasm": ghzQASM, "shots": 16}
 	var cold sampleResult
@@ -155,6 +158,14 @@ func TestSnapshotPutRejectsDamageAndVersionSkew(t *testing.T) {
 				var trailer [8]byte
 				binary.LittleEndian.PutUint64(trailer[:], crc64.Checksum(payload, crcTable))
 				return append(payload, trailer[:]...)
+			},
+			status: http.StatusConflict,
+		},
+		"retired norm code 1": {
+			mutate: func(b []byte) []byte {
+				payload := b[:len(b)-8]
+				payload[6] = 1
+				return binary.LittleEndian.AppendUint64(payload, crc64.Checksum(payload, crcTable))
 			},
 			status: http.StatusConflict,
 		},

@@ -69,7 +69,7 @@ func TestRandomCircuitsCrossValidate(t *testing.T) {
 		n := 2 + int(nq%5) // 2..6 qubits
 		ops := 5 + int(nops%40)
 		c := randomCircuit(seed, n, ops)
-		for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2, dd.NormL2Phase} {
+		for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2Phase} {
 			ddSim, err := NewDD(c, WithManagerOptions(dd.WithNormalization(norm)))
 			if err != nil {
 				return false

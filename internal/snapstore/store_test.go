@@ -18,7 +18,7 @@ const testKey = "0123456789abcdef0123456789abcdef"
 
 func testSnapshot(t *testing.T) *dd.Snapshot {
 	t.Helper()
-	m := dd.New(3, dd.WithNormalization(dd.NormL2))
+	m := dd.New(3, dd.WithNormalization(dd.NormL2Phase))
 	a := cnum.New(0, -math.Sqrt(3.0/8.0))
 	b := cnum.New(math.Sqrt(1.0/8.0), 0)
 	state, err := m.FromVector([]cnum.Complex{cnum.Zero, a, cnum.Zero, a, b, cnum.Zero, cnum.Zero, b})

@@ -11,16 +11,16 @@ import (
 	"testing"
 )
 
-// reframeVersion rewrites an Encode frame so its header claims codec version
-// v, recomputing the CRC trailer so the frame is intact — exactly what a
-// peer running a newer build would produce.
-func reframeVersion(t *testing.T, frame []byte, v uint16) []byte {
+// reframe applies edit to an Encode frame's payload and recomputes the CRC
+// trailer, so the frame is intact — exactly what a peer running another
+// build would produce.
+func reframe(t *testing.T, frame []byte, edit func(payload []byte)) []byte {
 	t.Helper()
 	if len(frame) < 16 {
 		t.Fatal("frame too short to reframe")
 	}
 	payload := append([]byte{}, frame[:len(frame)-8]...)
-	binary.LittleEndian.PutUint16(payload[4:], v)
+	edit(payload)
 	var trailer [8]byte
 	binary.LittleEndian.PutUint64(trailer[:], crc64.Checksum(payload, crcTable))
 	return append(payload, trailer[:]...)
@@ -57,11 +57,15 @@ func v1Frame(t *testing.T) []byte {
 }
 
 // skewedFrames are intact frames this build must refuse as version skew:
-// one from the retired version 1 and one from a newer version.
+// one from the retired version 1, one from a newer version, and one frozen
+// under the retired normalization scheme, wire code 1.
 func skewedFrames(t *testing.T) map[string][]byte {
 	return map[string][]byte{
-		"version 1":  v1Frame(t),
-		"version 99": reframeVersion(t, Encode(testSnapshot(t)), 99),
+		"version 1": v1Frame(t),
+		"version 99": reframe(t, Encode(testSnapshot(t)), func(p []byte) {
+			binary.LittleEndian.PutUint16(p[4:], 99)
+		}),
+		"norm code 1": reframe(t, Encode(testSnapshot(t)), func(p []byte) { p[6] = 1 }),
 	}
 }
 

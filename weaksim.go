@@ -36,15 +36,14 @@ type Control = gate.Control
 // Norm selects the decision-diagram edge-weight normalization scheme.
 type Norm = dd.Norm
 
-// Normalization schemes: NormLeft divides by the leftmost non-zero edge
-// weight (the conventional scheme); NormL2 divides by the Euclidean norm of
-// the weight pair (the paper's proposal, Section IV-C); NormL2Phase
-// additionally extracts the leading phase for full canonicity. The default
-// is NormL2Phase.
+// Normalization schemes: NormL2Phase, the zero value and so the default,
+// divides by the Euclidean norm of the weight pair and the leading phase,
+// so the weights are branch probabilities (the paper's proposal, Section
+// IV-C) and the diagram is canonical; NormLeft divides by the leftmost
+// non-zero edge weight (the conventional scheme, Fig. 4b).
 const (
-	NormLeft    = dd.NormLeft
-	NormL2      = dd.NormL2
 	NormL2Phase = dd.NormL2Phase
+	NormLeft    = dd.NormLeft
 )
 
 // NewCircuit returns an empty circuit on n qubits. Qubit 0 is the least
@@ -123,7 +122,7 @@ type config struct {
 }
 
 func newConfig(opts []Option) config {
-	c := config{norm: NormL2Phase, seed: 1, method: MethodDD, workers: 1}
+	c := config{seed: 1, method: MethodDD, workers: 1}
 	for _, o := range opts {
 		o(&c)
 	}
@@ -134,7 +133,7 @@ func newConfig(opts []Option) config {
 type Option func(*config)
 
 // WithNormalization selects the DD normalization scheme (default
-// NormL2Phase).
+// NormL2Phase, the zero value).
 func WithNormalization(n Norm) Option { return func(c *config) { c.norm = n } }
 
 // WithSeed seeds all randomness (default 1). Equal seeds give identical

@@ -201,7 +201,7 @@ func TestParseMethod(t *testing.T) {
 func TestNormalizationOptionsAllSampleCorrectly(t *testing.T) {
 	c, _ := weaksim.GenerateBenchmark("running_example")
 	want := []float64{0, 3.0 / 8, 0, 3.0 / 8, 1.0 / 8, 0, 0, 1.0 / 8}
-	for _, norm := range []weaksim.Norm{weaksim.NormLeft, weaksim.NormL2, weaksim.NormL2Phase} {
+	for _, norm := range []weaksim.Norm{weaksim.NormLeft, weaksim.NormL2Phase} {
 		state, err := weaksim.Simulate(c, weaksim.WithNormalization(norm))
 		if err != nil {
 			t.Fatal(err)
