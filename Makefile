@@ -10,7 +10,8 @@
 #                     concurrently by weaksimd), so those paths get dedicated
 #                     race coverage
 #   make bench-gate   frozen-sampling ns/shot (one Sample call, and
-#                     core.TallyChunk's binomial split) and live
+#                     core.TallyChunk's binomial split on 65,536- and
+#                     1,024-shot chunks) and live
 #                     build+freeze vs the committed baseline in
 #                     BENCH_FROZEN.txt (best of 3 runs vs the slowest
 #                     committed row, 25% tolerance)
@@ -137,6 +138,7 @@ bench:
 bench-frozen:
 	$(GO) test -run '^$$' -bench 'BenchmarkSampleFrozen' -benchtime 2000000x -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkCountsFrozen' -benchtime 2000000x -count 3 .
+	$(GO) test -run '^$$' -bench 'BenchmarkCountsInteractive' -benchtime 2000000x -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkFreeze' -benchtime 50x .
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildFreeze' -benchtime 10x -count 3 .
 
@@ -152,11 +154,15 @@ bench-frozen:
 # gates what count-producing calls pay per shot: core.TallyChunk over
 # 65,536-shot chunks, split down the walk table by binomial draws and
 # tallied into a core.Tally (dense for qft_16 and jellium_2x2, one
-# ascending run for the 18-qubit shor rows), with no map built.
+# ascending run for the 18-qubit shor rows), with no map built. The fourth
+# gates the same call on an interactive request's shape: 1,024-shot chunks
+# of qft_16 and qft_32, whose time goes mostly to the paired per-shot walks
+# below the split's fallback nodes.
 bench-gate:
 	$(GO) run ./cmd/benchcheck
 	$(GO) run ./cmd/benchcheck -bench BenchmarkBuildFreeze -benchtime 10x
 	$(GO) run ./cmd/benchcheck -bench BenchmarkCountsFrozen
+	$(GO) run ./cmd/benchcheck -bench BenchmarkCountsInteractive
 
 # The end-to-end benchmark (cmd/weakbench) is a Go module of its own, so
 # root `go test ./...` never compiles it. This smoke target vets and tests

@@ -307,6 +307,38 @@ func BenchmarkCountsFrozen(b *testing.B) {
 	})
 }
 
+// interactiveShots is the shot count of an interactive /v1/sample request.
+const interactiveShots = 1024
+
+// BenchmarkCountsInteractive measures what an interactive request's
+// sampling pays per shot: core.TallyChunk over interactiveShots-shot
+// chunks of qft_16 and qft_32. The split reaches a node of at most 16
+// shots about 6 levels down, so most of the time goes to the per-shot
+// walks below it, 10 levels deep on qft_16 and 26 on qft_32. One op is one
+// shot, so ns/op reads as ns/shot.
+func BenchmarkCountsInteractive(b *testing.B) {
+	for _, name := range []string{"qft_16", "qft_32"} {
+		b.Run(name, func(b *testing.B) {
+			m, edge := frozenBenchState(b, name)
+			snap, err := m.Freeze(edge)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sampler, err := core.NewFrozenSampler(snap)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			b.ResetTimer()
+			for chunk, drawn := 0, 0; drawn < b.N; chunk, drawn = chunk+1, drawn+interactiveShots {
+				if _, err := core.TallyChunk(ctx, sampler, 1, chunk, min(interactiveShots, b.N-drawn)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFreeze measures the one-off freeze pass (live DD → immutable
 // snapshot), amortized over however many samples follow.
 func BenchmarkFreeze(b *testing.B) {

@@ -52,7 +52,9 @@
 // seed and shots.
 //
 // On startup the daemon logs one JSON line of the fully-resolved effective
-// config ({"event":"effective_config",...}) for field debugging.
+// config ({"event":"effective_config",...}) for field debugging. A usage
+// error (an unknown flag, a bad value, a positional argument) exits 2, as
+// in weaksim and benchtable; a daemon that cannot start or drain exits 1.
 //
 // -fault (or $WEAKSIM_FAULT) arms the deterministic fault-injection
 // framework for chaos testing; never set it in production.
@@ -97,13 +99,28 @@ import (
 	"weaksim/internal/serve"
 )
 
+// errUsage marks command-line usage errors (exit code 2).
+var errUsage = errors.New("usage error")
+
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr, nil, nil, nil); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(2)
-		}
+	err := run(os.Args[1:], os.Stdout, os.Stderr, nil, nil, nil)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "weaksimd:", err)
-		os.Exit(1)
+	}
+	os.Exit(exitCode(err))
+}
+
+// exitCode maps run's result to the process exit code, as weaksim and
+// benchtable do: 0 after a clean drain, 2 for a usage error or -h, and 1
+// for a daemon that could not start or drain.
+func exitCode(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, errUsage), errors.Is(err, flag.ErrHelp):
+		return 2
+	default:
+		return 1
 	}
 }
 
@@ -146,18 +163,21 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *serve.Server, cl
 		probeInterval = fs.Duration("probe-interval", cluster.DefaultProbeInterval, "cluster mode: /readyz health-probe cadence")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+		return fmt.Errorf("%w: unexpected arguments: %v", errUsage, fs.Args())
 	}
 	normScheme, err := dd.ParseNorm(*norm)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 	tenantWeights, err := parseTenantWeights(*jobWeights)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 	logEffectiveConfig(stdout, fs, *clusterMode)
 	if *faultSpec != "" {

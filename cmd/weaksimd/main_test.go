@@ -78,19 +78,37 @@ func TestRunServesAndDrains(t *testing.T) {
 	}
 }
 
+// TestRunFlagErrors: every usage error exits 2, as in weaksim and
+// benchtable, and a daemon that cannot start exits 1.
 func TestRunFlagErrors(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if err := run([]string{"-norm", "bogus"}, &out, &errBuf, nil, nil, nil); err == nil {
-		t.Fatal("bad -norm accepted")
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"help", []string{"-h"}, 2},
+		{"unknown flag", []string{"-no-such-flag"}, 2},
+		{"bad flag value", []string{"-queue", "many"}, 2},
+		{"positional argument", []string{"positional"}, 2},
+		{"bad -norm", []string{"-norm", "bogus"}, 2},
+		{"retired -norm", []string{"-norm", "l2"}, 2},
+		{"bad -job-tenant-weights", []string{"-job-tenant-weights", "acme=0"}, 2},
+		{"unlistenable address", []string{"-addr", "definitely:not:an:addr"}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errBuf bytes.Buffer
+			err := run(tc.args, &out, &errBuf, nil, nil, nil)
+			if code := exitCode(err); code != tc.code {
+				t.Fatalf("run(%v): exit code %d (%v), want %d", tc.args, code, err, tc.code)
+			}
+		})
 	}
-	if err := run([]string{"-norm", "l2"}, &out, &errBuf, nil, nil, nil); err == nil || !strings.Contains(err.Error(), "l2phase") {
+	err := run([]string{"-norm", "l2"}, io.Discard, io.Discard, nil, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "l2phase") {
 		t.Fatalf("-norm l2: %v, want an error naming l2phase", err)
 	}
-	if err := run([]string{"positional"}, &out, &errBuf, nil, nil, nil); err == nil {
-		t.Fatal("positional argument accepted")
-	}
-	if err := run([]string{"-addr", "definitely:not:an:addr"}, &out, &errBuf, nil, nil, nil); err == nil {
-		t.Fatal("unlistenable address accepted")
+	if code := exitCode(nil); code != 0 {
+		t.Fatalf("exit code after a clean drain: %d, want 0", code)
 	}
 }
 

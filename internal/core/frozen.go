@@ -31,12 +31,13 @@ const WalkVersion = 2
 // 0-branch probability P0 (see branchP0) as a 0.64 fixed-point threshold
 // (see threshold) — so a level is one 16-byte load by int32 index.
 //
-// Sample walks one shot as one range-decoder pass (see step): it takes
+// Sample walks one shot as one range-decoder pass (see split): it takes
 // exactly one Uint64 from r and splits the interval it names level by
 // level, branch-free, so it consumes about its outcome's information
 // content in random bits. Count-producing calls split a chunk's shots down
 // the table instead (see splitNode), at a cost of one draw per distinct
-// outcome prefix rather than one walk per shot.
+// outcome prefix rather than one walk per shot, and walk the shots of a
+// node reached by few two at a time, so their dependent chains overlap.
 //
 // A FrozenSampler is safe for concurrent use by any number of goroutines,
 // each with its own *rng.RNG: the walk table is immutable, and the only
@@ -160,17 +161,9 @@ func (s *FrozenSampler) Renorms() uint64 { return s.renorms.Load() }
 // refillBelow is the interval width under which a level first refills.
 const refillBelow = 1 << 32
 
-// step decodes one level on threshold t from the shot state (x, r, w) and
-// returns the level's bit and the next state: a refill when r is below
-// refillBelow, then the split. Every walk, the live-diagram test oracle's
-// too, decodes through it.
-func step(t, x, r, w uint64) (bit, nx, nr, nw uint64) {
-	if r < refillBelow {
-		x, r, w = refill(x, r, w)
-	}
-	bit, x, r = split(t, x, r)
-	return bit, x, r, w
-}
+// A level of a walk is a refill when r is below refillBelow, then a split.
+// The walks write those two calls out rather than calling one helper,
+// because the compiler inlines each of them but not a function of both.
 
 // split is the interval rule on threshold t: it returns the level's bit and
 // the surviving interval (x, r). It is branch-free: the comparison's borrow
@@ -198,22 +191,63 @@ func (s *FrozenSampler) Sample(r *rng.RNG) uint64 { return s.descend(r.Uint64(),
 func (s *FrozenSampler) descend(d uint64, cur int32, levels int) uint64 {
 	x, rr, w := d, uint64(math.MaxUint64), d
 	var idx uint64
+	walk := s.walk
 	for range levels {
-		nd := &s.walk[cur]
-		var bit uint64
-		bit, x, rr, w = step(nd.T, x, rr, w)
-		next := nd.Kid[bit]
-		if next == dd.SnapZero {
-			// Floating-point slack put the walk on a zero edge: the other
-			// branch holds all the mass. Take it; the decoder state stays.
-			bit ^= 1
-			next = nd.Kid[bit]
-			s.renorms.Add(1)
+		nd := &walk[cur]
+		if rr < refillBelow {
+			x, rr, w = refill(x, rr, w)
 		}
+		var bit uint64
+		bit, x, rr = split(nd.T, x, rr)
+		cur, bit = s.kid(nd, bit)
 		idx = idx<<1 | bit
-		cur = next
 	}
 	return idx
+}
+
+// descendPair returns what descend(d0, cur, levels) and descend(d1, cur,
+// levels) would, walking both draws in step. A level of one walk is a
+// dependent chain (load the node, multiply by its threshold, compare, pick
+// the kid to load next), so a walk alone runs at that chain's latency; two
+// independent walks overlap their chains. Four or sixteen walks at a time
+// gained at most a tenth more on 26-level walks and lost on 4-level ones
+// (EXPERIMENTS.md, "Paired fallback walk").
+func (s *FrozenSampler) descendPair(d0, d1 uint64, cur int32, levels int) (idx0, idx1 uint64) {
+	x0, r0, w0 := d0, uint64(math.MaxUint64), d0
+	x1, r1, w1 := d1, uint64(math.MaxUint64), d1
+	cur0, cur1 := cur, cur
+	walk := s.walk
+	for range levels {
+		nd0, nd1 := &walk[cur0], &walk[cur1]
+		if r0 < refillBelow {
+			x0, r0, w0 = refill(x0, r0, w0)
+		}
+		if r1 < refillBelow {
+			x1, r1, w1 = refill(x1, r1, w1)
+		}
+		var b0, b1 uint64
+		b0, x0, r0 = split(nd0.T, x0, r0)
+		b1, x1, r1 = split(nd1.T, x1, r1)
+		cur0, b0 = s.kid(nd0, b0)
+		cur1, b1 = s.kid(nd1, b1)
+		idx0 = idx0<<1 | b0
+		idx1 = idx1<<1 | b1
+	}
+	return idx0, idx1
+}
+
+// kid returns nd's kid on branch bit, picked by a mask rather than an
+// indexed load, and the branch taken. When floating-point slack put the
+// walk on a zero edge, the other branch holds all the mass: kid takes it
+// and counts a renorm, and the decoder state stays.
+func (s *FrozenSampler) kid(nd *walkNode, bit uint64) (int32, uint64) {
+	k0, k1 := nd.Kid[0], nd.Kid[1]
+	next := k0 ^ (k0^k1)&-int32(bit)
+	if next == dd.SnapZero {
+		s.renorms.Add(1)
+		return k0 ^ k1 ^ next, bit ^ 1
+	}
+	return next, bit
 }
 
 // splitMax is the most shots a node walks one by one: splitNode sends a
@@ -227,11 +261,15 @@ const splitMax = 16
 // terminal, with their walks so far spelling prefix: the shots split
 // between the kids as Binomial(n, P0) (paper Section IV: every shot at a
 // node takes its 0-branch with probability P0, independently), the 0-kid
-// first, so a chunk's leaves come in ascending index order. Shots a draw
-// sends to a zero kid — floating-point slack — go to the other kid and
-// count as renorms, as in descend. c.place runs the chunk's cancellation
-// and chaos checks before each group of shots is tallied, so on an error
-// the tally holds exactly the subtrees finished before it.
+// first, so a chunk's leaves come in ascending index order. A node reached
+// by at most splitMax shots walks them down from there two at a time
+// (descendPair), the odd one last (descend), each from one draw taken in
+// shot order and tallied in shot order, so the counts are what walking
+// them one by one would give. Shots a draw sends to a zero kid —
+// floating-point slack — go to the other kid and count as renorms, as in
+// the walks. c.place runs the chunk's cancellation and chaos checks before
+// each group of shots is tallied, so on an error the tally holds exactly
+// the subtrees finished before it.
 func (s *FrozenSampler) splitNode(c *chunk, cur int32, levels int, prefix uint64, n int) error {
 	if levels == 0 || n <= splitMax {
 		if err := c.place(n); err != nil {
@@ -241,7 +279,14 @@ func (s *FrozenSampler) splitNode(c *chunk, cur int32, levels int, prefix uint64
 			c.t.add(prefix, n)
 			return nil
 		}
-		for range n {
+		for ; n >= 2; n -= 2 {
+			d0 := c.r.Uint64()
+			d1 := c.r.Uint64()
+			idx0, idx1 := s.descendPair(d0, d1, cur, levels)
+			c.t.shot(prefix<<levels | idx0)
+			c.t.shot(prefix<<levels | idx1)
+		}
+		if n == 1 {
 			c.t.shot(prefix<<levels | s.descend(c.r.Uint64(), cur, levels))
 		}
 		c.t.settle()

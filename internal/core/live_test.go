@@ -56,9 +56,24 @@ func (s *liveSampler) Sample(r *rng.RNG) uint64 {
 	return s.descend(r.Uint64(), s.root.N, s.m.Qubits())
 }
 
-// descend decodes draw x through the levels below node n through the frozen
-// walk's step, on thresholds it converts from its own P0 with the same
-// threshold rule, and returns the bits of those levels.
+// step decodes one level on threshold t from the shot state (x, r, w) and
+// returns the level's bit and the next state: a refill when r is below
+// refillBelow, then the split. The oracle's walk and the hand walks of the
+// decoder tests go through it; the sampler's walks write the same two calls
+// out.
+func step(t, x, r, w uint64) (bit, nx, nr, nw uint64) {
+	if r < refillBelow {
+		x, r, w = refill(x, r, w)
+	}
+	bit, x, r = split(t, x, r)
+	return bit, x, r, w
+}
+
+// descend decodes draw x through the levels below node n one level at a
+// time through step, on thresholds it converts from its own P0 with the
+// same threshold rule, and returns the bits of those levels. It walks one
+// shot at a time on purpose: the sampler's paired walk is checked against
+// it, not against a second paired walk.
 func (s *liveSampler) descend(x uint64, n *dd.VNode, levels int) uint64 {
 	var idx uint64
 	rr, w := uint64(math.MaxUint64), x

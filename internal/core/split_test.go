@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math"
+	"slices"
 	"testing"
 
 	"weaksim/internal/algo"
@@ -45,14 +47,37 @@ func freezeVector(t testing.TB, vec []cnum.Complex, norm dd.Norm) *dd.Snapshot {
 	return freezeState(t, m, state)
 }
 
-// freezeCircuit strong-simulates a named benchmark circuit and freezes it.
+// freezeCircuit strong-simulates a named circuit (see testCircuit) and
+// freezes it.
 func freezeCircuit(t testing.TB, name string, norm dd.Norm) *dd.Snapshot {
 	t.Helper()
+	return freezeOf(t, testCircuit(t, name), norm)
+}
+
+// tilted64 names a 64-qubit product state in which every qubit reads 0 with
+// probability 0.6. A walk of its 64 levels consumes 62 bits of its draw on
+// average and more than 64 in about one walk of five, so the bits a refill
+// shifts in decide its last levels. A uniform state such as qft_40's never
+// reads them: each level consumes exactly one bit, and the refill's bits
+// sit below the 64 that the draw already holds.
+const tilted64 = "tilted_64"
+
+// testCircuit returns tilted64's circuit or the named benchmark circuit.
+func testCircuit(t testing.TB, name string) *circuit.Circuit {
+	t.Helper()
+	if name == tilted64 {
+		c := circuit.New(64, tilted64)
+		theta := 2 * math.Acos(math.Sqrt(0.6))
+		for q := range 64 {
+			c.RY(theta, q)
+		}
+		return c
+	}
 	c, err := algo.Generate(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return freezeOf(t, c, norm)
+	return c
 }
 
 // freezeOf strong-simulates a circuit and freezes it.
@@ -100,11 +125,7 @@ func liveVector(t testing.TB, vec []cnum.Complex, norm dd.Norm) (*liveSampler, *
 // snapshot.
 func liveCircuit(t testing.TB, name string, norm dd.Norm) (*liveSampler, *FrozenSampler) {
 	t.Helper()
-	c, err := algo.Generate(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sim.NewDD(c, sim.WithManagerOptions(dd.WithNormalization(norm)))
+	s, err := sim.NewDD(testCircuit(t, name), sim.WithManagerOptions(dd.WithNormalization(norm)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,19 +168,22 @@ func checkSplitMatchesReference(t testing.TB, label string, live *liveSampler, f
 // reference splitter over the live diagram bit for bit under every
 // normalization and branch rule, on a random state (every node distinct)
 // and on circuit states with shared nodes and zero edges, at shot counts
-// around splitMax, the leaf count and the check stride.
+// around splitMax, the leaf count and the check stride. A chunk of tilted64
+// of at most 64 shots reaches its fallback nodes within a few levels, so
+// their walks run about 60 levels and read the bits they refill.
 func TestSplitMatchesReference(t *testing.T) {
 	vec, _ := frozenRandomVector(7, 31)
+	vectors := map[string][]cnum.Complex{"random_7": vec, "running_example": runningExampleVector()}
 	for _, rule := range blockRules {
-		states := map[string]func() (*liveSampler, *FrozenSampler){
-			"random_7":        func() (*liveSampler, *FrozenSampler) { return liveVector(t, vec, rule.norm) },
-			"running_example": func() (*liveSampler, *FrozenSampler) { return liveVector(t, runningExampleVector(), rule.norm) },
-			"qft_6":           func() (*liveSampler, *FrozenSampler) { return liveCircuit(t, "qft_6", rule.norm) },
-			"supremacy_3x3_8": func() (*liveSampler, *FrozenSampler) { return liveCircuit(t, "supremacy_3x3_8", rule.norm) },
-		}
-		for name, build := range states {
+		for _, name := range []string{"random_7", "running_example", "qft_6", "supremacy_3x3_8", tilted64} {
 			t.Run(rule.name+"/"+name, func(t *testing.T) {
-				live, fs := build()
+				var live *liveSampler
+				var fs *FrozenSampler
+				if v, ok := vectors[name]; ok {
+					live, fs = liveVector(t, v, rule.norm)
+				} else {
+					live, fs = liveCircuit(t, name, rule.norm)
+				}
 				for i, shots := range append(blockLengths, 5000) {
 					checkSplitMatchesReference(t, name, live, fs, uint64(100+i), shots)
 				}
@@ -229,6 +253,71 @@ func TestSplitZeroEdgeFallback(t *testing.T) {
 				t.Fatal("Sample took no zero-edge fallback")
 			}
 		})
+	}
+}
+
+// TestPairWalkMatchesSerial: a fallback group of any size up to splitMax,
+// walked two at a time with the odd shot last, gives the same indices,
+// shot by shot, and the same renorm count as walking its draws one by one
+// with descend: on the slack running example, whose walks fall back about
+// half the time, and on tilted64, whose walks read the bits they refill.
+// Counts over the group, which splitNode walks from the root, tallies those
+// same indices.
+func TestPairWalkMatchesSerial(t *testing.T) {
+	samplers := map[string]*FrozenSampler{}
+	for _, rule := range blockRules {
+		samplers["slack/"+rule.name] = slackSampler(t, rule.norm)
+	}
+	tilted, err := NewFrozenSampler(freezeCircuit(t, tilted64, dd.NormL2Phase))
+	if err != nil {
+		t.Fatal(err)
+	}
+	samplers[tilted64] = tilted
+	for name, fs := range samplers {
+		for group := 1; group <= splitMax; group++ {
+			seed := uint64(group)
+			r := rng.New(seed)
+			draws := make([]uint64, group)
+			for i := range draws {
+				draws[i] = r.Uint64()
+			}
+			before := fs.Renorms()
+			want := make([]uint64, group)
+			for i, d := range draws {
+				want[i] = fs.descend(d, fs.root, fs.n)
+			}
+			serial := fs.Renorms() - before
+
+			before = fs.Renorms()
+			got := make([]uint64, group)
+			for i := 0; i+1 < group; i += 2 {
+				got[i], got[i+1] = fs.descendPair(draws[i], draws[i+1], fs.root, fs.n)
+			}
+			if group%2 == 1 {
+				got[group-1] = fs.descend(draws[group-1], fs.root, fs.n)
+			}
+			if paired := fs.Renorms() - before; paired != serial {
+				t.Fatalf("%s, group of %d: renorms: serial %d, paired %d", name, group, serial, paired)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, group of %d: paired walk %v, serial walk %v", name, group, got, want)
+			}
+
+			before = fs.Renorms()
+			wantCounts := map[uint64]int{}
+			for _, idx := range want {
+				wantCounts[idx]++
+			}
+			if counts := Counts(fs, rng.New(seed), group); !maps.Equal(counts, wantCounts) {
+				t.Fatalf("%s, group of %d: Counts %v, serial walks %v", name, group, counts, wantCounts)
+			}
+			if split := fs.Renorms() - before; split != serial {
+				t.Fatalf("%s, group of %d: renorms: serial %d, Counts %d", name, group, serial, split)
+			}
+		}
+		if name != tilted64 && fs.Renorms() == 0 {
+			t.Fatalf("%s: no walk fell back", name)
+		}
 	}
 }
 
@@ -316,8 +405,9 @@ func TestCountsBlockLoopMatchesPerShot(t *testing.T) {
 }
 
 // fuzzCircuits are the states FuzzCountsFrozen draws from: a zero-edge
-// example, entangled and product-like states, and a scrambled circuit.
-var fuzzCircuits = []string{"running_example", "ghz_5", "wstate_5", "qft_6", "bv_6", "supremacy_3x3_8"}
+// example, entangled and product-like states, a scrambled circuit, and
+// tilted64, whose fallback walks read the bits they refill.
+var fuzzCircuits = []string{"running_example", "ghz_5", "wstate_5", "qft_6", "bv_6", "supremacy_3x3_8", tilted64}
 
 // fuzzState is one FuzzCountsFrozen state: the reference splitter over its
 // live diagram and a sampler over its snapshot.
@@ -335,12 +425,14 @@ var fuzzStates = map[string]fuzzState{}
 // reference splitter over the live diagram, leaves the generator where it
 // does, and only lands on outcomes of nonzero amplitude unless a zero-edge
 // fallback was counted; the dense and run tallies of the batch agree
-// whichever one the rule picks, the run strictly ascending; and Sample
-// takes exactly one draw per shot.
+// whichever one the rule picks, on a register narrow enough to tally
+// densely, the run strictly ascending; and Sample takes exactly one draw
+// per shot.
 func FuzzCountsFrozen(f *testing.F) {
 	f.Add(uint64(1), uint16(0), uint8(0), uint8(0))
 	f.Add(uint64(2), uint16(513), uint8(3), uint8(1))
 	f.Add(uint64(3), uint16(3*CtxCheckShots+7), uint8(5), uint8(4))
+	f.Add(uint64(4), uint16(64), uint8(6), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, shots uint16, circuit, rule uint8) {
 		name := fuzzCircuits[int(circuit)%len(fuzzCircuits)]
 		r := blockRules[int(rule)%len(blockRules)]
@@ -362,9 +454,13 @@ func FuzzCountsFrozen(f *testing.F) {
 				t.Fatalf("%s: outcome %d has amplitude 0 and no fallback was counted", label, idx)
 			}
 		}
-		dense := drawForced(fs, rng.New(seed), n, true)
 		runs := drawForced(fs, rng.New(seed), n, false)
-		checkTalliesAgree(t, fmt.Sprintf("%s, %d shots", label, n), dense, runs, n)
+		if fs.Qubits() <= denseMaxQubits {
+			dense := drawForced(fs, rng.New(seed), n, true)
+			checkTalliesAgree(t, fmt.Sprintf("%s, %d shots", label, n), dense, runs, n)
+		} else {
+			checkRuns(t, fmt.Sprintf("%s, %d shots", label, n), runs, n)
+		}
 		if !maps.Equal(runs.Map(), counts) {
 			t.Fatalf("%s, %d shots: run tally differs from Counts", label, n)
 		}

@@ -453,7 +453,8 @@ func (s *Sampler) Counts(shots int) map[string]int {
 
 // CountsByIndex draws shots samples and tallies them by basis-state index.
 // The batch tallies by core's one rule (dense for n ≤ 20 qubits when 2^n ≤
-// shots, else a preallocated map); the counts do not depend on which.
+// shots, else one ascending run per chunk), and the tally is read into one
+// map; the counts do not depend on which.
 func (s *Sampler) CountsByIndex(shots int) map[uint64]int {
 	counts, _ := s.CountsByIndexContext(context.Background(), shots)
 	return counts
