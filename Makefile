@@ -97,13 +97,15 @@ chaos:
 # reference split over the live diagram, the binomial sampler over every
 # float64 probability, weight canonicalization against its Frexp/Ldexp
 # reference, the request body scanner against the encoding/json decoder it
-# replaced (front_test.go), and the job WAL's run record decoders
-# (records_test.go), ~30s each. Not a soak — just enough to catch a decoder
+# replaced (front_test.go), the job WAL's run record decoders
+# (records_test.go), and its log scanner on byte soup and mangled logs
+# (wal_test.go), ~30s each. Not a soak — just enough to catch a decoder
 # that panics on the corpus neighborhoods of valid inputs, a parsing or
 # sampling path that drifts from its reference, a binomial draw that leaves
 # [0, n] or hangs, a canonical weight that moves by one bit, a request body
-# the scanner and the decoder disagree on, or a WAL record that replays
-# when it should be refused or does not round-trip.
+# the scanner and the decoder disagree on, a WAL record that replays
+# when it should be refused or does not round-trip, or a log scan that
+# keeps a damaged frame or mistakes a torn tail for a corrupt one.
 # Each -fuzz pattern is anchored: go test refuses one that matches two
 # targets, and FuzzParse prefixes FuzzParseMatchesReference. The two
 # targets whose interesting inputs run to kilobytes minimize each for at
@@ -122,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLookupFloat$$' -fuzztime $(FUZZTIME) ./internal/cnum
 	$(GO) test -run '^$$' -fuzz '^FuzzScanMatchesJSON$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzRunRecord$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/job
+	$(GO) test -run '^$$' -fuzz '^FuzzScanLog$$' -fuzztime $(FUZZTIME) ./internal/job
 
 # The DD sampling benchmarks watched for regressions (Section IV): the
 # per-shot frozen walk per Table I row, and each normalization scheme's DD

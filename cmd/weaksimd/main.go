@@ -42,9 +42,10 @@
 // the DD invariant audit are quarantined as *.corrupt and re-simulated.
 //
 // With -jobs-dir, the daemon also runs durable batch jobs (POST /v1/jobs):
-// shots are sampled in checkpointed chunks under a WAL, so a crash or kill
-// loses at most one in-flight chunk per job and a restart resumes every
-// job with final counts bit-identical to an uninterrupted run.
+// shots are sampled in checkpointed chunks under a WAL, one file in the
+// directory that compaction replaces atomically, so a crash or kill loses
+// at most one in-flight chunk per job and a restart resumes every job with
+// final counts bit-identical to an uninterrupted run.
 // -job-workers sizes the chunk executor, -job-tenant-weights the fair-share
 // split, and -job-max-per-tenant the per-tenant active-job quota (429
 // beyond it). Jobs checkpoint every job.DefaultChunkShots shots, core's one
@@ -151,7 +152,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *serve.Server, cl
 		faultSpec   = fs.String("fault", os.Getenv("WEAKSIM_FAULT"), "chaos-testing fault spec, e.g. \"dd.freeze:err@3,snapstore.write:corrupt@1\" (default $WEAKSIM_FAULT)")
 		faultSeed   = fs.Uint64("fault-seed", 1, "deterministic seed for fault byte corruption")
 
-		jobsDir      = fs.String("jobs-dir", "", "durable batch-job WAL directory; restarts resume every non-terminal job (empty = in-memory jobs)")
+		jobsDir      = fs.String("jobs-dir", "", "durable batch-job directory holding one WAL file, wal.jlog, compacted in place; restarts resume every non-terminal job, and a store of older numbered wal-*.jlog segments is imported once (empty = in-memory jobs)")
 		jobWorkers   = fs.Int("job-workers", job.DefaultWorkers, "batch-job chunk executor pool size")
 		jobWeights   = fs.String("job-tenant-weights", "", "fair-share scheduler weights, e.g. \"acme=10,guest=1\" (unlisted tenants weigh 1)")
 		jobMaxTenant = fs.Int("job-max-per-tenant", job.DefaultMaxPerTenant, "active batch jobs per tenant before submissions answer HTTP 429")

@@ -412,7 +412,7 @@ func TestClusterMixedWalkFailover(t *testing.T) {
 	}
 
 	// keyed finds a circuit whose ring order starts with first, then second.
-	ring := buildRing(names, 0)
+	ring := buildRing(names)
 	keyed := func(first, second string) []byte {
 		for n := 2; n < 60; n++ {
 			body := sampleBody(t, n)

@@ -70,14 +70,11 @@ func hashKey(s string) uint64 {
 	return x ^ (x >> 31)
 }
 
-// buildRing places vnodes virtual nodes per member on the circle. Members
-// are deduplicated and sorted first so the ring is a pure function of the
-// membership set — two routers configured with the same backends in any
-// order agree on every placement.
-func buildRing(members []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVirtualNodes
-	}
+// buildRing places defaultVirtualNodes virtual nodes per member on the
+// circle. Members are deduplicated and sorted first so the ring is a pure
+// function of the membership set — two routers configured with the same
+// backends in any order agree on every placement.
+func buildRing(members []string) *ring {
 	uniq := make(map[string]bool, len(members))
 	var sorted []string
 	for _, m := range members {
@@ -87,9 +84,9 @@ func buildRing(members []string, vnodes int) *ring {
 		}
 	}
 	sort.Strings(sorted)
-	r := &ring{members: sorted, points: make([]ringPoint, 0, len(sorted)*vnodes)}
+	r := &ring{members: sorted, points: make([]ringPoint, 0, len(sorted)*defaultVirtualNodes)}
 	for i, m := range sorted {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < defaultVirtualNodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash:  hashKey(fmt.Sprintf("%s#%d", m, v)),
 				owner: i,

@@ -15,7 +15,7 @@ func memberNames(n int) []string {
 }
 
 func TestRingLookupDeterministicAndDistinct(t *testing.T) {
-	r := buildRing(memberNames(5), 0)
+	r := buildRing(memberNames(5))
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		a := r.lookup(key, 3)
@@ -37,7 +37,7 @@ func TestRingLookupDeterministicAndDistinct(t *testing.T) {
 	// Member order at build time must not matter.
 	shuffled := []string{"http://10.0.0.3:8080", "http://10.0.0.1:8080",
 		"http://10.0.0.5:8080", "http://10.0.0.2:8080", "http://10.0.0.4:8080"}
-	r2 := buildRing(shuffled, 0)
+	r2 := buildRing(shuffled)
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		if a, b := r.lookup(key, 2), r2.lookup(key, 2); a[0] != b[0] || a[1] != b[1] {
@@ -47,7 +47,7 @@ func TestRingLookupDeterministicAndDistinct(t *testing.T) {
 	if got := r.lookup("k", 10); len(got) != 5 {
 		t.Fatalf("lookup beyond membership: %d members, want all 5", len(got))
 	}
-	if got := buildRing(nil, 0).lookup("k", 1); got != nil {
+	if got := buildRing(nil).lookup("k", 1); got != nil {
 		t.Fatalf("empty ring lookup: %v, want nil", got)
 	}
 }
@@ -64,8 +64,8 @@ func TestRingRebalanceProperty(t *testing.T) {
 	}
 
 	for _, n := range []int{4, 10} {
-		before := buildRing(memberNames(n), 0)
-		after := buildRing(memberNames(n+1), 0)
+		before := buildRing(memberNames(n))
+		after := buildRing(memberNames(n + 1))
 		moved := 0
 		for _, k := range keys {
 			if before.lookup(k, 1)[0] != after.lookup(k, 1)[0] {
@@ -79,7 +79,7 @@ func TestRingRebalanceProperty(t *testing.T) {
 		// Removal: dropping a member moves only the keys it owned, and every
 		// moved key lands where the (n+1)-ring's next candidate already was.
 		removed := after.members[n/2]
-		shrunk := buildRing(append(append([]string{}, after.members[:n/2]...), after.members[n/2+1:]...), 0)
+		shrunk := buildRing(append(append([]string{}, after.members[:n/2]...), after.members[n/2+1:]...))
 		for _, k := range keys {
 			was, now := after.lookup(k, 2), shrunk.lookup(k, 1)[0]
 			if was[0] != removed && now != was[0] {
@@ -96,7 +96,7 @@ func TestRingRebalanceProperty(t *testing.T) {
 // 1/N at the default virtual-node count.
 func TestRingOwnership(t *testing.T) {
 	const n = 8
-	own := buildRing(memberNames(n), 0).ownership()
+	own := buildRing(memberNames(n)).ownership()
 	sum := 0.0
 	for m, share := range own {
 		sum += share

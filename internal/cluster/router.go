@@ -63,6 +63,12 @@ const (
 // replica's memo takes (64 KiB).
 const keyMemoBytes = 32 << 20
 
+// maxPlacementKeys bounds the circuit keys the router remembers a placement
+// for. Past it, recording a new key forgets an arbitrary one: a forgotten
+// key costs at most one extra ship or one re-simulation, never a wrong
+// answer.
+const maxPlacementKeys = 1 << 14
+
 // Config configures a cluster router. Backends and BackendsFile are
 // mutually composable: the static list seeds the fleet and the file, when
 // set, is polled and replaces the membership whenever it changes.
@@ -83,9 +89,6 @@ type Config struct {
 	// circuit's snapshot is replicated to (also the failover depth). 0
 	// selects DefaultReplicaCount; -1 disables replication (primary only).
 	ReplicaCount int
-	// VirtualNodes is the consistent-hash virtual-node count per backend
-	// (0 = default).
-	VirtualNodes int
 	// ProbeInterval / ProbeTimeout drive the /readyz health prober.
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
@@ -106,9 +109,6 @@ type Config struct {
 	// Metrics receives the cluster_* series (nil creates a private
 	// registry).
 	Metrics *obs.Registry
-	// Client overrides the outbound HTTP client (nil builds one with
-	// RequestTimeout).
-	Client *http.Client
 }
 
 func (c Config) withDefaults() Config {
@@ -160,10 +160,11 @@ type Router struct {
 	// placement remembers which backend most recently answered 200 for a
 	// circuit key — the "warm holder" consulted when the ring reassigns the
 	// key, so the new primary is shipped the snapshot instead of
-	// re-simulating.
+	// re-simulating. At most maxPlacementKeys keys.
 	placement map[string]string
 	// shipped marks (key, backend) pairs that hold the snapshot (or are
-	// permanently skipped: a 409 version mismatch never retries).
+	// permanently skipped: a 409 version mismatch never retries), for keys
+	// in placement only.
 	shipped map[string]map[string]bool
 
 	fileMod time.Time
@@ -213,7 +214,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:           cfg,
-		client:        cfg.Client,
+		client:        &http.Client{Timeout: cfg.RequestTimeout},
 		backends:      make(map[string]*backend),
 		placement:     make(map[string]string),
 		shipped:       make(map[string]map[string]bool),
@@ -230,9 +231,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		gBackends:     reg.Gauge("cluster_backends"),
 		gHealthy:      reg.Gauge("cluster_backends_healthy"),
 		gRingVersion:  reg.Gauge("cluster_ring_version"),
-	}
-	if r.client == nil {
-		r.client = &http.Client{Timeout: cfg.RequestTimeout}
 	}
 	names := append([]string(nil), cfg.Backends...)
 	if cfg.BackendsFile != "" {
@@ -310,7 +308,7 @@ func (r *Router) setBackends(names []string) error {
 		}
 	}
 	r.backends = next
-	r.ring = buildRing(clean, r.cfg.VirtualNodes)
+	r.ring = buildRing(clean)
 	r.ringVersion++
 	r.gRingVersion.Set(int64(r.ringVersion))
 	r.gBackends.Set(int64(len(clean)))
@@ -705,11 +703,15 @@ func (r *Router) prewarm(key string, target *backend) {
 // failover target is warm before it is ever needed.
 func (r *Router) recordPlacement(key string, b *backend) {
 	r.mu.Lock()
-	r.placement[key] = b.name
-	if r.shipped[key] == nil {
-		r.shipped[key] = make(map[string]bool)
+	if _, ok := r.placement[key]; !ok && len(r.placement) >= maxPlacementKeys {
+		for old := range r.placement {
+			delete(r.placement, old)
+			delete(r.shipped, old)
+			break
+		}
 	}
-	r.shipped[key][b.name] = true
+	r.placement[key] = b.name
+	r.markShippedLocked(key, b.name)
 	var targets []*backend
 	if !r.draining {
 		for _, n := range r.ring.lookup(key, r.cfg.ReplicaCount+1) {
@@ -776,10 +778,7 @@ func (r *Router) ship(key string, from, to *backend) {
 	case http.StatusNoContent:
 		r.shipInstalled.Inc()
 		r.mu.Lock()
-		if r.shipped[key] == nil {
-			r.shipped[key] = make(map[string]bool)
-		}
-		r.shipped[key][to.name] = true
+		r.markShippedLocked(key, to.name)
 		r.mu.Unlock()
 	case http.StatusConflict:
 		// Version mismatch is deterministic: that target can never install
@@ -787,14 +786,23 @@ func (r *Router) ship(key string, from, to *backend) {
 		// re-shipping on every request.
 		r.shipFailed.Inc()
 		r.mu.Lock()
-		if r.shipped[key] == nil {
-			r.shipped[key] = make(map[string]bool)
-		}
-		r.shipped[key][to.name] = true
+		r.markShippedLocked(key, to.name)
 		r.mu.Unlock()
 	default:
 		r.shipFailed.Inc()
 	}
+}
+
+// markShippedLocked records that backend name holds key's snapshot. A key
+// with no placement was forgotten while the ship ran, and stays forgotten.
+func (r *Router) markShippedLocked(key, name string) {
+	if _, ok := r.placement[key]; !ok {
+		return
+	}
+	if r.shipped[key] == nil {
+		r.shipped[key] = make(map[string]bool)
+	}
+	r.shipped[key][name] = true
 }
 
 // handleProxy forwards read-only fleet endpoints (/v1/circuits, /v1/stats,

@@ -42,7 +42,7 @@ func sampleBody(t *testing.T, n int) []byte {
 // first instead of depending on hash luck.
 func circuitKeyed(t *testing.T, names []string, owner string) []byte {
 	t.Helper()
-	r := buildRing(names, 0)
+	r := buildRing(names)
 	for n := 2; n < 40; n++ {
 		body := sampleBody(t, n)
 		key, err := serve.NewKeyMemo(0, 0).Key(body)
@@ -363,6 +363,42 @@ func TestRouterZeroConfigKeysL2Phase(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("zero-config router key %s, want the NormL2Phase key %s", got, want)
+	}
+}
+
+// TestRouterPlacementBounded: recording more circuit keys than
+// maxPlacementKeys keeps both per-key maps at the cap, and a ship that
+// lands for a forgotten key does not bring it back.
+func TestRouterPlacementBounded(t *testing.T) {
+	const backend = "http://127.0.0.1:1"
+	r, err := NewRouter(Config{Addr: "127.0.0.1:0", Backends: []string{backend}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := r.backends[backend]
+	for i := 0; i < maxPlacementKeys+100; i++ {
+		r.recordPlacement(fmt.Sprintf("key-%d", i), b)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.placement) != maxPlacementKeys || len(r.shipped) != maxPlacementKeys {
+		t.Fatalf("%d placements, %d shipped keys after %d recorded, want %d each",
+			len(r.placement), len(r.shipped), maxPlacementKeys+100, maxPlacementKeys)
+	}
+	for key := range r.shipped {
+		if _, ok := r.placement[key]; !ok {
+			t.Fatalf("shipped key %s has no placement", key)
+		}
+	}
+	forgotten := ""
+	for i := 0; forgotten == ""; i++ {
+		if key := fmt.Sprintf("key-%d", i); r.placement[key] == "" {
+			forgotten = key
+		}
+	}
+	r.markShippedLocked(forgotten, backend)
+	if len(r.shipped) != maxPlacementKeys {
+		t.Fatalf("a ship for forgotten key %s grew shipped to %d keys", forgotten, len(r.shipped))
 	}
 }
 

@@ -106,57 +106,3 @@ func (ew *errWriter) Write(p []byte) (int, error) {
 	ew.err = err
 	return n, err
 }
-
-// WriteMDOT renders a matrix decision diagram in Graphviz DOT format: four
-// outgoing edges per node labeled by their (row,col) quadrant.
-func (m *Manager) WriteMDOT(w io.Writer, e MEdge, title string) error {
-	bw := &errWriter{w: w}
-	fmt.Fprintf(bw, "digraph %q {\n", title)
-	fmt.Fprintf(bw, "  rankdir=TB;\n  node [shape=oval];\n")
-	fmt.Fprintf(bw, "  root [shape=point];\n")
-	if e.IsZero() {
-		fmt.Fprintf(bw, "  zero [shape=box, label=\"0\"];\n  root -> zero;\n}\n")
-		return bw.err
-	}
-
-	ids := map[*MNode]int{}
-	var order []*MNode
-	var collect func(n *MNode)
-	collect = func(n *MNode) {
-		if n == nil {
-			return
-		}
-		if _, ok := ids[n]; ok {
-			return
-		}
-		ids[n] = len(ids)
-		order = append(order, n)
-		for i := 0; i < 4; i++ {
-			collect(n.E[i].N)
-		}
-	}
-	collect(e.N)
-
-	fmt.Fprintf(bw, "  terminal [shape=box, label=\"1\"];\n")
-	fmt.Fprintf(bw, "  root -> m%d [label=%q];\n", ids[e.N], weightLabel(VEdge{W: e.W}))
-	for _, n := range order {
-		fmt.Fprintf(bw, "  m%d [label=\"q%d\"];\n", ids[n], n.V)
-		for i := 0; i < 4; i++ {
-			edge := n.E[i]
-			if edge.IsZero() {
-				continue
-			}
-			target := "terminal"
-			if edge.N != nil {
-				target = fmt.Sprintf("m%d", ids[edge.N])
-			}
-			label := fmt.Sprintf("%d%d", i/2, i%2)
-			if wl := weightLabel(VEdge{W: edge.W}); wl != "" {
-				label += " " + wl
-			}
-			fmt.Fprintf(bw, "  m%d -> %s [label=%q];\n", ids[n], target, label)
-		}
-	}
-	fmt.Fprintf(bw, "}\n")
-	return bw.err
-}

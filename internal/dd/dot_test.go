@@ -74,25 +74,3 @@ var errLimit = &limitError{}
 type limitError struct{}
 
 func (*limitError) Error() string { return "write limit reached" }
-
-func TestWriteMDOT(t *testing.T) {
-	m := New(2)
-	op := m.GateDD(GateMatrix(hMatrix), 1, Pos(0))
-	var sb strings.Builder
-	if err := m.WriteMDOT(&sb, op, "ch"); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"digraph \"ch\"", "label=\"q1\"", "label=\"q0\"", "terminal"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("MDOT missing %q:\n%s", want, out)
-		}
-	}
-	var sb2 strings.Builder
-	if err := m.WriteMDOT(&sb2, MEdge{}, "z"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb2.String(), "zero") {
-		t.Error("zero matrix MDOT wrong")
-	}
-}

@@ -94,12 +94,13 @@ const (
 	// re-simulation on the target, never to a failed client request.
 	ClusterSnapFetch = "cluster.snapfetch"
 	// JobWALWrite is a byte-stream hook over each batch-job WAL record frame
-	// before it is appended — chaos tests forge torn and bit-rotted job logs
-	// without hex-editing segment files.
+	// before it is appended or written by a compaction — chaos tests forge
+	// torn and bit-rotted job logs, and failed compactions, without
+	// hex-editing the log.
 	JobWALWrite = "job.wal.write"
-	// JobWALReplay is a byte-stream hook over each WAL segment's bytes after
+	// JobWALReplay is a byte-stream hook over each WAL file's bytes after
 	// they are read and before record scanning, so replay-side corruption
-	// (quarantine, torn-tail truncation) is exercised deterministically.
+	// (quarantine, torn-tail salvage) is exercised deterministically.
 	JobWALReplay = "job.wal.replay"
 	// JobChunkSample fires before each batch-job chunk executes. An injected
 	// err fails the chunk (and with it the job, through the terminal-state

@@ -7,21 +7,24 @@ package job
 // Fault name pattern.
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"weaksim/internal/core"
 	"weaksim/internal/fault"
 )
 
 // TestFaultWALWriteCorrupt arms byte corruption on the WAL append path:
 // the running manager is unaffected (the in-memory state is the source of
 // truth until restart), but the reopening manager must detect the mangled
-// record by CRC, quarantine the segment, and come up empty rather than
+// record by CRC, quarantine the log, and come up empty rather than
 // resurrect damaged state.
 func TestFaultWALWriteCorrupt(t *testing.T) {
 	dir := t.TempDir()
@@ -44,11 +47,11 @@ func TestFaultWALWriteCorrupt(t *testing.T) {
 
 	m2 := startManager(t, Config{Dir: dir})
 	if _, err := m2.Get(st.ID); err == nil {
-		t.Fatal("job replayed from a segment whose submit record was corrupted on write")
+		t.Fatal("job replayed from a log whose submit record was corrupted on write")
 	}
 	corrupt, _ := filepath.Glob(filepath.Join(dir, "*"+corruptExt))
 	if len(corrupt) == 0 {
-		t.Fatal("no quarantined segment after corrupt-on-write")
+		t.Fatal("no quarantined log after corrupt-on-write")
 	}
 	// The store must still be serviceable.
 	st2, err := m2.Submit(testSpec("jwc2", 100, 50))
@@ -75,31 +78,27 @@ func TestFaultWALReplayCorrupt(t *testing.T) {
 	if err := m.Stop(ctx); err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
-	before, _ := filepath.Glob(filepath.Join(dir, "*"+segExt))
-	if len(before) == 0 {
-		t.Fatal("no WAL segment to damage")
+	log := filepath.Join(dir, logName)
+	before, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
 	}
-	origSize := fileSize(t, before[0])
 
 	if err := fault.Enable("job.wal.replay:corrupt@1", 11); err != nil {
 		t.Fatal(err)
 	}
 	defer fault.Disable()
 	m2 := startManager(t, Config{Dir: dir})
-	// The damage was detected one way or the other: either the segment was
-	// quarantined (mid-segment CRC failure) or its tail was truncated away
-	// (flip landed in the final record). Salvage also rewrites the live
-	// state into a fresh segment, so "nothing changed" is a failure.
+	// The damage was detected one way or the other: either the log was
+	// quarantined (CRC failure) or its tail read as torn (the flip landed
+	// in a length). Salvage also replaces the log with the live state, so
+	// "nothing changed" is a failure.
 	corrupt, _ := filepath.Glob(filepath.Join(dir, "*"+corruptExt))
-	after, _ := filepath.Glob(filepath.Join(dir, "*"+segExt))
-	damageSeen := len(corrupt) > 0
-	for _, f := range after {
-		if f == before[0] && fileSize(t, f) == origSize {
-			continue
-		}
-		damageSeen = true
+	after, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !damageSeen {
+	if len(corrupt) == 0 && bytes.Equal(after, before) {
 		t.Fatal("corrupt-on-replay left the WAL byte-identical: the flip was not detected")
 	}
 	// Whatever survived must still be serviceable and exact.
@@ -119,13 +118,98 @@ func TestFaultWALReplayCorrupt(t *testing.T) {
 	}
 }
 
-func fileSize(t *testing.T, path string) int64 {
-	t.Helper()
-	fi, err := os.Stat(path)
+// TestFaultSalvageCompactionFails: a damaged log stays authoritative until
+// its salvaged state is durably in place. The log loses a record to a
+// flipped byte, and the compaction that would replace it with the salvaged
+// state fails: the store does not start, and the log keeps its bytes. The
+// next start salvages again, and every job before the damage resumes to
+// the counts of an uninterrupted run.
+func TestFaultSalvageCompactionFails(t *testing.T) {
+	dir := t.TempDir()
+	specs := []Spec{testSpec("ja", 400, 100), testSpec("jb", 300, 100)}
+	want, tallies := map[string]map[string]int{}, map[string][]*core.Tally{}
+	for _, spec := range specs {
+		want[spec.ID] = map[string]int{}
+		for i := 0; i < spec.ChunksTotal(); i++ {
+			counts, err := core.TallyChunk(context.Background(), fakeSampler{4}, spec.Seed, i, spec.ChunkShotCount(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tallies[spec.ID] = append(tallies[spec.ID], counts)
+			for idx, n := range counts.Map() {
+				want[spec.ID][core.FormatBits(idx, 4)] += n
+			}
+		}
+	}
+	chunk := func(spec Spec, i int) Record {
+		return chunkRun(spec.ID, i, spec.ChunkShotCount(i), tallies[spec.ID][i])
+	}
+	w, _, _ := openTestWAL(t, dir, 0)
+	records := []Record{
+		mustRecord(recSubmit, specs[0]), chunk(specs[0], 0), chunk(specs[0], 1),
+		mustRecord(recSubmit, specs[1]), chunk(specs[1], 0),
+		chunk(specs[0], 2), // damaged below: it and everything after are lost
+		mustRecord(recSubmit, testSpec("jlost", 100, 100)),
+	}
+	var damageAt int
+	for i, rec := range records {
+		if i == 5 {
+			damageAt = int(w.size) + frameOverhead
+		}
+		if err := w.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(w.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fi.Size()
+	data[damageAt] ^= 0x40
+	if err := os.WriteFile(w.path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := fault.Enable("job.wal.write:err@1+", 1); err != nil {
+		t.Fatal(err)
+	}
+	err = NewManager(Config{Dir: dir, Snapshot: fakeProvider(4, 0)}).Start()
+	fault.Disable()
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Start = %v, want the salvage compaction's injected failure", err)
+	}
+	if got, _ := os.ReadFile(w.path); !bytes.Equal(got, data) {
+		t.Fatal("the damaged log changed though its salvaged state was never written")
+	}
+
+	m := startManager(t, Config{Dir: dir})
+	if _, err := m.Get("jlost"); err == nil {
+		t.Fatal("a job submitted after the damage replayed")
+	}
+	for _, spec := range specs {
+		st := waitFor(t, m, spec.ID, completed)
+		if recovered := map[string]int{"ja": 2, "jb": 1}[spec.ID]; st.ChunksRecovered != recovered {
+			t.Fatalf("%s recovered %d chunks, want %d", spec.ID, st.ChunksRecovered, recovered)
+		}
+		got, err := result(m, spec.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(got, want[spec.ID]) {
+			t.Fatalf("%s resumed to %v, uninterrupted reference %v", spec.ID, got, want[spec.ID])
+		}
+	}
+	corrupt, _ := filepath.Glob(filepath.Join(dir, "*"+corruptExt))
+	if len(corrupt) != 2 {
+		t.Fatalf("quarantines %v, want one per salvage", corrupt)
+	}
+	for _, name := range corrupt {
+		if got, _ := os.ReadFile(name); !bytes.Equal(got, data) {
+			t.Fatalf("%s does not hold the damaged log", name)
+		}
+	}
 }
 
 // TestFaultChunkSampleErr injects a failure at the chunk-sampling point:

@@ -8,11 +8,11 @@
 // survive client disconnects, drains, and crashes. Three pieces provide
 // that:
 //
-//   - a write-ahead log (wal.go) in the snapstore codec style — versioned
-//     records with a CRC-64 (ECMA) trailer, atomic tmp+rename segment
-//     rotation, .corrupt quarantine — persisting job specs and per-chunk
-//     completion records, so restart replay reconstructs every non-terminal
-//     job exactly;
+//   - a write-ahead log (wal.go) in the snapstore codec style — one file of
+//     versioned records with a CRC-64 (ECMA) trailer, compacted by atomic
+//     replace, with .corrupt quarantine — persisting job specs and
+//     per-chunk completion records, so restart replay reconstructs every
+//     non-terminal job exactly;
 //   - a chunked executor (manager.go): shots split into fixed-size chunks,
 //     chunk i sampled under the independent stream rng.Stream(seed, i) and
 //     checkpointed on completion, so a crash loses at most the in-flight

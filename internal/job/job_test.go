@@ -163,15 +163,3 @@ func TestTopCountsDeterministicTieBreak(t *testing.T) {
 		t.Errorf("k beyond the tally returns %d entries, want %d", len(got), len(counts.Map()))
 	}
 }
-
-func TestParseSeg(t *testing.T) {
-	n, ok := parseSeg("wal-00000042.jlog")
-	if !ok || n != 42 {
-		t.Fatalf("parseSeg = %d, %v; want 42, true", n, ok)
-	}
-	for _, bad := range []string{"wal-.jlog", "wal-00000001.corrupt", "snap-00000001.jlog", "wal-xyz.jlog", "wal-00000001.jlog.tmp"} {
-		if _, ok := parseSeg(bad); ok {
-			t.Errorf("parseSeg accepted %q", bad)
-		}
-	}
-}

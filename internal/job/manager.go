@@ -1,7 +1,7 @@
 package job
 
 // Manager is the job store + chunked executor. One mutex guards everything:
-// the job table, the scheduler, and the WAL (appends and rotation), so
+// the job table, the scheduler, and the WAL (appends and compaction), so
 // "WAL write then in-memory update" is a single atomic step and there is no
 // lock-ordering question between store and log. Chunk sampling — the long
 // part — runs outside the lock; only the commit is serialized, and a chunk
@@ -61,9 +61,9 @@ type Config struct {
 	// RetainTerminal is how many terminal jobs stay queryable (default
 	// DefaultRetainTerminal).
 	RetainTerminal int
-	// SegmentBytes is the least size at which the active WAL segment
-	// rotates (default DefaultSegmentBytes); past it, rotation waits for
-	// twice what the last rotation wrote.
+	// SegmentBytes is the least size at which the WAL log compacts
+	// (default DefaultSegmentBytes); past it, compaction waits for twice
+	// what the last compaction wrote.
 	SegmentBytes int64
 	// Snapshot resolves a job's frozen sampler. Required.
 	Snapshot SnapshotFunc
@@ -134,7 +134,7 @@ type Manager struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	jobs  map[string]*jobState
-	ids   []string // insertion order, for List and rotation snapshots
+	ids   []string // insertion order, for List and compaction snapshots
 	sched *sched
 	w     *wal     // nil when Config.Dir is empty
 	term  []string // terminal job IDs, oldest first (retention ring)
@@ -146,7 +146,7 @@ type Manager struct {
 
 	mSubmitted, mCompleted, mFailed, mCancelled *obs.Counter
 	mChunks, mQuota, mWALRecords, mWALErrors    *obs.Counter
-	gActive, gInflight, gSegments, gWALBytes    *obs.Gauge
+	gActive, gInflight, gWALBytes               *obs.Gauge
 }
 
 // NewManager builds a Manager; call Start before use.
@@ -171,7 +171,6 @@ func NewManager(cfg Config) *Manager {
 	m.mWALErrors = reg.Counter("job_wal_errors_total")
 	m.gActive = reg.Gauge("job_active")
 	m.gInflight = reg.Gauge("job_inflight_chunks")
-	m.gSegments = reg.Gauge("job_wal_segments")
 	m.gWALBytes = reg.Gauge("job_wal_bytes")
 	obs.RegisterHelp("job_submitted_total", "Jobs accepted (WAL-persisted and enqueued).")
 	obs.RegisterHelp("job_completed_total", "Jobs that finished every chunk.")
@@ -180,11 +179,10 @@ func NewManager(cfg Config) *Manager {
 	obs.RegisterHelp("job_chunks_done_total", "Chunk checkpoints committed (WAL fsync + merge).")
 	obs.RegisterHelp("job_quota_rejected_total", "Submits rejected by the per-tenant quota (HTTP 429).")
 	obs.RegisterHelp("job_wal_records_total", "Records appended to the job WAL.")
-	obs.RegisterHelp("job_wal_errors_total", "Job WAL append/rotate failures.")
+	obs.RegisterHelp("job_wal_errors_total", "Job WAL append/compaction failures.")
 	obs.RegisterHelp("job_active", "Non-terminal jobs in the store.")
 	obs.RegisterHelp("job_inflight_chunks", "Chunks currently executing.")
-	obs.RegisterHelp("job_wal_segments", "Job WAL segment files on disk.")
-	obs.RegisterHelp("job_wal_bytes", "Active job WAL segment size in bytes.")
+	obs.RegisterHelp("job_wal_bytes", "Job WAL log size in bytes.")
 	return m
 }
 
@@ -204,13 +202,19 @@ func (m *Manager) Start() error {
 		for _, rec := range records {
 			m.applyLocked(rec)
 		}
-		m.finishReplayLocked()
+		// A damaged log, or an imported store, stays authoritative until
+		// the replayed state is durably in its place: nothing is appended
+		// before this compaction, and a store that cannot make it does not
+		// start.
 		if salvaged {
-			// Damage was repaired by quarantine/truncation: make the replayed
-			// state durable again immediately.
-			m.rotateLocked()
+			if err := m.compactLocked(); err != nil {
+				m.w = nil
+				m.mu.Unlock()
+				return err
+			}
 		}
-		m.updateWALGaugesLocked()
+		m.finishReplayLocked()
+		m.gWALBytes.Set(m.w.size)
 	}
 	workers := m.cfg.Workers
 	m.mu.Unlock()
@@ -383,7 +387,7 @@ func replayCheckpoint(j *jobState, done []bool, chunksDone, shotsDone int, count
 // finishReplayLocked settles the replayed table: terminal jobs enter the
 // retention ring, complete-but-unmarked jobs are finalized, and everything
 // else is enqueued to resume. A completed job whose chunks did not all
-// replay (a record type this build does not read, a lost segment) has no
+// replay (a record type this build does not read, a salvaged log) has no
 // result to answer with, so it fails with result_lost.
 func (m *Manager) finishReplayLocked() {
 	now := time.Now()
@@ -626,26 +630,14 @@ func (m *Manager) appendLocked(rec Record) error {
 		return err
 	}
 	m.mWALRecords.Inc()
-	// An append moves the size alone: the segment count changes only at
-	// open and rotation, which re-read the directory.
 	m.gWALBytes.Set(m.w.size)
 	return nil
 }
 
-func (m *Manager) updateWALGaugesLocked() {
-	if m.w == nil {
-		return
-	}
-	m.gSegments.Set(int64(m.w.segments()))
-	m.gWALBytes.Set(m.w.size)
-}
-
-// rotateLocked compacts the WAL to the live state: per job a submit record,
-// a checkpoint when chunks are done, and the terminal record if settled.
-func (m *Manager) rotateLocked() {
-	if m.w == nil {
-		return
-	}
+// compactLocked replaces the WAL log with the live state: per job a submit
+// record, a checkpoint when chunks are done, and the terminal record if
+// settled.
+func (m *Manager) compactLocked() error {
 	var snap []Record
 	for _, id := range m.ids {
 		j := m.jobs[id]
@@ -668,11 +660,12 @@ func (m *Manager) rotateLocked() {
 			}))
 		}
 	}
-	if err := m.w.rotate(snap); err != nil {
+	if err := m.w.compact(snap); err != nil {
 		m.mWALErrors.Inc()
-		return
+		return err
 	}
-	m.updateWALGaugesLocked()
+	m.gWALBytes.Set(m.w.size)
+	return nil
 }
 
 func (m *Manager) statusLocked(j *jobState) Status {
@@ -933,8 +926,9 @@ func (m *Manager) commitChunk(j *jobState, chunk, shots int, counts *core.Tally)
 	} else {
 		m.publishLocked(j)
 	}
-	if m.w != nil && m.w.needsRotate() {
-		m.rotateLocked()
+	if m.w != nil && m.w.needsCompact() {
+		// A failed compaction is counted and leaves the old log in use.
+		_ = m.compactLocked()
 	}
 }
 

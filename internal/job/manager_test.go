@@ -227,8 +227,8 @@ func TestResumeBitIdentical(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	// Slow chunks + tiny WAL segments: the stop lands mid-job and rotation
-	// (checkpoint compaction) happens during the run, so replay exercises the
+	// Slow chunks + a tiny compaction threshold: the stop lands mid-job and
+	// checkpoint compaction happens during the run, so replay exercises the
 	// checkpoint-supersedes path too.
 	m1 := NewManager(Config{Dir: dir, SegmentBytes: 512, Snapshot: fakeProvider(4, 5*time.Millisecond)})
 	if err := m1.Start(); err != nil {
@@ -267,8 +267,9 @@ func TestResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDuplicateChunkReplay writes the same chunk record twice (as a crashed
-// rotation can) and checks replay merges it once.
+// TestDuplicateChunkReplay writes the same chunk record twice (as an
+// imported store whose segments outlived its compaction can) and checks
+// replay merges it once.
 func TestDuplicateChunkReplay(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec("jdup", 100, 100) // single chunk

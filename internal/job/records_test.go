@@ -300,10 +300,11 @@ func BenchmarkChunkRecord(b *testing.B) {
 	}
 }
 
-// TestJSONRecordStoreResumes replays a store written before run records:
-// a JSON checkpoint and a JSON chunk record. The job finishes with the
-// counts of an uninterrupted run, drawing only the chunks it lacked, and
-// once the log compacts it holds no JSON chunk or checkpoint record.
+// TestJSONRecordStoreResumes replays a store written before run records,
+// in the older segmented layout: a JSON checkpoint and a JSON chunk
+// record. The job finishes with the counts of an uninterrupted run, drawing
+// only the chunks it lacked; the store is left as the one log, and it holds
+// no JSON chunk or checkpoint record.
 func TestJSONRecordStoreResumes(t *testing.T) {
 	spec := testSpec("jlegacy", 400, 100) // 4 chunks
 	want := map[string]int{}
@@ -322,19 +323,11 @@ func TestJSONRecordStoreResumes(t *testing.T) {
 	merged.Add(chunks[2])
 
 	dir := t.TempDir()
-	w, _, _ := openTestWAL(t, dir, 0)
-	for _, rec := range []Record{
+	writeLegacyStore(t, dir,
 		mustRecord(recSubmit, spec),
 		mustRecord(recChunkJSON, chunkRecord{ID: spec.ID, Chunk: 1, Shots: 100, Counts: jsonCounts(chunks[1])}),
 		mustRecord(recCheckpointJSON, checkpointRecord{ID: spec.ID, Done: []int{0, 2}, Counts: jsonCounts(merged)}),
-	} {
-		if err := w.append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.close(); err != nil {
-		t.Fatal(err)
-	}
+	)
 
 	m := startManager(t, Config{Dir: dir, SegmentBytes: 1})
 	st := waitFor(t, m, spec.ID, completed)
@@ -352,6 +345,7 @@ func TestJSONRecordStoreResumes(t *testing.T) {
 	if err := m.Stop(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	requireOneLog(t, dir)
 	w, recs, _ := openTestWAL(t, dir, 0)
 	defer w.close()
 	for _, rec := range recs {
@@ -362,9 +356,9 @@ func TestJSONRecordStoreResumes(t *testing.T) {
 }
 
 // TestRotationFollowsLiveState runs jobs whose retained results outgrow the
-// segment threshold many times over. Rotation keeps pace with the live
-// state instead of firing on every commit once the compacted state alone
-// passes the threshold, and the compacted log replays every retained
+// compaction threshold many times over. Compaction keeps pace with the
+// live state instead of firing on every commit once the compacted state
+// alone passes the threshold, and the compacted log replays every retained
 // result.
 func TestRotationFollowsLiveState(t *testing.T) {
 	const jobs, qubits = 24, 12
@@ -384,14 +378,14 @@ func TestRotationFollowsLiveState(t *testing.T) {
 		}
 	}
 	m.mu.Lock()
-	rotations, live := m.w.rotations, m.w.compacted
+	compactions, live := m.w.compactions, m.w.compacted
 	m.mu.Unlock()
-	// 4 chunk commits per job: rotating on every commit past the threshold
-	// would be nearly 4 × jobs rotations. Doubling from 2 KiB to the live
-	// state takes about log2(live / 2 KiB).
-	t.Logf("%d rotations over %d commits; last compaction wrote %d B", rotations, 4*jobs, live)
-	if rotations < 1 || rotations > 12 {
-		t.Fatalf("%d rotations over %d commits, want between 1 and 12", rotations, 4*jobs)
+	// 4 chunk commits per job: compacting on every commit past the
+	// threshold would be nearly 4 × jobs compactions. Doubling from 2 KiB
+	// to the live state takes about log2(live / 2 KiB).
+	t.Logf("%d compactions over %d commits; last compaction wrote %d B", compactions, 4*jobs, live)
+	if compactions < 1 || compactions > 12 {
+		t.Fatalf("%d compactions over %d commits, want between 1 and 12", compactions, 4*jobs)
 	}
 	if err := m.Stop(context.Background()); err != nil {
 		t.Fatal(err)

@@ -2,8 +2,8 @@ package job
 
 // Write-ahead log for the job store, in the snapstore codec style.
 //
-// The log is a directory of numbered append-only segment files
-// (wal-00000001.jlog, ...). Each record is an independently checkable frame:
+// The log is one append-only file, wal.jlog, in the jobs directory. Each
+// record is an independently checkable frame:
 //
 //	u32  payload length (little-endian)
 //	u16  codec version
@@ -16,39 +16,45 @@ package job
 //
 // Crash anatomy, layer by layer:
 //
-//   - a torn final record (power cut mid-append) fails the length or CRC
-//     check at the tail of the last segment: replay stops cleanly at the
-//     last valid record and the file is truncated back to it, so future
-//     appends extend a consistent log;
-//   - a CRC mismatch anywhere else is real corruption: the valid prefix is
-//     salvaged, the segment is quarantined (renamed .corrupt) and the
-//     caller is told to re-persist the replayed state immediately;
-//   - rotation compacts the live state into a fresh segment written
-//     tmp+fsync+rename — atomically visible — and only then deletes the
-//     older segments, so a crash at any point replays to the same state
-//     (replay of old-then-compacted segments is idempotent by
-//     construction: checkpoints supersede, duplicate chunk records are
-//     skipped).
+//   - a torn final record (power cut mid-append) fails the length check at
+//     the tail: replay keeps every record before it;
+//   - a CRC or version mismatch on a complete frame is damage: replay keeps
+//     the valid prefix, and the damaged bytes are kept under a .corrupt name
+//     no earlier quarantine holds (a hard link to the log);
+//   - either way the log is salvaged: the caller compacts before anything
+//     is appended. Until that compaction is durable the damaged log stays
+//     authoritative, so a failed one loses nothing;
+//   - compaction writes the live state through atomicfile.Write: a temp
+//     file in the directory, fsynced and renamed over the log. A crash
+//     before the rename leaves the old log and a stray temp file, which the
+//     next open removes; after it, the compacted log replays to the state
+//     the compaction captured.
 //
-// Rotation is due once the active segment holds max(maxSeg, 2 × what the
-// last rotation wrote) bytes. A rotation rewrites the live state, so before
+// Compaction is due once the log holds max(threshold, 2 × what the last
+// compaction wrote) bytes. A compaction rewrites the live state, so before
 // it rewrites L bytes again at least L more have been appended: however
 // large the retained results grow, compaction's cost stays proportional to
 // the bytes appended, and the log to a small multiple of the live state.
+//
+// Older builds wrote a directory of numbered segments (wal-*.jlog). Open
+// imports such a store once: its segments replay in name order through the
+// same scanner, the caller's compaction writes the one log, and only then
+// are the segments removed.
 //
 // Record ordering is the only contract: replaying records in append order
 // through Manager's apply function reconstructs the store exactly.
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc64"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 
+	"weaksim/internal/atomicfile"
 	"weaksim/internal/fault"
 )
 
@@ -74,16 +80,17 @@ const (
 )
 
 const (
-	walVersion    = 1
-	segExt        = ".jlog"
-	segPrefix     = "wal-"
+	walVersion = 1
+	// logName is the log file in the jobs directory.
+	logName = "wal.jlog"
+	// legacyGlob matches the segments of the older multi-file layout.
+	legacyGlob    = "wal-*.jlog"
 	corruptExt    = ".corrupt"
 	frameOverhead = 4 + 2 + 1 + 8 // len + version + type + crc
 	// maxRecordBytes bounds a single record; anything larger in a frame
 	// header is treated as corruption, not an allocation request.
 	maxRecordBytes = 64 << 20
-	// DefaultSegmentBytes is the least size at which the active segment
-	// rotates.
+	// DefaultSegmentBytes is the least log size at which the log compacts.
 	DefaultSegmentBytes = 8 << 20
 )
 
@@ -95,68 +102,46 @@ type Record struct {
 
 var walCRC = crc64.MakeTable(crc64.ECMA)
 
-// wal is the segmented log. The Manager serializes access (every call runs
-// under the manager mutex), so the type itself carries no lock.
+// wal is the log. The Manager serializes access (every call runs under the
+// manager mutex), so the type itself carries no lock.
 type wal struct {
-	dir       string
-	f         *os.File // active segment, opened for append
-	seq       uint64   // active segment sequence number
-	size      int64    // active segment size
-	maxSeg    int64    // least rotation threshold
-	compacted int64    // bytes the last rotation wrote
-	rotations int      // rotations over the wal's lifetime
-}
-
-func segName(seq uint64) string { return fmt.Sprintf("%s%08d%s", segPrefix, seq, segExt) }
-
-// parseSeg extracts the sequence from a segment file name.
-func parseSeg(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segExt) {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segExt), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
+	path        string
+	f           *os.File // the log, opened for append; nil until a salvage or import is compacted
+	size        int64    // log size
+	threshold   int64    // least compaction threshold
+	compacted   int64    // bytes the last compaction wrote
+	compactions int      // compactions over the wal's lifetime
+	legacy      []string // older-layout segments, removed once compacted
 }
 
 // encodeFrame renders one record frame.
 func encodeFrame(rec Record) []byte {
 	buf := make([]byte, 0, frameOverhead+len(rec.Payload))
-	var hdr [7]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(rec.Payload)))
-	binary.LittleEndian.PutUint16(hdr[4:6], walVersion)
-	hdr[6] = rec.Type
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, rec.Payload...)
-	crc := crc64.Checksum(buf[4:], walCRC)
-	var trailer [8]byte
-	binary.LittleEndian.PutUint64(trailer[:], crc)
-	return append(buf, trailer[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.Payload)))
+	buf = binary.LittleEndian.AppendUint16(buf, walVersion)
+	buf = append(append(buf, rec.Type), rec.Payload...)
+	return binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf[4:], walCRC))
 }
 
-// scanResult is one segment's replay outcome.
+// scanResult is one log's replay outcome.
 type scanResult struct {
 	records []Record
-	// tornAt >= 0 marks an incomplete final frame (clean crash tail): the
-	// byte offset replay stopped at.
-	tornAt int64
-	// corrupt reports a CRC/version mismatch on a complete frame — damage,
-	// not a torn append.
+	// end is the length of the valid prefix: the records re-encode to
+	// data[:end]. Below len(data), the tail is torn or corrupt.
+	end int
+	// corrupt reports a CRC/version mismatch or an impossible length on a
+	// frame: damage, not a torn append.
 	corrupt bool
 }
 
-// scanSegment walks data record by record, stopping at the first frame that
+// scanLog walks data record by record, stopping at the first frame that
 // does not check out.
-func scanSegment(data []byte) scanResult {
-	res := scanResult{tornAt: -1}
-	off := 0
-	for off < len(data) {
+func scanLog(data []byte) scanResult {
+	var res scanResult
+	for off := 0; off < len(data); off = res.end {
 		rest := len(data) - off
 		if rest < frameOverhead {
-			res.tornAt = int64(off)
-			return res
+			return res // torn
 		}
 		plen := int(binary.LittleEndian.Uint32(data[off : off+4]))
 		if plen > maxRecordBytes {
@@ -164,118 +149,107 @@ func scanSegment(data []byte) scanResult {
 			return res
 		}
 		if rest < frameOverhead+plen {
-			res.tornAt = int64(off)
-			return res
+			return res // torn
 		}
 		body := data[off+4 : off+7+plen] // version + type + payload
 		crc := binary.LittleEndian.Uint64(data[off+7+plen : off+frameOverhead+plen])
-		if crc64.Checksum(body, walCRC) != crc {
+		// A frame from a different codec version is intact, but this build
+		// cannot interpret it: it is quarantined like damage, so the
+		// .corrupt file keeps the bytes for a build that can.
+		if crc64.Checksum(body, walCRC) != crc || binary.LittleEndian.Uint16(body[0:2]) != walVersion {
 			res.corrupt = true
 			return res
 		}
-		if v := binary.LittleEndian.Uint16(body[0:2]); v != walVersion {
-			// An intact frame from a different codec version: this build
-			// cannot interpret it. Treat like corruption for quarantine
-			// purposes (the .corrupt file keeps the bytes for a build that
-			// can).
-			res.corrupt = true
-			return res
-		}
-		payload := make([]byte, plen)
-		copy(payload, body[3:])
-		res.records = append(res.records, Record{Type: body[2], Payload: payload})
-		off += frameOverhead + plen
+		res.records = append(res.records, Record{Type: body[2], Payload: bytes.Clone(body[3:])})
+		res.end = off + frameOverhead + plen
 	}
 	return res
 }
 
-// openWAL opens (creating if needed) the log in dir and replays every
-// segment in sequence order. It returns the replayable records in append
-// order and salvaged=true when any segment was quarantined or truncated —
-// the caller must immediately compact so the salvaged state is durable
-// again.
-func openWAL(dir string, maxSeg int64) (w *wal, records []Record, salvaged bool, err error) {
+// openWAL opens (creating if needed) the log in dir and replays it,
+// importing an older-layout store first. It returns the records in append
+// order and salvaged=true when the log was damaged or a store was imported:
+// the caller must then compact, which opens the log for appends.
+func openWAL(dir string, threshold int64) (w *wal, records []Record, salvaged bool, err error) {
 	if dir == "" {
-		return nil, nil, false, fmt.Errorf("job: empty WAL directory")
+		return nil, nil, false, errors.New("job: empty WAL directory")
 	}
-	if maxSeg <= 0 {
-		maxSeg = DefaultSegmentBytes
+	if threshold <= 0 {
+		threshold = DefaultSegmentBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, false, fmt.Errorf("job: wal: %w", err)
 	}
-	entries, err := os.ReadDir(dir)
+	w = &wal{path: filepath.Join(dir, logName), threshold: threshold}
+	// A compaction the process died in left its temp file: the log it was
+	// to replace is still authoritative.
+	if err := atomicfile.Clean(w.path); err != nil {
+		return nil, nil, false, fmt.Errorf("job: wal: %w", err)
+	}
+	entries, err := os.ReadDir(dir) // sorted by name
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("job: wal: %w", err)
 	}
-	var seqs []uint64
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if seq, ok := parseSeg(e.Name()); ok {
-			seqs = append(seqs, seq)
+		if ok, _ := filepath.Match(legacyGlob, e.Name()); ok && !e.IsDir() {
+			w.legacy = append(w.legacy, filepath.Join(dir, e.Name()))
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	salvaged = len(w.legacy) > 0
+	for _, path := range append(w.legacy[:len(w.legacy):len(w.legacy)], w.path) {
+		recs, size, damaged, err := load(path)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		records = append(records, recs...)
+		salvaged = salvaged || damaged
+		w.size = size
+	}
+	if salvaged {
+		return w, records, true, nil
+	}
+	if w.f, err = os.OpenFile(w.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+		return nil, nil, false, fmt.Errorf("job: wal: %w", err)
+	}
+	return w, records, false, nil
+}
 
-	w = &wal{dir: dir, maxSeg: maxSeg}
-	var lastGood int64 = -1 // last segment's usable size (-1 = open fresh)
-	for i, seq := range seqs {
-		path := filepath.Join(dir, segName(seq))
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return nil, nil, false, fmt.Errorf("job: wal: %w", rerr)
-		}
-		// Fault hook: chaos tests damage the bytes between disk and the
-		// scanner, proving quarantine/truncation end to end.
-		if data, rerr = fault.Mangle(fault.JobWALReplay, data); rerr != nil {
-			return nil, nil, false, fmt.Errorf("job: wal replay %s: %w", path, rerr)
-		}
-		res := scanSegment(data)
-		records = append(records, res.records...)
-		last := i == len(seqs)-1
-		switch {
-		case res.corrupt, res.tornAt >= 0 && !last:
-			// Real damage (or a tear in a segment that was never the append
-			// head): salvage the prefix, quarantine the file.
-			salvaged = true
-			_ = os.Rename(path, path+corruptExt)
-		case res.tornAt >= 0:
-			// Torn tail of the append head: truncate back to the last valid
-			// record so future appends extend a consistent log.
-			salvaged = true
-			if terr := os.Truncate(path, res.tornAt); terr != nil {
-				// Cannot repair in place: quarantine instead.
-				_ = os.Rename(path, path+corruptExt)
-			} else if last {
-				lastGood = res.tornAt
-			}
-		case last:
-			lastGood = int64(len(data))
-		}
-		if last {
-			w.seq = seq
+// load reads and scans one log file; a missing file is empty. It reports
+// the file's size, and damaged=true when the scan stopped short. A corrupt
+// file is quarantined first.
+func load(path string) (records []Record, size int64, damaged bool, err error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, 0, false, nil
+	}
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("job: wal: %w", err)
+	}
+	size = int64(len(data))
+	// Fault hook: chaos tests damage the bytes between disk and the
+	// scanner, proving quarantine and salvage end to end.
+	if data, err = fault.Mangle(fault.JobWALReplay, data); err != nil {
+		return nil, 0, false, fmt.Errorf("job: wal replay %s: %w", path, err)
+	}
+	res := scanLog(data)
+	if res.corrupt {
+		if err := quarantine(path); err != nil {
+			return nil, 0, false, fmt.Errorf("job: wal quarantine: %w", err)
 		}
 	}
-	if lastGood < 0 {
-		// No usable tail segment: start the next sequence fresh.
-		w.seq++
-		f, cerr := os.OpenFile(filepath.Join(dir, segName(w.seq)),
-			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if cerr != nil {
-			return nil, nil, false, fmt.Errorf("job: wal: %w", cerr)
+	return res.records, size, res.end < len(data), nil
+}
+
+// quarantine keeps path's bytes under a .corrupt name that no earlier
+// quarantine holds. It is a hard link, so the bytes stay when a compaction
+// renames a new log over path.
+func quarantine(path string) error {
+	for i := 1; ; i++ {
+		err := os.Link(path, fmt.Sprintf("%s.%d%s", path, i, corruptExt))
+		if !errors.Is(err, os.ErrExist) {
+			return err
 		}
-		w.f, w.size = f, 0
-		return w, records, salvaged, nil
 	}
-	f, oerr := os.OpenFile(filepath.Join(dir, segName(w.seq)),
-		os.O_WRONLY|os.O_APPEND, 0o644)
-	if oerr != nil {
-		return nil, nil, false, fmt.Errorf("job: wal: %w", oerr)
-	}
-	w.f, w.size = f, lastGood
-	return w, records, salvaged, nil
 }
 
 // append frames, (fault-)mangles, writes, and fsyncs one record. The fsync
@@ -297,80 +271,51 @@ func (w *wal) append(rec Record) error {
 	return nil
 }
 
-// needsRotate reports whether the active segment has outgrown both the
-// threshold and twice the live state the last rotation wrote.
-func (w *wal) needsRotate() bool { return w.size >= max(w.maxSeg, 2*w.compacted) }
+// needsCompact reports whether the log has outgrown both the threshold and
+// twice the live state the last compaction wrote.
+func (w *wal) needsCompact() bool { return w.size >= max(w.threshold, 2*w.compacted) }
 
-// rotate compacts: the caller's snapshot records (the entire live state,
-// re-encoded) are written to the next segment via tmp+fsync+rename, the
-// active segment switches to it, and every older segment is deleted. A crash
-// before the rename leaves the old segments authoritative; after it, the
-// compacted segment replays to the same state the snapshot captured.
-func (w *wal) rotate(snapshot []Record) error {
-	next := w.seq + 1
-	tmp, err := os.CreateTemp(w.dir, "rotate-*.tmp")
-	if err != nil {
-		return fmt.Errorf("job: wal rotate: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
+// compact replaces the log with snapshot, the caller's entire live state
+// re-encoded, and appends to the new log from then on. Its frames pass the
+// job.wal.write fault hook as appended ones do. A failure leaves the old
+// log authoritative and appended to.
+func (w *wal) compact(snapshot []Record) error {
 	var size int64
-	for _, rec := range snapshot {
-		frame := encodeFrame(rec)
-		if _, err := tmp.Write(frame); err != nil {
-			tmp.Close()
-			return fmt.Errorf("job: wal rotate: %w", err)
+	err := atomicfile.Write(w.path, func(out io.Writer) error {
+		for _, rec := range snapshot {
+			frame, err := fault.Mangle(fault.JobWALWrite, encodeFrame(rec))
+			if err != nil {
+				return err
+			}
+			if _, err := out.Write(frame); err != nil {
+				return err
+			}
+			size += int64(len(frame))
 		}
-		size += int64(len(frame))
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("job: wal rotate: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("job: wal rotate: %w", err)
-	}
-	path := filepath.Join(w.dir, segName(next))
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("job: wal rotate: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("job: wal rotate: %w", err)
+		return fmt.Errorf("job: wal compact: %w", err)
 	}
-	old := w.f
-	oldSeq := w.seq
-	w.f, w.seq, w.size, w.compacted = f, next, size, size
-	w.rotations++
-	if old != nil {
-		_ = old.Close()
+	if w.f != nil {
+		_ = w.f.Close() // the replaced log's inode: nothing reads it again
 	}
-	// Deletion is cleanup, not correctness: leftover old segments replay
-	// before the compacted one and converge to the same state.
-	for seq := oldSeq; seq > 0; seq-- {
-		p := filepath.Join(w.dir, segName(seq))
-		if err := os.Remove(p); err != nil {
-			break // older ones were removed by earlier rotations
-		}
+	w.size, w.compacted = size, size
+	w.compactions++
+	// The import is durable: the older layout's segments are garbage now.
+	// One left behind by a crash here replays ahead of the log next time,
+	// and the log's records supersede it.
+	for _, seg := range w.legacy {
+		_ = os.Remove(seg)
+	}
+	w.legacy = nil
+	if w.f, err = os.OpenFile(w.path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+		return fmt.Errorf("job: wal compact: %w", err)
 	}
 	return nil
 }
 
-// segments counts the segment files on disk (for gauges and tests).
-func (w *wal) segments() int {
-	entries, err := os.ReadDir(w.dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range entries {
-		if _, ok := parseSeg(e.Name()); ok && !e.IsDir() {
-			n++
-		}
-	}
-	return n
-}
-
-// close releases the active segment handle.
+// close releases the log handle.
 func (w *wal) close() error {
 	if w.f == nil {
 		return nil

@@ -22,28 +22,21 @@ func preStampSubmit(id string, shots, chunk int) Record {
 		`,"norm":"sum","priority":1,"tenant":"t","created_unix_ms":1}`)}
 }
 
-// TestPreStampWALJobs replays a WAL written before the walk stamp. Its
-// unfinished job holds one chunk drawn under the old walk: it must end
-// failed with config_changed, without that chunk merged and without any
-// chunk drawn. Its completed job keeps its result.
+// TestPreStampWALJobs replays a WAL written before the walk stamp, in the
+// older segmented layout. Its unfinished job holds one chunk drawn under
+// the old walk: it must end failed with config_changed, without that chunk
+// merged and without any chunk drawn. Its completed job keeps its result,
+// and the store is left as the one log.
 func TestPreStampWALJobs(t *testing.T) {
 	dir := t.TempDir()
-	w, _, _ := openTestWAL(t, dir, 0)
-	for _, rec := range []Record{
+	writeLegacyStore(t, dir,
 		preStampSubmit("jold", 100, 50),
 		mustRecord(recChunkJSON, chunkRecord{ID: "jold", Chunk: 0, Shots: 50, Counts: map[string]int{"3": 50}}),
 		preStampSubmit("jdone", 100, 50),
 		mustRecord(recChunkJSON, chunkRecord{ID: "jdone", Chunk: 0, Shots: 50, Counts: map[string]int{"3": 50}}),
 		mustRecord(recChunkJSON, chunkRecord{ID: "jdone", Chunk: 1, Shots: 50, Counts: map[string]int{"12": 50}}),
 		mustRecord(recState, stateRecord{ID: "jdone", State: StateCompleted}),
-	} {
-		if err := w.append(rec); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-	}
-	if err := w.close(); err != nil {
-		t.Fatal(err)
-	}
+	)
 
 	var drawn atomic.Int64
 	provider := func(ctx context.Context, spec Spec) (core.Sampler, error) {
@@ -78,6 +71,7 @@ func TestPreStampWALJobs(t *testing.T) {
 	if err := m.Stop(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	requireOneLog(t, dir)
 	// The verdict is durable: a second replay reads it back.
 	check(startManager(t, Config{Dir: dir, Snapshot: provider}))
 	if n := drawn.Load(); n != 0 {
@@ -159,9 +153,11 @@ func TestSubmitStampsWalk(t *testing.T) {
 }
 
 // TestNormFieldWALJobResumes replays a WAL written while specs still
-// carried "norm": the submit record is hand-written in that shape, with one
-// chunk committed. The job resumes, draws only the chunks it lacks, and
-// finishes with the counts an uninterrupted run of the same spec returns.
+// carried "norm", in the older segmented layout: the submit record is
+// hand-written in that shape, with one chunk committed. The job resumes,
+// draws only the chunks it lacks, and finishes with the counts an
+// uninterrupted run of the same spec returns; the store is left as the one
+// log.
 func TestNormFieldWALJobResumes(t *testing.T) {
 	spec := testSpec("jnorm", 400, 100)
 	want := map[string]int{}
@@ -176,20 +172,12 @@ func TestNormFieldWALJobResumes(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	w, _, _ := openTestWAL(t, dir, 0)
-	for _, rec := range []Record{
-		{Type: recSubmit, Payload: []byte(`{"id":"jnorm","key":"k-jnorm","circuit":"ghz","qubits":4,"shots":400,` +
+	writeLegacyStore(t, dir,
+		Record{Type: recSubmit, Payload: []byte(`{"id":"jnorm","key":"k-jnorm","circuit":"ghz","qubits":4,"shots":400,` +
 			`"seed":42,"chunk_shots":100,"norm":"sum","walk":` + strconv.Itoa(core.WalkVersion) +
 			`,"priority":1,"tenant":"t","created_unix_ms":1}`)},
 		mustRecord(recChunkJSON, chunkRecord{ID: "jnorm", Chunk: 0, Shots: 100, Counts: chunk0}),
-	} {
-		if err := w.append(rec); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-	}
-	if err := w.close(); err != nil {
-		t.Fatal(err)
-	}
+	)
 
 	m := startManager(t, Config{Dir: dir})
 	st := waitFor(t, m, "jnorm", completed)
@@ -204,4 +192,8 @@ func TestNormFieldWALJobResumes(t *testing.T) {
 	if !maps.Equal(got, want) {
 		t.Fatalf("resumed result %v, uninterrupted reference %v", got, want)
 	}
+	if err := m.Stop(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	requireOneLog(t, dir)
 }

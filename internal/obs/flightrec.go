@@ -23,6 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"weaksim/internal/atomicfile"
 )
 
 // DefaultFlightSlots is the default ring capacity (records, not requests; a
@@ -167,22 +169,7 @@ func (f *FlightRecorder) Trip(reason string, attrs map[string]any) (string, erro
 	// sharing one directory; the per-recorder sequence keeps them unique
 	// within a burst.
 	path := filepath.Join(f.dir, fmt.Sprintf("flight-%d-%d.jsonl", now, f.dumpSeq.Add(1)))
-	tmp := path + ".tmp"
-	file, err := os.Create(tmp)
-	if err != nil {
-		return "", err
-	}
-	werr := f.WriteJSONL(file)
-	cerr := file.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return "", werr
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := atomicfile.Write(path, f.WriteJSONL); err != nil {
 		return "", err
 	}
 	return path, nil

@@ -2,10 +2,10 @@ package obs
 
 // Phase labels follow the paper's weak-simulation pipeline (Fig. 2):
 // strong simulation builds and applies operator DDs, the freeze stage
-// converts the final live diagram into an immutable flat-array snapshot with
-// the downstream/upstream masses and branch probabilities precomputed
-// inline (paper Section IV-B), and each shot is a root-to-terminal walk over
-// the frozen arrays. The govern phase covers the degradation ladder of
+// copies the final live diagram's nodes and edge weights into an immutable
+// flat-array snapshot, and each shot is a root-to-terminal walk over a walk
+// table the sampler derives from that snapshot (core.NewFrozenSampler; paper
+// Section IV-B). The govern phase covers the degradation ladder of
 // weaksim.SimulateAuto.
 const (
 	PhaseBuild  = "build"
@@ -33,7 +33,10 @@ const (
 	PhaseSnapshot = "snapshot"
 	PhaseWAL      = "wal"
 
-	// PhaseVerify covers DD invariant self-checks: dd.CheckInvariants at
-	// freeze time and dd.Snapshot.Verify on every snapshot load.
+	// PhaseVerify covers the DD self-checks at freeze: dd.Snapshot.Verify
+	// over the new snapshot and dd.Manager.CheckStorage over the live
+	// tables. An explicit CheckInvariants or CheckStorage call on an
+	// observed manager opens one too; a snapshot loaded from disk or a peer
+	// is verified without a span.
 	PhaseVerify = "verify"
 )

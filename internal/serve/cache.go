@@ -41,7 +41,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"weaksim/internal/core"
 	"weaksim/internal/dd"
@@ -482,7 +481,7 @@ func (c *snapCache) stats() cacheStats {
 }
 
 // newEntry freezes a simulated state into a cache entry.
-func newEntry(key string, snap *dd.Snapshot, simElapsed time.Duration) (*entry, error) {
+func newEntry(key string, snap *dd.Snapshot) (*entry, error) {
 	sampler, err := core.NewFrozenSampler(snap)
 	if err != nil {
 		return nil, err
@@ -492,6 +491,5 @@ func newEntry(key string, snap *dd.Snapshot, simElapsed time.Duration) (*entry, 
 		sampler: sampler,
 		qubits:  snap.Qubits(),
 		bytes:   int64(snap.Bytes() + sampler.WalkBytes()),
-		simNS:   simElapsed.Nanoseconds(),
 	}, nil
 }

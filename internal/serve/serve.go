@@ -407,7 +407,7 @@ func (s *Server) simulate(rt *obs.RequestTrace, key string, circ *circuit.Circui
 	// re-simulate.
 	if s.store != nil {
 		if snap, err := s.store.Get(key); err == nil {
-			if ent, err := newEntry(key, snap, 0); err == nil {
+			if ent, err := newEntry(key, snap); err == nil {
 				rt.Event(obs.PhaseServe, "snapstore-hit", map[string]any{"snapstore_hit": key})
 				return ent, nil
 			}
@@ -444,7 +444,7 @@ func (s *Server) simulate(rt *obs.RequestTrace, key string, circ *circuit.Circui
 	snap, err := ds.Manager().Freeze(edge)
 	var ent *entry
 	if err == nil {
-		ent, err = newEntry(key, snap, 0)
+		ent, err = newEntry(key, snap)
 	}
 	if err != nil {
 		sp.End(errAttrs(err))
@@ -516,7 +516,7 @@ func (s *Server) warmRestart() {
 		if err != nil || snap.Norm() != s.cfg.Norm {
 			continue
 		}
-		ent, err := newEntry(key, snap, 0)
+		ent, err := newEntry(key, snap)
 		if err != nil {
 			continue
 		}

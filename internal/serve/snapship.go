@@ -124,7 +124,7 @@ func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request, key s
 			Code: "snapshot_corrupt", Message: err.Error(), Status: http.StatusBadRequest}})
 		return
 	}
-	ent, err := newEntry(key, snap, 0)
+	ent, err := newEntry(key, snap)
 	if err != nil {
 		s.snapRejects.Inc()
 		s.writeError(w, badRequest{fmt.Errorf("installing snapshot: %w", err)})

@@ -4,9 +4,8 @@
 //
 // The store is crash-safe by construction, not by recovery code:
 //
-//   - every file is written to a temp name in the same directory, fsynced,
-//     and then atomically renamed into place — a crash mid-write leaves
-//     either the old file or no file, never a half-written one;
+//   - every file is written through atomicfile.Write — a crash mid-write
+//     leaves either the old file or no file, never a half-written one;
 //   - every file carries a CRC-64 (ECMA) trailer over the snapshot bytes,
 //     so torn sectors and bit rot are detected before decoding;
 //   - every file that fails the CRC, the decoder, or the snapshot's own
@@ -24,10 +23,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"weaksim/internal/atomicfile"
 	"weaksim/internal/dd"
 	"weaksim/internal/fault"
 	"weaksim/internal/obs"
@@ -127,23 +128,11 @@ func (s *Store) Put(key string, snap *dd.Snapshot) error {
 		return fmt.Errorf("snapstore: write %s: %w", key, err)
 	}
 
-	tmp, err := os.CreateTemp(s.dir, "put-*"+ext+".tmp")
-	if err != nil {
-		return fmt.Errorf("snapstore: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	_, werr := tmp.Write(frame)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("snapstore: write %s: %w", key, werr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("snapstore: %w", err)
+	if err := atomicfile.Write(path, func(w io.Writer) error {
+		_, err := w.Write(frame)
+		return err
+	}); err != nil {
+		return fmt.Errorf("snapstore: write %s: %w", key, err)
 	}
 	s.writes.Inc()
 	return nil
