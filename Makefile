@@ -1,7 +1,8 @@
 # Development targets, mirrored by .github/workflows/ci.yml.
 #
 # CI gates (every push / pull request):
-#   make check        tier-1: vet + build + full test suite (Go 1.22 and 1.23)
+#   make check        tier-1: vet + build + full test suite (Go 1.22, 1.23
+#                     and 1.24)
 #   make fmt-check    gofmt -l must be empty
 #   make race         race detector over the short suite
 #   make race-stress  parallel/stress tests x3 under the race detector — the
@@ -10,8 +11,9 @@
 #                     concurrently by weaksimd), so those paths get dedicated
 #                     race coverage
 #   make bench-gate   frozen-sampling ns/shot (one Sample call, and
-#                     core.TallyChunk's binomial split on 65,536- and
-#                     1,024-shot chunks) and live
+#                     core.TallyChunk's binomial split and its group
+#                     tally, a sorting network per fallback node rather
+#                     than a sort, on 65,536- and 1,024-shot chunks) and live
 #                     build+freeze vs the committed baseline in
 #                     BENCH_FROZEN.txt (best of 3 runs vs the slowest
 #                     committed row, 25% tolerance)

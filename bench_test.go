@@ -314,8 +314,10 @@ const interactiveShots = 1024
 // sampling pays per shot: core.TallyChunk over interactiveShots-shot
 // chunks of qft_16 and qft_32. The split reaches a node of at most 16
 // shots about 6 levels down, so most of the time goes to the per-shot
-// walks below it, 10 levels deep on qft_16 and 26 on qft_32. One op is one
-// shot, so ns/op reads as ns/shot.
+// walks below it, 10 levels deep on qft_16 and 26 on qft_32, and to
+// tallying each such node's outcomes as one group (a sorting network on
+// the stack, no per-node sort). One op is one shot, so ns/op reads as
+// ns/shot.
 func BenchmarkCountsInteractive(b *testing.B) {
 	for _, name := range []string{"qft_16", "qft_32"} {
 		b.Run(name, func(b *testing.B) {

@@ -92,17 +92,16 @@ const runStartLen = 1 << 10
 // drawChunk is the one chunk body of every count-producing call: it tallies
 // quota samples drawn from r into t, a run tally into a new run that starts
 // at runStartLen. A *FrozenSampler splits them down its walk table (see
-// FrozenSampler.splitNode); any other sampler draws one Sample per shot, a
-// CtxCheckShots block at a time, and its run is settled once at the end,
-// even a partial one. An injected panic (chaos testing) becomes the
-// returned error: it must not take down the process from a sampling
-// goroutine, where nothing else could recover it. Genuine panics
-// propagate. index labels the errors.
+// FrozenSampler.splitNode), which leaves the run in order; any other
+// sampler draws one Sample per shot, a CtxCheckShots block at a time, and
+// its run is sorted and settled once at the end, even a partial one. An
+// injected panic (chaos testing) becomes the returned error: it must not
+// take down the process from a sampling goroutine, where nothing else could
+// recover it. Genuine panics propagate. index labels the errors.
 func drawChunk(ctx context.Context, s Sampler, r *rng.RNG, index, quota int, t *Tally) (err error) {
 	c := &chunk{ctx: ctx, r: r, t: t, index: index, quota: quota}
 	t.newRun(min(CountsSizeHint(quota, s.Qubits()), runStartLen))
 	defer func() {
-		t.settle()
 		if rec := recover(); rec != nil {
 			p, ok := rec.(*fault.InjectedPanic)
 			if !ok {
@@ -114,6 +113,7 @@ func drawChunk(ctx context.Context, s Sampler, r *rng.RNG, index, quota int, t *
 	if fs, ok := s.(*FrozenSampler); ok {
 		return fs.splitNode(c, fs.root, fs.n, 0, quota)
 	}
+	defer t.settle()
 	for c.placed < quota {
 		n := min(CtxCheckShots, quota-c.placed)
 		if err := c.place(n); err != nil {

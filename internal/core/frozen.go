@@ -262,14 +262,13 @@ const splitMax = 16
 // between the kids as Binomial(n, P0) (paper Section IV: every shot at a
 // node takes its 0-branch with probability P0, independently), the 0-kid
 // first, so a chunk's leaves come in ascending index order. A node reached
-// by at most splitMax shots walks them down from there two at a time
-// (descendPair), the odd one last (descend), each from one draw taken in
-// shot order and tallied in shot order, so the counts are what walking
-// them one by one would give. Shots a draw sends to a zero kid —
-// floating-point slack — go to the other kid and count as renorms, as in
-// the walks. c.place runs the chunk's cancellation and chaos checks before
-// each group of shots is tallied, so on an error the tally holds exactly
-// the subtrees finished before it.
+// by at most splitMax shots walks them down from there (walkGroup), each
+// from one draw taken in shot order, so the counts are what walking them
+// one by one would give. Shots a draw sends to a zero kid — floating-point
+// slack — go to the other kid and count as renorms, as in the walks.
+// c.place runs the chunk's cancellation and chaos checks before each group
+// of shots is tallied, so on an error the tally holds exactly the subtrees
+// finished before it.
 func (s *FrozenSampler) splitNode(c *chunk, cur int32, levels int, prefix uint64, n int) error {
 	if levels == 0 || n <= splitMax {
 		if err := c.place(n); err != nil {
@@ -277,19 +276,9 @@ func (s *FrozenSampler) splitNode(c *chunk, cur int32, levels int, prefix uint64
 		}
 		if levels == 0 {
 			c.t.add(prefix, n)
-			return nil
+		} else {
+			s.walkGroup(c, cur, levels, prefix<<levels, n)
 		}
-		for ; n >= 2; n -= 2 {
-			d0 := c.r.Uint64()
-			d1 := c.r.Uint64()
-			idx0, idx1 := s.descendPair(d0, d1, cur, levels)
-			c.t.shot(prefix<<levels | idx0)
-			c.t.shot(prefix<<levels | idx1)
-		}
-		if n == 1 {
-			c.t.shot(prefix<<levels | s.descend(c.r.Uint64(), cur, levels))
-		}
-		c.t.settle()
 		return nil
 	}
 	nd := &s.walk[cur]
@@ -309,6 +298,41 @@ func (s *FrozenSampler) splitNode(c *chunk, cur int32, levels int, prefix uint64
 		}
 	}
 	return nil
+}
+
+// walkGroup tallies the n ≤ splitMax shots that reached node cur, levels
+// levels above the terminal, with base their index bits above it: it walks
+// them two at a time (descendPair), the odd one last (descend), each from
+// one draw taken in shot order. A dense tally counts each outcome as its
+// walk ends; a run tally takes them as one group on the stack
+// (Tally.group). It is splitNode's leaf, apart so that the recursion's
+// frames stay small.
+func (s *FrozenSampler) walkGroup(c *chunk, cur int32, levels int, base uint64, n int) {
+	if dense := c.t.dense; dense != nil {
+		for ; n >= 2; n -= 2 {
+			d0 := c.r.Uint64()
+			d1 := c.r.Uint64()
+			idx0, idx1 := s.descendPair(d0, d1, cur, levels)
+			dense[base|idx0]++
+			dense[base|idx1]++
+		}
+		if n == 1 {
+			dense[base|s.descend(c.r.Uint64(), cur, levels)]++
+		}
+		return
+	}
+	var g [splitMax]uint64
+	k := 0
+	for ; k+2 <= n; k += 2 {
+		d0 := c.r.Uint64()
+		d1 := c.r.Uint64()
+		idx0, idx1 := s.descendPair(d0, d1, cur, levels)
+		g[k], g[k+1] = base|idx0, base|idx1
+	}
+	if k < n {
+		g[k] = base | s.descend(c.r.Uint64(), cur, levels)
+	}
+	c.t.group(&g, n)
 }
 
 // CountsSizeHint bounds the number of distinct outcomes a tally of shots
@@ -372,15 +396,24 @@ func CountsParallelContext(ctx context.Context, s Sampler, seed uint64, shots, w
 // for callers that read the counts in index order (the daemon's response
 // writer) and so need no map.
 func TallyParallelContext(ctx context.Context, s Sampler, seed uint64, shots, workers int) (*Tally, error) {
-	return tallyParallel(ctx, s, seed, shots, workers, tallyDense(s.Qubits(), shots))
+	return TallyInto(ctx, s, seed, shots, workers, nil)
 }
 
-// tallyParallel is TallyParallelContext's body, tallying densely or not as
-// asked. Each worker tallies into its own Tally of the batch's
-// representation; the parts are merged by element-wise addition (dense) or
-// by taking over their runs, one per chunk, so the counts do not depend on
-// which worker drew which chunk.
-func tallyParallel(ctx context.Context, s Sampler, seed uint64, shots, workers int, dense bool) (*Tally, error) {
+// TallyInto is TallyParallelContext drawing a single-worker run tally into
+// spare's storage: spare's runs are truncated and their slices refilled, so
+// a caller that keeps the tally its last answer was written from (when it
+// is Reusable) allocates no run for the next. spare may be nil; nothing may
+// read it after the call.
+func TallyInto(ctx context.Context, s Sampler, seed uint64, shots, workers int, spare *Tally) (*Tally, error) {
+	return tallyParallel(ctx, s, seed, shots, workers, tallyDense(s.Qubits(), shots), spare)
+}
+
+// tallyParallel is TallyInto's body, tallying densely or not as asked.
+// Each worker tallies into its own Tally of the batch's representation; the
+// parts are merged by element-wise addition (dense) or by taking over their
+// runs, one per chunk, so the counts do not depend on which worker drew
+// which chunk.
+func tallyParallel(ctx context.Context, s Sampler, seed uint64, shots, workers int, dense bool, spare *Tally) (*Tally, error) {
 	if shots <= 0 {
 		return &Tally{}, ctx.Err()
 	}
@@ -390,7 +423,7 @@ func tallyParallel(ctx context.Context, s Sampler, seed uint64, shots, workers i
 	var next atomic.Int64
 	if workers == 1 {
 		// One worker tallies straight into the result: no goroutine, no merge.
-		t := newTally(qubits, dense)
+		t := spare.reuse(qubits, dense)
 		return t, tallyChunks(ctx, s, seed, shots, &next, t)
 	}
 
@@ -407,7 +440,7 @@ func tallyParallel(ctx context.Context, s Sampler, seed uint64, shots, workers i
 	}
 	wg.Wait()
 	for _, p := range parts[1:] {
-		parts[0].Add(p)
+		parts[0].absorb(p)
 	}
 	for _, err := range errs {
 		if err != nil {

@@ -324,7 +324,7 @@ func TestPairWalkMatchesSerial(t *testing.T) {
 // TestSplitAllocatesNothing: a chunk drawn into a reset tally, which keeps
 // its dense array or its run's storage, allocates nothing, at the widest
 // register the split supports: the recursion, the binomial draws, the
-// per-shot walks and the fallback's sort all stay on the stack, and the
+// per-shot walks and the fallback's group all stay on the stack, and the
 // run is reused rather than reallocated.
 func TestSplitAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {

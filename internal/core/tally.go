@@ -1,6 +1,9 @@
 package core
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // denseMaxQubits is the widest register a batch may tally densely: a
 // 2^20-entry []uint32 is 4 MiB.
@@ -21,14 +24,16 @@ func tallyDense(qubits, shots int) bool {
 // count-producing call: a dense []uint32 (the per-shot add is one
 // increment) for a batch that passes tallyDense, else one run per chunk,
 // which the split fills in ascending index order (see
-// FrozenSampler.splitNode). Ascending and Map read either alike.
+// FrozenSampler.splitNode), or one run in all when Add fills it. Ascending
+// and Map read either alike.
 type Tally struct {
 	dense []uint32 // counts by index; nil when the tally is runs
 	runs  []run
 }
 
-// run is one chunk's strictly ascending indices and their positive counts,
-// in parallel. Indices past len(n) are single shots awaiting settle.
+// run is strictly ascending indices and their positive counts, in
+// parallel: a chunk's, or the merge of several (Add). Indices past len(n)
+// are single shots awaiting settle.
 type run struct {
 	idx []uint64
 	n   []uint32
@@ -50,18 +55,31 @@ func newTally(qubits int, dense bool) *Tally {
 // one-run Tally, without copying them.
 func TallyRun(idx []uint64, n []uint32) *Tally { return &Tally{runs: []run{{idx, n}}} }
 
-// newRun starts a run tally's next run with room for hint outcomes, reusing
-// the storage of a slot a reset truncated away.
+// newRun starts a run tally's next run with room for hint outcomes,
+// reusing the storage of a slot that reuse truncated away.
 func (t *Tally) newRun(hint int) {
 	if t.dense == nil {
 		t.runs = slices.Grow(t.runs, 1)[:len(t.runs)+1]
-		if r := &t.runs[len(t.runs)-1]; r.idx == nil {
-			r.idx, r.n = make([]uint64, 0, hint), make([]uint32, 0, hint)
-		} else {
-			r.idx, r.n = r.idx[:0], r.n[:0]
-		}
+		r := &t.runs[len(t.runs)-1]
+		r.idx, r.n = slices.Grow(r.idx[:0], hint), slices.Grow(r.n[:0], hint)
 	}
 }
+
+// reuse returns an empty tally over qubits, dense or not as asked, drawn
+// into t's run storage when t is a run tally: its runs are truncated, and
+// newRun refills their slices. t may be nil, and no one may read it after.
+func (t *Tally) reuse(qubits int, dense bool) *Tally {
+	if t == nil || dense || t.dense != nil {
+		return newTally(qubits, dense)
+	}
+	t.runs = t.runs[:0]
+	return t
+}
+
+// Reusable reports whether t may be handed back to TallyInto as spare
+// storage: a run tally of at most one run, so at most one chunk's worth.
+// A dense tally, or one that holds several chunks' runs, is not kept.
+func (t *Tally) Reusable() bool { return t.dense == nil && len(t.runs) <= 1 }
 
 // add counts idx n times: a run tally appends it above its last run's
 // indices.
@@ -84,46 +102,139 @@ func (t *Tally) shot(idx uint64) {
 	r.idx = append(r.idx, idx)
 }
 
-// settle sorts the last run's single shots and coalesces them into counts;
-// a dense tally has nothing to settle.
+// settle sorts the last run's single shots, all above its counted indices,
+// and coalesces them into counts, so the run ascends strictly again; a
+// dense tally has nothing to settle.
 func (t *Tally) settle() {
 	if len(t.runs) > 0 {
-		t.runs[len(t.runs)-1].settle()
+		r := &t.runs[len(t.runs)-1]
+		shots := r.idx[len(r.n):]
+		slices.Sort(shots)
+		r.idx = r.idx[:len(r.n)]
+		r.coalesce(shots)
 	}
 }
 
-// settle sorts r's single shots, all above its counted indices, and
-// coalesces repeats into counts, so r ascends strictly again.
-func (r *run) settle() {
-	from, k := len(r.n), len(r.n)
-	slices.Sort(r.idx[from:])
-	for _, idx := range r.idx[from:] {
-		if k > from && r.idx[k-1] == idx {
-			r.n[k-1]++
-		} else {
-			r.idx[k], r.n = idx, append(r.n, 1)
-			k++
+// group counts the k ≤ splitMax shots in g[:k], in any order, all above
+// the last run's indices: a sorting network orders them and coalesce
+// appends them. g lives on the caller's stack; its entries past k are
+// overwritten.
+func (t *Tally) group(g *[splitMax]uint64, k int) {
+	net, width := net16, splitMax
+	if k <= 8 {
+		net, width = net8, 8
+	}
+	if k > 1 {
+		for i := k; i < width; i++ {
+			g[i] = math.MaxUint64
+		}
+		for _, c := range net {
+			i, j := c&(splitMax-1), c>>4 // both below 16: no bounds check
+			a, b := g[i], g[j]
+			g[i], g[j] = min(a, b), max(a, b)
 		}
 	}
-	r.idx = r.idx[:k]
+	t.runs[len(t.runs)-1].coalesce(g[:k])
 }
 
-// Add adds p's counts into t: element-wise for two dense tallies, by taking
-// over p's runs (so p must not change afterwards) for two run tallies, and
-// through p's Ascending pairs across representations. p counts outcomes of
-// t's register.
+// coalesce appends ascending indices to r, each above r's last, merging
+// repeats into one entry with their count. sorted may alias r.idx past its
+// length: coalesce writes no further than it has read.
+func (r *run) coalesce(sorted []uint64) {
+	idx, n := r.idx, r.n
+	for i, v := range sorted {
+		if i > 0 && idx[len(idx)-1] == v {
+			n[len(n)-1]++
+		} else {
+			idx, n = append(idx, v), append(n, 1)
+		}
+	}
+	r.idx, r.n = idx, n
+}
+
+// A group sorts with Batcher's odd-even merge network: a fixed list of
+// compare-exchanges, each a min and a max with no branch, so sorting costs
+// the same whatever the order of the walks' outcomes. Entries padded with
+// MaxUint64 sort last, so the first k of a padded network's output are the
+// k real entries in order, even where a real entry is MaxUint64 too.
+var (
+	net8  = batcher(8)  // 19 comparators
+	net16 = batcher(16) // 63 comparators
+)
+
+// batcher returns the compare-exchanges of Batcher's odd-even merge sort
+// over n ≤ 16 inputs, n a power of two, in the order they must run: one
+// byte each, the lower index in the low four bits and the higher in the
+// high four.
+func batcher(n int) (net []uint8) {
+	for p := 1; p < n; p <<= 1 {
+		for k := p; k >= 1; k >>= 1 {
+			for j := k % p; j+k < n; j += 2 * k {
+				for i := 0; i < k && i+j+k < n; i++ {
+					if (i+j)/(2*p) == (i+j+k)/(2*p) {
+						net = append(net, uint8(i+j)|uint8(i+j+k)<<4)
+					}
+				}
+			}
+		}
+	}
+	return net
+}
+
+// Add adds p's counts into t, p counting outcomes of t's register:
+// element-wise for two dense tallies, through p's Ascending pairs into a
+// dense t, and into a run t by merging its run and p's pairs into one
+// ascending run, so a run tally that only Add fills holds each outcome
+// once. p does not change.
 func (t *Tally) Add(p *Tally) {
 	switch {
 	case t.dense != nil && p.dense != nil:
 		for idx, n := range p.dense {
 			t.dense[idx] += n
 		}
-	case t.dense == nil && p.dense == nil:
-		t.runs = append(t.runs, p.runs...)
-	default:
-		t.newRun(0)
+	case t.dense != nil:
 		p.Ascending(t.add)
+	default:
+		t.merge(p)
 	}
+}
+
+// merge replaces run tally t's runs by one new run that merges them with
+// p's pairs.
+func (t *Tally) merge(p *Tally) {
+	if len(t.runs) > 1 {
+		var one Tally
+		one.merge(t)
+		t.runs = one.runs
+	}
+	var old run
+	if len(t.runs) > 0 {
+		old = t.runs[0]
+	}
+	size := len(old.idx) + p.Len()
+	m := run{make([]uint64, 0, size), make([]uint32, 0, size)}
+	i := 0
+	p.Ascending(func(idx uint64, n int) {
+		for ; i < len(old.idx) && old.idx[i] < idx; i++ {
+			m.idx, m.n = append(m.idx, old.idx[i]), append(m.n, old.n[i])
+		}
+		if i < len(old.idx) && old.idx[i] == idx {
+			n += int(old.n[i])
+			i++
+		}
+		m.idx, m.n = append(m.idx, idx), append(m.n, uint32(n))
+	})
+	m.idx, m.n = append(m.idx, old.idx[i:]...), append(m.n, old.n[i:]...)
+	t.runs = append(t.runs[:0], m)
+}
+
+// absorb adds p's counts into t, both of one representation: element-wise
+// when dense, else by taking over p's runs, so p must not change after.
+func (t *Tally) absorb(p *Tally) {
+	for idx, n := range p.dense {
+		t.dense[idx] += n
+	}
+	t.runs = append(t.runs, p.runs...)
 }
 
 // Len returns how many (index, count) entries the tally holds: its

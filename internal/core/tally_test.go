@@ -111,11 +111,11 @@ func TestTallyDenseMatchesRuns(t *testing.T) {
 	for _, shots := range []int{1023, 1024, 1025, 3*ChunkShots + 5} {
 		for _, workers := range []int{1, 2, 3} {
 			name := fmt.Sprintf("10 qubits, %d shots, workers=%d", shots, workers)
-			d, err := tallyParallel(context.Background(), wide, 3, shots, workers, true)
+			d, err := tallyParallel(context.Background(), wide, 3, shots, workers, true, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := tallyParallel(context.Background(), wide, 3, shots, workers, false)
+			m, err := tallyParallel(context.Background(), wide, 3, shots, workers, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func TestTallyDenseMatchesRuns(t *testing.T) {
 			t.Fatalf("ghz_%d, %d shots: dense = %v, want %v", n, shots, tally.dense != nil, wantDense)
 		}
 		if n <= denseMaxQubits {
-			m, err := tallyParallel(context.Background(), fs, 8, shots, 2, false)
+			m, err := tallyParallel(context.Background(), fs, 8, shots, 2, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,14 +179,14 @@ func TestTallyRunsCancellation(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		ctx, cancel := context.WithCancel(context.Background())
 		s := &cancelAfter{Sampler: fs, limit: ChunkShots + 700, cancel: cancel}
-		tally, err := tallyParallel(ctx, s, 3, shots, workers, false)
+		tally, err := tallyParallel(ctx, s, 3, shots, workers, false, nil)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("per-shot, workers=%d: err = %v, want context.Canceled", workers, err)
 		}
 		checkRuns(t, fmt.Sprintf("per-shot, workers=%d", workers), tally, -1)
 
-		split, err := tallyParallel(&sharedCountdown{Context: context.Background(), limit: 200}, fs, 3, shots, workers, false)
+		split, err := tallyParallel(&sharedCountdown{Context: context.Background(), limit: 200}, fs, 3, shots, workers, false, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("split, workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -313,7 +313,7 @@ func TestTallyDensePanicBecomesError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fault.Disable()
-	tally, err := tallyParallel(context.Background(), fs, 3, 2*ChunkShots, 2, true)
+	tally, err := tallyParallel(context.Background(), fs, 3, 2*ChunkShots, 2, true, nil)
 	var ip *fault.InjectedPanic
 	if !errors.As(err, &ip) || ip.Point != fault.SamplerWalk {
 		t.Fatalf("batch error %v, want *fault.InjectedPanic at %s", err, fault.SamplerWalk)
@@ -330,7 +330,8 @@ func TestTallyDensePanicBecomesError(t *testing.T) {
 // TestTallyAddAcrossRepresentations: Add merges one chunk's tally into
 // another's, dense into runs, runs into dense, dense into dense and runs
 // into runs, and each sum equals the reference splitter's counts of both chunks
-// while keeping the receiver's representation.
+// while keeping the receiver's representation; a run receiver ends as one
+// strictly ascending run.
 func TestTallyAddAcrossRepresentations(t *testing.T) {
 	vec, _ := frozenRandomVector(10, 17)
 	live, fs := liveVector(t, vec, dd.NormL2Phase)
@@ -346,6 +347,12 @@ func TestTallyAddAcrossRepresentations(t *testing.T) {
 			}
 			if !maps.Equal(sum.Map(), want) {
 				t.Errorf("dense=%v += dense=%v: sum differs from the per-shot reference", dst, src)
+			}
+			if !dst {
+				checkRuns(t, fmt.Sprintf("runs += dense=%v", src), sum, 2*shots)
+				if len(sum.runs) != 1 {
+					t.Errorf("runs += dense=%v: %d runs, want one", src, len(sum.runs))
+				}
 			}
 		}
 	}
@@ -379,7 +386,7 @@ func BenchmarkTallyAscending(b *testing.B) {
 		b.Fatal(err)
 	}
 	const shots = 1 << 20
-	tally, err := tallyParallel(context.Background(), fs, 7, shots, 1, false)
+	tally, err := tallyParallel(context.Background(), fs, 7, shots, 1, false, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

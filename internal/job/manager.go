@@ -352,6 +352,14 @@ func (m *Manager) chunkTargetLocked(id string, chunk, shots int) *jobState {
 	return j
 }
 
+// newCounts returns an empty accumulator for spec's chunks in their
+// representation, by core.NewTally's rule at chunk 0's quota, the largest:
+// dense only when the chunks are, else one ascending run that every chunk
+// merges into (core.Tally.Add), so it holds each outcome once.
+func newCounts(spec *Spec) *core.Tally {
+	return core.NewTally(spec.Qubits, spec.ChunkShotCount(0))
+}
+
 // replayChunk merges a replayed chunk's counts into j.
 func replayChunk(j *jobState, chunk, shots int, counts *core.Tally) {
 	j.done[chunk] = true
@@ -379,7 +387,7 @@ func doneSet(spec Spec, chunks []int) (done []bool, chunksDone, shotsDone int) {
 // checkpoint is the full merged state at compaction time, not a delta: it
 // supersedes, never merges.
 func replayCheckpoint(j *jobState, done []bool, chunksDone, shotsDone int, counts *core.Tally) {
-	j.counts = core.NewTally(j.spec.Qubits, j.spec.Shots)
+	j.counts = newCounts(&j.spec)
 	j.counts.Add(counts)
 	j.done, j.chunksDone, j.shotsDone = done, chunksDone, shotsDone
 }
@@ -431,7 +439,7 @@ func (m *Manager) finishReplayLocked() {
 // checkpoint ahead of the terminal record drops the chunks on every later
 // replay too.
 func (m *Manager) failStaleWalkLocked(j *jobState) {
-	j.counts = core.NewTally(j.spec.Qubits, j.spec.Shots)
+	j.counts = newCounts(&j.spec)
 	j.done = make([]bool, j.spec.ChunksTotal())
 	j.chunksDone, j.shotsDone, j.recovered = 0, 0, 0
 	_ = m.appendLocked(checkpointRun(j.spec.ID, nil, 0, j.counts))
@@ -588,7 +596,7 @@ func (m *Manager) addJobLocked(spec Spec) *jobState {
 	j := &jobState{
 		spec:      spec,
 		state:     StateQueued,
-		counts:    core.NewTally(spec.Qubits, spec.Shots),
+		counts:    newCounts(&spec),
 		done:      make([]bool, spec.ChunksTotal()),
 		trace:     obs.StartRequest("", m.cfg.Recorder, nil),
 		updatedMS: time.Now().UnixMilli(),

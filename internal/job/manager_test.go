@@ -2,6 +2,8 @@ package job
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -181,12 +183,12 @@ func TestInMemoryJobSkipsWALRecords(t *testing.T) {
 	}
 }
 
-// TestDenseJobTallyMergesMapChunks: a 17-qubit job of 2·65,536+5 shots
-// tallies densely while each of its chunks, 2^17 outcomes over at most
-// 65,536 shots, tallies into a map; the job's result equals
-// Σᵢ TallyChunk(seed, i, quota) all the same.
+// TestDenseJobTallyMergesMapChunks: a 16-qubit job of 2·65,536+5 shots
+// tallies densely, as its two full chunks do, while its 5-shot last chunk
+// tallies into a run; the job's result equals Σᵢ TallyChunk(seed, i,
+// quota) all the same.
 func TestDenseJobTallyMergesMapChunks(t *testing.T) {
-	const qubits = 17
+	const qubits = 16
 	spec := testSpec("jdense", 2*DefaultChunkShots+5, DefaultChunkShots)
 	spec.Qubits = qubits
 	want := map[uint64]int{}
@@ -540,5 +542,39 @@ func TestListNewestFirst(t *testing.T) {
 	list := m.List()
 	if len(list) != 2 || list[0].ID != "jb" || list[1].ID != "ja" {
 		t.Errorf("List order %v, want jb then ja", []string{list[0].ID, list[1].ID})
+	}
+}
+
+// shorJobDigest is the SHA-256 of the checkpoint record payload written
+// from a 512k-shot shor_33_2 job's result (seed 42, default chunks): the
+// pairs a result body and a checkpoint are both written from. It was
+// taken when the job's accumulator was still a dense array of 2^18
+// counters, so a run accumulator must write the same bytes.
+const shorJobDigest = "70d8354db9f345b9d18bafdcfe2bc1ec6801b6e56910c34e249b6c4c9371301c"
+
+// TestRunJobAccumulator: a 512k-shot shor_33_2 job, 18 qubits wide, keeps
+// its counts as its chunks do, in one ascending run that holds each
+// outcome once (Reusable: one run, not a dense array of 2^18 counters),
+// and writes the same pairs as when they were a dense array.
+func TestRunJobAccumulator(t *testing.T) {
+	fs := frozenSampler(t, "shor_33_2")
+	spec := testSpec("jshor", 8*DefaultChunkShots, DefaultChunkShots)
+	spec.Qubits = fs.Qubits()
+	m := startManager(t, Config{Snapshot: func(context.Context, Spec) (core.Sampler, error) { return fs, nil }})
+	if _, err := m.Submit(spec); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitFor(t, m, spec.ID, completed)
+	got, _, err := m.Result(spec.ID)
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	if distinct := len(got.Map()); got.Len() != distinct || !got.Reusable() {
+		t.Errorf("accumulator holds %d entries (one run: %v), want one run of the %d distinct outcomes",
+			got.Len(), got.Reusable(), distinct)
+	}
+	sum := sha256.Sum256(checkpointRun(spec.ID, nil, spec.Shots, got).Payload)
+	if digest := hex.EncodeToString(sum[:]); digest != shorJobDigest {
+		t.Errorf("result pairs hash to %s, want %s", digest, shorJobDigest)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"weaksim/internal/core"
 )
@@ -39,6 +40,19 @@ var byteBits = func() (t [256][8]byte) {
 // countsFlushBytes is how much of a streamed counts object writeSample
 // buffers before writing it out.
 const countsFlushBytes = 32 << 10
+
+// tallies holds the tallies answers were written from, once written, for
+// the next answer to draw into (core.TallyInto): only Reusable ones, at
+// most one chunk's run each, so a warm answer allocates no run.
+var tallies sync.Pool
+
+// countsBufs recycles writeCounts' buffers, countsFlushBytes and the one
+// outcome that passes it. A buffer that grows past that (a long trace echo
+// in the tail) is dropped and the pooled one kept.
+var countsBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, countsFlushBytes+256)
+	return &b
+}}
 
 // stream appends the counts object to buf and returns it. With w non-nil,
 // buf is written out and reset whenever it passes countsFlushBytes, so what
@@ -88,16 +102,18 @@ func writeSample(w http.ResponseWriter, resp *sampleResponse, finish func(*sampl
 // writeCounts writes a 200 body whose object holds head's members, then
 // "counts", then the members of the value tail returns: byte for byte what
 // writeJSON writes for a struct of those members in that order. It streams
-// the counts through one countsFlushBytes buffer, so encoding/json marshals
-// only head and tail, whose sizes do not grow with the outcomes, and never
-// holds or re-scans the counts object, which has one member per outcome.
+// the counts through one pooled countsFlushBytes buffer, so encoding/json
+// marshals only head and tail, whose sizes do not grow with the outcomes,
+// and never holds or re-scans the counts object, which has one member per
+// outcome.
 // head is nil or marshals to a JSON object with members, as tail's value
 // does; tail runs once the counts are written.
 func writeCounts(w http.ResponseWriter, head any, counts countsJSON, tail func() any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	buf := make([]byte, 0, countsFlushBytes+256)
-	buf = append(buf, '{')
+	p := countsBufs.Get().(*[]byte)
+	defer countsBufs.Put(p)
+	buf := append((*p)[:0], '{')
 	if head != nil {
 		b, err := json.Marshal(head)
 		if err != nil {

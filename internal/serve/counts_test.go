@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"weaksim/internal/algo"
@@ -304,6 +307,35 @@ func BenchmarkSampleResponse(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/shots, "ns/shot")
 }
 
+// warmSample returns a func that serves one 1,024-shot /v1/sample request
+// for the named circuit, sent as QASM, through a Handler() with request
+// traces and metrics on, to a discardResponse. It serves one first, so the
+// circuit is simulated and cached and every later request is warm.
+func warmSample(tb testing.TB, name string) func() {
+	tb.Helper()
+	s := New(Config{Metrics: obs.NewRegistry()})
+	tb.Cleanup(func() { _ = s.Close() })
+	h := s.Handler()
+	circ, err := algo.Generate(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	src, err := qasm.Write(circ)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body, err := json.Marshal(map[string]any{"qasm": src, "shots": 1024, "seed": 11})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	serve := func() {
+		w := &discardResponse{h: http.Header{}}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sample", bytes.NewReader(body)))
+	}
+	serve()
+	return serve
+}
+
 // BenchmarkWarmSample is one warm 1,024-shot /v1/sample answer to a QASM
 // request through Handler(), with request traces and metrics on: the
 // interactive request on a 16- or 32-qubit circuit, whose ~1,000 distinct
@@ -311,26 +343,7 @@ func BenchmarkSampleResponse(b *testing.B) {
 func BenchmarkWarmSample(b *testing.B) {
 	for _, name := range []string{"qft_16", "qft_32"} {
 		b.Run(name, func(b *testing.B) {
-			s := New(Config{Metrics: obs.NewRegistry()})
-			defer s.Close()
-			h := s.Handler()
-			circ, err := algo.Generate(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			src, err := qasm.Write(circ)
-			if err != nil {
-				b.Fatal(err)
-			}
-			body, err := json.Marshal(map[string]any{"qasm": src, "shots": 1024, "seed": 11})
-			if err != nil {
-				b.Fatal(err)
-			}
-			serve := func() {
-				w := &discardResponse{h: http.Header{}}
-				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sample", bytes.NewReader(body)))
-			}
-			serve() // simulate and cache the circuit
+			serve := warmSample(b, name)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -338,6 +351,100 @@ func BenchmarkWarmSample(b *testing.B) {
 			}
 		})
 	}
+}
+
+// raceEnabled reports a build with the race detector (race_test.go).
+var raceEnabled bool
+
+// warmRequestBytesBound caps the heap bytes one warm 1,024-shot QASM qft_16
+// request allocates through Handler(): a quarter of the 65,079 bytes (69
+// allocations) it took when every answer drew into a fresh 12 KiB run and
+// encoded through a fresh 32 KiB buffer (BenchmarkWarmSample/qft_16,
+// linux/amd64, Go 1.24). Drawing into the last answer's tally and encoding
+// through a pooled buffer brings it to about 11,800 bytes in 64.
+const warmRequestBytesBound = 65_079 / 4
+
+// TestWarmRequestBytes bounds the bytes a warm 1,024-shot QASM qft_16
+// request allocates end to end, parse to encode, averaged over 200
+// requests, so the reuse of tally and encode storage across answers stays
+// in place.
+func TestWarmRequestBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of its puts on purpose, so storage is not reliably reused")
+	}
+	serve := warmSample(t, "qft_16")
+	serve() // fill the pools
+	const requests = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range requests {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / requests
+	if got > warmRequestBytesBound {
+		t.Errorf("a warm 1,024-shot qft_16 request allocates %d bytes, want at most %d", got, warmRequestBytesBound)
+	}
+	t.Logf("a warm 1,024-shot qft_16 request allocates %d bytes in %d allocations",
+		got, (after.Mallocs-before.Mallocs)/requests)
+}
+
+// TestServeParallelWarmAnswers: warm answers served at once from several
+// goroutines, which draw into and encode through storage earlier answers
+// hand back, each hold their own counts: run tallies of one chunk (qft_16
+// and qft_32 at 1,024 shots, qft_32 at 3,000), which are reused, next to a
+// dense tally (ghz_3) and a two-chunk one (qft_32 at 70,000 shots), which
+// are not.
+func TestServeParallelWarmAnswers(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	h := srv.Handler()
+	type request struct {
+		circuit     string
+		shots, seed int
+	}
+	var reqs []request
+	want := map[request]map[string]int{}
+	for _, r := range []request{{"qft_16", 1024, 1}, {"qft_16", 1024, 2}, {"qft_32", 1024, 3},
+		{"qft_32", 3000, 4}, {"qft_32", 70_000, 5}, {"ghz_3", 1024, 6}} {
+		circ, err := algo.Generate(r.circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ent, _, err := srv.lookup(context.Background(), CircuitKey(circ, srv.cfg.Norm, false), circ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts, err := core.CountsParallel(ent.sampler, uint64(r.seed), r.shots, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs, want[r] = append(reqs, r), core.BitstringCounts(counts, circ.NQubits)
+	}
+	const goroutines, each = 4, 24
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				r := reqs[(g+i)%len(reqs)]
+				body := fmt.Sprintf(`{"circuit":%q,"shots":%d,"seed":%d}`, r.circuit, r.shots, r.seed)
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sample", strings.NewReader(body)))
+				var resp sampleResult
+				if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK {
+					t.Errorf("%v: status %d, %v", r, w.Code, err)
+					return
+				}
+				if !maps.Equal(resp.Counts, want[r]) {
+					t.Errorf("%v: counts differ from CountsParallel's", r)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestCountsBitstringWidths: the byte-at-a-time bitstring writer spells

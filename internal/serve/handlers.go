@@ -436,7 +436,8 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	// (circuit, seed, shots) — rerunning the request reproduces them bit for
 	// bit, at any cache temperature and worker count.
 	sp = obs.StartSpan(s.cfg.Metrics, rt, obs.PhaseSample)
-	tally, err := core.TallyParallelContext(ctx, ent.sampler, req.seed, req.shots, req.workers)
+	spare, _ := tallies.Get().(*core.Tally)
+	tally, err := core.TallyInto(ctx, ent.sampler, req.seed, req.shots, req.workers, spare)
 	if err != nil {
 		sp.End(errAttrs(err))
 		s.sampleError(w, err)
@@ -468,6 +469,12 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	})
+	if tally.Reusable() {
+		tallies.Put(tally)
+	}
+	if spare != nil && spare != tally {
+		tallies.Put(spare) // a dense or multi-worker answer left it untouched
+	}
 }
 
 func (s *Server) handleCircuits(w http.ResponseWriter, r *http.Request) {

