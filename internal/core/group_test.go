@@ -90,22 +90,6 @@ func TestGroupRandom(t *testing.T) {
 	}
 }
 
-// TestGroupAllOnes64: through the split, ghz_64's groups of up to splitMax
-// shots, at the root, hold only 0 and the all-ones index MaxUint64, and
-// count as walking the shots one by one does.
-func TestGroupAllOnes64(t *testing.T) {
-	fs, err := NewFrozenSampler(freezeCircuit(t, "ghz_64", dd.NormL2Phase))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for shots := 1; shots <= splitMax; shots++ {
-		want := perShotCounts(fs, rng.New(uint64(shots)), shots)
-		if got := Counts(fs, rng.New(uint64(shots)), shots); !maps.Equal(got, want) {
-			t.Fatalf("%d shots: Counts %v, one walk per shot %v", shots, got, want)
-		}
-	}
-}
-
 // walkSplit is the split as it tallied before groups: the same binomial
 // draws, then one descend per shot of a node reached by at most splitMax
 // shots, in shot order, each counted in a map.
