@@ -388,27 +388,22 @@ func CountsParallel(s Sampler, seed uint64, shots, workers int) (map[uint64]int,
 // tallies drawn so far are merged and returned alongside the context's
 // error.
 func CountsParallelContext(ctx context.Context, s Sampler, seed uint64, shots, workers int) (map[uint64]int, error) {
-	t, err := TallyParallelContext(ctx, s, seed, shots, workers)
+	t, err := TallyParallelContext(ctx, s, seed, shots, workers, nil)
 	return t.Map(), err
 }
 
 // TallyParallelContext is CountsParallelContext returning the Tally itself,
 // for callers that read the counts in index order (the daemon's response
-// writer) and so need no map.
-func TallyParallelContext(ctx context.Context, s Sampler, seed uint64, shots, workers int) (*Tally, error) {
-	return TallyInto(ctx, s, seed, shots, workers, nil)
-}
-
-// TallyInto is TallyParallelContext drawing a single-worker run tally into
-// spare's storage: spare's runs are truncated and their slices refilled, so
-// a caller that keeps the tally its last answer was written from (when it
-// is Reusable) allocates no run for the next. spare may be nil; nothing may
-// read it after the call.
-func TallyInto(ctx context.Context, s Sampler, seed uint64, shots, workers int, spare *Tally) (*Tally, error) {
+// writer) and so need no map. A single-worker run tally is drawn into
+// spare's storage: spare's runs are truncated and their slices refilled,
+// so a caller that keeps the tally its last answer was written from (when
+// it is Reusable) allocates no run for the next. spare may be nil, else it
+// must be Reusable; nothing may read it after the call.
+func TallyParallelContext(ctx context.Context, s Sampler, seed uint64, shots, workers int, spare *Tally) (*Tally, error) {
 	return tallyParallel(ctx, s, seed, shots, workers, tallyDense(s.Qubits(), shots), spare)
 }
 
-// tallyParallel is TallyInto's body, tallying densely or not as asked.
+// tallyParallel is TallyParallelContext's body, tallying densely or not as asked.
 // Each worker tallies into its own Tally of the batch's representation; the
 // parts are merged by element-wise addition (dense) or by taking over their
 // runs, one per chunk, so the counts do not depend on which worker drew
@@ -440,7 +435,7 @@ func tallyParallel(ctx context.Context, s Sampler, seed uint64, shots, workers i
 	}
 	wg.Wait()
 	for _, p := range parts[1:] {
-		parts[0].absorb(p)
+		parts[0].Add(p)
 	}
 	for _, err := range errs {
 		if err != nil {

@@ -24,16 +24,15 @@ func tallyDense(qubits, shots int) bool {
 // count-producing call: a dense []uint32 (the per-shot add is one
 // increment) for a batch that passes tallyDense, else one run per chunk,
 // which the split fills in ascending index order (see
-// FrozenSampler.splitNode), or one run in all when Add fills it. Ascending
-// and Map read either alike.
+// FrozenSampler.splitNode). Ascending and Map read either alike.
 type Tally struct {
 	dense []uint32 // counts by index; nil when the tally is runs
 	runs  []run
 }
 
 // run is strictly ascending indices and their positive counts, in
-// parallel: a chunk's, or the merge of several (Add). Indices past len(n)
-// are single shots awaiting settle.
+// parallel: a chunk's, or the merge of several (Accumulate). Indices past
+// len(n) are single shots awaiting settle.
 type run struct {
 	idx []uint64
 	n   []uint32
@@ -66,19 +65,21 @@ func (t *Tally) newRun(hint int) {
 }
 
 // reuse returns an empty tally over qubits, dense or not as asked, drawn
-// into t's run storage when t is a run tally: its runs are truncated, and
-// newRun refills their slices. t may be nil, and no one may read it after.
+// into t's run storage for a run tally: t's runs are truncated, and newRun
+// refills their slices. t must be nil or a run tally, and no one may read
+// it after.
 func (t *Tally) reuse(qubits int, dense bool) *Tally {
-	if t == nil || dense || t.dense != nil {
+	if t == nil || dense {
 		return newTally(qubits, dense)
 	}
 	t.runs = t.runs[:0]
 	return t
 }
 
-// Reusable reports whether t may be handed back to TallyInto as spare
-// storage: a run tally of at most one run, so at most one chunk's worth.
-// A dense tally, or one that holds several chunks' runs, is not kept.
+// Reusable reports whether t may be handed back to TallyParallelContext as
+// spare storage: a run tally of at most one run, so at most one chunk's
+// worth. A dense tally, or one that holds several chunks' runs, is not
+// kept.
 func (t *Tally) Reusable() bool { return t.dense == nil && len(t.runs) <= 1 }
 
 // add counts idx n times: a run tally appends it above its last run's
@@ -181,60 +182,59 @@ func batcher(n int) (net []uint8) {
 	return net
 }
 
-// Add adds p's counts into t, p counting outcomes of t's register:
-// element-wise for two dense tallies, through p's Ascending pairs into a
-// dense t, and into a run t by merging its run and p's pairs into one
-// ascending run, so a run tally that only Add fills holds each outcome
-// once. p does not change.
+// Add adds p's counts into t: element-wise for two dense tallies, by taking
+// over p's runs (so p must not change afterwards) for two run tallies, and
+// through p's Ascending pairs across representations. p counts outcomes of
+// t's register.
 func (t *Tally) Add(p *Tally) {
 	switch {
 	case t.dense != nil && p.dense != nil:
 		for idx, n := range p.dense {
 			t.dense[idx] += n
 		}
-	case t.dense != nil:
-		p.Ascending(t.add)
+	case t.dense == nil && p.dense == nil:
+		t.runs = append(t.runs, p.runs...)
 	default:
-		t.merge(p)
+		t.newRun(0)
+		p.Ascending(t.add)
 	}
 }
 
-// merge replaces run tally t's runs by one new run that merges them with
-// p's pairs.
-func (t *Tally) merge(p *Tally) {
-	if len(t.runs) > 1 {
-		var one Tally
-		one.merge(t)
-		t.runs = one.runs
+// accRunShare bounds a run total that Accumulate keeps over a register it
+// may tally densely: one run of at most 2^qubits/accRunShare entries.
+const accRunShare = 16
+
+// Accumulate adds p's counts into acc, a running total over qubits that
+// many chunks' tallies are added into (a job's), and returns the total:
+// acc, or a dense tally that replaces it. A dense total, or one over a
+// register wider than denseMaxQubits, is acc.Add(p), so adding a chunk
+// costs what the chunk holds. Otherwise a run total stays one ascending
+// run, rebuilt as the merge of it and p, while the two hold at most
+// 2^qubits/accRunShare entries, and then turns dense for good. Readers
+// scan the whole total, and one run reads an entry in about a nanosecond
+// where several runs merge through Ascending's heap at about 17; the
+// bound keeps a merge under a sixteenth of the dense array's counters and
+// the run under a fifth of its bytes. The total's shots must stay below
+// 2^32.
+func Accumulate(acc, p *Tally, qubits int) *Tally {
+	if acc.dense != nil || qubits > denseMaxQubits {
+		acc.Add(p)
+		return acc
 	}
-	var old run
-	if len(t.runs) > 0 {
-		old = t.runs[0]
+	size := acc.Len() + p.Len()
+	if p.dense != nil || size > 1<<uint(qubits)/accRunShare {
+		d := newTally(qubits, true)
+		d.Add(acc)
+		d.Add(p)
+		return d
 	}
-	size := len(old.idx) + p.Len()
 	m := run{make([]uint64, 0, size), make([]uint32, 0, size)}
-	i := 0
-	p.Ascending(func(idx uint64, n int) {
-		for ; i < len(old.idx) && old.idx[i] < idx; i++ {
-			m.idx, m.n = append(m.idx, old.idx[i]), append(m.n, old.n[i])
-		}
-		if i < len(old.idx) && old.idx[i] == idx {
-			n += int(old.n[i])
-			i++
-		}
+	both := Tally{runs: append(slices.Clip(acc.runs), p.runs...)}
+	both.Ascending(func(idx uint64, n int) {
 		m.idx, m.n = append(m.idx, idx), append(m.n, uint32(n))
 	})
-	m.idx, m.n = append(m.idx, old.idx[i:]...), append(m.n, old.n[i:]...)
-	t.runs = append(t.runs[:0], m)
-}
-
-// absorb adds p's counts into t, both of one representation: element-wise
-// when dense, else by taking over p's runs, so p must not change after.
-func (t *Tally) absorb(p *Tally) {
-	for idx, n := range p.dense {
-		t.dense[idx] += n
-	}
-	t.runs = append(t.runs, p.runs...)
+	acc.runs = append(acc.runs[:0], m)
+	return acc
 }
 
 // Len returns how many (index, count) entries the tally holds: its

@@ -143,7 +143,7 @@ func TestTallyDenseMatchesRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		shots := 1 << 20
-		tally, err := TallyParallelContext(context.Background(), fs, 8, shots, 2)
+		tally, err := TallyParallelContext(context.Background(), fs, 8, shots, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func TestTallyDenseCancellation(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		s := &cancelAfter{Sampler: fs, limit: ChunkShots + 700, cancel: cancel}
-		tally, err := TallyParallelContext(ctx, s, 3, shots, workers)
+		tally, err := TallyParallelContext(ctx, s, 3, shots, workers, nil)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -330,8 +330,7 @@ func TestTallyDensePanicBecomesError(t *testing.T) {
 // TestTallyAddAcrossRepresentations: Add merges one chunk's tally into
 // another's, dense into runs, runs into dense, dense into dense and runs
 // into runs, and each sum equals the reference splitter's counts of both chunks
-// while keeping the receiver's representation; a run receiver ends as one
-// strictly ascending run.
+// while keeping the receiver's representation.
 func TestTallyAddAcrossRepresentations(t *testing.T) {
 	vec, _ := frozenRandomVector(10, 17)
 	live, fs := liveVector(t, vec, dd.NormL2Phase)
@@ -348,13 +347,55 @@ func TestTallyAddAcrossRepresentations(t *testing.T) {
 			if !maps.Equal(sum.Map(), want) {
 				t.Errorf("dense=%v += dense=%v: sum differs from the per-shot reference", dst, src)
 			}
-			if !dst {
-				checkRuns(t, fmt.Sprintf("runs += dense=%v", src), sum, 2*shots)
-				if len(sum.runs) != 1 {
-					t.Errorf("runs += dense=%v: %d runs, want one", src, len(sum.runs))
+		}
+	}
+}
+
+// TestAccumulate: a run total over a register Accumulate may tally densely
+// stays one strictly ascending run while it and the part it adds hold at
+// most 2^qubits/accRunShare entries, and turns dense once they hold more
+// or the part is dense; over a wider register it takes over each part's
+// runs. Its counts are the parts' sum throughout.
+func TestAccumulate(t *testing.T) {
+	// Part i counts 3i, 3i+1, 3i+2 and 250: three new outcomes and one
+	// that every part repeats.
+	part := func(i int) *Tally {
+		return TallyRun([]uint64{uint64(3 * i), uint64(3*i + 1), uint64(3*i + 2), 250}, []uint32{1, 2, 3, 4})
+	}
+	for _, qubits := range []int{8, denseMaxQubits + 1} {
+		acc, want := NewTally(qubits, 1), map[uint64]int{}
+		for i := 0; i < 8; i++ {
+			p := part(i)
+			wantDense := qubits <= denseMaxQubits && (acc.dense != nil || acc.Len()+p.Len() > 1<<qubits/accRunShare)
+			MergeCounts(want, p.Map())
+			acc = Accumulate(acc, p, qubits)
+			name := fmt.Sprintf("%d qubits, part %d", qubits, i)
+			if !maps.Equal(acc.Map(), want) {
+				t.Fatalf("%s: total differs from the parts' sum", name)
+			}
+			switch {
+			case wantDense:
+				if acc.dense == nil {
+					t.Fatalf("%s: total of %d entries is still runs, want dense", name, acc.Len())
+				}
+			case qubits <= denseMaxQubits:
+				checkRuns(t, name, acc, -1)
+				if len(acc.runs) != 1 || acc.Len() != len(want) {
+					t.Fatalf("%s: %d runs of %d entries, want one run of the %d outcomes", name, len(acc.runs), acc.Len(), len(want))
+				}
+			default:
+				checkRuns(t, name, acc, -1)
+				if len(acc.runs) != i+1 {
+					t.Fatalf("%s: %d runs, want one per part", name, len(acc.runs))
 				}
 			}
 		}
+	}
+	dense := NewTally(8, 1<<8)
+	dense.add(7, 5)
+	if acc := Accumulate(Accumulate(NewTally(8, 1), part(0), 8), dense, 8); acc.dense == nil ||
+		!maps.Equal(acc.Map(), map[uint64]int{0: 1, 1: 2, 2: 3, 7: 5, 250: 4}) {
+		t.Fatalf("a dense part: total %v (dense %v), want the dense sum", acc.Map(), acc.dense != nil)
 	}
 }
 

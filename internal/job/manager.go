@@ -354,8 +354,9 @@ func (m *Manager) chunkTargetLocked(id string, chunk, shots int) *jobState {
 
 // newCounts returns an empty accumulator for spec's chunks in their
 // representation, by core.NewTally's rule at chunk 0's quota, the largest:
-// dense only when the chunks are, else one ascending run that every chunk
-// merges into (core.Tally.Add), so it holds each outcome once.
+// dense when the chunks are, else runs that every chunk is added into by
+// core.Accumulate, which keeps them one ascending run until they would
+// cost more than a dense array.
 func newCounts(spec *Spec) *core.Tally {
 	return core.NewTally(spec.Qubits, spec.ChunkShotCount(0))
 }
@@ -365,7 +366,7 @@ func replayChunk(j *jobState, chunk, shots int, counts *core.Tally) {
 	j.done[chunk] = true
 	j.chunksDone++
 	j.shotsDone += shots
-	j.counts.Add(counts)
+	j.counts = core.Accumulate(j.counts, counts, j.spec.Qubits)
 }
 
 // doneSet marks chunks done among spec's chunks, skipping any out of range
@@ -387,8 +388,7 @@ func doneSet(spec Spec, chunks []int) (done []bool, chunksDone, shotsDone int) {
 // checkpoint is the full merged state at compaction time, not a delta: it
 // supersedes, never merges.
 func replayCheckpoint(j *jobState, done []bool, chunksDone, shotsDone int, counts *core.Tally) {
-	j.counts = newCounts(&j.spec)
-	j.counts.Add(counts)
+	j.counts = core.Accumulate(newCounts(&j.spec), counts, j.spec.Qubits)
 	j.done, j.chunksDone, j.shotsDone = done, chunksDone, shotsDone
 }
 
@@ -925,7 +925,7 @@ func (m *Manager) commitChunk(j *jobState, chunk, shots int, counts *core.Tally)
 	j.chunksDone++
 	j.executed++
 	j.shotsDone += shots
-	j.counts.Add(counts)
+	j.counts = core.Accumulate(j.counts, counts, j.spec.Qubits)
 	sp.End(nil)
 	j.updatedMS = time.Now().UnixMilli()
 	m.mChunks.Inc()

@@ -183,12 +183,12 @@ func TestInMemoryJobSkipsWALRecords(t *testing.T) {
 	}
 }
 
-// TestDenseJobTallyMergesMapChunks: a 16-qubit job of 2·65,536+5 shots
-// tallies densely, as its two full chunks do, while its 5-shot last chunk
-// tallies into a run; the job's result equals Σᵢ TallyChunk(seed, i,
-// quota) all the same.
+// TestDenseJobTallyMergesMapChunks: a 17-qubit job of 2·65,536+5 shots
+// tallies densely while each of its chunks, 2^17 outcomes over at most
+// 65,536 shots, tallies into a map; the job's result equals
+// Σᵢ TallyChunk(seed, i, quota) all the same.
 func TestDenseJobTallyMergesMapChunks(t *testing.T) {
-	const qubits = 16
+	const qubits = 17
 	spec := testSpec("jdense", 2*DefaultChunkShots+5, DefaultChunkShots)
 	spec.Qubits = qubits
 	want := map[uint64]int{}
@@ -576,5 +576,98 @@ func TestRunJobAccumulator(t *testing.T) {
 	sum := sha256.Sum256(checkpointRun(spec.ID, nil, spec.Shots, got).Payload)
 	if digest := hex.EncodeToString(sum[:]); digest != shorJobDigest {
 		t.Errorf("result pairs hash to %s, want %s", digest, shorJobDigest)
+	}
+}
+
+// TestJobAccumulatorRule: a job's counts equal the sum of its chunks'
+// tallies whatever its accumulator (core.Accumulate). A 20-qubit job of
+// uniform outcomes, four 65,536-shot chunks, outgrows one run of 2^20/16
+// entries and ends dense: as many entries as distinct outcomes, not
+// Reusable. A 24-qubit job of the same shots, too wide for a dense tally,
+// takes over each chunk's run as it commits: as many entries as its
+// chunks' tallies hold in all.
+func TestJobAccumulatorRule(t *testing.T) {
+	for _, tc := range []struct {
+		qubits int
+		dense  bool
+	}{{20, true}, {24, false}} {
+		spec := testSpec(fmt.Sprintf("jq%d", tc.qubits), 4*DefaultChunkShots, DefaultChunkShots)
+		spec.Qubits = tc.qubits
+		want, entries := map[uint64]int{}, 0
+		for i := 0; i < spec.ChunksTotal(); i++ {
+			chunk, err := core.TallyChunk(context.Background(), fakeSampler{tc.qubits}, spec.Seed, i, spec.ChunkShotCount(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			core.MergeCounts(want, chunk.Map())
+			entries += chunk.Len()
+		}
+		m := startManager(t, Config{Snapshot: fakeProvider(tc.qubits, 0)})
+		if _, err := m.Submit(spec); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		waitFor(t, m, spec.ID, completed)
+		got, _, err := m.Result(spec.ID)
+		if err != nil {
+			t.Fatalf("Result: %v", err)
+		}
+		if !reflect.DeepEqual(got.Map(), want) {
+			t.Fatalf("%d qubits: job result differs from the sum of its chunks' tallies", tc.qubits)
+		}
+		wantLen := entries
+		if tc.dense {
+			wantLen = len(want)
+		}
+		if got.Len() != wantLen || got.Reusable() {
+			t.Errorf("%d qubits: accumulator holds %d entries (one run: %v), want %d in dense=%v",
+				tc.qubits, got.Len(), got.Reusable(), wantLen, tc.dense)
+		}
+	}
+}
+
+// BenchmarkJobAccumulator runs one in-memory job per op to its terminal
+// event, with a subscriber reading every progress event (each a scan of
+// the accumulator for its top counts): a 512k-shot shor_33_2 job, whose
+// outcomes concentrate on a few thousand of its 2^18 states, and
+// 1M-shot jobs of uniform outcomes (fakeSampler) over 18, 20 and 24
+// qubits, whose chunks each hold about 65,000 outcomes. B/op includes the
+// accumulator.
+func BenchmarkJobAccumulator(b *testing.B) {
+	shor := frozenSampler(b, "shor_33_2")
+	for _, tc := range []struct {
+		name   string
+		qubits int
+		shots  int
+		s      core.Sampler
+	}{
+		{"shor_33_2", shor.Qubits(), 8 * DefaultChunkShots, shor},
+		{"uniform_18", 18, 16 * DefaultChunkShots, fakeSampler{18}},
+		{"uniform_20", 20, 16 * DefaultChunkShots, fakeSampler{20}},
+		{"uniform_24", 24, 16 * DefaultChunkShots, fakeSampler{24}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			m := NewManager(Config{Snapshot: func(context.Context, Spec) (core.Sampler, error) { return tc.s, nil }})
+			if err := m.Start(); err != nil {
+				b.Fatal(err)
+			}
+			defer m.Stop(context.Background())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st, err := m.Submit(Spec{Circuit: tc.name, Key: "k", Qubits: tc.qubits, Shots: tc.shots, Seed: uint64(i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				ch, cancel, err := m.Subscribe(st.ID)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for ev := range ch {
+					if ev.Terminal && ev.State != StateCompleted {
+						b.Fatalf("job ended %s: %s", ev.State, ev.Error)
+					}
+				}
+				cancel()
+			}
+		})
 	}
 }

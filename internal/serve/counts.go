@@ -42,8 +42,9 @@ var byteBits = func() (t [256][8]byte) {
 const countsFlushBytes = 32 << 10
 
 // tallies holds the tallies answers were written from, once written, for
-// the next answer to draw into (core.TallyInto): only Reusable ones, at
-// most one chunk's run each, so a warm answer allocates no run.
+// the next answer to draw into (core.TallyParallelContext's spare): only
+// Reusable ones, at most one chunk's run each, so a warm answer allocates
+// no run.
 var tallies sync.Pool
 
 // countsBufs recycles writeCounts' buffers, countsFlushBytes and the one

@@ -220,7 +220,7 @@ func TestCountsEncodeAllocsPerResponse(t *testing.T) {
 	}
 	var allocs []float64
 	for _, shots := range []int{1 << 10, 1 << 16, 1 << 18} {
-		tally, err := core.TallyParallelContext(context.Background(), ent.sampler, 3, shots, 2)
+		tally, err := core.TallyParallelContext(context.Background(), ent.sampler, 3, shots, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func TestWarmAnswerBytes(t *testing.T) {
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tally, err := core.TallyParallelContext(context.Background(), ent.sampler, uint64(i), 1024, 1)
+			tally, err := core.TallyParallelContext(context.Background(), ent.sampler, uint64(i), 1024, 1, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -437,7 +437,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	// bit, at any cache temperature and worker count.
 	sp = obs.StartSpan(s.cfg.Metrics, rt, obs.PhaseSample)
 	spare, _ := tallies.Get().(*core.Tally)
-	tally, err := core.TallyInto(ctx, ent.sampler, req.seed, req.shots, req.workers, spare)
+	tally, err := core.TallyParallelContext(ctx, ent.sampler, req.seed, req.shots, req.workers, spare)
 	if err != nil {
 		sp.End(errAttrs(err))
 		s.sampleError(w, err)
