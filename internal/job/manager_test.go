@@ -183,33 +183,54 @@ func TestInMemoryJobSkipsWALRecords(t *testing.T) {
 	}
 }
 
-// TestDenseJobTallyMergesMapChunks: a 17-qubit job of 2·65,536+5 shots
-// tallies densely while each of its chunks, 2^17 outcomes over at most
-// 65,536 shots, tallies into a map; the job's result equals
-// Σᵢ TallyChunk(seed, i, quota) all the same.
+// TestDenseJobTallyMergesMapChunks: a job's result equals Σᵢ
+// TallyChunk(seed, i, quota) whatever its accumulator (core.Accumulate),
+// for jobs of uniform outcomes whose chunks tally into runs. A 17-qubit
+// job of 2·65,536+5 shots and a 20-qubit job of 4·65,536 outgrow one run
+// of 2^n/16 entries and end dense: as many entries as distinct outcomes,
+// not Reusable. A 24-qubit job of 4·65,536 shots, too wide for a dense
+// tally, takes over each chunk's run as it commits: as many entries as
+// its chunks' tallies hold in all.
 func TestDenseJobTallyMergesMapChunks(t *testing.T) {
-	const qubits = 17
-	spec := testSpec("jdense", 2*DefaultChunkShots+5, DefaultChunkShots)
-	spec.Qubits = qubits
-	want := map[uint64]int{}
-	for i := 0; i < spec.ChunksTotal(); i++ {
-		chunk, err := core.TallyChunk(context.Background(), fakeSampler{qubits}, spec.Seed, i, spec.ChunkShotCount(i))
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		qubits, shots int
+		dense         bool
+	}{
+		{17, 2*DefaultChunkShots + 5, true},
+		{20, 4 * DefaultChunkShots, true},
+		{24, 4 * DefaultChunkShots, false},
+	} {
+		spec := testSpec(fmt.Sprintf("jq%d", tc.qubits), tc.shots, DefaultChunkShots)
+		spec.Qubits = tc.qubits
+		want, entries := map[uint64]int{}, 0
+		for i := 0; i < spec.ChunksTotal(); i++ {
+			chunk, err := core.TallyChunk(context.Background(), fakeSampler{tc.qubits}, spec.Seed, i, spec.ChunkShotCount(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			core.MergeCounts(want, chunk.Map())
+			entries += chunk.Len()
 		}
-		core.MergeCounts(want, chunk.Map())
-	}
-	m := startManager(t, Config{Snapshot: fakeProvider(qubits, 0)})
-	if _, err := m.Submit(spec); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	waitFor(t, m, spec.ID, completed)
-	got, _, err := m.Result(spec.ID)
-	if err != nil {
-		t.Fatalf("Result: %v", err)
-	}
-	if !reflect.DeepEqual(got.Map(), want) {
-		t.Errorf("dense job result differs from the sum of its chunks' tallies")
+		m := startManager(t, Config{Snapshot: fakeProvider(tc.qubits, 0)})
+		if _, err := m.Submit(spec); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		waitFor(t, m, spec.ID, completed)
+		got, _, err := m.Result(spec.ID)
+		if err != nil {
+			t.Fatalf("Result: %v", err)
+		}
+		if !reflect.DeepEqual(got.Map(), want) {
+			t.Fatalf("%d qubits: job result differs from the sum of its chunks' tallies", tc.qubits)
+		}
+		wantLen := entries
+		if tc.dense {
+			wantLen = len(want)
+		}
+		if got.Len() != wantLen || got.Reusable() {
+			t.Errorf("%d qubits: accumulator holds %d entries (one run: %v), want %d in dense=%v",
+				tc.qubits, got.Len(), got.Reusable(), wantLen, tc.dense)
+		}
 	}
 }
 
@@ -576,52 +597,6 @@ func TestRunJobAccumulator(t *testing.T) {
 	sum := sha256.Sum256(checkpointRun(spec.ID, nil, spec.Shots, got).Payload)
 	if digest := hex.EncodeToString(sum[:]); digest != shorJobDigest {
 		t.Errorf("result pairs hash to %s, want %s", digest, shorJobDigest)
-	}
-}
-
-// TestJobAccumulatorRule: a job's counts equal the sum of its chunks'
-// tallies whatever its accumulator (core.Accumulate). A 20-qubit job of
-// uniform outcomes, four 65,536-shot chunks, outgrows one run of 2^20/16
-// entries and ends dense: as many entries as distinct outcomes, not
-// Reusable. A 24-qubit job of the same shots, too wide for a dense tally,
-// takes over each chunk's run as it commits: as many entries as its
-// chunks' tallies hold in all.
-func TestJobAccumulatorRule(t *testing.T) {
-	for _, tc := range []struct {
-		qubits int
-		dense  bool
-	}{{20, true}, {24, false}} {
-		spec := testSpec(fmt.Sprintf("jq%d", tc.qubits), 4*DefaultChunkShots, DefaultChunkShots)
-		spec.Qubits = tc.qubits
-		want, entries := map[uint64]int{}, 0
-		for i := 0; i < spec.ChunksTotal(); i++ {
-			chunk, err := core.TallyChunk(context.Background(), fakeSampler{tc.qubits}, spec.Seed, i, spec.ChunkShotCount(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			core.MergeCounts(want, chunk.Map())
-			entries += chunk.Len()
-		}
-		m := startManager(t, Config{Snapshot: fakeProvider(tc.qubits, 0)})
-		if _, err := m.Submit(spec); err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-		waitFor(t, m, spec.ID, completed)
-		got, _, err := m.Result(spec.ID)
-		if err != nil {
-			t.Fatalf("Result: %v", err)
-		}
-		if !reflect.DeepEqual(got.Map(), want) {
-			t.Fatalf("%d qubits: job result differs from the sum of its chunks' tallies", tc.qubits)
-		}
-		wantLen := entries
-		if tc.dense {
-			wantLen = len(want)
-		}
-		if got.Len() != wantLen || got.Reusable() {
-			t.Errorf("%d qubits: accumulator holds %d entries (one run: %v), want %d in dense=%v",
-				tc.qubits, got.Len(), got.Reusable(), wantLen, tc.dense)
-		}
 	}
 }
 

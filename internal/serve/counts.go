@@ -64,25 +64,30 @@ func (c countsJSON) stream(buf []byte, w io.Writer) ([]byte, error) {
 	sep := false
 	top := c.qubits % 8 // the bits above the last whole byte
 	c.tally.Ascending(func(idx uint64, n int) {
+		// b is the closure's own: appending to the captured buf would store
+		// its pointer through the closure's reference at every append, each
+		// store a write barrier while the collector marks.
+		b := buf
 		if sep {
-			buf = append(buf, ',')
+			b = append(b, ',')
 		}
 		sep = true
-		buf = append(buf, '"')
+		b = append(b, '"')
 		if top > 0 {
-			buf = append(buf, byteBits[byte(idx>>(c.qubits-top))][8-top:]...)
+			b = append(b, byteBits[byte(idx>>(c.qubits-top))][8-top:]...)
 		}
 		for shift := c.qubits - top - 8; shift >= 0; shift -= 8 {
-			buf = append(buf, byteBits[byte(idx>>shift)][:]...)
+			b = append(b, byteBits[byte(idx>>shift)][:]...)
 		}
-		buf = append(buf, '"', ':')
-		buf = strconv.AppendInt(buf, int64(n), 10)
-		if w != nil && len(buf) >= countsFlushBytes {
+		b = append(b, '"', ':')
+		b = strconv.AppendInt(b, int64(n), 10)
+		if w != nil && len(b) >= countsFlushBytes {
 			if err == nil {
-				_, err = w.Write(buf)
+				_, err = w.Write(b)
 			}
-			buf = buf[:0]
+			b = b[:0]
 		}
+		buf = b
 	})
 	return append(buf, '}'), err
 }
