@@ -29,10 +29,11 @@
 #                     root `go test ./...` never builds, against the library
 #                     API it compiles with
 #   make job-gate     durable batch-job e2e: build the real weaksimd binary,
-#                     SIGKILL it mid-run, restart, and assert every job
-#                     finishes with counts bit-identical to an uninterrupted
-#                     reference run and at most one re-sampled chunk per job
-#                     (see cmd/jobgate)
+#                     SIGKILL it mid-run (its chunks stretched by a fault
+#                     latency, so the kill window is fixed), restart, and
+#                     assert every job finishes with counts bit-identical
+#                     to an uninterrupted reference run and at most one
+#                     re-sampled chunk per job (see cmd/jobgate)
 #   make lint         go vet plus staticcheck (when installed; CI pins
 #                     STATICCHECK_VERSION)
 #
@@ -223,7 +224,10 @@ cluster-gate:
 # Durable batch-job e2e gate: build weaksimd, run three jobs uninterrupted
 # for reference counts, SIGKILL a second daemon mid-run, restart it on the
 # same WAL dir, and assert all jobs complete bit-identically with at most
-# one re-sampled chunk per job. See cmd/jobgate.
+# one re-sampled chunk per job. Only the killed daemon runs armed, with
+# job.chunk.sample:latency(20ms), so the kill lands mid-run however loaded
+# the host is; a chunk's frame is written as soon as it is drawn, so group
+# commit does not widen what a kill loses. See cmd/jobgate.
 job-gate:
 	$(GO) run ./cmd/jobgate
 

@@ -10,7 +10,10 @@
 //     counts are the ground truth;
 //   - kill: a fresh daemon on a fresh -jobs-dir gets the same three
 //     submissions and is SIGKILLed once every job has checkpointed at
-//     least minChunksAtKill chunks but none has finished;
+//     least minChunksAtKill chunks but none has finished. This daemon
+//     alone runs with every chunk stretched by victimFault, so the window
+//     between those two events is set by the gate, not by how fast the
+//     host draws chunks or schedules the jobs;
 //   - resume: a third daemon boots on the killed daemon's -jobs-dir,
 //     replays the WAL (including whatever torn tail the kill left),
 //     resumes all three jobs, and must finish them with counts
@@ -42,13 +45,21 @@ const (
 	// minChunksAtKill is how many checkpoints every job must have before
 	// the SIGKILL: enough that a resume demonstrably reuses prior work.
 	minChunksAtKill = 3
-	pollEvery       = 2 * time.Millisecond
-	phaseTimeout    = 60 * time.Second
+	// victimFault sleeps before every chunk of the daemon that is killed.
+	// Two workers then need at least about 90 ms for every job to reach
+	// minChunksAtKill chunks, and the 31-chunk job at least 620 ms to
+	// finish, so the kill lands in a window of half a second whatever the
+	// host's load. Contended chunks commit alone (group commit batches a
+	// job's chunks only while no other job is runnable), so each one is a
+	// checkpoint the gate can observe.
+	victimFault  = "job.chunk.sample:latency(20ms)"
+	pollEvery    = 2 * time.Millisecond
+	phaseTimeout = 60 * time.Second
 )
 
-// jobSubmit describes one of the gate's three jobs. Shots are tuned so each
-// job runs hundreds of milliseconds across tens of 65,536-shot chunks (62,
-// 46 and 31) — slow enough to kill mid-run reliably, fast enough for CI.
+// jobSubmit describes one of the gate's three jobs, of tens of 65,536-shot
+// chunks each (62, 46 and 31): enough that victimFault opens a wide kill
+// window, few enough that the unarmed runs finish in well under a second.
 // Each job has a tenant of its own, so fair share advances all three
 // together: within one tenant a higher-priority job would run first, and
 // with equal chunk sizes the other job there could stall until it is done.
@@ -92,13 +103,15 @@ type daemon struct {
 }
 
 // startDaemon launches the built weaksimd on an ephemeral port with the
-// given jobs dir and waits for its "listening on" line.
-func startDaemon(bin, jobsDir string) (*daemon, error) {
+// given jobs dir and fault spec (empty: unarmed), and waits for its
+// "listening on" line.
+func startDaemon(bin, jobsDir, faultSpec string) (*daemon, error) {
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
 		"-jobs-dir", jobsDir,
 		"-job-workers", "2",
 		"-drain-timeout", "30s")
+	cmd.Env = append(os.Environ(), "WEAKSIM_FAULT="+faultSpec)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -255,7 +268,7 @@ func gate() error {
 	// Phase 1 — reference: uninterrupted run, ground-truth counts.
 	fmt.Println("job-gate: phase 1: uninterrupted reference run")
 	refDir := filepath.Join(work, "ref")
-	ref, err := startDaemon(bin, refDir)
+	ref, err := startDaemon(bin, refDir, "")
 	if err != nil {
 		return err
 	}
@@ -287,7 +300,7 @@ func gate() error {
 	// checkpointed progress and none has finished.
 	fmt.Println("job-gate: phase 2: SIGKILL mid-run")
 	liveDir := filepath.Join(work, "live")
-	victim, err := startDaemon(bin, liveDir)
+	victim, err := startDaemon(bin, liveDir, victimFault)
 	if err != nil {
 		return err
 	}
@@ -344,7 +357,7 @@ func gate() error {
 	// Phase 3 — resume: a fresh daemon on the same dir must finish every
 	// job bit-identically with at most the in-flight chunk re-sampled.
 	fmt.Println("job-gate: phase 3: restart and resume")
-	resumed, err := startDaemon(bin, liveDir)
+	resumed, err := startDaemon(bin, liveDir, "")
 	if err != nil {
 		return err
 	}

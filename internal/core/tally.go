@@ -24,7 +24,8 @@ func tallyDense(qubits, shots int) bool {
 // count-producing call: a dense []uint32 (the per-shot add is one
 // increment) for a batch that passes tallyDense, else one run per chunk,
 // which the split fills in ascending index order (see
-// FrozenSampler.splitNode). Ascending and Map read either alike.
+// FrozenSampler.splitNode), or fewer once merged (Accumulate). Ascending
+// and Map read either alike.
 type Tally struct {
 	dense []uint32 // counts by index; nil when the tally is runs
 	runs  []run
@@ -36,6 +37,9 @@ type Tally struct {
 type run struct {
 	idx []uint64
 	n   []uint32
+	// rank is log₂ of how many adds a wide total's run merges (Accumulate):
+	// 0 for a run as drawn.
+	rank uint8
 }
 
 // NewTally returns an empty tally for shots samples over qubits, dense or
@@ -52,7 +56,7 @@ func newTally(qubits int, dense bool) *Tally {
 
 // TallyRun wraps strictly ascending indices and their positive counts as a
 // one-run Tally, without copying them.
-func TallyRun(idx []uint64, n []uint32) *Tally { return &Tally{runs: []run{{idx, n}}} }
+func TallyRun(idx []uint64, n []uint32) *Tally { return &Tally{runs: []run{{idx: idx, n: n}}} }
 
 // newRun starts a run tally's next run with room for hint outcomes,
 // reusing the storage of a slot that reuse truncated away.
@@ -206,19 +210,37 @@ const accRunShare = 16
 
 // Accumulate adds p's counts into acc, a running total over qubits that
 // many chunks' tallies are added into (a job's), and returns the total:
-// acc, or a dense tally that replaces it. A dense total, or one over a
-// register wider than denseMaxQubits, is acc.Add(p), so adding a chunk
-// costs what the chunk holds. Otherwise a run total stays one ascending
-// run, rebuilt as the merge of it and p, while the two hold at most
-// 2^qubits/accRunShare entries, and then turns dense for good. Readers
-// scan the whole total, and one run reads an entry in about a nanosecond
-// where several runs merge through Ascending's heap at about 17; the
-// bound keeps a merge under a sixteenth of the dense array's counters and
-// the run under a fifth of its bytes. The total's shots must stay below
-// 2^32.
+// acc, or a dense tally that replaces it. Readers scan the whole total,
+// and one run reads an entry in about a nanosecond where several runs
+// merge through Ascending's heap at about 17, so a run total is kept in
+// few runs:
+//
+//   - a dense total is acc.Add(p);
+//   - over a register wider than denseMaxQubits, p's run is appended and
+//     the runs merge in binary-counter order: two runs that each merge
+//     2^r adds become one of 2^(r+1). After c adds the total holds one
+//     run per set bit of c, at most ⌊log₂ c⌋+1, and each entry is
+//     rewritten at most log₂ c times;
+//   - otherwise the total stays one ascending run, rebuilt as the merge of
+//     it and p, while the two hold at most 2^qubits/accRunShare entries,
+//     and then turns dense for good. The bound keeps a merge under a
+//     sixteenth of the dense array's counters and the run under a fifth of
+//     its bytes.
+//
+// The total's shots must stay below 2^32.
 func Accumulate(acc, p *Tally, qubits int) *Tally {
-	if acc.dense != nil || qubits > denseMaxQubits {
+	if acc.dense != nil {
 		acc.Add(p)
+		return acc
+	}
+	if qubits > denseMaxQubits {
+		acc.Add(p)
+		for k := len(acc.runs); k >= 2 && acc.runs[k-1].rank == acc.runs[k-2].rank; k-- {
+			last := acc.runs[k-2 : k]
+			m := mergeRuns(last, len(last[0].idx)+len(last[1].idx))
+			m.rank = last[0].rank + 1
+			acc.runs = append(acc.runs[:k-2], m)
+		}
 		return acc
 	}
 	size := acc.Len() + p.Len()
@@ -228,13 +250,18 @@ func Accumulate(acc, p *Tally, qubits int) *Tally {
 		d.Add(p)
 		return d
 	}
-	m := run{make([]uint64, 0, size), make([]uint32, 0, size)}
-	both := Tally{runs: append(slices.Clip(acc.runs), p.runs...)}
-	both.Ascending(func(idx uint64, n int) {
+	acc.runs = append(acc.runs[:0], mergeRuns(append(slices.Clip(acc.runs), p.runs...), size))
+	return acc
+}
+
+// mergeRuns returns the merge of runs as one ascending run, with room for
+// size entries.
+func mergeRuns(runs []run, size int) run {
+	m := run{idx: make([]uint64, 0, size), n: make([]uint32, 0, size)}
+	(&Tally{runs: runs}).Ascending(func(idx uint64, n int) {
 		m.idx, m.n = append(m.idx, idx), append(m.n, uint32(n))
 	})
-	acc.runs = append(acc.runs[:0], m)
-	return acc
+	return m
 }
 
 // Len returns how many (index, count) entries the tally holds: its
@@ -251,18 +278,43 @@ func (t *Tally) Len() int {
 }
 
 // Ascending calls f once per sampled outcome, in ascending index order,
-// with its count (always positive). Several runs merge k ways: a min-heap
-// of cursors, one per unread run, keyed by the run's head index, yields the
-// least head, and its count sums across the runs that share it.
+// with its count (always positive). Two runs merge side by side; more merge
+// k ways: a min-heap of cursors, one per unread run, keyed by the run's
+// head index, yields the least head, and its count sums across the runs
+// that share it.
 func (t *Tally) Ascending(f func(idx uint64, n int)) {
 	for idx, n := range t.dense {
 		if n != 0 {
 			f(uint64(idx), int(n))
 		}
 	}
-	if len(t.runs) == 1 {
+	switch len(t.runs) {
+	case 1:
 		for i, idx := range t.runs[0].idx {
 			f(idx, int(t.runs[0].n[i]))
+		}
+		return
+	case 2:
+		a, b := &t.runs[0], &t.runs[1]
+		i, k := 0, 0
+		for i < len(a.idx) && k < len(b.idx) {
+			switch x, y := a.idx[i], b.idx[k]; {
+			case x < y:
+				f(x, int(a.n[i]))
+				i++
+			case y < x:
+				f(y, int(b.n[k]))
+				k++
+			default:
+				f(x, int(a.n[i])+int(b.n[k]))
+				i, k = i+1, k+1
+			}
+		}
+		for ; i < len(a.idx); i++ {
+			f(a.idx[i], int(a.n[i]))
+		}
+		for ; k < len(b.idx); k++ {
+			f(b.idx[k], int(b.n[k]))
 		}
 		return
 	}

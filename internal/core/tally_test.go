@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -212,9 +216,9 @@ func (c *sharedCountdown) Err() error {
 	return nil
 }
 
-// TestTallyMergeRuns: Ascending merges runs k ways, summing an index that
-// repeats across runs and skipping empty runs; Map agrees; one run reads
-// back as is.
+// TestTallyMergeRuns: Ascending merges runs two or k ways, summing an
+// index that repeats across runs and skipping empty runs; Map agrees; one
+// run reads back as is.
 func TestTallyMergeRuns(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -222,14 +226,19 @@ func TestTallyMergeRuns(t *testing.T) {
 		want [][2]uint64
 	}{
 		{"none", nil, nil},
-		{"single", []run{{[]uint64{1, 5, 9}, []uint32{2, 1, 4}}}, [][2]uint64{{1, 2}, {5, 1}, {9, 4}}},
-		{"empty runs", []run{{}, {[]uint64{3}, []uint32{1}}, {}}, [][2]uint64{{3, 1}}},
+		{"single", []run{{idx: []uint64{1, 5, 9}, n: []uint32{2, 1, 4}}}, [][2]uint64{{1, 2}, {5, 1}, {9, 4}}},
+		{"empty runs", []run{{}, {idx: []uint64{3}, n: []uint32{1}}, {}}, [][2]uint64{{3, 1}}},
+		{"two runs", []run{
+			{idx: []uint64{1, 4, 9, 12}, n: []uint32{1, 2, 3, 1}},
+			{idx: []uint64{0, 4, 10, 11}, n: []uint32{5, 1, 1, 2}},
+		}, [][2]uint64{{0, 5}, {1, 1}, {4, 3}, {9, 3}, {10, 1}, {11, 2}, {12, 1}}},
+		{"two runs, one empty", []run{{}, {idx: []uint64{2, 7}, n: []uint32{1, 1}}}, [][2]uint64{{2, 1}, {7, 1}}},
 		{"duplicates", []run{
-			{[]uint64{1, 4, 7, 1 << 40}, []uint32{1, 1, 1, 3}},
-			{[]uint64{0, 4, 8}, []uint32{2, 5, 1}},
+			{idx: []uint64{1, 4, 7, 1 << 40}, n: []uint32{1, 1, 1, 3}},
+			{idx: []uint64{0, 4, 8}, n: []uint32{2, 5, 1}},
 			{},
-			{[]uint64{4, 7, 9, 1 << 40}, []uint32{1, 2, 1, 1}},
-			{[]uint64{2}, []uint32{6}},
+			{idx: []uint64{4, 7, 9, 1 << 40}, n: []uint32{1, 2, 1, 1}},
+			{idx: []uint64{2}, n: []uint32{6}},
 		}, [][2]uint64{{0, 2}, {1, 1}, {2, 6}, {4, 7}, {7, 3}, {8, 1}, {9, 1}, {1 << 40, 4}}},
 	} {
 		tally := &Tally{runs: tc.runs}
@@ -354,8 +363,9 @@ func TestTallyAddAcrossRepresentations(t *testing.T) {
 // TestAccumulate: a run total over a register Accumulate may tally densely
 // stays one strictly ascending run while it and the part it adds hold at
 // most 2^qubits/accRunShare entries, and turns dense once they hold more
-// or the part is dense; over a wider register it takes over each part's
-// runs. Its counts are the parts' sum throughout.
+// or the part is dense; over a wider register it holds one run per set bit
+// of the parts added (binary-counter order). Its counts are the parts' sum
+// throughout.
 func TestAccumulate(t *testing.T) {
 	// Part i counts 3i, 3i+1, 3i+2 and 250: three new outcomes and one
 	// that every part repeats.
@@ -385,8 +395,8 @@ func TestAccumulate(t *testing.T) {
 				}
 			default:
 				checkRuns(t, name, acc, -1)
-				if len(acc.runs) != i+1 {
-					t.Fatalf("%s: %d runs, want one per part", name, len(acc.runs))
+				if len(acc.runs) != bits.OnesCount(uint(i+1)) {
+					t.Fatalf("%s: %d runs, want one per set bit of %d parts", name, len(acc.runs), i+1)
 				}
 			}
 		}
@@ -396,6 +406,46 @@ func TestAccumulate(t *testing.T) {
 	if acc := Accumulate(Accumulate(NewTally(8, 1), part(0), 8), dense, 8); acc.dense == nil ||
 		!maps.Equal(acc.Map(), map[uint64]int{0: 1, 1: 2, 2: 3, 7: 5, 250: 4}) {
 		t.Fatalf("a dense part: total %v (dense %v), want the dense sum", acc.Map(), acc.dense != nil)
+	}
+}
+
+// TestAccumulateWideRuns: a 24-qubit total of 64 chunks, each one run of
+// 4,096 uniform shots, holds at most ⌈log₂ c⌉+1 runs after its c-th add,
+// their ranks strictly falling, and reads back through Ascending as the
+// bytes of a k-way merge of every chunk's run, the total a run per chunk
+// kept before binary-counter merging.
+func TestAccumulateWideRuns(t *testing.T) {
+	const qubits, chunks, shots = 24, 64, 4096
+	acc, unmerged := NewTally(qubits, shots), &Tally{}
+	for c := 1; c <= chunks; c++ {
+		r := rng.Stream(5, c)
+		draws := make([]uint64, shots)
+		for i := range draws {
+			draws[i] = r.Uint64N(1 << qubits)
+		}
+		slices.Sort(draws)
+		var chunk run
+		chunk.coalesce(draws)
+		unmerged.runs = append(unmerged.runs, chunk)
+		acc = Accumulate(acc, &Tally{runs: []run{chunk}}, qubits)
+		name := fmt.Sprintf("after %d chunks", c)
+		checkRuns(t, name, acc, c*shots)
+		if bound := bits.Len(uint(c-1)) + 1; len(acc.runs) > bound {
+			t.Fatalf("%s: %d runs, want at most %d", name, len(acc.runs), bound)
+		}
+		for k := 1; k < len(acc.runs); k++ {
+			if acc.runs[k].rank >= acc.runs[k-1].rank {
+				t.Fatalf("%s: run %d has rank %d after rank %d", name, k, acc.runs[k].rank, acc.runs[k-1].rank)
+			}
+		}
+	}
+	pairs := func(tally *Tally) []byte {
+		var b []byte
+		tally.Ascending(func(idx uint64, n int) { b = binary.AppendUvarint(binary.AppendUvarint(b, idx), uint64(n)) })
+		return b
+	}
+	if !bytes.Equal(pairs(acc), pairs(unmerged)) {
+		t.Fatal("the merged total's Ascending pairs differ from the unmerged chunks'")
 	}
 }
 

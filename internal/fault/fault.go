@@ -102,6 +102,11 @@ const (
 	// they are read and before record scanning, so replay-side corruption
 	// (quarantine, torn-tail salvage) is exercised deterministically.
 	JobWALReplay = "job.wal.replay"
+	// JobWALSync fires before each fsync of the batch-job WAL log (a
+	// submit, a terminal record, or a batch of chunk frames). An injected
+	// err fails the sync: nothing the synced records describe becomes
+	// visible, and a batch's chunks are drawn again.
+	JobWALSync = "job.wal.sync"
 	// JobChunkSample fires before each batch-job chunk executes. An injected
 	// err fails the chunk (and with it the job, through the terminal-state
 	// ladder); latency stretches a chunk so kill-and-resume tests can land a
@@ -117,7 +122,7 @@ func Points() []string {
 		ServeSim, ServeQueueSubmit, ServeCacheAdmit,
 		SnapstoreWrite, SnapstoreRead,
 		ClusterConnect, ClusterSnapFetch,
-		JobWALWrite, JobWALReplay, JobChunkSample,
+		JobWALWrite, JobWALReplay, JobWALSync, JobChunkSample,
 	}
 }
 

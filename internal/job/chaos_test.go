@@ -1,10 +1,10 @@
 package job
 
-// Fault-injection coverage for the job tier's three chaos points
-// (job.wal.write, job.wal.replay, job.chunk.sample) plus the recovery
-// behaviors that only matter under damage: terminal-job retention and
-// replay of a WAL containing garbage records. Runs in `make chaos` via the
-// Fault name pattern.
+// Fault-injection coverage for the job tier's four chaos points
+// (job.wal.write, job.wal.sync, job.wal.replay, job.chunk.sample) plus the
+// recovery behaviors that only matter under damage: terminal-job retention
+// and replay of a WAL containing garbage records. Runs in `make chaos` via
+// the Fault name pattern.
 
 import (
 	"bytes"
@@ -19,6 +19,7 @@ import (
 
 	"weaksim/internal/core"
 	"weaksim/internal/fault"
+	"weaksim/internal/obs"
 )
 
 // TestFaultWALWriteCorrupt arms byte corruption on the WAL append path:
@@ -209,6 +210,151 @@ func TestFaultSalvageCompactionFails(t *testing.T) {
 		if got, _ := os.ReadFile(name); !bytes.Equal(got, data) {
 			t.Fatalf("%s does not hold the damaged log", name)
 		}
+	}
+}
+
+// TestFaultWALSyncFails: a failed fsync of a batch makes none of it
+// visible. An 8-chunk job's one batch (its chunks and completed record)
+// fails to sync: no progress frame and no chunk shows until the chunks are
+// drawn again after retryBackoff, the job then completes with the counts
+// of an unfaulted run, and a restart replays the log, which holds the
+// batch's chunk frames twice, to the same status and counts.
+func TestFaultWALSyncFails(t *testing.T) {
+	spec := testSpec("jsync", 800, 100)
+	ref := startManager(t, Config{})
+	if _, err := ref.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, ref, spec.ID, completed)
+	want, err := result(ref, spec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	provider, open, calls := gated(fakeSampler{4})
+	defer open()
+	dir, reg := t.TempDir(), obs.NewRegistry()
+	m := startClockManager(t, Config{Dir: dir, Metrics: reg, Snapshot: provider}, true)
+	if _, err := m.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	ch, cancel, err := m.Subscribe(spec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	if err := fault.Enable("job.wal.sync:err@1", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Disable()
+	open()
+	for reg.Counter("job_wal_errors_total").Value() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	// The chunks wait out retryBackoff before they are drawn again: what
+	// is read before the first of those draws shows nothing of the batch.
+	before, _ := m.Get(spec.ID)
+	var frames []Event
+	for drained := false; !drained; {
+		select {
+		case ev, ok := <-ch:
+			if ok {
+				frames = append(frames, ev)
+			}
+			drained = !ok
+		default:
+			drained = true
+		}
+	}
+	if calls() > spec.ChunksTotal() {
+		t.Log("the retry began before the visibility check; skipped it")
+	} else {
+		if before.ChunksDone != 0 || before.ShotsDone != 0 {
+			t.Fatalf("after the failed sync: chunks_done %d, shots_done %d, want 0", before.ChunksDone, before.ShotsDone)
+		}
+		for _, ev := range frames {
+			if ev.ChunksDone != 0 || ev.Terminal {
+				t.Fatalf("frame %+v before the retry, want none past the first", ev)
+			}
+		}
+	}
+	st := waitFor(t, m, spec.ID, completed)
+	if n := calls(); n != 2*spec.ChunksTotal() {
+		t.Errorf("%d chunk draws, want every chunk twice", n)
+	}
+	got, err := result(m, spec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("counts after the retry %v, unfaulted run %v", got, want)
+	}
+	chunks := 0
+	for _, typ := range logTypes(t, dir) {
+		if typ == recChunkRun {
+			chunks++
+		}
+	}
+	if chunks != 2*spec.ChunksTotal() {
+		t.Errorf("log holds %d chunk records, want each chunk twice", chunks)
+	}
+	ctx, stop := testCtx()
+	defer stop()
+	if err := m.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := startManager(t, Config{Dir: dir})
+	st2, err := m2.Get(spec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.State != st.State || st2.ChunksDone != st.ChunksDone || st2.ShotsDone != st.ShotsDone {
+		t.Fatalf("replayed status %+v, want %+v", st2, st)
+	}
+	if got, err := result(m2, spec.ID); err != nil || !maps.Equal(got, want) {
+		t.Fatalf("replayed counts %v (%v), want %v", got, err, want)
+	}
+}
+
+// TestFaultWALSyncFailsThenCancel: a job cancelled while its failed last
+// batch waits to be drawn again reads cancelled, and so does its replay,
+// although the failed batch left a completed record in the log.
+func TestFaultWALSyncFailsThenCancel(t *testing.T) {
+	provider, open, _ := gated(fakeSampler{4})
+	defer open()
+	dir, reg := t.TempDir(), obs.NewRegistry()
+	m := startClockManager(t, Config{Dir: dir, Metrics: reg, Snapshot: provider}, true)
+	spec := testSpec("jsynccancel", 800, 100)
+	if _, err := m.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := fault.Enable("job.wal.sync:err@1", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Disable()
+	open()
+	for reg.Counter("job_wal_errors_total").Value() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := m.Cancel(spec.ID); err != nil {
+		t.Fatal(err)
+	}
+	switch st := waitFor(t, m, spec.ID, func(s Status) bool { return s.State.Terminal() }); st.State {
+	case StateCompleted:
+		t.Skip("the retried batch completed before the cancel landed")
+	case StateCancelled:
+	default:
+		t.Fatalf("cancelled job settled as %s", st.State)
+	}
+	ctx, stop := testCtx()
+	defer stop()
+	if err := m.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	m2 := startManager(t, Config{Dir: dir})
+	if st, err := m2.Get(spec.ID); err != nil || st.State != StateCancelled {
+		t.Fatalf("replayed %+v, %v; want cancelled", st, err)
 	}
 }
 

@@ -1,24 +1,36 @@
 package job
 
 // Manager is the job store + chunked executor. One mutex guards everything:
-// the job table, the scheduler, and the WAL (appends and compaction), so
-// "WAL write then in-memory update" is a single atomic step and there is no
-// lock-ordering question between store and log. Chunk sampling — the long
-// part — runs outside the lock; only the commit is serialized, and a chunk
-// commit is one fsynced append (~ms) against chunk sample times of the same
-// order or larger.
+// the job table, the scheduler, and the WAL (writes, syncs and compaction),
+// so "WAL sync then in-memory update" is a single atomic step and there is
+// no lock-ordering question between store and log. Chunk sampling — the
+// long part — runs outside the lock; only the frame writes and commits are
+// serialized.
+//
+// Chunks are group-committed. A worker that picks a job draws its chunks
+// one after another; each chunk's frame is written (no fsync) as soon as
+// it is drawn, and the chunk is then pending: neither done nor visible. The
+// batch closes when the job has no next chunk, on cancel, shutdown or an
+// error, when another job is runnable, or once its drawing has taken
+// batchBudget; one fsync then makes every pending chunk durable, and only
+// then do they become visible, in order, one progress frame each. Under
+// contention every chunk commits alone, as the scheduler's fair share
+// assumes.
 //
 // Durability contract: a chunk becomes visible (counts merged, progress
 // shown) only after its WAL record is on disk. Kill the process at any
-// instant and restart: every committed chunk replays, the at-most-one
-// in-flight chunk per job re-samples under its original rng.Stream(seed, i),
-// and the final merged counts are bit-identical to an uninterrupted run.
+// instant and restart: every committed chunk replays, and so does every
+// pending chunk whose frame was written (a SIGKILL leaves the page cache),
+// so only the one chunk per job being drawn re-samples, under its original
+// rng.Stream(seed, i), and the final merged counts are bit-identical to an
+// uninterrupted run.
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -42,8 +54,13 @@ const (
 	// the oldest are evicted.
 	DefaultRetainTerminal = 64
 	// retryBackoff delays a chunk's reschedule after a transient failure
-	// (queue full, snapshot flight abandoned).
+	// (queue full, snapshot flight abandoned, a failed WAL write or sync).
 	retryBackoff = 250 * time.Millisecond
+	// batchBudget bounds a batch's drawing time: past it the batch closes
+	// at its next chunk. About ten fsyncs' worth, so a batch pays at most a
+	// tenth for its sync, and its chunks become visible at most this and
+	// one fsync late.
+	batchBudget = time.Millisecond
 )
 
 // Config parameterizes a Manager.
@@ -96,8 +113,9 @@ type jobState struct {
 	spec  Spec
 	state State
 
-	counts     *core.Tally // merged tallies of completed chunks
-	done       []bool      // per-chunk completion
+	counts     *core.Tally    // merged tallies of completed chunks
+	done       []bool         // per-chunk completion
+	pending    []pendingChunk // chunks written to the WAL, awaiting their batch's sync
 	chunksDone int
 	shotsDone  int
 	recovered  int // chunks reconstructed from the WAL at startup
@@ -118,9 +136,17 @@ type jobState struct {
 	subs []*subscriber
 }
 
+// pendingChunk is a drawn chunk whose frame is written but not yet synced.
+type pendingChunk struct {
+	chunk  int
+	counts *core.Tally
+	rec    Record // its chunk record, for a compaction that lands before the sync
+}
+
+// nextChunk returns the first chunk neither done nor pending, or -1.
 func (j *jobState) nextChunk() int {
 	for i, d := range j.done {
-		if !d {
+		if !d && !slices.ContainsFunc(j.pending, func(p pendingChunk) bool { return p.chunk == i }) {
 			return i
 		}
 	}
@@ -146,7 +172,11 @@ type Manager struct {
 
 	mSubmitted, mCompleted, mFailed, mCancelled *obs.Counter
 	mChunks, mQuota, mWALRecords, mWALErrors    *obs.Counter
+	mWALSyncs                                   *obs.Counter
 	gActive, gInflight, gWALBytes               *obs.Gauge
+
+	// now reads the clock a batch's drawing time is measured by.
+	now func() time.Time
 }
 
 // NewManager builds a Manager; call Start before use.
@@ -156,6 +186,7 @@ func NewManager(cfg Config) *Manager {
 		cfg:   cfg,
 		jobs:  make(map[string]*jobState),
 		sched: newSched(cfg.TenantWeights, DefaultMaxInFlightPerTenant, DefaultAgingInterval),
+		now:   time.Now,
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.baseCtx, m.cancel = context.WithCancel(context.Background())
@@ -169,6 +200,7 @@ func NewManager(cfg Config) *Manager {
 	m.mQuota = reg.Counter("job_quota_rejected_total")
 	m.mWALRecords = reg.Counter("job_wal_records_total")
 	m.mWALErrors = reg.Counter("job_wal_errors_total")
+	m.mWALSyncs = reg.Counter("job_wal_syncs_total")
 	m.gActive = reg.Gauge("job_active")
 	m.gInflight = reg.Gauge("job_inflight_chunks")
 	m.gWALBytes = reg.Gauge("job_wal_bytes")
@@ -179,7 +211,8 @@ func NewManager(cfg Config) *Manager {
 	obs.RegisterHelp("job_chunks_done_total", "Chunk checkpoints committed (WAL fsync + merge).")
 	obs.RegisterHelp("job_quota_rejected_total", "Submits rejected by the per-tenant quota (HTTP 429).")
 	obs.RegisterHelp("job_wal_records_total", "Records appended to the job WAL.")
-	obs.RegisterHelp("job_wal_errors_total", "Job WAL append/compaction failures.")
+	obs.RegisterHelp("job_wal_syncs_total", "Job WAL fsyncs: one per submit, terminal record, or batch of chunk records.")
+	obs.RegisterHelp("job_wal_errors_total", "Job WAL write, sync and compaction failures.")
 	obs.RegisterHelp("job_active", "Non-terminal jobs in the store.")
 	obs.RegisterHelp("job_inflight_chunks", "Chunks currently executing.")
 	obs.RegisterHelp("job_wal_bytes", "Job WAL log size in bytes.")
@@ -263,7 +296,10 @@ func (m *Manager) Stop(ctx context.Context) error {
 
 // applyLocked folds one WAL record into the store. Replay is idempotent:
 // duplicate submits and duplicate chunk records are skipped, and a
-// checkpoint supersedes (never merges with) earlier chunk records.
+// checkpoint supersedes (never merges with) earlier chunk records. A later
+// terminal record supersedes an earlier one: a completed record rides in
+// its job's last batch, and when that batch fails to sync it stays in the
+// log though no client saw it, ahead of the transition the job then made.
 func (m *Manager) applyLocked(rec Record) {
 	switch rec.Type {
 	case recSubmit:
@@ -301,7 +337,7 @@ func (m *Manager) applyLocked(rec Record) {
 			return
 		}
 		j, ok := m.jobs[sr.ID]
-		if !ok || j.state.Terminal() || !sr.State.Terminal() {
+		if !ok || !sr.State.Terminal() {
 			return
 		}
 		j.state = sr.State
@@ -519,9 +555,9 @@ func (m *Manager) List() []Status {
 
 // Result returns a completed job's merged counts, and the register width
 // that renders them as bitstrings. The tally is the job's own, not a copy: a
-// completed job's counts never change again (a late chunk commit is
-// dropped), so callers read and format it without the manager's lock, and
-// must not modify it.
+// completed job's counts never change again (no worker holds a terminal
+// job), so callers read and format it without the manager's lock, and must
+// not modify it.
 func (m *Manager) Result(id string) (counts *core.Tally, qubits int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -628,12 +664,21 @@ func (m *Manager) activeLocked() int {
 	return n
 }
 
-// appendLocked writes one WAL record (no-op when running in memory).
+// appendLocked writes one WAL record and makes it durable (no-op when
+// running in memory).
 func (m *Manager) appendLocked(rec Record) error {
+	if err := m.writeLocked(rec); err != nil {
+		return err
+	}
+	return m.syncLocked()
+}
+
+// writeLocked writes one WAL record without an fsync (no-op in memory).
+func (m *Manager) writeLocked(rec Record) error {
 	if m.w == nil {
 		return nil
 	}
-	if err := m.w.append(rec); err != nil {
+	if err := m.w.write(rec); err != nil {
 		m.mWALErrors.Inc()
 		return err
 	}
@@ -642,9 +687,23 @@ func (m *Manager) appendLocked(rec Record) error {
 	return nil
 }
 
+// syncLocked makes every record written so far durable (no-op in memory).
+func (m *Manager) syncLocked() error {
+	if m.w == nil {
+		return nil
+	}
+	if err := m.w.sync(); err != nil {
+		m.mWALErrors.Inc()
+		return err
+	}
+	m.mWALSyncs.Inc()
+	return nil
+}
+
 // compactLocked replaces the WAL log with the live state: per job a submit
-// record, a checkpoint when chunks are done, and the terminal record if
-// settled.
+// record, a checkpoint when chunks are done, the records of its pending
+// chunks (their frames are in the log being replaced, and their batch's
+// sync will not reach them), and the terminal record if settled.
 func (m *Manager) compactLocked() error {
 	var snap []Record
 	for _, id := range m.ids {
@@ -658,6 +717,9 @@ func (m *Manager) compactLocked() error {
 				}
 			}
 			snap = append(snap, checkpointRun(id, done, j.shotsDone, j.counts))
+		}
+		for _, p := range j.pending {
+			snap = append(snap, p.rec)
 		}
 		if j.state.Terminal() {
 			snap = append(snap, mustRecord(recState, stateRecord{
@@ -750,8 +812,7 @@ func (m *Manager) publishLocked(j *jobState) {
 }
 
 // terminalizeLocked performs a terminal transition: WAL record first, then
-// the visible state, scheduler dequeue, retention, trace flush, and the
-// final event frame.
+// settleLocked.
 func (m *Manager) terminalizeLocked(j *jobState, st State, code, msg string) {
 	if j.state.Terminal() {
 		return
@@ -760,6 +821,13 @@ func (m *Manager) terminalizeLocked(j *jobState, st State, code, msg string) {
 	// after restart (it will re-reach this verdict), which is strictly
 	// safer than losing the WAL invariant.
 	_ = m.appendLocked(mustRecord(recState, stateRecord{ID: j.spec.ID, State: st, ErrCode: code, Err: msg}))
+	m.settleLocked(j, st, code, msg)
+}
+
+// settleLocked makes a terminal transition whose record is durable visible:
+// the state, scheduler dequeue, retention, trace flush, and the final event
+// frame.
+func (m *Manager) settleLocked(j *jobState, st State, code, msg string) {
 	j.state = st
 	j.errCode, j.errMsg = code, msg
 	j.updatedMS = time.Now().UnixMilli()
@@ -828,38 +896,54 @@ func (m *Manager) worker() {
 		j.cancelChunk = cancelChunk
 		m.mu.Unlock()
 
-		m.runChunk(ctx, j, chunk)
+		m.runBatch(ctx, j, chunk)
 		cancelChunk()
 
 		m.mu.Lock()
 		j.inflight = false
 		j.cancelChunk = nil
-		// Cancel may land in the window after commitChunk released the lock
-		// but before this reset: it sees inflight=true and defers the
-		// transition to us, yet the chunk it cancelled is already done. The
-		// scheduler never picks a cancel-requested job, so settle it here or
-		// it stays "running" forever.
+		// Cancel may land in the window after the batch closed and released
+		// the lock but before this reset: it sees inflight=true and defers
+		// the transition to us, yet the chunk it cancelled is already done.
+		// The scheduler never picks a cancel-requested job, so settle it
+		// here or it stays "running" forever.
 		if j.cancelReq && !j.state.Terminal() {
 			m.terminalizeLocked(j, StateCancelled, "cancelled", "cancelled by request")
 		}
 		t.inflight--
 		m.gInflight.Add(-1)
-		// A finished chunk may unblock this job for another worker, and the
+		// A finished batch may unblock this job for another worker, and the
 		// tenant's in-flight slot is free again.
 		m.cond.Broadcast()
 	}
 }
 
-// runChunk executes one chunk outside the lock: resolve the frozen snapshot,
-// walk ChunkShotCount(chunk) shots under rng.Stream(seed, chunk), then
-// commit (WAL append + merge) under the lock. Each phase is one span in the
-// job's trace.
-func (m *Manager) runChunk(ctx context.Context, j *jobState, chunk int) {
+// runBatch draws j's chunks from chunk on, one at a time, and
+// group-commits them: commitChunk writes each chunk's frame as it is drawn
+// and closes the batch by the rule in the header comment.
+func (m *Manager) runBatch(ctx context.Context, j *jobState, chunk int) {
+	start := m.now()
+	for chunk >= 0 {
+		counts, err := m.drawChunk(ctx, j, chunk)
+		if err != nil {
+			m.mu.Lock()
+			m.closeBatchLocked(j)
+			m.finishChunkErrLocked(j, err)
+			m.mu.Unlock()
+			return
+		}
+		chunk = m.commitChunk(j, chunk, counts, start)
+	}
+}
+
+// drawChunk executes one chunk outside the lock: resolve the frozen
+// snapshot, then walk ChunkShotCount(chunk) shots under
+// rng.Stream(seed, chunk). Each phase is one span in the job's trace.
+func (m *Manager) drawChunk(ctx context.Context, j *jobState, chunk int) (*core.Tally, error) {
 	spec := j.spec
 	if err := fault.Hit(fault.JobChunkSample); err != nil {
 		j.trace.Event(obs.PhaseSample, "chunk-fault", map[string]any{"chunk": chunk, "err": err.Error()})
-		m.finishChunkErr(j, chunk, err)
-		return
+		return nil, err
 	}
 	ctx = obs.ContextWithTrace(ctx, j.trace)
 
@@ -871,8 +955,7 @@ func (m *Manager) runChunk(ctx context.Context, j *jobState, chunk int) {
 	}
 	if err != nil {
 		sp.End(map[string]any{"chunk": chunk, "err": err.Error()})
-		m.finishChunkErr(j, chunk, err)
-		return
+		return nil, err
 	}
 	sp.End(nil)
 
@@ -881,58 +964,103 @@ func (m *Manager) runChunk(ctx context.Context, j *jobState, chunk int) {
 	counts, err := core.TallyChunk(ctx, sampler, spec.Seed, chunk, shots)
 	if err != nil {
 		sp.End(map[string]any{"chunk": chunk, "err": err.Error()})
-		m.finishChunkErr(j, chunk, err)
-		return
+		return nil, err
 	}
 	sp.End(map[string]any{"chunk": chunk, "shots": shots})
-	m.commitChunk(j, chunk, shots, counts)
+	return counts, nil
 }
 
-// commitChunk makes one chunk durable and visible, in that order.
+// commitChunk writes a drawn chunk's frame and marks it pending, then
+// returns the chunk to draw next, or -1 once it has closed the batch.
 //
 // The chunk record is encoded from the chunk's own tallies before the lock
 // is taken, and only when the manager has a WAL to write it to: an in-memory
-// manager would drop it unwritten. The wal phase is two spans: the encoding,
-// and the append plus merge under the lock.
-func (m *Manager) commitChunk(j *jobState, chunk, shots int, counts *core.Tally) {
+// manager would drop it unwritten. Without a WAL there is no fsync to
+// share, so every chunk commits alone.
+func (m *Manager) commitChunk(j *jobState, chunk int, counts *core.Tally, start time.Time) (next int) {
 	sp := obs.StartSpan(nil, j.trace, obs.PhaseWAL)
 	var rec Record
 	if m.cfg.Dir != "" {
-		rec = chunkRun(j.spec.ID, chunk, shots, counts)
+		rec = chunkRun(j.spec.ID, chunk, j.spec.ChunkShotCount(chunk), counts)
 	}
-	sp.End(nil)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if j.state.Terminal() || j.done[chunk] {
-		return
-	}
 	if j.cancelReq {
+		sp.End(nil)
+		m.closeBatchLocked(j)
 		m.terminalizeLocked(j, StateCancelled, "cancelled", "cancelled by request")
-		return
+		return -1
 	}
-	sp = obs.StartSpan(nil, j.trace, obs.PhaseWAL)
-	// appendLocked is a no-op without a WAL, the one case rec was not built.
-	if err := m.appendLocked(rec); err != nil {
+	// writeLocked is a no-op without a WAL, the one case rec was not built.
+	if err := m.writeLocked(rec); err != nil {
 		sp.End(map[string]any{"chunk": chunk, "err": err.Error()})
 		// The tallies are deterministic — dropping them and re-sampling the
 		// chunk after a backoff is safe and keeps the WAL the source of
 		// truth.
+		m.closeBatchLocked(j)
+		m.releaseChunkLocked(j, retryBackoff)
+		return -1
+	}
+	sp.End(nil)
+	j.pending = append(j.pending, pendingChunk{chunk: chunk, counts: counts, rec: rec})
+	next = j.nextChunk()
+	if next >= 0 && m.w != nil && !m.stopping && m.now().Sub(start) < batchBudget && !m.sched.anyRunnable(time.Now()) {
+		return next
+	}
+	m.closeBatchLocked(j)
+	return -1
+}
+
+// closeBatchLocked makes j's pending chunks durable and visible, in that
+// order. When they complete the job its completed record is written first,
+// so one fsync covers the batch and the transition. Then each chunk is
+// merged in chunk order with its own progress frame, as if it had
+// committed alone, and a completed job settles without a second append.
+//
+// A failed write or sync makes nothing visible: the chunks are drawn again
+// after retryBackoff, and replay skips the frames the log may then hold
+// twice (chunkTargetLocked).
+func (m *Manager) closeBatchLocked(j *jobState) {
+	if len(j.pending) == 0 {
+		return
+	}
+	sp := obs.StartSpan(nil, j.trace, obs.PhaseWAL)
+	complete := j.chunksDone+len(j.pending) == j.spec.ChunksTotal()
+	var err error
+	if complete {
+		err = m.writeLocked(mustRecord(recState, stateRecord{ID: j.spec.ID, State: StateCompleted}))
+	}
+	if err == nil {
+		err = m.syncLocked()
+	}
+	if err != nil {
+		sp.End(map[string]any{"chunks": len(j.pending), "err": err.Error()})
+		clear(j.pending)
+		j.pending = j.pending[:0]
 		m.releaseChunkLocked(j, retryBackoff)
 		return
 	}
-	j.done[chunk] = true
-	j.chunksDone++
-	j.executed++
-	j.shotsDone += shots
-	j.counts = core.Accumulate(j.counts, counts, j.spec.Qubits)
-	sp.End(nil)
-	j.updatedMS = time.Now().UnixMilli()
-	m.mChunks.Inc()
-	if j.chunksDone >= j.spec.ChunksTotal() {
-		m.terminalizeLocked(j, StateCompleted, "", "")
-	} else {
-		m.publishLocked(j)
+	for i, p := range j.pending {
+		if i > 0 { // the first chunk's commit span also timed the sync
+			sp = obs.StartSpan(nil, j.trace, obs.PhaseWAL)
+		}
+		j.done[p.chunk] = true
+		j.chunksDone++
+		j.executed++
+		j.shotsDone += j.spec.ChunkShotCount(p.chunk)
+		j.counts = core.Accumulate(j.counts, p.counts, j.spec.Qubits)
+		sp.End(nil)
+		j.updatedMS = time.Now().UnixMilli()
+		m.mChunks.Inc()
+		if j.chunksDone < j.spec.ChunksTotal() {
+			m.publishLocked(j)
+		}
+	}
+	clear(j.pending)
+	j.pending = j.pending[:0]
+	if complete {
+		m.settleLocked(j, StateCompleted, "", "")
 	}
 	if m.w != nil && m.w.needsCompact() {
 		// A failed compaction is counted and leaves the old log in use.
@@ -953,7 +1081,7 @@ func (m *Manager) releaseChunkLocked(j *jobState, backoff time.Duration) {
 	}
 }
 
-// finishChunkErr classifies a chunk failure:
+// finishChunkErrLocked classifies a chunk failure:
 //
 //   - cancellation requested → terminal cancelled;
 //   - shutdown/park (draining daemon, cancelled base context) → chunk
@@ -964,12 +1092,7 @@ func (m *Manager) releaseChunkLocked(j *jobState, backoff time.Duration) {
 //     deadline) → terminal failed with the matching code — a verdict is an
 //     answer, not a retryable fault;
 //   - anything else → terminal failed ("internal").
-func (m *Manager) finishChunkErr(j *jobState, chunk int, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
+func (m *Manager) finishChunkErrLocked(j *jobState, err error) {
 	var verdict *VerdictError
 	switch {
 	case j.cancelReq:

@@ -64,19 +64,7 @@ func result(m *Manager, id string) (map[string]int, error) {
 
 func startManager(t *testing.T, cfg Config) *Manager {
 	t.Helper()
-	if cfg.Snapshot == nil {
-		cfg.Snapshot = fakeProvider(4, 0)
-	}
-	m := NewManager(cfg)
-	if err := m.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = m.Stop(ctx)
-	})
-	return m
+	return startClockManager(t, cfg, false)
 }
 
 func waitFor(t *testing.T, m *Manager, id string, pred func(Status) bool) Status {
@@ -189,8 +177,8 @@ func TestInMemoryJobSkipsWALRecords(t *testing.T) {
 // job of 2·65,536+5 shots and a 20-qubit job of 4·65,536 outgrow one run
 // of 2^n/16 entries and end dense: as many entries as distinct outcomes,
 // not Reusable. A 24-qubit job of 4·65,536 shots, too wide for a dense
-// tally, takes over each chunk's run as it commits: as many entries as
-// its chunks' tallies hold in all.
+// tally, merges its chunks' runs in binary-counter order, so its four
+// chunks end as one run (Reusable) of its distinct outcomes.
 func TestDenseJobTallyMergesMapChunks(t *testing.T) {
 	for _, tc := range []struct {
 		qubits, shots int
@@ -202,14 +190,13 @@ func TestDenseJobTallyMergesMapChunks(t *testing.T) {
 	} {
 		spec := testSpec(fmt.Sprintf("jq%d", tc.qubits), tc.shots, DefaultChunkShots)
 		spec.Qubits = tc.qubits
-		want, entries := map[uint64]int{}, 0
+		want := map[uint64]int{}
 		for i := 0; i < spec.ChunksTotal(); i++ {
 			chunk, err := core.TallyChunk(context.Background(), fakeSampler{tc.qubits}, spec.Seed, i, spec.ChunkShotCount(i))
 			if err != nil {
 				t.Fatal(err)
 			}
 			core.MergeCounts(want, chunk.Map())
-			entries += chunk.Len()
 		}
 		m := startManager(t, Config{Snapshot: fakeProvider(tc.qubits, 0)})
 		if _, err := m.Submit(spec); err != nil {
@@ -223,13 +210,9 @@ func TestDenseJobTallyMergesMapChunks(t *testing.T) {
 		if !reflect.DeepEqual(got.Map(), want) {
 			t.Fatalf("%d qubits: job result differs from the sum of its chunks' tallies", tc.qubits)
 		}
-		wantLen := entries
-		if tc.dense {
-			wantLen = len(want)
-		}
-		if got.Len() != wantLen || got.Reusable() {
+		if got.Len() != len(want) || got.Reusable() == tc.dense {
 			t.Errorf("%d qubits: accumulator holds %d entries (one run: %v), want %d in dense=%v",
-				tc.qubits, got.Len(), got.Reusable(), wantLen, tc.dense)
+				tc.qubits, got.Len(), got.Reusable(), len(want), tc.dense)
 		}
 	}
 }

@@ -22,10 +22,14 @@ package job
 // Ties break oldest-first.
 //
 // At most one chunk per job is in flight at a time. That serializes a
-// single job's checkpoint stream (the resume invariant "lose at most one
-// chunk" is per job) while still letting the worker pool run many jobs in
-// parallel. Per-tenant in-flight caps bound how much of the pool one tenant
-// can hold at once regardless of weight.
+// single job's checkpoint stream while still letting the worker pool run
+// many jobs in parallel. A worker that picks a job may draw several of its
+// chunks in a row, group-committed by one fsync (manager.go), but only
+// while no other job is runnable: with contention every pick is one chunk,
+// so fair share is unchanged. Each chunk's frame is written as it is
+// drawn, so the resume invariant "lose at most one chunk" per job holds
+// for a SIGKILL mid-batch too. Per-tenant in-flight caps bound how much of
+// the pool one tenant can hold at once regardless of weight.
 
 import (
 	"time"
@@ -120,10 +124,11 @@ func (s *sched) dequeue(j *jobState) {
 	}
 }
 
-// runnable reports whether the job can accept a chunk right now.
+// runnable reports whether the job can accept a chunk right now: one
+// neither done nor pending in a batch.
 func runnable(j *jobState, now time.Time) bool {
 	return !j.state.Terminal() && !j.inflight && !j.cancelReq &&
-		j.chunksDone < j.spec.ChunksTotal() && !now.Before(j.notBefore)
+		j.chunksDone+len(j.pending) < j.spec.ChunksTotal() && !now.Before(j.notBefore)
 }
 
 // effClass is the job's aged priority class: the submitted class minus one
@@ -164,6 +169,17 @@ func (s *sched) tenantRunnable(t *tenantState, now time.Time) bool {
 	}
 	for _, j := range t.jobs {
 		if runnable(j, now) {
+			return true
+		}
+	}
+	return false
+}
+
+// anyRunnable reports whether some job waits for a worker: a tenant with
+// capacity and backlog.
+func (s *sched) anyRunnable(now time.Time) bool {
+	for _, t := range s.tenants {
+		if s.tenantRunnable(t, now) {
 			return true
 		}
 	}

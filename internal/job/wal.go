@@ -11,8 +11,13 @@ package job
 //	...  payload (JSON or a binary run record; see records.go)
 //	u64  CRC-64 (ECMA) over [version..payload]
 //
-// Appends are fsynced before the in-memory state they describe becomes
-// visible, so any progress a client has observed survives a SIGKILL.
+// Records are written as they are made and fsynced before the in-memory
+// state they describe becomes visible, so any progress a client has
+// observed survives a SIGKILL or a power cut. A job's chunk frames are
+// group-committed: each is written as soon as its chunk is drawn, and one
+// fsync makes a batch of them durable (manager.go). A written frame is in
+// the page cache, which outlives a SIGKILL, so replay after a kill also
+// reads frames whose batch had not synced yet.
 //
 // Crash anatomy, layer by layer:
 //
@@ -252,10 +257,10 @@ func quarantine(path string) error {
 	}
 }
 
-// append frames, (fault-)mangles, writes, and fsyncs one record. The fsync
-// is the durability edge: the caller only updates client-visible state after
-// append returns nil.
-func (w *wal) append(rec Record) error {
+// write frames, (fault-)mangles and writes one record, with no fsync: the
+// frame is in the page cache, which a SIGKILL does not lose, but not yet
+// durable against a power cut.
+func (w *wal) write(rec Record) error {
 	frame := encodeFrame(rec)
 	frame, err := fault.Mangle(fault.JobWALWrite, frame)
 	if err != nil {
@@ -264,10 +269,19 @@ func (w *wal) append(rec Record) error {
 	if _, err := w.f.Write(frame); err != nil {
 		return fmt.Errorf("job: wal append: %w", err)
 	}
+	w.size += int64(len(frame))
+	return nil
+}
+
+// sync fsyncs the log. It is the durability edge: the caller only updates
+// client-visible state for the records it wrote after sync returns nil.
+func (w *wal) sync() error {
+	if err := fault.Hit(fault.JobWALSync); err != nil {
+		return fmt.Errorf("job: wal sync: %w", err)
+	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("job: wal sync: %w", err)
 	}
-	w.size += int64(len(frame))
 	return nil
 }
 

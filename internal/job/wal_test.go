@@ -19,6 +19,15 @@ func openTestWAL(t *testing.T, dir string, threshold int64) (*wal, []Record, boo
 	return w, recs, salvaged
 }
 
+// append writes one record and syncs the log, as a lone record is
+// committed.
+func (w *wal) append(rec Record) error {
+	if err := w.write(rec); err != nil {
+		return err
+	}
+	return w.sync()
+}
+
 func TestWALRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	w, recs, salvaged := openTestWAL(t, dir, 0)
